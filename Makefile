@@ -68,9 +68,13 @@ test:
 # those sweeps, and the bench differential tests that drive sharded
 # clusters end to end. The fabric line covers the multi-switch congestion
 # paths (incast on the shared down-link, link saturation, route spread).
+# The sim and sharded lines run at -cpu 1,2: procs are coroutines that any
+# shard worker may resume, so switches are exercised on one P and across
+# two.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race -run 'TestSharded' ./internal/bench/
+	$(GO) test -race -cpu 1,2 ./internal/sim/...
+	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
+	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
 
 # Provider-conformance suite: every transport backend (verbs, ucx, shm)

@@ -188,6 +188,37 @@ func TestAtCallSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSpawnSteadyStateZeroAllocs is the allocation gate on proc spawning:
+// inside one Run a parent proc fork-joins 32 thread procs per round
+// through a Group, and once the shells are warm a round allocates nothing
+// — no shell, no goroutine, no wait record.
+func TestSpawnSteadyStateZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	g := NewGroup(e)
+	thread := func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		g.Done()
+	}
+	allocs := -1.0
+	e.Spawn("parent", func(p *Proc) {
+		round := func() {
+			for i := 0; i < 32; i++ {
+				g.Add(1)
+				e.Spawn("thread", thread)
+			}
+			g.Wait(p)
+		}
+		round() // warm the shells, the event free list and the wait queue
+		allocs = testing.AllocsPerRun(100, round)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("fork-join of 32 procs allocates %.1f/round, want 0", allocs)
+	}
+}
+
 // TestTotalEventsAccumulates checks the process-wide counter moves when an
 // engine run completes.
 func TestTotalEventsAccumulates(t *testing.T) {
@@ -229,8 +260,8 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkProcParkResume measures a full proc park/resume round trip
-// through the single-channel rendezvous.
+// BenchmarkProcParkResume measures a full proc park/resume round trip:
+// one Sleep event and two coroutine switches.
 func BenchmarkProcParkResume(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("bench", func(p *Proc) {

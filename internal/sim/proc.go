@@ -1,26 +1,51 @@
+//go:build go1.23
+
+// The constraint above raises this file's language version to the Go 1.23
+// that iter.Pull needs, and go.mod's toolchain line selects such a Go. The
+// module's go line stays at 1.22 because the benchmark module
+// (benchmark/go.mod, go 1.22) replaces this one, and a dependency may not
+// declare a newer go line than the main module.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulated thread of execution: a goroutine that the engine
+// Proc is a simulated thread of execution: a coroutine that the engine
 // resumes one at a time. Code running inside a proc may block in virtual
 // time with Sleep, Cond.Wait, Resource.Acquire and friends; while blocked,
 // other procs and events run. Methods on Proc must only be called from the
 // proc's own body function.
+//
+// Each proc shell owns one stdlib coroutine (iter.Pull over loop) that runs
+// one spawned body per assignment. Dispatch resumes it and park yields back,
+// each a direct runtime.coroswitch that bypasses the Go scheduler's run
+// queue, and any goroutine may resume it (shard workers take turns). The
+// coroutine is created on the shell's first Spawn, kept while the shell is
+// recycled across Spawns, and stopped when the engine's Run or RunUntil
+// (or its ShardSet's Run) returns; a proc still parked then — a daemon or
+// a deadlocked proc — keeps its coroutine.
+//
+// A body must not call runtime.Goexit (t.FailNow does): the Goexit
+// propagates to the goroutine that resumed the proc. On a serial engine
+// that ends the goroutine calling Run, after Run's deferred teardown; under
+// a ShardSet it would end a shard worker mid-hop, so bodies must not Goexit
+// under a ShardSet.
 type Proc struct {
 	e    *Engine
 	name string
-	// handoff is the single rendezvous channel between the engine's event
-	// loop and the proc goroutine. Because exactly one side runs at a
-	// time, the control transfers strictly alternate — engine→proc
-	// (dispatch), proc→engine (park or exit) — so one unbuffered channel
-	// serves both directions, halving the channels allocated per proc and
-	// the sudog traffic of the old separate resume/yield pair.
-	handoff chan struct{}
+	// fn is the body of the current assignment, cleared once it starts so
+	// an idle shell pins nothing the body captured.
+	fn func(p *Proc)
+	// resume/yield switch control between the engine's event loop and the
+	// proc; stop ends an idle shell's coroutine (releaseShells).
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 	// waiter is the proc's condition-variable wait record. A parked proc
 	// waits on at most one Cond at a time, so embedding the record here
 	// makes Cond.Wait allocation-free (see Cond.Wait for the lifetime
@@ -55,13 +80,12 @@ func (e *ProcError) Error() string {
 // Spawn creates a proc named name running fn, scheduled to start at the
 // current virtual time (after already-pending same-time events).
 //
-// Proc shells (the struct and its handoff channel) are recycled once a
-// proc's body returns, so fork-join workloads that spawn short-lived
-// worker procs per round do not allocate in steady state; only the
-// goroutine itself is started fresh. The returned *Proc is therefore
-// only meaningful until the body returns — callers must not retain it
-// past proc exit (no caller in this codebase does; procs interact with
-// their own *Proc argument).
+// Proc shells (the struct and its coroutine) are recycled once a proc's
+// body returns, so fork-join workloads that spawn short-lived worker procs
+// per round neither allocate nor start goroutines in steady state. The
+// returned *Proc is therefore only meaningful until the body returns —
+// callers must not retain it past proc exit (no caller in this codebase
+// does; procs interact with their own *Proc argument).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
@@ -72,22 +96,33 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.done = false
 		p.daemon = false
 	} else {
-		p = &Proc{
-			e:       e,
-			name:    name,
-			handoff: make(chan struct{}),
-		}
+		p = &Proc{e: e, name: name}
 		p.waiter.p = p
+		p.resume, p.stop = iter.Pull(p.loop)
 	}
+	p.fn = fn
 	e.live[p] = struct{}{}
-	go p.body(fn)
 	e.scheduleCall(e.now, fireDispatch, p)
 	return p
 }
 
-// body is the goroutine wrapper around the user function.
-func (p *Proc) body(fn func(p *Proc)) {
-	<-p.handoff
+// loop is the shell's coroutine: it runs one assigned body per resume
+// after the previous body's exit, until releaseShells stops it.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the assigned body, turning an escaped panic into a
+// ProcError.
+func (p *Proc) run() {
+	fn := p.fn
+	p.fn = nil
 	defer func() {
 		r := recover()
 		if r != nil {
@@ -97,15 +132,12 @@ func (p *Proc) body(fn func(p *Proc)) {
 		}
 		p.done = true
 		delete(p.e.live, p)
-		p.handoff <- struct{}{}
 	}()
 	fn(p)
 }
 
-// dispatch hands control to the proc and blocks until it parks or exits.
-// It runs on the engine's event loop. The send wakes the proc (which is
-// blocked receiving in park or at startup); the receive completes when
-// the proc parks again or its body returns.
+// dispatch hands control to the proc and returns when it parks or exits.
+// It runs on the engine's event loop.
 //partib:hotpath
 func (p *Proc) dispatch() {
 	if p.done {
@@ -113,14 +145,13 @@ func (p *Proc) dispatch() {
 	}
 	prev := p.e.running
 	p.e.running = p
-	p.handoff <- struct{}{}
-	<-p.handoff
+	p.resume()
 	p.e.running = prev
 	if p.done {
-		// The goroutine's last act before exiting was the handoff send we
-		// just received; the shell is dead and safe to recycle. Every wake
-		// is guarded by a consumed-once flag (cond waiter done, timer seq),
-		// so no stale dispatch event can still reference this proc.
+		// The coroutine is back at loop's yield, waiting for its next
+		// assignment. Every wake is guarded by a consumed-once flag (cond
+		// waiter done, timer seq), so no stale dispatch event can still
+		// reference this proc.
 		p.e.procFree = append(p.e.procFree, p) //partlint:allow hotpathalloc amortized free-list growth
 	}
 }
@@ -128,9 +159,19 @@ func (p *Proc) dispatch() {
 // park returns control to the engine until the proc is dispatched again.
 func (p *Proc) park(reason string) {
 	p.parkReason = reason
-	p.handoff <- struct{}{}
-	<-p.handoff
+	p.yield(struct{}{})
 	p.parkReason = ""
+}
+
+// releaseShells stops the coroutines of the engine's idle proc shells. It
+// runs when Run, RunUntil or ShardSet.Run returns: a finished engine would
+// otherwise keep one suspended coroutine per shell for the GC to scan.
+func (e *Engine) releaseShells() {
+	for i, p := range e.procFree {
+		p.stop()
+		e.procFree[i] = nil
+	}
+	e.procFree = e.procFree[:0]
 }
 
 // Name returns the proc's name.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,43 @@ func TestProcExitTerminatesCleanly(t *testing.T) {
 	}
 	if !p1.Done() {
 		t.Fatal("proc not marked done after Exit")
+	}
+}
+
+// TestProcGoexitEndsRunGoroutine pins what runtime.Goexit (and so
+// t.FailNow) does in a proc body: it propagates to the goroutine that
+// resumed the proc. On a serial engine that ends the goroutine calling
+// Run — Run does not return, nothing panics, nothing hangs.
+func TestProcGoexitEndsRunGoroutine(t *testing.T) {
+	type outcome struct {
+		returned bool
+		panicked any
+	}
+	res := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		defer func() {
+			o.panicked = recover() // nil under Goexit
+			res <- o
+		}()
+		e := NewEngine()
+		e.Spawn("goexit", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			runtime.Goexit()
+		})
+		_ = e.Run()
+		o.returned = true
+	}()
+	select {
+	case o := <-res:
+		if o.panicked != nil {
+			t.Fatalf("Goexit in a proc body panicked: %v", o.panicked)
+		}
+		if o.returned {
+			t.Fatal("Run returned after a proc body called Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Goexit in a proc body hung the engine")
 	}
 }
 

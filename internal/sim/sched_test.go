@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -162,39 +163,69 @@ func TestSchedStatsTiers(t *testing.T) {
 	}
 }
 
-// TestProcShellRecycle checks that exited procs' shells are reused by
-// later Spawns and that reuse does not leak state between bodies.
+// TestProcShellRecycle checks the shell lifecycle: within one Run an
+// exited proc's shell — struct and coroutine — is reused by the next Spawn
+// without leaking state between bodies, and Run's teardown leaves the free
+// list empty.
 func TestProcShellRecycle(t *testing.T) {
 	e := NewEngine()
-	var first *Proc
-	first = e.Spawn("one", func(p *Proc) {
-		if p != first {
-			t.Errorf("body got %p, Spawn returned %p", p, first)
+	e.Spawn("parent", func(p *Proc) {
+		var first *Proc
+		first = e.Spawn("one", func(c *Proc) {
+			if c != first {
+				t.Errorf("body got %p, Spawn returned %p", c, first)
+			}
+			c.Sleep(time.Microsecond)
+		})
+		p.Sleep(2 * time.Microsecond)
+		if len(e.procFree) != 1 {
+			t.Errorf("procFree holds %d shells after exit, want 1", len(e.procFree))
+			return
 		}
-		p.Sleep(time.Microsecond)
+		goroutines := runtime.NumGoroutine()
+		second := e.Spawn("two", func(c *Proc) {
+			if c.Name() != "two" {
+				t.Errorf("recycled proc kept stale name %q", c.Name())
+			}
+			if c.Done() {
+				t.Error("recycled proc started with done=true")
+			}
+			// Only growth counts: a goroutine an earlier test ended may
+			// still be exiting.
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("recycled shell raised the goroutine count %d -> %d, want its own coroutine reused", goroutines, n)
+			}
+			c.Sleep(time.Microsecond)
+		})
+		if second != first {
+			t.Errorf("Spawn did not reuse the recycled shell (%p vs %p)", second, first)
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.procFree) != 1 {
-		t.Fatalf("procFree holds %d shells after exit, want 1", len(e.procFree))
+	if len(e.procFree) != 0 {
+		t.Fatalf("procFree holds %d shells after Run returned, want 0", len(e.procFree))
 	}
-	second := e.Spawn("two", func(p *Proc) {
-		if p.Name() != "two" {
-			t.Errorf("recycled proc kept stale name %q", p.Name())
+}
+
+// TestProcShellsReleasedAfterRun pins the teardown at Run's exit: 200
+// engines in sequence, each spawning and finishing 64 procs, leave no
+// coroutine behind. Without it every finished engine would keep one
+// suspended coroutine per shell for the GC to scan. As in
+// TestProcShellRecycle, only growth of the goroutine count counts.
+func TestProcShellsReleasedAfterRun(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		e := NewEngine()
+		for j := 0; j < 64; j++ {
+			e.Spawn("w", func(p *Proc) { p.Sleep(time.Duration(j) * time.Microsecond) })
 		}
-		if p.Done() {
-			t.Error("recycled proc started with done=true")
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
 		}
-		p.Sleep(time.Microsecond)
-	})
-	if second != first {
-		t.Fatalf("Spawn did not reuse the recycled shell (%p vs %p)", second, first)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.procFree) != 1 {
-		t.Fatalf("procFree holds %d shells after second run, want 1", len(e.procFree))
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after 200 finished engines, want at most the starting %d", n, start)
 	}
 }

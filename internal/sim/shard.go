@@ -799,9 +799,11 @@ func (s *ShardSet) participate(w *worker, last uint64) {
 // the fleet size including the calling goroutine; 0 selects
 // min(shards, GOMAXPROCS).
 func (s *ShardSet) Run(workers int) error {
+	// Registered first, so it runs after the fleet is joined below: no
+	// worker can still be resuming a proc when the shells are released.
 	defer func() {
 		for _, e := range s.engines {
-			e.flushStats()
+			e.endRun()
 		}
 	}()
 	if len(s.engines) == 1 {

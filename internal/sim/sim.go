@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock and an ordered event queue. Simulated
-// threads of execution ("procs", see Proc) are cooperative goroutines that
+// threads of execution ("procs", see Proc) are cooperative coroutines that
 // run one at a time: exactly one proc (or event callback) executes at any
 // instant, and control returns to the engine whenever a proc blocks in
 // virtual time (Sleep, Cond.Wait, Resource.Acquire, ...). This serialization
@@ -128,8 +128,9 @@ type Engine struct {
 	live    map[*Proc]struct{}
 	running *Proc
 	err     error
-	// procFree recycles Proc shells (struct + handoff channel) of exited
-	// procs; each Spawn still starts a fresh goroutine. See Spawn.
+	// procFree recycles Proc shells (struct + coroutine) of exited procs
+	// within a run; releaseShells empties it when the run returns. See
+	// Spawn.
 	procFree []*Proc
 
 	// shard links the engine to its ShardSet when it runs as one shard of
@@ -271,6 +272,13 @@ func (e *Engine) flushStats() {
 			break
 		}
 	}
+}
+
+// endRun is the teardown at every run exit: fold the counters into the
+// process-wide totals and stop the idle proc shells' coroutines.
+func (e *Engine) endRun() {
+	e.flushStats()
+	e.releaseShells()
 }
 
 // Now returns the current virtual time.
@@ -779,7 +787,9 @@ func (t *Timer) Stop() bool {
 func (t *Timer) When() Time { return t.at }
 
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
+// timestamp. It reports whether an event was executed. Exited procs'
+// shells keep their coroutines until a Run or RunUntil returns, so an
+// engine driven by Step alone should end with one of those.
 //partib:hotpath
 func (e *Engine) Step() bool {
 	ev, slot := e.next()
@@ -795,7 +805,7 @@ func (e *Engine) Step() bool {
 // the first proc error (a propagated panic), a DeadlockError if non-daemon
 // procs remain parked with nothing to wake them, or nil.
 func (e *Engine) Run() error {
-	defer e.flushStats()
+	defer e.endRun()
 	for e.err == nil && e.Step() {
 	}
 	if e.err != nil {
@@ -808,7 +818,7 @@ func (e *Engine) Run() error {
 // It returns the same errors as Run, except that parked procs are not a
 // deadlock if events remain beyond t.
 func (e *Engine) RunUntil(t Time) error {
-	defer e.flushStats()
+	defer e.endRun()
 	for e.err == nil {
 		ev, slot := e.next()
 		if ev == nil || ev.at > t {
