@@ -65,40 +65,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
 	}
 	if c.Shards > 1 {
-		la := c.Fabric.Lookahead()
-		if la <= 0 {
+		if la := c.Fabric.Lookahead(); la <= 0 {
 			return fmt.Errorf("cluster: %d shards need positive fabric latencies (lookahead is their minimum, got %v)", c.Shards, la)
-		}
-		// The flat flow pipeline reuses one reservation slot per
-		// in-flight message (fabric.flowMsg): consecutive bursts must be
-		// injected more than the pair wire latency plus the pair
-		// lookahead apart so the previous reservation has fired — in an
-		// earlier synchronization hop — before the slot is rewritten.
-		// Full-burst pacing provides that spacing; reject cost models
-		// too fast for it. The slowest pair (both terms widened by the
-		// topology's largest pair extra) sets the requirement. Routed
-		// (graph) topologies snapshot every burst into its own hop
-		// record instead of reusing a slot, so they have no pace
-		// constraint.
-		topo := c.Fabric.Topology()
-		if topo.Flat() {
-			maxExtra := c.Fabric.InterRackExtra
-			if c.Fabric.Topo != nil {
-				maxExtra = 0
-				for a := 0; a < c.Nodes; a++ {
-					for b := a + 1; b < c.Nodes; b++ {
-						if x := topo.PairExtra(a, b); x > maxExtra {
-							maxExtra = x
-						}
-					}
-				}
-			}
-			pace := time.Duration(float64(c.Fabric.BurstBytes) * c.Fabric.PerQPByteTime)
-			maxWire := c.Fabric.WireLatency + maxExtra
-			maxLa := la + maxExtra
-			if need := maxWire + maxLa; pace < need {
-				return fmt.Errorf("cluster: sharding needs burst pace %v >= max pair wire latency + max pair lookahead %v; raise BurstBytes or run serial", pace, need)
-			}
 		}
 	}
 	return nil
@@ -215,10 +183,10 @@ func New(cfg Config) *Cluster {
 // The entry for a shard pair (s, d) lower-bounds every cross-engine post
 // from s to d:
 //
-//   - Direct interactions (flat flows, control, completions, recycles)
-//     are separated by at least the floor plus the pair's topology
-//     extra; minimizing the extra over the shards' host pairs gives
-//     λ + minExtra(s, d).
+//   - Direct interactions (flat flows' one hop onto the destination's
+//     ingress, control, completions, recycles) are separated by at least
+//     the floor plus the pair's topology extra; minimizing the extra over
+//     the shards' host pairs gives λ + minExtra(s, d).
 //   - On graph topologies, routed bursts also hop host→link (one wire
 //     latency) and link→link (the in-link's latency); relaxing over the
 //     topology's adjacency tightens the affected shard pairs to those

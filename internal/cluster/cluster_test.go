@@ -146,10 +146,10 @@ func TestNegativeQuantumRejected(t *testing.T) {
 }
 
 // TestShardLookaheadMatrixRackTopology pins the shard-pair lookahead
-// derivation from the rack topology: shard pairs whose contiguous node
-// slabs cover disjoint rack ranges interact only across racks and widen
-// by InterRackExtra; pairs sharing a rack keep the global floor; and a
-// flat fabric derives no matrix at all.
+// derivation from the two-level topology: shard pairs whose contiguous
+// node slabs cover disjoint rack ranges interact only across racks and
+// widen by the inter-rack extra; pairs sharing a rack keep the global
+// floor; and a single-link fabric derives no matrix at all.
 func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	cfg := NiagaraConfig(8)
 	cfg.Shards = 4
@@ -168,8 +168,7 @@ func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	// Two nodes per rack, one rack per shard: every shard pair is
 	// rack-disjoint and widens.
 	extra := 750 * time.Nanosecond
-	cfg.Fabric.RackSize = 2
-	cfg.Fabric.InterRackExtra = extra
+	cfg.Fabric.Topo = fabric.TwoLevel(2, extra)
 	set = New(cfg).ShardSet()
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
@@ -186,7 +185,7 @@ func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	// Racks of 3 straddle shard boundaries: shards 0 (nodes 0-1, rack 0)
 	// and 1 (nodes 2-3, racks 0-1) overlap in rack 0 and keep the floor,
 	// while shards 0 and 3 (nodes 6-7, rack 2) are disjoint and widen.
-	cfg.Fabric.RackSize = 3
+	cfg.Fabric.Topo = fabric.TwoLevel(3, extra)
 	set = New(cfg).ShardSet()
 	if got := set.PairLookahead(0, 1); got != la {
 		t.Errorf("overlapping racks λ[0][1] = %v, want floor %v", got, la)
@@ -204,8 +203,7 @@ func TestRackTopologyShardedMatchesSerial(t *testing.T) {
 	run := func(shards int) []sim.Time {
 		cfg := NiagaraConfig(8)
 		cfg.CoresPerNode = 2
-		cfg.Fabric.RackSize = 2
-		cfg.Fabric.InterRackExtra = 750 * time.Nanosecond
+		cfg.Fabric.Topo = fabric.TwoLevel(2, 750*time.Nanosecond)
 		cfg.Shards = shards
 		c := New(cfg)
 		ends := make([]sim.Time, cfg.Nodes)
@@ -251,6 +249,65 @@ func TestRackTopologyShardedMatchesSerial(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("shards=%d: node %d finished at %v, serial at %v", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestFastPaceShardedMatchesSerial drives multi-burst messages whose
+// bursts are paced faster than the wire latency plus the lookahead
+// (BurstBytes = MTU) across shard boundaries, on single-link and two-level
+// fabrics. Every message must be delivered and acked exactly once, and
+// the stamps at 2 and 4 shards must equal the serial run's.
+func TestFastPaceShardedMatchesSerial(t *testing.T) {
+	const nodes, peers, size = 8, 2, 256 << 10
+	// run returns, per source node and peer slot, the delivery stamp and
+	// the ack stamp. A delivery slot is written only on its destination's
+	// engine and an ack slot only on its source's, so sharded writes never
+	// share a slot.
+	run := func(topo *fabric.Topology, shards int) (delivered, acked [nodes][peers][]sim.Time) {
+		cfg := NiagaraConfig(nodes)
+		cfg.Fabric.BurstBytes = cfg.Fabric.MTU
+		cfg.Fabric.Topo = topo
+		cfg.Shards = shards
+		c := New(cfg)
+		for src := 0; src < nodes; src++ {
+			for k, off := range [peers]int{1, 4} {
+				src, k := src, k
+				dst := (src + off) % nodes
+				fl := c.Fabric.NewFlowID(c.Nodes[src].HCA.Port(), c.Nodes[dst].HCA.Port(), uint64(k))
+				fl.Send(fabric.Message{
+					Bytes:     size,
+					OnDeliver: func(at sim.Time) { delivered[src][k] = append(delivered[src][k], at) },
+					OnAck:     func(at sim.Time) { acked[src][k] = append(acked[src][k], at) },
+				})
+			}
+		}
+		if err := c.Run(0); err != nil {
+			t.Fatalf("%s shards=%d: %v", topo.Name(), shards, err)
+		}
+		return delivered, acked
+	}
+	for _, topo := range []*fabric.Topology{fabric.SingleLink(), fabric.TwoLevel(2, 750*time.Nanosecond)} {
+		wantD, wantA := run(topo, 1)
+		for src := range wantD {
+			for k := range wantD[src] {
+				if len(wantD[src][k]) != 1 || len(wantA[src][k]) != 1 {
+					t.Fatalf("%s serial: node %d peer %d delivered %v, acked %v; want one of each",
+						topo.Name(), src, k, wantD[src][k], wantA[src][k])
+				}
+			}
+		}
+		for _, shards := range []int{2, 4} {
+			gotD, gotA := run(topo, shards)
+			for src := range wantD {
+				for k := range wantD[src] {
+					if len(gotD[src][k]) != 1 || gotD[src][k][0] != wantD[src][k][0] ||
+						len(gotA[src][k]) != 1 || gotA[src][k][0] != wantA[src][k][0] {
+						t.Fatalf("%s shards=%d: node %d peer %d delivered %v acked %v, serial %v %v",
+							topo.Name(), shards, src, k, gotD[src][k], gotA[src][k], wantD[src][k], wantA[src][k])
+					}
+				}
 			}
 		}
 	}

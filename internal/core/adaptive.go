@@ -188,10 +188,10 @@ type adaptiveState struct {
 	startAt     sim.Time
 	doneAt      sim.Time
 	seen        int
-	prevAt   sim.Time
-	sumGap   time.Duration
-	earlyWRs int
-	totalWRs int
+	prevAt      sim.Time
+	sumGap      time.Duration
+	earlyWRs    int
+	totalWRs    int
 	// arr[i] is partition i's arrival offset this round (valid when the
 	// round completes: seen == userParts).
 	arr []time.Duration

@@ -11,8 +11,8 @@
 //   - per-byte injection pacing PerQPByteTime on the flow (a single QP
 //     cannot saturate the link, which is why the paper's Figure 7 finds
 //     more QPs help large transfers),
-//   - per-byte serialization LinkByteTime on the shared egress and ingress
-//     link cursors (LogGP G), with per-MTU-packet header bytes, and
+//   - per-byte serialization LinkByteTime on the source port's shared
+//     egress cursor (LogGP G), with per-MTU-packet header bytes, and
 //   - WireLatency (LogGP L) on the wire, plus AckLatency for the sender's
 //     completion.
 //
@@ -20,6 +20,13 @@
 // 64 KiB): a flow reserves the link for at most one burst at a time, so
 // concurrent flows interleave within a few microseconds like packets on a
 // real switch, without simulating every 4 KiB packet as its own event.
+//
+// After injection every burst follows its flow's route: a list of link
+// cursors, each charged store-and-forward in canonical order (see
+// fireLinkFlush). On a flat topology the route is one hop onto the
+// destination port's own cursor with zero latency and zero byte time, so
+// it only orders arrivals; graph topologies (topology.go) add per-link
+// serialization and latency.
 //
 // The fabric also provides a Control plane: small, reliable, ordered
 // rank-to-rank messages used by the MPI runtime for queue-pair and rkey
@@ -69,29 +76,11 @@ type Config struct {
 	MsgGap time.Duration
 	// CtrlLatency is the control-plane one-way latency.
 	CtrlLatency time.Duration
-	// RackSize groups ports into racks of this many consecutive IDs
-	// (ports are created in node order, so contiguous IDs are physical
-	// neighbours). 0 disables rack topology: every port shares one rack
-	// and all pair latencies equal the base latencies.
-	RackSize int
-	// InterRackExtra is the additional one-way propagation latency
-	// charged on every port-to-port interaction (wire, ack, control)
-	// whose endpoints sit in different racks — the longer path through
-	// the aggregation level of the switch hierarchy. Zero keeps the
-	// fabric a flat single-switch network, byte-identical to the model
-	// before racks existed.
-	//
-	// Deprecated: RackSize/InterRackExtra are a shim over Topo — they
-	// build the equivalent flat two-level Topology internally. New code
-	// should set Topo (TwoLevel gives the identical model). Setting both
-	// is a Validate error.
-	InterRackExtra time.Duration
 	// Topo selects the interconnect topology. nil means the single
-	// shared link the fabric always modelled (or, when the legacy rack
-	// fields are set, the equivalent two-level topology). Flat
-	// topologies only reshape pair latencies; graph topologies
-	// (fat-tree, dragonfly) add per-link serialization cursors so
-	// routed flows genuinely contend. See topology.go.
+	// shared link the fabric always modelled. Flat topologies only
+	// reshape pair latencies; graph topologies (fat-tree, dragonfly) add
+	// per-link serialization cursors so routed flows genuinely contend.
+	// See topology.go.
 	Topo *Topology
 }
 
@@ -133,14 +122,6 @@ func (c Config) Validate() error {
 	case c.WireLatency < 0 || c.AckLatency < 0 || c.WRProcess < 0 ||
 		c.InlineWRProcess < 0 || c.MsgGap < 0 || c.CtrlLatency < 0:
 		return fmt.Errorf("fabric: negative latency parameter")
-	case c.RackSize < 0:
-		return fmt.Errorf("fabric: negative RackSize")
-	case c.InterRackExtra < 0:
-		return fmt.Errorf("fabric: negative InterRackExtra")
-	case c.InterRackExtra > 0 && c.RackSize == 0:
-		return fmt.Errorf("fabric: InterRackExtra %v needs RackSize > 0", c.InterRackExtra)
-	case c.Topo != nil && (c.RackSize > 0 || c.InterRackExtra > 0):
-		return fmt.Errorf("fabric: Topo %q and legacy RackSize/InterRackExtra are mutually exclusive (the rack fields are a two-level topology shim; set one or the other)", c.Topo.Name())
 	}
 	return c.Topo.validate()
 }
@@ -156,8 +137,9 @@ func (c Config) LinkBandwidth() float64 { return 1e9 / c.LinkByteTime }
 // sharding the simulation along port boundaries (sim.ShardSet). With a
 // multi-hop topology it additionally includes the smallest link latency,
 // since routed bursts also hop between link cursors; with a flat topology
-// (or the legacy rack fields) it is unchanged from the single-link model.
-// PairLookahead gives the wider per-pair bound.
+// it is unchanged from the single-link model (the one hop onto the
+// destination's own cursor runs on the destination's engine). PairLookahead
+// gives the wider per-pair bound.
 func (c Config) Lookahead() time.Duration {
 	l := c.WireLatency
 	if c.AckLatency < l {
@@ -174,17 +156,12 @@ func (c Config) Lookahead() time.Duration {
 	return l
 }
 
-// Topology resolves the configured topology: Topo when set, the flat
-// two-level shim when the legacy rack fields are set, the single shared
-// link otherwise. The returned copy is stamped with the config's wire
-// latency so PairLatency is complete.
+// Topology resolves the configured topology: Topo when set, the single
+// shared link otherwise. The returned copy is stamped with the config's
+// wire latency so PairLatency is complete.
 func (c Config) Topology() *Topology {
 	t := c.Topo
-	switch {
-	case t != nil:
-	case c.RackSize > 0:
-		t = TwoLevel(c.RackSize, c.InterRackExtra)
-	default:
+	if t == nil {
 		t = SingleLink()
 	}
 	r := *t
@@ -193,9 +170,9 @@ func (c Config) Topology() *Topology {
 }
 
 // PairLookahead returns the smallest interaction latency between two
-// specific ports: the global floor plus the pair's topology extra
-// (inter-rack extra in the legacy model, shortest-path link latencies in
-// a graph topology). Every effect the fabric schedules from port a onto
+// specific ports: the global floor plus the pair's topology extra (the
+// inter-rack extra of a two-level topology, shortest-path link latencies
+// in a graph topology). Every effect the fabric schedules from port a onto
 // port b's engine is at least this far in the future, so it is a sound
 // per-pair conservative-PDES lookahead (sim.ShardSet.SetLookaheadMatrix).
 func (c Config) PairLookahead(a, b int) time.Duration {
@@ -226,11 +203,13 @@ type Fabric struct {
 	topo  *Topology
 	ports []*Port
 
-	// links are the graph topology's serialization cursors (empty for
-	// flat topologies). ownerLinks maps a host ID to the links whose
-	// cursor its engine owns, so NewPortOn can bind engines; unbound
-	// links (hosts beyond the port count) stay on the fabric's engine.
+	// links are the graph topology's serialization cursors and stats
+	// their per-link statistics (both empty for flat topologies).
+	// ownerLinks maps a host ID to the links whose cursor its engine
+	// owns, so NewPortOn can bind engines; unbound links (hosts beyond
+	// the port count) stay on the fabric's engine.
 	links      []linkState
+	stats      []LinkStats
 	ownerLinks map[int][]int
 }
 
@@ -243,6 +222,7 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 	f := &Fabric{eng: e, cfg: cfg, topo: cfg.Topology()}
 	if t := f.topo; !t.Flat() {
 		f.links = make([]linkState, t.Links())
+		f.stats = make([]LinkStats, t.Links())
 		f.ownerLinks = make(map[int][]int)
 		for i := range f.links {
 			link := t.LinkAt(i)
@@ -250,7 +230,8 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 			if bt == 0 {
 				bt = cfg.LinkByteTime
 			}
-			f.links[i] = linkState{link: link, eng: e, lat: link.Latency, byteTime: bt}
+			f.stats[i].Link = link
+			f.links[i] = linkState{eng: e, lat: link.Latency, byteTime: bt, stats: &f.stats[i]}
 			f.ownerLinks[link.OwnerHost] = append(f.ownerLinks[link.OwnerHost], i)
 		}
 	}
@@ -276,18 +257,14 @@ type Port struct {
 	id   int
 	name string
 
-	egressFreeAt  sim.Time
-	ingressFreeAt sim.Time
+	egressFreeAt sim.Time
 
-	// resvPending batches burst reservations that fired at the same
-	// virtual instant so the ingress cursor can charge them in canonical
-	// (arrival bound, source ID) order one nanosecond later — independent
-	// of event seq order, which differs between serial and sharded runs
-	// (see fireIngressResv). resvFlushAt is the instant of the scheduled
-	// flush (at most one per instant). Both are owned by this port's
-	// engine.
-	resvPending []ingressResv
-	resvFlushAt sim.Time
+	// ingress is the port's arrival cursor, the one hop of every flat
+	// flow into the port (ingressRoute is that shared one-hop route). It
+	// has zero latency and byte time and no stats: it only puts arrivals
+	// in canonical order. Owned by this port's engine.
+	ingress      linkState
+	ingressRoute [1]*linkState
 
 	ctrlHandler func(from *Port, payload any)
 	// ctrlLastAt enforces FIFO control delivery per destination port. It
@@ -322,6 +299,8 @@ func (f *Fabric) NewPort(name string) *Port {
 // so the binding is race-free.
 func (f *Fabric) NewPortOn(e *sim.Engine, name string) *Port {
 	p := &Port{fab: f, eng: e, id: len(f.ports), name: name}
+	p.ingress.eng = e
+	p.ingressRoute[0] = &p.ingress
 	if h := f.topo.Hosts(); h > 0 && p.id >= h {
 		panic(fmt.Sprintf("fabric: port %d exceeds topology %q host capacity %d", p.id, f.topo.Name(), h))
 	}
@@ -336,8 +315,8 @@ func (f *Fabric) NewPortOn(e *sim.Engine, name string) *Port {
 func (p *Port) Name() string { return p.name }
 
 // ID returns the port's fabric-wide index (creation order). Ports are
-// created in node order, so the ID doubles as the topology coordinate the
-// rack model (Config.RackSize) partitions.
+// created in node order, so the ID doubles as the host's topology
+// coordinate (the rack TwoLevel groups it into, its host in a graph).
 func (p *Port) ID() int { return p.id }
 
 // Engine returns the engine (shard) that owns the port.
@@ -443,9 +422,9 @@ type Message struct {
 // at burst granularity.
 //
 // A flow's injection pipeline (Send, step, finish, ack, release) runs on
-// the source port's engine; arrival-side effects (ingress serialization,
-// delivery) run on the destination port's engine, reached through
-// per-burst reservation events posted one wire latency ahead (see step).
+// the source port's engine; each burst then hops along the flow's route,
+// and delivery runs on the engine of the route's last cursor, which is the
+// destination port's (see step and charge).
 type Flow struct {
 	fab *Fabric
 	eng *sim.Engine // == src.eng: the injection-side shard
@@ -480,50 +459,49 @@ type Flow struct {
 	ackLat  time.Duration
 	relLat  time.Duration
 
-	// Routed-topology state (nil/zero on flat topologies). route is the
-	// flow's hash-selected link path, fixed at creation; flowID is the
+	// route is the cursor path every burst follows, fixed at creation:
+	// the hash-selected links of a graph topology, or the destination
+	// port's one-hop ingress route on a flat one. flowID is the
 	// caller-chosen identity that seeded the path hash and breaks
 	// canonical-order ties between flows sharing a (src, dst) pair.
-	// hopFree recycles hop reservations; it is touched only on the
-	// source engine (take in step, return via fireHopRecycle).
+	// hopFree is the free list of hop records, linked through
+	// hopResv.next; it is touched only on the source engine (take in
+	// step, return in release).
 	route   []*linkState
 	flowID  uint64
-	hopFree []*hopResv
+	hopFree *hopResv
 }
 
 // flowMsg is the in-flight state of one message. It doubles as the
-// pre-bound argument of the flow's step/reservation/deliver/ack events,
-// so the whole lifetime of a message schedules no closures.
-//
-// The resv* fields are a single-slot channel from the injection side to
-// the arrival side, rewritten per burst. The reuse is race-free under
-// sharding because consecutive writes are at least one full-burst pace
-// apart, which Cluster validates to exceed the largest pair wire latency
-// plus the largest pair lookahead: the reservation carrying the previous
-// value has then already fired in an earlier synchronization hop (and
-// the hop barrier orders the memory accesses). Likewise the struct is
-// recycled only on the source engine, at least one pair lookahead after
-// its final reservation fired.
+// pre-bound argument of the flow's step/deliver/ack/release events, so the
+// whole lifetime of a message schedules no closures. It is recycled only
+// on the source engine, at least one pair lookahead after its final burst
+// crossed the last hop.
 type flowMsg struct {
 	fl          *Flow
 	msg         Message
 	remaining   int
 	lastArrival sim.Time
 	ackAt       sim.Time
-	// resvArrive is the arrival lower bound (egress end + wire latency)
-	// of the burst whose reservation is in flight; resvFinal marks the
-	// message's last burst.
-	resvArrive sim.Time
-	resvFinal  bool
+	// hops chains the hop records of the message's bursts, newest first.
+	// step links each record on the source engine; release returns the
+	// chain to the flow's free list. By then every burst has crossed its
+	// last hop, because a flow's bursts stay FIFO on every cursor and the
+	// ack or release is scheduled by the final burst's last charge.
+	hops *hopResv
 }
 
 // Typed-event trampolines for the flow pipeline (see sim.AtCall).
+//
 //partib:hotpath
-func fireFlowStep(_ sim.Time, arg any)    { arg.(*Flow).step() }
+func fireFlowStep(_ sim.Time, arg any) { arg.(*Flow).step() }
+
 //partib:hotpath
 func fireFlowDeliver(_ sim.Time, arg any) { arg.(*flowMsg).deliver() }
+
 //partib:hotpath
-func fireFlowAck(_ sim.Time, arg any)     { arg.(*flowMsg).ack() }
+func fireFlowAck(_ sim.Time, arg any) { arg.(*flowMsg).ack() }
+
 //partib:hotpath
 func fireFlowRelease(_ sim.Time, arg any) { fm := arg.(*flowMsg); fm.fl.release(fm) }
 
@@ -559,15 +537,20 @@ func (f *Fabric) NewFlowID(src, dst *Port, flowID uint64) *Flow {
 		ackLat:  f.cfg.AckLatency + extra,
 		relLat:  f.cfg.Lookahead() + extra,
 	}
-	if ids := f.topo.Route(src.id, dst.id, flowID); ids != nil {
-		fl.route = make([]*linkState, len(ids))
-		for i, id := range ids {
-			fl.route[i] = &f.links[id]
-		}
-		// Hop latencies are charged per link; injection pays only the
-		// host's wire latency.
-		fl.wireLat = f.cfg.WireLatency
+	ids := f.topo.Route(src.id, dst.id, flowID)
+	if ids == nil {
+		// Flat topology: the pair extra stays in the injection latency
+		// and the route is the destination's zero-cost ingress hop.
+		fl.route = dst.ingressRoute[:]
+		return fl
 	}
+	fl.route = make([]*linkState, len(ids))
+	for i, id := range ids {
+		fl.route[i] = &f.links[id]
+	}
+	// Hop latencies are charged per link; injection pays only the host's
+	// wire latency.
+	fl.wireLat = f.cfg.WireLatency
 	return fl
 }
 
@@ -582,6 +565,7 @@ func (fl *Flow) Queued() int { return len(fl.queue) - fl.head }
 
 // Send enqueues a message on the flow. Zero-byte messages still traverse
 // the wire (headers move). Negative sizes panic.
+//
 //partib:hotpath
 func (fl *Flow) Send(m Message) {
 	if m.Bytes < 0 {
@@ -605,15 +589,25 @@ func (fl *Flow) Send(m Message) {
 	}
 }
 
-// release returns a flowMsg whose events have all fired to the free list,
-// dropping callback references so captured state can be collected.
+// release returns a flowMsg whose events have all fired, and its chain of
+// spent hop records, to the flow's free lists, dropping callback
+// references so captured state can be collected.
+//
 //partib:hotpath
 func (fl *Flow) release(fm *flowMsg) {
+	tail := fm.hops
+	for tail.next != nil {
+		tail = tail.next
+	}
+	tail.next = fl.hopFree
+	fl.hopFree = fm.hops
+	fm.hops = nil
 	fm.msg = Message{}
 	fl.free = append(fl.free, fm) //partlint:allow hotpathalloc amortized free-list growth
 }
 
 // startHead begins WR processing for the message at the head of the queue.
+//
 //partib:hotpath
 func (fl *Flow) startHead() {
 	e := fl.eng
@@ -633,13 +627,13 @@ func (fl *Flow) startHead() {
 }
 
 // step injects one burst of the head message, then schedules the next
-// action. It runs as an event on the source engine. The destination's
-// ingress cursor is not touched here: a reservation event posted one wire
-// latency ahead joins the destination port's pending batch, and a flush
-// charges the whole batch in canonical (arrival bound, source ID) order —
-// see fireIngressResv. That order is a pure function of the traffic, so
-// arrival timestamps are bit-for-bit identical across serial and sharded
-// runs and across worker counts.
+// action. It runs as an event on the source engine. No cursor past the
+// egress is touched here: the burst's hop record is posted one wire
+// latency ahead to the first cursor of the route, whose flush charges it
+// in canonical order (see fireLinkResv). That order is a pure function of
+// the traffic, so arrival timestamps are bit-for-bit identical across
+// serial and sharded runs and across worker counts.
+//
 //partib:hotpath
 func (fl *Flow) step() {
 	e := fl.eng
@@ -671,26 +665,17 @@ func (fl *Flow) step() {
 	}
 
 	fm.remaining -= burst
-	if fl.route != nil {
-		// Routed topology: the burst hops link cursor to link cursor
-		// instead of reserving the destination's ingress. The hop record
-		// snapshots everything the downstream flushes need, so the
-		// flowMsg's single reservation slot is not involved and the
-		// per-burst pace constraint the flat model needs does not apply.
-		hr := fl.takeHop()
-		hr.arrive = egressEnd.Add(fl.wireLat)
-		hr.wireBytes = int32(wireBytes)
-		hr.hop = 0
-		hr.final = fm.remaining == 0
-		if hr.final {
-			hr.fm = fm
-		}
-		e.Post(fl.route[0].eng, e.Now().Add(fl.wireLat), fireLinkResv, hr)
-	} else {
-		fm.resvArrive = egressEnd.Add(fl.wireLat)
-		fm.resvFinal = fm.remaining == 0
-		e.Post(fl.dst.eng, e.Now().Add(fl.wireLat), fireIngressResv, fm)
-	}
+	// The hop record snapshots everything the downstream flushes need, so
+	// later bursts of the message never rewrite state a cursor still reads.
+	hr := fl.takeHop()
+	hr.arrive = egressEnd.Add(fl.wireLat)
+	hr.wireBytes = int32(wireBytes)
+	hr.hop = 0
+	hr.final = fm.remaining == 0
+	hr.fm = fm
+	hr.next = fm.hops
+	fm.hops = hr
+	e.Post(fl.route[0].eng, e.Now().Add(fl.wireLat), fireLinkResv, hr)
 
 	if fm.remaining > 0 {
 		e.AtCall(fl.paceFreeAt, fireFlowStep, fl)
@@ -701,123 +686,11 @@ func (fl *Flow) step() {
 	fl.finish(egressEnd)
 }
 
-// ingressResv is one burst reservation awaiting its destination's ingress
-// charge. The arrival bound, finality, and tie-break key are snapshotted at
-// reservation-fire time (the flowMsg's single reservation slot may be
-// rewritten by the source before the flush runs), so the flush touches the
-// flowMsg only for final bursts, whose slot is stable until recycle.
-type ingressResv struct {
-	at     sim.Time // reservation fire instant (batch key)
-	arrive sim.Time // arrival lower bound (egress end + wire latency)
-	srcID  int      // tie-break after arrive: source port ID
-	final  bool     // message's last burst: schedule delivery + completion
-	fm     *flowMsg
-}
-
-// resvBefore is the canonical ingress-charge order within one instant's
-// batch: earlier arrival bound first, source port ID breaking ties. Two
-// reservations from one source port can never carry equal arrival bounds —
-// the shared egress cursor strictly separates their egress ends — so the
-// order is total.
-//partib:hotpath
-func resvBefore(a, b *ingressResv) bool {
-	if a.arrive != b.arrive {
-		return a.arrive < b.arrive
-	}
-	return a.srcID < b.srcID
-}
-
-// fireIngressResv runs on the destination engine when a burst reaches the
-// destination. It does not charge the ingress cursor directly: reservations
-// from different source ports can fire at the same virtual instant, and
-// their event order at a tie follows engine seq assignment, which depends
-// on how nodes are grouped onto shard engines. Charging in that order would
-// make delivery timestamps differ between serial and sharded runs. Instead
-// the reservation joins the port's pending batch, and a flush one
-// nanosecond later charges the whole instant's batch in canonical
-// (arrival bound, source ID) order — the same order, and therefore the same
-// timestamps, on every shard layout.
-//partib:hotpath
-func fireIngressResv(at sim.Time, arg any) {
-	fm := arg.(*flowMsg)
-	dst := fm.fl.dst
-	dst.resvPending = append(dst.resvPending, ingressResv{ //partlint:allow hotpathalloc amortized; batch buffer is reused
-		at:     at,
-		arrive: fm.resvArrive,
-		srcID:  fm.fl.src.id,
-		final:  fm.resvFinal,
-		fm:     fm,
-	})
-	if flushAt := at + 1; dst.resvFlushAt < flushAt {
-		dst.resvFlushAt = flushAt
-		dst.eng.AtCall(flushAt, fireIngressFlush, dst)
-	}
-}
-
-// fireIngressFlush charges the previous instant's reservation batch on the
-// ingress cursor in canonical order, and for each final burst schedules the
-// delivery locally and routes the completion (or, without one, the flowMsg
-// recycle) back to the source — both at timestamps at least one lookahead
-// ahead, keeping every cross-shard hop conservative. Only entries that
-// fired strictly before this flush are processed: an entry firing at the
-// flush instant itself may sit in the buffer already or not (seq order at
-// the tie is arbitrary), so it is left for its own flush either way.
-//partib:hotpath
-func fireIngressFlush(now sim.Time, arg any) {
-	p := arg.(*Port)
-	pending := p.resvPending
-	n := 0
-	for n < len(pending) && pending[n].at < now {
-		n++
-	}
-	batch := pending[:n]
-	// Insertion sort into canonical order; batches are almost always a
-	// single entry, a handful under heavy fan-in.
-	for i := 1; i < len(batch); i++ {
-		for j := i; j > 0 && resvBefore(&batch[j], &batch[j-1]); j-- {
-			batch[j], batch[j-1] = batch[j-1], batch[j]
-		}
-	}
-	for i := range batch {
-		r := &batch[i]
-		arrive := r.arrive
-		if p.ingressFreeAt > arrive {
-			arrive = p.ingressFreeAt
-		}
-		p.ingressFreeAt = arrive
-		if !r.final {
-			continue
-		}
-		fm := r.fm
-		fl := fm.fl
-		fm.lastArrival = arrive
-		e := p.eng
-		e.AtCall(arrive, fireFlowDeliver, fm)
-		if fm.msg.OnAck != nil {
-			fm.ackAt = arrive.Add(fl.ackLat)
-			e.Post(fl.eng, fm.ackAt, fireFlowAck, fm)
-		} else {
-			// No completion requested: the struct still belongs to the
-			// source engine's free list, so send it home one pair lookahead
-			// after the delivery (the recycle instant has no observable
-			// effect).
-			e.Post(fl.eng, arrive.Add(fl.relLat), fireFlowRelease, fm)
-		}
-	}
-	// Drop the processed prefix; clear vacated slots so delivered flowMsgs
-	// are not pinned until overwritten.
-	kept := copy(pending, pending[n:])
-	for i := kept; i < len(pending); i++ {
-		pending[i] = ingressResv{}
-	}
-	p.resvPending = pending[:kept]
-}
-
 // finish closes out the sender side of a fully injected message and
 // advances to the next queued one. Delivery and completion are scheduled
-// by the final burst's reservation on the arrival side; the flowMsg
-// returns to the free list once the last source-side event referencing it
-// (ack or release) has fired.
+// by the final burst's last hop; the flowMsg returns to the free list once
+// the last source-side event referencing it (ack or release) has fired.
+//
 //partib:hotpath
 func (fl *Flow) finish(egressEnd sim.Time) {
 	fl.msgFreeAt = egressEnd.Add(fl.fab.cfg.MsgGap)
@@ -834,6 +707,7 @@ func (fl *Flow) finish(egressEnd sim.Time) {
 
 // deliver runs on the destination engine at the instant the last byte is
 // placed at the destination.
+//
 //partib:hotpath
 func (fm *flowMsg) deliver() {
 	fm.fl.dst.bytesReceived += int64(fm.msg.Bytes)
@@ -844,6 +718,7 @@ func (fm *flowMsg) deliver() {
 
 // ack runs on the source engine when the sender's hardware completion
 // would be generated.
+//
 //partib:hotpath
 func (fm *flowMsg) ack() {
 	fn, at := fm.msg.OnAck, fm.ackAt
@@ -851,13 +726,13 @@ func (fm *flowMsg) ack() {
 	fn(at)
 }
 
-// linkState is the serialization cursor of one graph-topology link. Each
-// burst crossing the link is charged wireBytes*byteTime on the cursor in
-// canonical order, then propagates for the link latency toward the next
-// hop — the per-link LogGP {latency, byteTime} pair. All fields are owned
-// by eng (the engine of the link's OwnerHost).
+// linkState is one serialization cursor on a route: a graph-topology link
+// or a port's ingress. Each burst crossing it is charged
+// wireBytes*byteTime on the cursor in canonical order, then propagates for
+// the link latency toward the next hop — the per-link LogGP {latency,
+// byteTime} pair, both zero on a port's ingress. All fields are owned by
+// eng (the engine of the link's OwnerHost, or the port's).
 type linkState struct {
-	link     Link
 	eng      *sim.Engine
 	lat      time.Duration
 	byteTime float64 // resolved: Link.ByteTime or Config.LinkByteTime
@@ -865,20 +740,16 @@ type linkState struct {
 	freeAt sim.Time
 	// pending batches hop reservations that fired at the same virtual
 	// instant so the cursor can charge them in canonical (arrival bound,
-	// source, destination, flow) order one nanosecond later — the same
-	// discipline as the port ingress batch (fireIngressResv), for the
-	// same reason: event order at a timestamp tie depends on the shard
-	// layout, the canonical order does not. flushAt is the instant of
-	// the scheduled flush (at most one per instant).
+	// source, destination, flow) order one nanosecond later: event order
+	// at a timestamp tie depends on the shard layout, the canonical order
+	// does not. flushAt is the instant of the scheduled flush (at most one
+	// per instant).
 	pending []*hopResv
 	flushAt sim.Time
 
-	// Statistics (owned by eng; read after the run).
-	busy      time.Duration
-	bytes     int64
-	charges   int64
-	maxQueue  time.Duration
-	queueHist [queueHistBuckets]int64
+	// stats is the graph link's entry in Fabric.stats (nil on a port's
+	// ingress, which LinkStats does not report).
+	stats *LinkStats
 }
 
 // queueHistBuckets sizes the log2 queueing-delay histogram: bucket 0
@@ -940,43 +811,37 @@ func (s *LinkStats) QueuePercentile(p float64) time.Duration {
 // LinkStats returns a snapshot of every link cursor's statistics (empty
 // for flat topologies). Call it after the simulation has stopped.
 func (f *Fabric) LinkStats() []LinkStats {
-	out := make([]LinkStats, len(f.links))
-	for i := range f.links {
-		l := &f.links[i]
-		out[i] = LinkStats{
-			Link: l.link, Bytes: l.bytes, Charges: l.charges,
-			Busy: l.busy, MaxQueue: l.maxQueue, QueueHist: l.queueHist,
-		}
-	}
+	out := make([]LinkStats, len(f.stats))
+	copy(out, f.stats)
 	return out
 }
 
-// hopResv is one burst traversing a routed flow's link path. It
-// snapshots everything the downstream link cursors need (the flowMsg's
-// single reservation slot is never involved), hops cursor to cursor, and
-// is recycled to the source engine's free list after the last hop. fm is
-// set only on a message's final burst.
+// hopResv is one burst traversing its flow's route. It snapshots
+// everything the downstream cursors need, hops cursor to cursor, and
+// returns to the flow's free list with its message (see flowMsg.hops).
 type hopResv struct {
 	at        sim.Time // reservation fire instant at the current link (batch key)
 	arrive    sim.Time // arrival lower bound at the current link's cursor
 	wireBytes int32
 	hop       int32
-	final     bool
-	fl        *Flow
-	fm        *flowMsg
+	final     bool     // the message's last burst: deliver and complete after the last hop
+	fm        *flowMsg // the burst's message; fm.fl is its flow
+	// next links the message's hop chain, or the flow's free list. Only
+	// the source engine touches it.
+	next *hopResv
 }
 
-// takeHop pops a hop reservation from the flow's free list. Runs on the
-// source engine (from step).
+// takeHop pops a hop record from the flow's free list. Runs on the source
+// engine (from step).
+//
 //partib:hotpath
 func (fl *Flow) takeHop() *hopResv {
-	if n := len(fl.hopFree); n > 0 {
-		hr := fl.hopFree[n-1]
-		fl.hopFree[n-1] = nil
-		fl.hopFree = fl.hopFree[:n-1]
-		return hr
+	hr := fl.hopFree
+	if hr == nil {
+		return &hopResv{} //partlint:allow hotpathalloc free-list miss; steady state recycles
 	}
-	return &hopResv{fl: fl} //partlint:allow hotpathalloc free-list miss; steady state recycles
+	fl.hopFree = hr.next
+	return hr
 }
 
 // hopBefore is the canonical link-charge order within one instant's
@@ -985,12 +850,13 @@ func (fl *Flow) takeHop() *hopResv {
 // identity is unique per pair and direction), and equal keys — burst
 // pairs of one flow — keep their FIFO order because the insertion sort
 // is stable and per-flow hops arrive in injection order.
+//
 //partib:hotpath
 func hopBefore(a, b *hopResv) bool {
 	if a.arrive != b.arrive {
 		return a.arrive < b.arrive
 	}
-	af, bf := a.fl, b.fl
+	af, bf := a.fm.fl, b.fm.fl
 	if af.src.id != bf.src.id {
 		return af.src.id < bf.src.id
 	}
@@ -1000,16 +866,16 @@ func hopBefore(a, b *hopResv) bool {
 	return af.flowID < bf.flowID
 }
 
-// fireLinkResv runs on a link's engine when a burst reaches the link. As
-// with port ingress, the cursor is not charged here: reservations from
-// different flows can fire at the same virtual instant in
-// shard-layout-dependent event order, so the reservation joins the
-// link's pending batch and a flush one nanosecond later charges the
-// whole instant's batch in canonical order.
+// fireLinkResv runs on a cursor's engine when a burst reaches the cursor.
+// The cursor is not charged here: reservations from different flows can
+// fire at the same virtual instant in shard-layout-dependent event order,
+// so the reservation joins the cursor's pending batch and a flush one
+// nanosecond later charges the whole instant's batch in canonical order.
+//
 //partib:hotpath
 func fireLinkResv(at sim.Time, arg any) {
 	hr := arg.(*hopResv)
-	l := hr.fl.route[hr.hop]
+	l := hr.fm.fl.route[hr.hop]
 	hr.at = at
 	l.pending = append(l.pending, hr) //partlint:allow hotpathalloc amortized; batch buffer is reused
 	if flushAt := at + 1; l.flushAt < flushAt {
@@ -1018,11 +884,12 @@ func fireLinkResv(at sim.Time, arg any) {
 	}
 }
 
-// fireLinkFlush charges the previous instant's batch on the link cursor
-// in canonical order. Only entries that fired strictly before this flush
-// are processed (each entry's own flush runs one nanosecond after it
-// fired, and engine events fire in time order, so every processed entry
-// fired exactly one nanosecond ago).
+// fireLinkFlush charges the previous instant's batch on the cursor in
+// canonical order. Only entries that fired strictly before this flush are
+// processed: an entry firing at the flush instant itself may sit in the
+// buffer already or not (seq order at the tie is arbitrary), so it is left
+// for its own flush either way.
+//
 //partib:hotpath
 func fireLinkFlush(now sim.Time, arg any) {
 	l := arg.(*linkState)
@@ -1047,13 +914,14 @@ func fireLinkFlush(now sim.Time, arg any) {
 	l.pending = pending[:kept]
 }
 
-// charge serializes one burst onto the link and forwards it: to the next
-// link's batch one link latency ahead, or — after the final (down) link —
-// onto the destination host, scheduling delivery and routing the
-// completion or recycle back to the source exactly as the flat pipeline
-// does. Every cross-engine post is at least one link latency (next hop)
-// or one pair lookahead (return path) in the future, so the hops stay
-// conservative under the cluster's topology lookahead matrix.
+// charge serializes one burst onto the cursor and forwards it: to the next
+// cursor's batch one link latency ahead, or — after the route's last
+// cursor — onto the destination host, scheduling delivery and routing the
+// completion or recycle back to the source. Every cross-engine post is at
+// least one link latency (next hop) or one pair lookahead (return path) in
+// the future, so the hops stay conservative under the cluster's topology
+// lookahead matrix.
+//
 //partib:hotpath
 func (l *linkState) charge(now sim.Time, hr *hopResv) {
 	start := hr.arrive
@@ -1064,45 +932,40 @@ func (l *linkState) charge(now sim.Time, hr *hopResv) {
 	end := start.Add(tx)
 	l.freeAt = end
 
-	l.busy += tx
-	l.bytes += int64(hr.wireBytes)
-	l.charges++
-	qd := time.Duration(start - hr.arrive)
-	if qd > l.maxQueue {
-		l.maxQueue = qd
+	if s := l.stats; s != nil {
+		s.Busy += tx
+		s.Bytes += int64(hr.wireBytes)
+		s.Charges++
+		qd := time.Duration(start - hr.arrive)
+		if qd > s.MaxQueue {
+			s.MaxQueue = qd
+		}
+		s.QueueHist[queueHistBucket(qd)]++
 	}
-	l.queueHist[queueHistBucket(qd)]++
 
-	fl := hr.fl
+	fm := hr.fm
+	fl := fm.fl
 	hr.arrive = end.Add(l.lat)
 	hr.hop++
 	if int(hr.hop) < len(fl.route) {
 		l.eng.Post(fl.route[hr.hop].eng, now.Add(l.lat), fireLinkResv, hr)
 		return
 	}
-	// Last hop: the burst has crossed the destination's down link. The
-	// down link's cursor is owned by the destination host's engine, so
+	// Last hop: the burst has crossed the destination's down link or
+	// ingress. That cursor is owned by the destination host's engine, so
 	// delivery is a local event.
-	if hr.final {
-		fm := hr.fm
-		fm.lastArrival = hr.arrive
-		l.eng.AtCall(hr.arrive, fireFlowDeliver, fm)
-		if fm.msg.OnAck != nil {
-			fm.ackAt = hr.arrive.Add(fl.ackLat)
-			l.eng.Post(fl.eng, fm.ackAt, fireFlowAck, fm)
-		} else {
-			l.eng.Post(fl.eng, hr.arrive.Add(fl.relLat), fireFlowRelease, fm)
-		}
+	if !hr.final {
+		return
 	}
-	l.eng.Post(fl.eng, now.Add(fl.relLat), fireHopRecycle, hr)
-}
-
-// fireHopRecycle returns a spent hop reservation to its flow's free list
-// on the source engine.
-//partib:hotpath
-func fireHopRecycle(_ sim.Time, arg any) {
-	hr := arg.(*hopResv)
-	fl := hr.fl
-	hr.fm = nil
-	fl.hopFree = append(fl.hopFree, hr) //partlint:allow hotpathalloc amortized free-list growth
+	fm.lastArrival = hr.arrive
+	l.eng.AtCall(hr.arrive, fireFlowDeliver, fm)
+	if fm.msg.OnAck != nil {
+		fm.ackAt = hr.arrive.Add(fl.ackLat)
+		l.eng.Post(fl.eng, fm.ackAt, fireFlowAck, fm)
+	} else {
+		// No completion requested: the struct still belongs to the source
+		// engine's free list, so send it home one pair lookahead after the
+		// delivery (the recycle instant has no observable effect).
+		l.eng.Post(fl.eng, hr.arrive.Add(fl.relLat), fireFlowRelease, fm)
+	}
 }

@@ -130,13 +130,11 @@ func TestBandwidthNeverExceedsLink(t *testing.T) {
 func TestPairLookaheadFloorProperty(t *testing.T) {
 	f := func(rackRaw uint8, extraRaw uint16, wireRaw, ackRaw, ctrlRaw uint16, aRaw, bRaw uint8) bool {
 		cfg := DefaultConfig()
-		cfg.RackSize = int(rackRaw % 9) // 0 (flat) .. 8
+		rack := int(rackRaw % 9) // 0 (single rack) .. 8
+		cfg.Topo = TwoLevel(rack, time.Duration(extraRaw%3000)*time.Nanosecond)
 		cfg.WireLatency = time.Duration(wireRaw%5000+1) * time.Nanosecond
 		cfg.AckLatency = time.Duration(ackRaw%5000+1) * time.Nanosecond
 		cfg.CtrlLatency = time.Duration(ctrlRaw%5000+1) * time.Nanosecond
-		if cfg.RackSize > 0 {
-			cfg.InterRackExtra = time.Duration(extraRaw%3000) * time.Nanosecond
-		}
 		if err := cfg.Validate(); err != nil {
 			// Only valid topologies make claims.
 			return true
@@ -150,7 +148,7 @@ func TestPairLookaheadFloorProperty(t *testing.T) {
 		if pair != cfg.PairLookahead(b, a) {
 			return false
 		}
-		if cfg.RackSize > 0 && a/cfg.RackSize == b/cfg.RackSize && pair != floor {
+		if (rack == 0 || a/rack == b/rack) && pair != floor {
 			return false
 		}
 		return true

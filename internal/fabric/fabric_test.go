@@ -150,6 +150,44 @@ func TestInlineSkipsWRProcess(t *testing.T) {
 	}
 }
 
+// TestFastPaceMultiBurstDeliversOnce is the regression test for bursts
+// paced faster than the wire latency (BurstBytes = MTU: a 4 KiB burst
+// every 573 ns against a 1 µs wire). Every burst must travel on its own
+// state, so each message is delivered exactly once, acked exactly once,
+// and delivered when its last burst lands.
+func TestFastPaceMultiBurstDeliversOnce(t *testing.T) {
+	for _, tc := range []struct {
+		bytes int
+		want  sim.Time
+	}{
+		{8 << 10, 1951},
+		{12 << 10, 2524},
+		{64 << 10, 9973},
+	} {
+		cfg := DefaultConfig()
+		cfg.BurstBytes = cfg.MTU
+		e := sim.NewEngine()
+		f := New(e, cfg)
+		fl := f.NewFlow(f.NewPort("a"), f.NewPort("b"))
+		var delivered, acked []sim.Time
+		fl.Send(Message{
+			Bytes:     tc.bytes,
+			OnDeliver: func(at sim.Time) { delivered = append(delivered, at) },
+			OnAck:     func(at sim.Time) { acked = append(acked, at) },
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%d B: %v", tc.bytes, err)
+		}
+		if len(delivered) != 1 || len(acked) != 1 {
+			t.Fatalf("%d B: delivered at %v, acked at %v; want one of each", tc.bytes, delivered, acked)
+		}
+		if delivered[0] != tc.want || acked[0] != tc.want.Add(cfg.AckLatency) {
+			t.Errorf("%d B: delivered at %v, acked at %v; want %v and %v",
+				tc.bytes, delivered[0], acked[0], tc.want, tc.want.Add(cfg.AckLatency))
+		}
+	}
+}
+
 // TestFlowSteadyStateZeroAllocs is the allocation regression gate on the
 // fabric hot path: once the event and flowMsg free lists are warm, a full
 // message lifetime (send, multi-burst injection, delivery, ack) allocates

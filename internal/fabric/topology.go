@@ -3,20 +3,21 @@
 //
 //   - Flat topologies carry no switch state at all: every host pair is
 //     connected directly and the topology only contributes a per-pair
-//     extra propagation latency on top of Config.WireLatency. The
-//     single-link topology (extra == 0 everywhere) reproduces the
-//     original one-switch fabric byte for byte, and the two-level
-//     topology reproduces the legacy RackSize/InterRackExtra model byte
-//     for byte — both are latency shapes, not contention models.
+//     extra propagation latency on top of Config.WireLatency. A flat
+//     flow's route is one zero-cost hop onto the destination port's own
+//     cursor. The single-link topology (extra == 0 everywhere) is the
+//     original one-switch fabric, and the two-level topology adds a
+//     fixed inter-rack extra — both are latency shapes, not contention
+//     models.
 //
 //   - Graph topologies (fat-tree, dragonfly) materialize switches and
 //     links. Every switch-to-switch link and every switch-to-host down
 //     link owns a serialization cursor with its own LogGP {latency,
 //     byteTime} pair, so flows whose routes share a link genuinely
 //     contend: bursts are charged on each hop's cursor in canonical
-//     (arrival bound, source, flow) order, the same discipline the
-//     ingress fix (DESIGN.md §11) uses, which keeps results bit-identical
-//     across serial, sharded, and any worker-count runs.
+//     (arrival bound, source, flow) order (DESIGN.md §11), which keeps
+//     results bit-identical across serial, sharded, and any worker-count
+//     runs.
 //
 // Routing is deterministic ECMP: where multiple equal-cost paths exist
 // (fat-tree spine choice), the path is selected by a splitmix64 hash of
@@ -140,7 +141,7 @@ func (t *Topology) MinLinkLatency() time.Duration {
 
 // PairExtra returns the extra one-way latency between two hosts beyond
 // Config.WireLatency: zero in the single-link topology, the inter-rack
-// extra in the two-level shim, and the sum of route link latencies in
+// extra in the two-level topology, and the sum of route link latencies in
 // graph topologies. It is symmetric, and identical across every
 // equal-cost route candidate by construction.
 func (t *Topology) PairExtra(a, b int) time.Duration {
@@ -161,9 +162,9 @@ func (t *Topology) PairLatency(a, b int) time.Duration {
 
 // Route returns the link IDs a flow (src, dst, flowID) traverses after
 // host injection, ending with dst's down link, or nil for flat
-// topologies (direct delivery, the original pipeline). The route is a
-// pure function of its arguments: same inputs, same path, on any shard
-// or worker count.
+// topologies (the fabric then routes the flow onto dst's own ingress
+// cursor). The route is a pure function of its arguments: same inputs,
+// same path, on any shard or worker count.
 func (t *Topology) Route(src, dst int, flowID uint64) []int {
 	if t.routeFn == nil {
 		return nil
@@ -252,12 +253,12 @@ func SingleLink() *Topology {
 	return &Topology{name: "single-link", flat: true}
 }
 
-// TwoLevel returns the flat two-level topology the legacy
-// Config.RackSize/InterRackExtra fields construct internally: hosts in
-// racks of rackSize consecutive IDs, with extra added to every
-// cross-rack interaction. It is a latency shape only — cross-rack flows
-// do not contend on an aggregation cursor — which is exactly the legacy
-// model, byte for byte.
+// TwoLevel returns the flat two-level topology: hosts in racks of
+// rackSize consecutive IDs (ports are created in node order, so
+// contiguous IDs are physical neighbours), with extra added to every
+// cross-rack interaction (wire, ack, control) for the longer path through
+// the aggregation level. It is a latency shape only: cross-rack flows do
+// not contend on an aggregation cursor.
 func TwoLevel(rackSize int, extra time.Duration) *Topology {
 	name := fmt.Sprintf("two-level:rack=%d,extra=%s", rackSize, extra)
 	if rackSize <= 0 {

@@ -54,10 +54,10 @@ type LinkReport struct {
 
 // CongestionReport is the outcome of one congestion pattern.
 type CongestionReport struct {
-	Topology     string        `json:"topology"`
-	Pattern      string        `json:"pattern"`
-	Flows        int           `json:"flows"`
-	BytesPerFlow int           `json:"bytes_per_flow"`
+	Topology     string `json:"topology"`
+	Pattern      string `json:"pattern"`
+	Flows        int    `json:"flows"`
+	BytesPerFlow int    `json:"bytes_per_flow"`
 	// Completion is the virtual makespan: last delivery instant.
 	Completion time.Duration `json:"completion_ns"`
 	// AggregateBandwidth is delivered payload over the makespan, B/s.

@@ -60,6 +60,7 @@ type Proc struct {
 // proc scheduling (Spawn, Sleep, cond wakeups, resource handoff) goes
 // through this one top-level function with the proc as the pre-bound
 // argument, so rescheduling a proc never allocates.
+//
 //partib:hotpath
 func fireDispatch(_ Time, arg any) { arg.(*Proc).dispatch() }
 
@@ -138,6 +139,7 @@ func (p *Proc) run() {
 
 // dispatch hands control to the proc and returns when it parks or exits.
 // It runs on the engine's event loop.
+//
 //partib:hotpath
 func (p *Proc) dispatch() {
 	if p.done {

@@ -107,7 +107,7 @@ func runCascadeSharded(t *testing.T, nodes, hops, shards, workers int) ([][]Time
 }
 
 // runCascadeShardedOpts is runCascadeSharded with a configuration hook
-// applied before seeding (skip-ahead toggle, lookahead matrix).
+// applied before seeding (a lookahead matrix).
 func runCascadeShardedOpts(t *testing.T, nodes, hops, shards, workers int, configure func(*ShardSet)) ([][]Time, *ShardSet) {
 	t.Helper()
 	s := NewShardSet(shards, cascadeLambda)
@@ -200,66 +200,6 @@ func TestShardSetWorkerCountIndependence(t *testing.T) {
 				t.Errorf("workers=%d: shard %d executed %d events, workers=1 executed %d",
 					workers, sh, st.Events[sh], refStats.Events[sh])
 			}
-		}
-	}
-}
-
-// TestShardSetMarchModeMatchesSerial is the skip-ahead-off differential:
-// with SetSkipAhead(false) the set must march uniform [Tmin, Tmin+λ)
-// windows exactly as PR 6 did, still byte-identical to serial, and every
-// hop must dispatch the fleet (Windows == TminHops, nothing skipped).
-func TestShardSetMarchModeMatchesSerial(t *testing.T) {
-	const nodes, hops = 8, 24
-	want, _ := runCascadeSerial(t, nodes, hops)
-	for _, shards := range []int{2, 4, 8} {
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
-			got, s := runCascadeShardedOpts(t, nodes, hops, shards, workers,
-				func(s *ShardSet) { s.SetSkipAhead(false) })
-			diffCascadeLogs(t, label, want, got)
-			st := s.Stats()
-			if st.Windows != st.TminHops || st.WindowsSkipped != 0 {
-				t.Errorf("%s: march mode windows=%d tminhops=%d skipped=%d, want every hop dispatched",
-					label, st.Windows, st.TminHops, st.WindowsSkipped)
-			}
-		}
-	}
-}
-
-// TestShardSetSkipAheadGuard is the Hunold-style performance-guideline
-// check: the optimized mode must never do worse than the reference mode
-// it replaces. Deterministically, skip-ahead must take no more
-// synchronization hops than the λ-march takes windows (each skip hop
-// advances every shard at least one λ, so hop counts can only shrink);
-// on the wall clock, skip-ahead must not be slower than march beyond a
-// generous scheduling-noise bound.
-func TestShardSetSkipAheadGuard(t *testing.T) {
-	for _, tc := range []struct{ nodes, hops, shards int }{
-		{8, 24, 2},
-		{8, 24, 4},
-		{6, 16, 3},
-		{12, 30, 4},
-	} {
-		label := fmt.Sprintf("nodes=%d/hops=%d/shards=%d", tc.nodes, tc.hops, tc.shards)
-		marchStart := time.Now()
-		_, march := runCascadeShardedOpts(t, tc.nodes, tc.hops, tc.shards, 0,
-			func(s *ShardSet) { s.SetSkipAhead(false) })
-		marchDur := time.Since(marchStart)
-		skipStart := time.Now()
-		_, skip := runCascadeShardedOpts(t, tc.nodes, tc.hops, tc.shards, 0, nil)
-		skipDur := time.Since(skipStart)
-
-		marchStats, skipStats := march.Stats(), skip.Stats()
-		if skipStats.TminHops > marchStats.TminHops {
-			t.Errorf("%s: skip-ahead took %d hops, march took %d — batching made synchronization worse",
-				label, skipStats.TminHops, marchStats.TminHops)
-		}
-		// Wall-clock guard with a wide bound: the point is catching a
-		// pathological slowdown (e.g. the skip path spinning), not
-		// micro-benchmarking inside go test.
-		if bound := 3*marchDur + 100*time.Millisecond; skipDur > bound {
-			t.Errorf("%s: skip-ahead ran %v, march ran %v — beyond the %v guard bound",
-				label, skipDur, marchDur, bound)
 		}
 	}
 }

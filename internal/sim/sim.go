@@ -297,6 +297,7 @@ func (e *Engine) Pending() int { return e.pending }
 // does one event allocation per *concurrent* event rather than one per
 // scheduled event. The seq field doubles as an identity generation —
 // Timer.Stop compares it to detect recycled events.
+//
 //partib:hotpath
 func (e *Engine) alloc(at Time) *event {
 	if at < e.now {
@@ -318,6 +319,7 @@ func (e *Engine) alloc(at Time) *event {
 }
 
 // insert places the event in the tier matching its distance from now.
+//
 //partib:hotpath
 func (e *Engine) insert(ev *event) {
 	ev.queued = true
@@ -358,6 +360,7 @@ func (e *Engine) insert(ev *event) {
 }
 
 // bucketPut inserts the event into its tick's sorted bucket chain.
+//
 //partib:hotpath
 func (e *Engine) bucketPut(tk int64, ev *event) {
 	e.relink(tk, ev)
@@ -407,6 +410,7 @@ func (e *Engine) reanchor(tk int64) {
 // monotone insertion orders O(1); out-of-order arrivals walk the (small)
 // chain to their slot. It does not touch the placement stats (reanchor and
 // refill migrations reuse it).
+//
 //partib:hotpath
 func (e *Engine) relink(tk int64, ev *event) {
 	i := int(tk & bucketMask)
@@ -435,6 +439,7 @@ func (e *Engine) relink(tk int64, ev *event) {
 
 // farPush inserts the event into the 4-ary min-heap (hole-based sift-up,
 // monomorphic comparisons — no container/heap interface dispatch).
+//
 //partib:hotpath
 func (e *Engine) farPush(ev *event) {
 	h := append(e.far, ev) //partlint:allow hotpathalloc amortized; far heap is pre-sized
@@ -452,6 +457,7 @@ func (e *Engine) farPush(ev *event) {
 }
 
 // farPop removes and returns the heap minimum (hole-based 4-ary sift-down).
+//
 //partib:hotpath
 func (e *Engine) farPop() *event {
 	h := e.far
@@ -493,6 +499,7 @@ func (e *Engine) farPop() *event {
 // migrates every far event inside the new window into its bucket. Must only
 // be called when ring and buckets are empty (the far heap is otherwise
 // never consulted: every bucketed event precedes every far event).
+//
 //partib:hotpath
 func (e *Engine) refill() {
 	tk := tickOf(e.far[0].at)
@@ -509,6 +516,7 @@ func (e *Engine) refill() {
 }
 
 // ringPop removes and returns the ring head.
+//
 //partib:hotpath
 func (e *Engine) ringPop() *event {
 	ev := e.ringH
@@ -525,6 +533,7 @@ func (e *Engine) ringPop() *event {
 // as needed. The returned slot locates the event for take: -1 means the
 // ring head, otherwise the event is the head of that bucket's sorted
 // chain. Returns nil when no live events remain.
+//
 //partib:hotpath
 func (e *Engine) next() (ev *event, slot int) {
 	// Drop cancelled events from the ring head so the head is live.
@@ -595,6 +604,7 @@ func (e *Engine) next() (ev *event, slot int) {
 
 // take removes the event located by next (always a chain head) from its
 // tier.
+//
 //partib:hotpath
 func (e *Engine) take(ev *event, slot int) {
 	if slot < 0 {
@@ -611,6 +621,7 @@ func (e *Engine) take(ev *event, slot int) {
 }
 
 // fire advances the clock to the event and runs its callback.
+//
 //partib:hotpath
 func (e *Engine) fireEvent(ev *event) {
 	if ev.at != e.now {
@@ -638,6 +649,7 @@ func (e *Engine) schedule(at Time, fn func()) *event {
 // scheduleCall enqueues the typed callback fire(now, arg) to run at time
 // at. Because fire is a shared top-level function and arg a pre-bound
 // pointer, steady-state scheduling through this path allocates nothing.
+//
 //partib:hotpath
 func (e *Engine) scheduleCall(at Time, fire func(Time, any), arg any) *event {
 	ev := e.alloc(at)
@@ -652,6 +664,7 @@ func (e *Engine) scheduleCall(at Time, fire func(Time, any), arg any) *event {
 // then be at least one lookahead past the posting event (the shard set
 // asserts at ≥ window end and panics otherwise — a violation means the
 // lookahead bound is wrong and conservative execution is unsound).
+//
 //partib:hotpath
 func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {
 	if dst == e || e.shard == nil || dst.shard != e.shard {
@@ -677,6 +690,7 @@ func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {
 // (false when the queue is empty): the calendar queue has already located
 // it to decide the window is over, so the shard barrier gets every
 // engine's next-event time for free instead of re-scanning the queue.
+//
 //partib:hotpath
 func (e *Engine) runWindow() (Time, bool) {
 	for e.err == nil {
@@ -706,6 +720,7 @@ func (e *Engine) nextAt() (Time, bool) {
 
 // recycle returns a popped event to the free list. Callback and argument
 // references are dropped so captured state can be collected.
+//
 //partib:hotpath
 func (e *Engine) recycle(ev *event) {
 	ev.fn, ev.fire, ev.arg, ev.next = nil, nil, nil, nil
@@ -790,6 +805,7 @@ func (t *Timer) When() Time { return t.at }
 // timestamp. It reports whether an event was executed. Exited procs'
 // shells keep their coroutines until a Run or RunUntil returns, so an
 // engine driven by Step alone should end with one of those.
+//
 //partib:hotpath
 func (e *Engine) Step() bool {
 	ev, slot := e.next()

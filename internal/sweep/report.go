@@ -280,12 +280,11 @@ type PdesShardRun struct {
 	// byte-identical to the serial pass (trivially true for the serial
 	// pass itself).
 	Identical bool `json:"identical_to_serial"`
-	// Windows is the number of fleet dispatch episodes (in λ-march mode
-	// every synchronization hop is its own window, so the two counters
-	// coincide); TminHops counts every barrier-to-barrier synchronization
-	// hop including inline solo hops, and WindowsSkipped is the
-	// difference — hops that reused the hot fleet or ran inline instead
-	// of costing a park/wake dispatch round. WindowSyncStalls counts hops
+	// Windows is the number of fleet dispatch episodes; TminHops counts
+	// every barrier-to-barrier synchronization hop including inline solo
+	// hops, and WindowsSkipped is the difference — hops that reused the
+	// hot fleet or ran inline instead of costing a park/wake dispatch
+	// round. WindowSyncStalls counts hops
 	// in which a shard with reachable work fired no event (pure barrier
 	// overhead for that shard), and AvgWindowOccupancy is the mean number
 	// of events executed per hop.

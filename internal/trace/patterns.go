@@ -157,14 +157,14 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 		if (round/a.burstLen())%2 == 0 {
 			// Calm phase: tight uniform arrivals.
 			for i := range out {
-				out[i] = time.Duration(below(&s, int64(spread)/16 + 1))
+				out[i] = time.Duration(below(&s, int64(spread)/16+1))
 			}
 			return out
 		}
 		// Burst phase: a random half of the partitions lags by ~Spread.
 		for i := range out {
 			late := below(&s, 2) == 1
-			out[i] = time.Duration(below(&s, int64(spread)/16 + 1))
+			out[i] = time.Duration(below(&s, int64(spread)/16+1))
 			if late {
 				out[i] += spread
 			}
@@ -192,7 +192,7 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 		return out
 	case PatternStraggler:
 		for i := range out {
-			out[i] = time.Duration(below(&s, int64(spread)/64 + 1))
+			out[i] = time.Duration(below(&s, int64(spread)/64+1))
 		}
 		out[(int(a.Seed%uint64(n))+round)%n] = spread
 		return out
