@@ -5,13 +5,7 @@
 
 GO ?= go
 
-# CORE_HASH fingerprints the internal/core sources. The bench-recording
-# targets stamp it into their BENCH_*.json records; bench-compare warns
-# when the committed record's hash no longer matches the tree, i.e. the
-# baseline predates a core change and should be re-recorded.
-CORE_HASH := $(shell cat internal/core/*.go | sha256sum | cut -c1-16)
-
-.PHONY: check vet lint lint-json lint-tags staticcheck build test race conformance bench bench-hotpath bench-parallel bench-compare bench-pdes bench-pdes-smoke bench-adaptive bench-adaptive-smoke bench-topo bench-topo-smoke
+.PHONY: check vet lint lint-json lint-tags staticcheck build test race conformance bench bench-smoke
 
 check: vet lint build test race conformance
 
@@ -94,64 +88,12 @@ bench:
 	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
 	$(GO) test -bench . -benchmem -run xxx .
 
-# Regenerate BENCH_hotpath.json: fixed single-engine hot-path workload.
-bench-hotpath:
-	$(GO) run ./cmd/partbench -hotpathjson BENCH_hotpath.json -corehash $(CORE_HASH)
-
-# Run the hotpath benchmark against a scratch copy of the committed
-# BENCH_hotpath.json: partbench prints the events/sec and allocs/event
-# delta versus the copied record before overwriting it, so the committed
-# file itself is left untouched — and warns when the record's core hash
-# no longer matches the tree. Use bench-hotpath to actually re-record.
-bench-compare:
-	@tmp=$$(mktemp); cp BENCH_hotpath.json $$tmp; \
-	$(GO) run ./cmd/partbench -hotpathjson $$tmp -corehash $(CORE_HASH); \
-	rm -f $$tmp
-
-# Regenerate BENCH_pdes.json: the conservative-PDES scaling workload
-# (1024-rank Sweep3D) on the serial engine and at 2, 4, and 8 shards,
-# every sharded pass asserted byte-identical to the serial oracle.
-bench-pdes:
-	$(GO) run ./cmd/partbench -pdesjson BENCH_pdes.json
-
-# CI smoke variant: small workload, two shards, same parity assert;
-# exits nonzero if the sharded pass diverges from serial or if skip-ahead
-# regresses past the dispatch-window ceiling (the quick workload records
-# 5 fleet windows; 40 leaves headroom without admitting a λ-march).
-bench-pdes-smoke:
-	$(GO) run ./cmd/partbench -pdesjson /dev/null -quick -windowceiling 40
-
-# Regenerate BENCH_parallel.json: serial-vs-parallel tuning sweep report.
-bench-parallel:
-	$(GO) run ./cmd/tuningsearch -parts 4,16,32 -min 4096 -max 4194304 \
-		-benchjson BENCH_parallel.json -corehash $(CORE_HASH) -o /dev/null
-
-# Regenerate BENCH_adaptive.json: the adaptive-vs-static evaluation grid
-# (every arrival pattern × message size under each design), with the
-# never-worse guard enforced — the run fails if the adaptive strategy
-# trails the best static design by more than the bound anywhere, or does
-# not beat the worst static design on the skewed patterns.
-bench-adaptive:
-	$(GO) run ./cmd/partbench -adaptivejson BENCH_adaptive.json \
-		-adaptiveguard -corehash $(CORE_HASH)
-
-# CI smoke variant: single size, fewer iterations, same guard; exits
-# nonzero on any guard violation so a regression in the adaptive
-# switcher is caught on every PR.
-bench-adaptive-smoke:
-	$(GO) run ./cmd/partbench -adaptivejson /dev/null -quick -adaptiveguard
-
-# Regenerate BENCH_topo.json: the multi-switch topology acceptance
-# workload — an explicit single-link run asserted byte-identical to the
-# default fabric (serial and sharded), then incast:16 and permutation
-# patterns on a 2-level fat-tree, each asserted deterministic across
-# shard/worker counts and required to show a >=2x completion-time spread
-# (congested vs uncongested).
-bench-topo:
-	$(GO) run ./cmd/partbench -topojson BENCH_topo.json -corehash $(CORE_HASH)
-
-# CI smoke variant: smaller per-flow payload, same three gates; exits
-# nonzero if single-link parity breaks, congestion reports diverge
-# across shard layouts, or the incast stops contending.
-bench-topo-smoke:
-	$(GO) run ./cmd/partbench -topojson /dev/null -quick
+# Smoke test of the repository benchmark (benchmark/, its own module):
+# every workload runs on a toy size and its virtual-time outcome must be
+# byte-identical across repeats. The perf record itself is
+# `bash benchmark/run.sh`; the correctness gates (PDES parity and the
+# dispatch-window ceiling, the adaptive never-worse guard, single-link
+# parity, the incast spread and its shard determinism) are tests under
+# `go test ./...`.
+bench-smoke:
+	cd benchmark && $(GO) test ./...

@@ -7,17 +7,10 @@
 //	partbench -list                       # enumerate experiments
 //	partbench -experiment fig9 -csv out/  # also write CSV per table
 //	partbench -experiment fig8 -j 8       # sweep on 8 workers
-//	partbench -experiment all -quick -benchjson BENCH_parallel.json
-//	partbench -hotpathjson BENCH_hotpath.json   # single-engine hot-path bench
-//	partbench -hotpathjson /dev/null -cpuprofile cpu.pprof -memprofile mem.pprof
-//	partbench -experiment fig8 -shards 4        # run sharded (same output)
-//	partbench -pdesjson BENCH_pdes.json         # PDES scaling bench, 1024 ranks
-//	partbench -pdesjson /dev/null -quick        # small smoke workload, 2 shards
-//	partbench -adaptivejson BENCH_adaptive.json # adaptive-vs-static arrival grid
-//	partbench -adaptivejson /dev/null -quick -adaptiveguard  # never-worse smoke gate
+//	partbench -experiment fig8 -shards 4  # run sharded (same output)
+//	partbench -experiment fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	partbench -strategy adaptive -pattern straggler          # one probe, telemetry printed
 //	partbench -experiment fig6 -quick -topo fat-tree:k=8     # run over a multi-switch fabric
-//	partbench -topojson BENCH_topo.json         # topology acceptance: parity + congestion gates
 //
 // Each experiment prints the rows/series of the corresponding figure or
 // table of "A Dynamic Network-Native MPI Partitioned Aggregation Over
@@ -25,10 +18,9 @@
 // paper-versus-measured comparison.
 //
 // Drivers fan their independent simulation runs across -j workers
-// (default: all cores); output is byte-identical for any -j. -benchjson
-// additionally times a serial (-j 1) pass over the same experiments,
-// verifies both passes render identically, and records wall-clock
-// speedup, events/sec, and allocs/event.
+// (default: all cores); output is byte-identical for any -j. Performance
+// is measured by the repository benchmark (bash benchmark/run.sh), not by
+// this command.
 package main
 
 import (
@@ -43,12 +35,10 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/xport"
 )
@@ -61,18 +51,10 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to also write one CSV per table")
 	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
 	provider := flag.String("provider", "", "transport backend: "+strings.Join(xport.Names(), ", ")+" (default verbs)")
-	benchJSON := flag.String("benchjson", "", "also time a serial pass and write a serial-vs-parallel report to this file")
-	hotpathJSON := flag.String("hotpathjson", "", "run the fixed single-engine hot-path workload and write its report to this file")
-	pdesJSON := flag.String("pdesjson", "", "run the conservative-PDES scaling workload and write its report to this file")
-	windowCeiling := flag.Uint64("windowceiling", 0, "with -pdesjson: fail if any sharded run executes more dispatch windows than this (0 = no gate)")
-	adaptiveJSON := flag.String("adaptivejson", "", "run the adaptive-vs-static arrival-pattern grid and write its report to this file")
-	adaptiveGuard := flag.Bool("adaptiveguard", false, "with -adaptivejson: exit nonzero if the never-worse guard fails at any grid point")
 	strategy := flag.String("strategy", "", "run one point-to-point probe under this strategy (baseline, tuning-table, ploggp, timer-ploggp, adaptive) and print its result")
 	pattern := flag.String("pattern", "straggler", "with -strategy: synthetic Pready arrival pattern (uniform, bursty, zipf, straggler)")
-	coreHash := flag.String("corehash", "", "fingerprint of internal/core sources to stamp into JSON reports (set by make)")
 	shards := flag.Int("shards", 0, "conservative-PDES shard count per simulation (0 or 1 = serial; output is identical)")
 	topo := flag.String("topo", "", "fabric topology spec for every benchmark run (single-link, two-level:rack=8, fat-tree:k=8, dragonfly:groups=9,routers=4,hosts=2)")
-	topoJSON := flag.String("topojson", "", "run the topology acceptance workload (single-link parity, fat-tree incast vs permutation) and write its report to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -126,38 +108,6 @@ func main() {
 		}
 	}
 
-	if *topoJSON != "" {
-		if err := runTopo(*topoJSON, *quick, *coreHash); err != nil {
-			fmt.Fprintf(os.Stderr, "partbench: topo: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *hotpathJSON != "" {
-		if err := runHotpath(*hotpathJSON, *coreHash); err != nil {
-			fmt.Fprintf(os.Stderr, "partbench: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pdesJSON != "" {
-		if err := runPdes(*pdesJSON, *quick, *windowCeiling); err != nil {
-			fmt.Fprintf(os.Stderr, "partbench: pdes: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *adaptiveJSON != "" {
-		if err := runAdaptive(*adaptiveJSON, *quick, *adaptiveGuard, *coreHash, *provider, *jobs); err != nil {
-			fmt.Fprintf(os.Stderr, "partbench: adaptive: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *strategy != "" {
 		if err := runProbe(*strategy, *pattern, *provider, *topo, *shards, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: probe: %v\n", err)
@@ -195,65 +145,6 @@ func main() {
 		}
 	}
 
-	if *benchJSON != "" {
-		var report sweep.BenchReport
-		var parallelOut strings.Builder
-		if sweep.Jobs(cfg.Jobs) == 1 || runtime.GOMAXPROCS(0) == 1 {
-			// One worker or one core: a second pass would time the
-			// identical serial workload again. Run once, record
-			// speedup: null.
-			m := sweep.StartMeasure(time.Now)
-			if err := runSuite(names, cfg, &parallelOut, *csvDir); err != nil {
-				fmt.Fprintf(os.Stderr, "partbench: %v\n", err)
-				os.Exit(1)
-			}
-			sec, events, allocs := m.Stop()
-			report = sweep.NewSinglePassReport("partbench "+*exp, cfg.Jobs, sec, events, allocs)
-		} else {
-			serialCfg := cfg
-			serialCfg.Jobs = 1
-			serialCfg.Progress = nil
-			m := sweep.StartMeasure(time.Now)
-			var serialOut strings.Builder
-			if err := runSuite(names, serialCfg, &serialOut, ""); err != nil {
-				fmt.Fprintf(os.Stderr, "partbench: serial pass: %v\n", err)
-				os.Exit(1)
-			}
-			serialSec, _, _ := m.Stop()
-
-			m = sweep.StartMeasure(time.Now)
-			if err := runSuite(names, cfg, &parallelOut, *csvDir); err != nil {
-				fmt.Fprintf(os.Stderr, "partbench: %v\n", err)
-				os.Exit(1)
-			}
-			parSec, parEvents, parAllocs := m.Stop()
-			report = sweep.NewReport("partbench "+*exp, cfg.Jobs,
-				serialSec, parSec, parEvents, parAllocs, parallelOut.String() == serialOut.String())
-		}
-		report.Provider = cfg.Provider
-		if report.Provider == "" {
-			report.Provider = "verbs"
-		}
-		report.CoreHash = *coreHash
-		if err := sweep.WriteReportFile(*benchJSON, report); err != nil {
-			fmt.Fprintf(os.Stderr, "partbench: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.WriteString(parallelOut.String())
-		speedup := "null"
-		if report.Speedup != nil {
-			speedup = fmt.Sprintf("%.2fx", *report.Speedup)
-		}
-		fmt.Fprintf(os.Stderr,
-			"partbench: serial %.2fs, parallel %.2fs on %d workers (%s), %.0f events/sec, %.2f allocs/event, identical=%v\n",
-			report.SerialSeconds, report.ParallelSeconds, report.Workers,
-			speedup, report.EventsPerSec, report.AllocsPerEvent, report.Identical)
-		if report.Warning != "" {
-			fmt.Fprintf(os.Stderr, "partbench: warning: %s\n", report.Warning)
-		}
-		return
-	}
-
 	if err := runSuite(names, cfg, os.Stdout, *csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "partbench: %v\n", err)
 		os.Exit(1)
@@ -286,225 +177,6 @@ func runSuite(names []string, cfg experiments.Config, w io.Writer, csvDir string
 		// Wall time goes to stderr so the rendered tables stay
 		// byte-comparable across passes.
 		fmt.Fprintf(os.Stderr, "# %s done in %v (wall)\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-// hotpathBaseline records the single-engine throughput before the
-// allocation-free event hot path landed (the PR-1 BENCH_parallel.json
-// measurement: 1.05 M events over a 2.25 s serial tuning sweep at 2.08
-// allocs/event). BENCH_hotpath.json reports the current run against it.
-const (
-	hotpathBaselineEventsPerSec   = 465775.6
-	hotpathBaselineAllocsPerEvent = 2.0787
-)
-
-// runHotpath times the fixed single-engine workload — a serial grid of
-// point-to-point partitioned runs over three sizes and three aggregation
-// strategies, one deterministic engine at a time — and writes the hot-path
-// report. Sizes are kept small so the measurement is message-rate-bound
-// (per-event software overhead, the quantity the hot path optimizes)
-// rather than dominated by payload memmove; the workload is fixed so
-// events/sec and allocs/event are comparable PR over PR.
-func runHotpath(path, coreHash string) error {
-	const workload = "p2p parts=32 sizes=16KiB,64KiB,256KiB strategies=baseline,ploggp,timer iters=200 serial"
-	sizes := []int{16 << 10, 64 << 10, 256 << 10}
-	strategies := []core.Options{
-		{Strategy: core.StrategyBaseline},
-		{Strategy: core.StrategyPLogGP},
-		{Strategy: core.StrategyTimerPLogGP},
-	}
-	m := sweep.StartMeasure(time.Now)
-	for _, size := range sizes {
-		for _, opts := range strategies {
-			cfg := bench.P2PConfig{Parts: 32, Bytes: size, Warmup: 10, Iters: 200, Opts: opts}
-			if _, err := bench.RunP2P(cfg); err != nil {
-				return err
-			}
-		}
-	}
-	sec, events, allocs := m.Stop()
-	report := sweep.NewHotpathReport("partbench", workload, sec, events, allocs, m.SchedDelta(),
-		hotpathBaselineEventsPerSec, hotpathBaselineAllocsPerEvent)
-	report.CoreHash = coreHash
-	// Print the delta against the record about to be overwritten (make
-	// bench-compare points path at a scratch copy of the committed file
-	// to get the comparison without clobbering it), and flag a stale
-	// baseline: a record produced against different internal/core sources
-	// is not comparable point for point.
-	if prev, err := sweep.ReadHotpathFile(path); err == nil && prev.EventsPerSec > 0 {
-		fmt.Fprintf(os.Stderr,
-			"partbench: hotpath delta vs %s [%s]: events/sec %+.1f%% (%.0f -> %.0f), allocs/event %+.4f (%.4f -> %.4f)\n",
-			path, prev.Scheduler,
-			100*(report.EventsPerSec/prev.EventsPerSec-1), prev.EventsPerSec, report.EventsPerSec,
-			report.AllocsPerEvent-prev.AllocsPerEvent, prev.AllocsPerEvent, report.AllocsPerEvent)
-		if coreHash != "" {
-			switch {
-			case prev.CoreHash == "":
-				fmt.Fprintln(os.Stderr,
-					"partbench: warning: recorded baseline has no core hash (predates staleness tracking); re-record with make bench-hotpath")
-			case prev.CoreHash != coreHash:
-				fmt.Fprintf(os.Stderr,
-					"partbench: warning: recorded baseline is stale — internal/core changed since it was recorded (hash %s, tree is %s); re-record with make bench-hotpath\n",
-					prev.CoreHash, coreHash)
-			}
-		}
-	}
-	if err := sweep.WriteHotpathFile(path, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"partbench: hotpath %.2fs, %d events, %.0f events/sec (%.2fx baseline), %.3f allocs/event (baseline %.2f)\n",
-		report.Seconds, report.Events, report.EventsPerSec, report.EventsPerSecRatio,
-		report.AllocsPerEvent, report.BaselineAllocsPerEvent)
-	fmt.Fprintf(os.Stderr,
-		"partbench: scheduler %s: %d ring, %d bucket, %d far insertions, max bucket chain %d\n",
-		report.Scheduler, report.SchedRingEvents, report.SchedBucketEvents,
-		report.SchedFarEvents, report.SchedMaxBucketLen)
-	return nil
-}
-
-// runPdes times the conservative-PDES scaling workload: one Sweep3D
-// configuration run first on the serial engine (the oracle) and then at
-// increasing shard counts, each sharded pass required to reproduce the
-// serial per-iteration times byte for byte. The full workload is the
-// paper-scale 1024-rank grid; -quick substitutes a small smoke grid at
-// two shards (the CI parity gate). Any parity miss is a hard error — a
-// sharded simulator that changes results is wrong, not slow.
-func runPdes(path string, quick bool, windowCeiling uint64) error {
-	workload := "sweep3d 32x32 ranks=1024 threads=4 bytes=16KiB iters=2 ploggp"
-	shardCounts := []int{2, 4, 8}
-	base := bench.SweepConfig{
-		GridX:    32,
-		GridY:    32,
-		Threads:  4,
-		Bytes:    16 << 10,
-		Compute:  20 * time.Microsecond,
-		NoisePct: 5,
-		Warmup:   1,
-		Iters:    2,
-		Opts:     core.Options{Strategy: core.StrategyPLogGP},
-	}
-	if quick {
-		workload = "sweep3d 8x4 ranks=32 threads=4 bytes=16KiB iters=2 ploggp"
-		shardCounts = []int{2}
-		base.GridX, base.GridY = 8, 4
-	}
-
-	report := sweep.PdesReport{
-		Tool:        "partbench",
-		Workload:    workload,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		LookaheadNs: int64(cluster.NiagaraConfig(1).Fabric.Lookahead()),
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		report.Warning = "GOMAXPROCS=1: shards time-slice one core, speedup does not measure parallelism"
-	}
-
-	m := sweep.StartMeasure(time.Now)
-	serial, err := bench.RunSweep(base)
-	if err != nil {
-		return err
-	}
-	serialSec, serialEvents, serialAllocs := m.Stop()
-	report.Runs = append(report.Runs,
-		sweep.NewPdesRun(1, serialSec, serialEvents, serialAllocs, 0, true))
-
-	for _, shards := range shardCounts {
-		cfg := base
-		cfg.Shards = shards
-		m := sweep.StartMeasure(time.Now)
-		res, err := bench.RunSweep(cfg)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", shards, err)
-		}
-		sec, events, allocs := m.Stop()
-		identical := len(res.IterTimes) == len(serial.IterTimes)
-		for i := range serial.IterTimes {
-			if !identical || res.IterTimes[i] != serial.IterTimes[i] {
-				identical = false
-				break
-			}
-		}
-		run := sweep.NewPdesRun(shards, sec, events, allocs, serialSec, identical)
-		if st := res.ShardStats; st != nil {
-			run.Windows = st.Windows
-			run.TminHops = st.TminHops
-			run.WindowsSkipped = st.WindowsSkipped
-			run.AvgWindowOccupancy = st.AvgWindowOccupancy
-			run.WindowSyncStalls = st.Stalls
-			run.CrossShardPosts = st.CrossPosts
-			run.PerShardEvents = st.Events
-		}
-		report.Runs = append(report.Runs, run)
-		fmt.Fprintf(os.Stderr,
-			"partbench: pdes shards=%d %.2fs, %d events, %.0f events/sec (%.2fx serial), %d windows / %d tmin hops (%d skipped, %.1f events/hop, %d stalls), %d cross-posts, identical=%v\n",
-			shards, sec, events, run.EventsPerSec, run.Speedup,
-			run.Windows, run.TminHops, run.WindowsSkipped, run.AvgWindowOccupancy,
-			run.WindowSyncStalls, run.CrossShardPosts, identical)
-		if windowCeiling > 0 && run.Windows > windowCeiling {
-			if werr := sweep.WritePdesFile(path, report); werr != nil {
-				return werr
-			}
-			return fmt.Errorf("shards=%d executed %d windows, above the -windowceiling gate of %d", shards, run.Windows, windowCeiling)
-		}
-		if !identical {
-			if werr := sweep.WritePdesFile(path, report); werr != nil {
-				return werr
-			}
-			return fmt.Errorf("shards=%d produced per-iteration times differing from the serial pass", shards)
-		}
-	}
-	if err := sweep.WritePdesFile(path, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "partbench: pdes serial %.2fs, %.0f events/sec; report written to %s\n",
-		serialSec, report.Runs[0].EventsPerSec, path)
-	if report.Warning != "" {
-		fmt.Fprintf(os.Stderr, "partbench: warning: %s\n", report.Warning)
-	}
-	return nil
-}
-
-// runAdaptive measures the adaptive-vs-static grid — every (arrival
-// pattern × message size) point under each static design and under
-// StrategyAdaptive — and writes BENCH_adaptive.json. -quick shrinks the
-// grid to one size per pattern (the same shape `make bench-adaptive-smoke`
-// and the guard tests use); guard=true turns any never-worse violation
-// into a nonzero exit.
-func runAdaptive(path string, quick, guard bool, coreHash, provider string, jobs int) error {
-	cfg := bench.AdaptiveGridConfig{Provider: provider, Jobs: jobs}
-	workload := "p2p parts=16 sizes=64KiB,256KiB,1MiB patterns=uniform,bursty,zipf,straggler designs=baseline,ploggp,timer,adaptive"
-	if quick {
-		cfg.Sizes = []int{256 << 10}
-		cfg.Iters = 16
-		workload = "p2p parts=16 sizes=256KiB patterns=uniform,bursty,zipf,straggler designs=baseline,ploggp,timer,adaptive (quick)"
-	}
-	points, err := bench.RunAdaptiveGrid(cfg)
-	if err != nil {
-		return err
-	}
-	report := bench.NewAdaptiveReport("partbench", workload, coreHash, bench.AdaptiveGuardBound, points)
-	if err := bench.WriteAdaptiveFile(path, report); err != nil {
-		return err
-	}
-	for _, p := range points {
-		fmt.Fprintf(os.Stderr,
-			"partbench: adaptive %-10s %9dB  base=%dns ploggp=%dns timer=%dns adaptive=%dns best=%s switches=%d final=%s/t%d\n",
-			p.Pattern, p.Bytes, p.BaselineNs, p.PLogGPNs, p.TimerNs, p.AdaptiveNs,
-			p.BestStatic, p.Switches, p.FinalMode, p.FinalTransport)
-	}
-	if len(report.Violations) > 0 {
-		for _, v := range report.Violations {
-			fmt.Fprintf(os.Stderr, "partbench: adaptive guard violation: %s\n", v)
-		}
-		if guard {
-			return fmt.Errorf("never-worse guard (x%.2f) failed at %d grid point(s)",
-				report.GuardBound, len(report.Violations))
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "partbench: adaptive guard holds (x%.2f bound) on all %d points; report written to %s\n",
-			report.GuardBound, len(points), path)
 	}
 	return nil
 }

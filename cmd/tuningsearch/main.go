@@ -7,14 +7,10 @@
 //
 //	tuningsearch -parts 4,32,128 -min 4096 -max 67108864 -o tuning.tbl
 //	tuningsearch -j 8                        # sweep on 8 workers
-//	tuningsearch -benchjson BENCH_parallel.json
 //
 // The sweep fans (parts, size) points across -j workers (default: all
 // cores); each point is an independent deterministic simulation, so the
-// table is byte-identical for any -j. -benchjson additionally times a
-// serial (-j 1) pass against the parallel pass over the same workload,
-// verifies the two tables match, and records wall-clock speedup,
-// events/sec, and allocs/event for the perf trajectory.
+// table is byte-identical for any -j.
 package main
 
 import (
@@ -22,13 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/tuning"
 )
 
@@ -39,8 +32,6 @@ func main() {
 	warmup := flag.Int("warmup", 3, "warm-up iterations per candidate")
 	iters := flag.Int("iters", 10, "measured iterations per candidate")
 	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
-	benchJSON := flag.String("benchjson", "", "also time a serial pass and write a serial-vs-parallel report to this file")
-	coreHash := flag.String("corehash", "", "fingerprint of internal/core sources to stamp into the -benchjson report (set by make)")
 	out := flag.String("o", "", "output file (default stdout)")
 	verbose := flag.Bool("v", false, "print progress")
 	flag.Parse()
@@ -68,83 +59,17 @@ func main() {
 		}
 	}
 
-	render := func(c tuning.SearchConfig) (string, error) {
-		table, err := tuning.Search(c)
-		if err != nil {
-			return "", err
-		}
-		var buf bytes.Buffer
-		if err := tuning.WriteTable(&buf, table); err != nil {
-			return "", err
-		}
-		return buf.String(), nil
-	}
-
-	if *benchJSON != "" {
-		var report sweep.BenchReport
-		var parallelOut string
-		if sweep.Jobs(cfg.Workers) == 1 || runtime.GOMAXPROCS(0) == 1 {
-			// One worker or one core: a second pass would time the
-			// identical serial workload again. Run once, record
-			// speedup: null.
-			m := sweep.StartMeasure(time.Now)
-			var err error
-			parallelOut, err = render(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tuningsearch: %v\n", err)
-				os.Exit(1)
-			}
-			sec, events, allocs := m.Stop()
-			report = sweep.NewSinglePassReport("tuningsearch", cfg.Workers, sec, events, allocs)
-		} else {
-			// Timed serial reference pass over the identical workload.
-			serialCfg := cfg
-			serialCfg.Workers = 1
-			serialCfg.Progress = nil
-			m := sweep.StartMeasure(time.Now)
-			serialOut, err := render(serialCfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tuningsearch: serial pass: %v\n", err)
-				os.Exit(1)
-			}
-			serialSec, _, _ := m.Stop()
-
-			m = sweep.StartMeasure(time.Now)
-			parallelOut, err = render(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tuningsearch: %v\n", err)
-				os.Exit(1)
-			}
-			parSec, parEvents, parAllocs := m.Stop()
-			report = sweep.NewReport("tuningsearch", cfg.Workers,
-				serialSec, parSec, parEvents, parAllocs, parallelOut == serialOut)
-		}
-		report.CoreHash = *coreHash
-		if err := sweep.WriteReportFile(*benchJSON, report); err != nil {
-			fmt.Fprintf(os.Stderr, "tuningsearch: %v\n", err)
-			os.Exit(1)
-		}
-		speedup := "null"
-		if report.Speedup != nil {
-			speedup = fmt.Sprintf("%.2fx", *report.Speedup)
-		}
-		fmt.Fprintf(os.Stderr,
-			"tuningsearch: serial %.2fs, parallel %.2fs on %d workers (%s), %.0f events/sec, %.2f allocs/event, identical=%v\n",
-			report.SerialSeconds, report.ParallelSeconds, report.Workers,
-			speedup, report.EventsPerSec, report.AllocsPerEvent, report.Identical)
-		if report.Warning != "" {
-			fmt.Fprintf(os.Stderr, "tuningsearch: warning: %s\n", report.Warning)
-		}
-		writeOutput(*out, parallelOut)
-		return
-	}
-
-	text, err := render(cfg)
+	table, err := tuning.Search(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tuningsearch: %v\n", err)
 		os.Exit(1)
 	}
-	writeOutput(*out, text)
+	var buf bytes.Buffer
+	if err := tuning.WriteTable(&buf, table); err != nil {
+		fmt.Fprintf(os.Stderr, "tuningsearch: %v\n", err)
+		os.Exit(1)
+	}
+	writeOutput(*out, buf.String())
 }
 
 // writeOutput writes the serialized table with its header comment.

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -12,10 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// This file runs the adaptive-vs-static evaluation grid behind
-// BENCH_adaptive.json and `make bench-adaptive-smoke`: every (arrival
-// pattern × message size) point measured under each static strategy and
-// under StrategyAdaptive, with a Hunold-style performance-guideline check —
+// This file runs the adaptive-vs-static evaluation grid behind the
+// ablation-adaptive experiment and TestAdaptiveGuardOnSmokeGrid: every
+// (arrival pattern × message size) point measured under each static
+// strategy and under StrategyAdaptive, with a Hunold-style
+// performance-guideline check —
 // the self-tuning design must never trail the best static design by more
 // than a bound, and must strictly beat the worst static design where
 // arrival skew gives adaptation something to exploit (bursty, straggler).
@@ -207,59 +205,4 @@ func CheckAdaptiveGuard(points []AdaptivePoint, bound float64) []string {
 		}
 	}
 	return violations
-}
-
-// AdaptiveReport is the machine-readable record of the adaptive-vs-static
-// grid (written as BENCH_adaptive.json by cmd/partbench): one point per
-// (arrival pattern × size) with the guard verdict, tracked PR over PR like
-// the other BENCH_*.json records.
-type AdaptiveReport struct {
-	Tool       string `json:"tool"`
-	Workload   string `json:"workload"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// CoreHash fingerprints the internal/core sources the record was
-	// produced against (stamped by make via -corehash) so staleness is
-	// detectable; empty in records predating the tracking.
-	CoreHash string `json:"core_hash,omitempty"`
-	// GuardBound is the never-worse factor the grid was checked against;
-	// Violations lists every failing point (empty = guard holds).
-	GuardBound float64         `json:"guard_bound"`
-	Violations []string        `json:"violations,omitempty"`
-	Points     []AdaptivePoint `json:"points"`
-}
-
-// NewAdaptiveReport assembles the report from a measured grid, running the
-// guard check at the given bound.
-func NewAdaptiveReport(tool, workload, coreHash string, bound float64, points []AdaptivePoint) AdaptiveReport {
-	return AdaptiveReport{
-		Tool:       tool,
-		Workload:   workload,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CoreHash:   coreHash,
-		GuardBound: bound,
-		Violations: CheckAdaptiveGuard(points, bound),
-		Points:     points,
-	}
-}
-
-// ReadAdaptiveFile parses a previously written adaptive grid report.
-func ReadAdaptiveFile(path string) (AdaptiveReport, error) {
-	var r AdaptiveReport
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
-// WriteAdaptiveFile writes the report as indented JSON to path.
-func WriteAdaptiveFile(path string, r AdaptiveReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// smokeGrid is the small (pattern × size) grid the guard tests measure —
-// the same shape `make bench-adaptive-smoke` runs, sized to finish in
-// seconds rather than the full BENCH_adaptive.json grid.
+// smokeGrid is the small (pattern × size) grid the guard tests measure:
+// one size per pattern, sized to finish in seconds rather than the full
+// three-size grid of the ablation-adaptive experiment.
 func smokeGrid() AdaptiveGridConfig {
 	return AdaptiveGridConfig{
 		Parts:   16,

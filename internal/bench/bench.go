@@ -207,6 +207,9 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 		}
 		clCfg.Fabric.Topo = topo
 	}
+	if err := clCfg.Validate(); err != nil {
+		return P2PResult{}, err
+	}
 	w := mpi.NewWorld(mpi.Config{Cluster: clCfg, RanksPerNode: ranksPerNode})
 	engines := make([]*core.Engine, 2)
 	for i := range engines {

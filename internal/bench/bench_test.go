@@ -172,6 +172,41 @@ func TestSweepConfigValidate(t *testing.T) {
 	}
 }
 
+// TestRunnersRejectInvalidCluster requires every runner to report an
+// invalid cluster configuration as an error: cluster.New panics on one, and
+// a panic raised inside a sweep worker takes the whole process down.
+func TestRunnersRejectInvalidCluster(t *testing.T) {
+	runners := []struct {
+		name string
+		run  func() error
+	}{
+		{"p2p", func() error {
+			_, err := RunP2P(P2PConfig{Parts: 4, Bytes: 4096, Shards: -1})
+			return err
+		}},
+		{"sweep", func() error {
+			_, err := RunSweep(SweepConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
+			return err
+		}},
+		{"halo", func() error {
+			_, err := RunHalo(HaloConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
+			return err
+		}},
+	}
+	for _, r := range runners {
+		t.Run(r.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked instead of returning an error: %v", p)
+				}
+			}()
+			if err := r.run(); err == nil {
+				t.Fatal("Shards: -1 accepted")
+			}
+		})
+	}
+}
+
 func TestSweepRuns(t *testing.T) {
 	res, err := RunSweep(SweepConfig{
 		GridX: 3, GridY: 3,

@@ -138,6 +138,9 @@ func RunHalo(cfg HaloConfig) (HaloResult, error) {
 		}
 		clCfg.Fabric.Topo = topo
 	}
+	if err := clCfg.Validate(); err != nil {
+		return HaloResult{}, err
+	}
 	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
 	engines := make([]*core.Engine, nodes)
 	for i := 0; i < nodes; i++ {

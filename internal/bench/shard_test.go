@@ -65,10 +65,17 @@ func TestShardedP2PMatchesSerial(t *testing.T) {
 	}
 }
 
+// sweepWindowCeiling bounds the fleet dispatch windows of the 2-shard
+// sweep below. Skip-ahead runs it in a handful of windows over a few
+// hundred Tmin hops; a fall back to a λ-march dispatches once per hop and
+// blows through the ceiling.
+const sweepWindowCeiling = 40
+
 // TestShardedSweepMatchesSerial runs the Sweep3D wavefront on an 8-node
 // grid at 2, 4, and 8 shards and requires per-iteration times identical to
 // the serial run — the multi-node case where every shard hosts a distinct
 // subset of ranks and all traffic between them crosses shard boundaries.
+// At 2 shards it also gates skip-ahead with sweepWindowCeiling.
 func TestShardedSweepMatchesSerial(t *testing.T) {
 	base := SweepConfig{
 		GridX:    4,
@@ -99,6 +106,16 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 			for i := range serial.IterTimes {
 				if serial.IterTimes[i] != sharded.IterTimes[i] {
 					t.Errorf("iter %d: serial %v != sharded %v", i, serial.IterTimes[i], sharded.IterTimes[i])
+				}
+			}
+			if shards == 2 {
+				st := sharded.ShardStats
+				if st == nil {
+					t.Fatal("sharded run reported no shard stats")
+				}
+				if st.Windows > sweepWindowCeiling {
+					t.Errorf("%d dispatch windows over %d Tmin hops, above the ceiling of %d",
+						st.Windows, st.TminHops, sweepWindowCeiling)
 				}
 			}
 		})
@@ -187,9 +204,9 @@ func TestShardedFatTreeSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedSingleLinkTopoMatchesDefault pins the deprecation shim's
-// parity promise at the bench layer: an explicit -topo single-link run is
-// byte-identical to the default fabric, serial and sharded.
+// TestShardedSingleLinkTopoMatchesDefault pins single-link parity at the
+// bench layer: an explicit -topo single-link run is byte-identical to the
+// default fabric, serial and sharded.
 func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 	base := P2PConfig{
 		Parts:   8,

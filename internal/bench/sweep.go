@@ -158,6 +158,9 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 		}
 		clCfg.Fabric.Topo = topo
 	}
+	if err := clCfg.Validate(); err != nil {
+		return SweepResult{}, err
+	}
 	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
 
 	engines := make([]*core.Engine, nodes)

@@ -16,8 +16,8 @@ import (
 //
 // The design splits cleanly into a hot half and a cold half:
 //
-//   - The observer (recordArrival, noteSent, noteDone) runs on the Pready /
-//     post / completion hot paths and only writes into fixed, pre-sized
+//   - The observer (recordArrival, noteDone) runs on the Pready and
+//     completion hot paths and only writes into fixed, pre-sized
 //     storage — no allocation, ever (hotpathalloc enforces it, an
 //     AllocsPerRun gate proves it at runtime).
 //   - The switcher (finishRound, decide) runs once per round at MPI_Start,
@@ -147,11 +147,6 @@ type adaptiveRound struct {
 	offs []time.Duration
 	// latency is Start→last send completion.
 	latency time.Duration
-	// meanGap is the mean inter-arrival gap.
-	meanGap time.Duration
-	// earlyWRs / totalWRs measure early-bird timer utility: WRs posted
-	// before the last arrival over all WRs posted.
-	earlyWRs, totalWRs int
 }
 
 // adaptiveState is the per-request observer + switcher. It hangs off Psend
@@ -188,10 +183,6 @@ type adaptiveState struct {
 	startAt     sim.Time
 	doneAt      sim.Time
 	seen        int
-	prevAt      sim.Time
-	sumGap      time.Duration
-	earlyWRs    int
-	totalWRs    int
 	// arr[i] is partition i's arrival offset this round (valid when the
 	// round completes: seen == userParts).
 	arr []time.Duration
@@ -299,10 +290,6 @@ func (a *adaptiveState) beginRound(at sim.Time) {
 	a.startAt = at
 	a.doneAt = at
 	a.seen = 0
-	a.prevAt = at
-	a.sumGap = 0
-	a.earlyWRs = 0
-	a.totalWRs = 0
 }
 
 // recordArrival observes one MPI_Pready on the send hot path. It runs once
@@ -311,24 +298,9 @@ func (a *adaptiveState) beginRound(at sim.Time) {
 //
 //partib:hotpath
 func (a *adaptiveState) recordArrival(part int, at sim.Time) {
-	if a.seen > 0 {
-		a.sumGap += at.Sub(a.prevAt)
-	}
-	a.prevAt = at
 	a.arr[part] = at.Sub(a.startAt)
 	a.seen++
 	a.recorded++
-}
-
-// noteSent observes one posted transport-partition WR; posts that beat the
-// round's last arrival measure the early-bird utility of the timer design.
-//
-//partib:hotpath
-func (a *adaptiveState) noteSent() {
-	a.totalWRs++
-	if a.seen < a.userParts {
-		a.earlyWRs++
-	}
 }
 
 // noteDone stamps the round's completion instant. It runs inside the
@@ -353,12 +325,6 @@ func (a *adaptiveState) finishRound() {
 	r := &a.ring[a.ringN%a.window]
 	copy(r.offs, a.arr)
 	r.latency = a.doneAt.Sub(a.startAt)
-	r.meanGap = 0
-	if a.userParts > 1 {
-		r.meanGap = a.sumGap / time.Duration(a.userParts-1)
-	}
-	r.earlyWRs = a.earlyWRs
-	r.totalWRs = a.totalWRs
 	a.ringN++
 	a.roundsInMode[a.mode]++
 	obs := int64(r.latency)

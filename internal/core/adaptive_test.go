@@ -44,7 +44,6 @@ func feedRound(a *adaptiveState, offs []time.Duration, latency time.Duration) {
 	for i, off := range offs {
 		a.recordArrival(i, base.Add(off))
 	}
-	a.noteSent()
 	a.noteDone(base.Add(latency))
 	a.finishRound()
 }
@@ -137,8 +136,8 @@ func TestAdaptiveRegretAccounting(t *testing.T) {
 }
 
 func TestAdaptiveRecordingZeroAllocs(t *testing.T) {
-	// The observer path — beginRound, one recordArrival+noteSent per
-	// partition, noteDone, the ring fold, and a (non-switching) decision —
+	// The observer path — beginRound, one recordArrival per partition,
+	// noteDone, the ring fold, and a (non-switching) decision —
 	// must allocate nothing in steady state.
 	a := newTestAdaptive(Options{})
 	offs := stragglerOffsets(a.userParts, 50*time.Microsecond)
@@ -154,7 +153,6 @@ func TestAdaptiveRecordingZeroAllocs(t *testing.T) {
 		a.beginRound(base)
 		for i := 0; i < a.userParts; i++ {
 			a.recordArrival(i, base.Add(offs[i]))
-			a.noteSent()
 		}
 		a.noteDone(base.Add(200 * time.Microsecond))
 		a.finishRound()

@@ -222,17 +222,3 @@ func TestTimerRandomArrivalsProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiObserverFansOut(t *testing.T) {
-	a := &recordingObserver{}
-	b := &recordingObserver{}
-	var obs Observer = MultiObserver{a, b}
-	obs.PsendStart(1, 100)
-	obs.PreadyCalled(1, 2, 200)
-	if len(a.starts) != 1 || len(b.starts) != 1 {
-		t.Fatalf("starts: %d/%d", len(a.starts), len(b.starts))
-	}
-	if len(a.preadys) != 1 || b.preadys[0] != 2 {
-		t.Fatalf("preadys: %v/%v", a.preadys, b.preadys)
-	}
-}

@@ -150,24 +150,6 @@ type Observer interface {
 	PreadyCalled(round, part int, at sim.Time)
 }
 
-// MultiObserver fans one request's notifications out to several observers
-// (e.g. the arrival profiler and a trace recorder at once).
-type MultiObserver []Observer
-
-// PsendStart forwards to every observer.
-func (m MultiObserver) PsendStart(round int, at sim.Time) {
-	for _, o := range m {
-		o.PsendStart(round, at)
-	}
-}
-
-// PreadyCalled forwards to every observer.
-func (m MultiObserver) PreadyCalled(round, part int, at sim.Time) {
-	for _, o := range m {
-		o.PreadyCalled(round, part, at)
-	}
-}
-
 // Options configures a partitioned request. The zero value selects the
 // PLogGP aggregator with the Niagara-measured model and the paper's 4 ms
 // modelling delay.

@@ -401,9 +401,6 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	}
 	ps.postedWRs++
 	ps.sentParts += count
-	if ps.adapt != nil {
-		ps.adapt.noteSent()
-	}
 	ps.r.Wake()
 	return nil
 }

@@ -1,6 +1,7 @@
 package netgauge
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
@@ -10,7 +11,9 @@ import (
 // congestion model: on a 2-level fat-tree, a 16:1 incast must complete at
 // least 2x slower than the uncongested permutation pattern (same per-flow
 // payload), and the incast must saturate the victim's down link while the
-// permutation leaves every link far below it.
+// permutation leaves every link far below it. Both patterns must also
+// resolve identically, report for report, under every probed (shards,
+// workers) layout.
 func TestIncastVsPermutationSpread(t *testing.T) {
 	topo, err := fabric.NewFatTree(fabric.FatTreeConfig{K: 8})
 	if err != nil {
@@ -38,6 +41,20 @@ func TestIncastVsPermutationSpread(t *testing.T) {
 	if perm.MaxLinkUtilization >= incast.MaxLinkUtilization {
 		t.Errorf("permutation max util %.2f (on %s) not below incast %.2f (on %s)",
 			perm.MaxLinkUtilization, perm.MaxLink, incast.MaxLinkUtilization, incast.MaxLink)
+	}
+	for _, serial := range []CongestionReport{perm, incast} {
+		for _, sw := range [][2]int{{2, 1}, {4, 2}, {8, 2}} {
+			got, err := Congestion(CongestionConfig{
+				Topo: topo, Pattern: serial.Pattern, Bytes: bytes,
+				Shards: sw[0], Workers: sw[1],
+			})
+			if err != nil {
+				t.Fatalf("%s shards=%d workers=%d: %v", serial.Pattern, sw[0], sw[1], err)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				t.Errorf("%s shards=%d workers=%d: report diverges from serial", serial.Pattern, sw[0], sw[1])
+			}
+		}
 	}
 }
 

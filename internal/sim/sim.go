@@ -82,10 +82,6 @@ const (
 // tickOf maps a timestamp to its calendar tick.
 func tickOf(t Time) int64 { return int64(t) >> bucketShift }
 
-// SchedulerName identifies the event-queue implementation, recorded in
-// benchmark reports so perf numbers are attributable to the queue design.
-const SchedulerName = "calendar-256x2us+4ary"
-
 // DeadlockError is returned by Run when the event queue drains while
 // non-daemon procs are still parked: nothing can ever wake them.
 type DeadlockError struct {
@@ -177,13 +173,11 @@ type Engine struct {
 	flushedAt uint64
 
 	// Scheduler placement counters (see SchedStats): how many insertions
-	// hit each tier and the largest bucket ever observed. Flushed into
-	// the process-wide totals alongside stepped.
+	// hit each tier and the largest bucket ever observed.
 	statRing      uint64
 	statBucket    uint64
 	statFar       uint64
 	statMaxBucket int
-	flushedSched  SchedStats
 }
 
 // initialFarCap pre-sizes the far heap and free list growth: typical
@@ -203,15 +197,6 @@ func NewEngine() *Engine {
 // process (parallel sweeps run many engines at once).
 var totalEvents atomic.Uint64
 
-// Process-wide scheduler-placement totals, flushed with the same cadence
-// as totalEvents.
-var (
-	totalRing      atomic.Uint64
-	totalBucket    atomic.Uint64
-	totalFar       atomic.Uint64
-	totalMaxBucket atomic.Int64
-)
-
 // TotalEvents reports the number of events executed by all engines in this
 // process whose Run/RunUntil has returned. It is safe for concurrent use
 // and is intended for coarse events/sec throughput reporting.
@@ -229,17 +214,6 @@ type SchedStats struct {
 	MaxBucket int    // peak single-bucket occupancy
 }
 
-// TotalSchedStats reports the process-wide scheduler-placement totals for
-// all engines whose Run/RunUntil has returned. Safe for concurrent use.
-func TotalSchedStats() SchedStats {
-	return SchedStats{
-		Ring:      totalRing.Load(),
-		Bucket:    totalBucket.Load(),
-		Far:       totalFar.Load(),
-		MaxBucket: int(totalMaxBucket.Load()),
-	}
-}
-
 // Events reports the number of events this engine has executed so far.
 func (e *Engine) Events() uint64 { return e.stepped }
 
@@ -248,36 +222,13 @@ func (e *Engine) SchedStats() SchedStats {
 	return SchedStats{Ring: e.statRing, Bucket: e.statBucket, Far: e.statFar, MaxBucket: e.statMaxBucket}
 }
 
-// flushStats folds the engine's local counters into the global totals.
-func (e *Engine) flushStats() {
+// endRun is the teardown at every run exit: fold the event count into
+// the process-wide total and stop the idle proc shells' coroutines.
+func (e *Engine) endRun() {
 	if d := e.stepped - e.flushedAt; d != 0 {
 		totalEvents.Add(d)
 		e.flushedAt = e.stepped
 	}
-	if d := e.statRing - e.flushedSched.Ring; d != 0 {
-		totalRing.Add(d)
-		e.flushedSched.Ring = e.statRing
-	}
-	if d := e.statBucket - e.flushedSched.Bucket; d != 0 {
-		totalBucket.Add(d)
-		e.flushedSched.Bucket = e.statBucket
-	}
-	if d := e.statFar - e.flushedSched.Far; d != 0 {
-		totalFar.Add(d)
-		e.flushedSched.Far = e.statFar
-	}
-	for {
-		cur := totalMaxBucket.Load()
-		if int64(e.statMaxBucket) <= cur || totalMaxBucket.CompareAndSwap(cur, int64(e.statMaxBucket)) {
-			break
-		}
-	}
-}
-
-// endRun is the teardown at every run exit: fold the counters into the
-// process-wide totals and stop the idle proc shells' coroutines.
-func (e *Engine) endRun() {
-	e.flushStats()
 	e.releaseShells()
 }
 

@@ -218,8 +218,12 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// PowersOfTwo returns the powers of two in [lo, hi] inclusive.
+// PowersOfTwo returns the powers of two in [lo, hi] inclusive. It returns
+// nil for lo < 1, where doubling would never leave lo.
 func PowersOfTwo(lo, hi int) []int {
+	if lo < 1 {
+		return nil
+	}
 	var out []int
 	for v := lo; v <= hi; v *= 2 {
 		out = append(out, v)

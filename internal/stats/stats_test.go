@@ -134,7 +134,19 @@ func TestPowersOfTwo(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-	if PowersOfTwo(8, 4) != nil {
-		t.Fatal("inverted range should be empty")
+}
+
+// TestPowersOfTwoEmptyRanges covers the bounds with no powers of two. A
+// non-positive lo never grows under doubling, so it must return at once
+// rather than append forever.
+func TestPowersOfTwoEmptyRanges(t *testing.T) {
+	for _, tc := range []struct{ lo, hi int }{
+		{0, 4096},
+		{-1, 4096},
+		{8, 4},
+	} {
+		if got := PowersOfTwo(tc.lo, tc.hi); got != nil {
+			t.Errorf("PowersOfTwo(%d, %d) = %v, want nil", tc.lo, tc.hi, got)
+		}
 	}
 }
