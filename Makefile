@@ -64,10 +64,13 @@ test:
 # paths (incast on the shared down-link, link saturation, route spread).
 # The sim and sharded lines run at -cpu 1,2: procs are coroutines that any
 # shard worker may resume, so switches are exercised on one P and across
-# two.
+# two. The ibv and ucx line covers the verbs data path: a non-inline WR's
+# payload is read from the sender's memory when it lands, which on a
+# sharded run happens on the destination's engine. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
+	$(GO) test -race ./internal/ibv/... ./internal/ucx/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
 
@@ -78,12 +81,12 @@ conformance:
 	$(GO) test -race ./internal/xport/...
 
 # Hot-path allocation gates and benchmarks: the AllocsPerRun regression
-# tests assert the sim typed-event and fabric message paths stay at zero
-# steady-state allocations, then the named engine benchmarks report
+# tests assert the sim typed-event, fabric message, verbs data and control
+# paths stay at zero steady-state allocations, then the named engine benchmarks report
 # per-op allocation counts, then the paper-exhibit benchmarks run in
 # quick mode.
 bench:
-	$(GO) test -run SteadyStateZeroAllocs -v ./internal/sim/ ./internal/fabric/
+	$(GO) test -run SteadyStateZeroAllocs -v ./internal/sim/ ./internal/fabric/ ./internal/ibv/ ./internal/mpi/
 	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
 	$(GO) test -bench . -benchmem -run xxx .

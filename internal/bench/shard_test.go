@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // shardStrategies are the aggregation strategies every differential test
@@ -201,6 +206,119 @@ func TestShardedFatTreeSweepMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// stampRing runs a 4-rank ring of partitioned transfers (rank i sends to
+// i+1). Each sender thread stamps its partition and calls Pready; right
+// after Psend.Wait the sender overwrites every stamp, with no barrier in
+// between. Non-inline WRs read their payload when it lands, so this is
+// only correct because a send completes after its placement. Each rank
+// reports, per round, the instant its Precv.Wait returned and how many
+// received stamps were wrong.
+func stampRing(t *testing.T, opts core.Options, shards int) (done [][]sim.Time, bad []int) {
+	t.Helper()
+	const (
+		nodes  = 4
+		parts  = 8
+		part   = 4 << 10 // eager zero-copy for the baseline
+		rounds = 6
+	)
+	clCfg := cluster.NiagaraConfig(nodes)
+	clCfg.Shards = shards
+	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
+	engines := make([]*core.Engine, nodes)
+	for i := range engines {
+		eng, err := core.NewEngine(w.Rank(i), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = eng
+	}
+	stamp := func(src, round, i int) uint64 { return uint64(src)<<32 | uint64(round)<<16 | uint64(i) }
+	done = make([][]sim.Time, nodes)
+	bad = make([]int, nodes)
+	err := w.Run(func(p *sim.Proc, r *mpi.Rank) {
+		id := r.ID()
+		src := (id + nodes - 1) % nodes
+		sbuf, rbuf := make([]byte, parts*part), make([]byte, parts*part)
+		ps, err := engines[id].PsendInit(p, sbuf, parts, (id+1)%nodes, 0, opts)
+		if err != nil {
+			panic(err)
+		}
+		pr, err := engines[id].PrecvInit(p, rbuf, parts, src, 0, opts)
+		if err != nil {
+			panic(err)
+		}
+		g := sim.NewGroup(p.Engine())
+		round := 0
+		threads := make([]func(*sim.Proc), parts)
+		for i := range threads {
+			i := i
+			threads[i] = func(tp *sim.Proc) {
+				defer g.Done()
+				tp.Sleep(time.Duration(i*(id+1)) * 300 * time.Nanosecond)
+				binary.LittleEndian.PutUint64(sbuf[i*part:], stamp(id, round, i))
+				if err := ps.Pready(tp, i); err != nil {
+					panic(err)
+				}
+			}
+		}
+		for ; round < rounds; round++ {
+			if err := pr.Start(p); err != nil {
+				panic(err)
+			}
+			if err := ps.Start(p); err != nil {
+				panic(err)
+			}
+			for i := range threads {
+				g.Add(1)
+				p.Engine().Spawn("thread", threads[i])
+			}
+			g.Wait(p)
+			if err := pr.Wait(p); err != nil {
+				panic(err)
+			}
+			done[id] = append(done[id], p.Now())
+			for i := 0; i < parts; i++ {
+				if binary.LittleEndian.Uint64(rbuf[i*part:]) != stamp(src, round, i) {
+					bad[id]++
+				}
+			}
+			if err := ps.Wait(p); err != nil {
+				panic(err)
+			}
+			for i := 0; i < parts; i++ {
+				binary.LittleEndian.PutUint64(sbuf[i*part:], ^stamp(id, round, i))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done, bad
+}
+
+// TestShardedStampRewriteAfterWait is the regression test for placement
+// reading the sender's memory from the destination shard: the stamp ring
+// must see every stamp intact and match the serial run at 2 and 4 shards
+// (run it under -race to check the ordering, not just the values).
+func TestShardedStampRewriteAfterWait(t *testing.T) {
+	for _, strat := range shardStrategies {
+		t.Run(strat.name, func(t *testing.T) {
+			serialDone, serialBad := stampRing(t, strat.opts, 0)
+			for _, shards := range []int{2, 4} {
+				done, bad := stampRing(t, strat.opts, shards)
+				if !reflect.DeepEqual(done, serialDone) || !reflect.DeepEqual(bad, serialBad) {
+					t.Errorf("shards=%d: done %v bad %v, serial done %v bad %v", shards, done, bad, serialDone, serialBad)
+				}
+			}
+			for id, n := range serialBad {
+				if n != 0 {
+					t.Errorf("rank %d received %d wrong stamps", id, n)
+				}
+			}
+		})
 	}
 }
 

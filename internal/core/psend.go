@@ -58,9 +58,11 @@ type Psend struct {
 	adapt *adaptiveState
 
 	// segScratch backs the one-element gather list of every posted WR.
-	// PostSend consumes the gather list synchronously (no park between
+	// PostSend consumes the list itself before returning (no park between
 	// filling the scratch and the post), so one scratch per request
-	// suffices and postRun allocates no slice per WR.
+	// suffices and postRun allocates no slice per WR. The partition bytes
+	// it names are read when they land; MPI already forbids touching them
+	// before Wait, which returns only after every WR has completed.
 	segScratch [1]xport.Seg
 	// wrScratch is the reusable work request postRun posts through.
 	wrScratch xport.SendWR

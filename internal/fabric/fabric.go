@@ -272,10 +272,12 @@ type Port struct {
 	// the destination engine.
 	ctrlLastAt sim.Time
 	// ctrlFree recycles this port's outbound control-delivery records.
-	// Records are allocated by the sending port and recycled to the
-	// receiving port (each side touching only its own list), so
-	// steady-state control traffic stops allocating once both directions
-	// are warm.
+	// Records are allocated by the sending port. A delivered record goes
+	// back to the sender's list when both ports share an engine, so even
+	// one-way traffic stops allocating; across shards each side may touch
+	// only its own list, so the receiver keeps it, up to one record per
+	// port of the fabric: enough for a fan-out to every peer (a barrier
+	// release), while one-way traffic cannot grow the list without bound.
 	ctrlFree []*ctrlDelivery
 
 	// Statistics. Sent counters are written on the sending engine,
@@ -370,14 +372,19 @@ func fireCtrlArrive(at sim.Time, arg any) {
 }
 
 // fireCtrlDeliver hands an arrived control message to the destination
-// handler and recycles the delivery record to the destination port.
+// handler and recycles the delivery record (see Port.ctrlFree); a record
+// the receiver has no room for is left to the collector.
 func fireCtrlDeliver(_ sim.Time, arg any) {
 	cd := arg.(*ctrlDelivery)
 	src, dst, payload := cd.src, cd.dst, cd.payload
 	// Recycle before invoking the handler: handlers may send further
 	// control messages and can then reuse this record.
 	cd.src, cd.dst, cd.payload = nil, nil, nil
-	dst.ctrlFree = append(dst.ctrlFree, cd)
+	if src.eng == dst.eng {
+		src.ctrlFree = append(src.ctrlFree, cd)
+	} else if len(dst.ctrlFree) < len(dst.fab.ports) {
+		dst.ctrlFree = append(dst.ctrlFree, cd)
+	}
 	if dst.ctrlHandler == nil {
 		panic(fmt.Sprintf("fabric: control message to %q with no handler", dst.name))
 	}

@@ -422,6 +422,44 @@ func TestControlPlaneFIFOAndLatency(t *testing.T) {
 	}
 }
 
+// TestControlRecordsStayBounded sends one-way control traffic. Between
+// ports on one engine the sender gets its records back and stops
+// allocating; across engines the receiver keeps at most one record per
+// port.
+func TestControlRecordsStayBounded(t *testing.T) {
+	e, f := testFabric(t)
+	a, b := f.NewPort("a"), f.NewPort("b")
+	b.SetControlHandler(func(*Port, any) {})
+	send := func() {
+		a.SendControl(b, nil)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Errorf("one-way control send allocates %.1f/op, want 0", allocs)
+	}
+	if len(a.ctrlFree) != 1 || len(b.ctrlFree) != 0 {
+		t.Errorf("free lists a=%d b=%d after one-way traffic, want 1 and 0", len(a.ctrlFree), len(b.ctrlFree))
+	}
+
+	// A port owned by a second engine: the receiver may not hand records
+	// back across engines, so it keeps them, but only up to the cap.
+	e2 := sim.NewEngine()
+	c := f.NewPortOn(e2, "c")
+	c.SetControlHandler(func(*Port, any) {})
+	for i := 0; i < 100; i++ {
+		a.SendControl(c, nil)
+	}
+	if err := e2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.ctrlFree) != 3 {
+		t.Errorf("cross-engine receiver kept %d records, want one per port (3)", len(c.ctrlFree))
+	}
+}
+
 func TestControlWithoutHandlerPanics(t *testing.T) {
 	e, f := testFabric(t)
 	a, b := f.NewPort("a"), f.NewPort("b")

@@ -245,20 +245,21 @@ func TestInOrderDeliveryAcrossWRs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each WR owns its byte of sendBuf: a posted non-inline WR's bytes are
+	// read when they land, so the sender must not reuse them before the
+	// WR completes.
 	for i := 0; i < n; i++ {
-		p.sendBuf[0] = byte(i)
+		p.sendBuf[i] = byte(100 + i)
 		err := p.sendQP.PostSend(SendWR{
 			Opcode:     OpRDMAWriteImm,
-			SGList:     []SGE{p.sendMR.SGEFor(0, 1)},
-			RemoteAddr: p.recvMR.Addr(),
+			SGList:     []SGE{p.sendMR.SGEFor(i, 1)},
+			RemoteAddr: p.recvMR.Addr() + uint64(i),
 			RKey:       p.recvMR.RKey(),
 			Imm:        uint32(i),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Payload is gathered at post time, so mutating sendBuf between
-		// posts must not corrupt earlier messages.
 	}
 	if err := p.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -271,6 +272,157 @@ func TestInOrderDeliveryAcrossWRs(t *testing.T) {
 		if wc.Imm != uint32(i) || wc.WRID != uint64(i) {
 			t.Fatalf("completion %d out of order: %+v", i, wc)
 		}
+	}
+	if !bytes.Equal(p.recvBuf[:n], p.sendBuf[:n]) {
+		t.Fatalf("landed %v, want %v", p.recvBuf[:n], p.sendBuf[:n])
+	}
+}
+
+// TestPayloadReadAtPlacement pins when each kind of WR reads its gather
+// list: a non-inline WR when its data lands at the responder, an inline WR
+// when it is posted (IBV_SEND_INLINE makes the buffer reusable on return).
+func TestPayloadReadAtPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		op     Opcode
+		inline bool
+		want   byte
+	}{
+		{"write-imm", OpRDMAWriteImm, false, 2},
+		{"send", OpSend, false, 2},
+		{"write-imm-inline", OpRDMAWriteImm, true, 1},
+		{"send-inline", OpSend, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, 128)
+			if err := p.recvQP.PostRecv(RecvWR{SGList: []SGE{p.recvMR.SGEFor(0, 128)}}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range p.sendBuf {
+				p.sendBuf[i] = 1
+			}
+			err := p.sendQP.PostSend(SendWR{
+				Opcode: tc.op,
+				// Two elements, so the send path's scatter crosses a
+				// gather-segment boundary.
+				SGList:     []SGE{p.sendMR.SGEFor(0, 40), p.sendMR.SGEFor(64, 60)},
+				RemoteAddr: p.recvMR.Addr(),
+				RKey:       p.recvMR.RKey(),
+				Inline:     tc.inline,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range p.sendBuf {
+				p.sendBuf[i] = 2
+			}
+			if err := p.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range p.recvBuf[:100] {
+				if b != tc.want {
+					t.Fatalf("byte %d = %d, want %d", i, b, tc.want)
+				}
+			}
+			if p.recvBuf[100] != 0 {
+				t.Fatal("payload overran its 100 bytes")
+			}
+		})
+	}
+}
+
+// TestSendScatterAcrossSegments moves a SEND whose three gather elements
+// and two scatter elements all split at different offsets.
+func TestSendScatterAcrossSegments(t *testing.T) {
+	p := newPair(t, 256)
+	fill(p.sendBuf, 5)
+	if err := p.recvQP.PostRecv(RecvWR{SGList: []SGE{p.recvMR.SGEFor(0, 7), p.recvMR.SGEFor(100, 50)}}); err != nil {
+		t.Fatal(err)
+	}
+	err := p.sendQP.PostSend(SendWR{
+		Opcode: OpSend,
+		SGList: []SGE{p.sendMR.SGEFor(10, 3), p.sendMR.SGEFor(50, 0), p.sendMR.SGEFor(200, 20)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte{}, p.sendBuf[10:13]...), p.sendBuf[200:220]...)
+	got := append(append([]byte{}, p.recvBuf[0:7]...), p.recvBuf[100:116]...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("scattered %v, want %v", got, want)
+	}
+	if p.recvBuf[116] != 0 {
+		t.Fatal("scatter ran past the payload")
+	}
+}
+
+// TestRecvQueueReusesCapacity keeps a receive queue from ever draining,
+// as a credit ring does, and checks that its backing array stops growing.
+func TestRecvQueueReusesCapacity(t *testing.T) {
+	p := newPair(t, 64)
+	const depth = 5
+	for i := 0; i < depth; i++ {
+		if err := p.recvQP.PostRecv(RecvWR{WRID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := depth; i < 1000; i++ {
+		rwr, ok := p.recvQP.consumeRecv()
+		if !ok || rwr.WRID != uint64(i-depth) {
+			t.Fatalf("consumed %+v, %v; want WRID %d", rwr, ok, i-depth)
+		}
+		if err := p.recvQP.PostRecv(RecvWR{WRID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.recvQP.RecvQueueLen(); got != depth {
+		t.Fatalf("RecvQueueLen = %d, want %d", got, depth)
+	}
+	if c := cap(p.recvQP.rq); c > 2*depth {
+		t.Fatalf("receive queue capacity grew to %d for %d live WRs", c, depth)
+	}
+}
+
+// TestQPSteadyStateZeroAllocs is the allocation gate on the verbs data
+// path: once the QP's send context, receive queue and CQs are warm, a
+// post-recv → write-imm → placement → ack → poll cycle allocates nothing,
+// and posting copies no payload.
+func TestQPSteadyStateZeroAllocs(t *testing.T) {
+	p := newPair(t, 4096)
+	sges := []SGE{p.sendMR.SGEFor(0, 2048), p.sendMR.SGEFor(2048, 2048)}
+	var wcs [4]WC
+	cycle := func() {
+		if err := p.recvQP.PostRecv(RecvWR{WRID: 7}); err != nil {
+			t.Fatal(err)
+		}
+		err := p.sendQP.PostSend(SendWR{
+			WRID:       1,
+			Opcode:     OpRDMAWriteImm,
+			SGList:     sges,
+			RemoteAddr: p.recvMR.Addr(),
+			RKey:       p.recvMR.RKey(),
+			Imm:        3,
+			Signaled:   true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := p.recvCQ.Poll(wcs[:]); n != 1 || wcs[0].Status != StatusSuccess {
+			t.Fatalf("recv poll: n=%d wc=%+v", n, wcs[0])
+		}
+		if n := p.sendCQ.Poll(wcs[:]); n != 1 || wcs[0].Status != StatusSuccess {
+			t.Fatalf("send poll: n=%d wc=%+v", n, wcs[0])
+		}
+	}
+	cycle() // warm the context, the event free list and the queues
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("verbs post/deliver/poll cycle allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -121,16 +121,22 @@ const (
 )
 
 // sendCtx tracks one posted send WR through the fabric. Contexts are
-// recycled per QP (see QP.takeCtx/releaseCtx): the payload buffer and the
-// deliver/ack callbacks bound to the context survive recycling, so a warm
-// QP posts WRs without allocating.
+// recycled per QP (see QP.takeCtx/releaseCtx): the gather-list and inline
+// backing arrays and the deliver/ack callbacks bound to the context
+// survive recycling, so a warm QP posts WRs without allocating.
 type sendCtx struct {
-	qp      *QP
-	wr      SendWR
-	payload []byte
-	// readBytes is the request length for RDMA reads.
-	readBytes int
-	status    Status
+	qp *QP
+	wr SendWR
+	// segs is the resolved gather list of a send or write. A non-inline
+	// WR's bytes are read from it when they land (deliver), as the HCA
+	// reads user memory while it transmits; an inline WR's single segment
+	// is its post-time snapshot in inline. Reads leave it empty.
+	segs   [][]byte
+	inline []byte
+	// bytes is the total gather length: the payload size of a send or
+	// write, the request length of a read.
+	bytes  int
+	status Status
 	// deliverFn/ackFn are the fabric callbacks for the common (write/send)
 	// path, built once per context and reused across recycles.
 	deliverFn func(sim.Time)
@@ -149,7 +155,12 @@ type QP struct {
 	// readFlow carries RDMA read responses (remote -> local direction).
 	readFlow *fabric.Flow
 
+	// rq[rqHead:] are the posted, unconsumed receive WRs: consumeRecv
+	// advances rqHead, the queue resets when it drains, and PostRecv slides
+	// the live tail to the front before it would grow the backing array,
+	// so a queue that never drains still reuses its capacity.
 	rq       []RecvWR
+	rqHead   int
 	sqLen    int
 	inFlight int
 	waitq    []*sendCtx
@@ -172,12 +183,14 @@ func (qp *QP) takeCtx() *sendCtx {
 }
 
 // releaseCtx returns a context whose completion has been pushed to the
-// free list. The payload backing array is kept for reuse; the WR is
-// cleared so gather-list references can be collected.
+// free list. The backing arrays are kept for reuse; the WR and the
+// gather-list slices are cleared so the memory they name can be collected.
 func (qp *QP) releaseCtx(ctx *sendCtx) {
 	ctx.wr = SendWR{}
-	ctx.payload = ctx.payload[:0]
-	ctx.readBytes = 0
+	clear(ctx.segs)
+	ctx.segs = ctx.segs[:0]
+	ctx.inline = ctx.inline[:0]
+	ctx.bytes = 0
 	ctx.status = StatusSuccess
 	qp.ctxFree = append(qp.ctxFree, ctx)
 }
@@ -276,10 +289,10 @@ func (qp *QP) toError() {
 	}
 	qp.state = StateErr
 	// Flush posted receives.
-	for _, rwr := range qp.rq {
+	for _, rwr := range qp.rq[qp.rqHead:] {
 		qp.cfg.RecvCQ.push(WC{WRID: rwr.WRID, Status: StatusWRFlushErr, Opcode: WCRecv, QPN: qp.qpn})
 	}
-	qp.rq = nil
+	qp.rq, qp.rqHead = nil, 0
 	// Flush sends not yet handed to the fabric.
 	for _, ctx := range qp.waitq {
 		qp.sqLen--
@@ -306,7 +319,7 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 	default:
 		return ErrBadState
 	}
-	if len(qp.rq) >= qp.cfg.MaxRecvWR {
+	if qp.RecvQueueLen() >= qp.cfg.MaxRecvWR {
 		return ErrRQFull
 	}
 	// Validate scatter elements eagerly; hardware validates WQE contents
@@ -316,16 +329,25 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 			return err
 		}
 	}
+	if len(qp.rq) == cap(qp.rq) && qp.rqHead > 0 {
+		n := copy(qp.rq, qp.rq[qp.rqHead:])
+		clear(qp.rq[n:])
+		qp.rq, qp.rqHead = qp.rq[:n], 0
+	}
 	qp.rq = append(qp.rq, wr)
 	return nil
 }
 
 // RecvQueueLen reports posted, unconsumed receive WRs.
-func (qp *QP) RecvQueueLen() int { return len(qp.rq) }
+func (qp *QP) RecvQueueLen() int { return len(qp.rq) - qp.rqHead }
 
 // PostSend posts a send work request, as ibv_post_send does. The gather
-// list is read immediately (partition data must be final when the WR is
-// posted, which MPI_Pready guarantees in the layer above).
+// list is validated and resolved now, so a bad SGE fails the post, but the
+// bytes it names are read only when they land at the responder, as the HCA
+// reads user memory while it transmits: the caller must not modify them
+// until the WR completes (MPI forbids touching a partition between
+// MPI_Pready and MPI_Wait in the layer above). An inline WR's payload is
+// copied here instead, so its buffer is reusable once PostSend returns.
 func (qp *QP) PostSend(wr SendWR) error {
 	if qp.state != StateRTS {
 		return ErrBadState
@@ -359,20 +381,27 @@ func (qp *QP) PostSend(wr SendWR) error {
 				return err
 			}
 		}
-		ctx.payload = ctx.payload[:0]
 	} else {
-		payload := ctx.payload[:0]
 		for _, sge := range wr.SGList {
 			b, err := qp.pd.resolveSGE(sge)
 			if err != nil {
 				qp.releaseCtx(ctx)
 				return err
 			}
-			payload = append(payload, b...)
+			ctx.segs = append(ctx.segs, b)
 		}
-		ctx.payload = payload
+		if wr.Inline {
+			for _, b := range ctx.segs {
+				ctx.inline = append(ctx.inline, b...)
+			}
+			clear(ctx.segs)
+			ctx.segs = append(ctx.segs[:0], ctx.inline)
+		}
+		// Only a read's scatter list is consulted after the post; dropping
+		// the others keeps callers free to reuse their SGE scratch.
+		wr.SGList = nil
 	}
-	ctx.wr, ctx.readBytes, ctx.status = wr, total, StatusSuccess
+	ctx.wr, ctx.bytes, ctx.status = wr, total, StatusSuccess
 	qp.sqLen++
 	if qp.inFlight < qp.cfg.MaxOutstanding {
 		qp.dispatch(ctx)
@@ -420,7 +449,7 @@ func (qp *QP) dispatch(ctx *sendCtx) {
 	// The context's pre-bound callbacks avoid two closure allocations per
 	// posted WR on the write/send fast path.
 	qp.flow.Send(fabric.Message{
-		Bytes:     len(ctx.payload),
+		Bytes:     ctx.bytes,
 		Inline:    ctx.wr.Inline,
 		OnDeliver: ctx.deliverFn,
 		OnAck:     ctx.ackFn,
@@ -456,7 +485,7 @@ func (qp *QP) readRemote(ctx *sendCtx) ([]byte, bool) {
 		remote.toError()
 		return nil, false
 	}
-	src, ok := mr.slice(ctx.wr.RemoteAddr, ctx.readBytes)
+	src, ok := mr.slice(ctx.wr.RemoteAddr, ctx.bytes)
 	if !ok {
 		ctx.status = StatusRemAccessErr
 		remote.toError()
@@ -478,7 +507,12 @@ func (qp *QP) scatterRead(ctx *sendCtx, data []byte) {
 	}
 }
 
-// deliver executes the responder side when the last byte arrives.
+// deliver executes the responder side when the last byte arrives. This is
+// where the payload moves, once, from the requester's gather list into
+// the responder's memory. Under sharding it runs on the responder's
+// engine, and the requester's completion lands at least one ack latency
+// (≥ the shard lookahead) later, so the requester cannot legally touch
+// the gather list before this read.
 func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 	remote := qp.remote
 	if remote.state == StateErr {
@@ -493,13 +527,15 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 			remote.toError()
 			return
 		}
-		dst, ok := mr.slice(ctx.wr.RemoteAddr, len(ctx.payload))
+		dst, ok := mr.slice(ctx.wr.RemoteAddr, ctx.bytes)
 		if !ok {
 			ctx.status = StatusRemAccessErr
 			remote.toError()
 			return
 		}
-		copy(dst, ctx.payload)
+		for _, b := range ctx.segs {
+			dst = dst[copy(dst, b):]
+		}
 		if ctx.wr.Opcode == OpRDMAWriteImm {
 			rwr, ok := remote.consumeRecv()
 			if !ok {
@@ -511,7 +547,7 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 				WRID:    rwr.WRID,
 				Status:  StatusSuccess,
 				Opcode:  WCRecvRDMAWithImm,
-				ByteLen: len(ctx.payload),
+				ByteLen: ctx.bytes,
 				Imm:     ctx.wr.Imm,
 				HasImm:  true,
 				QPN:     remote.qpn,
@@ -524,7 +560,7 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 			remote.toError()
 			return
 		}
-		if !remote.scatter(rwr, ctx.payload) {
+		if !remote.scatter(rwr, ctx.segs, ctx.bytes) {
 			ctx.status = StatusRemAccessErr
 			return
 		}
@@ -532,7 +568,7 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 			WRID:    rwr.WRID,
 			Status:  StatusSuccess,
 			Opcode:  WCRecv,
-			ByteLen: len(ctx.payload),
+			ByteLen: ctx.bytes,
 			QPN:     remote.qpn,
 		})
 	default:
@@ -542,29 +578,35 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 
 // consumeRecv pops the oldest receive WR.
 func (qp *QP) consumeRecv() (RecvWR, bool) {
-	if len(qp.rq) == 0 {
+	if qp.RecvQueueLen() == 0 {
 		return RecvWR{}, false
 	}
-	rwr := qp.rq[0]
-	qp.rq = qp.rq[1:]
+	rwr := qp.rq[qp.rqHead]
+	qp.rq[qp.rqHead] = RecvWR{}
+	qp.rqHead++
+	if qp.rqHead == len(qp.rq) {
+		qp.rq, qp.rqHead = qp.rq[:0], 0
+	}
 	return rwr, true
 }
 
-// scatter places a SEND payload into a receive WR's gather list. A payload
-// longer than the posted buffers is a responder length error.
-func (qp *QP) scatter(rwr RecvWR, payload []byte) bool {
+// scatter places an n-byte SEND payload, gathered from segs, into a
+// receive WR's scatter list: one pass with a cursor on each side. A payload
+// longer than the posted buffers is a responder length error, detected
+// before any byte moves.
+func (qp *QP) scatter(rwr RecvWR, segs [][]byte, n int) bool {
 	capacity := 0
 	for _, sge := range rwr.SGList {
 		capacity += sge.Length
 	}
-	if len(payload) > capacity {
+	if n > capacity {
 		qp.cfg.RecvCQ.push(WC{WRID: rwr.WRID, Status: StatusLenErr, Opcode: WCRecv, QPN: qp.qpn})
 		qp.toError()
 		return false
 	}
-	off := 0
+	si, so := 0, 0 // gather cursor: segment and offset within it
 	for _, sge := range rwr.SGList {
-		if off >= len(payload) {
+		if n == 0 {
 			break
 		}
 		b, err := qp.pd.resolveSGE(sge)
@@ -573,7 +615,13 @@ func (qp *QP) scatter(rwr RecvWR, payload []byte) bool {
 			qp.toError()
 			return false
 		}
-		off += copy(b, payload[off:])
+		for len(b) > 0 && n > 0 {
+			c := copy(b, segs[si][so:])
+			b, so, n = b[c:], so+c, n-c
+			if so == len(segs[si]) {
+				si, so = si+1, 0
+			}
+		}
 	}
 	return true
 }
@@ -598,7 +646,7 @@ func (qp *QP) acked(ctx *sendCtx) {
 			WRID:    ctx.wr.WRID,
 			Status:  StatusSuccess,
 			Opcode:  sendWCOpcode(ctx.wr.Opcode),
-			ByteLen: len(ctx.payload),
+			ByteLen: ctx.bytes,
 			QPN:     qp.qpn,
 		})
 	}

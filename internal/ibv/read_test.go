@@ -33,7 +33,7 @@ func TestRDMAReadFetchesRemoteData(t *testing.T) {
 	if n := p.sendCQ.Poll(wcs[:]); n != 1 {
 		t.Fatalf("polled %d completions", n)
 	}
-	if wcs[0].WRID != 3 || wcs[0].Status != StatusSuccess || wcs[0].Opcode != WCRDMARead {
+	if wcs[0].WRID != 3 || wcs[0].Status != StatusSuccess || wcs[0].Opcode != WCRDMARead || wcs[0].ByteLen != 4096 {
 		t.Fatalf("wc = %+v", wcs[0])
 	}
 }

@@ -18,10 +18,12 @@ type barrierState struct {
 	release *sim.Cond
 }
 
-// initBarrierHandlers is called once per rank at construction.
+// initBarrierHandlers is called once per rank at construction. A release
+// carries no payload: every rank takes part in every barrier, so each
+// release advances its generation by exactly one.
 func (r *Rank) initBarrierHandlers() {
-	r.HandleCtrl(ctrlBarrierRelease, func(_ int, data any) {
-		r.barrier.generation = data.(int64)
+	r.HandleCtrl(ctrlBarrierRelease, func(int, any) {
+		r.barrier.generation++
 		r.barrier.release.Broadcast()
 	})
 	if r.id == 0 {
@@ -29,11 +31,10 @@ func (r *Rank) initBarrierHandlers() {
 			r.barrier.arrived++
 			if r.barrier.arrived == r.w.Size() {
 				r.barrier.arrived = 0
-				gen := r.barrier.generation + 1
 				for dst := 1; dst < r.w.Size(); dst++ {
-					r.SendCtrl(dst, ctrlBarrierRelease, gen)
+					r.SendCtrl(dst, ctrlBarrierRelease, nil)
 				}
-				r.barrier.generation = gen
+				r.barrier.generation++
 				r.barrier.release.Broadcast()
 			}
 		})

@@ -103,6 +103,60 @@ func TestCtrlUnknownKindPanics(t *testing.T) {
 	})
 }
 
+// TestOneWayCtrlSteadyStateZeroAllocs sends 10k control messages one way,
+// as the barrier and credit traffic of a one-directional job does: once
+// warm, a send allocates nothing, and neither rank's envelope list grows.
+func TestOneWayCtrlSteadyStateZeroAllocs(t *testing.T) {
+	w := twoNodeWorld()
+	got := 0
+	w.Rank(0).HandleCtrl("oneway", func(int, any) { got++ })
+	allocs := -1.0
+	err := w.Run(func(p *sim.Proc, r *Rank) {
+		if r.ID() != 1 {
+			return
+		}
+		send := func() {
+			r.SendCtrl(0, "oneway", nil)
+			p.Sleep(2 * w.Cluster().Config().Fabric.CtrlLatency)
+		}
+		send()
+		allocs = testing.AllocsPerRun(10000, send)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 10002 { // warm-up, AllocsPerRun's own warm-up call, 10k runs
+		t.Fatalf("delivered %d messages, want 10002", got)
+	}
+	if allocs != 0 {
+		t.Errorf("one-way SendCtrl allocates %.2f/op, want 0", allocs)
+	}
+	if n0, n1 := len(w.Rank(0).envFree), len(w.Rank(1).envFree); n0 != 0 || n1 > 1 {
+		t.Errorf("envelope lists: receiver %d, sender %d; want 0 and at most 1", n0, n1)
+	}
+}
+
+// TestBarrierCountsEveryGeneration runs 300 barriers on three ranks. A
+// release carries no generation number, so every rank must count each
+// one itself.
+func TestBarrierCountsEveryGeneration(t *testing.T) {
+	w := NewWorld(Config{Cluster: cluster.NiagaraConfig(3)})
+	const rounds = 300
+	err := w.Run(func(p *sim.Proc, r *Rank) {
+		for i := 0; i < rounds; i++ {
+			r.Barrier(p)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < w.Size(); i++ {
+		if g := w.Rank(i).barrier.generation; g != rounds {
+			t.Errorf("rank %d at generation %d, want %d", i, g, rounds)
+		}
+	}
+}
+
 func TestDuplicateCtrlHandlerPanics(t *testing.T) {
 	w := twoNodeWorld()
 	w.Rank(0).HandleCtrl("k", func(int, any) {})

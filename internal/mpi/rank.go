@@ -58,10 +58,13 @@ type Rank struct {
 	barrier *barrierState
 
 	// envFree recycles control-plane envelopes. Envelopes are taken by
-	// this rank as a sender and recycled to the receiving rank once its
-	// handler has unpacked them — each side touches only its own list, so
-	// the recycling is shard-safe and steady-state SendCtrl stops
-	// allocating once both directions are warm.
+	// this rank as a sender. Once the receiving rank's handler has
+	// unpacked one, it goes back to the sender's list when both ranks share
+	// an engine, so even one-way traffic stops allocating; across shards
+	// each rank may touch only its own list, so the receiver keeps it, up
+	// to one envelope per rank of the world: enough for a fan-out to every
+	// rank (a barrier release), while one-way traffic cannot grow the list
+	// without bound.
 	envFree []*ctrlEnvelope
 
 	// Stats.
@@ -157,10 +160,17 @@ func (r *Rank) takeEnv() *ctrlEnvelope {
 	return &ctrlEnvelope{}
 }
 
-// putEnv returns an unpacked envelope to this rank's free list.
+// putEnv recycles an envelope this rank has unpacked (see envFree); one
+// the rank has no room for is left to the collector.
 func (r *Rank) putEnv(env *ctrlEnvelope) {
+	owner := r.w.ranks[env.from]
 	env.kind, env.from, env.to, env.data = "", 0, nil, nil
-	r.envFree = append(r.envFree, env)
+	switch {
+	case owner.Engine() == r.Engine():
+		owner.envFree = append(owner.envFree, env)
+	case len(r.envFree) < len(r.w.ranks):
+		r.envFree = append(r.envFree, env)
+	}
 }
 
 // SendCtrl delivers (kind, data) to the destination rank's registered

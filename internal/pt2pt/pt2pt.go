@@ -56,7 +56,9 @@ type Comm struct {
 	// unexpected holds arrived-but-unmatched messages in arrival order.
 	unexpected []*envelope
 
-	// sendMR is a registered staging region for Send payloads.
+	// sendMR is a registered staging region for Send payloads. Zero-copy
+	// and rendezvous sends read it when their data lands, after Isend and
+	// Wait have returned, so it stays busy until the transport has flushed.
 	sendMR   xport.Mem
 	sendBusy bool
 
@@ -159,6 +161,9 @@ func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int) (*SendReq, error) {
 	// Stage through the registered region so zcopy/rendezvous can run.
 	// Large payloads register on the fly like a registration cache miss.
 	req := &SendReq{c: c}
+	if c.sendBusy && c.tr.Quiescent() {
+		c.sendBusy = false
+	}
 	if len(buf) <= c.sendMR.Len() && !c.sendBusy {
 		c.sendBusy = true
 		copy(c.sendMR.Bytes()[:len(buf)], buf)
@@ -194,7 +199,6 @@ func (c *Comm) Send(p *sim.Proc, buf []byte, dest, tag int) error {
 // Wait blocks until the send completes.
 func (s *SendReq) Wait(p *sim.Proc) {
 	s.c.r.WaitOn(p, func() bool { return s.done })
-	s.c.sendBusy = false
 }
 
 // Test reports completion without blocking.

@@ -368,6 +368,42 @@ func TestBackToBackIsendsWithoutWait(t *testing.T) {
 	}
 }
 
+func TestIsendWaitIsendKeepsInFlightPayload(t *testing.T) {
+	// Wait returns as soon as a send is injected, but a zero-copy or
+	// rendezvous send still reads the staging region when its data lands.
+	// The next Isend must not overwrite the staging region until then.
+	for _, size := range []int{4 << 10, 64 << 10} { // zcopy, rendezvous
+		e := newEnv(2)
+		a, b := make([]byte, size), make([]byte, size)
+		err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
+			switch r.ID() {
+			case 0:
+				for _, v := range []byte{1, 2} {
+					req, err := e.cs[0].Isend(p, bytes.Repeat([]byte{v}, size), 1, 1)
+					if err != nil {
+						t.Error(err)
+					}
+					req.Wait(p)
+				}
+				r.WaitOn(p, e.cs[0].Quiescent)
+			case 1:
+				if _, _, _, err := e.cs[1].Recv(p, a, 0, 1); err != nil {
+					t.Error(err)
+				}
+				if _, _, _, err := e.cs[1].Recv(p, b, 0, 1); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, bytes.Repeat([]byte{1}, size)) || !bytes.Equal(b, bytes.Repeat([]byte{2}, size)) {
+			t.Fatalf("%d B: first message starts %v, second %v; want all 1s then all 2s", size, a[:4], b[:4])
+		}
+	}
+}
+
 func TestUnexpectedRendezvousLandsInScratch(t *testing.T) {
 	// A rendezvous-sized message arriving before the receive is posted
 	// lands in a scratch registration and is copied at match time.

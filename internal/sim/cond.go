@@ -23,7 +23,8 @@ type Cond struct {
 
 type condWaiter struct {
 	p        *Proc
-	done     bool // woken (signal or timeout) — ignore the other path
+	c        *Cond // the cond of the current WaitTimeout, for its timeout event
+	done     bool  // woken (signal or timeout) — ignore the other path
 	timedOut bool
 }
 
@@ -50,26 +51,39 @@ func (c *Cond) Wait(p *Proc) {
 	p.park("waiting on cond")
 }
 
+// fireCondTimeout is the typed timeout event of WaitTimeout: it wakes the
+// waiter unless a signal already has.
+func fireCondTimeout(_ Time, arg any) {
+	w := arg.(*condWaiter)
+	if w.done {
+		return
+	}
+	w.done = true
+	w.timedOut = true
+	w.c.remove(w)
+	w.p.dispatch()
+}
+
 // WaitTimeout parks the proc until it is signaled or d elapses. It reports
-// true if the proc was signaled and false on timeout.
+// true if the proc was signaled and false on timeout. Like Wait it
+// allocates nothing: the timeout is a typed event bound to the proc's
+// embedded wait record, cancelled on an early wake by the same
+// seq-guarded lazy rule as Timer.Stop.
 func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 	if p.e != c.e {
 		panic("sim: proc waiting on a cond bound to a different engine")
 	}
 	w := &p.waiter
-	w.done, w.timedOut = false, false
+	w.c, w.done, w.timedOut = c, false, false
 	c.waiters = append(c.waiters, w)
-	timer := c.e.AfterFunc(d, func() {
-		if w.done {
-			return
-		}
-		w.done = true
-		w.timedOut = true
-		c.remove(w)
-		w.p.dispatch()
-	})
+	if d < 0 {
+		d = 0
+	}
+	ev := c.e.scheduleCall(c.e.now.Add(d), fireCondTimeout, w)
+	seq := ev.seq
 	p.park("waiting on cond (with timeout)")
-	timer.Stop()
+	c.e.cancel(ev, seq)
+	w.c = nil
 	return !w.timedOut
 }
 

@@ -146,6 +146,47 @@ func TestWaitTimeoutSignalAndTimeoutSameInstant(t *testing.T) {
 	}
 }
 
+func signalCond(_ Time, arg any) { arg.(*Cond).Signal() }
+
+// TestWaitTimeoutSteadyStateZeroAllocs is the allocation gate on timed
+// waits (the §IV-D timer aggregator parks on one per group per round):
+// once the engine's free list is warm, neither the timeout path nor the
+// signal path allocates, and a cancelled timeout leaves nothing pending.
+func TestWaitTimeoutSteadyStateZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	timeouts, signals := -1.0, -1.0
+	e.Spawn("waiter", func(p *Proc) {
+		timeout := func() {
+			if c.WaitTimeout(p, time.Microsecond) {
+				t.Error("timeout path reported a signal")
+			}
+		}
+		signal := func() {
+			e.AfterCall(time.Microsecond, signalCond, c)
+			if !c.WaitTimeout(p, 2*time.Microsecond) {
+				t.Error("signal path reported a timeout")
+			}
+			// Outlive the cancelled timeout so the queue recycles it, as
+			// the next round of a real run does.
+			p.Sleep(2 * time.Microsecond)
+		}
+		timeout()
+		signal() // warm the event free list
+		timeouts = testing.AllocsPerRun(100, timeout)
+		signals = testing.AllocsPerRun(100, signal)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if timeouts != 0 || signals != 0 {
+		t.Errorf("WaitTimeout allocates %.1f/op on timeout and %.1f/op on signal, want 0", timeouts, signals)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("%d events pending after the run", e.Pending())
+	}
+}
+
 func TestGroupWaits(t *testing.T) {
 	e := NewEngine()
 	g := NewGroup(e)

@@ -739,13 +739,18 @@ func (e *Engine) AfterFunc(d time.Duration, fn func()) *Timer {
 // the migrated event rather than a silent cancellation of someone else's
 // timeline.
 func (t *Timer) Stop() bool {
-	// ev is recycled after firing; a seq mismatch means this slot now
-	// belongs to a different, later event that must not be cancelled.
-	if t.ev == nil || t.ev.seq != t.seq || t.ev.cancelled || !t.ev.queued {
+	return t.ev != nil && t.e.cancel(t.ev, t.seq)
+}
+
+// cancel lazily cancels ev if it is still the queued event scheduled with
+// seq. ev is recycled after firing; a seq mismatch means the struct now
+// belongs to a different, later event that must not be cancelled.
+func (e *Engine) cancel(ev *event, seq uint64) bool {
+	if ev.seq != seq || ev.cancelled || !ev.queued {
 		return false
 	}
-	t.ev.cancelled = true
-	t.e.pending--
+	ev.cancelled = true
+	e.pending--
 	return true
 }
 

@@ -277,8 +277,11 @@ type endpoint struct {
 	recvWRs []xport.RecvWR
 
 	// wrScratch is the reusable send work request: providers consume the
-	// WR synchronously at post time, so one in-progress post per endpoint
-	// never aliases.
+	// WR itself before PostSend returns, so one in-progress post per
+	// endpoint never aliases. The memory a WR gathers from is read when it
+	// lands, so it stays held until the WR completes: a staging slot
+	// returns to freeSlots only in onWC, and Quiescent stays false while a
+	// zero-copy or rendezvous send is in flight.
 	wrScratch xport.SendWR
 
 	// pending holds sends deferred on wireup, staging or credit

@@ -1,7 +1,8 @@
 // Conformance suite for transport providers: every registered backend
 // must satisfy the same SPI contract — connect/accept in either order,
-// post-time registration bounds, immediate round trips, outstanding-window
-// enforcement, and in-order completion delivery — so the layers above
+// post-time registration bounds, immediate round trips, send-buffer
+// ownership, outstanding-window enforcement, and in-order completion
+// delivery — so the layers above
 // (core strategies, pt2pt, mpipcl) can switch providers without caveats.
 package xport_test
 
@@ -292,6 +293,68 @@ func TestConformanceImmRoundTrip(t *testing.T) {
 			t.Fatal("payload did not land in the remote region")
 		}
 	})
+}
+
+// TestConformanceBufferOwnership pins the SendWR buffer contract on every
+// provider: an inline WR copies its payload when it is posted, so a later
+// write to the buffer is invisible to the receiver; a non-inline WR reads
+// its payload when it lands, so a write between post and placement shows.
+func TestConformanceBufferOwnership(t *testing.T) {
+	const n = 64
+	for _, op := range []xport.Op{xport.OpWriteImm, xport.OpSend} {
+		for _, inline := range []bool{true, false} {
+			name := op.String() + "/non-inline"
+			want := byte(2)
+			if inline {
+				name, want = op.String()+"/inline", 1
+			}
+			t.Run(name, func(t *testing.T) {
+				forEachProvider(t, func(t *testing.T, f *fixture) {
+					src := bytes.Repeat([]byte{1}, n)
+					dstBuf := make([]byte, n)
+					smr := regMem(t, f.pv0, src)
+					dmr := regMem(t, f.pv1, dstBuf)
+					landed := false
+					ep0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
+					ep1 := newEP(t, f.pv1, xport.EndpointConfig{
+						OnCompletion: func(p *sim.Proc, c xport.Completion) {
+							if !c.OK() || c.Bytes != n {
+								t.Errorf("recv completion %+v", c)
+							}
+							landed = true
+						},
+					})
+					connectPair(t, ep0, ep1)
+					if err := ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: dmr, Off: 0, Len: n}}}); err != nil {
+						t.Fatal(err)
+					}
+					if err := ep0.PostSend(&xport.SendWR{
+						Op:         op,
+						Segs:       []xport.Seg{{Mem: smr, Off: 0, Len: n}},
+						RemoteAddr: dmr.Addr(),
+						RKey:       dmr.RKey(),
+						Inline:     inline,
+					}); err != nil {
+						t.Fatal(err)
+					}
+					for i := range src {
+						src[i] = 2
+					}
+					err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
+						if r.ID() == 1 {
+							r.WaitOn(p, func() bool { return landed })
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(dstBuf, bytes.Repeat([]byte{want}, n)) {
+						t.Fatalf("receiver saw %v, want all %d", dstBuf[:8], want)
+					}
+				})
+			})
+		}
+	}
 }
 
 func TestConformanceOutstandingWindow(t *testing.T) {

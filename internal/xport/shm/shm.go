@@ -9,9 +9,11 @@
 // The provider implements the full verbs-like op set (send, RDMA write,
 // write-with-immediate, RDMA read) so the UCX-like messenger rides it
 // without modification. Transfers serialize per source endpoint (one
-// memory channel per connection), payloads are gathered synchronously at
-// post time like the device DMA snapshot, and completions queue in the
-// provider until the host's progress engine drains them.
+// memory channel per connection), and completions queue in the provider
+// until the host's progress engine drains them. Payloads follow the
+// xport.SendWR contract: a non-inline op is copied once, straight from the
+// sender's segments into the destination, when its transfer lands; only
+// inline ops are copied at post time.
 package shm
 
 import (
@@ -190,10 +192,15 @@ func (m *mem) Dereg() error {
 
 // sendOp is one posted send-side work request.
 type sendOp struct {
-	wrid     uint64
-	op       xport.Op
-	payload  []byte // gathered snapshot for send/write ops
-	segs     []xport.Seg
+	wrid uint64
+	op   xport.Op
+	// segs is the op's resolved local memory: the gather list of a send or
+	// write, read when the transfer lands, or the scatter list a read
+	// fills. An inline op's single segment is its post-time snapshot.
+	// segBuf backs the common one- and two-segment lists.
+	segs     [][]byte
+	segBuf   [2][]byte
+	bytes    int
 	remote   uint64
 	rkey     uint32
 	imm      uint32
@@ -203,12 +210,11 @@ type sendOp struct {
 // arrival is a two-sided delivery (send or write-imm notification)
 // waiting for — or matched against — a posted receive WR.
 type arrival struct {
-	src     *endpoint
-	op      *sendOp
-	payload []byte // nil for write-imm (data already placed)
-	bytes   int
-	imm     uint32
-	hasImm  bool
+	src    *endpoint
+	op     *sendOp
+	bytes  int
+	imm    uint32
+	hasImm bool // write-imm: the data is already placed
 }
 
 // recvSlot is one posted receive WR.
@@ -278,9 +284,10 @@ func (ep *endpoint) checkSegs(segs []xport.Seg) (total int, err error) {
 	return total, nil
 }
 
-// PostSend posts a send-side work request. Payloads of send/write ops are
-// gathered synchronously (the DMA-snapshot semantics callers rely on for
-// scratch-buffer reuse).
+// PostSend posts a send-side work request. The segments are validated and
+// resolved now but nothing is copied: a non-inline op reads them when its
+// transfer lands (see xport.SendWR), and only an inline op is snapshotted
+// here.
 func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 	if ep.peer == nil {
 		return fmt.Errorf("%w: shm endpoint has no peer", xport.ErrNotConnected)
@@ -303,19 +310,22 @@ func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 	op := &sendOp{
 		wrid:     wr.WRID,
 		op:       wr.Op,
+		bytes:    total,
 		remote:   wr.RemoteAddr,
 		rkey:     wr.RKey,
 		imm:      wr.Imm,
 		signaled: wr.Signaled,
 	}
-	if wr.Op == xport.OpRead {
-		// Reads scatter on completion; retain the (validated) list.
-		op.segs = append([]xport.Seg(nil), wr.Segs...)
-	} else {
-		op.payload = make([]byte, 0, total)
-		for _, s := range wr.Segs {
-			op.payload = append(op.payload, s.Mem.Bytes()[s.Off:s.Off+s.Len]...)
+	op.segs = op.segBuf[:0]
+	for _, s := range wr.Segs {
+		op.segs = append(op.segs, s.Mem.Bytes()[s.Off:s.Off+s.Len])
+	}
+	if wr.Inline && wr.Op != xport.OpRead {
+		snap := make([]byte, 0, total)
+		for _, b := range op.segs {
+			snap = append(snap, b...)
 		}
+		op.segs = append(op.segs[:0], snap)
 	}
 	if ep.inflight < ep.maxOutstanding {
 		ep.launch(op)
@@ -334,14 +344,7 @@ func (ep *endpoint) launch(op *sendOp) {
 	if start < ep.busyUntil {
 		start = ep.busyUntil
 	}
-	n := len(op.payload)
-	if op.op == xport.OpRead {
-		n = 0
-		for _, s := range op.segs {
-			n += s.Len
-		}
-	}
-	done := start.Add(xferCost(n))
+	done := start.Add(xferCost(op.bytes))
 	ep.busyUntil = done
 	e.At(done, func() { ep.complete(op) })
 }
@@ -351,34 +354,31 @@ func (ep *endpoint) complete(op *sendOp) {
 	ep.inflight--
 	switch op.op {
 	case xport.OpSend:
-		ep.peer.deliver(arrival{src: ep, op: op, payload: op.payload, bytes: len(op.payload)})
+		ep.peer.deliver(arrival{src: ep, op: op, bytes: op.bytes})
 	case xport.OpWrite, xport.OpWriteImm:
-		dst, off, err := ep.peer.pv.resolve(op.remote, op.rkey, len(op.payload))
+		dst, off, err := ep.peer.pv.resolve(op.remote, op.rkey, op.bytes)
 		if err != nil {
 			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusRemAccessErr, Op: xport.CompWrite})
 			break
 		}
-		copy(dst.buf[off:], op.payload)
+		for _, b := range op.segs {
+			off += copy(dst.buf[off:], b)
+		}
 		if op.op == xport.OpWriteImm {
-			ep.peer.deliver(arrival{src: ep, op: op, bytes: len(op.payload), imm: op.imm, hasImm: true})
+			ep.peer.deliver(arrival{src: ep, op: op, bytes: op.bytes, imm: op.imm, hasImm: true})
 		} else if op.signaled {
-			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompWrite, Bytes: len(op.payload)})
+			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompWrite, Bytes: op.bytes})
 		}
 	case xport.OpRead:
-		n := 0
-		for _, s := range op.segs {
-			n += s.Len
-		}
-		src, off, err := ep.peer.pv.resolve(op.remote, op.rkey, n)
+		src, off, err := ep.peer.pv.resolve(op.remote, op.rkey, op.bytes)
 		if err != nil {
 			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusRemAccessErr, Op: xport.CompRead})
 			break
 		}
-		for _, s := range op.segs {
-			copy(s.Mem.Bytes()[s.Off:s.Off+s.Len], src.buf[off:off+s.Len])
-			off += s.Len
+		for _, b := range op.segs {
+			off += copy(b, src.buf[off:])
 		}
-		ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompRead, Bytes: n})
+		ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompRead, Bytes: op.bytes})
 	}
 	ep.pump()
 }
@@ -421,8 +421,10 @@ func (ep *endpoint) deliver(a arrival) {
 	ep.consume(a, slot)
 }
 
-// consume completes a matched arrival: scatter the payload (sends only),
-// then queue the receive-side and send-side completions.
+// consume completes a matched arrival: scatter the payload (sends only)
+// straight from the sender's segments, then queue the receive-side and
+// send-side completions. The send-side completion follows the copy, so a
+// parked send keeps its source segments until it is consumed here.
 func (ep *endpoint) consume(a arrival, slot recvSlot) {
 	capacity := 0
 	for _, s := range slot.segs {
@@ -432,21 +434,23 @@ func (ep *endpoint) consume(a arrival, slot recvSlot) {
 	if a.hasImm {
 		recvOp = xport.CompRecvImm
 	}
-	if a.payload != nil && a.bytes > capacity {
+	if !a.hasImm && a.bytes > capacity {
 		ep.pv.push(ep, xport.Completion{WRID: slot.wrid, Status: xport.StatusLenErr, Op: recvOp})
 		a.src.pv.push(a.src, xport.Completion{WRID: a.op.wrid, Status: xport.StatusLenErr, Op: xport.CompSend})
 		return
 	}
-	if a.payload != nil {
-		rest := a.payload
+	if !a.hasImm {
+		src, si, so, n := a.op.segs, 0, 0, a.bytes // gather cursor: segment, offset
 		for _, s := range slot.segs {
-			n := len(rest)
-			if n > s.Len {
-				n = s.Len
+			d := s.Mem.Bytes()[s.Off : s.Off+s.Len]
+			for len(d) > 0 && n > 0 {
+				c := copy(d, src[si][so:])
+				d, so, n = d[c:], so+c, n-c
+				if so == len(src[si]) {
+					si, so = si+1, 0
+				}
 			}
-			copy(s.Mem.Bytes()[s.Off:s.Off+n], rest[:n])
-			rest = rest[n:]
-			if len(rest) == 0 {
+			if n == 0 {
 				break
 			}
 		}

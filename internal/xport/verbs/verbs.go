@@ -7,6 +7,10 @@
 // drained batch-wise by the host's progress engine through Progress,
 // which preserves the pre-SPI drain order exactly (receive CQ first, then
 // the send CQ, 64 at a time) so simulated timelines are unchanged.
+//
+// The provider inherits the device's buffer contract (xport.SendWR): a
+// non-inline WR's payload is read from the caller's memory when it lands
+// at the peer, so it must stay untouched until the WR completes.
 package verbs
 
 import (
@@ -211,9 +215,12 @@ type endpoint struct {
 	qp     *ibv.QP
 	onComp func(p *sim.Proc, c xport.Completion)
 	// sgeBuf is the reusable gather-list conversion scratch for non-read
-	// sends: the device snapshots the payload synchronously at post time,
-	// so the converted SGEs need not outlive PostSend. Reads retain their
-	// gather list until the response lands and get a fresh slice.
+	// sends: the device resolves the SGEs to memory before PostSend
+	// returns, so the converted list need not outlive the call. The bytes
+	// those SGEs name are a different matter: a non-inline WR reads them
+	// when they land, so they must stay untouched until it completes (see
+	// xport.SendWR). Reads retain their scatter list until the response
+	// lands and get a fresh slice.
 	sgeBuf []ibv.SGE
 }
 

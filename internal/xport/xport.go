@@ -13,7 +13,10 @@
 //     active-message Messenger the eager/rendezvous layers ride on.
 //   - Endpoint: one reliable connected queue pair. Endpoints exchange
 //     opaque descriptors (Desc) through the host's control plane and are
-//     connected with Connect; work is posted with PostSend/PostRecv.
+//     connected with Connect; work is posted with PostSend/PostRecv. A
+//     non-inline send's payload is read when it lands, not when it is
+//     posted, so it stays the caller's to leave untouched until the WR
+//     completes (see SendWR).
 //   - Mem: a registered memory region addressable by (Addr, RKey) for
 //     remote access and sliced locally into Segs.
 //   - Completion delivery: providers never call application code directly.
@@ -206,6 +209,15 @@ type Seg struct {
 }
 
 // SendWR is a send-side work request.
+//
+// Buffer ownership follows the verbs rule the paper's zero-copy design
+// relies on. Providers read the WR itself, including the Segs slice, before
+// PostSend returns, so both may be reused at once. The bytes the Segs name
+// are different: a non-inline WR reads them when they land at the
+// destination, and the caller must not modify them until the WR completes.
+// An Inline WR copies its payload at post time, so its buffer is reusable
+// as soon as PostSend returns. A read's Segs receive the fetched data when
+// the WR completes.
 type SendWR struct {
 	WRID       uint64
 	Op         Op
