@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-json lint-tags staticcheck build test race conformance bench bench-smoke
+.PHONY: check vet lint lint-json lint-tags staticcheck build test race conformance allocs bench bench-smoke
 
 check: vet lint build test race conformance
 
@@ -74,19 +74,23 @@ race:
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
 
-# Provider-conformance suite: every transport backend (verbs, ucx, shm)
-# against the same SPI contract, including under the race detector.
+# Provider-conformance suite: every transport backend (verbs, shm)
+# against the same SPI contract, including under the race detector. CI
+# runs this target.
 conformance:
 	$(GO) test ./internal/xport/...
 	$(GO) test -race ./internal/xport/...
 
-# Hot-path allocation gates and benchmarks: the AllocsPerRun regression
-# tests assert the sim typed-event, fabric message, verbs data and control
-# paths stay at zero steady-state allocations, then the named engine benchmarks report
-# per-op allocation counts, then the paper-exhibit benchmarks run in
-# quick mode.
-bench:
+# Hot-path allocation gates: the AllocsPerRun regression tests assert the
+# sim typed-event, fabric message, verbs data and control paths stay at
+# zero steady-state allocations. CI runs this target.
+allocs:
 	$(GO) test -run SteadyStateZeroAllocs -v ./internal/sim/ ./internal/fabric/ ./internal/ibv/ ./internal/mpi/
+
+# Benchmarks: the allocation gates, then the named engine benchmarks
+# report per-op allocation counts, then the paper-exhibit benchmarks run
+# in quick mode.
+bench: allocs
 	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
 	$(GO) test -bench . -benchmem -run xxx .

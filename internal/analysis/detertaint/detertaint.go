@@ -19,7 +19,7 @@
 // Two historical regressions shaped the rules. The PR-6 completion bug
 // scheduled a responder-side event using the responder's clock on the
 // requester's engine; the cross-engine rule flags a time read from one
-// engine's Now flowing into a same-engine scheduling method (schedule,
+// engine's Now flowing into a same-engine scheduling method (scheduleCall,
 // At, AtCall) of a different engine — Engine.Post and ShardSet.post stay
 // legal because they are the sanctioned cross-engine path. The PR-8
 // ingress bug emitted flow grants while ranging a map; the ordered-call
@@ -633,7 +633,7 @@ func fieldPath(e ast.Expr) (string, bool) {
 
 // engineScheduleMethods are the Engine methods that enqueue events.
 var engineScheduleMethods = map[string]bool{
-	"schedule": true, "scheduleCall": true, "Post": true,
+	"scheduleCall": true, "Post": true,
 	"At": true, "After": true, "AtCall": true, "AfterCall": true, "AfterFunc": true,
 }
 
@@ -641,7 +641,7 @@ var engineScheduleMethods = map[string]bool{
 // read from a DIFFERENT engine's clock arriving here is the PR-6 bug.
 // Post is exempt: it is the sanctioned cross-engine path.
 var sameClockMethods = map[string]bool{
-	"schedule": true, "scheduleCall": true, "At": true, "AtCall": true,
+	"scheduleCall": true, "At": true, "AtCall": true,
 }
 
 // scheduleSink matches calls to Engine scheduling methods and

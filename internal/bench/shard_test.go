@@ -31,7 +31,7 @@ var shardStrategies = []struct {
 // node, so its shard count clamps to 1 — the run still exercises the
 // sharded world plumbing end to end.)
 func TestShardedP2PMatchesSerial(t *testing.T) {
-	for _, provider := range []string{"verbs", "ucx", "shm"} {
+	for _, provider := range []string{"verbs", "shm"} {
 		for _, strat := range shardStrategies {
 			t.Run(provider+"/"+strat.name, func(t *testing.T) {
 				cfg := P2PConfig{

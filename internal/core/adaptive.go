@@ -272,11 +272,7 @@ func newAdaptiveState(opts Options, plan Plan, userParts, totalBytes int, model 
 	a.wrScratch = make([]time.Duration, 0, userParts)
 	// The init-time PLogGP prediction seeds the regret baseline until the
 	// first histogram-scored decision replaces it.
-	delay := opts.ModelDelay
-	if delay == 0 {
-		delay = 4 * time.Millisecond
-	}
-	a.lastPredicted = model.CompletionTime(plan.Transport, totalBytes, delay)
+	a.lastPredicted = model.CompletionTime(plan.Transport, totalBytes, modelDelay)
 	a.switches = append(a.switches, AdaptiveSwitch{
 		Round: 1, Mode: a.mode, Transport: a.transport, Delta: a.delta,
 		Predicted: a.lastPredicted,

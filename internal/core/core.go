@@ -154,7 +154,7 @@ func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	msgr, err := pv.NewMessenger(xport.MessengerConfig{})
+	msgr, err := pv.NewMessenger("")
 	if err != nil {
 		return nil, err
 	}

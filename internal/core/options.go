@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/ploggp"
 	"repro/internal/sim"
 )
 
@@ -157,13 +156,6 @@ type Options struct {
 	// Strategy picks the aggregation design. Both sides of a match should
 	// agree; the sender's choice is authoritative.
 	Strategy Strategy
-	// Model is the PLogGP model for the model-driven strategies. Nil
-	// selects ploggp.New(loggp.NiagaraMeasured()).
-	Model *ploggp.Model
-	// ModelDelay is the laggard-delay input fed to the model at init time
-	// (Section IV-C feeds "a delay value"). Zero selects 4 ms, the value
-	// the paper models with.
-	ModelDelay time.Duration
 	// Table is required for StrategyTuningTable.
 	Table *TuningTable
 	// Delta is the δ of the timer-based aggregator. Zero selects 35 µs,
@@ -175,8 +167,6 @@ type Options struct {
 	TransportParts int
 	// QPs overrides the queue pair count (used by the Figure 7 sweep).
 	QPs int
-	// MaxQPs caps automatic QP selection. Zero selects 16.
-	MaxQPs int
 	// MaxOutstandingPerQP overrides the per-QP in-flight RDMA window
 	// (zero keeps the hardware's 16). Exposed for the window ablation.
 	MaxOutstandingPerQP int
@@ -242,15 +232,7 @@ func resolvePlan(opts Options, userParts, bytes int) (Plan, error) {
 				opts.QPs = val.QPs
 			}
 		case StrategyPLogGP, StrategyTimerPLogGP, StrategyAdaptive:
-			model := opts.Model
-			if model == nil {
-				model = defaultModel()
-			}
-			delay := opts.ModelDelay
-			if delay == 0 {
-				delay = 4 * time.Millisecond
-			}
-			transport = model.OptimalTransport(bytes, userParts, delay)
+			transport = defaultModel().OptimalTransport(bytes, userParts, modelDelay)
 		default:
 			return Plan{}, fmt.Errorf("core: unknown strategy %d", opts.Strategy)
 		}
@@ -267,13 +249,9 @@ func resolvePlan(opts Options, userParts, bytes int) (Plan, error) {
 
 	qps := opts.QPs
 	if qps == 0 {
-		maxQPs := opts.MaxQPs
-		if maxQPs == 0 {
-			maxQPs = 16
-		}
 		qps = transport
-		if qps > maxQPs {
-			qps = maxQPs
+		if qps > maxAutoQPs {
+			qps = maxAutoQPs
 		}
 	}
 	if qps < 1 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/loggp"
 	"repro/internal/mpi"
@@ -13,6 +14,15 @@ import (
 // defaultModel returns the PLogGP model with the Niagara-measured
 // parameter set.
 func defaultModel() *ploggp.Model { return ploggp.New(loggp.NiagaraMeasured()) }
+
+const (
+	// modelDelay is the laggard-delay input fed to the model at init time
+	// (Section IV-C feeds "a delay value"): 4 ms, the value the paper
+	// models with.
+	modelDelay = 4 * time.Millisecond
+	// maxAutoQPs caps the QP count a plan picks when Options.QPs is unset.
+	maxAutoQPs = 16
+)
 
 // Psend is a persistent partitioned send request.
 type Psend struct {
@@ -120,11 +130,7 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 	}
 	e.psends[ps.reqID] = ps
 	if opts.Strategy == StrategyAdaptive {
-		model := opts.Model
-		if model == nil {
-			model = defaultModel()
-		}
-		ps.adapt = newAdaptiveState(opts, plan, partitions, len(buf), model)
+		ps.adapt = newAdaptiveState(opts, plan, partitions, len(buf), defaultModel())
 	}
 
 	if opts.Strategy != StrategyBaseline {

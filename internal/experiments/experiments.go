@@ -39,7 +39,7 @@ type Config struct {
 	// negative selects GOMAXPROCS; 1 forces the serial path.
 	Jobs int
 	// Provider selects the transport backend the benchmarks run over
-	// ("verbs", "ucx", "shm"); empty means the default verbs provider.
+	// ("verbs" or "shm"); empty means the default verbs provider.
 	Provider string
 	// Shards partitions every benchmark's simulation into this many
 	// conservative-PDES shards (clamped per run to its node count; see

@@ -9,8 +9,7 @@ import (
 	"repro/internal/xport"
 
 	// Register the built-in transport providers so every world can resolve
-	// them by name. The ucx provider registers via the verbs package's
-	// import graph.
+	// them by name.
 	_ "repro/internal/xport/shm"
 	_ "repro/internal/xport/verbs"
 )

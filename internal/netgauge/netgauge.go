@@ -98,11 +98,11 @@ func Run(cfg Config) (loggp.Params, error) {
 	if err != nil {
 		return loggp.Params{}, err
 	}
-	t0, err := pv0.NewMessenger(xport.MessengerConfig{})
+	t0, err := pv0.NewMessenger("")
 	if err != nil {
 		return loggp.Params{}, err
 	}
-	t1, err := pv1.NewMessenger(xport.MessengerConfig{})
+	t1, err := pv1.NewMessenger("")
 	if err != nil {
 		return loggp.Params{}, err
 	}

@@ -38,9 +38,6 @@ import (
 type Model struct {
 	Params loggp.Params
 	Table  *loggp.Table
-	// MaxTransport caps the transport partition count considered by
-	// OptimalTransport. Zero means no cap beyond the user partition count.
-	MaxTransport int
 }
 
 // New returns a model using a single parameter set for all sizes.
@@ -117,18 +114,11 @@ func (m *Model) CompletionTimePipelined(n, totalBytes int, delay time.Duration) 
 
 // OptimalTransport returns the power-of-two transport partition count in
 // [1, userParts] minimizing CompletionTime, mirroring Section IV-C: only
-// powers of two are considered, the count never exceeds the user's request
-// (no disaggregation), and MaxTransport (if set) bounds the search.
+// powers of two are considered and the count never exceeds the user's
+// request (no disaggregation).
 func (m *Model) OptimalTransport(totalBytes, userParts int, delay time.Duration) int {
-	if userParts < 1 {
-		userParts = 1
-	}
-	limit := userParts
-	if m.MaxTransport > 0 && m.MaxTransport < limit {
-		limit = m.MaxTransport
-	}
 	best, bestT := 1, m.CompletionTime(1, totalBytes, delay)
-	for n := 2; n <= limit; n *= 2 {
+	for n := 2; n <= userParts; n *= 2 {
 		if t := m.CompletionTime(n, totalBytes, delay); t < bestT {
 			best, bestT = n, t
 		}

@@ -124,7 +124,7 @@ func New(r *mpi.Rank, provider string) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := pv.NewMessenger(xport.MessengerConfig{Channel: "pt2pt"})
+	tr, err := pv.NewMessenger("pt2pt")
 	if err != nil {
 		return nil, err
 	}

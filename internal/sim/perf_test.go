@@ -188,6 +188,28 @@ func TestAtCallSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAtSteadyStateZeroAllocs: a closure scheduled with At rides the typed
+// path as fireFunc's argument, and boxing the func value into it allocates
+// nothing — only building a fresh closure would.
+func TestAtSteadyStateZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	round := func() {
+		e.At(e.Now().Add(1), fn)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm the free list
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("closure event schedule+fire allocates %.1f/op, want 0", allocs)
+	}
+	if n != 102 {
+		t.Fatalf("closure fired %d times, want 102", n)
+	}
+}
+
 // TestSpawnSteadyStateZeroAllocs is the allocation gate on proc spawning:
 // inside one Run a parent proc fork-joins 32 thread procs per round
 // through a Group, and once the shells are warm a round allocates nothing

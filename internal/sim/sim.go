@@ -42,14 +42,13 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a single scheduled callback. It carries either a plain closure
-// (fn) or a typed pre-bound callback (fire + arg): the typed form lets
-// steady-state schedulers reuse one top-level function with a receiver
-// argument instead of allocating a fresh closure per event.
+// event is a single scheduled callback fire(now, arg). Steady-state
+// schedulers pass one top-level function with a pre-bound receiver
+// argument instead of allocating a fresh closure per event; a plain
+// closure travels as the arg of fireFunc.
 type event struct {
 	at        Time
 	seq       uint64 // tiebreaker: FIFO among same-time events
-	fn        func()
 	fire      func(Time, any)
 	arg       any
 	next      *event // intrusive link: ring / bucket FIFO chains
@@ -580,22 +579,16 @@ func (e *Engine) fireEvent(ev *event) {
 		e.nowClean = false
 	}
 	e.pending--
-	fn, fire, arg := ev.fn, ev.fire, ev.arg
+	fire, arg := ev.fire, ev.arg
 	e.recycle(ev)
-	if fire != nil {
-		fire(e.now, arg)
-	} else {
-		fn()
-	}
+	fire(e.now, arg)
 	e.stepped++
 }
 
-// schedule enqueues the closure fn to run at time at (the cold-path API).
-func (e *Engine) schedule(at Time, fn func()) *event {
-	ev := e.alloc(at)
-	ev.fn = fn
-	return ev
-}
+// fireFunc is the typed callback that runs a plain closure scheduled by
+// At, After or AfterFunc. A func value is pointer-shaped, so boxing it
+// into the event's arg allocates nothing.
+func fireFunc(_ Time, a any) { a.(func())() }
 
 // scheduleCall enqueues the typed callback fire(now, arg) to run at time
 // at. Because fire is a shared top-level function and arg a pre-bound
@@ -674,20 +667,20 @@ func (e *Engine) nextAt() (Time, bool) {
 //
 //partib:hotpath
 func (e *Engine) recycle(ev *event) {
-	ev.fn, ev.fire, ev.arg, ev.next = nil, nil, nil, nil
+	ev.fire, ev.arg, ev.next = nil, nil, nil
 	ev.queued = false
 	e.free = append(e.free, ev) //partlint:allow hotpathalloc amortized free-list growth
 }
 
 // At schedules fn to run at the absolute virtual time at.
-func (e *Engine) At(at Time, fn func()) { e.schedule(at, fn) }
+func (e *Engine) At(at Time, fn func()) { e.scheduleCall(at, fireFunc, fn) }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
 func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now.Add(d), fn)
+	e.scheduleCall(e.now.Add(d), fireFunc, fn)
 }
 
 // AtCall schedules the typed callback fire(now, arg) at the absolute
@@ -722,7 +715,7 @@ func (e *Engine) AfterFunc(d time.Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	ev := e.schedule(e.now.Add(d), fn)
+	ev := e.scheduleCall(e.now.Add(d), fireFunc, fn)
 	return &Timer{e: e, ev: ev, seq: ev.seq, at: ev.at}
 }
 

@@ -2,8 +2,9 @@
 // Open MPI's persistent partitioned module sends each user partition as an
 // ordinary message through UCX, which picks a protocol by size —
 // eager/bcopy (copy through a bounce buffer), eager/zcopy (gather directly
-// from registered user memory), or rendezvous (RTS/CTS control exchange
-// followed by a direct RDMA write and a FIN notification).
+// from registered user memory), or rendezvous (an RTS control message
+// exposing the sender's memory, an RDMA READ by the receiver straight into
+// the landing zone, and a release back to the sender).
 //
 // The protocol switch points are observable in the paper's Figure 8 as
 // speedup spikes ("1 KiB is the threshold where UCX switches from its
@@ -17,10 +18,8 @@
 //
 // The engine is provider-neutral: it speaks only the transport SPI
 // (internal/xport), so the same protocol machine runs over the verbs
-// device, the shared-memory loopback, or any future backend. The package
-// also registers the "ucx" provider, whose endpoints and memory delegate
-// to the rank's verbs provider (UCX running over verbs hardware) and whose
-// messenger is this engine.
+// device, the shared-memory loopback, or any future backend; each provider
+// builds it from its NewMessenger.
 package ucx
 
 import (
@@ -69,7 +68,7 @@ type Config struct {
 	// arrivals. Zero selects 500 ns.
 	ZcopyAMProcess time.Duration
 	// RndvRecvOverhead is the receiver-side CPU cost of each rendezvous
-	// protocol step (RTS handling/CTS build, and FIN handling), serialized
+	// protocol step (RTS handling, and the read's completion), serialized
 	// on the receiver like its progress engine — the per-message cost that
 	// makes per-partition rendezvous traffic expensive for the baseline.
 	// Zero selects 2500 ns.
@@ -78,12 +77,6 @@ type Config struct {
 	// transports (like multiple UCX workers) can coexist on one rank.
 	// Empty selects "ucx".
 	Channel string
-	// RndvScheme selects the rendezvous data mover, like UCX_RNDV_SCHEME:
-	// "get" (the receiver RDMA-reads the sender's memory directly from
-	// the RTS and completes locally; the default, as on RC fabrics) or
-	// "put" (sender RDMA-writes after a CTS grant, with a FIN that needs
-	// sender-side progress).
-	RndvScheme string
 }
 
 func (c Config) withDefaults() Config {
@@ -123,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.Channel == "" {
 		c.Channel = "ucx"
 	}
-	if c.RndvScheme == "" {
-		c.RndvScheme = "get"
-	}
 	return c
 }
 
@@ -146,8 +136,6 @@ func (c Config) Validate() error {
 	case c.SendOverhead < 0 || c.ZcopySendOverhead < 0 || c.RndvSendOverhead < 0 ||
 		c.AMProcess < 0 || c.ZcopyAMProcess < 0 || c.RndvRecvOverhead < 0:
 		return errors.New("ucx: negative software cost")
-	case c.RndvScheme != "" && c.RndvScheme != "put" && c.RndvScheme != "get":
-		return fmt.Errorf("ucx: unknown rendezvous scheme %q", c.RndvScheme)
 	}
 	return nil
 }
@@ -160,8 +148,6 @@ const (
 	kindConnect = ".connect"
 	kindAccept  = ".accept"
 	kindRTS     = ".rts"
-	kindCTS     = ".cts"
-	kindFIN     = ".fin"
 	kindCredit  = ".credit"
 	kindRelease = ".rel"
 )
@@ -191,8 +177,7 @@ type Transport struct {
 	// Channel-scoped control kinds, concatenated once at construction:
 	// protocol sends are per-message hot-path work and must not rebuild
 	// the kind string every time.
-	kindConnect, kindAccept, kindRTS, kindCTS string
-	kindFIN, kindCredit, kindRelease          string
+	kindConnect, kindAccept, kindRTS, kindCredit, kindRelease string
 
 	// protoFreeAt serializes receiver-side rendezvous protocol handling
 	// (the progress engine handles one protocol message at a time).
@@ -213,7 +198,7 @@ type connectMsg struct {
 }
 
 // rtsMsg announces a rendezvous send; raddr/rkey expose the sender's
-// memory for the get scheme.
+// memory for the receiver to read.
 type rtsMsg struct {
 	header uint64
 	size   int
@@ -222,22 +207,9 @@ type rtsMsg struct {
 	rkey   uint32
 }
 
-// releaseMsg (get scheme) tells the sender its memory is no longer needed.
+// releaseMsg tells the sender its rendezvous memory is no longer needed.
 type releaseMsg struct {
 	seq uint64
-}
-
-// ctsMsg grants a rendezvous landing zone.
-type ctsMsg struct {
-	seq   uint64
-	raddr uint64
-	rkey  uint32
-}
-
-// finMsg signals rendezvous completion to the receiver.
-type finMsg struct {
-	header uint64
-	size   int
 }
 
 // creditMsg returns eager-receive credits for one rail (sender-side flow
@@ -295,16 +267,13 @@ type endpoint struct {
 	// credit return.
 	processed []int
 
-	// Outstanding rendezvous ops by sequence number (sender side).
-	rndv    map[uint64]*rndvOp
+	// rndv holds the sequence numbers of the sender's rendezvous sends
+	// whose memory the receiver has not yet released.
+	rndv    map[uint64]bool
 	nextSeq uint64
 
-	// finPending maps rendezvous write WRIDs to the FIN sent on their
-	// completion.
-	finPending map[uint64]finMsg
-
-	// readOps (get scheme, receiver side) maps RDMA-read WRIDs to the
-	// rendezvous they complete.
+	// readOps (receiver side) maps RDMA-read WRIDs to the rendezvous they
+	// complete.
 	readOps map[uint64]readOp
 
 	nextWRID uint64
@@ -317,14 +286,7 @@ type pendingSend struct {
 	length int
 }
 
-type rndvOp struct {
-	header uint64
-	mem    xport.Mem
-	off    int
-	length int
-}
-
-// readOp tracks one in-flight rendezvous-get read on the receiver.
+// readOp tracks one in-flight rendezvous read on the receiver.
 type readOp struct {
 	from   int
 	header uint64
@@ -332,24 +294,16 @@ type readOp struct {
 	seq    uint64
 }
 
-// New builds the engine over a provider from a neutral messenger
-// configuration; providers call it from their NewMessenger.
-func New(h xport.Host, pv xport.Provider, mcfg xport.MessengerConfig) (xport.Messenger, error) {
+// New builds the engine on a channel with the provider's protocol
+// thresholds (Caps.EagerMax and Caps.RndvThreshold); providers call it from
+// their NewMessenger.
+func New(h xport.Host, pv xport.Provider, channel string) (xport.Messenger, error) {
 	caps := pv.Caps()
-	cfg := Config{
-		Channel:       mcfg.Channel,
-		Rails:         mcfg.Rails,
-		BcopyMax:      mcfg.EagerMax,
-		RndvThreshold: mcfg.RndvThreshold,
-		RndvScheme:    mcfg.RndvScheme,
-	}
-	if cfg.BcopyMax == 0 {
-		cfg.BcopyMax = caps.EagerMax
-	}
-	if cfg.RndvThreshold == 0 {
-		cfg.RndvThreshold = caps.RndvThreshold
-	}
-	return NewWithConfig(h, pv, cfg)
+	return NewWithConfig(h, pv, Config{
+		Channel:       channel,
+		BcopyMax:      caps.EagerMax,
+		RndvThreshold: caps.RndvThreshold,
+	})
 }
 
 // NewWithConfig creates the transport for a rank with full protocol
@@ -363,15 +317,11 @@ func NewWithConfig(h xport.Host, pv xport.Provider, cfg Config) (*Transport, err
 	t.kindConnect = t.cfg.Channel + kindConnect
 	t.kindAccept = t.cfg.Channel + kindAccept
 	t.kindRTS = t.cfg.Channel + kindRTS
-	t.kindCTS = t.cfg.Channel + kindCTS
-	t.kindFIN = t.cfg.Channel + kindFIN
 	t.kindCredit = t.cfg.Channel + kindCredit
 	t.kindRelease = t.cfg.Channel + kindRelease
 	h.HandleCtrl(t.kindConnect, t.onConnect)
 	h.HandleCtrl(t.kindAccept, t.onAccept)
 	h.HandleCtrl(t.kindRTS, t.onRTS)
-	h.HandleCtrl(t.kindCTS, t.onCTS)
-	h.HandleCtrl(t.kindFIN, t.onFIN)
 	h.HandleCtrl(t.kindCredit, t.onCredit)
 	h.HandleCtrl(t.kindRelease, t.onRelease)
 	return t, nil
@@ -401,7 +351,7 @@ func (t *Transport) Stats() (bcopy, zcopy, rndv int64) {
 func (t *Transport) Quiescent() bool {
 	for _, ep := range t.eps {
 		if len(ep.pending) > 0 || len(ep.rndv) > 0 ||
-			len(ep.finPending) > 0 || len(ep.slotOf) > 0 || len(ep.readOps) > 0 {
+			len(ep.slotOf) > 0 || len(ep.readOps) > 0 {
 			return false
 		}
 	}
@@ -435,7 +385,7 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 	ep := &endpoint{
 		dst:      dst,
 		slotOf:   make(map[uint64]int),
-		rndv:     make(map[uint64]*rndvOp),
+		rndv:     make(map[uint64]bool),
 		slotSize: headerBytes + t.cfg.RndvThreshold,
 	}
 	ep.rails = make([]xport.Endpoint, t.cfg.Rails)
@@ -478,7 +428,7 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 }
 
 // nextRail round-robins rails for operations that need no eager credit
-// (rendezvous RDMA writes consume no remote receive WR).
+// (rendezvous RDMA reads consume no remote receive WR).
 func (ep *endpoint) nextRail() xport.Endpoint {
 	rail := ep.rails[ep.rail%len(ep.rails)]
 	ep.rail++
@@ -702,14 +652,14 @@ func (t *Transport) flushPending(ep *endpoint) {
 	}
 }
 
-// sendRndv runs the rendezvous protocol: RTS control message now, RDMA
-// write on CTS, FIN after the write completes.
+// sendRndv starts the rendezvous protocol: an RTS exposing the sender's
+// memory, which the receiver reads directly and then releases.
 func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off, length int) {
 	t.rndvSends++
 	p.Sleep(t.cfg.RndvSendOverhead)
 	ep.nextSeq++
 	seq := ep.nextSeq
-	ep.rndv[seq] = &rndvOp{header: header, mem: mem, off: off, length: length}
+	ep.rndv[seq] = true
 	t.host.SendCtrl(ep.dst, t.kindRTS, rtsMsg{
 		header: header,
 		size:   length,
@@ -719,8 +669,8 @@ func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem xport
 	})
 }
 
-// onRTS (receiver): resolve the landing zone and grant it. The CTS reply
-// leaves after the serialized protocol-processing cost.
+// onRTS (receiver): resolve the landing zone and RDMA-read the sender's
+// memory into it after the serialized protocol-processing cost.
 func (t *Transport) onRTS(from int, data any) {
 	msg := data.(rtsMsg)
 	if t.rndvTarget == nil {
@@ -730,41 +680,33 @@ func (t *Transport) onRTS(from int, data any) {
 	if !ok {
 		panic(fmt.Sprintf("ucx: no rendezvous target for header %#x from %d", msg.header, from))
 	}
-	if t.cfg.RndvScheme == "get" {
-		// Receiver-driven: RDMA-read the sender's memory directly.
-		ep := t.eps[from]
-		t.afterProtoCost(func() {
-			if ep.readOps == nil {
-				ep.readOps = make(map[uint64]readOp)
-			}
-			ep.nextWRID++
-			wrid := ep.nextWRID
-			ep.readOps[wrid] = readOp{from: from, header: msg.header, size: msg.size, seq: msg.seq}
-			ep.wrScratch = xport.SendWR{
-				WRID:       wrid,
-				Op:         xport.OpRead,
-				Segs:       []xport.Seg{{Mem: mem, Off: off, Len: msg.size}},
-				RemoteAddr: msg.raddr,
-				RKey:       msg.rkey,
-				Signaled:   true,
-			}
-			if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
-				panic(fmt.Sprintf("ucx: PostSend rndv-get read: %v", err))
-			}
-		})
-		return
-	}
-	cts := ctsMsg{seq: msg.seq, raddr: mem.Addr() + uint64(off), rkey: mem.RKey()}
+	ep := t.eps[from]
 	t.afterProtoCost(func() {
-		t.host.SendCtrl(from, t.kindCTS, cts)
+		if ep.readOps == nil {
+			ep.readOps = make(map[uint64]readOp)
+		}
+		ep.nextWRID++
+		wrid := ep.nextWRID
+		ep.readOps[wrid] = readOp{from: from, header: msg.header, size: msg.size, seq: msg.seq}
+		ep.wrScratch = xport.SendWR{
+			WRID:       wrid,
+			Op:         xport.OpRead,
+			Segs:       []xport.Seg{{Mem: mem, Off: off, Len: msg.size}},
+			RemoteAddr: msg.raddr,
+			RKey:       msg.rkey,
+			Signaled:   true,
+		}
+		if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
+			panic(fmt.Sprintf("ucx: PostSend rndv read: %v", err))
+		}
 	})
 }
 
-// onRelease (get scheme, sender side): the receiver has pulled the data.
+// onRelease (sender): the receiver has pulled the data.
 func (t *Transport) onRelease(from int, data any) {
 	msg := data.(releaseMsg)
 	ep := t.eps[from]
-	if ep == nil || ep.rndv[msg.seq] == nil {
+	if ep == nil || !ep.rndv[msg.seq] {
 		panic(fmt.Sprintf("ucx: release for unknown rendezvous seq %d", msg.seq))
 	}
 	delete(ep.rndv, msg.seq)
@@ -782,54 +724,6 @@ func (t *Transport) afterProtoCost(fn func()) {
 	done := start.Add(t.cfg.RndvRecvOverhead)
 	t.protoFreeAt = done
 	e.At(done, fn)
-}
-
-// onCTS (sender): issue the RDMA write.
-func (t *Transport) onCTS(from int, data any) {
-	msg := data.(ctsMsg)
-	ep := t.eps[from]
-	op := ep.rndv[msg.seq]
-	if op == nil {
-		panic(fmt.Sprintf("ucx: CTS for unknown rendezvous seq %d", msg.seq))
-	}
-	delete(ep.rndv, msg.seq)
-	ep.nextWRID++
-	wrid := ep.nextWRID
-	// Completion of this WRID triggers the FIN; no staging slot to free.
-	ep.slotOf[wrid] = -1
-	t.finOnAck(ep, wrid, finMsg{header: op.header, size: op.length})
-	ep.wrScratch = xport.SendWR{
-		WRID:       wrid,
-		Op:         xport.OpWrite,
-		Segs:       []xport.Seg{{Mem: op.mem, Off: op.off, Len: op.length}},
-		RemoteAddr: msg.raddr,
-		RKey:       msg.rkey,
-		Signaled:   true,
-	}
-	if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
-		panic(fmt.Sprintf("ucx: PostSend rndv: %v", err))
-	}
-}
-
-// finOnAck registers the FIN that onWC sends when wrid completes.
-func (t *Transport) finOnAck(ep *endpoint, wrid uint64, fin finMsg) {
-	if ep.finPending == nil {
-		ep.finPending = make(map[uint64]finMsg)
-	}
-	ep.finPending[wrid] = fin
-}
-
-// onFIN (receiver): the rendezvous payload has landed; completion is
-// dispatched after the serialized protocol-processing cost.
-func (t *Transport) onFIN(from int, data any) {
-	msg := data.(finMsg)
-	if t.rndvDone == nil {
-		panic("ucx: rendezvous FIN with no completion handler installed")
-	}
-	t.afterProtoCost(func() {
-		t.rndvDone(from, msg.header, msg.size)
-		t.host.Wake()
-	})
 }
 
 // onCredit restores eager credits returned by the receiver.
@@ -859,19 +753,13 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 		p.Sleep(t.cfg.RndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
 		t.host.SendCtrl(ep.dst, t.kindRelease, releaseMsg{seq: op.seq})
 		if t.rndvDone == nil {
-			panic("ucx: rendezvous-get completion with no handler installed")
+			panic("ucx: rendezvous completion with no handler installed")
 		}
 		t.rndvDone(op.from, op.header, op.size)
 	case xport.CompSend, xport.CompWrite:
-		if fin, ok := ep.finPending[c.WRID]; ok {
-			delete(ep.finPending, c.WRID)
-			t.host.SendCtrl(ep.dst, t.kindFIN, fin)
-		}
 		if slot, ok := ep.slotOf[c.WRID]; ok {
 			delete(ep.slotOf, c.WRID)
-			if slot >= 0 {
-				ep.freeSlots = append(ep.freeSlots, slot)
-			}
+			ep.freeSlots = append(ep.freeSlots, slot)
 		}
 		t.flushPending(ep)
 	case xport.CompRecv:

@@ -8,6 +8,7 @@ package xport_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -24,8 +25,18 @@ var providers = []struct {
 	intraNode bool
 }{
 	{"verbs", false},
-	{"ucx", false},
 	{"shm", true},
+}
+
+// TestRegisteredProviders pins the registry to the two real substrates:
+// the verbs device and the shared-memory loopback.
+func TestRegisteredProviders(t *testing.T) {
+	if got, want := fmt.Sprint(xport.Names()), "[shm verbs]"; got != want {
+		t.Fatalf("xport.Names() = %s, want %s", got, want)
+	}
+	if len(providers) != len(xport.Names()) {
+		t.Fatalf("conformance covers %d providers, registry has %d", len(providers), len(xport.Names()))
+	}
 }
 
 // fixture is a two-rank world with one provider instance per rank.

@@ -139,8 +139,8 @@ func (pv *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error
 // NewMessenger builds the UCX-like active-message engine over this
 // provider; the protocol layer is transport-neutral, only the thresholds
 // and costs under it change.
-func (pv *Provider) NewMessenger(cfg xport.MessengerConfig) (xport.Messenger, error) {
-	return ucx.New(pv.host, pv, cfg)
+func (pv *Provider) NewMessenger(channel string) (xport.Messenger, error) {
+	return ucx.New(pv.host, pv, channel)
 }
 
 // push queues a completion for the progress engine and wakes the host.

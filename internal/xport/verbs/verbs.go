@@ -116,8 +116,8 @@ func (v *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error)
 
 // NewMessenger builds the UCX-like active-message engine over this
 // provider — the middleware the paper's baseline rides on.
-func (v *Provider) NewMessenger(cfg xport.MessengerConfig) (xport.Messenger, error) {
-	return ucx.New(v.host, v, cfg)
+func (v *Provider) NewMessenger(channel string) (xport.Messenger, error) {
+	return ucx.New(v.host, v, channel)
 }
 
 // Progress drains both CQs, charging the host's completion cost per

@@ -2,9 +2,10 @@
 // layer of the stack programs against. It exists so that the aggregation
 // strategies (internal/core), the point-to-point layer (internal/pt2pt),
 // and the benchmarks can run unmodified over pluggable interconnect
-// backends — the simulated verbs device, the UCX-like middleware, or an
-// intra-node shared-memory loopback — the same seam pMR and libfabric
-// carve between MPI-level logic and provider hardware.
+// backends — the simulated verbs device or an intra-node shared-memory
+// loopback — the same seam pMR and libfabric carve between MPI-level logic
+// and provider hardware. Every provider builds the same UCX-like
+// active-message engine (internal/ucx) as its Messenger.
 //
 // The SPI has four load-bearing contracts:
 //
@@ -301,33 +302,13 @@ type Caps struct {
 	MaxInline int
 	// MaxOutstanding is the default in-flight work-request window.
 	MaxOutstanding int
-	// EagerMax is the preferred bounce-copy (eager/bcopy) threshold for
-	// messengers over this provider.
+	// EagerMax is the bounce-copy (eager/bcopy) threshold of messengers
+	// over this provider.
 	EagerMax int
-	// RndvThreshold is the preferred eager/rendezvous switch point.
+	// RndvThreshold is their eager/rendezvous switch point.
 	RndvThreshold int
 	// IntraNode restricts endpoints to peers on the same node.
 	IntraNode bool
-}
-
-// MessengerConfig configures an active-message Messenger. The zero value
-// selects provider defaults for every field except Channel.
-type MessengerConfig struct {
-	// Channel namespaces the messenger's control messages so multiple
-	// messengers can coexist on one rank. Empty selects the provider's
-	// default channel name.
-	Channel string
-	// Rails is the number of endpoints used round-robin per peer. Zero
-	// selects the provider default.
-	Rails int
-	// EagerMax overrides Caps.EagerMax when positive.
-	EagerMax int
-	// RndvThreshold overrides Caps.RndvThreshold when positive.
-	RndvThreshold int
-	// RndvScheme selects the rendezvous data mover: "get" (receiver
-	// RDMA-reads from the RTS) or "put" (sender RDMA-writes after CTS).
-	// Empty selects the provider default.
-	RndvScheme string
 }
 
 // EagerHandler consumes an eager active message. data is only valid
@@ -403,15 +384,11 @@ type Host interface {
 	// progress engine. Providers with their own completion queues call
 	// this once at construction.
 	AddProgressSource(s ProgressSource)
-	// Provider returns the host's instance of the named provider,
-	// instantiating it on first use. Providers layered over other
-	// providers (like ucx over verbs) resolve their base through this.
-	Provider(name string) (Provider, error)
 }
 
 // Provider is one rank's instance of a transport backend.
 type Provider interface {
-	// Name returns the registry name ("verbs", "ucx", "shm").
+	// Name returns the registry name ("verbs", "shm").
 	Name() string
 	// Caps advertises capabilities and protocol defaults.
 	Caps() Caps
@@ -419,9 +396,11 @@ type Provider interface {
 	RegMem(buf []byte) (Mem, error)
 	// NewEndpoint mints an unconnected endpoint.
 	NewEndpoint(cfg EndpointConfig) (Endpoint, error)
-	// NewMessenger builds an active-message engine over this provider.
+	// NewMessenger builds an active-message engine over this provider,
+	// with its control messages namespaced by channel (empty selects the
+	// engine's default) and its protocol thresholds taken from Caps.
 	// Create at most one messenger per channel per rank.
-	NewMessenger(cfg MessengerConfig) (Messenger, error)
+	NewMessenger(channel string) (Messenger, error)
 }
 
 // Factory instantiates a provider for one host.

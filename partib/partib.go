@@ -109,9 +109,9 @@ func NewJob(cfg JobConfig) *World {
 // the default ("verbs") transport provider. Create exactly one per rank.
 func NewEngine(r *Rank) (*Engine, error) { return core.NewEngine(r, "") }
 
-// NewEngineOn is NewEngine over a named transport provider ("verbs",
-// "ucx", "shm"). Providers register themselves at init time; unknown
-// names return xport.ErrUnknownProvider.
+// NewEngineOn is NewEngine over a named transport provider ("verbs" or
+// "shm"). Providers register themselves at init time; unknown names return
+// an error wrapping xport.ErrUnknownProvider.
 func NewEngineOn(r *Rank, provider string) (*Engine, error) { return core.NewEngine(r, provider) }
 
 // NewGroup returns a Group bound to the job's engine, for joining

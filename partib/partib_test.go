@@ -2,9 +2,11 @@ package partib_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/xport"
 	"repro/partib"
 )
 
@@ -250,5 +252,15 @@ func TestLayeredFacade(t *testing.T) {
 	}
 	if !bytes.Equal(dst, src) {
 		t.Fatal("layered facade round trip corrupted data")
+	}
+}
+
+// TestNewEngineOnUnknownProvider: "ucx" names the middleware every provider
+// builds, not a provider of its own, so asking for it is the typed
+// unknown-provider error.
+func TestNewEngineOnUnknownProvider(t *testing.T) {
+	job := partib.NewJob(partib.JobConfig{Nodes: 2})
+	if _, err := partib.NewEngineOn(job.Rank(0), "ucx"); !errors.Is(err, xport.ErrUnknownProvider) {
+		t.Fatalf("NewEngineOn(ucx) error = %v, want one wrapping xport.ErrUnknownProvider", err)
 	}
 }

@@ -24,6 +24,6 @@ const (
 // coexists with a partitioned Engine on the same rank.
 func NewComm(r *Rank) (*Comm, error) { return pt2pt.New(r, "") }
 
-// NewCommOn is NewComm over a named transport provider ("verbs", "ucx",
+// NewCommOn is NewComm over a named transport provider ("verbs" or
 // "shm").
 func NewCommOn(r *Rank, provider string) (*Comm, error) { return pt2pt.New(r, provider) }
