@@ -1,9 +1,69 @@
 package experiments
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.digest from this run")
+
+// digestFile holds one line per experiment: its id and the SHA-256 of its
+// quick tables rendered as text, the way partbench prints them to stdout.
+const digestFile = "testdata/quick.digest"
+
+const digestHeader = "# SHA-256 of each experiment's quick tables as partbench renders them.\n" +
+	"# Rewrite with: go test ./internal/experiments -run TestAllExperimentsQuick -update\n"
+
+// readDigests parses digestFile into id -> hex digest.
+func readDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(digestFile)
+	if err != nil {
+		if *update && os.IsNotExist(err) {
+			return map[string]string{}
+		}
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", digestFile, line)
+		}
+		out[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeDigests rewrites digestFile in registry order.
+func writeDigests(t *testing.T, digests map[string]string) {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString(digestHeader)
+	for _, name := range Names() {
+		if sum, ok := digests[name]; ok {
+			fmt.Fprintf(&sb, "%s %s\n", name, sum)
+		}
+	}
+	if err := os.WriteFile(digestFile, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "table1", "fig6", "fig7", "fig8", "fig9",
@@ -30,9 +90,14 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick smoke-runs every driver in quick mode and
-// verifies each produces at least one non-empty table.
+// TestAllExperimentsQuick runs every driver in quick mode, verifies each
+// produces at least one non-empty table, and compares a digest of the
+// rendered tables with testdata/quick.digest: a change that claims to leave
+// the reproduction's numbers alone must leave every digest as it is. -update
+// rewrites the digests of the experiments that ran.
 func TestAllExperimentsQuick(t *testing.T) {
+	want := readDigests(t)
+	got := map[string]string{}
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -44,12 +109,28 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
+			h := sha256.New()
 			for _, tb := range tables {
 				if tb.Rows() == 0 {
 					t.Errorf("table %q has no rows", tb.Title)
 				}
+				if err := tb.WriteText(h); err != nil {
+					t.Fatal(err)
+				}
+				h.Write([]byte{'\n'})
+			}
+			sum := hex.EncodeToString(h.Sum(nil))
+			got[name] = sum
+			if !*update && want[name] != sum {
+				t.Errorf("quick tables digest %s, recorded %q: the output changed (rerun with -update if that is intended)", sum, want[name])
 			}
 		})
+	}
+	if *update {
+		for name, sum := range got {
+			want[name] = sum
+		}
+		writeDigests(t, want)
 	}
 }
 

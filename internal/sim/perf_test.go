@@ -282,9 +282,36 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkProcParkResume measures a full proc park/resume round trip:
-// one Sleep event and two coroutine switches.
+// BenchmarkProcParkResume measures a full proc park/resume round trip: one
+// Sleep event and two coroutine switches. Two sleepers interleave, so each
+// wake-up has the other's ahead of it and every Sleep parks.
 func BenchmarkProcParkResume(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("even", func(p *Proc) {
+		for i := 0; i < b.N; i += 2 {
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	e.Spawn("odd", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		for i := 1; i < b.N; i += 2 {
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if n := e.SchedStats().InPlace; n > 1 { // only odd's offset Sleep
+		b.Fatalf("%d Sleeps ran in place, want every one to park", n)
+	}
+}
+
+// BenchmarkProcSleepInPlace measures a Sleep whose wake-up is the next
+// event: a lone sleeper continues in place, with no coroutine switch.
+func BenchmarkProcSleepInPlace(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("bench", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -295,5 +322,9 @@ func BenchmarkProcParkResume(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+	b.StopTimer()
+	if n := e.SchedStats().InPlace; n != uint64(b.N) {
+		b.Fatalf("%d of %d Sleeps ran in place", n, b.N)
 	}
 }

@@ -145,10 +145,7 @@ func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
-	prev := p.e.running
-	p.e.running = p
 	p.resume()
-	p.e.running = prev
 	if p.done {
 		// The coroutine is back at loop's yield, waiting for its next
 		// assignment. Every wake is guarded by a consumed-once flag (cond
@@ -196,11 +193,21 @@ func (p *Proc) Done() bool { return p.done }
 // Sleep blocks the proc for d of virtual time. Non-positive d yields the
 // processor (the proc is rescheduled behind already-pending same-time
 // events) without advancing the clock.
+//
+// When the proc's own wake-up is the next event the running loop would
+// execute — it is the queue's next live event, lies within the loop's
+// horizon, and no failure has been recorded — Sleep takes it and
+// continues in place, with no park and no coroutine switch (see
+// Engine.wakeInPlace). Only that event runs on the proc's stack; the
+// timeline is the one parking would give.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.scheduleCall(p.e.now.Add(d), fireDispatch, p)
+	e := p.e
+	if e.wakeInPlace(e.scheduleCall(e.now.Add(d), fireDispatch, p)) {
+		return
+	}
 	p.park("sleeping")
 }
 

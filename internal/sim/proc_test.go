@@ -162,6 +162,39 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestRunUntilReportsDeadlock: RunUntil returns Run's errors, so a queue
+// that drains while a non-daemon proc stays parked is a deadlock even
+// before t; a parked proc with an event still due after t is not.
+func TestRunUntilReportsDeadlock(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	e.Spawn("stuck", func(p *Proc) {
+		c.Wait(p) // nobody will ever signal
+	})
+	err := e.RunUntil(Time(time.Second))
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("RunUntil = %v, want DeadlockError", err)
+	}
+	if len(de.Procs) != 1 || !strings.Contains(de.Procs[0], "stuck") {
+		t.Fatalf("DeadlockError.Procs = %v", de.Procs)
+	}
+	if e.Now() != Time(time.Second) {
+		t.Fatalf("Now() = %v, want 1s", e.Now())
+	}
+
+	e = NewEngine()
+	c = NewCond(e)
+	e.Spawn("waiting", func(p *Proc) { c.Wait(p) })
+	e.AtCall(Time(2*time.Second), func(Time, any) { c.Signal() }, nil)
+	if err := e.RunUntil(Time(time.Second)); err != nil {
+		t.Fatalf("RunUntil with a wake-up still due = %v, want nil", err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDaemonProcsDoNotDeadlock(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e)

@@ -81,8 +81,9 @@ const (
 // tickOf maps a timestamp to its calendar tick.
 func tickOf(t Time) int64 { return int64(t) >> bucketShift }
 
-// DeadlockError is returned by Run when the event queue drains while
-// non-daemon procs are still parked: nothing can ever wake them.
+// DeadlockError is returned by Run and RunUntil when the event queue
+// drains while non-daemon procs are still parked: nothing can ever wake
+// them.
 type DeadlockError struct {
 	// Procs lists the name and park reason of each stuck proc.
 	Procs []string
@@ -115,13 +116,16 @@ func (e *DeadlockError) Error() string {
 //
 // Cancellation is lazy: Timer.Stop marks the event and the queue skips and
 // recycles it whenever a scan encounters it, so Stop is O(1) in all tiers.
+//
+// At 5368 bytes plus the 8-byte allocation header, an Engine exactly fills
+// Go's 5376-byte size class: a field that grows it costs 768 bytes of heap
+// per engine, so new fields should take existing padding or replace one.
 type Engine struct {
 	now     Time
 	seq     uint64
 	free    []*event // recycled event structs (see alloc/recycle)
 	pending int      // live (scheduled, non-cancelled) events — O(1) Pending
 	live    map[*Proc]struct{}
-	running *Proc
 	err     error
 	// procFree recycles Proc shells (struct + coroutine) of exited procs
 	// within a run; releaseShells empties it when the run returns. See
@@ -133,11 +137,13 @@ type Engine struct {
 	// engines. shardID is the engine's index within the set.
 	shard   *ShardSet
 	shardID int
-	// winEnd is the exclusive upper bound of the shard window the engine is
-	// currently executing (runWindow). It is written by the worker that
-	// claimed the shard before the window starts and may be pulled earlier
-	// by the engine's own cross-shard posts (the dynamic self-cap in
-	// ShardSet.post), so it is only ever touched from the owning worker.
+	// winEnd is the exclusive upper bound of the events a bounded loop
+	// executes: RunUntil's t+1, or the shard window the engine is
+	// currently executing (runWindow). A shard's bound is written by the
+	// worker that claimed the shard before the window starts and may be
+	// pulled earlier by the engine's own cross-shard posts (the dynamic
+	// self-cap in ShardSet.post), so it is only ever touched from the
+	// owning worker.
 	winEnd Time
 
 	// Tier 0: same-instant dispatch ring (all entries have at == now).
@@ -160,6 +166,10 @@ type Engine struct {
 	// clock advances (inserts at now always go to the ring, so the flag
 	// stays valid while now stands still).
 	nowClean bool
+	// loop is the run loop executing the engine's events; with winEnd it
+	// tells Proc.Sleep whether the loop would run the sleeper's wake-up
+	// next (see wakeInPlace). It sits in nowClean's padding.
+	loop runLoop
 
 	// Tier 2: far-future monomorphic 4-ary min-heap.
 	far []*event
@@ -171,13 +181,28 @@ type Engine struct {
 	stepped   uint64
 	flushedAt uint64
 
-	// Scheduler placement counters (see SchedStats): how many insertions
-	// hit each tier and the largest bucket ever observed.
+	// Scheduler counters (see SchedStats): how many insertions hit each
+	// tier, the largest bucket ever observed, and how many wake-ups ran
+	// in place.
 	statRing      uint64
 	statBucket    uint64
 	statFar       uint64
 	statMaxBucket int
+	statInPlace   uint64
 }
+
+// runLoop names the loop executing an engine's events. Under Run,
+// RunUntil and a shard window a sleeping proc may run its own wake-up in
+// place when the loop would execute it next anyway; Step executes exactly
+// one event per call, so under loopStep (the zero value, also meaning no
+// loop at all) it never does.
+type runLoop uint8
+
+const (
+	loopStep    runLoop = iota
+	loopRun             // Run, or RunUntil(timeInf): no bound
+	loopBounded         // RunUntil or runWindow: events before Engine.winEnd
+)
 
 // initialFarCap pre-sizes the far heap and free list growth: typical
 // simulations keep hundreds of in-flight events, so starting at a real
@@ -205,12 +230,15 @@ func TotalEvents() uint64 { return totalEvents.Load() }
 // the same-instant ring, the near-window buckets, or the far heap
 // (overflow beyond the bucket window), plus the largest single-bucket
 // occupancy observed. Ratios between the tiers tell whether the window
-// geometry matches the workload.
+// geometry matches the workload. InPlace counts the procs' Sleep wake-ups
+// that ran without a park (see Proc.Sleep); they are counted as executed
+// events too.
 type SchedStats struct {
 	Ring      uint64 // insertions dispatched through the same-instant ring
 	Bucket    uint64 // insertions into the near-window calendar buckets
 	Far       uint64 // insertions that overflowed to the far heap
 	MaxBucket int    // peak single-bucket occupancy
+	InPlace   uint64 // Sleep wake-ups executed in place, without a park
 }
 
 // Events reports the number of events this engine has executed so far.
@@ -218,12 +246,14 @@ func (e *Engine) Events() uint64 { return e.stepped }
 
 // SchedStats reports this engine's scheduler-placement counters.
 func (e *Engine) SchedStats() SchedStats {
-	return SchedStats{Ring: e.statRing, Bucket: e.statBucket, Far: e.statFar, MaxBucket: e.statMaxBucket}
+	return SchedStats{Ring: e.statRing, Bucket: e.statBucket, Far: e.statFar, MaxBucket: e.statMaxBucket, InPlace: e.statInPlace}
 }
 
 // endRun is the teardown at every run exit: fold the event count into
-// the process-wide total and stop the idle proc shells' coroutines.
+// the process-wide total, leave the run loop and stop the idle proc
+// shells' coroutines.
 func (e *Engine) endRun() {
+	e.loop = loopStep
 	if d := e.stepped - e.flushedAt; d != 0 {
 		totalEvents.Add(d)
 		e.flushedAt = e.stepped
@@ -570,10 +600,22 @@ func (e *Engine) take(ev *event, slot int) {
 	e.nbucket--
 }
 
-// fire advances the clock to the event and runs its callback.
+// fireEvent executes an event taken from its tier: it advances the clock
+// to the event and runs its callback.
 //
 //partib:hotpath
 func (e *Engine) fireEvent(ev *event) {
+	fire, arg := e.retire(ev)
+	fire(e.now, arg)
+}
+
+// retire is the bookkeeping of executing an event taken from its tier,
+// shared by fireEvent and a proc's in-place wake-up (wakeInPlace): advance
+// the clock to the event, count it executed and recycle it. It returns the
+// callback, which recycling drops from the event.
+//
+//partib:hotpath
+func (e *Engine) retire(ev *event) (func(Time, any), any) {
 	if ev.at != e.now {
 		e.now = ev.at
 		e.nowClean = false
@@ -581,8 +623,41 @@ func (e *Engine) fireEvent(ev *event) {
 	e.pending--
 	fire, arg := ev.fire, ev.arg
 	e.recycle(ev)
-	fire(e.now, arg)
 	e.stepped++
+	return fire, arg
+}
+
+// wakeInPlace executes a sleeping proc's own wake-up ev without handing
+// control back to the event loop, when that loop would execute ev next
+// anyway: no failure has stopped it, ev is within its horizon (no bound
+// under Run, at < winEnd under RunUntil and runWindow — read here,
+// because a cross-shard post may have lowered a shard's bound since the
+// window began), and ev is the queue's next live event. It reports
+// whether it did; the caller parks otherwise. Event order stays (at, seq)
+// and ev counts as executed, so the timeline and Events are those of the
+// park-and-resume path.
+//
+//partib:hotpath
+func (e *Engine) wakeInPlace(ev *event) bool {
+	if e.err != nil {
+		return false
+	}
+	switch e.loop {
+	case loopRun:
+	case loopBounded:
+		if ev.at >= e.winEnd {
+			return false
+		}
+	default:
+		return false
+	}
+	if nx, slot := e.next(); nx == ev {
+		e.take(ev, slot)
+		e.retire(ev)
+		e.statInPlace++
+		return true
+	}
+	return false
 }
 
 // fireFunc is the typed callback that runs a plain closure scheduled by
@@ -637,6 +712,7 @@ func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {
 //
 //partib:hotpath
 func (e *Engine) runWindow() (Time, bool) {
+	e.loop = loopBounded
 	for e.err == nil {
 		ev, slot := e.next()
 		if ev == nil {
@@ -751,9 +827,11 @@ func (e *Engine) cancel(ev *event, seq uint64) bool {
 func (t *Timer) When() Time { return t.at }
 
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed. Exited procs'
-// shells keep their coroutines until a Run or RunUntil returns, so an
-// engine driven by Step alone should end with one of those.
+// timestamp. It reports whether an event was executed. Exactly one event
+// runs per Step: a proc's Sleep continues in place only under Run,
+// RunUntil or a ShardSet (see Proc.Sleep). Exited procs' shells keep
+// their coroutines until a Run or RunUntil returns, so an engine driven by
+// Step alone should end with one of those.
 //
 //partib:hotpath
 func (e *Engine) Step() bool {
@@ -771,6 +849,7 @@ func (e *Engine) Step() bool {
 // procs remain parked with nothing to wake them, or nil.
 func (e *Engine) Run() error {
 	defer e.endRun()
+	e.loop = loopRun
 	for e.err == nil && e.Step() {
 	}
 	if e.err != nil {
@@ -784,6 +863,11 @@ func (e *Engine) Run() error {
 // deadlock if events remain beyond t.
 func (e *Engine) RunUntil(t Time) error {
 	defer e.endRun()
+	if t == timeInf {
+		e.loop = loopRun // t+1 would overflow; nothing lies beyond t
+	} else {
+		e.loop, e.winEnd = loopBounded, t+1
+	}
 	for e.err == nil {
 		ev, slot := e.next()
 		if ev == nil || ev.at > t {
@@ -798,6 +882,10 @@ func (e *Engine) RunUntil(t Time) error {
 	if e.now < t {
 		e.now = t
 		e.nowClean = false
+	}
+	if e.pending == 0 {
+		// The queue drained: as under Run, parked procs are stuck.
+		return e.checkDeadlock()
 	}
 	return nil
 }
