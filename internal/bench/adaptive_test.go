@@ -145,8 +145,8 @@ func TestAdaptiveShardedP2PMatchesSerial(t *testing.T) {
 // make identical decisions regardless of shard and worker counts. The
 // observation window is kept below the straggler's 8-round rotation period
 // so the windowed histogram retains a visible tail.
-func adaptiveSweepConfig() SweepConfig {
-	return SweepConfig{
+func adaptiveSweepConfig() GridConfig {
+	return GridConfig{
 		GridX:   4,
 		GridY:   2,
 		Threads: 8,
@@ -167,10 +167,14 @@ func adaptiveSweepConfig() SweepConfig {
 	}
 }
 
-// compareSweepRuns asserts two sweep results are byte-identical: iteration
-// times, per-rank adaptive telemetry, and receive-buffer digests.
-func compareSweepRuns(t *testing.T, label string, want, got SweepResult) {
+// compareGridRuns asserts two grid results are byte-identical: iteration
+// times, receive-buffer digests, and every send's adaptive telemetry.
+func compareGridRuns(t *testing.T, label string, want, got GridResult) {
 	t.Helper()
+	if len(want.IterTimes) != len(got.IterTimes) || len(want.Adaptive) != len(got.Adaptive) {
+		t.Fatalf("%s: shapes differ: %d/%d iterations, %d/%d ranks", label,
+			len(want.IterTimes), len(got.IterTimes), len(want.Adaptive), len(got.Adaptive))
+	}
 	for i := range want.IterTimes {
 		if want.IterTimes[i] != got.IterTimes[i] {
 			t.Errorf("%s: iter %d: %v != %v", label, i, want.IterTimes[i], got.IterTimes[i])
@@ -181,21 +185,19 @@ func compareSweepRuns(t *testing.T, label string, want, got SweepResult) {
 			t.Errorf("%s: rank %d: buffer digest %x != %x", label, i, want.BufferSums[i], got.BufferSums[i])
 		}
 	}
-	for _, dir := range []struct {
-		name      string
-		want, got []*core.AdaptiveStats
-	}{
-		{"east", want.AdaptiveEast, got.AdaptiveEast},
-		{"south", want.AdaptiveSouth, got.AdaptiveSouth},
-	} {
-		for i := range dir.want {
-			w, g := dir.want[i], dir.got[i]
+	for r, sends := range want.Adaptive {
+		if len(sends) != len(got.Adaptive[r]) {
+			t.Errorf("%s: rank %d: %d sends != %d", label, r, len(sends), len(got.Adaptive[r]))
+			continue
+		}
+		for i, w := range sends {
+			g := got.Adaptive[r][i]
 			if (w == nil) != (g == nil) {
-				t.Errorf("%s: rank %d %s: telemetry presence differs", label, i, dir.name)
+				t.Errorf("%s: rank %d send %d: telemetry presence differs", label, r, i)
 				continue
 			}
 			if w != nil && !w.Equal(*g) {
-				t.Errorf("%s: rank %d %s: telemetry diverged:\nwant: %+v\ngot:  %+v", label, i, dir.name, w, g)
+				t.Errorf("%s: rank %d send %d: telemetry diverged:\nwant: %+v\ngot:  %+v", label, r, i, w, g)
 			}
 		}
 	}
@@ -205,14 +207,16 @@ func compareSweepRuns(t *testing.T, label string, want, got SweepResult) {
 // 4, and 8 shards and requires results identical to the serial run.
 func TestAdaptiveShardedSweepMatchesSerial(t *testing.T) {
 	base := adaptiveSweepConfig()
-	serial, err := RunSweep(base)
+	serial, err := RunGrid(base)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	switched := 0
-	for _, s := range append(append([]*core.AdaptiveStats{}, serial.AdaptiveEast...), serial.AdaptiveSouth...) {
-		if s != nil && len(s.Switches) > 1 {
-			switched++
+	for _, sends := range serial.Adaptive {
+		for _, s := range sends {
+			if s != nil && len(s.Switches) > 1 {
+				switched++
+			}
 		}
 	}
 	if switched == 0 {
@@ -221,11 +225,11 @@ func TestAdaptiveShardedSweepMatchesSerial(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		cfg := base
 		cfg.Shards = shards
-		sharded, err := RunSweep(cfg)
+		sharded, err := RunGrid(cfg)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		compareSweepRuns(t, "shards="+string(rune('0'+shards)), serial, sharded)
+		compareGridRuns(t, "shards="+string(rune('0'+shards)), serial, sharded)
 	}
 }
 
@@ -235,17 +239,17 @@ func TestAdaptiveSweepWorkerCountInvariant(t *testing.T) {
 	base := adaptiveSweepConfig()
 	base.Shards = 4
 	base.Workers = 1
-	want, err := RunSweep(base)
+	want, err := RunGrid(base)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	for _, workers := range []int{2, 4} {
 		cfg := base
 		cfg.Workers = workers
-		got, err := RunSweep(cfg)
+		got, err := RunGrid(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		compareSweepRuns(t, "workers="+string(rune('0'+workers)), want, got)
+		compareGridRuns(t, "workers="+string(rune('0'+workers)), want, got)
 	}
 }

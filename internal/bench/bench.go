@@ -10,19 +10,22 @@
 //     metric is total bytes divided by the latency between the last
 //     MPI_Pready and receive-side completion;
 //   - the Sweep3D communication pattern (Section V-D): a 2-D wavefront
-//     over a rank grid with partitioned sends east and south.
+//     over a rank grid with partitioned sends east and south;
+//   - the halo exchange, the suite's other grid pattern: partitioned face
+//     buffers to and from the four periodic neighbours of every rank.
 //
-// Benchmarks follow the paper's protocol: warm-up iterations are discarded
-// and one user partition is assigned to each thread.
+// RunP2P drives the first two; RunGrid drives both grid patterns with one
+// rank body, the pattern being data (GridPattern). Every run builds its
+// machine with NewWorld. Benchmarks follow the paper's protocol: warm-up
+// iterations are discarded and one user partition is assigned to each
+// thread.
 package bench
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/profiler"
 	"repro/internal/sim"
@@ -50,7 +53,7 @@ func (s *jitterPRNG) int63n(n int64) int64 {
 }
 
 // P2PConfig describes one point-to-point benchmark run (two ranks on two
-// nodes, as on Niagara).
+// nodes, as on Niagara; on one node under the shm provider).
 type P2PConfig struct {
 	// Parts is the user partition count == thread count (paper protocol).
 	Parts int
@@ -92,11 +95,8 @@ type P2PConfig struct {
 	Shards int
 	// Topo selects the fabric topology by spec ("single-link",
 	// "fat-tree:k=8", ...; see fabric.ParseTopology). Empty keeps the
-	// cluster's fabric untouched — for the default single-link fabric
-	// that is byte-identical to "single-link".
+	// default single-link fabric — byte-identical to "single-link".
 	Topo string
-	// Cluster overrides the machine (nil selects two Niagara nodes).
-	Cluster *cluster.Config
 }
 
 func (c P2PConfig) withDefaults() P2PConfig {
@@ -188,36 +188,14 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return P2PResult{}, err
 	}
-	clCfg := cluster.NiagaraConfig(2)
-	ranksPerNode := 0
-	if cfg.Provider == "shm" {
-		// An intra-node provider cannot cross the fabric: place both ranks
-		// on one node instead of one per node.
-		clCfg = cluster.NiagaraConfig(1)
-		ranksPerNode = 2
-	}
-	if cfg.Cluster != nil {
-		clCfg = *cfg.Cluster
-	}
-	clCfg.Shards = cfg.Shards
-	if cfg.Topo != "" {
-		topo, err := fabric.ParseTopology(cfg.Topo)
-		if err != nil {
-			return P2PResult{}, err
-		}
-		clCfg.Fabric.Topo = topo
-	}
-	if err := clCfg.Validate(); err != nil {
+	w, engines, err := NewWorld(WorldSpec{
+		Ranks:    2,
+		Provider: cfg.Provider,
+		Shards:   cfg.Shards,
+		Topo:     cfg.Topo,
+	}, core.NewEngine)
+	if err != nil {
 		return P2PResult{}, err
-	}
-	w := mpi.NewWorld(mpi.Config{Cluster: clCfg, RanksPerNode: ranksPerNode})
-	engines := make([]*core.Engine, 2)
-	for i := range engines {
-		eng, err := core.NewEngine(w.Rank(i), cfg.Provider)
-		if err != nil {
-			return P2PResult{}, err
-		}
-		engines[i] = eng
 	}
 
 	rec := profiler.New(cfg.Parts)
@@ -248,7 +226,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 	sendBuf := make([]byte, cfg.Bytes)
 	recvBuf := make([]byte, cfg.Bytes)
 
-	err := w.Run(func(p *sim.Proc, r *mpi.Rank) {
+	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			ps, err := engines[0].PsendInit(p, sendBuf, cfg.Parts, 1, 0, opts)
@@ -296,7 +274,9 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 				r.Barrier(p)
 				roundStart := p.Now()
 				lastPready = 0
-				ps.Start(p)
+				if err := ps.Start(p); err != nil {
+					panic(err)
+				}
 				if arrivalPat != nil {
 					arrivalPat.Delays(iter, arrivals)
 				}
@@ -309,7 +289,9 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 					p.Engine().Spawn("sender-thread", threads[t])
 				}
 				g.Wait(p)
-				ps.Wait(p)
+				if err := ps.Wait(p); err != nil {
+					panic(err)
+				}
 				if iter >= cfg.Warmup {
 					starts[iter-cfg.Warmup] = roundStart
 					preadys[iter-cfg.Warmup] = lastPready
@@ -323,8 +305,12 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 			}
 			for iter := 0; iter < total; iter++ {
 				r.Barrier(p)
-				pr.Start(p)
-				pr.Wait(p)
+				if err := pr.Start(p); err != nil {
+					panic(err)
+				}
+				if err := pr.Wait(p); err != nil {
+					panic(err)
+				}
 				if iter >= cfg.Warmup {
 					dones[iter-cfg.Warmup] = p.Now()
 				}

@@ -155,15 +155,17 @@ func TestLaggardSelection(t *testing.T) {
 }
 
 func TestSweepConfigValidate(t *testing.T) {
-	good := SweepConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096}
+	good := GridConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []SweepConfig{
+	bad := []GridConfig{
 		{GridX: 0, GridY: 2, Threads: 4, Bytes: 4096},
 		{GridX: 2, GridY: 2, Threads: 0, Bytes: 4096},
 		{GridX: 2, GridY: 2, Threads: 3, Bytes: 100},
 		{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Compute: -1},
+		{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Iters: -5},
+		{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Warmup: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -185,11 +187,11 @@ func TestRunnersRejectInvalidCluster(t *testing.T) {
 			return err
 		}},
 		{"sweep", func() error {
-			_, err := RunSweep(SweepConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
+			_, err := RunGrid(GridConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
 			return err
 		}},
 		{"halo", func() error {
-			_, err := RunHalo(HaloConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
+			_, err := RunGrid(GridConfig{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
 			return err
 		}},
 	}
@@ -208,7 +210,7 @@ func TestRunnersRejectInvalidCluster(t *testing.T) {
 }
 
 func TestSweepRuns(t *testing.T) {
-	res, err := RunSweep(SweepConfig{
+	res, err := RunGrid(GridConfig{
 		GridX: 3, GridY: 3,
 		Threads: 4,
 		Bytes:   64 << 10,
@@ -235,7 +237,7 @@ func TestSweepRuns(t *testing.T) {
 
 func TestSweepAggregationBeatsBaseline(t *testing.T) {
 	run := func(opts core.Options) time.Duration {
-		res, err := RunSweep(SweepConfig{
+		res, err := RunGrid(GridConfig{
 			GridX: 3, GridY: 3,
 			Threads:  16,
 			Bytes:    512 << 10,

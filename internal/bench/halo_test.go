@@ -8,15 +8,18 @@ import (
 )
 
 func TestHaloConfigValidate(t *testing.T) {
-	good := HaloConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096}
+	good := GridConfig{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []HaloConfig{
-		{GridX: 1, GridY: 2, Threads: 4, Bytes: 4096},
-		{GridX: 2, GridY: 2, Threads: 0, Bytes: 4096},
-		{GridX: 2, GridY: 2, Threads: 3, Bytes: 100},
-		{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, NoisePct: -1},
+	bad := []GridConfig{
+		{Pattern: Halo, GridX: 1, GridY: 2, Threads: 4, Bytes: 4096},
+		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 0, Bytes: 4096},
+		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 3, Bytes: 100},
+		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, NoisePct: -1},
+		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Iters: -5},
+		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Warmup: -1},
+		{Pattern: Halo + 1, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -26,8 +29,9 @@ func TestHaloConfigValidate(t *testing.T) {
 }
 
 func TestHaloRuns(t *testing.T) {
-	res, err := RunHalo(HaloConfig{
-		GridX: 3, GridY: 2,
+	res, err := RunGrid(GridConfig{
+		Pattern: Halo,
+		GridX:   3, GridY: 2,
 		Threads: 4,
 		Bytes:   64 << 10,
 		Compute: 100 * time.Microsecond,
@@ -41,8 +45,8 @@ func TestHaloRuns(t *testing.T) {
 		t.Fatalf("got %d iterations", len(res.IterTimes))
 	}
 	for _, d := range res.IterTimes {
-		if d < res.Compute {
-			t.Fatalf("iteration %v below compute %v", d, res.Compute)
+		if d < res.CriticalCompute {
+			t.Fatalf("iteration %v below compute %v", d, res.CriticalCompute)
 		}
 	}
 	if res.MeanCommTime() <= 0 {
@@ -52,8 +56,9 @@ func TestHaloRuns(t *testing.T) {
 
 func TestHaloAggregationBeatsBaseline(t *testing.T) {
 	run := func(opts core.Options) time.Duration {
-		res, err := RunHalo(HaloConfig{
-			GridX: 2, GridY: 2,
+		res, err := RunGrid(GridConfig{
+			Pattern: Halo,
+			GridX:   2, GridY: 2,
 			Threads:  16,
 			Bytes:    256 << 10,
 			Compute:  500 * time.Microsecond,

@@ -82,7 +82,7 @@ const sweepWindowCeiling = 40
 // subset of ranks and all traffic between them crosses shard boundaries.
 // At 2 shards it also gates skip-ahead with sweepWindowCeiling.
 func TestShardedSweepMatchesSerial(t *testing.T) {
-	base := SweepConfig{
+	base := GridConfig{
 		GridX:    4,
 		GridY:    2,
 		Threads:  4,
@@ -93,7 +93,7 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 		Iters:    3,
 		Opts:     core.Options{Strategy: core.StrategyPLogGP},
 	}
-	serial, err := RunSweep(base)
+	serial, err := RunGrid(base)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := base
 			cfg.Shards = shards
-			sharded, err := RunSweep(cfg)
+			sharded, err := RunGrid(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,9 +128,11 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 }
 
 // TestShardedHaloMatchesSerial runs the halo exchange on a 2x2 grid at 2
-// and 4 shards against the serial oracle.
+// and 4 shards against the serial oracle: iteration times, per-rank buffer
+// digests, and every send's adaptive telemetry must match.
 func TestShardedHaloMatchesSerial(t *testing.T) {
-	base := HaloConfig{
+	base := GridConfig{
+		Pattern:  Halo,
 		GridX:    2,
 		GridY:    2,
 		Threads:  4,
@@ -141,22 +143,18 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 		Iters:    3,
 		Opts:     core.Options{Strategy: core.StrategyTimerPLogGP, Delta: 100 * time.Microsecond},
 	}
-	serial, err := RunHalo(base)
+	serial, err := RunGrid(base)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, shards := range []int{2, 4} {
 		cfg := base
 		cfg.Shards = shards
-		sharded, err := RunHalo(cfg)
+		sharded, err := RunGrid(cfg)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for i := range serial.IterTimes {
-			if serial.IterTimes[i] != sharded.IterTimes[i] {
-				t.Errorf("shards=%d iter %d: serial %v != sharded %v", shards, i, serial.IterTimes[i], sharded.IterTimes[i])
-			}
-		}
+		compareGridRuns(t, fmt.Sprintf("shards=%d", shards), serial, sharded)
 	}
 }
 
@@ -168,7 +166,7 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 // arbitration to the canonical-order discipline end to end — timestamps
 // and final receive-buffer digests must not move.
 func TestShardedFatTreeSweepMatchesSerial(t *testing.T) {
-	base := SweepConfig{
+	base := GridConfig{
 		GridX:    4,
 		GridY:    2,
 		Threads:  4,
@@ -180,7 +178,7 @@ func TestShardedFatTreeSweepMatchesSerial(t *testing.T) {
 		Opts:     core.Options{Strategy: core.StrategyPLogGP},
 		Topo:     "fat-tree:k=4",
 	}
-	serial, err := RunSweep(base)
+	serial, err := RunGrid(base)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -190,7 +188,7 @@ func TestShardedFatTreeSweepMatchesSerial(t *testing.T) {
 				cfg := base
 				cfg.Shards = shards
 				cfg.Workers = workers
-				sharded, err := RunSweep(cfg)
+				sharded, err := RunGrid(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -354,6 +352,45 @@ func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 				t.Errorf("shards=%d iter %d: (%v, %v) != default (%v, %v)", shards, i,
 					got.IterTimes[i], got.LastLatency[i], def.IterTimes[i], def.LastLatency[i])
 			}
+		}
+	}
+}
+
+// TestGridOnShm runs a small sweep and a small halo over the intra-node
+// shm provider, which needs every rank on one node. The 48 threads of a
+// 3x3 sweep diagonal (and the 144 of the halo) outnumber one Niagara
+// node's 40 cores, so the test also requires the shared node to pool the
+// ranks' cores: were compute oversubscribed, the extra compute would show
+// up as communication time.
+// A shard count clamps to the one node, so Shards: 2 runs serial.
+func TestGridOnShm(t *testing.T) {
+	for _, pat := range []GridPattern{Sweep3D, Halo} {
+		cfg := GridConfig{
+			Pattern:  pat,
+			GridX:    3,
+			GridY:    3,
+			Threads:  16,
+			Bytes:    64 << 10,
+			Compute:  time.Millisecond,
+			Warmup:   1,
+			Iters:    2,
+			Opts:     core.Options{Strategy: core.StrategyPLogGP},
+			Provider: "shm",
+		}
+		res, err := RunGrid(cfg)
+		if err != nil {
+			t.Fatalf("pattern %d: %v", pat, err)
+		}
+		if comm := res.MeanCommTime(); comm >= cfg.Compute/2 {
+			t.Errorf("pattern %d: comm time %v absorbs compute (%v per thread)", pat, comm, cfg.Compute)
+		}
+		cfg.Shards = 2
+		sharded, err := RunGrid(cfg)
+		if err != nil {
+			t.Fatalf("pattern %d shards=2: %v", pat, err)
+		}
+		if sharded.ShardStats != nil {
+			t.Errorf("pattern %d: shm run sharded across one node", pat)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func AblationInline(cfg Config) ([]*stats.Table, error) {
 			})
 		}
 	}
-	res, err := cfg.runP2PGrid(jobs, nil)
+	res, err := runOrdered(cfg, jobs, bench.RunP2P, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func AblationWindow(cfg Config) ([]*stats.Table, error) {
 			})
 		}
 	}
-	res, err := cfg.runP2PGrid(jobs, nil)
+	res, err := runOrdered(cfg, jobs, bench.RunP2P, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func AblationModel(cfg Config) ([]*stats.Table, error) {
 			Topo:     cfg.Topo,
 		}
 	}
-	results, err := cfg.runP2PGrid(jobs, nil)
+	results, err := runOrdered(cfg, jobs, bench.RunP2P, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +234,7 @@ func AblationTimer(cfg Config) ([]*stats.Table, error) {
 			Topo:     cfg.Topo,
 		}
 	}
-	results, err := cfg.runP2PGrid(jobs, nil)
+	results, err := runOrdered(cfg, jobs, bench.RunP2P, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -192,32 +192,15 @@ func Table1(cfg Config) ([]*stats.Table, error) {
 	return []*stats.Table{tb}, nil
 }
 
-// runP2PGrid executes one RunP2P per config across cfg.Jobs workers and
-// returns results in input order. label, if non-nil, names job i for
-// progress reporting; it is invoked in order from the collector (the
-// goroutine running the driver), with "" suppressing the line.
-func (c Config) runP2PGrid(jobs []bench.P2PConfig, label func(i int) string) ([]bench.P2PResult, error) {
-	out := make([]bench.P2PResult, len(jobs))
+// runOrdered executes run once per job across c.Jobs workers and returns
+// the results in job order. label, if non-nil, names job i for progress
+// reporting; it is invoked in order from the collector (the goroutine
+// running the driver), with "" suppressing the line.
+func runOrdered[J, R any](c Config, jobs []J, run func(J) (R, error), label func(i int) string) ([]R, error) {
+	out := make([]R, len(jobs))
 	err := sweep.Ordered(c.Jobs, len(jobs),
-		func(i int) (bench.P2PResult, error) { return bench.RunP2P(jobs[i]) },
-		func(i int, r bench.P2PResult) error {
-			if label != nil {
-				if l := label(i); l != "" {
-					c.progress("%s", l)
-				}
-			}
-			out[i] = r
-			return nil
-		})
-	return out, err
-}
-
-// runSweepGrid is runP2PGrid for the Sweep3D benchmark.
-func (c Config) runSweepGrid(jobs []bench.SweepConfig, label func(i int) string) ([]bench.SweepResult, error) {
-	out := make([]bench.SweepResult, len(jobs))
-	err := sweep.Ordered(c.Jobs, len(jobs),
-		func(i int) (bench.SweepResult, error) { return bench.RunSweep(jobs[i]) },
-		func(i int, r bench.SweepResult) error {
+		func(i int) (R, error) { return run(jobs[i]) },
+		func(i int, r R) error {
 			if label != nil {
 				if l := label(i); l != "" {
 					c.progress("%s", l)
@@ -251,7 +234,7 @@ func overheadTable(cfg Config, name string, parts int, sizes []int, variants []c
 			jobs = append(jobs, overheadConfig(cfg, parts, s, opts))
 		}
 	}
-	res, err := cfg.runP2PGrid(jobs, func(i int) string {
+	res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
 		if i%stride == 0 {
 			return fmt.Sprintf("%s: size %s", name, stats.FormatBytes(sizes[i/stride]))
 		}
@@ -457,7 +440,7 @@ func Fig9(cfg Config) ([]*stats.Table, error) {
 			}
 		}
 		parts := parts
-		res, err := cfg.runP2PGrid(jobs, func(i int) string {
+		res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
 			if i%len(variants) == 0 {
 				return fmt.Sprintf("fig9: %d partitions, size %s", parts, stats.FormatBytes(sizes[i/len(variants)]))
 			}
@@ -545,7 +528,7 @@ func Fig12(cfg Config) ([]*stats.Table, error) {
 	for i, c := range cells {
 		jobs[i] = perceivedConfig(cfg, c.parts, c.size, core.Options{Strategy: core.StrategyPLogGP})
 	}
-	res, err := cfg.runP2PGrid(jobs, func(i int) string {
+	res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
 		return fmt.Sprintf("fig12: %d partitions, size %s", cells[i].parts, stats.FormatBytes(cells[i].size))
 	})
 	if err != nil {
@@ -590,7 +573,7 @@ func Fig13(cfg Config) ([]*stats.Table, error) {
 			}))
 		}
 	}
-	res, err := cfg.runP2PGrid(jobs, func(i int) string {
+	res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
 		if i%len(deltas) == 0 {
 			return fmt.Sprintf("fig13: size %s", stats.FormatBytes(sizes[i/len(deltas)]))
 		}
@@ -607,6 +590,49 @@ func Fig13(cfg Config) ([]*stats.Table, error) {
 		tb.AddRow(row...)
 	}
 	return []*stats.Table{tb}, nil
+}
+
+// gridStrategies are the designs the grid experiments compare, baseline
+// first.
+var gridStrategies = []core.Options{
+	{Strategy: core.StrategyBaseline},
+	{Strategy: core.StrategyPLogGP},
+	{Strategy: core.StrategyTimerPLogGP, Delta: 35 * time.Microsecond},
+}
+
+// gridSpeedupTable runs base at every size under each of gridStrategies
+// and returns one row per size: the communication speedup of each
+// aggregator over the baseline. label prefixes the progress lines.
+func gridSpeedupTable(cfg Config, title, label string, sizes []int, base bench.GridConfig) (*stats.Table, error) {
+	base.Warmup, base.Iters = cfg.sweepIterCounts()
+	base.Provider, base.Shards, base.Topo = cfg.Provider, cfg.Shards, cfg.Topo
+	n := len(gridStrategies)
+	jobs := make([]bench.GridConfig, 0, len(sizes)*n)
+	for _, s := range sizes {
+		for _, opts := range gridStrategies {
+			job := base
+			job.Bytes, job.Opts = s, opts
+			jobs = append(jobs, job)
+		}
+	}
+	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
+		if i%n == 0 {
+			return fmt.Sprintf("%s: size %s", label, stats.FormatBytes(sizes[i/n]))
+		}
+		return ""
+	})
+	if err != nil {
+		return nil, err
+	}
+	tb := stats.NewTable(title, "size", "ploggp", "timer-ploggp")
+	for si, s := range sizes {
+		block := res[si*n : (si+1)*n]
+		base := block[0].MeanCommTime()
+		tb.AddRow(stats.FormatBytes(s),
+			stats.Speedup(base, block[1].MeanCommTime()),
+			stats.Speedup(base, block[2].MeanCommTime()))
+	}
+	return tb, nil
 }
 
 // Fig14 runs the Sweep3D pattern at 1024 cores for three compute/noise
@@ -627,55 +653,51 @@ func Fig14(cfg Config) ([]*stats.Table, error) {
 		{time.Millisecond, 4, "(b) 1 ms compute, 4% noise (40 µs)"},
 		{10 * time.Millisecond, 4, "(c) 10 ms compute, 4% noise (400 µs)"},
 	}
-	warmup, iters := cfg.sweepIterCounts()
-
-	strategies := []core.Options{
-		{Strategy: core.StrategyBaseline},
-		{Strategy: core.StrategyPLogGP},
-		{Strategy: core.StrategyTimerPLogGP, Delta: 35 * time.Microsecond},
-	}
 	var tables []*stats.Table
 	for _, c := range configs {
-		tb := stats.NewTable(
+		tb, err := gridSpeedupTable(cfg,
 			fmt.Sprintf("Figure 14%s: Sweep3D %dx%d ranks x %d threads, communication speedup vs baseline",
 				c.label[:3], gridX, gridY, threads),
-			"size", "ploggp", "timer-ploggp")
-		jobs := make([]bench.SweepConfig, 0, len(sizes)*len(strategies))
-		for _, s := range sizes {
-			for _, opts := range strategies {
-				jobs = append(jobs, bench.SweepConfig{
-					GridX: gridX, GridY: gridY,
-					Threads:  threads,
-					Bytes:    s,
-					Compute:  c.compute,
-					NoisePct: c.noise,
-					Warmup:   warmup,
-					Iters:    iters,
-					Opts:     opts,
-					Provider: cfg.Provider,
-					Shards:   cfg.Shards,
-					Topo:     cfg.Topo,
-				})
-			}
-		}
-		c := c
-		res, err := cfg.runSweepGrid(jobs, func(i int) string {
-			if i%len(strategies) == 0 {
-				return fmt.Sprintf("fig14%s: size %s", c.label[:3], stats.FormatBytes(sizes[i/len(strategies)]))
-			}
-			return ""
-		})
+			"fig14"+c.label[:3], sizes,
+			bench.GridConfig{
+				Pattern: bench.Sweep3D,
+				GridX:   gridX, GridY: gridY,
+				Threads:  threads,
+				Compute:  c.compute,
+				NoisePct: c.noise,
+			})
 		if err != nil {
 			return nil, err
-		}
-		for si, s := range sizes {
-			block := res[si*len(strategies) : (si+1)*len(strategies)]
-			base := block[0].MeanCommTime()
-			tb.AddRow(stats.FormatBytes(s),
-				stats.Speedup(base, block[1].MeanCommTime()),
-				stats.Speedup(base, block[2].MeanCommTime()))
 		}
 		tables = append(tables, tb)
 	}
 	return tables, nil
+}
+
+// Halo runs the halo-exchange pattern from the paper's benchmark suite
+// (reference [14] evaluates both a halo exchange and the sweep; the paper
+// itself reports only the sweep, so this is an extension exhibit): a 4x4
+// periodic rank grid, 16 threads, communication speedup of the aggregators
+// over the baseline.
+func Halo(cfg Config) ([]*stats.Table, error) {
+	gridX, gridY, threads := 4, 4, 16
+	sizes := sizesPow2(16<<10, 4<<20, threads)
+	if cfg.Quick {
+		gridX, gridY = 2, 2
+		sizes = []int{256 << 10}
+	}
+	tb, err := gridSpeedupTable(cfg,
+		"Halo exchange (extension): communication speedup vs baseline, 1 ms compute, 1% noise",
+		"halo", sizes,
+		bench.GridConfig{
+			Pattern: bench.Halo,
+			GridX:   gridX, GridY: gridY,
+			Threads:  threads,
+			Compute:  time.Millisecond,
+			NoisePct: 1,
+		})
+	if err != nil {
+		return nil, err
+	}
+	return []*stats.Table{tb}, nil
 }

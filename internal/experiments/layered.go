@@ -4,14 +4,12 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpipcl"
 	"repro/internal/pt2pt"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // AblationLayered compares the portable layered partitioned implementation
@@ -37,30 +35,25 @@ func AblationLayered(cfg Config) ([]*stats.Table, error) {
 		base    bench.P2PResult
 		layered time.Duration
 	}
-	pairs := make([]pair, len(sizes))
-	err := sweep.Ordered(cfg.Jobs, len(sizes),
-		func(i int) (pair, error) {
-			base, err := bench.RunP2P(bench.P2PConfig{
-				Parts: parts, Bytes: sizes[i], Warmup: warmup, Iters: iters,
-				Opts:     core.Options{Strategy: core.StrategyBaseline},
-				Provider: cfg.Provider,
-				Shards:   cfg.Shards,
-				Topo:     cfg.Topo,
-			})
-			if err != nil {
-				return pair{}, err
-			}
-			layered, err := runLayeredOverhead(cfg.Provider, parts, sizes[i], warmup, iters)
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{base, layered}, nil
-		},
-		func(i int, p pair) error {
-			cfg.progress("ablation-layered: size %s", stats.FormatBytes(sizes[i]))
-			pairs[i] = p
-			return nil
+	pairs, err := runOrdered(cfg, sizes, func(size int) (pair, error) {
+		base, err := bench.RunP2P(bench.P2PConfig{
+			Parts: parts, Bytes: size, Warmup: warmup, Iters: iters,
+			Opts:     core.Options{Strategy: core.StrategyBaseline},
+			Provider: cfg.Provider,
+			Shards:   cfg.Shards,
+			Topo:     cfg.Topo,
 		})
+		if err != nil {
+			return pair{}, err
+		}
+		layered, err := runLayeredOverhead(cfg.Provider, parts, size, warmup, iters)
+		if err != nil {
+			return pair{}, err
+		}
+		return pair{base, layered}, nil
+	}, func(i int) string {
+		return "ablation-layered: size " + stats.FormatBytes(sizes[i])
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -74,20 +67,9 @@ func AblationLayered(cfg Config) ([]*stats.Table, error) {
 // runLayeredOverhead is the overhead benchmark driven through the layered
 // implementation.
 func runLayeredOverhead(provider string, parts, size, warmup, iters int) (time.Duration, error) {
-	wcfg := mpi.Config{Cluster: cluster.NiagaraConfig(2)}
-	if provider == "shm" {
-		// An intra-node provider cannot cross the fabric: place both
-		// ranks on one node.
-		wcfg = mpi.Config{Cluster: cluster.NiagaraConfig(1), RanksPerNode: 2}
-	}
-	w := mpi.NewWorld(wcfg)
-	comms := make([]*pt2pt.Comm, 2)
-	for i := range comms {
-		c, err := pt2pt.New(w.Rank(i), provider)
-		if err != nil {
-			return 0, err
-		}
-		comms[i] = c
+	w, comms, err := bench.NewWorld(bench.WorldSpec{Ranks: 2, Provider: provider}, pt2pt.New)
+	if err != nil {
+		return 0, err
 	}
 	src := make([]byte, size)
 	dst := make([]byte, size)
@@ -96,7 +78,7 @@ func runLayeredOverhead(provider string, parts, size, warmup, iters int) (time.D
 	var sum time.Duration
 	measured := 0
 
-	err := w.Run(func(p *sim.Proc, r *mpi.Rank) {
+	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			ps, err := mpipcl.PsendInit(p, comms[0], src, parts, 1, 0)
@@ -106,18 +88,24 @@ func runLayeredOverhead(provider string, parts, size, warmup, iters int) (time.D
 			for iter := 0; iter < total; iter++ {
 				r.Barrier(p)
 				roundStart = p.Now()
-				ps.Start(p)
+				if err := ps.Start(p); err != nil {
+					panic(err)
+				}
 				g := sim.NewGroup(p.Engine())
 				for t := 0; t < parts; t++ {
 					t := t
 					g.Add(1)
 					p.Engine().Spawn("thread", func(tp *sim.Proc) {
 						defer g.Done()
-						ps.Pready(tp, t)
+						if err := ps.Pready(tp, t); err != nil {
+							panic(err)
+						}
 					})
 				}
 				g.Wait(p)
-				ps.Wait(p)
+				if err := ps.Wait(p); err != nil {
+					panic(err)
+				}
 			}
 		case 1:
 			pr, err := mpipcl.PrecvInit(p, comms[1], dst, parts, 0, 0)
@@ -126,8 +114,12 @@ func runLayeredOverhead(provider string, parts, size, warmup, iters int) (time.D
 			}
 			for iter := 0; iter < total; iter++ {
 				r.Barrier(p)
-				pr.Start(p)
-				pr.Wait(p)
+				if err := pr.Start(p); err != nil {
+					panic(err)
+				}
+				if err := pr.Wait(p); err != nil {
+					panic(err)
+				}
 				if iter >= warmup {
 					sum += p.Now().Sub(roundStart)
 					measured++
