@@ -1,20 +1,30 @@
-# Development entry points. `make check` is what CI runs on every PR:
-# vet + the partlint analyzer suite + build + full test suite, plus the
-# race detector over the shared-memory sweep-orchestration layer and its
-# heaviest user.
+# Development entry points. `make check` runs the gates CI runs on every
+# PR: gofmt, vet, the partlint analyzer suite (plain and over the
+# build-tag matrix), build, the full test suite, the race detector over
+# the shared-memory layers, provider conformance, the zero-alloc gates,
+# and the repository benchmark's smoke test. CI also runs staticcheck and
+# govulncheck (not vendored), the examples, and every experiment over the
+# shm provider.
 
 GO ?= go
 
-.PHONY: check vet lint lint-json lint-tags staticcheck build test race conformance allocs bench bench-smoke
+.PHONY: check fmt vet lint lint-json lint-tags staticcheck build test race conformance allocs bench bench-smoke
 
-check: vet lint build test race conformance
+check: fmt vet lint lint-tags build test race conformance allocs bench-smoke
+
+# Gofmt gate; CI's Gofmt step calls this target. Analyzer fixtures under
+# testdata/ are excluded: their `// want` comments are matched by line,
+# so reformatting them would move expectations.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
 
 # partlint is the repository's own analyzer suite (DESIGN.md §10, §14):
-# interprocedural hot-path allocation gates, sim determinism, the
-# determinism-taint dataflow analyzer, the shard-protocol safety checks
+# interprocedural hot-path allocation gates, the determinism analyzer
+# (lexical bans plus taint dataflow), the shard-protocol safety checks
 # (//partib:atomic, //partib:guard, CAS claim gates), the transport SPI
 # import gate (real import graph, aliased and transitive imports
 # included), the typed-error no-panic contract, the completion-callback

@@ -44,20 +44,28 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "", "experiment id (fig3, table1, fig6..fig14, or 'all')")
-	quick := flag.Bool("quick", false, "reduced sizes and iteration counts")
-	list := flag.Bool("list", false, "list experiments and exit")
-	verbose := flag.Bool("v", false, "print progress while running")
-	csvDir := flag.String("csv", "", "directory to also write one CSV per table")
-	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
-	provider := flag.String("provider", "", "transport backend: "+strings.Join(xport.Names(), ", ")+" (default verbs)")
-	strategy := flag.String("strategy", "", "run one point-to-point probe under this strategy (baseline, tuning-table, ploggp, timer-ploggp, adaptive) and print its result")
-	pattern := flag.String("pattern", "straggler", "with -strategy: synthetic Pready arrival pattern (uniform, bursty, zipf, straggler)")
-	shards := flag.Int("shards", 0, "conservative-PDES shard count per simulation (0 or 1 = serial; output is identical)")
-	topo := flag.String("topo", "", "fabric topology spec for every benchmark run (single-link, two-level:rack=8, fat-tree:k=8, dragonfly:groups=9,routers=4,hosts=2)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the command behind main. It returns the exit status instead of
+// calling os.Exit, so the deferred profile writers run on every path out,
+// a failed experiment included.
+func run(args []string) int {
+	fs := flag.NewFlagSet("partbench", flag.ExitOnError)
+	exp := fs.String("experiment", "", "experiment id (see -list), or 'all'")
+	quick := fs.Bool("quick", false, "reduced sizes and iteration counts")
+	list := fs.Bool("list", false, "list experiments and exit")
+	verbose := fs.Bool("v", false, "print progress while running")
+	csvDir := fs.String("csv", "", "directory to also write one CSV per table")
+	jobs := fs.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
+	provider := fs.String("provider", "", "transport backend: "+strings.Join(xport.Names(), ", ")+" (default verbs)")
+	strategy := fs.String("strategy", "", "run one point-to-point probe under this strategy (baseline, tuning-table, ploggp, timer-ploggp, adaptive) and print its result")
+	pattern := fs.String("pattern", "straggler", "with -strategy: synthetic Pready arrival pattern (uniform, bursty, zipf, straggler)")
+	shards := fs.Int("shards", 0, "conservative-PDES shard count per simulation (0 or 1 = serial; output is identical)")
+	topo := fs.String("topo", "", "fabric topology spec for every benchmark run (single-link, two-level:rack=8, fat-tree:k=8, dragonfly:groups=9,routers=4,hosts=2)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	fs.Parse(args)
 
 	if *provider != "" {
 		known := false
@@ -69,7 +77,7 @@ func main() {
 		if !known {
 			fmt.Fprintf(os.Stderr, "partbench: unknown provider %q (have: %s)\n",
 				*provider, strings.Join(xport.Names(), ", "))
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -77,11 +85,12 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -104,16 +113,16 @@ func main() {
 	if *topo != "" {
 		if _, err := fabric.ParseTopology(*topo); err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: -topo: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if *strategy != "" {
 		if err := runProbe(*strategy, *pattern, *provider, *topo, *shards, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: probe: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *list {
@@ -121,11 +130,11 @@ func main() {
 			desc, _ := experiments.Describe(name)
 			fmt.Printf("%-8s %s\n", name, desc)
 		}
-		return
+		return 0
 	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "partbench: -experiment required (or -list); e.g. -experiment fig8")
-		os.Exit(2)
+		return 2
 	}
 
 	names := []string{*exp}
@@ -135,7 +144,7 @@ func main() {
 	for _, name := range names {
 		if _, ok := experiments.Lookup(name); !ok {
 			fmt.Fprintf(os.Stderr, "partbench: unknown experiment %q (try -list)\n", name)
-			os.Exit(2)
+			return 2
 		}
 	}
 	cfg := experiments.Config{Quick: *quick, Jobs: *jobs, Provider: *provider, Shards: *shards, Topo: *topo}
@@ -147,8 +156,9 @@ func main() {
 
 	if err := runSuite(names, cfg, os.Stdout, *csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "partbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runSuite executes the named experiments in order, rendering tables as

@@ -1,12 +1,23 @@
-// Package detertaint tracks nondeterminism through dataflow instead of
-// banning constructs at their lexical site. The sibling simdeterminism
-// analyzer forbids wall-clock reads and map-ordered emissions where they
-// occur; detertaint follows the VALUES: a timestamp, a math/rand draw, or
-// a map-iteration key may travel through assignments, arithmetic, helper
+// Package detertaint keeps the simulation bit-reproducible. The sweep
+// harness compares serial, parallel and sharded passes byte-for-byte, and
+// the committed tables promise that regenerating them is deterministic:
+// a run must be a pure function of its configuration. The analyzer
+// enforces that in two layers.
+//
+// Three lexical bans forbid the constructs at their site: importing
+// math/rand (use a locally seeded generator), calling the wall-clock
+// functions of package time (wall time is injected at the CLI boundary;
+// virtual time comes from sim.Proc), and calling anything but builtins,
+// type conversions and Sprint* inside a map range or a sync.Map.Range
+// callback — iteration order is random per run, so any other call there
+// is an action taken in nondeterministic order. The sanctioned shape is
+// collect keys, sort, then iterate the sorted slice.
+//
+// Taint tracking follows the VALUES: a timestamp, a math/rand draw, or a
+// map-iteration key may travel through assignments, arithmetic, helper
 // returns, and cross-package calls before it reaches the place where it
 // breaks reproducibility — an event-scheduling call or a report write.
-//
-// The analysis is a flow-sensitive may-analysis over the shared CFG
+// It is a flow-sensitive may-analysis over the shared CFG
 // (internal/analysis/cfg.go), keyed on types.Object. Sources generate
 // taint, sort.* sanitizers kill it, and sinks — Engine scheduling
 // methods, ShardSet.post, fmt.Fprint*, writer methods — report any taint
@@ -22,26 +33,27 @@
 // engine's Now flowing into a same-engine scheduling method (scheduleCall,
 // At, AtCall) of a different engine — Engine.Post and ShardSet.post stay
 // legal because they are the sanctioned cross-engine path. The PR-8
-// ingress bug emitted flow grants while ranging a map; the ordered-call
-// rule flags any call that transitively reaches a sink from inside a map
-// range or a sync.Map.Range callback, however deep the sink hides.
+// ingress bug emitted flow grants while ranging a map, the sink two
+// helper hops down; the map-range ban flags the call at the loop,
+// however deep the sink hides.
 package detertaint
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 
 	"repro/internal/analysis"
 )
 
-// Analyzer traces nondeterministic values to scheduling and emission
-// sinks.
+// Analyzer bans nondeterminism sources in sim-reachable code and traces
+// nondeterministic values to scheduling and emission sinks.
 var Analyzer = &analysis.Analyzer{
 	Name: "detertaint",
-	Doc: "trace nondeterministic values (wall clock, math/rand, map iteration order) " +
-		"through assignments and calls to event-scheduling and report-emission sinks; " +
-		"flag cross-engine clock transfer and ordered emissions hidden behind helpers",
+	Doc: "forbid math/rand, wall-clock reads, and calls made in map order; trace nondeterministic " +
+		"values (wall clock, math/rand, map iteration order) through assignments and calls to " +
+		"event-scheduling and report-emission sinks; flag cross-engine clock transfer",
 	Run: run,
 }
 
@@ -152,7 +164,11 @@ func run(pass *analysis.Pass) error {
 	for _, fi := range c.g.Roots(func(*analysis.FuncInfo) bool { return true }) {
 		sum := &summary{}
 		c.analyze(fi.Decl, sum, true, maxSummaryDepth)
-		c.checkOrderedCalls(fi.Decl)
+	}
+	for _, f := range pass.Files {
+		if !pass.IsTestFile(f) {
+			checkBans(pass, f)
+		}
 	}
 	c.exportSummaries()
 	return nil
@@ -709,8 +725,8 @@ func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 // checkNode inspects one CFG node for sink calls under the current
 // state, reporting (when report is set) and accumulating the summary.
 // FuncLit bodies are skipped — a closure runs later, under a state this
-// block does not determine; the syntactic ordered-call rules cover the
-// map-range and sync.Map.Range closures that matter.
+// block does not determine; the map-range ban covers the sync.Map.Range
+// closures that matter.
 func (c *checker) checkNode(st state, n ast.Node, sum *summary, report bool, depth int) {
 	if rng, ok := n.(*ast.RangeStmt); ok {
 		n = rng.X // body statements live in their own blocks
@@ -832,36 +848,111 @@ func (c *checker) crossEngine(src *source, recv ast.Expr) bool {
 	return false
 }
 
-// checkOrderedCalls is the syntactic companion rule: inside a map range
-// body or a sync.Map.Range callback, ANY call that reaches a sink is an
-// emission in nondeterministic order, whatever its arguments — the PR-8
-// ingress bug emitted perfectly deterministic values in map order. The
-// walk includes closures: the loop body runs per iteration either way.
-func (c *checker) checkOrderedCalls(fd *ast.FuncDecl) {
-	if fd.Body == nil {
-		return
+// Lexical bans ----------------------------------------------------------
+
+// bannedTimeFuncs are the package-level time functions that read or
+// depend on the wall clock. time.Duration arithmetic and time.Time
+// values passed in from the boundary remain fine.
+var bannedTimeFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
+// checkBans applies the three lexical bans to one file: math/rand
+// imports, wall-clock calls, and calls made in map order.
+func checkBans(pass *analysis.Pass, f *ast.File) {
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if path == "math/rand" || path == "math/rand/v2" {
+			pass.Reportf(imp.Pos(), "import of %s in a sim-reachable package: use a locally seeded generator so runs are reproducible", path)
+		}
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if t := c.pass.TypesInfo.TypeOf(n.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					c.flagSinkCalls(n.Body, "a map range")
-					return false // inner ranges are covered by this flag pass
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Range" && isSyncMap(c.pass, sel.X) {
-				if len(n.Args) == 1 {
-					if lit, ok := n.Args[0].(*ast.FuncLit); ok {
-						c.flagSinkCalls(lit.Body, "a sync.Map.Range callback")
-						return false
-					}
-				}
-			}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			checkTimeCall(pass, call)
+		}
+		if body, over := orderedBody(pass, n); body != nil {
+			checkOrderedCalls(pass, body, over)
 		}
 		return true
 	})
+}
+
+// orderedBody returns the body n runs in map order — a map range's body
+// or a sync.Map.Range callback — and what it ranges over, or nil.
+func orderedBody(pass *analysis.Pass, n ast.Node) (*ast.BlockStmt, string) {
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap {
+				return n.Body, "a map"
+			}
+		}
+	case *ast.CallExpr:
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Range" && len(n.Args) == 1 && isSyncMap(pass, sel.X) {
+			if lit, ok := n.Args[0].(*ast.FuncLit); ok {
+				return lit.Body, "a sync.Map"
+			}
+		}
+	}
+	return nil, ""
+}
+
+// checkTimeCall flags calls to the banned time package functions.
+func checkTimeCall(pass *analysis.Pass, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !bannedTimeFuncs[sel.Sel.Name] {
+		return
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return
+	}
+	pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+	if !ok || pkgName.Imported().Path() != "time" {
+		return
+	}
+	pass.Reportf(call.Pos(), "time.%s in a sim-reachable package: wall time must be injected at the CLI boundary (virtual time comes from sim.Proc)", sel.Sel.Name)
+}
+
+// checkOrderedCalls flags every call in a map-ordered body except
+// builtins, type conversions and Sprint* formatting: whatever the callee
+// does, it does in nondeterministic order — the ingress-ordering bug
+// emitted perfectly deterministic values in map order. Closures are walked too:
+// the loop body runs per iteration either way. A nested ordered body is
+// left to its own check, so no call is flagged twice.
+func checkOrderedCalls(pass *analysis.Pass, body *ast.BlockStmt, over string) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name, ordered := orderedCallee(pass, call); ordered {
+				pass.Reportf(call.Pos(), "call to %s while ranging over %s: iteration order is nondeterministic; collect and sort keys first", name, over)
+			}
+		}
+		inner, _ := orderedBody(pass, n)
+		return inner == nil
+	})
+}
+
+// orderedCallee names the callee of a call made in map order, reporting
+// false for the calls that act on nothing outside the loop: builtins,
+// type conversions and Sprint* formatting.
+func orderedCallee(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		switch pass.TypesInfo.Uses[fn].(type) {
+		case *types.Builtin, *types.TypeName:
+			return "", false
+		}
+		return fn.Name, true
+	case *ast.SelectorExpr:
+		switch fn.Sel.Name {
+		case "Sprintf", "Sprint", "Sprintln":
+			return "", false
+		}
+		return fn.Sel.Name, true
+	}
+	return "", false
 }
 
 func isSyncMap(pass *analysis.Pass, e ast.Expr) bool {
@@ -874,47 +965,6 @@ func isSyncMap(pass *analysis.Pass, e ast.Expr) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "Map" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
-}
-
-// flagSinkCalls reports every call under body that reaches a scheduling
-// or emission sink, directly or through summarized callees.
-func (c *checker) flagSinkCalls(body ast.Node, where string) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if _, typeName, method, ok := scheduleSink(c.pass, call); ok {
-			c.pass.Reportf(call.Pos(), "%s.%s called inside %s: iteration order is nondeterministic; collect and sort keys first",
-				typeName, method, where)
-			return true
-		}
-		if name, ok := emissionSink(c.pass, call); ok {
-			c.pass.Reportf(call.Pos(), "%s called inside %s: iteration order is nondeterministic; collect and sort keys first",
-				name, where)
-			return true
-		}
-		obj := calleeObject(c.pass, call)
-		if obj == nil {
-			return true
-		}
-		if info := c.g.InfoFor(obj); info != nil {
-			if s := c.summaryOf(info.Decl, maxSummaryDepth); s.sinks {
-				c.pass.Reportf(call.Pos(), "call to %s inside %s reaches a scheduling or emission sink (%d hop summary): iteration order is nondeterministic; collect and sort keys first",
-					info.Decl.Name.Name, where, maxSummaryDepth)
-			}
-			return true
-		}
-		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg() != c.pass.Pkg {
-			if key := analysis.FactKeyOf(fn); key != "" {
-				if fact, ok := c.g.DepFunc(fn.Pkg().Path(), key); ok && fact.Sinks {
-					c.pass.Reportf(call.Pos(), "call to %s inside %s reaches a scheduling or emission sink: iteration order is nondeterministic; collect and sort keys first",
-						fn.Pkg().Name()+"."+key, where)
-				}
-			}
-		}
-		return true
-	})
 }
 
 // rootObject walks to the base identifier of an lvalue-ish expression.

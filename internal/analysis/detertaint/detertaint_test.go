@@ -7,6 +7,13 @@ import (
 	"repro/internal/analysis/detertaint"
 )
 
+// TestSimDeterminism covers the lexical bans: math/rand imports,
+// wall-clock calls, and calls made while ranging over a map, on the
+// adaptive-switcher, ECMP-route and shard-barrier shapes.
+func TestSimDeterminism(t *testing.T) {
+	analysistest.Run(t, detertaint.Analyzer, "a")
+}
+
 // TestDetertaintBasic covers sources, sanitizers, emission sinks, and
 // local summary chains.
 func TestDetertaintBasic(t *testing.T) {

@@ -29,7 +29,7 @@ func release(f *flow) {
 // drainPending is the bug shape: grants are emitted in map order.
 func drainPending(pending map[int]*flow) {
 	for _, f := range pending {
-		release(f) // want "nondeterministic value \(from map iteration order\) passed to release" "call to release inside a map range reaches a scheduling or emission sink"
+		release(f) // want "nondeterministic value \(from map iteration order\) passed to release" "call to release while ranging over a map"
 	}
 }
 

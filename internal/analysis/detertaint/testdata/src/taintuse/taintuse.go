@@ -28,6 +28,6 @@ func scheduleSpan(e *Engine) {
 // drain calls a dependency sink while ranging a map.
 func drain(w io.Writer, m map[int]int) {
 	for _, v := range m {
-		taintdep.Emit(w, v) // want "nondeterministic value \(from map iteration order\) passed to taintdep.Emit" "call to taintdep.Emit inside a map range reaches a scheduling or emission sink"
+		taintdep.Emit(w, v) // want "nondeterministic value \(from map iteration order\) passed to taintdep.Emit" "call to Emit while ranging over a map"
 	}
 }

@@ -9,9 +9,10 @@
 //     module — annotations and registration shapes only occur where the
 //     invariants apply, and xportgate must visit every package anyway to
 //     propagate reachability facts.
-//   - simdeterminism runs on the packages reachable from the simulator's
-//     virtual clock: the engine strategies, the fabric, the models, and
-//     the measurement/report layers that must stay replayable.
+//   - detertaint runs on the packages reachable from the simulator's
+//     virtual clock: the engine strategies, the fabric, the models, the
+//     transports whose event callbacks feed the engines, and the
+//     measurement/report layers that must stay replayable.
 //   - nopanic runs on the packages that adopted the typed-error
 //     contract; the simulator itself still panics on internal scheduler
 //     corruption by design.
@@ -26,7 +27,6 @@ import (
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/nopanic"
 	"repro/internal/analysis/shardsafety"
-	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/waiverhygiene"
 	"repro/internal/analysis/xportgate"
 )
@@ -46,7 +46,9 @@ func allRepro(path string) bool {
 }
 
 // simReachable lists the packages whose behavior must be a pure function
-// of the seed and the event order.
+// of the seed and the event order. The transport and measurement layers
+// are in because their event callbacks feed the engines: the
+// cross-engine completion bug lived in the ibv completion queue.
 var simReachable = map[string]bool{
 	"repro/internal/sim":    true,
 	"repro/internal/fabric": true,
@@ -56,14 +58,7 @@ var simReachable = map[string]bool{
 	"repro/internal/bench":  true,
 	// trace generates synthetic arrival schedules consumed inside the
 	// simulation; its output must replay from the seed alone.
-	"repro/internal/trace": true,
-}
-
-// eventCallback extends the determinism-taint scope beyond simReachable
-// to the transport and measurement layers whose event callbacks feed the
-// engines: the PR-6 completion bug lived in the ibv completion queue,
-// outside the simdeterminism scope.
-var eventCallback = map[string]bool{
+	"repro/internal/trace":       true,
 	"repro/internal/ibv":         true,
 	"repro/internal/ucx":         true,
 	"repro/internal/xport":       true,
@@ -91,8 +86,7 @@ var typedError = map[string]bool{
 func Checks() []Check {
 	checks := []Check{
 		{Analyzer: hotpathalloc.Analyzer, Applies: allRepro},
-		{Analyzer: simdeterminism.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
-		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] || eventCallback[p] }},
+		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
 		{Analyzer: shardsafety.Analyzer, Applies: allRepro},
 		{Analyzer: xportgate.Analyzer, Applies: allRepro},
 		{Analyzer: nopanic.Analyzer, Applies: func(p string) bool { return typedError[p] }},

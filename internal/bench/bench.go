@@ -34,7 +34,7 @@ import (
 
 // jitterPRNG is a seeded splitmix64 generator. The per-thread skew draws
 // must be deterministic across runs and math/rand is banned from
-// sim-reachable packages (partlint's simdeterminism analyzer), so the few
+// sim-reachable packages (partlint's detertaint analyzer), so the few
 // bits needed come from this local generator.
 type jitterPRNG uint64
 
@@ -198,9 +198,9 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 		return P2PResult{}, err
 	}
 
+	// rec profiles the sender at the API boundary, as the paper's
+	// PMPI-based profiler does: each round's Start and every Pready call.
 	rec := profiler.New(cfg.Parts)
-	opts := cfg.Opts
-	opts.Observer = rec
 
 	laggard := cfg.Laggard
 	if laggard < 0 || laggard >= cfg.Parts {
@@ -229,7 +229,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			ps, err := engines[0].PsendInit(p, sendBuf, cfg.Parts, 1, 0, opts)
+			ps, err := engines[0].PsendInit(p, sendBuf, cfg.Parts, 1, 0, cfg.Opts)
 			if err != nil {
 				panic(err)
 			}
@@ -247,6 +247,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 				arrivals = make([]time.Duration, cfg.Parts)
 			}
 			threads := make([]func(tp *sim.Proc), cfg.Parts)
+			var round int
 			var lastPready sim.Time
 			for t := 0; t < cfg.Parts; t++ {
 				t := t
@@ -262,6 +263,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 					if compute > 0 {
 						r.Compute(tp, compute)
 					}
+					rec.PreadyCalled(round, t, tp.Now())
 					if err := ps.Pready(tp, t); err != nil {
 						panic(err)
 					}
@@ -277,6 +279,8 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 				if err := ps.Start(p); err != nil {
 					panic(err)
 				}
+				round = iter + 1
+				rec.PsendStart(round, p.Now())
 				if arrivalPat != nil {
 					arrivalPat.Delays(iter, arrivals)
 				}
@@ -299,7 +303,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 			}
 			adaptive = ps.AdaptiveStats()
 		case 1:
-			pr, err := engines[1].PrecvInit(p, recvBuf, cfg.Parts, 0, 0, opts)
+			pr, err := engines[1].PrecvInit(p, recvBuf, cfg.Parts, 0, 0, cfg.Opts)
 			if err != nil {
 				panic(err)
 			}

@@ -593,40 +593,6 @@ func TestPreadyMisuseErrors(t *testing.T) {
 	}
 }
 
-type recordingObserver struct {
-	starts  []sim.Time
-	preadys []int
-}
-
-func (o *recordingObserver) PsendStart(round int, at sim.Time) { o.starts = append(o.starts, at) }
-func (o *recordingObserver) PreadyCalled(round, part int, at sim.Time) {
-	o.preadys = append(o.preadys, part)
-}
-
-func TestObserverCallbacks(t *testing.T) {
-	e := newEnv()
-	obs := &recordingObserver{}
-	opts := Options{Strategy: StrategyPLogGP, Observer: obs}
-	src := make([]byte, 4096)
-	dst := make([]byte, 4096)
-	e.runPair(t,
-		func(p *sim.Proc, eng *Engine) {
-			ps, _ := eng.PsendInit(p, src, 4, 1, 0, opts)
-			ps.Start(p)
-			ps.PreadyRange(p, 0, 4)
-			ps.Wait(p)
-		},
-		func(p *sim.Proc, eng *Engine) {
-			pr, _ := eng.PrecvInit(p, dst, 4, 0, 0, Options{})
-			pr.Start(p)
-			pr.Wait(p)
-		},
-	)
-	if len(obs.starts) != 1 || len(obs.preadys) != 4 {
-		t.Fatalf("observer saw %d starts, %d preadys", len(obs.starts), len(obs.preadys))
-	}
-}
-
 func TestStrategyString(t *testing.T) {
 	for s := StrategyBaseline; s <= StrategyTimerPLogGP+1; s++ {
 		if s.String() == "" {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Strategy selects the send-side aggregation design (paper Section IV).
@@ -141,14 +139,6 @@ func (t *TuningTable) Lookup(userParts, bytes int) (TuningValue, bool) {
 	return t.entries[TuningKey{UserParts: userParts, Bytes: sizes[i]}], true
 }
 
-// Observer receives the notifications the PMPI-based profiler of
-// Section V-C2 hooks: when MPI_Start runs and when each MPI_Pready is
-// called.
-type Observer interface {
-	PsendStart(round int, at sim.Time)
-	PreadyCalled(round, part int, at sim.Time)
-}
-
 // Options configures a partitioned request. The zero value selects the
 // PLogGP aggregator with the Niagara-measured model and the paper's 4 ms
 // modelling delay.
@@ -174,8 +164,6 @@ type Options struct {
 	// with IBV_SEND_INLINE. The paper leaves inlining/BlueFlame to future
 	// work and keeps it off; enable it to run that study.
 	UseInline bool
-	// Observer, if non-nil, receives profiling callbacks on the sender.
-	Observer Observer
 
 	// AdaptiveWindow is the number of completed rounds the adaptive
 	// strategy's observation ring holds (zero selects 8).

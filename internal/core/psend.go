@@ -244,9 +244,6 @@ func (ps *Psend) Start(p *sim.Proc) error {
 	if ps.adapt != nil {
 		ps.adapt.beginRound(p.Now())
 	}
-	if ps.opts.Observer != nil {
-		ps.opts.Observer.PsendStart(ps.round, p.Now())
-	}
 	return nil
 }
 
@@ -275,9 +272,6 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 	}
 	if err := ps.e.err; err != nil {
 		return err
-	}
-	if ps.opts.Observer != nil {
-		ps.opts.Observer.PreadyCalled(ps.round, i, p.Now())
 	}
 	// The atomic add-and-fetch on the transport partition's flag array:
 	// concurrent callers serialize on the cache line.

@@ -1,6 +1,6 @@
 // Package profiler is the reproduction's equivalent of the paper's
-// PMPI-based MPI Partitioned profiler (Section V-A, footnote 1): it hooks
-// the MPI_Start and MPI_Pready call sites of a send request, records the
+// PMPI-based MPI Partitioned profiler (Section V-A, footnote 1): it takes
+// the MPI_Start and MPI_Pready calls of a send request, records the
 // per-round arrival pattern of user partitions, and derives the figures
 // built from that data — the arrival timelines of Figures 10 and 11 and
 // the minimum-δ estimate of Figure 12.
@@ -75,7 +75,9 @@ func (r *Round) Spread() time.Duration {
 // per round (Round struct + PreadyAt + Seen).
 const arenaRounds = 64
 
-// Recorder implements core.Observer, accumulating one Round per Start.
+// Recorder accumulates one Round per Start. The caller records at the API
+// boundary, the way PMPI wraps the calls: PsendStart once Start returns,
+// PreadyCalled just before each Pready.
 // Recorded rounds are retained for post-run analysis, so per-round slices
 // cannot literally be reused — instead they are block-allocated from
 // arenas (see arenaRounds) to cut the per-round allocation churn of long

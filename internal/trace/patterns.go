@@ -14,7 +14,7 @@ import (
 //
 // Everything is a pure function of (Seed, round, partition) through
 // splitmix64, so generated schedules are replayable: no math/rand, no wall
-// clock (the simdeterminism analyzer enforces both for this package).
+// clock (the detertaint analyzer enforces both for this package).
 
 // PatternKind selects an arrival regime.
 type PatternKind int

@@ -1,9 +1,9 @@
 // Package trace records simulation activity as events viewable in
-// chrome://tracing / Perfetto (the Trace Event JSON format). The partitioned
-// module's Observer hook, benchmark harnesses, and application code can all
-// emit spans; virtual timestamps map directly onto the trace timeline, so a
-// recorded round renders exactly like the paper's Figure 10 arrival
-// diagrams.
+// chrome://tracing / Perfetto (the Trace Event JSON format). Benchmark
+// harnesses and application code emit spans and instants around the
+// calls they make; virtual timestamps map directly onto the trace
+// timeline, so a recorded round renders exactly like the paper's Figure
+// 10 arrival diagrams.
 package trace
 
 import (
@@ -86,33 +86,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	_, err := io.WriteString(w, "\n]\n")
 	_ = enc
 	return err
-}
-
-// PartitionedObserver adapts a Recorder to the partitioned module's
-// Observer interface (core.Observer): each round becomes a set of
-// per-partition instants, so the arrival pattern of the paper's Figure 10
-// can be inspected interactively.
-type PartitionedObserver struct {
-	R    *Recorder
-	Rank int
-
-	lastStart sim.Time
-}
-
-// PsendStart records the round start.
-func (o *PartitionedObserver) PsendStart(round int, at sim.Time) {
-	o.lastStart = at
-	o.R.Instant("MPI_Start", at, o.Rank, 0, map[string]string{"round": fmt.Sprint(round)})
-}
-
-// PreadyCalled records a partition's compute span (Start→Pready) and the
-// Pready instant.
-func (o *PartitionedObserver) PreadyCalled(round, part int, at sim.Time) {
-	o.R.Span("compute", o.lastStart, at, o.Rank, part+1, nil)
-	o.R.Instant("MPI_Pready", at, o.Rank, part+1, map[string]string{
-		"round":     fmt.Sprint(round),
-		"partition": fmt.Sprint(part),
-	})
 }
 
 // DurationUS converts a duration to trace-timeline microseconds.

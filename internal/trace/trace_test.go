@@ -48,25 +48,6 @@ func TestSpanBackwardsPanics(t *testing.T) {
 	r.Span("x", sim.Time(10), sim.Time(5), 0, 0, nil)
 }
 
-func TestPartitionedObserver(t *testing.T) {
-	rec := New()
-	obs := &PartitionedObserver{R: rec, Rank: 3}
-	obs.PsendStart(1, sim.Time(time.Millisecond))
-	obs.PreadyCalled(1, 0, sim.Time(2*time.Millisecond))
-	obs.PreadyCalled(1, 1, sim.Time(3*time.Millisecond))
-	// 1 start instant + 2*(span B+E + instant) = 7 events.
-	if rec.Len() != 7 {
-		t.Fatalf("Len = %d", rec.Len())
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("MPI_Pready")) {
-		t.Fatal("missing Pready event")
-	}
-}
-
 func TestDurationUS(t *testing.T) {
 	if DurationUS(1500*time.Nanosecond) != 1.5 {
 		t.Fatalf("DurationUS = %v", DurationUS(1500*time.Nanosecond))
