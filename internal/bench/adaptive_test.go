@@ -141,10 +141,10 @@ func TestAdaptiveShardedP2PMatchesSerial(t *testing.T) {
 }
 
 // adaptiveSweepConfig is a 4x2 wavefront under StrategyAdaptive with a
-// straggler arrival pattern — eight ranks whose adaptive senders must all
+// bursty arrival pattern — eight ranks whose adaptive senders must all
 // make identical decisions regardless of shard and worker counts. The
-// observation window is kept below the straggler's 8-round rotation period
-// so the windowed histogram retains a visible tail.
+// bursts leave a tail in the switcher's 8-round observation window, and 32
+// rounds give it time to act on it.
 func adaptiveSweepConfig() GridConfig {
 	return GridConfig{
 		GridX:   4,
@@ -153,16 +153,15 @@ func adaptiveSweepConfig() GridConfig {
 		Bytes:   256 << 10,
 		Compute: 20 * time.Microsecond,
 		Warmup:  2,
-		Iters:   16,
+		Iters:   32,
 		Opts: core.Options{
-			Strategy:       core.StrategyAdaptive,
-			QPs:            2,
-			AdaptiveWindow: 4,
+			Strategy: core.StrategyAdaptive,
+			QPs:      2,
 		},
 		Arrival: &trace.ArrivalPattern{
-			Kind:   trace.PatternStraggler,
+			Kind:   trace.PatternBursty,
 			Seed:   5,
-			Spread: 2 * time.Millisecond,
+			Spread: 50 * time.Microsecond,
 		},
 	}
 }

@@ -62,8 +62,9 @@ type P2PConfig struct {
 	// Compute is per-thread computation before Pready (0 for the overhead
 	// benchmark).
 	Compute time.Duration
-	// NoisePct delays the laggard thread by Compute*NoisePct/100 — the
-	// single-thread delay model (e.g. 100 ms compute, 4 % noise = 4 ms).
+	// NoisePct delays the laggard thread, the last one, by
+	// Compute*NoisePct/100 — the single-thread delay model (e.g. 100 ms
+	// compute, 4 % noise = 4 ms).
 	NoisePct float64
 	// JitterPerThread adds deterministic pseudo-random skew to every
 	// non-laggard thread's compute time, uniform in
@@ -72,9 +73,6 @@ type P2PConfig struct {
 	// Figures 10 and 12 depend on it). Zero means no jitter, as in the
 	// overhead benchmark.
 	JitterPerThread time.Duration
-	// Laggard selects the delayed thread; -1 (and the zero value via
-	// DefaultLaggard) selects the last thread.
-	Laggard int
 	// Arrival, if non-nil, adds a synthetic per-round, per-thread Pready
 	// delay schedule (uniform/bursty/zipf/straggler) on top of Compute —
 	// the arrival regimes the adaptive aggregator is evaluated against.
@@ -105,9 +103,6 @@ func (c P2PConfig) withDefaults() P2PConfig {
 	}
 	if c.Iters == 0 {
 		c.Iters = 100
-	}
-	if c.Laggard == 0 {
-		c.Laggard = -1
 	}
 	return c
 }
@@ -202,10 +197,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 	// PMPI-based profiler does: each round's Start and every Pready call.
 	rec := profiler.New(cfg.Parts)
 
-	laggard := cfg.Laggard
-	if laggard < 0 || laggard >= cfg.Parts {
-		laggard = cfg.Parts - 1
-	}
+	laggard := cfg.Parts - 1
 
 	total := cfg.Warmup + cfg.Iters
 	res := P2PResult{Profile: rec, Warmup: cfg.Warmup, Bytes: cfg.Bytes}

@@ -141,16 +141,15 @@ func TestLaggardSelection(t *testing.T) {
 	res, err := RunP2P(P2PConfig{
 		Parts: 4, Bytes: 4096,
 		Compute: time.Millisecond, NoisePct: 100, // laggard +1ms
-		Laggard: 1,
-		Warmup:  1, Iters: 2,
+		Warmup: 1, Iters: 2,
 		Opts: core.Options{Strategy: core.StrategyPLogGP},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := res.Profile.Round(res.Warmup)
-	if got := r.Laggard(); got != 1 {
-		t.Fatalf("laggard = %d, want 1", got)
+	if got := r.Laggard(); got != 3 {
+		t.Fatalf("laggard = %d, want the last thread, 3", got)
 	}
 }
 

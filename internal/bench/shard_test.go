@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // shardStrategies are the aggregation strategies every differential test
@@ -124,6 +125,48 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedControlTieMatchesSerial pins same-instant control arrivals:
+// in round 2 of this wavefront ranks 1 and 2 send their part.credit to
+// rank 0 at the same instant, so both arrive at rank 0's port together.
+// Their delivery order must not follow the engines' event order, which
+// differs between a serial run and a sharded one, so every iteration time
+// must match serial at 2 and 4 shards under one and two workers.
+func TestShardedControlTieMatchesSerial(t *testing.T) {
+	base := GridConfig{
+		GridX:    2,
+		GridY:    2,
+		Threads:  8,
+		Bytes:    256 << 10,
+		Compute:  20 * time.Microsecond,
+		NoisePct: 4,
+		Warmup:   2,
+		Iters:    16,
+		Opts:     core.Options{Strategy: core.StrategyTimerPLogGP},
+		Arrival: &trace.ArrivalPattern{
+			Kind:   trace.PatternUniform,
+			Seed:   5,
+			Spread: 2 * time.Millisecond,
+		},
+	}
+	serial, err := RunGrid(base)
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	for _, shards := range []int{2, 4} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				cfg := base
+				cfg.Shards, cfg.Workers = shards, workers
+				sharded, err := RunGrid(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareGridRuns(t, "sharded", serial, sharded)
+			})
+		}
 	}
 }
 

@@ -20,11 +20,6 @@ type Config struct {
 	Nodes int
 	// CoresPerNode is the CPU core count per node (Niagara: 40).
 	CoresPerNode int
-	// Quantum is the scheduling timeslice for oversubscribed compute:
-	// threads beyond the core count timeshare in round-robin slices of
-	// this length instead of running to completion, as a preemptive OS
-	// scheduler would. Zero selects 1 ms.
-	Quantum time.Duration
 	// Fabric is the interconnect cost model.
 	Fabric fabric.Config
 	// Shards is the number of conservative-PDES shards (sim.ShardSet) the
@@ -42,7 +37,6 @@ func NiagaraConfig(nodes int) Config {
 	return Config{
 		Nodes:        nodes,
 		CoresPerNode: 40,
-		Quantum:      time.Millisecond,
 		Fabric:       fabric.DefaultConfig(),
 	}
 }
@@ -54,9 +48,6 @@ func (c Config) Validate() error {
 	}
 	if c.CoresPerNode < 1 {
 		return fmt.Errorf("cluster: need at least one core per node, got %d", c.CoresPerNode)
-	}
-	if c.Quantum < 0 {
-		return fmt.Errorf("cluster: negative quantum %v", c.Quantum)
 	}
 	if err := c.Fabric.Validate(); err != nil {
 		return err
@@ -78,30 +69,23 @@ type Node struct {
 	// Engine is the shard the node's simulation state lives on (the
 	// cluster engine when running serial). Procs interacting with the
 	// node — ranks, their CQs and timers — must run on this engine.
-	Engine  *sim.Engine
-	CPU     *sim.Resource
-	HCA     *ibv.HCA
-	quantum time.Duration
+	Engine *sim.Engine
+	CPU    *sim.Resource
+	HCA    *ibv.HCA
 }
+
+// quantum is the scheduling timeslice for oversubscribed compute: threads
+// beyond the core count timeshare in round-robin slices of this length
+// instead of running to completion, as a preemptive OS scheduler would.
+const quantum = time.Millisecond
 
 // Compute runs d worth of single-core work on the node. Work is consumed
 // in scheduler quanta: when more threads are runnable than cores exist,
 // they round-robin, so oversubscribed threads all finish within roughly
 // one quantum of each other rather than in waves.
 func (n *Node) Compute(p *sim.Proc, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	q := n.quantum
-	if q <= 0 {
-		n.CPU.Use(p, d)
-		return
-	}
 	for d > 0 {
-		slice := q
-		if d < slice {
-			slice = d
-		}
+		slice := min(d, quantum)
 		n.CPU.Use(p, slice)
 		d -= slice
 	}
@@ -149,10 +133,7 @@ func New(cfg Config) *Cluster {
 	var set *sim.ShardSet
 	var e *sim.Engine
 	if nshard > 1 {
-		set = sim.NewShardSet(nshard, cfg.Fabric.Lookahead())
-		if m := shardLookaheadMatrix(cfg, topo, shardOf, nshard); m != nil {
-			set.SetLookaheadMatrix(m)
-		}
+		set = sim.NewShardSet(shardLookaheadMatrix(cfg, topo, shardOf, nshard))
 		e = set.Engine(0)
 	} else {
 		e = sim.NewEngine()
@@ -165,20 +146,18 @@ func New(cfg Config) *Cluster {
 			ne = set.Engine(shardOf(i))
 		}
 		c.Nodes = append(c.Nodes, &Node{
-			ID:      i,
-			Engine:  ne,
-			CPU:     sim.NewResource(ne, cfg.CoresPerNode),
-			HCA:     ibv.NewHCA(ne, f, fmt.Sprintf("node%d", i)),
-			quantum: cfg.Quantum,
+			ID:     i,
+			Engine: ne,
+			CPU:    sim.NewResource(ne, cfg.CoresPerNode),
+			HCA:    ibv.NewHCA(ne, f, fmt.Sprintf("node%d", i)),
 		})
 	}
 	return c
 }
 
 // shardLookaheadMatrix derives the per-pair shard lookahead matrix from
-// the fabric's topology, or returns nil when every entry would equal the
-// scalar floor (no matrix needed — the floor is exact). HCA ports are
-// created in node order, so port ID equals node ID.
+// the fabric's topology; on a single link every entry is the floor λ. HCA
+// ports are created in node order, so port ID equals node ID.
 //
 // The entry for a shard pair (s, d) lower-bounds every cross-engine post
 // from s to d:
@@ -194,8 +173,8 @@ func New(cfg Config) *Cluster {
 //     never bound to a port engine and run on shard 0 (the fabric's
 //     engine), so they relax shard 0's rows.
 //
-// Every bound is >= λ (link latencies participate in the floor), so the
-// matrix always satisfies the ShardSet contract.
+// Every bound is >= λ > 0 (link latencies participate in the floor), so
+// the matrix always satisfies the ShardSet contract.
 func shardLookaheadMatrix(cfg Config, topo *fabric.Topology, shardOf func(int) int, nshard int) [][]time.Duration {
 	la := cfg.Fabric.Lookahead()
 	m := make([][]time.Duration, nshard)
@@ -251,17 +230,6 @@ func shardLookaheadMatrix(cfg Config, topo *fabric.Topology, shardOf func(int) i
 		topo.RelayPairs(func(in, out fabric.Link) {
 			relax(ownerShard(in), ownerShard(out), in.Latency)
 		})
-	}
-	flat := true
-	for s := range m {
-		for d := range m[s] {
-			if m[s][d] != la {
-				flat = false
-			}
-		}
-	}
-	if flat {
-		return nil
 	}
 	return m
 }

@@ -22,11 +22,11 @@ import (
 //     AllocsPerRun gate proves it at runtime).
 //   - The switcher (finishRound, decide) runs once per round at MPI_Start,
 //     where the request is quiescent. It folds the per-partition arrival
-//     offsets of the last AdaptiveWindow rounds into a histogram, scores
-//     every candidate grouping with the PLogGP cost terms evaluated against
-//     that histogram (rather than the model's uniform many-before-one
-//     assumption), and switches only past a hysteresis margin and a dwell
-//     time, so measurement noise cannot make it flap.
+//     offsets of the last defaultAdaptiveWindow rounds into a histogram,
+//     scores every candidate grouping with the PLogGP cost terms evaluated
+//     against that histogram (rather than the model's uniform
+//     many-before-one assumption), and switches only past a hysteresis
+//     margin and a dwell time, so measurement noise cannot make it flap.
 //
 // Candidate designs are the three in-library aggregations reachable without
 // renegotiating endpoints: the eager no-aggregation grouping (transport ==
@@ -129,7 +129,11 @@ func (s AdaptiveStats) Equal(o AdaptiveStats) bool {
 	return true
 }
 
-// Adaptive switcher defaults (see Options.Adaptive* for the overrides).
+// Adaptive switcher settings: the observation ring holds
+// defaultAdaptiveWindow completed rounds, and the first switch waits for it
+// to fill; a candidate must beat the incumbent by
+// defaultAdaptiveHysteresisPct percent, at least defaultAdaptiveDwell
+// rounds after the last switch.
 const (
 	defaultAdaptiveWindow        = 8
 	defaultAdaptiveHysteresisPct = 10.0
@@ -224,25 +228,13 @@ func newAdaptiveState(opts Options, plan Plan, userParts, totalBytes int, model 
 		partBytes:  totalBytes / userParts,
 		totalBytes: totalBytes,
 		qps:        plan.QPs,
-		window:     opts.AdaptiveWindow,
-		hystPct:    opts.AdaptiveHysteresisPct,
-		dwell:      opts.AdaptiveDwell,
+		window:     defaultAdaptiveWindow,
+		hystPct:    defaultAdaptiveHysteresisPct,
+		dwell:      defaultAdaptiveDwell,
+		warmup:     defaultAdaptiveWindow,
 		mode:       AdaptivePLogGP,
 		transport:  plan.Transport,
 		delta:      opts.delta(),
-	}
-	if a.window <= 0 {
-		a.window = defaultAdaptiveWindow
-	}
-	if a.hystPct <= 0 {
-		a.hystPct = defaultAdaptiveHysteresisPct
-	}
-	if a.dwell <= 0 {
-		a.dwell = defaultAdaptiveDwell
-	}
-	a.warmup = opts.AdaptiveWarmup
-	if a.warmup <= 0 {
-		a.warmup = a.window
 	}
 	if plan.Transport == userParts {
 		a.mode = AdaptiveEager

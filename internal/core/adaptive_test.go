@@ -30,11 +30,10 @@ func TestAdaptiveRoundTrip(t *testing.T) {
 
 // newTestAdaptive builds a switcher directly, bypassing the engine: 16
 // partitions over 2 QPs gives the candidate set {2, 4, 8, 16}.
-func newTestAdaptive(opts Options) *adaptiveState {
+func newTestAdaptive() *adaptiveState {
 	const userParts, totalBytes = 16, 256 << 10
-	opts.Strategy = StrategyAdaptive
 	plan := Plan{Transport: 4, GroupSize: userParts / 4, QPs: 2}
-	return newAdaptiveState(opts, plan, userParts, totalBytes, defaultModel())
+	return newAdaptiveState(Options{Strategy: StrategyAdaptive}, plan, userParts, totalBytes, defaultModel())
 }
 
 // feedRound drives one synthetic observed round through the recorder.
@@ -60,7 +59,7 @@ func stragglerOffsets(n int, lag time.Duration) []time.Duration {
 }
 
 func TestAdaptiveSwitchesToTimerOnStraggler(t *testing.T) {
-	a := newTestAdaptive(Options{})
+	a := newTestAdaptive()
 	round := 1
 	for i := 0; i < 3*a.window; i++ {
 		feedRound(a, stragglerOffsets(a.userParts, 5*time.Millisecond), 6*time.Millisecond)
@@ -82,7 +81,8 @@ func TestAdaptiveSwitchesToTimerOnStraggler(t *testing.T) {
 }
 
 func TestAdaptiveWarmupAndDwellGate(t *testing.T) {
-	a := newTestAdaptive(Options{AdaptiveWindow: 4, AdaptiveDwell: 3})
+	a := newTestAdaptive()
+	a.dwell = 3
 	offs := stragglerOffsets(a.userParts, 5*time.Millisecond)
 	// During warm-up no decision may change the design.
 	for r := 0; r < a.warmup-1; r++ {
@@ -108,7 +108,8 @@ func TestAdaptiveWarmupAndDwellGate(t *testing.T) {
 func TestAdaptiveHysteresisBlocksMarginalSwitch(t *testing.T) {
 	// With an extreme hysteresis margin no observable improvement can
 	// justify a switch.
-	a := newTestAdaptive(Options{AdaptiveHysteresisPct: 99})
+	a := newTestAdaptive()
+	a.hystPct = 99
 	for i := 0; i < 4*a.window; i++ {
 		feedRound(a, stragglerOffsets(a.userParts, 5*time.Millisecond), 6*time.Millisecond)
 		if a.decide(i + 2) {
@@ -121,7 +122,7 @@ func TestAdaptiveHysteresisBlocksMarginalSwitch(t *testing.T) {
 }
 
 func TestAdaptiveRegretAccounting(t *testing.T) {
-	a := newTestAdaptive(Options{})
+	a := newTestAdaptive()
 	feedRound(a, stragglerOffsets(a.userParts, time.Microsecond), 100*time.Hour)
 	s := a.stats()
 	if s.ObservedNs != int64(100*time.Hour) {
@@ -139,7 +140,7 @@ func TestAdaptiveRecordingZeroAllocs(t *testing.T) {
 	// The observer path — beginRound, one recordArrival per partition,
 	// noteDone, the ring fold, and a (non-switching) decision —
 	// must allocate nothing in steady state.
-	a := newTestAdaptive(Options{})
+	a := newTestAdaptive()
 	offs := stragglerOffsets(a.userParts, 50*time.Microsecond)
 	round := 1
 	// Prime past warm-up so decide runs its full scoring path.

@@ -38,8 +38,8 @@
 //     laggard cannot hold back the whole group.
 //
 // The module programs against the provider-neutral transport SPI
-// (internal/xport) only: the same strategy code runs over the verbs, ucx,
-// and shm backends, selected at Engine construction.
+// (internal/xport) only: the same strategy code runs over the verbs and
+// shm backends, selected at Engine construction.
 package core
 
 import (

@@ -164,20 +164,6 @@ type Options struct {
 	// with IBV_SEND_INLINE. The paper leaves inlining/BlueFlame to future
 	// work and keeps it off; enable it to run that study.
 	UseInline bool
-
-	// AdaptiveWindow is the number of completed rounds the adaptive
-	// strategy's observation ring holds (zero selects 8).
-	AdaptiveWindow int
-	// AdaptiveHysteresisPct is the relative improvement a candidate design
-	// must show over the incumbent before the switcher moves (zero
-	// selects 10).
-	AdaptiveHysteresisPct float64
-	// AdaptiveDwell is the minimum number of rounds between switches
-	// (zero selects 4).
-	AdaptiveDwell int
-	// AdaptiveWarmup is the number of completed rounds before the first
-	// switch is allowed (zero selects AdaptiveWindow).
-	AdaptiveWarmup int
 }
 
 // Plan is the resolved aggregation scheme for one request.

@@ -96,7 +96,7 @@ func (pr *Precv) Start(p *sim.Proc) error {
 	if err := pr.e.err; err != nil {
 		return err
 	}
-	p.Sleep(pr.r.World().Costs().StartOverhead)
+	p.Sleep(mpi.StartOverhead)
 	pr.round++
 	for i := range pr.arrived {
 		pr.arrived[i] = false
@@ -117,7 +117,7 @@ func (pr *Precv) Start(p *sim.Proc) error {
 			}
 		}
 		need := pr.needWRs
-		recvPost := pr.r.World().Costs().RecvPostOverhead
+		recvPost := mpi.RecvPostOverhead
 		for q, ep := range pr.eps {
 			for pr.availWRs[q] < need[q] {
 				p.Sleep(recvPost)

@@ -233,7 +233,7 @@ func (ps *Psend) Start(p *sim.Proc) error {
 			}
 		}
 	}
-	p.Sleep(ps.r.World().Costs().StartOverhead)
+	p.Sleep(mpi.StartOverhead)
 	round := ps.round
 	ps.r.WaitOn(p, func() bool {
 		return (ps.connected && ps.credits >= round) || ps.e.err != nil
@@ -276,7 +276,7 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 	// The atomic add-and-fetch on the transport partition's flag array:
 	// concurrent callers serialize on the cache line.
 	ps.flagLock.Acquire(p)
-	p.Sleep(ps.r.World().Costs().PreadyOverhead)
+	p.Sleep(mpi.PreadyOverhead)
 	ps.flagLock.Release()
 
 	if ps.opts.Strategy == StrategyBaseline {
@@ -349,7 +349,7 @@ func (ps *Psend) baselinePready(p *sim.Proc, i int) error {
 	lock := ps.r.PostLock()
 	lock.Acquire(p)
 	err := ps.e.msgr.SendMR(p, ps.dest, baselineHeader(ps.peerReq, i), ps.mr, i*ps.partBytes, ps.partBytes)
-	p.Sleep(ps.r.World().Costs().PostLockHold)
+	p.Sleep(mpi.PostLockHold)
 	lock.Release()
 	if err != nil {
 		return fmt.Errorf("core: baseline SendMR: %w", err)
@@ -384,7 +384,7 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	// doorbell under the endpoint's lock.
 	lock := ps.epLocks[epIdx]
 	lock.Acquire(p)
-	p.Sleep(ps.r.World().Costs().PostOverhead)
+	p.Sleep(mpi.PostOverhead)
 	ps.segScratch[0] = xport.Seg{Mem: ps.mr, Off: off, Len: bytes}
 	ps.wrScratch = xport.SendWR{
 		WRID:       uint64(ps.reqID)<<32 | uint64(uint32(first)),

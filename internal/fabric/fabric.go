@@ -174,7 +174,7 @@ func (c Config) Topology() *Topology {
 // inter-rack extra of a two-level topology, shortest-path link latencies
 // in a graph topology). Every effect the fabric schedules from port a onto
 // port b's engine is at least this far in the future, so it is a sound
-// per-pair conservative-PDES lookahead (sim.ShardSet.SetLookaheadMatrix).
+// per-pair conservative-PDES lookahead (see sim.NewShardSet).
 func (c Config) PairLookahead(a, b int) time.Duration {
 	return c.Lookahead() + c.Topology().PairExtra(a, b)
 }
@@ -267,10 +267,13 @@ type Port struct {
 	ingressRoute [1]*linkState
 
 	ctrlHandler func(from *Port, payload any)
-	// ctrlLastAt enforces FIFO control delivery per destination port. It
-	// is advanced by arrival-side reservation events, so it is owned by
-	// the destination engine.
-	ctrlLastAt sim.Time
+	// ctrlLastAt enforces FIFO control delivery per destination port, and
+	// ctrlPending lists the control messages arriving at the current
+	// instant, in delivery order, until fireCtrlFlush delivers them. Both
+	// are advanced by arrival-side events, so they are owned by the
+	// destination engine.
+	ctrlLastAt  sim.Time
+	ctrlPending *ctrlDelivery
 	// ctrlFree recycles this port's outbound control-delivery records.
 	// Records are allocated by the sending port. A delivered record goes
 	// back to the sender's list when both ports share an engine, so even
@@ -343,32 +346,58 @@ func (p *Port) SetControlHandler(h func(from *Port, payload any)) {
 }
 
 // ctrlDelivery is one in-flight control-plane message, pre-bound to its
-// arrival event so SendControl schedules without a closure.
+// arrival event so SendControl schedules without a closure. next links
+// the destination's same-instant arrivals (Port.ctrlPending).
 type ctrlDelivery struct {
 	src, dst *Port
 	payload  any
+	next     *ctrlDelivery
 }
 
 // fireCtrlArrive runs on the destination engine when a control message
 // arrives (one control latency — plus the pair's inter-rack extra — after
-// the send). It applies the destination's FIFO serialization: an
-// uncontended arrival is delivered inline; an arrival at or before the
-// previous delivery instant is pushed one nanosecond behind it. Arrivals
-// from one sender are its sends shifted by a per-pair constant, so they
-// fire in send order and per-sender FIFO holds; across senders the
-// serialization follows arrival timestamps, a deterministic total order —
-// and every delivery timestamp is identical to charging the cursor at
-// arrival time the way a single serial engine would.
+// the send). Messages arriving at one port at the same instant can fire in
+// any order: which fires first follows the engine's event order, which
+// differs between a serial run and a sharded one. So an arrival only joins
+// the port's pending list, in canonical order — by source port, then
+// per-sender FIFO — and the first one of an instant schedules
+// fireCtrlFlush at that same instant. Every arrival was posted at least
+// one control latency earlier, so the whole instant's list is built before
+// the flush fires. Arrivals from one sender are its sends shifted by a
+// per-pair constant, so they fire in send order and FIFO holds.
 func fireCtrlArrive(at sim.Time, arg any) {
 	cd := arg.(*ctrlDelivery)
 	dst := cd.dst
-	if at <= dst.ctrlLastAt {
+	link := &dst.ctrlPending
+	if *link == nil {
+		dst.eng.AtCall(at, fireCtrlFlush, dst)
+	}
+	for *link != nil && (*link).src.id <= cd.src.id {
+		link = &(*link).next
+	}
+	cd.next, *link = *link, cd
+}
+
+// fireCtrlFlush delivers one instant's control arrivals at a port in list
+// order and applies the destination's FIFO serialization: the first is
+// delivered at the arrival instant unless an earlier delivery already took
+// it, and each later one one nanosecond behind its predecessor. Delivery
+// timestamps therefore depend only on arrival timestamps and source ports,
+// never on event order.
+func fireCtrlFlush(at sim.Time, arg any) {
+	dst := arg.(*Port)
+	cd := dst.ctrlPending
+	dst.ctrlPending = nil
+	if at > dst.ctrlLastAt {
+		dst.ctrlLastAt = at
+		next := cd.next
+		fireCtrlDeliver(at, cd)
+		cd = next
+	}
+	for ; cd != nil; cd = cd.next {
 		dst.ctrlLastAt++
 		dst.eng.AtCall(dst.ctrlLastAt, fireCtrlDeliver, cd)
-		return
 	}
-	dst.ctrlLastAt = at
-	fireCtrlDeliver(at, arg)
 }
 
 // fireCtrlDeliver hands an arrived control message to the destination
@@ -379,7 +408,7 @@ func fireCtrlDeliver(_ sim.Time, arg any) {
 	src, dst, payload := cd.src, cd.dst, cd.payload
 	// Recycle before invoking the handler: handlers may send further
 	// control messages and can then reuse this record.
-	cd.src, cd.dst, cd.payload = nil, nil, nil
+	cd.src, cd.dst, cd.payload, cd.next = nil, nil, nil, nil
 	if src.eng == dst.eng {
 		src.ctrlFree = append(src.ctrlFree, cd)
 	} else if len(dst.ctrlFree) < len(dst.fab.ports) {
@@ -392,9 +421,10 @@ func fireCtrlDeliver(_ sim.Time, arg any) {
 }
 
 // SendControl delivers payload to dst's control handler after the
-// control-plane latency. Delivery order to a given destination is FIFO
-// across all senders (a deterministic total order, like a serialized
-// management network). Must be called on the sending port's engine.
+// control-plane latency. Deliveries to a given destination are serialized
+// like a management network's: in arrival order, with same-instant
+// arrivals ordered by source port and then per-sender FIFO (see
+// fireCtrlFlush). Must be called on the sending port's engine.
 func (p *Port) SendControl(dst *Port, payload any) {
 	e := p.eng
 	var cd *ctrlDelivery

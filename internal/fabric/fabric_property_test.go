@@ -124,9 +124,9 @@ func TestBandwidthNeverExceedsLink(t *testing.T) {
 // random rack size, inter-rack extra, and perturbed base latencies — the
 // per-pair lookahead of any port pair is at least the global floor,
 // symmetric, and exactly the floor within a rack. The shard runtime
-// depends on this invariant: SetLookaheadMatrix rejects entries below the
-// floor, and windows widened per pair are only sound if every pair bound
-// really dominates the scalar one.
+// depends on this invariant: the shard lookahead matrix is built from
+// these pair bounds, and windows widened per pair are only sound if every
+// pair bound really dominates the floor.
 func TestPairLookaheadFloorProperty(t *testing.T) {
 	f := func(rackRaw uint8, extraRaw uint16, wireRaw, ackRaw, ctrlRaw uint16, aRaw, bRaw uint8) bool {
 		cfg := DefaultConfig()

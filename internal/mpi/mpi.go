@@ -18,48 +18,33 @@ import (
 	"repro/internal/sim"
 )
 
-// SoftwareCosts models the CPU path lengths of the MPI library itself —
-// the costs that differentiate posting one aggregated work request from
-// posting 32 small ones even when the wire is idle.
-type SoftwareCosts struct {
+// The CPU path lengths of the MPI library itself — the costs that
+// differentiate posting one aggregated work request from posting 32 small
+// ones even when the wire is idle. They are fixed properties of the
+// modelled library, like the paper's measured stack.
+const (
 	// WCProcess is charged per work completion drained by the progress
 	// engine (CQ poll, request lookup, flag update).
-	WCProcess time.Duration
+	WCProcess = 100 * time.Nanosecond
 	// PostOverhead is charged per ibv_post_send of a pre-built work
 	// request (the doorbell path the partitioned module uses — the WRs
 	// are created at init time, Section IV-B).
-	PostOverhead time.Duration
+	PostOverhead = 150 * time.Nanosecond
 	// PreadyOverhead is charged per MPI_Pready (the atomic add-and-fetch
 	// on the transport-partition flag array).
-	PreadyOverhead time.Duration
+	PreadyOverhead = 60 * time.Nanosecond
 	// PostLockHold is the length of the library-wide critical section
 	// around the traditional (baseline) send path; concurrent posters
 	// serialize on it — the lock contention the paper's 128-partition
 	// runs expose.
-	PostLockHold time.Duration
+	PostLockHold = 250 * time.Nanosecond
 	// RecvPostOverhead is charged per receive work request replenished in
 	// MPI_Start.
-	RecvPostOverhead time.Duration
+	RecvPostOverhead = 100 * time.Nanosecond
 	// StartOverhead is charged per MPI_Start call (request reset, flag
 	// clearing).
-	StartOverhead time.Duration
-	// CtrlProcess is charged per control-plane message handled.
-	CtrlProcess time.Duration
-}
-
-// DefaultCosts returns the software cost model used throughout the
-// evaluation.
-func DefaultCosts() SoftwareCosts {
-	return SoftwareCosts{
-		WCProcess:        100 * time.Nanosecond,
-		PostOverhead:     150 * time.Nanosecond,
-		PreadyOverhead:   60 * time.Nanosecond,
-		PostLockHold:     250 * time.Nanosecond,
-		RecvPostOverhead: 100 * time.Nanosecond,
-		StartOverhead:    500 * time.Nanosecond,
-		CtrlProcess:      200 * time.Nanosecond,
-	}
-}
+	StartOverhead = 500 * time.Nanosecond
+)
 
 // Config describes an MPI job.
 type Config struct {
@@ -68,16 +53,12 @@ type Config struct {
 	// RanksPerNode places this many ranks on each node; total world size
 	// is Cluster.Nodes * RanksPerNode. Zero selects 1.
 	RanksPerNode int
-	// Costs is the library software cost model; the zero value selects
-	// DefaultCosts.
-	Costs SoftwareCosts
 }
 
 // World is one MPI job: a set of ranks on a cluster.
 type World struct {
 	cluster *cluster.Cluster
 	ranks   []*Rank
-	costs   SoftwareCosts
 }
 
 // onCtrl is the per-node port handler: it routes an arriving control
@@ -96,11 +77,8 @@ func NewWorld(cfg Config) *World {
 	if cfg.RanksPerNode < 0 {
 		panic(fmt.Sprintf("mpi: negative RanksPerNode %d", cfg.RanksPerNode))
 	}
-	if cfg.Costs == (SoftwareCosts{}) {
-		cfg.Costs = DefaultCosts()
-	}
 	c := cluster.New(cfg.Cluster)
-	w := &World{cluster: c, costs: cfg.Costs}
+	w := &World{cluster: c}
 	for n, node := range c.Nodes {
 		node.HCA.Port().SetControlHandler(w.onCtrl)
 		for j := 0; j < cfg.RanksPerNode; j++ {
@@ -121,9 +99,6 @@ func (w *World) Cluster() *cluster.Cluster { return w.cluster }
 
 // Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.cluster.Engine }
-
-// Costs returns the software cost model.
-func (w *World) Costs() SoftwareCosts { return w.costs }
 
 // Launch spawns one proc per rank running body and returns a Group that
 // becomes zero when every rank's body has returned. Run the engine to

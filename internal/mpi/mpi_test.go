@@ -34,19 +34,6 @@ func TestWorldShape(t *testing.T) {
 	}
 }
 
-func TestDefaultCostsApplied(t *testing.T) {
-	w := twoNodeWorld()
-	if w.Costs() != DefaultCosts() {
-		t.Fatalf("Costs = %+v", w.Costs())
-	}
-	custom := DefaultCosts()
-	custom.WCProcess = time.Microsecond
-	w2 := NewWorld(Config{Cluster: cluster.NiagaraConfig(1), Costs: custom})
-	if w2.Costs().WCProcess != time.Microsecond {
-		t.Fatal("custom costs ignored")
-	}
-}
-
 func TestRunExecutesEveryRank(t *testing.T) {
 	w := NewWorld(Config{Cluster: cluster.NiagaraConfig(3), RanksPerNode: 2})
 	seen := make([]bool, w.Size())
@@ -322,7 +309,7 @@ func TestWaitOnWakesOnCtrl(t *testing.T) {
 func TestPostLockedSerializes(t *testing.T) {
 	w := twoNodeWorld()
 	r := w.Rank(0)
-	hold := w.Costs().PostLockHold
+	hold := PostLockHold
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		w.Engine().Spawn("poster", func(p *sim.Proc) {

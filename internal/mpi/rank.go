@@ -109,7 +109,7 @@ func (r *Rank) Hardware() any { return r.node }
 
 // CompletionCost is the CPU time the progress engine charges per drained
 // completion.
-func (r *Rank) CompletionCost() time.Duration { return r.w.costs.WCProcess }
+func (r *Rank) CompletionCost() time.Duration { return WCProcess }
 
 // AddProgressSource hooks a provider's completion queues into the rank's
 // progress engine. Sources are drained in registration order.
@@ -235,10 +235,10 @@ func (r *Rank) WaitOn(p *sim.Proc, pred func() bool) {
 }
 
 // PostLocked runs fn inside the library's per-rank post critical section,
-// charging the configured hold time. Concurrent posters serialize.
+// charging PostLockHold. Concurrent posters serialize.
 func (r *Rank) PostLocked(p *sim.Proc, fn func()) {
 	r.postLock.Acquire(p)
-	p.Sleep(r.w.costs.PostLockHold)
+	p.Sleep(PostLockHold)
 	fn()
 	r.postLock.Release()
 }

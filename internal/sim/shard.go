@@ -121,14 +121,12 @@ const spinRounds = 256
 // member engines, then call Run.
 type ShardSet struct {
 	engines []*Engine
-	// lambda is the global lookahead floor; lam, when non-nil, is the
-	// per-pair lookahead matrix (lam[src][dst] ≥ lambda) and dist its
-	// min-plus all-pairs closure. inMin[d] is the minimum incoming
-	// lookahead of shard d — the dynamic self-cap increment.
-	lambda time.Duration
-	lam    [][]time.Duration
-	dist   [][]time.Duration
-	inMin  []time.Duration
+	// lam is the per-pair lookahead matrix and dist its min-plus
+	// all-pairs closure. inMin[d] is the minimum incoming lookahead of
+	// shard d — the dynamic self-cap increment.
+	lam   [][]time.Duration
+	dist  [][]time.Duration
+	inMin []time.Duration
 
 	// mail[src][dst] holds posts from shard src to shard dst.
 	mail [][]mailbox
@@ -186,18 +184,30 @@ type ShardSet struct {
 	stalls   uint64
 }
 
-// NewShardSet creates n engines advancing under uniform lookahead λ. It
-// panics on n < 1 or, for n > 1, a non-positive λ (zero lookahead admits
-// no conservative window; run serial instead). Use SetLookaheadMatrix to
-// widen individual pairs afterwards.
-func NewShardSet(n int, lambda time.Duration) *ShardSet {
+// NewShardSet creates one engine per row of the lookahead matrix:
+// lam[src][dst] lower-bounds the gap between any event on shard src and the
+// cross-shard posts it emits toward shard dst, and the diagonal is ignored.
+// A uniform matrix is one global lookahead λ. It panics on an empty or
+// non-square matrix, or on a non-positive off-diagonal entry (zero
+// lookahead admits no conservative window; run serial instead).
+func NewShardSet(lam [][]time.Duration) *ShardSet {
+	n := len(lam)
 	if n < 1 {
 		panic("sim: ShardSet needs at least one shard")
 	}
-	if n > 1 && lambda <= 0 {
-		panic("sim: ShardSet with more than one shard needs positive lookahead")
+	m := make([][]time.Duration, n)
+	for i := range lam {
+		if len(lam[i]) != n {
+			panic(fmt.Sprintf("sim: lookahead matrix row %d has %d entries, want %d", i, len(lam[i]), n))
+		}
+		m[i] = append([]time.Duration(nil), lam[i]...)
+		for j, d := range m[i] {
+			if i != j && d <= 0 {
+				panic(fmt.Sprintf("sim: pair lookahead λ[%d][%d]=%v is not positive", i, j, d))
+			}
+		}
 	}
-	s := &ShardSet{lambda: lambda}
+	s := &ShardSet{lam: m}
 	s.engines = make([]*Engine, n)
 	s.mail = make([][]mailbox, n)
 	for i := range s.engines {
@@ -213,41 +223,6 @@ func NewShardSet(n int, lambda time.Duration) *ShardSet {
 	s.seeds = make([]Time, n)
 	s.nextSlot = make([]Time, n)
 	s.engaged = make([]int, 0, n)
-	s.inMin = make([]time.Duration, n)
-	for i := range s.inMin {
-		s.inMin[i] = lambda
-	}
-	s.coordinator.wake = make(chan struct{}, 1)
-	return s
-}
-
-// SetLookaheadMatrix installs a per-pair lookahead matrix: lam[src][dst]
-// lower-bounds the gap between any event on shard src and the cross-shard
-// posts it emits toward shard dst. Every entry must be at least the
-// scalar lookahead the set was constructed with — the scalar is the
-// matrix's floor, so a matrix can only widen windows, never narrow the
-// soundness bound. The diagonal is ignored. Must be called before Run.
-func (s *ShardSet) SetLookaheadMatrix(lam [][]time.Duration) {
-	n := len(s.engines)
-	if len(lam) != n {
-		panic(fmt.Sprintf("sim: lookahead matrix is %dx, want %dx%d", len(lam), n, n))
-	}
-	m := make([][]time.Duration, n)
-	for i := range lam {
-		if len(lam[i]) != n {
-			panic(fmt.Sprintf("sim: lookahead matrix row %d has %d entries, want %d", i, len(lam[i]), n))
-		}
-		m[i] = append([]time.Duration(nil), lam[i]...)
-		for j, d := range m[i] {
-			if i == j {
-				continue
-			}
-			if d < s.lambda {
-				panic(fmt.Sprintf("sim: pair lookahead λ[%d][%d]=%v below the global floor %v", i, j, d, s.lambda))
-			}
-		}
-	}
-	s.lam = m
 	// All-pairs min-plus closure (Floyd–Warshall over the shard graph):
 	// reaction chains may relay through any shard, so the bound for a
 	// (seed, destination) pair is the shortest lookahead path, not the
@@ -257,9 +232,7 @@ func (s *ShardSet) SetLookaheadMatrix(lam [][]time.Duration) {
 	for i := range d {
 		d[i] = make([]time.Duration, n)
 		for j := range d[i] {
-			if i == j {
-				d[i][j] = 0
-			} else {
+			if i != j {
 				d[i][j] = m[i][j]
 			}
 		}
@@ -274,6 +247,7 @@ func (s *ShardSet) SetLookaheadMatrix(lam [][]time.Duration) {
 		}
 	}
 	s.dist = d
+	s.inMin = make([]time.Duration, n)
 	for j := 0; j < n; j++ {
 		min := time.Duration(math.MaxInt64)
 		for i := 0; i < n; i++ {
@@ -283,6 +257,8 @@ func (s *ShardSet) SetLookaheadMatrix(lam [][]time.Duration) {
 		}
 		s.inMin[j] = min
 	}
+	s.coordinator.wake = make(chan struct{}, 1)
+	return s
 }
 
 // Engines returns the member engines in shard order.
@@ -294,17 +270,8 @@ func (s *ShardSet) Engine(i int) *Engine { return s.engines[i] }
 // Shards returns the shard count.
 func (s *ShardSet) Shards() int { return len(s.engines) }
 
-// Lookahead returns the global lookahead floor λ.
-func (s *ShardSet) Lookahead() time.Duration { return s.lambda }
-
-// PairLookahead returns the effective lookahead from shard src to shard
-// dst: the matrix entry when one is installed, the scalar floor otherwise.
-func (s *ShardSet) PairLookahead(src, dst int) time.Duration {
-	if s.lam != nil {
-		return s.lam[src][dst]
-	}
-	return s.lambda
-}
+// PairLookahead returns the lookahead from shard src to shard dst.
+func (s *ShardSet) PairLookahead(src, dst int) time.Duration { return s.lam[src][dst] }
 
 // ShardStats describes one completed run of the set.
 type ShardStats struct {
@@ -555,13 +522,7 @@ func (s *ShardSet) computeBounds() {
 			if src == d || s.seeds[src] == timeInf {
 				continue
 			}
-			var hop Time
-			if s.dist != nil {
-				hop = s.seeds[src].Add(s.dist[src][d])
-			} else {
-				hop = s.seeds[src].Add(s.lambda)
-			}
-			if hop < end {
+			if hop := s.seeds[src].Add(s.dist[src][d]); hop < end {
 				end = hop
 			}
 		}

@@ -99,21 +99,31 @@ func runCascadeSerial(t *testing.T, nodes, hops int) ([][]Time, uint64) {
 	return c.logs, e.Events()
 }
 
-// runCascadeSharded executes the same workload on a ShardSet with node i
-// on shard i%shards.
-func runCascadeSharded(t *testing.T, nodes, hops, shards, workers int) ([][]Time, *ShardSet) {
-	t.Helper()
-	return runCascadeShardedOpts(t, nodes, hops, shards, workers, nil)
+// uniformLookahead is the n×n lookahead matrix with λ on every pair.
+func uniformLookahead(n int, lam time.Duration) [][]time.Duration {
+	m := make([][]time.Duration, n)
+	for i := range m {
+		m[i] = make([]time.Duration, n)
+		for j := range m[i] {
+			m[i][j] = lam
+		}
+	}
+	return m
 }
 
-// runCascadeShardedOpts is runCascadeSharded with a configuration hook
-// applied before seeding (a lookahead matrix).
-func runCascadeShardedOpts(t *testing.T, nodes, hops, shards, workers int, configure func(*ShardSet)) ([][]Time, *ShardSet) {
+// runCascadeSharded executes the same workload on a ShardSet with node i
+// on shard i%shards, under the uniform floor λ.
+func runCascadeSharded(t *testing.T, nodes, hops, shards, workers int) ([][]Time, *ShardSet) {
 	t.Helper()
-	s := NewShardSet(shards, cascadeLambda)
-	if configure != nil {
-		configure(s)
-	}
+	return runCascadeShardedMatrix(t, nodes, hops, workers, uniformLookahead(shards, cascadeLambda))
+}
+
+// runCascadeShardedMatrix is runCascadeSharded under an arbitrary
+// lookahead matrix, one shard per row.
+func runCascadeShardedMatrix(t *testing.T, nodes, hops, workers int, lam [][]time.Duration) ([][]Time, *ShardSet) {
+	t.Helper()
+	s := NewShardSet(lam)
+	shards := len(lam)
 	c := &cascade{engs: make([]*Engine, nodes), logs: make([][]Time, nodes)}
 	for i := range c.engs {
 		c.engs[i] = s.Engine(i % shards)
@@ -204,33 +214,6 @@ func TestShardSetWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// TestShardSetUniformMatrixMatchesScalar: a lookahead matrix whose every
-// entry equals the global floor must behave exactly like the scalar
-// configuration — identical timelines and identical hop accounting.
-func TestShardSetUniformMatrixMatchesScalar(t *testing.T) {
-	const nodes, hops = 8, 24
-	want, _ := runCascadeSerial(t, nodes, hops)
-	for _, shards := range []int{2, 4, 8} {
-		label := fmt.Sprintf("shards=%d", shards)
-		_, scalar := runCascadeSharded(t, nodes, hops, shards, 0)
-		uniform := make([][]time.Duration, shards)
-		for i := range uniform {
-			uniform[i] = make([]time.Duration, shards)
-			for j := range uniform[i] {
-				uniform[i][j] = cascadeLambda
-			}
-		}
-		got, matrix := runCascadeShardedOpts(t, nodes, hops, shards, 0,
-			func(s *ShardSet) { s.SetLookaheadMatrix(uniform) })
-		diffCascadeLogs(t, label, want, got)
-		ss, ms := scalar.Stats(), matrix.Stats()
-		if ss.Windows != ms.Windows || ss.TminHops != ms.TminHops || ss.CrossPosts != ms.CrossPosts {
-			t.Errorf("%s: uniform matrix windows/hops/crossposts %d/%d/%d differ from scalar %d/%d/%d",
-				label, ms.Windows, ms.TminHops, ms.CrossPosts, ss.Windows, ss.TminHops, ss.CrossPosts)
-		}
-	}
-}
-
 // TestShardSetNonUniformMatrixMatchesSerial drives the cascade with an
 // honest non-uniform matrix. With node i on shard i%4 of 8 nodes, shard s
 // posts to shard (s+1)%4 exactly λ out, to (s+2)%4 exactly 2λ out, and to
@@ -238,7 +221,7 @@ func TestShardSetUniformMatrixMatchesScalar(t *testing.T) {
 // true per-pair bounds (the closure relays s→s+1→s+3 at 3λ ≤ 900µs).
 // Results must stay byte-identical to serial at every worker count, with
 // worker-independent stats, and the widened windows must take no more
-// hops than the scalar floor does.
+// hops than the uniform floor does.
 func TestShardSetNonUniformMatrixMatchesSerial(t *testing.T) {
 	const nodes, hops, shards = 8, 24, 4
 	want, _ := runCascadeSerial(t, nodes, hops)
@@ -250,19 +233,18 @@ func TestShardSetNonUniformMatrixMatchesSerial(t *testing.T) {
 		m[s][(s+2)%shards] = 2 * cascadeLambda
 		m[s][(s+3)%shards] = 10 * cascadeLambda
 	}
-	_, scalar := runCascadeSharded(t, nodes, hops, shards, 0)
+	_, uniform := runCascadeSharded(t, nodes, hops, shards, 0)
 	var refStats ShardStats
 	for i, workers := range []int{1, 2, 4} {
 		label := fmt.Sprintf("workers=%d", workers)
-		got, s := runCascadeShardedOpts(t, nodes, hops, shards, workers,
-			func(s *ShardSet) { s.SetLookaheadMatrix(m) })
+		got, s := runCascadeShardedMatrix(t, nodes, hops, workers, m)
 		diffCascadeLogs(t, label, want, got)
 		st := s.Stats()
 		if i == 0 {
 			refStats = st
-			if sc := scalar.Stats(); st.TminHops > sc.TminHops {
-				t.Errorf("non-uniform matrix took %d hops, scalar floor took %d — widening windows must not add hops",
-					st.TminHops, sc.TminHops)
+			if u := uniform.Stats(); st.TminHops > u.TminHops {
+				t.Errorf("non-uniform matrix took %d hops, uniform floor took %d — widening windows must not add hops",
+					st.TminHops, u.TminHops)
 			}
 			continue
 		}
@@ -274,8 +256,9 @@ func TestShardSetNonUniformMatrixMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardSetMatrixValidationPanics pins the matrix setter contract:
-// square NxN shape and no entry below the global floor.
+// TestShardSetMatrixValidationPanics pins the constructor's matrix
+// contract: a square N×N shape, and no off-diagonal entry at or below
+// zero, even when every other pair is positive.
 func TestShardSetMatrixValidationPanics(t *testing.T) {
 	lam := cascadeLambda
 	for _, tc := range []struct {
@@ -284,25 +267,24 @@ func TestShardSetMatrixValidationPanics(t *testing.T) {
 	}{
 		{"wrong-rows", [][]time.Duration{{lam, lam}}},
 		{"wrong-cols", [][]time.Duration{{lam}, {lam}}},
-		{"below-floor", [][]time.Duration{{lam, lam / 2}, {lam, lam}}},
+		{"below-floor", [][]time.Duration{{lam, lam, lam}, {lam, lam, 0}, {lam, lam, lam}}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewShardSet(2, lam)
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("SetLookaheadMatrix(%v) did not panic", tc.m)
+					t.Fatalf("NewShardSet(%v) did not panic", tc.m)
 				}
 			}()
-			s.SetLookaheadMatrix(tc.m)
+			NewShardSet(tc.m)
 		})
 	}
 }
 
 // TestShardSetPairWindowEdge is the per-pair regression for the
 // lookahead-violation assert: with λ[0][1] widened to 2λ, the destination
-// window extends to seed+2λ, so a post one floor-λ out — legal under the
-// scalar floor — now lands inside the open window and must panic loudly,
+// window extends to seed+2λ, so a post one floor-λ out — legal under a
+// uniform floor — now lands inside the open window and must panic loudly,
 // while a post exactly at the widened edge stays legal and is delivered.
 func TestShardSetPairWindowEdge(t *testing.T) {
 	wide := [][]time.Duration{
@@ -310,11 +292,10 @@ func TestShardSetPairWindowEdge(t *testing.T) {
 		{2 * cascadeLambda, cascadeLambda},
 	}
 	t.Run("inside-pair-window-panics", func(t *testing.T) {
-		s := NewShardSet(2, cascadeLambda)
-		s.SetLookaheadMatrix(wide)
+		s := NewShardSet(wide)
 		e0, e1 := s.Engine(0), s.Engine(1)
 		e0.AtCall(Time(1000), func(now Time, _ any) {
-			// now+λ clears the scalar floor but sits inside shard 1's
+			// now+λ clears the floor but sits inside shard 1's
 			// widened [seed, seed+2λ) window: exactly the violation the
 			// per-pair assert must catch.
 			e0.Post(e1, now.Add(cascadeLambda), func(Time, any) {}, nil)
@@ -331,8 +312,7 @@ func TestShardSetPairWindowEdge(t *testing.T) {
 		_ = s.Run(1)
 	})
 	t.Run("at-pair-edge-delivers", func(t *testing.T) {
-		s := NewShardSet(2, cascadeLambda)
-		s.SetLookaheadMatrix(wide)
+		s := NewShardSet(wide)
 		e0, e1 := s.Engine(0), s.Engine(1)
 		delivered := false
 		e0.AtCall(Time(1000), func(now Time, _ any) {
@@ -352,7 +332,7 @@ func TestShardSetPairWindowEdge(t *testing.T) {
 // advertised lookahead is wrong, and the set must panic loudly instead of
 // silently corrupting the timeline.
 func TestShardSetLookaheadViolationPanics(t *testing.T) {
-	s := NewShardSet(2, cascadeLambda)
+	s := NewShardSet(uniformLookahead(2, cascadeLambda))
 	e0, e1 := s.Engine(0), s.Engine(1)
 	e0.AtCall(Time(1000), func(now Time, _ any) {
 		// now < now+λ = window end: one lookahead too early.
@@ -375,27 +355,26 @@ func TestShardSetLookaheadViolationPanics(t *testing.T) {
 // one shard, and positive lookahead whenever there is more than one.
 func TestShardSetConstructorPanics(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		n      int
-		lambda time.Duration
+		name string
+		m    [][]time.Duration
 	}{
-		{"zero-shards", 0, time.Microsecond},
-		{"zero-lookahead", 2, 0},
-		{"negative-lookahead", 4, -time.Nanosecond},
+		{"zero-shards", nil},
+		{"zero-lookahead", uniformLookahead(2, 0)},
+		{"negative-lookahead", uniformLookahead(4, -time.Nanosecond)},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewShardSet(%d, %v) did not panic", tc.n, tc.lambda)
+					t.Fatalf("NewShardSet(%v) did not panic", tc.m)
 				}
 			}()
-			NewShardSet(tc.n, tc.lambda)
+			NewShardSet(tc.m)
 		})
 	}
-	// One shard with zero lookahead is the serial degenerate case and must
-	// construct and run.
-	s := NewShardSet(1, 0)
+	// The diagonal is ignored: one shard with zero lookahead is the serial
+	// degenerate case and must construct and run.
+	s := NewShardSet(uniformLookahead(1, 0))
 	ran := false
 	s.Engine(0).At(Time(10), func() { ran = true })
 	if err := s.Run(1); err != nil || !ran {
@@ -409,7 +388,7 @@ func TestShardSetConstructorPanics(t *testing.T) {
 // stuck procs.
 func TestShardSetDeadlockAggregatesShards(t *testing.T) {
 	const shards = 3
-	s := NewShardSet(shards, cascadeLambda)
+	s := NewShardSet(uniformLookahead(shards, cascadeLambda))
 	for i := 0; i < shards; i++ {
 		e := s.Engine(i)
 		e.Spawn(fmt.Sprintf("stuck-%d", i), func(p *Proc) {
@@ -438,7 +417,7 @@ func TestShardSetDeadlockAggregatesShards(t *testing.T) {
 // stale Timer.Stop must see the seq mismatch and refuse to cancel the
 // migrated occupant.
 func TestTimerStopIgnoresMailboxMigratedEvent(t *testing.T) {
-	s := NewShardSet(2, cascadeLambda)
+	s := NewShardSet(uniformLookahead(2, cascadeLambda))
 	e0, e1 := s.Engine(0), s.Engine(1)
 
 	timerRan := false

@@ -188,7 +188,7 @@ func TestShardedSleepAcrossWindowEndMatchesSerial(t *testing.T) {
 		t.Fatalf("serial node 0 logged %d entries, want %d", got, 3*rounds)
 	}
 	for _, workers := range []int{1, 2} {
-		s := NewShardSet(2, cascadeLambda)
+		s := NewShardSet(uniformLookahead(2, cascadeLambda))
 		sharded := &pingPong{engs: [2]*Engine{s.Engine(0), s.Engine(1)}}
 		sharded.spawn(rounds)
 		if err := s.Run(workers); err != nil {

@@ -24,7 +24,6 @@ package ucx
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
@@ -32,118 +31,49 @@ import (
 	"repro/internal/xport"
 )
 
-// Config selects protocol thresholds and copy costs.
-type Config struct {
-	// BcopyMax is the largest payload sent through the bounce-copy path.
-	// Zero selects 1 KiB (the threshold the paper observes in UCX).
-	BcopyMax int
-	// RndvThreshold is the largest eager payload; above it the rendezvous
-	// protocol runs. Zero selects 32 KiB.
-	RndvThreshold int
-	// CopyByteTime is the memcpy cost in ns/B for bcopy staging and
-	// receive-side copy-out. Zero selects 0.05 (20 GB/s).
-	CopyByteTime float64
-	// Slots is the bounce-slot count per endpoint direction. Zero
-	// selects 64.
-	Slots int
-	// Rails is the number of endpoints per peer, used round-robin (UCX
-	// multi-rail); with the default fabric a single QP cannot saturate
-	// the link. Zero selects 2.
-	Rails int
-	// SendOverhead is the per-message CPU cost of the bcopy (small
-	// message) send fast path. Zero selects 120 ns.
-	SendOverhead time.Duration
-	// ZcopySendOverhead is the eager zero-copy send path cost (adds
-	// registration-cache handling). Zero selects 600 ns.
-	ZcopySendOverhead time.Duration
-	// RndvSendOverhead is the rendezvous initiation cost (request object,
+// The protocol thresholds come from the provider (xport.Caps); the costs
+// and resource counts below are fixed properties of the modelled
+// middleware.
+const (
+	// copyByteTime is the memcpy cost in ns/B for bcopy staging and
+	// receive-side copy-out (20 GB/s).
+	copyByteTime = 0.05
+	// slots is the bounce-slot count per endpoint direction.
+	slots = 64
+	// rails is the number of endpoints per peer, used round-robin (UCX
+	// multi-rail); with the default fabric a single QP cannot saturate the
+	// link.
+	rails = 2
+	// sendOverhead is the per-message CPU cost of the bcopy (small
+	// message) send fast path.
+	sendOverhead = 120 * time.Nanosecond
+	// zcopySendOverhead is the eager zero-copy send path cost (adds
+	// registration-cache handling).
+	zcopySendOverhead = 600 * time.Nanosecond
+	// rndvSendOverhead is the rendezvous initiation cost (request object,
 	// RTS build) — the protocol's round trips are modelled separately.
-	// Zero selects 900 ns.
-	RndvSendOverhead time.Duration
-	// AMProcess is the receive-side active-message handling cost for
-	// bcopy arrivals, on top of the raw completion poll. Zero selects
-	// 150 ns.
-	AMProcess time.Duration
-	// ZcopyAMProcess is the receive-side handling cost for zcopy-sized
-	// arrivals. Zero selects 500 ns.
-	ZcopyAMProcess time.Duration
-	// RndvRecvOverhead is the receiver-side CPU cost of each rendezvous
+	rndvSendOverhead = 900 * time.Nanosecond
+	// amProcess is the receive-side active-message handling cost for
+	// bcopy arrivals, on top of the raw completion poll.
+	amProcess = 150 * time.Nanosecond
+	// zcopyAMProcess is the receive-side handling cost for zcopy-sized
+	// arrivals.
+	zcopyAMProcess = 500 * time.Nanosecond
+	// rndvRecvOverhead is the receiver-side CPU cost of each rendezvous
 	// protocol step (RTS handling, and the read's completion), serialized
 	// on the receiver like its progress engine — the per-message cost that
 	// makes per-partition rendezvous traffic expensive for the baseline.
-	// Zero selects 2500 ns.
-	RndvRecvOverhead time.Duration
-	// Channel namespaces the transport's control messages so multiple
-	// transports (like multiple UCX workers) can coexist on one rank.
-	// Empty selects "ucx".
-	Channel string
-}
-
-func (c Config) withDefaults() Config {
-	if c.BcopyMax == 0 {
-		c.BcopyMax = 1 << 10
-	}
-	if c.RndvThreshold == 0 {
-		c.RndvThreshold = 32 << 10
-	}
-	if c.CopyByteTime == 0 {
-		c.CopyByteTime = 0.05
-	}
-	if c.Slots == 0 {
-		c.Slots = 64
-	}
-	if c.Rails == 0 {
-		c.Rails = 2
-	}
-	if c.SendOverhead == 0 {
-		c.SendOverhead = 120 * time.Nanosecond
-	}
-	if c.ZcopySendOverhead == 0 {
-		c.ZcopySendOverhead = 600 * time.Nanosecond
-	}
-	if c.RndvSendOverhead == 0 {
-		c.RndvSendOverhead = 900 * time.Nanosecond
-	}
-	if c.AMProcess == 0 {
-		c.AMProcess = 150 * time.Nanosecond
-	}
-	if c.ZcopyAMProcess == 0 {
-		c.ZcopyAMProcess = 500 * time.Nanosecond
-	}
-	if c.RndvRecvOverhead == 0 {
-		c.RndvRecvOverhead = 2500 * time.Nanosecond
-	}
-	if c.Channel == "" {
-		c.Channel = "ucx"
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	c = c.withDefaults()
-	switch {
-	case c.BcopyMax < 0 || c.RndvThreshold < c.BcopyMax:
-		return fmt.Errorf("ucx: thresholds out of order: bcopy %d, rndv %d", c.BcopyMax, c.RndvThreshold)
-	case c.CopyByteTime <= 0:
-		return errors.New("ucx: CopyByteTime must be positive")
-	case c.Slots < 1:
-		return errors.New("ucx: need at least one bounce slot")
-	case c.Rails < 1:
-		return errors.New("ucx: need at least one rail")
-	case c.Slots < c.Rails:
-		return errors.New("ucx: need at least one bounce slot per rail")
-	case c.SendOverhead < 0 || c.ZcopySendOverhead < 0 || c.RndvSendOverhead < 0 ||
-		c.AMProcess < 0 || c.ZcopyAMProcess < 0 || c.RndvRecvOverhead < 0:
-		return errors.New("ucx: negative software cost")
-	}
-	return nil
-}
+	rndvRecvOverhead = 2500 * time.Nanosecond
+	// creditBatch is how many receive-side deliveries on a rail are
+	// returned to the sender in one credit message: half a rail's share
+	// of the bounce slots.
+	creditBatch = slots / rails / 2
+)
 
 const headerBytes = 8
 
 // Control-message kind suffixes; the transport's channel name prefixes
-// them (see Config.Channel).
+// them (see New).
 const (
 	kindConnect = ".connect"
 	kindAccept  = ".accept"
@@ -166,7 +96,12 @@ type (
 type Transport struct {
 	host xport.Host
 	pv   xport.Provider
-	cfg  Config
+
+	// bcopyMax is the largest payload sent through the bounce-copy path;
+	// rndvThreshold is the largest eager payload, above which the
+	// rendezvous protocol runs (the provider's Caps.EagerMax and
+	// Caps.RndvThreshold).
+	bcopyMax, rndvThreshold int
 
 	eager      EagerHandler
 	rndvTarget RndvTarget
@@ -294,37 +229,30 @@ type readOp struct {
 	seq    uint64
 }
 
-// New builds the engine on a channel with the provider's protocol
-// thresholds (Caps.EagerMax and Caps.RndvThreshold); providers call it from
-// their NewMessenger.
-func New(h xport.Host, pv xport.Provider, channel string) (xport.Messenger, error) {
+// New creates the transport for a rank with the provider's protocol
+// thresholds (Caps.EagerMax and Caps.RndvThreshold) and registers its
+// control handlers; providers call it from their NewMessenger. The channel
+// namespaces the transport's control messages so multiple transports (like
+// multiple UCX workers) can coexist on one rank. Create exactly one
+// transport per (rank, channel).
+func New(h xport.Host, pv xport.Provider, channel string) *Transport {
 	caps := pv.Caps()
-	return NewWithConfig(h, pv, Config{
-		Channel:       channel,
-		BcopyMax:      caps.EagerMax,
-		RndvThreshold: caps.RndvThreshold,
-	})
-}
-
-// NewWithConfig creates the transport for a rank with full protocol
-// tuning and registers its control handlers. Create exactly one transport
-// per (rank, channel).
-func NewWithConfig(h xport.Host, pv xport.Provider, cfg Config) (*Transport, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	t := &Transport{
+		host: h, pv: pv,
+		bcopyMax: caps.EagerMax, rndvThreshold: caps.RndvThreshold,
+		eps: make(map[int]*endpoint),
 	}
-	t := &Transport{host: h, pv: pv, cfg: cfg.withDefaults(), eps: make(map[int]*endpoint)}
-	t.kindConnect = t.cfg.Channel + kindConnect
-	t.kindAccept = t.cfg.Channel + kindAccept
-	t.kindRTS = t.cfg.Channel + kindRTS
-	t.kindCredit = t.cfg.Channel + kindCredit
-	t.kindRelease = t.cfg.Channel + kindRelease
+	t.kindConnect = channel + kindConnect
+	t.kindAccept = channel + kindAccept
+	t.kindRTS = channel + kindRTS
+	t.kindCredit = channel + kindCredit
+	t.kindRelease = channel + kindRelease
 	h.HandleCtrl(t.kindConnect, t.onConnect)
 	h.HandleCtrl(t.kindAccept, t.onAccept)
 	h.HandleCtrl(t.kindRTS, t.onRTS)
 	h.HandleCtrl(t.kindCredit, t.onCredit)
 	h.HandleCtrl(t.kindRelease, t.onRelease)
-	return t, nil
+	return t
 }
 
 // Host returns the owning rank's host environment.
@@ -386,13 +314,13 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 		dst:      dst,
 		slotOf:   make(map[uint64]int),
 		rndv:     make(map[uint64]bool),
-		slotSize: headerBytes + t.cfg.RndvThreshold,
+		slotSize: headerBytes + t.rndvThreshold,
 	}
-	ep.rails = make([]xport.Endpoint, t.cfg.Rails)
+	ep.rails = make([]xport.Endpoint, rails)
 	for i := range ep.rails {
 		rail, err := t.pv.NewEndpoint(xport.EndpointConfig{
 			MaxSendWR:    256,
-			MaxRecvWR:    t.cfg.Slots + 16,
+			MaxRecvWR:    slots + 16,
 			OnCompletion: func(p *sim.Proc, c xport.Completion) { t.onWC(p, ep, c) },
 		})
 		if err != nil {
@@ -400,29 +328,28 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 		}
 		ep.rails[i] = rail
 	}
-	staging, err := t.pv.RegMem(make([]byte, t.cfg.Slots*ep.slotSize))
+	staging, err := t.pv.RegMem(make([]byte, slots*ep.slotSize))
 	if err != nil {
 		panic(fmt.Sprintf("ucx: staging RegMem: %v", err))
 	}
-	bounce, err := t.pv.RegMem(make([]byte, t.cfg.Slots*ep.slotSize))
+	bounce, err := t.pv.RegMem(make([]byte, slots*ep.slotSize))
 	if err != nil {
 		panic(fmt.Sprintf("ucx: bounce RegMem: %v", err))
 	}
 	ep.staging, ep.bounce = staging, bounce
-	ep.sendSegs = make([][2]xport.Seg, t.cfg.Slots)
-	ep.recvWRs = make([]xport.RecvWR, t.cfg.Slots)
-	for i := 0; i < t.cfg.Slots; i++ {
+	ep.sendSegs = make([][2]xport.Seg, slots)
+	ep.recvWRs = make([]xport.RecvWR, slots)
+	for i := 0; i < slots; i++ {
 		ep.freeSlots = append(ep.freeSlots, i)
 		ep.recvWRs[i] = xport.RecvWR{
 			WRID: uint64(i),
 			Segs: []xport.Seg{{Mem: bounce, Off: i * ep.slotSize, Len: ep.slotSize}},
 		}
 	}
-	perRail := t.cfg.Slots / t.cfg.Rails
-	ep.credits = make([]int, t.cfg.Rails)
-	ep.processed = make([]int, t.cfg.Rails)
+	ep.credits = make([]int, rails)
+	ep.processed = make([]int, rails)
 	for i := range ep.credits {
-		ep.credits[i] = perRail
+		ep.credits[i] = slots / rails
 	}
 	return ep
 }
@@ -462,7 +389,7 @@ func (ep *endpoint) hasEagerCredit() bool {
 // postBounceRecvs fills the receive queue with bounce-slot WRs. WRIDs
 // encode the slot index.
 func (t *Transport) postBounceRecvs(ep *endpoint) {
-	for i := 0; i < t.cfg.Slots; i++ {
+	for i := 0; i < slots; i++ {
 		t.repostBounce(ep, i)
 	}
 }
@@ -522,17 +449,17 @@ func (t *Transport) Connected(dst int) bool {
 
 // copyCost returns the modelled memcpy time for n bytes.
 func (t *Transport) copyCost(n int) time.Duration {
-	return time.Duration(float64(n) * t.cfg.CopyByteTime)
+	return time.Duration(float64(n) * copyByteTime)
 }
 
 // Send delivers an active message from arbitrary (unregistered) memory; it
 // always stages through the bounce-copy path and therefore requires
-// len(data) <= RndvThreshold. Use SendMR for registered payloads of any
-// size.
+// len(data) <= the rendezvous threshold. Use SendMR for registered
+// payloads of any size.
 func (t *Transport) Send(p *sim.Proc, dst int, header uint64, data []byte) error {
-	if len(data) > t.cfg.RndvThreshold {
+	if len(data) > t.rndvThreshold {
 		return fmt.Errorf("%w: ucx: Send of %d B exceeds eager limit %d; use SendMR",
-			xport.ErrTooLong, len(data), t.cfg.RndvThreshold)
+			xport.ErrTooLong, len(data), t.rndvThreshold)
 	}
 	ep := t.endpointFor(dst)
 	// Stage into a scratch registered buffer via the normal path by
@@ -552,9 +479,9 @@ func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, o
 	}
 	ep := t.endpointFor(dst)
 	switch {
-	case length <= t.cfg.BcopyMax:
+	case length <= t.bcopyMax:
 		t.sendEager(p, ep, header, mem, off, mem.Bytes()[off:off+length], true)
-	case length <= t.cfg.RndvThreshold:
+	case length <= t.rndvThreshold:
 		t.sendEager(p, ep, header, mem, off, mem.Bytes()[off:off+length], false)
 	default:
 		t.sendRndv(p, ep, header, mem, off, length)
@@ -567,10 +494,10 @@ func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, o
 func (t *Transport) sendEager(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off int, data []byte, bcopy bool) {
 	if bcopy {
 		t.bcopySends++
-		p.Sleep(t.cfg.SendOverhead + t.copyCost(headerBytes+len(data)))
+		p.Sleep(sendOverhead + t.copyCost(headerBytes+len(data)))
 	} else {
 		t.zcopySends++
-		p.Sleep(t.cfg.ZcopySendOverhead + t.copyCost(headerBytes))
+		p.Sleep(zcopySendOverhead + t.copyCost(headerBytes))
 	}
 
 	if !ep.ready || len(ep.freeSlots) == 0 || !ep.hasEagerCredit() {
@@ -656,7 +583,7 @@ func (t *Transport) flushPending(ep *endpoint) {
 // memory, which the receiver reads directly and then releases.
 func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off, length int) {
 	t.rndvSends++
-	p.Sleep(t.cfg.RndvSendOverhead)
+	p.Sleep(rndvSendOverhead)
 	ep.nextSeq++
 	seq := ep.nextSeq
 	ep.rndv[seq] = true
@@ -721,7 +648,7 @@ func (t *Transport) afterProtoCost(fn func()) {
 	if t.protoFreeAt > start {
 		start = t.protoFreeAt
 	}
-	done := start.Add(t.cfg.RndvRecvOverhead)
+	done := start.Add(rndvRecvOverhead)
 	t.protoFreeAt = done
 	e.At(done, fn)
 }
@@ -750,7 +677,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 			panic("ucx: read completion for unknown rendezvous")
 		}
 		delete(ep.readOps, c.WRID)
-		p.Sleep(t.cfg.RndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
+		p.Sleep(rndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
 		t.host.SendCtrl(ep.dst, t.kindRelease, releaseMsg{seq: op.seq})
 		if t.rndvDone == nil {
 			panic("ucx: rendezvous completion with no handler installed")
@@ -771,9 +698,9 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 		// Charge the receive-side active-message handling (tiered by
 		// protocol, inferred from the payload size) plus the copy-out of
 		// the bounce data.
-		am := t.cfg.AMProcess
-		if len(payload) > t.cfg.BcopyMax {
-			am = t.cfg.ZcopyAMProcess
+		am := amProcess
+		if len(payload) > t.bcopyMax {
+			am = zcopyAMProcess
 		}
 		p.Sleep(am + t.copyCost(len(payload))) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
 		if t.eager == nil {
@@ -783,7 +710,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 		t.repostBounce(ep, slot)
 		rail := slot % len(ep.rails)
 		ep.processed[rail]++
-		threshold := t.cfg.Slots / t.cfg.Rails / 2
+		threshold := slots / rails / 2
 		if threshold < 1 {
 			threshold = 1
 		}

@@ -20,7 +20,7 @@ type env struct {
 	ts []*ucx.Transport
 }
 
-func newEnv(t *testing.T, cfg ucx.Config) *env {
+func newEnv(t *testing.T) *env {
 	t.Helper()
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
 	e := &env{w: w}
@@ -29,11 +29,7 @@ func newEnv(t *testing.T, cfg ucx.Config) *env {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := ucx.NewWithConfig(w.Rank(i), pv, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ts = append(e.ts, tr)
+		e.ts = append(e.ts, ucx.New(w.Rank(i), pv, "ucx"))
 	}
 	return e
 }
@@ -69,24 +65,8 @@ func collect(tr *ucx.Transport, out *[]received) {
 	})
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := (ucx.Config{}).Validate(); err != nil {
-		t.Fatalf("zero config (defaults) invalid: %v", err)
-	}
-	bad := []ucx.Config{
-		{BcopyMax: 4096, RndvThreshold: 1024},
-		{CopyByteTime: -1},
-		{Slots: -1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, c)
-		}
-	}
-}
-
 func TestEagerBcopyRoundTrip(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	var got []received
 	collect(e.ts[1], &got)
 	payload := []byte("hello partitioned world")
@@ -113,7 +93,7 @@ func TestEagerBcopyRoundTrip(t *testing.T) {
 }
 
 func TestProtocolSelectionBySize(t *testing.T) {
-	e := newEnv(t, ucx.Config{BcopyMax: 1024, RndvThreshold: 16384})
+	e := newEnv(t)
 	mr := e.regMem(t, 0, make([]byte, 1<<20))
 	delivered := 0
 	e.ts[1].SetEagerHandler(func(p *sim.Proc, from int, header uint64, data []byte) { delivered++ })
@@ -146,7 +126,7 @@ func TestProtocolSelectionBySize(t *testing.T) {
 }
 
 func TestZcopyDeliversExactBytes(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	buf := make([]byte, 8192)
 	for i := range buf {
 		buf[i] = byte(i * 13)
@@ -174,7 +154,7 @@ func TestZcopyDeliversExactBytes(t *testing.T) {
 // the payload lands straight in the zone the receiver's target resolver
 // names.
 func TestRendezvousLandsDirectlyInUserMemory(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	src := make([]byte, 256<<10)
 	for i := range src {
 		src[i] = byte(i)
@@ -214,14 +194,17 @@ func TestRendezvousLandsDirectlyInUserMemory(t *testing.T) {
 }
 
 func TestManyMessagesSurviveStagingPressure(t *testing.T) {
-	// More sends than staging slots and eager credits: the transport must
-	// defer, flow-control, and eventually deliver everything exactly once.
-	// Multi-rail delivery does not guarantee a global order, so this
-	// checks completeness and payload integrity per header.
-	e := newEnv(t, ucx.Config{Slots: 4})
+	// More sends than the 64 staging slots and the 32 eager credits per
+	// rail, while the receiver computes instead of progressing: the
+	// transport must defer, flow-control, and eventually deliver everything
+	// exactly once. Multi-rail delivery does not guarantee a global order,
+	// so this checks completeness and payload integrity per header.
+	e := newEnv(t)
 	var got []received
 	collect(e.ts[1], &got)
-	const n = 64
+	const n = 160
+	const busy = 100 * time.Microsecond
+	var quiescentAt sim.Time
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
@@ -231,14 +214,22 @@ func TestManyMessagesSurviveStagingPressure(t *testing.T) {
 				}
 			}
 			// Deferred sends flush from the sender's progress path as
-			// staging slots free up; keep progressing until acknowledged.
+			// staging slots and credits free up; keep progressing until
+			// acknowledged.
 			r.WaitOn(p, e.ts[0].Quiescent)
+			quiescentAt = p.Now()
 		case 1:
+			p.Sleep(busy)
 			r.WaitOn(p, func() bool { return len(got) == n })
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The sender's own completions free its staging slots long before the
+	// receiver wakes; only returned credits can release the rest.
+	if quiescentAt < sim.Time(busy) {
+		t.Fatalf("sender quiescent at %v, before the receiver returned any credit", quiescentAt)
 	}
 	seen := make(map[uint64]bool)
 	for _, m := range got {
@@ -258,34 +249,38 @@ func TestManyMessagesSurviveStagingPressure(t *testing.T) {
 func TestBcopyCapturesPayloadAtSendTime(t *testing.T) {
 	// Under staging pressure the payload is mutated after Send returns;
 	// the receiver must still see the original bytes.
-	e := newEnv(t, ucx.Config{Slots: 2})
+	e := newEnv(t)
 	var got []received
 	collect(e.ts[1], &got)
+	const slots = 64
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			e.ts[0].Send(p, 1, 1, []byte{1})
-			e.ts[0].Send(p, 1, 2, []byte{2})
-			buf3 := []byte{3}
-			e.ts[0].Send(p, 1, 3, buf3) // deferred: staging exhausted
-			buf3[0] = 99                // mutate after Send
+			// The sender does not progress while sending, so no staging
+			// slot comes back: the first 64 sends fill them all.
+			for i := 0; i < slots; i++ {
+				e.ts[0].Send(p, 1, uint64(i), []byte{byte(i)})
+			}
+			buf := []byte{slots}
+			e.ts[0].Send(p, 1, slots, buf) // deferred: staging exhausted
+			buf[0] = 99                    // mutate after Send
 			r.WaitOn(p, e.ts[0].Quiescent)
 		case 1:
-			r.WaitOn(p, func() bool { return len(got) == 3 })
+			r.WaitOn(p, func() bool { return len(got) == slots+1 })
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range got {
-		if m.header == 3 && m.data[0] != 3 {
-			t.Fatalf("deferred bcopy delivered %d, want 3 (captured at send time)", m.data[0])
+		if m.header == slots && m.data[0] != slots {
+			t.Fatalf("deferred bcopy delivered %d, want %d (captured at send time)", m.data[0], slots)
 		}
 	}
 }
 
 func TestLazyWireupHappensOnce(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	var got []received
 	collect(e.ts[1], &got)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
@@ -310,7 +305,7 @@ func TestLazyWireupHappensOnce(t *testing.T) {
 }
 
 func TestSendTooLargeErrors(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		if r.ID() == 0 {
 			if err := e.ts[0].Send(p, 1, 1, make([]byte, 1<<20)); !errors.Is(err, xport.ErrTooLong) {
@@ -324,7 +319,7 @@ func TestSendTooLargeErrors(t *testing.T) {
 }
 
 func TestSendMRRangeValidation(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	mr := e.regMem(t, 0, make([]byte, 100))
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		if r.ID() == 0 {
@@ -339,32 +334,35 @@ func TestSendMRRangeValidation(t *testing.T) {
 }
 
 func TestBcopyChargesCopyCost(t *testing.T) {
-	// A bcopy send must take at least the modelled memcpy time on the
-	// sending proc.
-	e := newEnv(t, ucx.Config{CopyByteTime: 1.0}) // 1 ns/B
-	var sendTook time.Duration
+	// A bcopy send charges the modelled memcpy time on the sending proc:
+	// 0.05 ns/B, so 20000 more payload bytes cost exactly 1µs more.
+	e := newEnv(t)
+	var small, large time.Duration
 	var got []received
 	collect(e.ts[1], &got)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			start := p.Now()
-			e.ts[0].Send(p, 1, 1, make([]byte, 1000))
-			sendTook = p.Now().Sub(start)
+			e.ts[0].Send(p, 1, 1, make([]byte, 1))
+			small = p.Now().Sub(start)
+			start = p.Now()
+			e.ts[0].Send(p, 1, 2, make([]byte, 20001))
+			large = p.Now().Sub(start)
 		case 1:
-			r.WaitOn(p, func() bool { return len(got) == 1 })
+			r.WaitOn(p, func() bool { return len(got) == 2 })
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sendTook < 1000*time.Nanosecond {
-		t.Fatalf("bcopy send took %v, want >= 1µs of copy cost", sendTook)
+	if large-small != time.Microsecond {
+		t.Fatalf("bcopy sends took %v and %v, want 1µs of copy cost between them", small, large)
 	}
 }
 
 func TestBidirectionalTraffic(t *testing.T) {
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	var got0, got1 []received
 	collect(e.ts[0], &got0)
 	collect(e.ts[1], &got1)
@@ -389,7 +387,7 @@ func TestBidirectionalTraffic(t *testing.T) {
 func TestRendezvousGetScheme(t *testing.T) {
 	// The receiver RDMA-reads the sender's memory directly from the RTS;
 	// no CTS/write round trip, and the send counts as one rendezvous.
-	e := newEnv(t, ucx.Config{})
+	e := newEnv(t)
 	src := make([]byte, 512<<10)
 	for i := range src {
 		src[i] = byte(i * 11)

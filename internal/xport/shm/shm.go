@@ -119,7 +119,6 @@ func (pv *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error
 		maxSendWR:      cfg.MaxSendWR,
 		maxRecvWR:      cfg.MaxRecvWR,
 		maxOutstanding: cfg.MaxOutstanding,
-		maxInline:      cfg.MaxInline,
 	}
 	if ep.maxSendWR == 0 {
 		ep.maxSendWR = defMaxSendWR
@@ -130,9 +129,6 @@ func (pv *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error
 	if ep.maxOutstanding == 0 {
 		ep.maxOutstanding = defMaxOutstanding
 	}
-	if ep.maxInline == 0 {
-		ep.maxInline = defMaxInline
-	}
 	return ep, nil
 }
 
@@ -140,7 +136,7 @@ func (pv *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error
 // provider; the protocol layer is transport-neutral, only the thresholds
 // and costs under it change.
 func (pv *Provider) NewMessenger(channel string) (xport.Messenger, error) {
-	return ucx.New(pv.host, pv, channel)
+	return ucx.New(pv.host, pv, channel), nil
 }
 
 // push queues a completion for the progress engine and wakes the host.
@@ -232,7 +228,6 @@ type endpoint struct {
 	maxSendWR      int
 	maxRecvWR      int
 	maxOutstanding int
-	maxInline      int
 
 	// inflight counts launched-not-completed transfers (the outstanding
 	// window); sendQ parks posts beyond the window.
@@ -301,8 +296,8 @@ func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 	if err != nil {
 		return err
 	}
-	if wr.Inline && total > ep.maxInline {
-		return fmt.Errorf("%w: inline payload %d B exceeds limit %d", xport.ErrTooLong, total, ep.maxInline)
+	if wr.Inline && total > defMaxInline {
+		return fmt.Errorf("%w: inline payload %d B exceeds limit %d", xport.ErrTooLong, total, defMaxInline)
 	}
 	if ep.inflight+len(ep.sendQ) >= ep.maxSendWR {
 		return fmt.Errorf("%w: shm send queue depth %d", xport.ErrQueueFull, ep.maxSendWR)
@@ -496,4 +491,4 @@ func (ep *endpoint) Outstanding() int { return ep.inflight }
 func (ep *endpoint) RecvQueueLen() int { return len(ep.recvQ) }
 
 // MaxInline reports the largest inline payload the endpoint accepts.
-func (ep *endpoint) MaxInline() int { return ep.maxInline }
+func (ep *endpoint) MaxInline() int { return defMaxInline }

@@ -101,7 +101,6 @@ func (v *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error)
 		MaxSendWR:      cfg.MaxSendWR,
 		MaxRecvWR:      cfg.MaxRecvWR,
 		MaxOutstanding: cfg.MaxOutstanding,
-		MaxInline:      cfg.MaxInline,
 	})
 	if err != nil {
 		return nil, err
@@ -117,7 +116,7 @@ func (v *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error)
 // NewMessenger builds the UCX-like active-message engine over this
 // provider — the middleware the paper's baseline rides on.
 func (v *Provider) NewMessenger(channel string) (xport.Messenger, error) {
-	return ucx.New(v.host, v, channel)
+	return ucx.New(v.host, v, channel), nil
 }
 
 // Progress drains both CQs, charging the host's completion cost per

@@ -264,9 +264,6 @@ type EndpointConfig struct {
 	// ConnectX-5 window of 16 the paper works around with multiple
 	// endpoints). Zero selects the provider default.
 	MaxOutstanding int
-	// MaxInline is the largest payload postable with SendWR.Inline. Zero
-	// selects the provider default.
-	MaxInline int
 	// OnCompletion receives this endpoint's completions from the host's
 	// progress engine. It must be non-nil.
 	OnCompletion func(p *sim.Proc, c Completion)
