@@ -76,11 +76,12 @@ test:
 # shard worker may resume, so switches are exercised on one P and across
 # two. The ibv and ucx line covers the verbs data path: a non-inline WR's
 # payload is read from the sender's memory when it lands, which on a
-# sharded run happens on the destination's engine. CI runs this target.
+# sharded run happens on the destination's engine; pt2pt, coll and mpipcl
+# are the other clients of the ucx transport. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race ./internal/ibv/... ./internal/ucx/...
+	$(GO) test -race ./internal/ibv/... ./internal/ucx/... ./internal/pt2pt/... ./internal/coll/... ./internal/mpipcl/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
 

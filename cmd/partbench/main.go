@@ -31,6 +31,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,9 +39,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
+	"repro/internal/mpi"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/xport"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func run(args []string) int {
 	verbose := fs.Bool("v", false, "print progress while running")
 	csvDir := fs.String("csv", "", "directory to also write one CSV per table")
 	jobs := fs.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
-	provider := fs.String("provider", "", "transport backend: "+strings.Join(xport.Names(), ", ")+" (default verbs)")
+	provider := fs.String("provider", "", "transport backend: "+strings.Join(mpi.Providers, ", ")+" (default verbs)")
 	strategy := fs.String("strategy", "", "run one point-to-point probe under this strategy (baseline, tuning-table, ploggp, timer-ploggp, adaptive) and print its result")
 	pattern := fs.String("pattern", "straggler", "with -strategy: synthetic Pready arrival pattern (uniform, bursty, zipf, straggler)")
 	shards := fs.Int("shards", 0, "conservative-PDES shard count per simulation (0 or 1 = serial; output is identical)")
@@ -67,18 +68,10 @@ func run(args []string) int {
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	fs.Parse(args)
 
-	if *provider != "" {
-		known := false
-		for _, name := range xport.Names() {
-			if name == *provider {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "partbench: unknown provider %q (have: %s)\n",
-				*provider, strings.Join(xport.Names(), ", "))
-			return 2
-		}
+	if *provider != "" && !slices.Contains(mpi.Providers, *provider) {
+		fmt.Fprintf(os.Stderr, "partbench: unknown provider %q (have: %s)\n",
+			*provider, strings.Join(mpi.Providers, ", "))
+		return 2
 	}
 
 	if *cpuProfile != "" {

@@ -1,7 +1,7 @@
 // Package helper leaks a backend: a neutral-looking utility package that
-// imports ucx, one hop from the gated package.
+// imports shm, one hop from the gated package.
 package helper
 
-import "repro/internal/ucx"
+import "repro/internal/xport/shm"
 
-func Workers() []ucx.Worker { return nil }
+func Providers() []shm.Provider { return nil }

@@ -1,4 +1,4 @@
-// Package mpi is a sanctioned boundary package: it registers concrete
+// Package mpi is a sanctioned boundary package: it builds concrete
 // providers, so its backend imports must not propagate to importers.
 package mpi
 

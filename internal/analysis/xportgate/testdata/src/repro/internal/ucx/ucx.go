@@ -1,4 +1,7 @@
-// Package ucx is a fixture stub for the ucx backend.
+// Package ucx is a clean gated fixture: the provider-neutral middleware
+// imports only the SPI, so the analyzer must stay silent.
 package ucx
 
-type Worker struct{ ID int }
+import "repro/internal/xport"
+
+type Transport struct{ Rails []xport.Endpoint }

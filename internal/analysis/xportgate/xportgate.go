@@ -1,14 +1,15 @@
 // Package xportgate enforces the transport SPI boundary with a real
-// import-graph check. The strategy code in internal/core and its clients
-// must program against the provider-neutral internal/xport SPI only;
-// reaching for a concrete backend (the verbs emulation in internal/ibv,
-// the ucx shim, or a concrete xport backend package) reintroduces the
-// provider coupling the SPI refactor removed. A grep over import blocks
-// misses aliased imports and — worse — transitive leaks through a helper
-// package; this analyzer resolves real import paths and propagates
-// reachability facts across packages, stopping at the sanctioned
-// boundary packages that are allowed to touch backends (internal/mpi
-// registers providers; internal/cluster owns the hardware model).
+// import-graph check. The strategy code in internal/core, its clients, and
+// the UCX-like middleware in internal/ucx must program against the
+// provider-neutral internal/xport SPI only; reaching for a concrete
+// backend (the verbs emulation in internal/ibv or a concrete xport backend
+// package) reintroduces the provider coupling the SPI removed. A grep over
+// import blocks misses aliased imports and — worse — transitive leaks
+// through a helper package; this analyzer resolves real import paths and
+// propagates reachability facts across packages, stopping at the
+// sanctioned boundary packages that are allowed to touch backends
+// (internal/mpi builds the providers; internal/cluster owns the hardware
+// model).
 package xportgate
 
 import (
@@ -26,21 +27,20 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "xportgate",
 	Doc: "forbid direct and transitive imports of concrete transport backends " +
-		"(internal/ibv, internal/ucx, internal/xport/verbs, internal/xport/shm) " +
-		"from SPI-neutral packages (core, pt2pt, mpipcl, bench, partib)",
+		"(internal/ibv, internal/xport/verbs, internal/xport/shm) " +
+		"from SPI-neutral packages (core, pt2pt, mpipcl, bench, partib, ucx)",
 	Run: run,
 }
 
 // forbidden are the concrete backend packages gated code must not reach.
 var forbidden = map[string]bool{
 	"repro/internal/ibv":         true,
-	"repro/internal/ucx":         true,
 	"repro/internal/xport/verbs": true,
 	"repro/internal/xport/shm":   true,
 }
 
 // boundary packages may legitimately touch backends (provider
-// registration and the hardware model); reachability does not propagate
+// construction and the hardware model); reachability does not propagate
 // through them.
 var boundary = map[string]bool{
 	"repro/internal/mpi":     true,
@@ -54,6 +54,7 @@ var gated = map[string]bool{
 	"repro/internal/mpipcl": true,
 	"repro/internal/bench":  true,
 	"repro/partib":          true,
+	"repro/internal/ucx":    true,
 }
 
 func run(pass *analysis.Pass) error {

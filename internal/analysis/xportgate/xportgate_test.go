@@ -8,5 +8,5 @@ import (
 )
 
 func TestXportGate(t *testing.T) {
-	analysistest.Run(t, xportgate.Analyzer, "repro/internal/core", "repro/internal/pt2pt")
+	analysistest.Run(t, xportgate.Analyzer, "repro/internal/core", "repro/internal/pt2pt", "repro/internal/ucx")
 }

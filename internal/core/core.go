@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/ucx"
 	"repro/internal/xport"
 )
 
@@ -108,7 +109,7 @@ type matchKey struct {
 type Engine struct {
 	r    *mpi.Rank
 	pv   xport.Provider
-	msgr xport.Messenger
+	msgr *ucx.Transport
 
 	nextReq      uint32
 	psends       map[uint32]*Psend
@@ -143,25 +144,18 @@ type pendingSinit struct {
 }
 
 // NewEngine builds the partitioned module for a rank over the named
-// transport provider; the empty string selects "verbs", the backend the
-// paper evaluates on. It returns xport.ErrUnknownProvider (wrapped) when
-// no such backend is registered.
+// transport provider (see mpi.Rank.Provider: the empty string selects
+// "verbs"). It returns xport.ErrUnknownProvider (wrapped) for a name the
+// rank cannot build.
 func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
-	if provider == "" {
-		provider = "verbs"
-	}
 	pv, err := r.Provider(provider)
-	if err != nil {
-		return nil, err
-	}
-	msgr, err := pv.NewMessenger("")
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		r:            r,
 		pv:           pv,
-		msgr:         msgr,
+		msgr:         ucx.New(r, pv, ""),
 		psends:       make(map[uint32]*Psend),
 		precvs:       make(map[uint32]*Precv),
 		pendingRecvs: make(map[matchKey][]*Precv),
@@ -177,13 +171,6 @@ func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
 
 // Rank returns the rank this module serves.
 func (e *Engine) Rank() *mpi.Rank { return e.r }
-
-// Provider returns the transport backend the module runs over.
-func (e *Engine) Provider() xport.Provider { return e.pv }
-
-// Messenger returns the module's active-message transport (exported for
-// tests and stats).
-func (e *Engine) Messenger() xport.Messenger { return e.msgr }
 
 // allocReq hands out request ids; id 0 is reserved as "none".
 func (e *Engine) allocReq() uint32 {

@@ -547,11 +547,31 @@ func TestInitValidation(t *testing.T) {
 }
 
 func TestPreadyMisuseErrors(t *testing.T) {
+	table := NewTuningTable()
+	table.Set(TuningKey{UserParts: 4, Bytes: 1}, TuningValue{Transport: 2, QPs: 1})
+	for _, opts := range []Options{
+		{Strategy: StrategyBaseline},
+		{Strategy: StrategyTuningTable, Table: table},
+		{Strategy: StrategyPLogGP},
+		{Strategy: StrategyTimerPLogGP, Delta: 50 * time.Microsecond},
+		{Strategy: StrategyAdaptive},
+	} {
+		t.Run(opts.Strategy.String(), func(t *testing.T) { preadyMisuseErrors(t, opts) })
+	}
+}
+
+// preadyMisuseErrors drives one round of Pready misuse under opts and
+// checks each call's typed error.
+func preadyMisuseErrors(t *testing.T, opts Options) {
 	e := newEnv()
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		eng := e.eng[r.ID()]
 		if r.ID() == 0 {
-			ps, _ := eng.PsendInit(p, make([]byte, 1024), 4, 1, 0, Options{Strategy: StrategyPLogGP})
+			ps, err := eng.PsendInit(p, make([]byte, 1024), 4, 1, 0, opts)
+			if err != nil {
+				t.Errorf("PsendInit: %v", err)
+				return
+			}
 			ps.Start(p)
 			if err := ps.Pready(p, 1); err != nil {
 				t.Errorf("first Pready: %v", err)

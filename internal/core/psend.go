@@ -279,9 +279,6 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 	p.Sleep(mpi.PreadyOverhead)
 	ps.flagLock.Release()
 
-	if ps.opts.Strategy == StrategyBaseline {
-		return ps.baselinePready(p, i)
-	}
 	g := ps.groups[ps.plan.groupOf(i)]
 	gi := i - g.start
 	if g.ready[gi] {
@@ -289,6 +286,9 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 	}
 	g.ready[gi] = true
 	g.arrived++
+	if ps.opts.Strategy == StrategyBaseline {
+		return ps.baselinePready(p, i)
+	}
 	if ps.adapt != nil {
 		// Observed after the flag-array serialization, matching what the
 		// send path can act on; the duplicate guard above ensures exactly

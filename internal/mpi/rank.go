@@ -7,12 +7,13 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/xport"
-
-	// Register the built-in transport providers so every world can resolve
-	// them by name.
-	_ "repro/internal/xport/shm"
-	_ "repro/internal/xport/verbs"
+	"repro/internal/xport/shm"
+	"repro/internal/xport/verbs"
 )
+
+// Providers lists the names of the transport backends a rank can build
+// (see Rank.Provider), sorted.
+var Providers = []string{shm.Name, verbs.Name}
 
 // ctrlEnvelope is the wire format of control-plane messages. Delivery is
 // per destination port; to routes the message to the right rank when
@@ -25,19 +26,17 @@ type ctrlEnvelope struct {
 }
 
 // Rank is one MPI process. Transport resources hang off provider
-// instances resolved by name from the xport registry; each provider's
-// completions are drained by the rank's single progress engine.
+// instances built by name (Provider); each provider's completions are
+// drained by the rank's single progress engine.
 type Rank struct {
 	w    *World
 	id   int
 	node *cluster.Node
 
-	// providers memoizes backend instances by registry name so every
+	// providers holds the rank's backend instances, one per name, in
+	// creation order, which is the order Progress drains them in. Every
 	// module on the rank shares one device context per backend.
-	providers map[string]xport.Provider
-	// sources are the providers' completion queues, drained in
-	// registration order by Progress.
-	sources []xport.ProgressSource
+	providers []xport.Provider
 
 	// progressBusy implements the paper's single-threaded progress engine:
 	// MPI_Parrived "tries to acquire a lock; if successful it progresses
@@ -81,7 +80,6 @@ func newRank(w *World, id int, node *cluster.Node) *Rank {
 		w:            w,
 		id:           id,
 		node:         node,
-		providers:    make(map[string]xport.Provider),
 		activity:     sim.NewCond(node.Engine),
 		ctrlHandlers: make(map[string]func(int, any)),
 		postLock:     sim.NewResource(node.Engine, 1),
@@ -111,24 +109,34 @@ func (r *Rank) Hardware() any { return r.node }
 // completion.
 func (r *Rank) CompletionCost() time.Duration { return WCProcess }
 
-// AddProgressSource hooks a provider's completion queues into the rank's
-// progress engine. Sources are drained in registration order.
-func (r *Rank) AddProgressSource(s xport.ProgressSource) {
-	r.sources = append(r.sources, s)
-}
-
-// Provider resolves (and memoizes) the named transport backend for this
-// rank. All modules on the rank share the instance, so they share its
-// device context, protection domain, and completion queues.
+// Provider returns the named transport backend for this rank, building
+// it on first use; the empty name selects "verbs", the backend the paper
+// evaluates on. All modules on the rank share the instance, so they share
+// its device context, protection domain, and completion queues. A name
+// outside Providers returns an error wrapping xport.ErrUnknownProvider.
 func (r *Rank) Provider(name string) (xport.Provider, error) {
-	if pv, ok := r.providers[name]; ok {
-		return pv, nil
+	if name == "" {
+		name = verbs.Name
 	}
-	pv, err := xport.NewProvider(name, r)
-	if err != nil {
-		return nil, err
+	for _, pv := range r.providers {
+		if pv.Name() == name {
+			return pv, nil
+		}
 	}
-	r.providers[name] = pv
+	var pv xport.Provider
+	switch name {
+	case verbs.Name:
+		v, err := verbs.New(r)
+		if err != nil {
+			return nil, err
+		}
+		pv = v
+	case shm.Name:
+		pv = shm.New(r)
+	default:
+		return nil, fmt.Errorf("%w: %q (have %v)", xport.ErrUnknownProvider, name, Providers)
+	}
+	r.providers = append(r.providers, pv)
 	return pv, nil
 }
 
@@ -204,8 +212,8 @@ func (r *Rank) Progress(p *sim.Proc) bool {
 	}
 	r.progressBusy = true
 	worked := false
-	for _, s := range r.sources {
-		if n := s.Progress(p); n > 0 {
+	for _, pv := range r.providers {
+		if n := pv.Progress(p); n > 0 {
 			r.wcProcessed += int64(n)
 			worked = true
 		}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/loggp"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/ucx"
 	"repro/internal/xport"
 )
 
@@ -98,14 +99,8 @@ func Run(cfg Config) (loggp.Params, error) {
 	if err != nil {
 		return loggp.Params{}, err
 	}
-	t0, err := pv0.NewMessenger("")
-	if err != nil {
-		return loggp.Params{}, err
-	}
-	t1, err := pv1.NewMessenger("")
-	if err != nil {
-		return loggp.Params{}, err
-	}
+	t0 := ucx.New(w.Rank(0), pv0, "")
+	t1 := ucx.New(w.Rank(1), pv1, "")
 
 	maxBytes := cfg.SlopeB
 	buf0 := make([]byte, maxBytes)
@@ -190,7 +185,7 @@ func Run(cfg Config) (loggp.Params, error) {
 }
 
 // measure runs on rank 0 and produces the parameter set.
-func measure(p *sim.Proc, r *mpi.Rank, tr xport.Messenger, cfg Config, mr xport.Mem, pongs *int, trainArrivals *[]sim.Time) loggp.Params {
+func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, mr xport.Mem, pongs *int, trainArrivals *[]sim.Time) loggp.Params {
 	pingpong := func(size int) time.Duration {
 		var total time.Duration
 		for i := 0; i < cfg.Warmup+cfg.Iters; i++ {

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/ucx"
 	"repro/internal/xport"
 )
 
@@ -49,7 +50,7 @@ const maxTag = 1 << 30
 type Comm struct {
 	r  *mpi.Rank
 	pv xport.Provider
-	tr xport.Messenger
+	tr *ucx.Transport
 
 	// posted holds unmatched receive requests in post order.
 	posted []*RecvReq
@@ -113,21 +114,16 @@ type RecvReq struct {
 }
 
 // New creates the point-to-point engine for a rank over the named
-// transport provider; the empty string selects "verbs". The engine's
-// messenger lives on the "pt2pt" control channel, so it coexists with the
-// partitioned module's transport on the same rank (two workers).
+// transport provider (see mpi.Rank.Provider: the empty string selects
+// "verbs"). The engine's transport lives on the "pt2pt" control channel,
+// so it coexists with the partitioned module's transport on the same rank
+// (two workers).
 func New(r *mpi.Rank, provider string) (*Comm, error) {
-	if provider == "" {
-		provider = "verbs"
-	}
 	pv, err := r.Provider(provider)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := pv.NewMessenger("pt2pt")
-	if err != nil {
-		return nil, err
-	}
+	tr := ucx.New(r, pv, "pt2pt")
 	c := &Comm{r: r, pv: pv, tr: tr}
 	mr, err := pv.RegMem(make([]byte, 1<<20))
 	if err != nil {

@@ -18,8 +18,9 @@
 //
 // The engine is provider-neutral: it speaks only the transport SPI
 // (internal/xport), so the same protocol machine runs over the verbs
-// device, the shared-memory loopback, or any future backend; each provider
-// builds it from its NewMessenger.
+// device and the shared-memory loopback. Its clients (the baseline
+// strategy in internal/core, internal/pt2pt, internal/netgauge) build it
+// with New over the rank's provider.
 package ucx
 
 import (
@@ -82,17 +83,22 @@ const (
 	kindRelease = ".rel"
 )
 
-// Handler types re-exported from the SPI for convenience.
-type (
-	// EagerHandler consumes an eager active message; see xport.EagerHandler.
-	EagerHandler = xport.EagerHandler
-	// RndvTarget resolves a rendezvous landing zone; see xport.RndvTarget.
-	RndvTarget = xport.RndvTarget
-	// RndvDone observes rendezvous completion; see xport.RndvDone.
-	RndvDone = xport.RndvDone
-)
+// EagerHandler consumes an eager active message. data is only valid
+// during the call; the copy-out cost has already been charged to p.
+type EagerHandler func(p *sim.Proc, from int, header uint64, data []byte)
 
-// Transport is one rank's UCX-like messaging engine.
+// RndvTarget maps an announced rendezvous message to its landing zone in
+// local registered memory. Returning ok=false is a protocol error (the
+// layer above guarantees placement is known after initialization).
+type RndvTarget func(from int, header uint64, size int) (mem xport.Mem, off int, ok bool)
+
+// RndvDone is invoked (from the receiver's control path) when a
+// rendezvous payload has fully landed.
+type RndvDone func(from int, header uint64, size int)
+
+// Transport is one rank's UCX-like messaging engine: Send/SendMR deliver
+// (header, payload) to the destination's handler from its progress
+// engine, selecting an eager or rendezvous protocol by size.
 type Transport struct {
 	host xport.Host
 	pv   xport.Provider
@@ -123,8 +129,6 @@ type Transport struct {
 	zcopySends int64
 	rndvSends  int64
 }
-
-var _ xport.Messenger = (*Transport)(nil)
 
 // connectMsg is the wireup handshake payload: one endpoint descriptor per
 // rail.
@@ -229,9 +233,9 @@ type readOp struct {
 	seq    uint64
 }
 
-// New creates the transport for a rank with the provider's protocol
-// thresholds (Caps.EagerMax and Caps.RndvThreshold) and registers its
-// control handlers; providers call it from their NewMessenger. The channel
+// New creates the transport for a rank over one of its providers, with
+// the provider's protocol thresholds (Caps.EagerMax and
+// Caps.RndvThreshold), and registers its control handlers. The channel
 // namespaces the transport's control messages so multiple transports (like
 // multiple UCX workers) can coexist on one rank. Create exactly one
 // transport per (rank, channel).
@@ -254,9 +258,6 @@ func New(h xport.Host, pv xport.Provider, channel string) *Transport {
 	h.HandleCtrl(t.kindRelease, t.onRelease)
 	return t
 }
-
-// Host returns the owning rank's host environment.
-func (t *Transport) Host() xport.Host { return t.host }
 
 // SetEagerHandler installs the eager active-message consumer.
 func (t *Transport) SetEagerHandler(h EagerHandler) { t.eager = h }

@@ -1,13 +1,14 @@
-// Conformance suite for transport providers: every registered backend
-// must satisfy the same SPI contract — connect/accept in either order,
-// post-time registration bounds, immediate round trips, send-buffer
-// ownership, outstanding-window enforcement, and in-order completion
-// delivery — so the layers above
-// (core strategies, pt2pt, mpipcl) can switch providers without caveats.
+// Conformance suite for transport providers: every backend must satisfy
+// the same SPI contract — connect/accept in either order, post-time
+// registration bounds, typed misuse errors, immediate round trips,
+// send-buffer ownership, outstanding-window enforcement, and in-order
+// completion delivery — so the layers above (core strategies, pt2pt,
+// mpipcl) can switch providers without caveats.
 package xport_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 	"repro/internal/xport"
 )
 
-// providers enumerates every backend under conformance. IntraNode
+// providers enumerates every backend under conformance. Intra-node
 // backends get both ranks on one node; fabric backends get one per node.
 var providers = []struct {
 	name      string
@@ -28,14 +29,27 @@ var providers = []struct {
 	{"shm", true},
 }
 
-// TestRegisteredProviders pins the registry to the two real substrates:
-// the verbs device and the shared-memory loopback.
+// TestRegisteredProviders pins the provider list to the two real
+// substrates, the verbs device and the shared-memory loopback, and the
+// empty name to the verbs instance.
 func TestRegisteredProviders(t *testing.T) {
-	if got, want := fmt.Sprint(xport.Names()), "[shm verbs]"; got != want {
-		t.Fatalf("xport.Names() = %s, want %s", got, want)
+	if got, want := fmt.Sprint(mpi.Providers), "[shm verbs]"; got != want {
+		t.Fatalf("mpi.Providers = %s, want %s", got, want)
 	}
-	if len(providers) != len(xport.Names()) {
-		t.Fatalf("conformance covers %d providers, registry has %d", len(providers), len(xport.Names()))
+	if len(providers) != len(mpi.Providers) {
+		t.Fatalf("conformance covers %d providers, mpi.Providers has %d", len(providers), len(mpi.Providers))
+	}
+	r := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(1)}).Rank(0)
+	def, err := r.Provider("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.Provider("verbs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def != v {
+		t.Fatalf("Provider(\"\") = %p (%s), want the verbs instance %p", def, def.Name(), v)
 	}
 }
 
@@ -115,17 +129,11 @@ func TestConformanceCaps(t *testing.T) {
 			if f.pv0.Name() != pc.name {
 				t.Errorf("Name() = %q", f.pv0.Name())
 			}
-			if !caps.WriteImm {
-				t.Error("provider does not support write-with-immediate")
-			}
-			if caps.MaxOutstanding <= 0 || caps.EagerMax <= 0 {
-				t.Errorf("non-positive limits: %+v", caps)
+			if caps.EagerMax <= 0 {
+				t.Errorf("non-positive eager max: %+v", caps)
 			}
 			if caps.RndvThreshold < caps.EagerMax {
 				t.Errorf("rendezvous threshold %d below eager max %d", caps.RndvThreshold, caps.EagerMax)
-			}
-			if caps.IntraNode != pc.intraNode {
-				t.Errorf("IntraNode = %v, want %v", caps.IntraNode, pc.intraNode)
 			}
 		})
 	}
@@ -237,6 +245,116 @@ func TestConformanceRegistrationBounds(t *testing.T) {
 			Segs: []xport.Seg{{Mem: mr, Off: 0, Len: 128}},
 		}); err != nil {
 			t.Errorf("full-region send rejected: %v", err)
+		}
+	})
+}
+
+// foreignMem is a Mem that no provider registered.
+type foreignMem struct{ buf []byte }
+
+func (m foreignMem) Bytes() []byte { return m.buf }
+func (m foreignMem) Len() int      { return len(m.buf) }
+func (m foreignMem) Addr() uint64  { return 1 << 40 }
+func (m foreignMem) RKey() uint32  { return 1 }
+func (m foreignMem) Dereg() error  { return nil }
+
+// TestConformanceMisuseErrors pins the typed-error contract: every misuse
+// fails with its SPI error class, so callers test it with errors.Is
+// whichever provider they run on.
+func TestConformanceMisuseErrors(t *testing.T) {
+	// untilErr repeats post n times and returns the first error.
+	untilErr := func(n int, post func() error) error {
+		for i := 0; i < n; i++ {
+			if err := post(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// pair mints a connected endpoint pair with the given queue depths.
+	pair := func(t *testing.T, f *fixture, sendWR, recvWR int) (xport.Endpoint, xport.Endpoint) {
+		ep0 := newEP(t, f.pv0, xport.EndpointConfig{MaxSendWR: sendWR, OnCompletion: noComp})
+		ep1 := newEP(t, f.pv1, xport.EndpointConfig{MaxRecvWR: recvWR, OnCompletion: noComp})
+		connectPair(t, ep0, ep1)
+		return ep0, ep1
+	}
+	cases := []struct {
+		name   string
+		want   error
+		misuse func(t *testing.T, f *fixture) error
+	}{
+		{"post before Connect", xport.ErrNotConnected, func(t *testing.T, f *fixture) error {
+			lone := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
+			mr := regMem(t, f.pv0, make([]byte, 64))
+			return lone.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: mr, Len: 64}}})
+		}},
+		{"segment past its region", xport.ErrMemBounds, func(t *testing.T, f *fixture) error {
+			ep0, _ := pair(t, f, 0, 0)
+			mr := regMem(t, f.pv0, make([]byte, 64))
+			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: mr, Off: 32, Len: 64}}})
+		}},
+		{"deregistered region", xport.ErrMemBounds, func(t *testing.T, f *fixture) error {
+			ep0, _ := pair(t, f, 0, 0)
+			mr := regMem(t, f.pv0, make([]byte, 64))
+			if err := mr.Dereg(); err != nil {
+				t.Fatal(err)
+			}
+			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: mr, Len: 64}}})
+		}},
+		{"oversize inline send", xport.ErrTooLong, func(t *testing.T, f *fixture) error {
+			ep0, _ := pair(t, f, 0, 0)
+			n := ep0.MaxInline() + 1
+			mr := regMem(t, f.pv0, make([]byte, n))
+			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Inline: true, Segs: []xport.Seg{{Mem: mr, Len: n}}})
+		}},
+		{"full send queue", xport.ErrQueueFull, func(t *testing.T, f *fixture) error {
+			ep0, _ := pair(t, f, 2, 0)
+			src := regMem(t, f.pv0, make([]byte, 64))
+			dst := regMem(t, f.pv1, make([]byte, 64))
+			return untilErr(3, func() error {
+				return ep0.PostSend(&xport.SendWR{
+					Op:         xport.OpWrite,
+					Segs:       []xport.Seg{{Mem: src, Len: 64}},
+					RemoteAddr: dst.Addr(),
+					RKey:       dst.RKey(),
+				})
+			})
+		}},
+		{"full receive queue", xport.ErrQueueFull, func(t *testing.T, f *fixture) error {
+			_, ep1 := pair(t, f, 0, 2)
+			mr := regMem(t, f.pv1, make([]byte, 64))
+			return untilErr(3, func() error {
+				return ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: mr, Len: 64}}})
+			})
+		}},
+		{"foreign descriptor", xport.ErrBadDesc, func(t *testing.T, f *fixture) error {
+			lone := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
+			return lone.Connect("not a descriptor")
+		}},
+		{"foreign memory", xport.ErrForeignMem, func(t *testing.T, f *fixture) error {
+			ep0, _ := pair(t, f, 0, 0)
+			m := foreignMem{buf: make([]byte, 64)}
+			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: m, Len: 64}}})
+		}},
+	}
+	for _, pc := range providers {
+		for _, tc := range cases {
+			t.Run(pc.name+"/"+tc.name, func(t *testing.T) {
+				err := tc.misuse(t, newFixture(t, pc.name, pc.intraNode))
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want one wrapping %v", err, tc.want)
+				}
+			})
+		}
+	}
+
+	// The intra-node provider refuses a peer on another node.
+	t.Run("shm/connect across nodes", func(t *testing.T) {
+		f := newFixture(t, "shm", false)
+		ep0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
+		ep1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: noComp})
+		if err := ep0.Connect(ep1.Desc()); !errors.Is(err, xport.ErrCrossNode) {
+			t.Fatalf("err = %v, want one wrapping %v", err, xport.ErrCrossNode)
 		}
 	})
 }

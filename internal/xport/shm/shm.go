@@ -7,10 +7,10 @@
 // on its two-node testbed.
 //
 // The provider implements the full verbs-like op set (send, RDMA write,
-// write-with-immediate, RDMA read) so the UCX-like messenger rides it
-// without modification. Transfers serialize per source endpoint (one
-// memory channel per connection), and completions queue in the provider
-// until the host's progress engine drains them. Payloads follow the
+// write-with-immediate, RDMA read) so the UCX-like engine (internal/ucx)
+// rides it without modification. Transfers serialize per source endpoint
+// (one memory channel per connection), and completions queue in the
+// provider until the host's progress engine drains them. Payloads follow the
 // xport.SendWR contract: a non-inline op is copied once, straight from the
 // sender's segments into the destination, when its transfer lands; only
 // inline ops are copied at post time.
@@ -21,14 +21,11 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/ucx"
 	"repro/internal/xport"
 )
 
-// Name is the provider's registry name.
+// Name is the provider's name.
 const Name = "shm"
-
-func init() { xport.Register(Name, New) }
 
 // LogGP-like cost profile of the shared-memory channel.
 const (
@@ -77,26 +74,17 @@ type delivery struct {
 
 // New instantiates the provider. It needs no hardware handle: the
 // "device" is the node's memory system.
-func New(h xport.Host) (xport.Provider, error) {
-	pv := &Provider{host: h, mems: make(map[uint32]*mem), nextKey: 1, nextAddr: 1 << 20}
-	h.AddProgressSource(pv)
-	return pv, nil
+func New(h xport.Host) *Provider {
+	return &Provider{host: h, mems: make(map[uint32]*mem), nextKey: 1, nextAddr: 1 << 20}
 }
 
 // Name returns "shm".
 func (pv *Provider) Name() string { return Name }
 
-// Caps advertises the channel limits. Copy is cheap intra-node, so the
-// eager and rendezvous thresholds sit well above the fabric's.
+// Caps advertises the protocol thresholds. Copy is cheap intra-node, so
+// the eager and rendezvous thresholds sit well above the fabric's.
 func (pv *Provider) Caps() xport.Caps {
-	return xport.Caps{
-		WriteImm:       true,
-		MaxInline:      defMaxInline,
-		MaxOutstanding: defMaxOutstanding,
-		EagerMax:       8 << 10,
-		RndvThreshold:  64 << 10,
-		IntraNode:      true,
-	}
+	return xport.Caps{EagerMax: 8 << 10, RndvThreshold: 64 << 10}
 }
 
 // RegMem registers buf for local and remote access.
@@ -130,13 +118,6 @@ func (pv *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error
 		ep.maxOutstanding = defMaxOutstanding
 	}
 	return ep, nil
-}
-
-// NewMessenger builds the UCX-like active-message engine over this
-// provider; the protocol layer is transport-neutral, only the thresholds
-// and costs under it change.
-func (pv *Provider) NewMessenger(channel string) (xport.Messenger, error) {
-	return ucx.New(pv.host, pv, channel), nil
 }
 
 // push queues a completion for the progress engine and wakes the host.

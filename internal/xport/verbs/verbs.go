@@ -8,25 +8,27 @@
 // which preserves the pre-SPI drain order exactly (receive CQ first, then
 // the send CQ, 64 at a time) so simulated timelines are unchanged.
 //
+// Device errors from PostSend and PostRecv are wrapped with the SPI's
+// typed error class (xport.ErrNotConnected, ErrMemBounds, ErrTooLong,
+// ErrQueueFull), so errors.Is matches both the SPI and the ibv error.
+//
 // The provider inherits the device's buffer contract (xport.SendWR): a
 // non-inline WR's payload is read from the caller's memory when it lands
 // at the peer, so it must stay untouched until the WR completes.
 package verbs
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
 	"repro/internal/ibv"
 	"repro/internal/sim"
-	"repro/internal/ucx"
 	"repro/internal/xport"
 )
 
-// Name is the provider's registry name.
+// Name is the provider's name.
 const Name = "verbs"
-
-func init() { xport.Register(Name, New) }
 
 // Provider is one rank's verbs backend instance.
 type Provider struct {
@@ -42,7 +44,7 @@ type Provider struct {
 
 // New instantiates the provider for a host whose Hardware is a
 // *cluster.Node carrying the rank's HCA.
-func New(h xport.Host) (xport.Provider, error) {
+func New(h xport.Host) (*Provider, error) {
 	node, ok := h.Hardware().(*cluster.Node)
 	if !ok {
 		return nil, fmt.Errorf("verbs: host hardware %T is not a *cluster.Node", h.Hardware())
@@ -60,23 +62,16 @@ func New(h xport.Host) (xport.Provider, error) {
 	// WaitOn, as a completion channel would.
 	v.sendCQ.SetNotify(h.Wake)
 	v.recvCQ.SetNotify(h.Wake)
-	h.AddProgressSource(v)
 	return v, nil
 }
 
 // Name returns "verbs".
 func (v *Provider) Name() string { return Name }
 
-// Caps advertises the ConnectX-5-like device limits and the eager
-// thresholds the paper observes in the middleware running over it.
+// Caps advertises the eager thresholds the paper observes in the
+// middleware running over the device.
 func (v *Provider) Caps() xport.Caps {
-	return xport.Caps{
-		WriteImm:       true,
-		MaxInline:      220,
-		MaxOutstanding: 16,
-		EagerMax:       1 << 10,
-		RndvThreshold:  32 << 10,
-	}
+	return xport.Caps{EagerMax: 1 << 10, RndvThreshold: 32 << 10}
 }
 
 // RegMem registers buf with the rank's protection domain. The returned
@@ -111,12 +106,6 @@ func (v *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error)
 	ep := &endpoint{qp: qp, onComp: cfg.OnCompletion}
 	v.eps[qp.QPN()] = ep
 	return ep, nil
-}
-
-// NewMessenger builds the UCX-like active-message engine over this
-// provider — the middleware the paper's baseline rides on.
-func (v *Provider) NewMessenger(channel string) (xport.Messenger, error) {
-	return ucx.New(v.host, v, channel), nil
 }
 
 // Progress drains both CQs, charging the host's completion cost per
@@ -261,7 +250,7 @@ func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 		}
 		sges[i] = mr.SGEFor(s.Off, s.Len)
 	}
-	return ep.qp.PostSend(ibv.SendWR{
+	if err := ep.qp.PostSend(ibv.SendWR{
 		WRID:       wr.WRID,
 		Opcode:     opcode,
 		SGList:     sges,
@@ -270,7 +259,10 @@ func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 		Imm:        wr.Imm,
 		Signaled:   wr.Signaled,
 		Inline:     wr.Inline,
-	})
+	}); err != nil {
+		return spiErr(err)
+	}
+	return nil
 }
 
 // PostRecv posts a receive work request, converting the scatter list once
@@ -291,7 +283,29 @@ func (ep *endpoint) PostRecv(wr *xport.RecvWR) error {
 		}
 		wr.Prep = rw
 	}
-	return ep.qp.PostRecv(*rw)
+	if err := ep.qp.PostRecv(*rw); err != nil {
+		return spiErr(err)
+	}
+	return nil
+}
+
+// spiErr wraps a device post error with its SPI error class, keeping the
+// ibv error in the chain. Errors without an SPI class pass through.
+func spiErr(err error) error {
+	var class error
+	switch {
+	case errors.Is(err, ibv.ErrBadState):
+		class = xport.ErrNotConnected
+	case errors.Is(err, ibv.ErrMRBounds), errors.Is(err, ibv.ErrBadLKey):
+		class = xport.ErrMemBounds
+	case errors.Is(err, ibv.ErrInlineTooLarge):
+		class = xport.ErrTooLong
+	case errors.Is(err, ibv.ErrSQFull), errors.Is(err, ibv.ErrRQFull):
+		class = xport.ErrQueueFull
+	default:
+		return err
+	}
+	return fmt.Errorf("%w: %w", class, err)
 }
 
 // Outstanding reports send WRs handed to the fabric and not yet acked.

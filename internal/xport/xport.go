@@ -1,17 +1,17 @@
 // Package xport is the provider-neutral transport SPI every communication
 // layer of the stack programs against. It exists so that the aggregation
 // strategies (internal/core), the point-to-point layer (internal/pt2pt),
-// and the benchmarks can run unmodified over pluggable interconnect
-// backends — the simulated verbs device or an intra-node shared-memory
-// loopback — the same seam pMR and libfabric carve between MPI-level logic
-// and provider hardware. Every provider builds the same UCX-like
-// active-message engine (internal/ucx) as its Messenger.
+// and the benchmarks run unmodified over either interconnect backend —
+// the simulated verbs device or an intra-node shared-memory loopback —
+// the same seam pMR and libfabric carve between MPI-level logic and
+// provider hardware. The UCX-like active-message engine (internal/ucx)
+// rides on the same SPI.
 //
 // The SPI has four load-bearing contracts:
 //
 //   - Provider: a per-rank backend instance. It registers memory (Mem),
-//     mints Endpoints, advertises capabilities (Caps), and builds the
-//     active-message Messenger the eager/rendezvous layers ride on.
+//     mints Endpoints, advertises the protocol thresholds of the
+//     middleware above it (Caps), and drains its completions (Progress).
 //   - Endpoint: one reliable connected queue pair. Endpoints exchange
 //     opaque descriptors (Desc) through the host's control plane and are
 //     connected with Connect; work is posted with PostSend/PostRecv. A
@@ -22,20 +22,18 @@
 //     remote access and sliced locally into Segs.
 //   - Completion delivery: providers never call application code directly.
 //     Completions queue inside the provider and are drained by the host's
-//     progress engine through ProgressSource.Progress, preserving the
-//     paper's single-threaded try-lock progress semantics (§IV-A): each
-//     drained completion charges the host's completion cost to the
-//     progressing proc and is dispatched to the owning endpoint's
-//     OnCompletion callback.
+//     progress engine through Provider.Progress, preserving the paper's
+//     single-threaded try-lock progress semantics (§IV-A): each drained
+//     completion charges the host's completion cost to the progressing
+//     proc and is dispatched to the owning endpoint's OnCompletion
+//     callback.
 //
-// Providers self-register by name in an init function (Register), like
-// database/sql drivers; hosts instantiate them lazily by name.
+// The host (internal/mpi) builds its providers by name; the set is closed.
 package xport
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -45,7 +43,7 @@ import (
 // with context via fmt.Errorf("...: %w", Err...), so callers test with
 // errors.Is.
 var (
-	// ErrUnknownProvider is returned when no provider registered under the
+	// ErrUnknownProvider is returned when the host has no provider of the
 	// requested name.
 	ErrUnknownProvider = errors.New("xport: unknown provider")
 	// ErrNotConnected is returned when work is posted on an endpoint that
@@ -64,7 +62,7 @@ var (
 	// its Mem.
 	ErrMemBounds = errors.New("xport: segment outside registered region")
 	// ErrTooLong is returned when a payload exceeds a protocol limit (for
-	// example Messenger.Send beyond the rendezvous threshold).
+	// example an inline send beyond MaxInline).
 	ErrTooLong = errors.New("xport: payload exceeds protocol limit")
 	// ErrQueueFull is returned when a work queue's depth is exhausted.
 	ErrQueueFull = errors.New("xport: work queue full")
@@ -73,8 +71,8 @@ var (
 // Op is a send-side work-request opcode.
 type Op int
 
-// Work-request opcodes. They mirror the verbs set; providers without
-// native support for an opcode emulate it or reject it per their Caps.
+// Work-request opcodes. They mirror the verbs set; every provider
+// implements all four.
 const (
 	// OpSend is a two-sided send consuming a remote receive WR.
 	OpSend Op = iota
@@ -291,69 +289,13 @@ type Endpoint interface {
 	MaxInline() int
 }
 
-// Caps advertises a provider's capabilities and protocol preferences.
+// Caps carries a provider's protocol preferences: the switch points of the
+// active-message engine (internal/ucx) running over it.
 type Caps struct {
-	// WriteImm reports native RDMA-write-with-immediate support.
-	WriteImm bool
-	// MaxInline is the default largest inline payload.
-	MaxInline int
-	// MaxOutstanding is the default in-flight work-request window.
-	MaxOutstanding int
-	// EagerMax is the bounce-copy (eager/bcopy) threshold of messengers
-	// over this provider.
+	// EagerMax is the bounce-copy (eager/bcopy) threshold.
 	EagerMax int
-	// RndvThreshold is their eager/rendezvous switch point.
+	// RndvThreshold is the eager/rendezvous switch point.
 	RndvThreshold int
-	// IntraNode restricts endpoints to peers on the same node.
-	IntraNode bool
-}
-
-// EagerHandler consumes an eager active message. data is only valid
-// during the call; the copy-out cost has already been charged to p.
-type EagerHandler func(p *sim.Proc, from int, header uint64, data []byte)
-
-// RndvTarget maps an announced rendezvous message to its landing zone in
-// local registered memory. Returning ok=false is a protocol error (the
-// layer above guarantees placement is known after initialization).
-type RndvTarget func(from int, header uint64, size int) (mem Mem, off int, ok bool)
-
-// RndvDone is invoked (from the receiver's control path) when a
-// rendezvous payload has fully landed.
-type RndvDone func(from int, header uint64, size int)
-
-// Messenger is an active-message engine over a provider: Send/SendMR
-// deliver (header, payload) to the destination's handler from its
-// progress engine, selecting an eager or rendezvous protocol by size.
-// Connections are established lazily per destination.
-type Messenger interface {
-	// SetEagerHandler installs the eager active-message consumer.
-	SetEagerHandler(h EagerHandler)
-	// SetRndv installs the rendezvous placement and completion callbacks.
-	SetRndv(target RndvTarget, done RndvDone)
-	// Send delivers an active message from arbitrary (unregistered)
-	// memory; it stages through a bounce copy and therefore requires
-	// len(data) <= the rendezvous threshold (ErrTooLong otherwise).
-	Send(p *sim.Proc, dst int, header uint64, data []byte) error
-	// SendMR delivers an active message from registered memory, selecting
-	// bcopy, zcopy, or rendezvous by size.
-	SendMR(p *sim.Proc, dst int, header uint64, mem Mem, off, length int) error
-	// Connected reports whether the endpoint to dst is wired up.
-	Connected(dst int) bool
-	// Quiescent reports whether no deferred sends, unacknowledged work
-	// requests, or rendezvous operations are in flight (flush semantics).
-	Quiescent() bool
-	// Stats returns (bcopy, zcopy, rendezvous) send counts.
-	Stats() (bcopy, zcopy, rndv int64)
-}
-
-// ProgressSource is a provider-side completion reservoir drained by the
-// host's progress engine. Progress drains everything currently queued,
-// charging the host's completion cost per item and dispatching each to
-// its endpoint's OnCompletion callback; it returns the number drained.
-// It is only ever called under the host's progress try-lock, so
-// implementations need no locking of their own.
-type ProgressSource interface {
-	Progress(p *sim.Proc) int
 }
 
 // Host is the rank-side environment a provider instance runs in,
@@ -377,65 +319,24 @@ type Host interface {
 	Wake()
 	// CompletionCost is the software cost charged per drained completion.
 	CompletionCost() time.Duration
-	// AddProgressSource registers a completion reservoir with the host's
-	// progress engine. Providers with their own completion queues call
-	// this once at construction.
-	AddProgressSource(s ProgressSource)
 }
 
 // Provider is one rank's instance of a transport backend.
 type Provider interface {
-	// Name returns the registry name ("verbs", "shm").
+	// Name returns the provider's name ("verbs", "shm").
 	Name() string
-	// Caps advertises capabilities and protocol defaults.
+	// Caps advertises protocol thresholds.
 	Caps() Caps
 	// RegMem registers buf for local and remote access.
 	RegMem(buf []byte) (Mem, error)
 	// NewEndpoint mints an unconnected endpoint.
 	NewEndpoint(cfg EndpointConfig) (Endpoint, error)
-	// NewMessenger builds an active-message engine over this provider,
-	// with its control messages namespaced by channel (empty selects the
-	// engine's default) and its protocol thresholds taken from Caps.
-	// Create at most one messenger per channel per rank.
-	NewMessenger(channel string) (Messenger, error)
-}
-
-// Factory instantiates a provider for one host.
-type Factory func(h Host) (Provider, error)
-
-var registry = map[string]Factory{}
-
-// Register makes a provider available by name. It panics on duplicate
-// registration (a construction-time programming error), like
-// database/sql.Register.
-func Register(name string, f Factory) {
-	if f == nil {
-		panic("xport: Register with nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("xport: provider %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// NewProvider instantiates the named provider for a host. Hosts memoize
-// the result (one instance per rank per provider).
-func NewProvider(name string, h Host) (Provider, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownProvider, name, Names())
-	}
-	return f(h)
-}
-
-// Names returns the registered provider names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	// Progress drains every completion currently queued, charging the
+	// host's completion cost per item and dispatching each to its
+	// endpoint's OnCompletion callback; it returns the number drained.
+	// The host calls it only under its progress try-lock, so providers
+	// need no locking of their own.
+	Progress(p *sim.Proc) int
 }
 
 // CheckSeg validates a Seg against its Mem bounds, returning ErrMemBounds

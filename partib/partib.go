@@ -110,8 +110,8 @@ func NewJob(cfg JobConfig) *World {
 func NewEngine(r *Rank) (*Engine, error) { return core.NewEngine(r, "") }
 
 // NewEngineOn is NewEngine over a named transport provider ("verbs" or
-// "shm"). Providers register themselves at init time; unknown names return
-// an error wrapping xport.ErrUnknownProvider.
+// "shm"); any other name returns an error wrapping
+// xport.ErrUnknownProvider.
 func NewEngineOn(r *Rank, provider string) (*Engine, error) { return core.NewEngine(r, provider) }
 
 // NewGroup returns a Group bound to the job's engine, for joining
