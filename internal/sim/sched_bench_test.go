@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -57,6 +58,75 @@ func BenchmarkScheduleFireMixed(b *testing.B) {
 		30 * time.Microsecond,
 		4 * time.Millisecond,
 	})
+}
+
+// denseN is the number of events a dense-tick round puts into one tick.
+const denseN = 256
+
+// denseTick drives rounds of the dense-tick shape: denseN events scheduled
+// into one calendar tick in a seeded random order, each firing one child
+// 0–2 µs later, as many procs' compute sleepers waking together do.
+type denseTick struct {
+	e    *Engine
+	offs [denseN]Time          // parents' offsets within the tick, in schedule order
+	kids [denseN]time.Duration // children's delays, in parent fire order
+	k    int                   // parents fired so far in this round
+}
+
+func newDenseTick() *denseTick {
+	d := &denseTick{e: NewEngine()}
+	rng := rand.New(rand.NewSource(1))
+	for i := range d.offs {
+		d.offs[i] = Time(rng.Intn(1 << bucketShift))
+		d.kids[i] = time.Duration(rng.Intn(2000))
+	}
+	return d
+}
+
+func fireDenseParent(_ Time, a any) {
+	d := a.(*denseTick)
+	d.e.AfterCall(d.kids[d.k], benchNop, nil)
+	d.k++
+}
+
+// round schedules the parents into the tick after the clock's and runs
+// them and their children: 2*denseN events.
+func (d *denseTick) round() {
+	d.k = 0
+	base := Time((tickOf(d.e.Now()) + 1) << bucketShift)
+	for _, off := range d.offs {
+		d.e.AtCall(base+off, fireDenseParent, d)
+	}
+	for d.e.Step() {
+	}
+}
+
+// BenchmarkScheduleFireDense measures the per-event cost of dense ticks:
+// each round fills one tick with 256 out-of-order events, and each of
+// them schedules a child into the tick being drained or the next. One op
+// is one event scheduled and fired.
+func BenchmarkScheduleFireDense(b *testing.B) {
+	d := newDenseTick()
+	d.round() // warm the free list
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += 2 * denseN {
+		d.round()
+	}
+}
+
+// TestDenseTickSteadyStateZeroAllocs is the allocation gate on dense
+// ticks: once the free list is warm, a round of BenchmarkScheduleFireDense
+// allocates nothing, split and sub-chain inserts included.
+func TestDenseTickSteadyStateZeroAllocs(t *testing.T) {
+	d := newDenseTick()
+	d.round() // warm the free list
+	if allocs := testing.AllocsPerRun(100, d.round); allocs != 0 {
+		t.Errorf("dense-tick round allocates %.1f/op, want 0", allocs)
+	}
+	if s := d.e.SchedStats(); s.MaxBucket < denseN {
+		t.Errorf("MaxBucket = %d, want >= %d: the parents did not share a tick", s.MaxBucket, denseN)
+	}
 }
 
 // BenchmarkTimerStopStart measures the AfterFunc+Stop cycle. Stop is lazy

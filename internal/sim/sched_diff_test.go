@@ -14,8 +14,9 @@ import (
 // operations, and after every operation the fire log (event id and
 // timestamp, in order), Pending(), and Now() must match exactly. The
 // reference model is the pre-calendar-queue design, so any divergence in
-// ordering (FIFO seq tie-break across the ring, buckets, and far heap),
-// lazy cancellation accounting, or clock advancement is caught here.
+// ordering (FIFO seq tie-break across the ring, buckets, split-tick
+// sub-chains and far heap), lazy cancellation accounting, or clock
+// advancement is caught here.
 
 // refItem is one scheduled event in the reference model.
 type refItem struct {
@@ -68,6 +69,11 @@ func diffChildren(id int, budget *int) []time.Duration {
 	case 4:
 		*budget--
 		return []time.Duration{0, 900 * time.Microsecond} // ring + far heap
+	case 5, 6:
+		// now+[0, 2 µs): the split tick being drained or the next one,
+		// at a spread of offsets fixed by the id.
+		*budget--
+		return []time.Duration{time.Duration(uint32(id) * 2654435761 % 2000)}
 	}
 	return nil
 }
@@ -101,6 +107,17 @@ func (m *refModel) cancel(id int) bool {
 	it.cancelled = true
 	m.pending--
 	return true
+}
+
+// nextAt reports the time of the earliest live event, if any.
+func (m *refModel) nextAt() (Time, bool) {
+	for len(m.h) > 0 {
+		if it := m.h.Peek(); !it.cancelled {
+			return it.at, true
+		}
+		heap.Pop(&m.h)
+	}
+	return 0, false
 }
 
 // step fires the earliest live event, if any.
@@ -185,13 +202,27 @@ func TestSchedulerDifferential(t *testing.T) {
 	}
 }
 
+// FuzzSchedulerDifferential runs the differential over fuzzed seeds and
+// operation counts; the corpus is TestSchedulerDifferential's eight runs.
+// Run it with
+//
+//	go test -run '^$' -fuzz FuzzSchedulerDifferential -fuzztime 20s ./internal/sim/
+func FuzzSchedulerDifferential(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint16(4000))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
+		runSchedulerDifferential(t, seed, int(ops))
+	})
+}
+
 func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
 
 	engNext, refNext := 1_000_000, 1_000_000
-	eng := &engSide{e: e, timers: make(map[int]*Timer), nextID: &engNext, budget: 200}
-	ref := &refModel{items: make(map[int]*refItem), nextID: &refNext, budget: 200}
+	eng := &engSide{e: e, timers: make(map[int]*Timer), nextID: &engNext, budget: 400}
+	ref := &refModel{items: make(map[int]*refItem), nextID: &refNext, budget: 400}
 
 	var ids []int // all ids ever scheduled from the top level, for cancel targeting
 	nextID := 0
@@ -216,6 +247,7 @@ func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 		}
 	}
 
+	checked := 0 // fire-log entries already compared
 	check := func(op string) {
 		t.Helper()
 		if e.Pending() != ref.pending {
@@ -227,28 +259,51 @@ func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 		if len(eng.log) != len(ref.log) {
 			t.Fatalf("%s: fired %d events, reference fired %d", op, len(eng.log), len(ref.log))
 		}
-		for i := range eng.log {
+		for i := checked; i < len(eng.log); i++ {
 			if eng.log[i] != ref.log[i] {
 				t.Fatalf("%s: fire log diverges at %d: engine %+v, reference %+v",
 					op, i, eng.log[i], ref.log[i])
 			}
 		}
+		checked = len(eng.log)
 	}
 
-	scheduleOne := func() {
+	scheduleAt := func(d time.Duration) {
 		id := nextID
 		nextID++
-		d := delta()
 		ids = append(ids, id)
 		eng.schedule(id, d)
 		ref.schedule(id, ref.now.Add(d))
 	}
+	scheduleOne := func() { scheduleAt(delta()) }
+
+	// burst is the dense delta class: tens of events into one tick (the
+	// current one, being drained, or one up to 7 ticks ahead) in random
+	// order, half of them inside one 32 ns sub-tick.
+	burst := func() {
+		const tick = 1 << bucketShift
+		start := (tickOf(ref.now) + int64(rng.Intn(8))) * tick
+		sub := Time(start + int64(rng.Intn(tick/32))*32)
+		for n := 10 + rng.Intn(40); n > 0; n-- {
+			at := Time(start + int64(rng.Intn(tick)))
+			if rng.Intn(2) == 0 {
+				at = sub + Time(rng.Intn(32))
+			}
+			if at < ref.now {
+				at = ref.now
+			}
+			scheduleAt(at.Sub(ref.now))
+		}
+	}
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 40: // schedule
+		case r < 36: // schedule
 			scheduleOne()
 			check("schedule")
+		case r < 40: // schedule a burst into one tick
+			burst()
+			check("burst")
 		case r < 55: // cancel a random past-or-present id
 			if len(ids) == 0 {
 				continue
@@ -272,13 +327,32 @@ func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 			}
 			scheduleOne()
 			check("reschedule")
-		case r < 85: // advance the clock, firing everything due
+		case r < 77: // advance the clock, firing everything due
 			tgt := e.Now().Add(delta())
 			if err := e.RunUntil(tgt); err != nil {
 				t.Fatalf("RunUntil: %v", err)
 			}
 			ref.advanceTo(tgt)
 			check("advance")
+		case r < 85: // stop the clock short of the next event, then insert before it
+			next, ok := ref.nextAt()
+			if !ok {
+				continue
+			}
+			// Up to two ticks short: the next event's tick is left split
+			// and the inserts below land behind it or inside it.
+			tgt := next - 1 - Time(rng.Intn(2<<bucketShift))
+			if tgt < ref.now {
+				tgt = ref.now
+			}
+			if err := e.RunUntil(tgt); err != nil {
+				t.Fatalf("RunUntil: %v", err)
+			}
+			ref.advanceTo(tgt)
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				scheduleAt(time.Duration(rng.Int63n(int64(next-ref.now) + 1)))
+			}
+			check("short advance")
 		default: // single step
 			got := e.Step()
 			want := ref.step()

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Targeted structural tests for the calendar queue: each exercises one
@@ -160,6 +162,73 @@ func TestSchedStatsTiers(t *testing.T) {
 	}
 	if s.MaxBucket < 1 {
 		t.Fatalf("MaxBucket = %d, want >= 1", s.MaxBucket)
+	}
+}
+
+// TestSchedStatsMaxBucketCountsMigrated: refill migrates far events into
+// the buckets without an insert, yet the tick they fill still counts
+// toward MaxBucket. One event at 1 µs anchors the window; 100 events at
+// 1 ms+i ns lie beyond it and share one tick once refill brings them in.
+func TestSchedStatsMaxBucketCountsMigrated(t *testing.T) {
+	e := NewEngine()
+	e.After(time.Microsecond, func() {})
+	for i := 0; i < 100; i++ {
+		e.At(Time(time.Millisecond)+Time(i), func() {})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.SchedStats(); s.Far != 100 || s.MaxBucket != 100 {
+		t.Fatalf("stats %+v, want Far = 100 and MaxBucket = 100", s)
+	}
+}
+
+// TestSplitTickSpillAndReanchor walks a split tick through both ways
+// back onto its bucket, each after RunUntil leaves the clock short of it:
+// an insert below the window anchor (spill, then reanchor) and an insert
+// on an earlier tick inside the window (spill, then cursor pull-back).
+// Fire order must stay (at, seq) throughout.
+func TestSplitTickSpillAndReanchor(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	at := func(when Time, name string) {
+		e.At(when, func() { got = append(got, name) })
+	}
+	split := func(until Time) {
+		t.Helper()
+		if err := e.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		if e.subOcc == 0 {
+			t.Fatalf("RunUntil(%d) left no tick split", until)
+		}
+	}
+	// The first insert anchors the window at the 10 ms tick.
+	at(10_000_100, "f")
+	at(10_000_040, "b")
+	at(10_000_050, "e")
+	at(10_000_045, "d")
+	split(9_000_000)
+	at(9_500_000, "anchor") // below the anchor: spill, reanchor
+	at(10_000_041, "c")
+	split(9_990_000)
+	at(9_995_000, "pull") // behind the split tick: spill, pull back
+	at(10_000_040, "b2")  // same instant as b, larger seq
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"anchor", "pull", "b", "b2", "c", "d", "e", "f"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", got, want)
+	}
+}
+
+// TestEngineFitsSizeClass pins the Engine inside Go's 5376-byte size
+// class: 5368 bytes plus the 8-byte allocation header. One more word
+// would put every engine in the next class, 768 bytes larger.
+func TestEngineFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n > 5368 {
+		t.Fatalf("unsafe.Sizeof(Engine{}) = %d, want <= 5368", n)
 	}
 }
 

@@ -212,7 +212,7 @@ func NewShardSet(lam [][]time.Duration) *ShardSet {
 	s.mail = make([][]mailbox, n)
 	for i := range s.engines {
 		e := NewEngine()
-		e.shard, e.shardID = s, i
+		e.shard, e.shardID = s, int32(i)
 		s.engines[i] = e
 		s.mail[i] = make([]mailbox, n)
 		for j := range s.mail[i] {

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -72,14 +73,21 @@ func eventLess(a, b *event) bool {
 // latencies, and flow-burst gaps that dominate steady-state scheduling
 // (all µs-scale), while ms-scale δ-timers and compute sleeps overflow to
 // the far heap and migrate into the window as the clock approaches them.
+// The tick being drained is split into numSubs sub-ticks of
+// 2^subShift = 32 ns each.
 const (
 	bucketShift = 11
 	numBuckets  = 256
 	bucketMask  = numBuckets - 1
+	subShift    = 5
+	numSubs     = 1 << (bucketShift - subShift)
 )
 
 // tickOf maps a timestamp to its calendar tick.
 func tickOf(t Time) int64 { return int64(t) >> bucketShift }
+
+// subOf maps a timestamp to its sub-tick within its calendar tick.
+func subOf(t Time) int { return int(t>>subShift) & (numSubs - 1) }
 
 // DeadlockError is returned by Run and RunUntil when the event queue
 // drains while non-daemon procs are still parked: nothing can ever wake
@@ -104,12 +112,16 @@ func (e *DeadlockError) Error() string {
 //     entirely (append-tail/pop-head on an intrusive list, O(1)).
 //   - buckets: a ring of numBuckets per-tick buckets covering the near
 //     window [anchor, anchor+numBuckets) ticks. Each bucket is an
-//     intrusive chain through the events themselves (no per-slot slice
-//     storage, so steady state touches no allocator at all), kept sorted
-//     by (at, seq): dispatch pops the chain head in O(1), and insertion
-//     is an O(1) tail append for the dominant in-order patterns (bursts
-//     of same-instant wakeups, monotone LogGP step trains, refill
-//     migration) with a bounded in-chain walk otherwise.
+//     unsorted intrusive chain through the events themselves (no
+//     per-slot slice storage, so steady state touches no allocator at
+//     all), and insertion is an O(1) tail append. When the drain cursor
+//     reaches a non-empty tick, split spreads its chain over numSubs
+//     sub-chains of 32 ns each, kept sorted by (at, seq) with a tail/head
+//     check and a walk over the few events of one sub-tick; an occupancy
+//     mask finds the earliest non-empty one, whose head dispatch pops in
+//     O(1). Inserts into the split tick go straight to their sub-chain;
+//     an insert behind it spills the sub-chains back onto its bucket
+//     first.
 //   - far: a monomorphic 4-ary min-heap ordered by (at, seq) for events
 //     beyond the window; they migrate into the buckets in batches when
 //     the window drains and re-anchors (refill).
@@ -118,8 +130,10 @@ func (e *DeadlockError) Error() string {
 // recycles it whenever a scan encounters it, so Stop is O(1) in all tiers.
 //
 // At 5368 bytes plus the 8-byte allocation header, an Engine exactly fills
-// Go's 5376-byte size class: a field that grows it costs 768 bytes of heap
-// per engine, so new fields should take existing padding or replace one.
+// Go's 5376-byte size class (TestEngineFitsSizeClass): a field that grows
+// it costs 768 bytes of heap per engine, so new fields should take
+// existing padding or replace one; shardID sits in nowClean's padding for
+// that reason.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -134,9 +148,9 @@ type Engine struct {
 
 	// shard links the engine to its ShardSet when it runs as one shard of
 	// a conservative parallel simulation (see shard.go); nil for serial
-	// engines. shardID is the engine's index within the set.
-	shard   *ShardSet
-	shardID int
+	// engines. shardID (next to nowClean) is the engine's index within
+	// the set.
+	shard *ShardSet
 	// winEnd is the exclusive upper bound of the events a bounded loop
 	// executes: RunUntil's t+1, or the shard window the engine is
 	// currently executing (runWindow). A shard's bound is written by the
@@ -150,14 +164,20 @@ type Engine struct {
 	ringH *event
 	ringT *event
 
-	// Tier 1: near-window calendar buckets (FIFO chain head/tail plus an
-	// occupancy count per slot). anchor is the first tick of the window;
-	// cursor is the next tick to drain (slots for ticks in [anchor,
-	// cursor) are empty). nbucket counts entries across all buckets,
-	// including cancelled ones awaiting lazy removal.
+	// Tier 1: near-window calendar buckets (unsorted chain head/tail per
+	// slot). anchor is the first tick of the window; cursor is the next
+	// tick to drain (slots for ticks in [anchor, cursor) are empty).
+	// nbucket counts entries across all buckets and sub-chains, including
+	// cancelled ones awaiting lazy removal.
 	buckets [numBuckets]*event
 	tails   [numBuckets]*event
-	blen    [numBuckets]int32
+	// subH and subT are the sorted sub-chains of the split tick, which is
+	// always the cursor's; bit s of subOcc is set while sub-chain s is
+	// non-empty, and the cursor's bucket stays empty while any is. A zero
+	// subOcc means no tick is split.
+	subH    [numSubs]*event
+	subT    [numSubs]*event
+	subOcc  uint64
 	nbucket int
 	anchor  int64
 	cursor  int64
@@ -168,8 +188,9 @@ type Engine struct {
 	nowClean bool
 	// loop is the run loop executing the engine's events; with winEnd it
 	// tells Proc.Sleep whether the loop would run the sleeper's wake-up
-	// next (see wakeInPlace). It sits in nowClean's padding.
-	loop runLoop
+	// next (see wakeInPlace). It and shardID sit in nowClean's padding.
+	loop    runLoop
+	shardID int32
 
 	// Tier 2: far-future monomorphic 4-ary min-heap.
 	far []*event
@@ -182,8 +203,8 @@ type Engine struct {
 	flushedAt uint64
 
 	// Scheduler counters (see SchedStats): how many insertions hit each
-	// tier, the largest bucket ever observed, and how many wake-ups ran
-	// in place.
+	// tier, the longest chain a tick held when split, and how many
+	// wake-ups ran in place.
 	statRing      uint64
 	statBucket    uint64
 	statFar       uint64
@@ -228,16 +249,21 @@ func TotalEvents() uint64 { return totalEvents.Load() }
 
 // SchedStats reports where scheduled events landed in the calendar queue:
 // the same-instant ring, the near-window buckets, or the far heap
-// (overflow beyond the bucket window), plus the largest single-bucket
-// occupancy observed. Ratios between the tiers tell whether the window
-// geometry matches the workload. InPlace counts the procs' Sleep wake-ups
-// that ran without a park (see Proc.Sleep); they are counted as executed
-// events too.
+// (overflow beyond the bucket window), plus the most events one tick held
+// when the drain cursor reached it. Ratios between the tiers tell whether
+// the window geometry matches the workload. InPlace counts the procs'
+// Sleep wake-ups that ran without a park (see Proc.Sleep); they are
+// counted as executed events too.
 type SchedStats struct {
-	Ring      uint64 // insertions dispatched through the same-instant ring
-	Bucket    uint64 // insertions into the near-window calendar buckets
-	Far       uint64 // insertions that overflowed to the far heap
-	MaxBucket int    // peak single-bucket occupancy
+	Ring   uint64 // insertions dispatched through the same-instant ring
+	Bucket uint64 // insertions into the near-window calendar buckets
+	Far    uint64 // insertions that overflowed to the far heap
+	// MaxBucket is the longest chain, cancelled events included, that a
+	// tick held when the drain cursor reached it and split it. Every
+	// bucketed event passes a split, whether it was inserted into the
+	// window or migrated there by refill or reanchor; events inserted
+	// into a tick already split are not counted.
+	MaxBucket int
 	InPlace   uint64 // Sleep wake-ups executed in place, without a park
 }
 
@@ -339,21 +365,26 @@ func (e *Engine) insert(ev *event) {
 	}
 }
 
-// bucketPut inserts the event into its tick's sorted bucket chain.
+// bucketPut inserts the event into its tick's bucket with an O(1) tail
+// append, or into its sub-chain if the tick is the split one.
 //
 //partib:hotpath
 func (e *Engine) bucketPut(tk int64, ev *event) {
-	e.relink(tk, ev)
-	i := int(tk & bucketMask)
-	if n := int(e.blen[i]); n > e.statMaxBucket {
-		e.statMaxBucket = n
+	e.statBucket++
+	if tk == e.cursor && e.subOcc != 0 {
+		e.subPut(ev)
+		e.nbucket++
+		return
 	}
 	if tk < e.cursor {
 		// The drain cursor had advanced past this (then-empty) tick;
-		// pull it back so the new event is seen.
+		// pull it back so the new event is seen. A split tick at the
+		// cursor goes back onto its bucket first, to be split again when
+		// the cursor returns to it.
+		e.spill()
 		e.cursor = tk
 	}
-	e.statBucket++
+	e.relink(tk, ev)
 }
 
 // reanchor moves the bucket window to start at tick tk, re-placing any
@@ -362,6 +393,7 @@ func (e *Engine) bucketPut(tk int64, ev *event) {
 func (e *Engine) reanchor(tk int64) {
 	var chain *event
 	if e.nbucket > 0 {
+		e.spill()
 		for i := range e.buckets {
 			for ev := e.buckets[i]; ev != nil; {
 				nxt := ev.next
@@ -369,7 +401,7 @@ func (e *Engine) reanchor(tk int64) {
 				chain = ev
 				ev = nxt
 			}
-			e.buckets[i], e.tails[i], e.blen[i] = nil, nil, 0
+			e.buckets[i], e.tails[i] = nil, nil
 		}
 		e.nbucket = 0
 	}
@@ -385,26 +417,77 @@ func (e *Engine) reanchor(tk int64) {
 	}
 }
 
-// relink inserts an already-queued event into its tick's bucket chain,
-// keeping the chain sorted by (at, seq). The tail check makes the dominant
-// monotone insertion orders O(1); out-of-order arrivals walk the (small)
-// chain to their slot. It does not touch the placement stats (reanchor and
-// refill migrations reuse it).
+// relink appends an already-queued event to its tick's bucket chain in
+// O(1). Bucket chains are unsorted: the order is settled when the cursor
+// reaches the tick (split). It does not touch the placement stats
+// (reanchor and refill migrations reuse it).
 //
 //partib:hotpath
 func (e *Engine) relink(tk int64, ev *event) {
 	i := int(tk & bucketMask)
+	ev.next = nil
 	if t := e.tails[i]; t == nil {
-		ev.next = nil
 		e.buckets[i] = ev
-		e.tails[i] = ev
+	} else {
+		t.next = ev
+	}
+	e.tails[i] = ev
+	e.nbucket++
+}
+
+// split spreads the chain ev of the tick at the cursor over its sorted
+// sub-chains, recycling cancelled events on the way. Every bucketed event
+// passes through here before it fires, so this is where MaxBucket is
+// recorded.
+//
+//partib:hotpath
+func (e *Engine) split(ev *event) {
+	i := int(e.cursor & bucketMask)
+	e.buckets[i], e.tails[i] = nil, nil
+	if ev.next == nil && !ev.cancelled {
+		// A lone event, the common sparse tick: nothing to sort.
+		s := subOf(ev.at)
+		e.subH[s], e.subT[s] = ev, ev
+		e.subOcc = 1 << s
+		e.statMaxBucket = max(e.statMaxBucket, 1)
+		return
+	}
+	n := 0
+	for ev != nil {
+		nxt := ev.next
+		n++
+		if ev.cancelled {
+			e.nbucket--
+			e.recycle(ev)
+		} else {
+			e.subPut(ev)
+		}
+		ev = nxt
+	}
+	if n > e.statMaxBucket {
+		e.statMaxBucket = n
+	}
+}
+
+// subPut inserts an event of the split tick into its 32 ns sub-chain,
+// keeping the chain sorted by (at, seq). The tail check makes the
+// dominant monotone insertion orders O(1); out-of-order arrivals walk the
+// (few) events of one sub-tick to their slot.
+//
+//partib:hotpath
+func (e *Engine) subPut(ev *event) {
+	s := subOf(ev.at)
+	if t := e.subT[s]; t == nil {
+		ev.next = nil
+		e.subH[s], e.subT[s] = ev, ev
+		e.subOcc |= 1 << s
 	} else if !eventLess(ev, t) {
 		ev.next = nil
 		t.next = ev
-		e.tails[i] = ev
-	} else if h := e.buckets[i]; eventLess(ev, h) {
+		e.subT[s] = ev
+	} else if h := e.subH[s]; eventLess(ev, h) {
 		ev.next = h
-		e.buckets[i] = ev
+		e.subH[s] = ev
 	} else {
 		cur := h
 		for cur.next != nil && !eventLess(ev, cur.next) {
@@ -413,8 +496,29 @@ func (e *Engine) relink(tk int64, ev *event) {
 		ev.next = cur.next
 		cur.next = ev
 	}
-	e.blen[i]++
-	e.nbucket++
+}
+
+// spill undoes a split: it chains the sub-chains, in sub-tick order, back
+// onto the cursor tick's bucket (empty while the tick is split). An insert
+// behind the split tick calls it before the cursor moves back.
+func (e *Engine) spill() {
+	if e.subOcc == 0 {
+		return
+	}
+	var h, t *event
+	for occ := e.subOcc; occ != 0; occ &= occ - 1 {
+		s := bits.TrailingZeros64(occ)
+		if t == nil {
+			h = e.subH[s]
+		} else {
+			t.next = e.subH[s]
+		}
+		t = e.subT[s]
+		e.subH[s], e.subT[s] = nil, nil
+	}
+	i := int(e.cursor & bucketMask)
+	e.buckets[i], e.tails[i] = h, t
+	e.subOcc = 0
 }
 
 // farPush inserts the event into the 4-ary min-heap (hole-based sift-up,
@@ -511,8 +615,8 @@ func (e *Engine) ringPop() *event {
 // next locates the earliest live event without removing it, lazily
 // recycling cancelled events and refilling the window from the far heap
 // as needed. The returned slot locates the event for take: -1 means the
-// ring head, otherwise the event is the head of that bucket's sorted
-// chain. Returns nil when no live events remain.
+// ring head, otherwise the event is the head of that sub-chain of the
+// split tick. Returns nil when no live events remain.
 //
 //partib:hotpath
 func (e *Engine) next() (ev *event, slot int) {
@@ -538,29 +642,32 @@ func (e *Engine) next() (ev *event, slot int) {
 				}
 			}
 			for e.cursor < limit {
-				i := int(e.cursor & bucketMask)
-				// Drop cancelled chain heads in passing (lazy cancel);
-				// interior cancelled events surface here as earlier
-				// entries pop.
-				h := e.buckets[i]
-				for h != nil && h.cancelled {
-					e.buckets[i] = h.next
-					if h.next == nil {
-						e.tails[i] = nil
+				if e.subOcc == 0 {
+					h := e.buckets[e.cursor&bucketMask]
+					if h == nil {
+						e.cursor++
+						continue
 					}
-					e.blen[i]--
-					e.nbucket--
+					// A tick of cancelled events only leaves no split
+					// and an empty bucket, which the next pass skips.
+					e.split(h)
+					continue
+				}
+				s := bits.TrailingZeros64(e.subOcc)
+				h := e.subH[s]
+				if h.cancelled {
+					// Drop cancelled sub-chain heads in passing (lazy
+					// cancel); interior ones surface as earlier entries
+					// pop.
+					e.take(h, s)
 					e.recycle(h)
-					h = e.buckets[i]
+					continue
 				}
-				if h != nil {
-					if rh != nil && eventLess(rh, h) {
-						e.nowClean = true
-						return rh, -1
-					}
-					return h, i
+				if rh != nil && eventLess(rh, h) {
+					e.nowClean = true
+					return rh, -1
 				}
-				e.cursor++
+				return h, s
 			}
 		}
 		if rh != nil {
@@ -591,12 +698,12 @@ func (e *Engine) take(ev *event, slot int) {
 		e.ringPop()
 		return
 	}
-	e.buckets[slot] = ev.next
+	e.subH[slot] = ev.next
 	if ev.next == nil {
-		e.tails[slot] = nil
+		e.subT[slot] = nil
+		e.subOcc &^= 1 << slot
 	}
 	ev.next = nil
-	e.blen[slot]--
 	e.nbucket--
 }
 
@@ -692,7 +799,7 @@ func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {
 		dst.scheduleCall(at, fire, arg)
 		return
 	}
-	e.shard.post(e.shardID, dst.shardID, at, fire, arg)
+	e.shard.post(int(e.shardID), int(dst.shardID), at, fire, arg)
 }
 
 // runWindow executes events with timestamps strictly below the engine's
