@@ -25,3 +25,18 @@ func TestFailedRunStillWritesProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestBadTopologyExitsTwo: a -topo spec that parses but describes an
+// unusable fabric (a negative extra, a non-finite byte time) is a usage
+// error, reported before any simulation runs.
+func TestBadTopologyExitsTwo(t *testing.T) {
+	for _, spec := range []string{
+		"two-level:rack=1,extra=-2us",
+		"fat-tree:k=4,G=NaN",
+		"fat-tree:k=4,G=Inf",
+	} {
+		if code := run([]string{"-strategy", "ploggp", "-quick", "-topo", spec}); code != 2 {
+			t.Errorf("-topo %s: exit status %d, want 2", spec, code)
+		}
+	}
+}

@@ -259,41 +259,3 @@ func (p *Pass) Waivers() []WaiverSite {
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }
-
-// PkgFuncOf resolves a call expression to a function or method
-// declaration in the same package, or nil (builtin, imported, or
-// dynamic). Shared by analyzers that walk intra-package call graphs.
-func (p *Pass) PkgFuncOf(call *ast.CallExpr, decls map[types.Object]*ast.FuncDecl) *ast.FuncDecl {
-	var id *ast.Ident
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return nil
-	}
-	obj := p.TypesInfo.Uses[id]
-	if obj == nil {
-		return nil
-	}
-	return decls[obj]
-}
-
-// FuncDecls indexes the package's function and method declarations by
-// their types.Object, for call-graph resolution.
-func (p *Pass) FuncDecls() map[types.Object]*ast.FuncDecl {
-	out := map[types.Object]*ast.FuncDecl{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name == nil {
-				continue
-			}
-			if obj := p.TypesInfo.Defs[fd.Name]; obj != nil {
-				out[obj] = fd
-			}
-		}
-	}
-	return out
-}

@@ -10,7 +10,8 @@
 // Registration sites are recognized by shape: an OnCompletion field in a
 // composite literal (the xport.EndpointConfig pattern), and arguments to
 // SetEagerHandler, SetRndv, and HandleCtrl calls. The check follows
-// same-package calls transitively from each registered function.
+// same-package calls transitively from each registered function, through
+// the package call graph (analysis.CallGraph).
 package callbackblock
 
 import (
@@ -46,31 +47,35 @@ var simBlocking = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	decls := pass.FuncDecls()
-	seen := map[*ast.FuncDecl]bool{}
+	c := &checker{pass: pass, graph: analysis.BuildCallGraph(pass), seen: map[*ast.FuncDecl]bool{}}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok && id.Name == "OnCompletion" {
-					checkCallbackExpr(pass, decls, seen, n.Value, "OnCompletion")
-				}
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || !registrarCalls[sel.Sel.Name] {
-					return true
-				}
-				for _, arg := range n.Args {
-					if isFuncValued(pass, arg) {
-						checkCallbackExpr(pass, decls, seen, arg, sel.Sel.Name)
+		for _, d := range f.Decls {
+			// encl is the declaration a registration sits in; nil for a
+			// package-level initializer.
+			encl, _ := d.(*ast.FuncDecl)
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "OnCompletion" {
+						c.checkCallbackExpr(encl, n.Value, "OnCompletion")
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || !registrarCalls[sel.Sel.Name] {
+						return true
+					}
+					for _, arg := range n.Args {
+						if isFuncValued(pass, arg) {
+							c.checkCallbackExpr(encl, arg, sel.Sel.Name)
+						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
@@ -84,39 +89,53 @@ func isFuncValued(pass *analysis.Pass, e ast.Expr) bool {
 	return ok
 }
 
+// checker walks callbacks and the same-package functions they call. Calls
+// are followed through the package call graph; seen marks declarations
+// already walked, so a helper is checked once, under the first callback
+// that reaches it.
+type checker struct {
+	pass  *analysis.Pass
+	graph *analysis.CallGraph
+	seen  map[*ast.FuncDecl]bool
+}
+
 // checkCallbackExpr resolves a registered callback expression to its
-// body (a func literal or a same-package method value) and checks it.
-func checkCallbackExpr(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, seen map[*ast.FuncDecl]bool, e ast.Expr, registrar string) {
+// body (a func literal or a same-package function or method value) and
+// checks it.
+func (c *checker) checkCallbackExpr(encl *ast.FuncDecl, e ast.Expr, registrar string) {
 	switch e := e.(type) {
 	case *ast.FuncLit:
-		checkBody(pass, decls, seen, e.Body, registrar+" callback")
+		c.checkBody(encl, e.Body, registrar+" callback")
 	case *ast.Ident:
-		if fd := declOf(pass, decls, e); fd != nil && !seen[fd] {
-			seen[fd] = true
-			checkBody(pass, decls, seen, fd.Body, fd.Name.Name)
-		}
+		c.checkFunc(e)
 	case *ast.SelectorExpr:
-		if fd := declOf(pass, decls, e.Sel); fd != nil && !seen[fd] {
-			seen[fd] = true
-			checkBody(pass, decls, seen, fd.Body, fd.Name.Name)
-		}
+		c.checkFunc(e.Sel)
 	}
 }
 
-func declOf(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, id *ast.Ident) *ast.FuncDecl {
-	obj := pass.TypesInfo.Uses[id]
+// checkFunc checks the same-package declaration id names, once.
+func (c *checker) checkFunc(id *ast.Ident) {
+	obj := c.pass.TypesInfo.Uses[id]
 	if obj == nil {
-		return nil
+		return
 	}
-	return decls[obj]
+	if fi := c.graph.InfoFor(obj); fi != nil && !c.seen[fi.Decl] {
+		c.seen[fi.Decl] = true
+		c.checkBody(fi.Decl, fi.Decl.Body, fi.Decl.Name.Name)
+	}
 }
 
-// checkBody walks one callback body, flagging blocking operations and
-// following same-package calls.
-func checkBody(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, seen map[*ast.FuncDecl]bool, body *ast.BlockStmt, origin string) {
+// checkBody walks one callback body, flagging blocking operations, then
+// follows the same-package calls it makes. body belongs to decl: it is
+// decl's own body, or a func literal inside it, whose calls are among
+// decl's callees.
+func (c *checker) checkBody(decl *ast.FuncDecl, body *ast.BlockStmt, origin string) {
 	if body == nil {
 		return
 	}
+	pass := c.pass
+	// calls are the body's non-blocking call sites, outside closures.
+	calls := map[*ast.CallExpr]bool{}
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -138,8 +157,8 @@ func checkBody(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, seen m
 			// The comm statements belong to the select (whose blocking
 			// behavior was just judged); only the clause bodies can
 			// introduce further blocking.
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
+			for _, cl := range n.Body.List {
+				if cc, ok := cl.(*ast.CommClause); ok {
 					for _, s := range cc.Body {
 						ast.Inspect(s, visit)
 					}
@@ -153,11 +172,22 @@ func checkBody(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, seen m
 				}
 			}
 		case *ast.CallExpr:
-			checkCallSite(pass, decls, seen, n, origin)
+			if !blockingCall(pass, n, origin) {
+				calls[n] = true
+			}
 		}
 		return true
 	}
 	ast.Inspect(body, visit)
+	if decl == nil {
+		return
+	}
+	for _, callee := range c.graph.Callees(decl) {
+		if fi := callee.Local; fi != nil && calls[callee.Call] && !c.seen[fi.Decl] {
+			c.seen[fi.Decl] = true
+			c.checkBody(fi.Decl, fi.Decl.Body, origin)
+		}
+	}
 }
 
 func hasDefault(sel *ast.SelectStmt) bool {
@@ -169,32 +199,31 @@ func hasDefault(sel *ast.SelectStmt) bool {
 	return false
 }
 
-func checkCallSite(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, seen map[*ast.FuncDecl]bool, call *ast.CallExpr, origin string) {
+// blockingCall reports call if it can park the callback, and says whether
+// it did.
+func blockingCall(pass *analysis.Pass, call *ast.CallExpr, origin string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if ok {
-		// time.Sleep blocks the OS thread driving the engine.
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pkgName.Imported().Path() == "time" && sel.Sel.Name == "Sleep" {
-				pass.Reportf(call.Pos(), "time.Sleep in completion callback %s would stall the progress drain", origin)
-				return
-			}
-		}
-		if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
-			pkg := fn.Pkg().Path()
-			name := fn.Name()
-			switch {
-			case pkg == "sync" && (name == "Lock" || name == "RLock"):
-				pass.Reportf(call.Pos(), "sync mutex %s in completion callback %s would deadlock the progress drain", name, origin)
-				return
-			case (strings.HasSuffix(pkg, "internal/sim") || strings.HasSuffix(pkg, "internal/mpi")) && simBlocking[name]:
-				pass.Reportf(call.Pos(), "blocking %s.%s in completion callback %s would deadlock the progress drain", pkg[strings.LastIndex(pkg, "/")+1:], name, origin)
-				return
-			}
+	if !ok {
+		return false
+	}
+	// time.Sleep blocks the OS thread driving the engine.
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pkgName.Imported().Path() == "time" && sel.Sel.Name == "Sleep" {
+			pass.Reportf(call.Pos(), "time.Sleep in completion callback %s would stall the progress drain", origin)
+			return true
 		}
 	}
-	// Follow same-package callees.
-	if fd := pass.PkgFuncOf(call, decls); fd != nil && !seen[fd] {
-		seen[fd] = true
-		checkBody(pass, decls, seen, fd.Body, origin)
+	if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
+		pkg := fn.Pkg().Path()
+		name := fn.Name()
+		switch {
+		case pkg == "sync" && (name == "Lock" || name == "RLock"):
+			pass.Reportf(call.Pos(), "sync mutex %s in completion callback %s would deadlock the progress drain", name, origin)
+			return true
+		case (strings.HasSuffix(pkg, "internal/sim") || strings.HasSuffix(pkg, "internal/mpi")) && simBlocking[name]:
+			pass.Reportf(call.Pos(), "blocking %s.%s in completion callback %s would deadlock the progress drain", pkg[strings.LastIndex(pkg, "/")+1:], name, origin)
+			return true
+		}
 	}
+	return false
 }

@@ -111,21 +111,11 @@ var adaptiveStaticDesigns = []struct {
 // and returns the points in grid order (patterns outer, sizes inner).
 func RunAdaptiveGrid(cfg AdaptiveGridConfig) ([]AdaptivePoint, error) {
 	cfg = cfg.withDefaults()
-	points := make([]AdaptivePoint, len(cfg.Patterns)*len(cfg.Sizes))
-	err := sweep.Ordered(cfg.Jobs, len(points),
-		func(i int) (AdaptivePoint, error) {
-			pattern := cfg.Patterns[i/len(cfg.Sizes)]
-			bytes := cfg.Sizes[i%len(cfg.Sizes)]
-			return runAdaptivePoint(cfg, pattern, bytes)
-		},
-		func(i int, p AdaptivePoint) error {
-			points[i] = p
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
+	return sweep.Map(cfg.Jobs, len(cfg.Patterns)*len(cfg.Sizes), func(i int) (AdaptivePoint, error) {
+		pattern := cfg.Patterns[i/len(cfg.Sizes)]
+		bytes := cfg.Sizes[i%len(cfg.Sizes)]
+		return runAdaptivePoint(cfg, pattern, bytes)
+	})
 }
 
 // runAdaptivePoint measures one grid point.

@@ -104,7 +104,7 @@ func TestPerceivedBandwidthAboveWireForTimer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := fabric.DefaultConfig().LinkBandwidth()
+	link := fabric.LinkBandwidth
 	if got := res.MeanPerceivedBandwidth(); got <= link {
 		t.Fatalf("timer perceived bandwidth %.2f GB/s not above link %.2f GB/s",
 			got/1e9, link/1e9)

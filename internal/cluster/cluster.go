@@ -20,7 +20,8 @@ type Config struct {
 	Nodes int
 	// CoresPerNode is the CPU core count per node (Niagara: 40).
 	CoresPerNode int
-	// Fabric is the interconnect cost model.
+	// Fabric selects the interconnect topology; its cost model is the
+	// fabric package's constants.
 	Fabric fabric.Config
 	// Shards is the number of conservative-PDES shards (sim.ShardSet) the
 	// simulation is partitioned into; nodes are assigned to shards in
@@ -34,11 +35,7 @@ type Config struct {
 // NiagaraConfig returns the paper's system shape: 40-core nodes on an
 // EDR-like fabric.
 func NiagaraConfig(nodes int) Config {
-	return Config{
-		Nodes:        nodes,
-		CoresPerNode: 40,
-		Fabric:       fabric.DefaultConfig(),
-	}
+	return Config{Nodes: nodes, CoresPerNode: 40}
 }
 
 // Validate reports configuration errors.
@@ -54,11 +51,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 {
-		if la := c.Fabric.Lookahead(); la <= 0 {
-			return fmt.Errorf("cluster: %d shards need positive fabric latencies (lookahead is their minimum, got %v)", c.Shards, la)
-		}
 	}
 	return nil
 }
@@ -221,7 +213,7 @@ func shardLookaheadMatrix(cfg Config, topo *fabric.Topology, shardOf func(int) i
 			ls := ownerShard(l)
 			for h := 0; h < cfg.Nodes; h++ {
 				if adjSwitch[h] == l.From {
-					relax(shardOf(h), ls, cfg.Fabric.WireLatency)
+					relax(shardOf(h), ls, fabric.WireLatency)
 				}
 			}
 		}

@@ -20,9 +20,10 @@ func TestNiagaraConfigShape(t *testing.T) {
 
 func TestValidateRejectsBadShapes(t *testing.T) {
 	for _, cfg := range []Config{
-		{Nodes: 0, CoresPerNode: 1, Fabric: fabric.DefaultConfig()},
-		{Nodes: 1, CoresPerNode: 0, Fabric: fabric.DefaultConfig()},
-		{Nodes: 1, CoresPerNode: 1}, // zero fabric config
+		{Nodes: 0, CoresPerNode: 1},
+		{Nodes: 1, CoresPerNode: 0},
+		{Nodes: 1, CoresPerNode: 1, Shards: -1},
+		{Nodes: 2, CoresPerNode: 1, Fabric: fabric.Config{Topo: fabric.TwoLevel(1, -time.Nanosecond)}},
 	} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -222,24 +223,36 @@ func TestRackTopologyShardedMatchesSerial(t *testing.T) {
 }
 
 // TestFastPaceShardedMatchesSerial drives multi-burst messages whose
-// bursts are paced faster than the wire latency plus the lookahead
-// (BurstBytes = MTU) across shard boundaries, on single-link and two-level
-// fabrics. Every message must be delivered and acked exactly once, and
-// the stamps at 2 and 4 shards must equal the serial run's.
+// bursts are paced faster than the pair latency across shard boundaries:
+// on a two-level fabric with one node per rack and a 20 µs extra, a 64 KiB
+// burst leaves every ~9.2 µs against a 21 µs wire. Every message must be
+// delivered and acked exactly once, at the pinned serial stamps, and the
+// stamps at 2 and 4 shards must equal the serial run's.
 func TestFastPaceShardedMatchesSerial(t *testing.T) {
 	const nodes, peers, size = 8, 2, 256 << 10
+	offsets := [peers]int{1, 4}
+	topo := fabric.TwoLevel(1, 20*time.Microsecond)
+	burst := fabric.BurstBytes
+	pace := time.Duration(float64(burst) * fabric.PerQPByteTime)
+	for _, off := range offsets {
+		if lat := topo.PairLatency(0, off); pace >= lat {
+			t.Fatalf("burst pacing %v is not shorter than the pair latency %v", pace, lat)
+		}
+	}
+	// Per peer slot, every node's serial delivery and ack stamps.
+	wantD := [peers]sim.Time{60624, 66281}
+	wantA := [peers]sim.Time{81624, 87281}
 	// run returns, per source node and peer slot, the delivery stamp and
 	// the ack stamp. A delivery slot is written only on its destination's
 	// engine and an ack slot only on its source's, so sharded writes never
 	// share a slot.
-	run := func(topo *fabric.Topology, shards int) (delivered, acked [nodes][peers][]sim.Time) {
+	run := func(shards int) (delivered, acked [nodes][peers][]sim.Time) {
 		cfg := NiagaraConfig(nodes)
-		cfg.Fabric.BurstBytes = cfg.Fabric.MTU
 		cfg.Fabric.Topo = topo
 		cfg.Shards = shards
 		c := New(cfg)
 		for src := 0; src < nodes; src++ {
-			for k, off := range [peers]int{1, 4} {
+			for k, off := range offsets {
 				src, k := src, k
 				dst := (src + off) % nodes
 				fl := c.Fabric.NewFlowID(c.Nodes[src].HCA.Port(), c.Nodes[dst].HCA.Port(), uint64(k))
@@ -251,29 +264,18 @@ func TestFastPaceShardedMatchesSerial(t *testing.T) {
 			}
 		}
 		if err := c.Run(0); err != nil {
-			t.Fatalf("%s shards=%d: %v", topo.Name(), shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return delivered, acked
 	}
-	for _, topo := range []*fabric.Topology{fabric.SingleLink(), fabric.TwoLevel(2, 750*time.Nanosecond)} {
-		wantD, wantA := run(topo, 1)
-		for src := range wantD {
-			for k := range wantD[src] {
-				if len(wantD[src][k]) != 1 || len(wantA[src][k]) != 1 {
-					t.Fatalf("%s serial: node %d peer %d delivered %v, acked %v; want one of each",
-						topo.Name(), src, k, wantD[src][k], wantA[src][k])
-				}
-			}
-		}
-		for _, shards := range []int{2, 4} {
-			gotD, gotA := run(topo, shards)
-			for src := range wantD {
-				for k := range wantD[src] {
-					if len(gotD[src][k]) != 1 || gotD[src][k][0] != wantD[src][k][0] ||
-						len(gotA[src][k]) != 1 || gotA[src][k][0] != wantA[src][k][0] {
-						t.Fatalf("%s shards=%d: node %d peer %d delivered %v acked %v, serial %v %v",
-							topo.Name(), shards, src, k, gotD[src][k], gotA[src][k], wantD[src][k], wantA[src][k])
-					}
+	for _, shards := range []int{1, 2, 4} {
+		gotD, gotA := run(shards)
+		for src := range gotD {
+			for k := range gotD[src] {
+				if len(gotD[src][k]) != 1 || gotD[src][k][0] != wantD[k] ||
+					len(gotA[src][k]) != 1 || gotA[src][k][0] != wantA[k] {
+					t.Fatalf("shards=%d: node %d peer %d delivered %v acked %v, want [%v] [%v]",
+						shards, src, k, gotD[src][k], gotA[src][k], wantD[k], wantA[k])
 				}
 			}
 		}

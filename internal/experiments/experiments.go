@@ -421,7 +421,7 @@ func Fig9(cfg Config) ([]*stats.Table, error) {
 		partCounts = []int{32}
 		sizes = []int{8 << 20}
 	}
-	link := fabric.DefaultConfig().LinkBandwidth()
+	link := fabric.LinkBandwidth
 	var tables []*stats.Table
 	for _, parts := range partCounts {
 		tb := stats.NewTable(
@@ -469,7 +469,7 @@ func arrivalProfile(cfg Config, size int, title string) ([]*stats.Table, error) 
 		return nil, err
 	}
 	mean := res.Profile.MeanArrival(res.Warmup)
-	commPerPart := time.Duration(float64(size/parts) / fabric.DefaultConfig().LinkBandwidth() * 1e9)
+	commPerPart := time.Duration(float64(size/parts) / fabric.LinkBandwidth * 1e9)
 	tb := stats.NewTable(title, "partition", "compute (start→Pready)", "est. comm time")
 	idx := make([]int, parts)
 	for i := range idx {

@@ -1,6 +1,8 @@
 // Package fabric simulates the interconnect the software verbs device
 // (internal/ibv) transmits on: an EDR-InfiniBand-like network whose costs
-// follow the LogGP decomposition the paper models with.
+// follow the LogGP decomposition the paper models with. The cost model is
+// one fixed parameter set, the package constants below; the topology
+// (Config.Topo) is the only machine input.
 //
 // Each HCA owns a Port. A Flow is a unidirectional, reliable, ordered
 // message pipeline between two ports — the fabric-level realization of one
@@ -16,10 +18,10 @@
 //   - WireLatency (LogGP L) on the wire, plus AckLatency for the sender's
 //     completion.
 //
-// Link arbitration happens at burst granularity (BurstBytes, default
-// 64 KiB): a flow reserves the link for at most one burst at a time, so
-// concurrent flows interleave within a few microseconds like packets on a
-// real switch, without simulating every 4 KiB packet as its own event.
+// Link arbitration happens at burst granularity (BurstBytes, 64 KiB): a
+// flow reserves the link for at most one burst at a time, so concurrent
+// flows interleave within a few microseconds like packets on a real
+// switch, without simulating every 4 KiB packet as its own event.
 //
 // After injection every burst follows its flow's route: a list of link
 // cursors, each charged store-and-forward in canonical order (see
@@ -43,39 +45,53 @@ import (
 	"repro/internal/sim"
 )
 
-// Config holds the fabric cost model. Use DefaultConfig for an
-// EDR-InfiniBand-like parameterization.
-type Config struct {
+// The cost model: an EDR-InfiniBand-like parameterization with a ~11.7 GB/s
+// link, ~7.1 GB/s per QP, 4 KiB MTU and 1 µs wire latency. Per-WR
+// processing and inter-message gaps are tens of nanoseconds, matching the
+// ~200 M msg/s message rate of the ConnectX-5 generation — the hardware is
+// cheap per work request; it is the *software* per-message cost (modelled
+// in the MPI and UCX layers) that aggregation saves.
+const (
 	// MTU is the maximum transmission unit in bytes.
-	MTU int
+	MTU = 4096
 	// BurstBytes is the link-arbitration granularity.
-	BurstBytes int
+	BurstBytes = 65536
 	// PacketHeader is the per-MTU-packet header overhead in bytes.
-	PacketHeader int
+	PacketHeader = 64
 	// WireLatency is the one-way propagation latency (LogGP L).
-	WireLatency time.Duration
+	WireLatency = 1000 * time.Nanosecond
 	// AckLatency is the extra time until the sender's completion after
 	// the last byte arrives (hardware ack on a reliable connection).
-	AckLatency time.Duration
+	AckLatency = 1000 * time.Nanosecond
+	// CtrlLatency is the control-plane one-way latency.
+	CtrlLatency = 1500 * time.Nanosecond
 	// LinkByteTime is the shared-link per-byte cost in ns/B (LogGP G).
-	LinkByteTime float64
-	// PerQPByteTime is the per-flow injection pacing in ns/B; it must be
-	// >= LinkByteTime. Values above LinkByteTime mean a single QP cannot
-	// saturate the link.
-	PerQPByteTime float64
+	LinkByteTime float64 = 0.085
+	// PerQPByteTime is the per-flow injection pacing in ns/B. It exceeds
+	// LinkByteTime: a single QP cannot saturate the link.
+	PerQPByteTime float64 = 0.140
 	// WRProcess is the per-work-request NIC processing cost (WQE fetch
 	// over PCIe after the doorbell).
-	WRProcess time.Duration
+	WRProcess = 25 * time.Nanosecond
 	// InlineWRProcess replaces WRProcess for inline work requests: the
 	// payload travels inside the doorbell write (inlining/BlueFlame), so
 	// the NIC skips the WQE/payload DMA fetch. The paper leaves these
 	// small-message features to future work; they are modelled here so
 	// that study can be run (see the ablation experiments).
-	InlineWRProcess time.Duration
+	InlineWRProcess = 5 * time.Nanosecond
 	// MsgGap is the minimum spacing between messages of one flow (LogGP g).
-	MsgGap time.Duration
-	// CtrlLatency is the control-plane one-way latency.
-	CtrlLatency time.Duration
+	MsgGap = 10 * time.Nanosecond
+
+	// LinkBandwidth is the shared-link bandwidth in bytes per second.
+	LinkBandwidth = 1e9 / LinkByteTime
+
+	// lookaheadFloor is the smallest cross-port interaction latency of the
+	// cost model: the minimum of the wire, ack, and control latencies.
+	lookaheadFloor = min(WireLatency, AckLatency, CtrlLatency)
+)
+
+// Config selects the interconnect topology the cost model runs on.
+type Config struct {
 	// Topo selects the interconnect topology. nil means the single
 	// shared link the fabric always modelled. Flat topologies only
 	// reshape pair latencies; graph topologies (fat-tree, dragonfly) add
@@ -84,89 +100,29 @@ type Config struct {
 	Topo *Topology
 }
 
-// DefaultConfig returns an EDR-InfiniBand-like cost model: ~11.7 GB/s link,
-// ~7.1 GB/s per QP, 4 KiB MTU, 1 µs wire latency. Per-WR processing and
-// inter-message gaps are tens of nanoseconds, matching the ~200 M msg/s
-// message rate of the ConnectX-5 generation — the hardware is cheap per
-// work request; it is the *software* per-message cost (modelled in the MPI
-// and UCX layers) that aggregation saves.
-func DefaultConfig() Config {
-	return Config{
-		MTU:             4096,
-		BurstBytes:      65536,
-		PacketHeader:    64,
-		WireLatency:     1000 * time.Nanosecond,
-		AckLatency:      1000 * time.Nanosecond,
-		LinkByteTime:    0.085,
-		PerQPByteTime:   0.140,
-		WRProcess:       25 * time.Nanosecond,
-		InlineWRProcess: 5 * time.Nanosecond,
-		MsgGap:          10 * time.Nanosecond,
-		CtrlLatency:     1500 * time.Nanosecond,
-	}
-}
-
 // Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.MTU <= 0:
-		return fmt.Errorf("fabric: MTU %d must be positive", c.MTU)
-	case c.BurstBytes < c.MTU:
-		return fmt.Errorf("fabric: BurstBytes %d must be >= MTU %d", c.BurstBytes, c.MTU)
-	case c.PacketHeader < 0:
-		return fmt.Errorf("fabric: negative PacketHeader")
-	case c.LinkByteTime <= 0:
-		return fmt.Errorf("fabric: LinkByteTime must be positive")
-	case c.PerQPByteTime < c.LinkByteTime:
-		return fmt.Errorf("fabric: PerQPByteTime %v < LinkByteTime %v", c.PerQPByteTime, c.LinkByteTime)
-	case c.WireLatency < 0 || c.AckLatency < 0 || c.WRProcess < 0 ||
-		c.InlineWRProcess < 0 || c.MsgGap < 0 || c.CtrlLatency < 0:
-		return fmt.Errorf("fabric: negative latency parameter")
-	}
-	return c.Topo.validate()
-}
+func (c Config) Validate() error { return c.Topo.validate() }
 
-// LinkBandwidth returns the shared-link bandwidth in bytes per second.
-func (c Config) LinkBandwidth() float64 { return 1e9 / c.LinkByteTime }
-
-// Lookahead returns the smallest cross-port interaction latency of the
-// cost model: the minimum of the wire, ack, and control latencies. Every
-// port-to-port effect in this package (burst arrival, completion,
-// control delivery) is separated from its cause by at least this much
-// virtual time, so it is a sound conservative-PDES lookahead bound for
-// sharding the simulation along port boundaries (sim.ShardSet). With a
-// multi-hop topology it additionally includes the smallest link latency,
-// since routed bursts also hop between link cursors; with a flat topology
-// it is unchanged from the single-link model (the one hop onto the
-// destination's own cursor runs on the destination's engine). PairLookahead
-// gives the wider per-pair bound.
-func (c Config) Lookahead() time.Duration {
-	l := c.WireLatency
-	if c.AckLatency < l {
-		l = c.AckLatency
-	}
-	if c.CtrlLatency < l {
-		l = c.CtrlLatency
-	}
-	if c.Topo != nil && !c.Topo.Flat() {
-		if ml := c.Topo.MinLinkLatency(); ml < l {
-			l = ml
-		}
-	}
-	return l
-}
+// Lookahead returns the smallest cross-port interaction latency: the
+// minimum of the wire, ack, and control latencies. Every port-to-port
+// effect in this package (burst arrival, completion, control delivery) is
+// separated from its cause by at least this much virtual time, so it is a
+// sound conservative-PDES lookahead bound for sharding the simulation
+// along port boundaries (sim.ShardSet). With a multi-hop topology it
+// additionally includes the smallest link latency, since routed bursts
+// also hop between link cursors; with a flat topology it is unchanged from
+// the single-link model (the one hop onto the destination's own cursor
+// runs on the destination's engine). PairLookahead gives the wider
+// per-pair bound.
+func (c Config) Lookahead() time.Duration { return c.Topo.lookahead() }
 
 // Topology resolves the configured topology: Topo when set, the single
-// shared link otherwise. The returned copy is stamped with the config's
-// wire latency so PairLatency is complete.
+// shared link otherwise.
 func (c Config) Topology() *Topology {
-	t := c.Topo
-	if t == nil {
-		t = SingleLink()
+	if c.Topo == nil {
+		return SingleLink()
 	}
-	r := *t
-	r.baseWire = c.WireLatency
-	return &r
+	return c.Topo
 }
 
 // PairLookahead returns the smallest interaction latency between two
@@ -179,19 +135,6 @@ func (c Config) PairLookahead(a, b int) time.Duration {
 	return c.Lookahead() + c.Topology().PairExtra(a, b)
 }
 
-// TrueParams expresses the fabric's own costs as a LogGP parameter set
-// (the "fabric truth" against which Netgauge-style measurement through MPI
-// is compared).
-func (c Config) TrueParams() loggp.Params {
-	return loggp.Params{
-		L:   c.WireLatency,
-		Os:  c.WRProcess,
-		Or:  c.AckLatency,
-		Gap: c.MsgGap,
-		G:   c.LinkByteTime,
-	}
-}
-
 // Fabric is a simulated interconnect instance. Its ports may live on
 // different engines of one sim.ShardSet (see NewPortOn): all port-to-port
 // interactions cross engines only through sim.Engine.Post with timestamps
@@ -199,7 +142,6 @@ func (c Config) TrueParams() loggp.Params {
 // conservative-lookahead contract the shard runtime requires.
 type Fabric struct {
 	eng   *sim.Engine
-	cfg   Config
 	topo  *Topology
 	ports []*Port
 
@@ -219,7 +161,7 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	f := &Fabric{eng: e, cfg: cfg, topo: cfg.Topology()}
+	f := &Fabric{eng: e, topo: cfg.Topology()}
 	if t := f.topo; !t.Flat() {
 		f.links = make([]linkState, t.Links())
 		f.stats = make([]LinkStats, t.Links())
@@ -228,7 +170,7 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 			link := t.LinkAt(i)
 			bt := link.ByteTime
 			if bt == 0 {
-				bt = cfg.LinkByteTime
+				bt = LinkByteTime
 			}
 			f.stats[i].Link = link
 			f.links[i] = linkState{eng: e, lat: link.Latency, byteTime: bt, stats: &f.stats[i]}
@@ -240,9 +182,6 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 
 // Engine returns the simulation engine.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
-// Config returns the cost model.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // Topology returns the resolved topology the fabric was built with.
 func (f *Fabric) Topology() *Topology { return f.topo }
@@ -435,7 +374,7 @@ func (p *Port) SendControl(dst *Port, payload any) {
 		cd = new(ctrlDelivery)
 	}
 	cd.src, cd.dst, cd.payload = p, dst, payload
-	lat := p.fab.cfg.CtrlLatency + p.fab.topo.PairExtra(p.id, dst.id)
+	lat := CtrlLatency + p.fab.topo.PairExtra(p.id, dst.id)
 	e.Post(dst.eng, e.Now().Add(lat), fireCtrlArrive, cd)
 }
 
@@ -570,9 +509,9 @@ func (f *Fabric) NewFlowID(src, dst *Port, flowID uint64) *Flow {
 	extra := f.topo.PairExtra(src.id, dst.id)
 	fl := &Flow{
 		fab: f, eng: src.eng, src: src, dst: dst, flowID: flowID,
-		wireLat: f.cfg.WireLatency + extra,
-		ackLat:  f.cfg.AckLatency + extra,
-		relLat:  f.cfg.Lookahead() + extra,
+		wireLat: WireLatency + extra,
+		ackLat:  AckLatency + extra,
+		relLat:  f.topo.lookahead() + extra,
 	}
 	ids := f.topo.Route(src.id, dst.id, flowID)
 	if ids == nil {
@@ -587,7 +526,7 @@ func (f *Fabric) NewFlowID(src, dst *Port, flowID uint64) *Flow {
 	}
 	// Hop latencies are charged per link; injection pays only the host's
 	// wire latency.
-	fl.wireLat = f.cfg.WireLatency
+	fl.wireLat = WireLatency
 	return fl
 }
 
@@ -652,9 +591,9 @@ func (fl *Flow) startHead() {
 	if fl.msgFreeAt > start {
 		start = fl.msgFreeAt
 	}
-	proc := fl.fab.cfg.WRProcess
+	proc := WRProcess
 	if fl.queue[fl.head].msg.Inline {
-		proc = fl.fab.cfg.InlineWRProcess
+		proc = InlineWRProcess
 	}
 	injectAt := start.Add(proc)
 	if fl.paceFreeAt > injectAt {
@@ -674,28 +613,24 @@ func (fl *Flow) startHead() {
 //partib:hotpath
 func (fl *Flow) step() {
 	e := fl.eng
-	cfg := fl.fab.cfg
 	fm := fl.queue[fl.head]
 
 	// Zero-byte messages occupy the link for their header only.
-	burst := fm.remaining
-	if burst > cfg.BurstBytes {
-		burst = cfg.BurstBytes
-	}
-	packets := loggp.Packets(burst, cfg.MTU)
-	wireBytes := burst + packets*cfg.PacketHeader
+	burst := min(fm.remaining, BurstBytes)
+	packets := loggp.Packets(burst, MTU)
+	wireBytes := burst + packets*PacketHeader
 
 	// Grab the shared egress link (FIFO cursor).
 	grant := e.Now()
 	if fl.src.egressFreeAt > grant {
 		grant = fl.src.egressFreeAt
 	}
-	tx := time.Duration(float64(wireBytes) * cfg.LinkByteTime)
+	tx := time.Duration(float64(wireBytes) * LinkByteTime)
 	egressEnd := grant.Add(tx)
 	fl.src.egressFreeAt = egressEnd
 
 	// Per-flow pacing for the next burst.
-	pace := time.Duration(float64(burst) * cfg.PerQPByteTime)
+	pace := time.Duration(float64(burst) * PerQPByteTime)
 	fl.paceFreeAt = grant.Add(pace)
 	if fl.paceFreeAt < egressEnd {
 		fl.paceFreeAt = egressEnd
@@ -730,7 +665,7 @@ func (fl *Flow) step() {
 //
 //partib:hotpath
 func (fl *Flow) finish(egressEnd sim.Time) {
-	fl.msgFreeAt = egressEnd.Add(fl.fab.cfg.MsgGap)
+	fl.msgFreeAt = egressEnd.Add(MsgGap)
 	fl.queue[fl.head] = nil
 	fl.head++
 	if fl.head == len(fl.queue) {
@@ -772,7 +707,7 @@ func (fm *flowMsg) ack() {
 type linkState struct {
 	eng      *sim.Engine
 	lat      time.Duration
-	byteTime float64 // resolved: Link.ByteTime or Config.LinkByteTime
+	byteTime float64 // resolved: Link.ByteTime or LinkByteTime
 
 	freeAt sim.Time
 	// pending batches hop reservations that fired at the same virtual

@@ -21,7 +21,7 @@ func TestConservationProperty(t *testing.T) {
 		}
 		nFlows := int(flowsRaw%4) + 1
 		e := sim.NewEngine()
-		fab := New(e, DefaultConfig())
+		fab := New(e, Config{})
 		a, b := fab.NewPort("a"), fab.NewPort("b")
 		flows := make([]*Flow, nFlows)
 		for i := range flows {
@@ -47,7 +47,7 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		// Lower bound: payload bytes over the raw link rate.
-		minTime := time.Duration(float64(totalBytes) * fab.Config().LinkByteTime)
+		minTime := time.Duration(float64(totalBytes) * LinkByteTime)
 		return e.Now().Duration() >= minTime
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -66,7 +66,7 @@ func TestFlowFIFOProperty(t *testing.T) {
 			sizesRaw = sizesRaw[:16]
 		}
 		e := sim.NewEngine()
-		fab := New(e, DefaultConfig())
+		fab := New(e, Config{})
 		fl := fab.NewFlow(fab.NewPort("a"), fab.NewPort("b"))
 		var order []int
 		for i, sz := range sizesRaw {
@@ -96,7 +96,7 @@ func TestBandwidthNeverExceedsLink(t *testing.T) {
 		nMsgs := int(msgsRaw%8) + 1
 		const size = 1 << 20
 		e := sim.NewEngine()
-		fab := New(e, DefaultConfig())
+		fab := New(e, Config{})
 		a, b := fab.NewPort("a"), fab.NewPort("b")
 		var last sim.Time
 		for i := 0; i < nFlows; i++ {
@@ -113,31 +113,28 @@ func TestBandwidthNeverExceedsLink(t *testing.T) {
 			return false
 		}
 		gbps := float64(nFlows*nMsgs*size) / last.Duration().Seconds()
-		return gbps <= fab.Config().LinkBandwidth()*1.01
+		return gbps <= LinkBandwidth*1.01
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPairLookaheadFloorProperty: for every valid generated topology —
-// random rack size, inter-rack extra, and perturbed base latencies — the
+// TestPairLookaheadFloorProperty: for every generated two-level topology
+// — random rack size and inter-rack extra, negative extras included — a
+// negative extra is rejected by Validate, and for every valid one the
 // per-pair lookahead of any port pair is at least the global floor,
 // symmetric, and exactly the floor within a rack. The shard runtime
 // depends on this invariant: the shard lookahead matrix is built from
 // these pair bounds, and windows widened per pair are only sound if every
 // pair bound really dominates the floor.
 func TestPairLookaheadFloorProperty(t *testing.T) {
-	f := func(rackRaw uint8, extraRaw uint16, wireRaw, ackRaw, ctrlRaw uint16, aRaw, bRaw uint8) bool {
-		cfg := DefaultConfig()
+	f := func(rackRaw uint8, extraRaw uint16, aRaw, bRaw uint8) bool {
 		rack := int(rackRaw % 9) // 0 (single rack) .. 8
-		cfg.Topo = TwoLevel(rack, time.Duration(extraRaw%3000)*time.Nanosecond)
-		cfg.WireLatency = time.Duration(wireRaw%5000+1) * time.Nanosecond
-		cfg.AckLatency = time.Duration(ackRaw%5000+1) * time.Nanosecond
-		cfg.CtrlLatency = time.Duration(ctrlRaw%5000+1) * time.Nanosecond
-		if err := cfg.Validate(); err != nil {
-			// Only valid topologies make claims.
-			return true
+		extra := time.Duration(int(extraRaw%6000)-3000) * time.Nanosecond
+		cfg := Config{Topo: TwoLevel(rack, extra)}
+		if err := cfg.Validate(); err != nil || extra < 0 {
+			return err != nil && extra < 0
 		}
 		floor := cfg.Lookahead()
 		a, b := int(aRaw%64), int(bRaw%64)

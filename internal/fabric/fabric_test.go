@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -11,45 +12,47 @@ import (
 func testFabric(t *testing.T) (*sim.Engine, *Fabric) {
 	t.Helper()
 	e := sim.NewEngine()
-	return e, New(e, DefaultConfig())
+	return e, New(e, Config{})
 }
 
+// TestConfigValidate checks that the topology is validated: the cost
+// model is constant, so the topology is all a Config can get wrong.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	ft, err := NewFatTree(FatTreeConfig{K: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.MTU = 0 },
-		func(c *Config) { c.BurstBytes = c.MTU - 1 },
-		func(c *Config) { c.PacketHeader = -1 },
-		func(c *Config) { c.LinkByteTime = 0 },
-		func(c *Config) { c.PerQPByteTime = c.LinkByteTime / 2 },
-		func(c *Config) { c.WireLatency = -time.Nanosecond },
-		func(c *Config) { c.MsgGap = -time.Nanosecond },
-	}
-	for i, mut := range bad {
-		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+	for _, topo := range []*Topology{nil, SingleLink(), TwoLevel(2, 0), TwoLevel(2, 750*time.Nanosecond), ft} {
+		if err := (Config{Topo: topo}).Validate(); err != nil {
+			t.Errorf("%v: %v", topo, err)
 		}
 	}
-}
-
-func TestTrueParamsMirrorsConfig(t *testing.T) {
-	c := DefaultConfig()
-	p := c.TrueParams()
-	if p.L != c.WireLatency || p.G != c.LinkByteTime || p.Gap != c.MsgGap {
-		t.Fatalf("TrueParams = %+v", p)
+	withLink := func(mut func(*Link)) *Topology {
+		bad := *ft
+		bad.links = append([]Link(nil), ft.links...)
+		mut(&bad.links[0])
+		return &bad
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	nan, _ := NewFatTree(FatTreeConfig{K: 4, ByteTime: math.NaN()})
+	inf, _ := NewFatTree(FatTreeConfig{K: 4, ByteTime: math.Inf(1)})
+	for i, topo := range []*Topology{
+		TwoLevel(2, -time.Nanosecond),
+		TwoLevel(0, -time.Nanosecond),
+		nan,
+		inf,
+		withLink(func(l *Link) { l.Latency = 0 }),
+		withLink(func(l *Link) { l.ByteTime = -1 }),
+		withLink(func(l *Link) { l.OwnerHost = -1 }),
+		{name: "empty"},
+	} {
+		if err := (Config{Topo: topo}).Validate(); err == nil {
+			t.Errorf("case %d: invalid topology %q accepted", i, topo.Name())
+		}
 	}
 }
 
 func TestSingleMessageLatency(t *testing.T) {
 	e, f := testFabric(t)
-	cfg := f.Config()
 	a, b := f.NewPort("a"), f.NewPort("b")
 	fl := f.NewFlow(a, b)
 
@@ -63,16 +66,16 @@ func TestSingleMessageLatency(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	wireBytes := k + loggp.Packets(k, cfg.MTU)*cfg.PacketHeader
+	wireBytes := k + loggp.Packets(k, MTU)*PacketHeader
 	want := sim.Time(0).
-		Add(cfg.WRProcess).
-		Add(time.Duration(float64(wireBytes) * cfg.LinkByteTime)).
-		Add(cfg.WireLatency)
+		Add(WRProcess).
+		Add(time.Duration(float64(wireBytes) * LinkByteTime)).
+		Add(WireLatency)
 	if deliveredAt != want {
 		t.Errorf("delivered at %v, want %v", deliveredAt, want)
 	}
-	if ackAt != want.Add(cfg.AckLatency) {
-		t.Errorf("ack at %v, want %v", ackAt, want.Add(cfg.AckLatency))
+	if ackAt != want.Add(AckLatency) {
+		t.Errorf("ack at %v, want %v", ackAt, want.Add(AckLatency))
 	}
 }
 
@@ -98,7 +101,6 @@ func TestZeroByteInlineMessage(t *testing.T) {
 	// NIC charges InlineWRProcess (payload rides the doorbell write) instead
 	// of the WQE-fetch cost WRProcess.
 	e, f := testFabric(t)
-	cfg := f.Config()
 	a, b := f.NewPort("a"), f.NewPort("b")
 	fl := f.NewFlow(a, b)
 	var deliveredAt, ackAt sim.Time
@@ -111,16 +113,16 @@ func TestZeroByteInlineMessage(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	headerBytes := loggp.Packets(0, cfg.MTU) * cfg.PacketHeader
+	headerBytes := loggp.Packets(0, MTU) * PacketHeader
 	want := sim.Time(0).
-		Add(cfg.InlineWRProcess).
-		Add(time.Duration(float64(headerBytes) * cfg.LinkByteTime)).
-		Add(cfg.WireLatency)
+		Add(InlineWRProcess).
+		Add(time.Duration(float64(headerBytes) * LinkByteTime)).
+		Add(WireLatency)
 	if deliveredAt != want {
 		t.Errorf("inline zero-byte delivered at %v, want %v", deliveredAt, want)
 	}
-	if ackAt != want.Add(cfg.AckLatency) {
-		t.Errorf("ack at %v, want %v", ackAt, want.Add(cfg.AckLatency))
+	if ackAt != want.Add(AckLatency) {
+		t.Errorf("ack at %v, want %v", ackAt, want.Add(AckLatency))
 	}
 	if b.BytesReceived() != 0 {
 		t.Errorf("receiver counted %d payload bytes, want 0", b.BytesReceived())
@@ -143,31 +145,35 @@ func TestInlineSkipsWRProcess(t *testing.T) {
 		}
 		return at
 	}
-	cfg := DefaultConfig()
 	plain, inline := deliverAt(false), deliverAt(true)
-	if got, want := plain.Sub(inline), cfg.WRProcess-cfg.InlineWRProcess; got != want {
+	if got, want := plain.Sub(inline), WRProcess-InlineWRProcess; got != want {
 		t.Errorf("inline saves %v, want %v", got, want)
 	}
 }
 
 // TestFastPaceMultiBurstDeliversOnce is the regression test for bursts
-// paced faster than the wire latency (BurstBytes = MTU: a 4 KiB burst
-// every 573 ns against a 1 µs wire). Every burst must travel on its own
-// state, so each message is delivered exactly once, acked exactly once,
-// and delivered when its last burst lands.
+// paced faster than the pair latency: on a two-level fabric with a 20 µs
+// cross-rack extra, a 64 KiB burst leaves every ~9.2 µs against a 21 µs
+// wire, so several bursts of one message are in flight at once. Every
+// burst must travel on its own state, so each message is delivered
+// exactly once, acked exactly once, and delivered when its last burst
+// lands.
 func TestFastPaceMultiBurstDeliversOnce(t *testing.T) {
+	topo := TwoLevel(1, 20*time.Microsecond)
+	burst := BurstBytes
+	if pace, lat := time.Duration(float64(burst)*PerQPByteTime), topo.PairLatency(0, 1); pace >= lat {
+		t.Fatalf("burst pacing %v is not shorter than the pair latency %v", pace, lat)
+	}
 	for _, tc := range []struct {
-		bytes int
-		want  sim.Time
+		bytes          int
+		deliver, acked sim.Time
 	}{
-		{8 << 10, 1951},
-		{12 << 10, 2524},
-		{64 << 10, 9973},
+		{96 << 10, 33028, 54028},
+		{128 << 10, 35857, 56857},
+		{640 << 10, 109257, 130257},
 	} {
-		cfg := DefaultConfig()
-		cfg.BurstBytes = cfg.MTU
 		e := sim.NewEngine()
-		f := New(e, cfg)
+		f := New(e, Config{Topo: topo})
 		fl := f.NewFlow(f.NewPort("a"), f.NewPort("b"))
 		var delivered, acked []sim.Time
 		fl.Send(Message{
@@ -181,9 +187,9 @@ func TestFastPaceMultiBurstDeliversOnce(t *testing.T) {
 		if len(delivered) != 1 || len(acked) != 1 {
 			t.Fatalf("%d B: delivered at %v, acked at %v; want one of each", tc.bytes, delivered, acked)
 		}
-		if delivered[0] != tc.want || acked[0] != tc.want.Add(cfg.AckLatency) {
+		if delivered[0] != tc.deliver || acked[0] != tc.acked {
 			t.Errorf("%d B: delivered at %v, acked at %v; want %v and %v",
-				tc.bytes, delivered[0], acked[0], tc.want, tc.want.Add(cfg.AckLatency))
+				tc.bytes, delivered[0], acked[0], tc.deliver, tc.acked)
 		}
 	}
 }
@@ -220,7 +226,7 @@ func TestFlowSteadyStateZeroAllocs(t *testing.T) {
 // BenchmarkFlowMessage measures one full message lifetime on a warm flow.
 func BenchmarkFlowMessage(b *testing.B) {
 	e := sim.NewEngine()
-	f := New(e, DefaultConfig())
+	f := New(e, Config{})
 	fl := f.NewFlow(f.NewPort("a"), f.NewPort("b"))
 	onAck := func(sim.Time) {}
 	b.ReportAllocs()
@@ -267,7 +273,6 @@ func TestFlowDeliversInOrder(t *testing.T) {
 func TestPerFlowBandwidthCap(t *testing.T) {
 	// One flow alone must be limited by PerQPByteTime, not LinkByteTime.
 	e, f := testFabric(t)
-	cfg := f.Config()
 	a, b := f.NewPort("a"), f.NewPort("b")
 	fl := f.NewFlow(a, b)
 	const size = 32 << 20
@@ -277,22 +282,19 @@ func TestPerFlowBandwidthCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	gbps := float64(size) / float64(deliveredAt.Duration().Seconds()) / 1e9
-	perQP := 1 / cfg.PerQPByteTime // GB/s
-	link := 1 / cfg.LinkByteTime
+	perQP := 1 / PerQPByteTime // GB/s
 	if gbps > perQP*1.02 {
 		t.Errorf("single flow %.2f GB/s exceeds per-QP cap %.2f", gbps, perQP)
 	}
 	if gbps < perQP*0.95 {
 		t.Errorf("single flow %.2f GB/s well below per-QP cap %.2f", gbps, perQP)
 	}
-	_ = link
 }
 
 func TestTwoFlowsSaturateLink(t *testing.T) {
 	// Two flows from the same port must exceed one flow's cap and approach
 	// the link rate — the effect behind the paper's Figure 7.
 	e, f := testFabric(t)
-	cfg := f.Config()
 	a, b := f.NewPort("a"), f.NewPort("b")
 	const size = 32 << 20
 	var last sim.Time
@@ -307,8 +309,8 @@ func TestTwoFlowsSaturateLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	gbps := float64(2*size) / last.Duration().Seconds() / 1e9
-	perQP := 1 / cfg.PerQPByteTime
-	link := 1 / cfg.LinkByteTime
+	perQP := 1 / PerQPByteTime
+	link := 1 / LinkByteTime
 	if gbps <= perQP {
 		t.Errorf("two flows %.2f GB/s did not beat single-flow cap %.2f", gbps, perQP)
 	}
@@ -342,7 +344,6 @@ func TestSmallMessageInterleavesWithBulk(t *testing.T) {
 
 func TestMsgGapSpacesMessages(t *testing.T) {
 	e, f := testFabric(t)
-	cfg := f.Config()
 	a, b := f.NewPort("a"), f.NewPort("b")
 	fl := f.NewFlow(a, b)
 	var times []sim.Time
@@ -354,7 +355,7 @@ func TestMsgGapSpacesMessages(t *testing.T) {
 	}
 	gap := times[1].Sub(times[0])
 	// Second message is spaced by at least MsgGap + WRProcess.
-	if gap < cfg.MsgGap+cfg.WRProcess {
+	if gap < MsgGap+WRProcess {
 		t.Fatalf("inter-message spacing %v < g+WRProcess", gap)
 	}
 }
@@ -392,7 +393,6 @@ func TestPortStatistics(t *testing.T) {
 
 func TestControlPlaneFIFOAndLatency(t *testing.T) {
 	e, f := testFabric(t)
-	cfg := f.Config()
 	a, b := f.NewPort("a"), f.NewPort("b")
 	var got []int
 	var at []sim.Time
@@ -414,8 +414,8 @@ func TestControlPlaneFIFOAndLatency(t *testing.T) {
 			t.Fatalf("control order %v", got)
 		}
 	}
-	if at[0] != sim.Time(cfg.CtrlLatency) {
-		t.Errorf("first control at %v, want %v", at[0], cfg.CtrlLatency)
+	if at[0] != sim.Time(CtrlLatency) {
+		t.Errorf("first control at %v, want %v", at[0], CtrlLatency)
 	}
 	if !(at[0] < at[1] && at[1] < at[2]) {
 		t.Errorf("control deliveries not strictly ordered: %v", at)
@@ -474,9 +474,9 @@ func TestControlWithoutHandlerPanics(t *testing.T) {
 
 func TestNewFlowValidation(t *testing.T) {
 	e1 := sim.NewEngine()
-	f1 := New(e1, DefaultConfig())
+	f1 := New(e1, Config{})
 	e2 := sim.NewEngine()
-	f2 := New(e2, DefaultConfig())
+	f2 := New(e2, Config{})
 	p1 := f1.NewPort("p1")
 	p2 := f2.NewPort("p2")
 	for name, fn := range map[string]func(){
@@ -500,7 +500,7 @@ func TestAggregationBeatsManySmallMessages(t *testing.T) {
 	// pays WRProcess + MsgGap + per-packet headers.
 	cfgRun := func(parts int) sim.Time {
 		e := sim.NewEngine()
-		f := New(e, DefaultConfig())
+		f := New(e, Config{})
 		a, b := f.NewPort("a"), f.NewPort("b")
 		fl := f.NewFlow(a, b)
 		const total = 128 << 10

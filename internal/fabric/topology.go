@@ -3,7 +3,7 @@
 //
 //   - Flat topologies carry no switch state at all: every host pair is
 //     connected directly and the topology only contributes a per-pair
-//     extra propagation latency on top of Config.WireLatency. A flat
+//     extra propagation latency on top of WireLatency. A flat
 //     flow's route is one zero-cost hop onto the destination port's own
 //     cursor. The single-link topology (extra == 0 everywhere) is the
 //     original one-switch fabric, and the two-level topology adds a
@@ -29,6 +29,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,8 +41,8 @@ import (
 // hosts are 0..Hosts-1, switches Hosts..Hosts+Switches-1. Down links
 // (switch→host) terminate at a host node; all other links connect
 // switches. Host→switch injection is not a Link: it is charged by the
-// host port's existing egress cursor at Config.LinkByteTime and crosses
-// at Config.WireLatency, exactly as in the flat model.
+// host port's existing egress cursor at LinkByteTime and crosses at
+// WireLatency, exactly as in the flat model.
 type Link struct {
 	// ID is the link's index in the topology (creation order).
 	ID int
@@ -52,7 +53,7 @@ type Link struct {
 	// Latency is the propagation delay charged after serialization.
 	Latency time.Duration
 	// ByteTime is the per-byte serialization cost in ns/B; 0 inherits
-	// Config.LinkByteTime when the fabric is built.
+	// LinkByteTime when the fabric is built.
 	ByteTime float64
 	// OwnerHost is the host whose engine owns the link's cursor in a
 	// sharded run. Owners are chosen so every hop's cross-engine post is
@@ -68,11 +69,13 @@ type Topology struct {
 	hosts int // 0 = unbounded (flat topologies)
 	flat  bool
 
-	// extraFn is the per-pair extra one-way latency beyond
-	// Config.WireLatency: the analytic shortest-path latency of the
-	// route (graph mode) or the configured pair extra (flat mode). It
-	// must be symmetric and must match the sum of route link latencies.
+	// extraFn is the per-pair extra one-way latency beyond WireLatency:
+	// the analytic shortest-path latency of the route (graph mode) or the
+	// configured pair extra (flat mode). It must be symmetric and must
+	// match the sum of route link latencies.
 	extraFn func(a, b int) time.Duration
+	// extra is the two-level topology's cross-rack extra (flat mode).
+	extra time.Duration
 
 	// Graph mode.
 	links    []Link
@@ -81,10 +84,6 @@ type Topology struct {
 	minLink  time.Duration
 	routeFn  func(src, dst int, flowID uint64) []int
 	switches int
-
-	// baseWire is stamped by Config.Topology() at resolve time so
-	// PairLatency can include the host injection latency.
-	baseWire time.Duration
 }
 
 // Name returns the topology's spec-style name ("single-link",
@@ -139,8 +138,18 @@ func (t *Topology) MinLinkLatency() time.Duration {
 	return t.minLink
 }
 
+// lookahead is Config.Lookahead for the topology (nil is the single link):
+// the cost model's floor, lowered to the smallest link latency on a graph
+// topology.
+func (t *Topology) lookahead() time.Duration {
+	if t == nil || t.flat {
+		return lookaheadFloor
+	}
+	return min(lookaheadFloor, t.minLink)
+}
+
 // PairExtra returns the extra one-way latency between two hosts beyond
-// Config.WireLatency: zero in the single-link topology, the inter-rack
+// WireLatency: zero in the single-link topology, the inter-rack
 // extra in the two-level topology, and the sum of route link latencies in
 // graph topologies. It is symmetric, and identical across every
 // equal-cost route candidate by construction.
@@ -152,12 +161,12 @@ func (t *Topology) PairExtra(a, b int) time.Duration {
 }
 
 // PairLatency returns the one-way host-to-host propagation latency floor:
-// the host injection latency (Config.WireLatency, stamped at resolve
-// time) plus PairExtra. Every effect host a schedules onto host b is at
-// least this far in the future, which is what makes it the per-pair
-// conservative-PDES lookahead bound the cluster's shard matrix reads.
+// the host injection latency (WireLatency) plus PairExtra. Every effect
+// host a schedules onto host b is at least this far in the future, which
+// is what makes it the per-pair conservative-PDES lookahead bound the
+// cluster's shard matrix reads.
 func (t *Topology) PairLatency(a, b int) time.Duration {
-	return t.baseWire + t.PairExtra(a, b)
+	return WireLatency + t.PairExtra(a, b)
 }
 
 // Route returns the link IDs a flow (src, dst, flowID) traverses after
@@ -198,14 +207,19 @@ func (t *Topology) RelayPairs(fn func(in, out Link)) {
 	}
 }
 
-// validate reports construction errors. Graph links must have positive
-// latency (cross-engine hops need a positive conservative bound) and
-// non-negative byte time.
+// validate reports construction errors. A flat topology's extra must be
+// non-negative (it is added to every cross-rack interaction, so a negative
+// one would schedule into the past). Graph links must have positive
+// latency (cross-engine hops need a positive conservative bound) and a
+// finite, non-negative byte time.
 func (t *Topology) validate() error {
 	if t == nil {
 		return nil
 	}
 	if t.flat {
+		if t.extra < 0 {
+			return fmt.Errorf("fabric: topology %q has negative extra latency", t.name)
+		}
 		return nil
 	}
 	if t.hosts < 1 {
@@ -216,8 +230,8 @@ func (t *Topology) validate() error {
 		if l.Latency <= 0 {
 			return fmt.Errorf("fabric: topology %q link %q needs positive latency", t.name, l.Name)
 		}
-		if l.ByteTime < 0 {
-			return fmt.Errorf("fabric: topology %q link %q has negative byte time", t.name, l.Name)
+		if bt := l.ByteTime; math.IsNaN(bt) || math.IsInf(bt, 0) || bt < 0 {
+			return fmt.Errorf("fabric: topology %q link %q needs a finite, non-negative byte time, got %v", t.name, l.Name, l.ByteTime)
 		}
 		if l.OwnerHost < 0 || l.OwnerHost >= t.hosts {
 			return fmt.Errorf("fabric: topology %q link %q owner host %d out of range", t.name, l.Name, l.OwnerHost)
@@ -262,11 +276,12 @@ func SingleLink() *Topology {
 func TwoLevel(rackSize int, extra time.Duration) *Topology {
 	name := fmt.Sprintf("two-level:rack=%d,extra=%s", rackSize, extra)
 	if rackSize <= 0 {
-		return &Topology{name: name, flat: true}
+		return &Topology{name: name, flat: true, extra: extra}
 	}
 	return &Topology{
-		name: name,
-		flat: true,
+		name:  name,
+		flat:  true,
+		extra: extra,
 		extraFn: func(a, b int) time.Duration {
 			if a/rackSize == b/rackSize {
 				return 0
@@ -288,7 +303,7 @@ type FatTreeConfig struct {
 	// default WireLatency, keeping host attach symmetric).
 	Down time.Duration
 	// ByteTime is the per-byte cost of every fabric link in ns/B; zero
-	// inherits Config.LinkByteTime (a full-bisection, untapered tree).
+	// inherits LinkByteTime (a full-bisection, untapered tree).
 	ByteTime float64
 }
 
@@ -391,7 +406,7 @@ type DragonflyConfig struct {
 	// Down is the router->host link latency. Zero selects 1 µs.
 	Down time.Duration
 	// ByteTime is the per-byte cost of every fabric link in ns/B; zero
-	// inherits Config.LinkByteTime.
+	// inherits LinkByteTime.
 	ByteTime float64
 }
 
@@ -569,8 +584,10 @@ func minDuration(a, b time.Duration) time.Duration {
 //	dragonfly:groups=9,routers=4,hosts=2[,cable=500ns][,global=2500ns][,down=1us][,G=0.085]
 //
 // Durations use Go syntax (500ns, 1us, 1.5ms); G is the per-byte link
-// cost in ns/B (0 inherits the fabric's LinkByteTime). An empty spec
-// selects single-link.
+// cost in ns/B (0 inherits LinkByteTime). An empty spec selects
+// single-link. The parsed topology is validated, so a spec that parses
+// but describes an unusable topology (a negative extra, a non-finite G)
+// is an error here rather than a simulator crash later.
 func ParseTopology(spec string) (*Topology, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
 	kv := map[string]string{}
@@ -630,6 +647,9 @@ func ParseTopology(spec string) (*Topology, error) {
 			}
 			sort.Strings(keys)
 			return nil, fmt.Errorf("fabric: topology spec %q: unknown key %q", spec, keys[0])
+		}
+		if err := t.validate(); err != nil {
+			return nil, err
 		}
 		return t, nil
 	}

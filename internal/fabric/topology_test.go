@@ -1,7 +1,10 @@
 package fabric
 
 import (
+	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,20 +12,38 @@ import (
 	"repro/internal/sim"
 )
 
+// parseTopologyGood lists specs ParseTopology accepts, with the
+// topology name each yields.
+var parseTopologyGood = []struct {
+	spec string
+	name string
+}{
+	{"", "single-link"},
+	{"single-link", "single-link"},
+	{"two-level:rack=4", "two-level:rack=4,extra=750ns"},
+	{"two-level:rack=4,extra=2us", "two-level:rack=4,extra=2µs"},
+	{"fat-tree:k=8", "fat-tree:k=8"},
+	{"fat-tree:k=4,cable=1us,down=2us,G=0.1", "fat-tree:k=4"},
+	{"dragonfly:groups=3,routers=2,hosts=1", "dragonfly:groups=3,routers=2,hosts=1"},
+}
+
+// parseTopologyBad lists specs ParseTopology rejects.
+var parseTopologyBad = []string{
+	"mesh:k=3",
+	"fat-tree:k=3",         // odd radix
+	"fat-tree:k=4,bogus=1", // unknown key
+	"fat-tree:k=x",         // bad int
+	"two-level:rack=0",     // no rack size
+	"dragonfly:groups=1",   // single group
+	"fat-tree:k=4,cable=5", // missing duration unit
+	"dragonfly:groups=3,routers=2,hosts=1,global=100ns", // < 2*cable
+	"two-level:rack=1,extra=-2us",                       // negative extra
+	"fat-tree:k=4,G=NaN",                                // non-finite byte time
+	"fat-tree:k=4,G=Inf",
+}
+
 func TestParseTopology(t *testing.T) {
-	cases := []struct {
-		spec string
-		name string
-	}{
-		{"", "single-link"},
-		{"single-link", "single-link"},
-		{"two-level:rack=4", "two-level:rack=4,extra=750ns"},
-		{"two-level:rack=4,extra=2us", "two-level:rack=4,extra=2µs"},
-		{"fat-tree:k=8", "fat-tree:k=8"},
-		{"fat-tree:k=4,cable=1us,down=2us,G=0.1", "fat-tree:k=4"},
-		{"dragonfly:groups=3,routers=2,hosts=1", "dragonfly:groups=3,routers=2,hosts=1"},
-	}
-	for _, c := range cases {
+	for _, c := range parseTopologyGood {
 		topo, err := ParseTopology(c.spec)
 		if err != nil {
 			t.Errorf("ParseTopology(%q): %v", c.spec, err)
@@ -32,21 +53,60 @@ func TestParseTopology(t *testing.T) {
 			t.Errorf("ParseTopology(%q).Name() = %q, want %q", c.spec, topo.Name(), c.name)
 		}
 	}
-	bad := []string{
-		"mesh:k=3",
-		"fat-tree:k=3",         // odd radix
-		"fat-tree:k=4,bogus=1", // unknown key
-		"fat-tree:k=x",         // bad int
-		"two-level:rack=0",     // no rack size
-		"dragonfly:groups=1",   // single group
-		"fat-tree:k=4,cable=5", // missing duration unit
-		"dragonfly:groups=3,routers=2,hosts=1,global=100ns", // < 2*cable
-	}
-	for _, spec := range bad {
+	for _, spec := range parseTopologyBad {
 		if _, err := ParseTopology(spec); err == nil {
 			t.Errorf("ParseTopology(%q) accepted", spec)
 		}
 	}
+}
+
+// FuzzParseTopology checks that every spec either fails to parse or
+// yields a topology the simulator can run: valid, with positive link
+// latencies and finite, non-negative byte times, and with every sampled
+// pair lookahead at or above a positive floor. Specs holding an integer
+// above 64 are skipped, so the fuzzer cannot ask for a huge topology.
+func FuzzParseTopology(f *testing.F) {
+	for _, c := range parseTopologyGood {
+		f.Add(c.spec)
+	}
+	for _, spec := range parseTopologyBad {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		for _, run := range regexp.MustCompile(`[0-9]+`).FindAllString(spec, -1) {
+			if n, err := strconv.Atoi(run); err != nil || n > 64 {
+				t.Skip()
+			}
+		}
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			return
+		}
+		cfg := Config{Topo: topo}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("ParseTopology(%q) yields an invalid topology: %v", spec, err)
+		}
+		for i := 0; i < topo.Links(); i++ {
+			l := topo.LinkAt(i)
+			if bt := l.ByteTime; l.Latency <= 0 || math.IsNaN(bt) || math.IsInf(bt, 0) || bt < 0 {
+				t.Fatalf("ParseTopology(%q): link %q has latency %v, byte time %v", spec, l.Name, l.Latency, bt)
+			}
+		}
+		floor := cfg.Lookahead()
+		if floor <= 0 {
+			t.Fatalf("ParseTopology(%q): lookahead %v", spec, floor)
+		}
+		hosts := topo.Hosts()
+		if hosts == 0 {
+			hosts = 64 // flat: any port count; sample the first 64
+		}
+		for i := 0; i < 64; i++ {
+			a, b := i*7%hosts, (i*13+1)%hosts
+			if pl := cfg.PairLookahead(a, b); pl < floor {
+				t.Fatalf("ParseTopology(%q): PairLookahead(%d, %d) = %v below the floor %v", spec, a, b, pl, floor)
+			}
+		}
+	})
 }
 
 // runPattern drives a small many-to-one plus pairwise pattern and returns
@@ -105,27 +165,22 @@ func checkGoldenStamps(t *testing.T, name string, cfg Config, want []sim.Time) {
 // flat ingress pipeline produced for either.
 func TestSingleLinkTopologyByteIdentical(t *testing.T) {
 	want := []sim.Time{1047, 1064, 1098, 1166, 1302, 2047, 2064, 2098, 2166, 2302, 28843}
-	checkGoldenStamps(t, "nil Topo", DefaultConfig(), want)
-	cfg := DefaultConfig()
-	cfg.Topo = SingleLink()
-	checkGoldenStamps(t, "single-link", cfg, want)
+	checkGoldenStamps(t, "nil Topo", Config{}, want)
+	checkGoldenStamps(t, "single-link", Config{Topo: SingleLink()}, want)
 }
 
 // TestTwoLevelShimMatchesLegacyRackFields: Topo=TwoLevel(2, 750ns) must
 // produce the stamps the removed RackSize=2/InterRackExtra=750ns fields
 // produced through the flat ingress pipeline.
 func TestTwoLevelShimMatchesLegacyRackFields(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Topo = TwoLevel(2, 750*time.Nanosecond)
-	checkGoldenStamps(t, "two-level", cfg,
+	checkGoldenStamps(t, "two-level", Config{Topo: TwoLevel(2, 750*time.Nanosecond)},
 		[]sim.Time{1047, 1814, 1848, 1916, 2047, 2052, 3564, 3598, 3666, 3802, 29593})
 }
 
 // randomGraphTopoConfig draws a fabric config with a random fat-tree or
-// dragonfly topology and random (valid) latencies.
+// dragonfly topology and random (valid) link latencies.
 func randomGraphTopoConfig(r *rand.Rand) (Config, error) {
-	cfg := DefaultConfig()
-	cfg.WireLatency = time.Duration(1+r.Intn(3000)) * time.Nanosecond
+	var cfg Config
 	cable := time.Duration(1+r.Intn(2000)) * time.Nanosecond
 	down := time.Duration(1+r.Intn(3000)) * time.Nanosecond
 	var err error
@@ -276,10 +331,8 @@ func TestRoutedSingleFlowLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Topo = topo
 	e := sim.NewEngine()
-	f := New(e, cfg)
+	f := New(e, Config{Topo: topo})
 	ports := make([]*Port, topo.Hosts())
 	for i := range ports {
 		ports[i] = f.NewPort("h")
@@ -296,21 +349,21 @@ func TestRoutedSingleFlowLatency(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	wireBytes := k + (k/cfg.MTU)*cfg.PacketHeader
-	tx := time.Duration(float64(wireBytes) * cfg.LinkByteTime)
+	wireBytes := k + (k/MTU)*PacketHeader
+	tx := time.Duration(float64(wireBytes) * LinkByteTime)
 	cable, down := 500*time.Nanosecond, time.Microsecond
 	want := sim.Time(0).
-		Add(cfg.WRProcess).
-		Add(tx).              // host egress serialization
-		Add(cfg.WireLatency). // injection propagation
-		Add(tx).Add(cable).   // edge->spine
-		Add(tx).Add(cable).   // spine->edge
-		Add(tx).Add(down)     // edge->host
+		Add(WRProcess).
+		Add(tx).            // host egress serialization
+		Add(WireLatency).   // injection propagation
+		Add(tx).Add(cable). // edge->spine
+		Add(tx).Add(cable). // spine->edge
+		Add(tx).Add(down)   // edge->host
 	if deliveredAt != want {
 		t.Errorf("routed delivery at %v, want %v", deliveredAt, want)
 	}
 	extra := 2*cable + down
-	if wantAck := want.Add(cfg.AckLatency + extra); ackAt != wantAck {
+	if wantAck := want.Add(AckLatency + extra); ackAt != wantAck {
 		t.Errorf("routed ack at %v, want %v", ackAt, wantAck)
 	}
 	// The fabric observed the traffic on exactly the route's links.
@@ -340,10 +393,8 @@ func TestIncastContendsOnDownLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(senders int) (sim.Time, []LinkStats) {
-		cfg := DefaultConfig()
-		cfg.Topo = topo
 		e := sim.NewEngine()
-		f := New(e, cfg)
+		f := New(e, Config{Topo: topo})
 		ports := make([]*Port, topo.Hosts())
 		for i := range ports {
 			ports[i] = f.NewPort("h")
@@ -365,9 +416,8 @@ func TestIncastContendsOnDownLink(t *testing.T) {
 	}
 	solo, _ := run(1)
 	incast, stats := run(3)
-	cfg := DefaultConfig()
-	wireBytes := 65536 + (65536/cfg.MTU)*cfg.PacketHeader
-	tx := time.Duration(float64(wireBytes) * cfg.LinkByteTime)
+	wireBytes := 65536 + (65536/MTU)*PacketHeader
+	tx := time.Duration(float64(wireBytes) * LinkByteTime)
 	if incast < solo.Add(2*tx) {
 		t.Errorf("3:1 incast last delivery %v; want >= solo %v + 2 bursts %v", incast, solo, 2*tx)
 	}

@@ -88,9 +88,9 @@ type WC struct {
 //
 // Completion delivery is callback-native and batched: push appends the WC
 // and arms a single notification event at the current virtual instant, so
-// a burst of same-instant completions wakes waiters (and fires the notify
-// callback) exactly once rather than per WC — the interrupt-coalescing
-// behaviour of a real completion channel.
+// a burst of same-instant completions fires the notify callback exactly
+// once rather than per WC — the interrupt-coalescing behaviour of a real
+// completion channel.
 type CQ struct {
 	eng   *sim.Engine
 	depth int
@@ -99,7 +99,6 @@ type CQ struct {
 	queue         []WC
 	head          int
 	overrun       bool
-	cond          *sim.Cond
 	notify        func()
 	notifyPending bool
 }
@@ -114,7 +113,6 @@ func (cq *CQ) SetNotify(fn func()) { cq.notify = fn }
 func fireCQNotify(_ sim.Time, arg any) {
 	cq := arg.(*CQ)
 	cq.notifyPending = false
-	cq.cond.Broadcast()
 	if cq.notify != nil {
 		cq.notify()
 	}
@@ -152,22 +150,3 @@ func (cq *CQ) Len() int { return len(cq.queue) - cq.head }
 
 // Overrun reports whether a completion was ever dropped for lack of space.
 func (cq *CQ) Overrun() bool { return cq.overrun }
-
-// WaitNotEmpty parks the proc until the CQ holds at least one completion.
-// It is the simulation's stand-in for blocking on a completion channel;
-// polling loops use it to avoid spinning in virtual time.
-func (cq *CQ) WaitNotEmpty(p *sim.Proc) {
-	for cq.Len() == 0 {
-		cq.cond.Wait(p)
-	}
-}
-
-// WaitNotEmptyTimeout parks the proc until a completion arrives or d
-// elapses, reporting true if a completion is available.
-func (cq *CQ) WaitNotEmptyTimeout(p *sim.Proc, d sim.Time) bool {
-	if cq.Len() > 0 {
-		return true
-	}
-	cq.cond.WaitTimeout(p, d.Duration())
-	return cq.Len() > 0
-}

@@ -117,7 +117,7 @@ func (c *Context) CreateCQ(depth int) *CQ {
 	if depth < 1 {
 		panic("ibv: CQ depth must be at least 1")
 	}
-	return &CQ{eng: c.hca.eng, depth: depth, cond: sim.NewCond(c.hca.eng)}
+	return &CQ{eng: c.hca.eng, depth: depth}
 }
 
 // lookupMR resolves a remote key on this adapter (the NIC-side RDMA path).

@@ -26,7 +26,7 @@ type pair struct {
 func newPair(t *testing.T, bufBytes int) *pair {
 	t.Helper()
 	e := sim.NewEngine()
-	f := fabric.New(e, fabric.DefaultConfig())
+	f := fabric.New(e, fabric.Config{})
 	return newPairOn(t, e, f, bufBytes, QPConfig{})
 }
 
@@ -601,7 +601,7 @@ func TestReceiveLengthError(t *testing.T) {
 
 func TestSQFullAndOutstandingWindow(t *testing.T) {
 	e := sim.NewEngine()
-	f := fabric.New(e, fabric.DefaultConfig())
+	f := fabric.New(e, fabric.Config{})
 	p := newPairOn(t, e, f, 1<<20, QPConfig{MaxSendWR: 4, MaxOutstanding: 2})
 	post := func() error {
 		return p.sendQP.PostSend(SendWR{
@@ -639,7 +639,7 @@ func TestSQFullAndOutstandingWindow(t *testing.T) {
 
 func TestRQFull(t *testing.T) {
 	e := sim.NewEngine()
-	f := fabric.New(e, fabric.DefaultConfig())
+	f := fabric.New(e, fabric.Config{})
 	p := newPairOn(t, e, f, 64, QPConfig{MaxRecvWR: 2})
 	for i := 0; i < 2; i++ {
 		if err := p.recvQP.PostRecv(RecvWR{}); err != nil {
@@ -741,7 +741,7 @@ func TestMRKeysAreDistinct(t *testing.T) {
 
 func TestCQOverrunLatches(t *testing.T) {
 	e := sim.NewEngine()
-	f := fabric.New(e, fabric.DefaultConfig())
+	f := fabric.New(e, fabric.Config{})
 	ha := NewHCA(e, f, "a")
 	cq := ha.Open().CreateCQ(1)
 	cq.push(WC{WRID: 1})
@@ -752,35 +752,6 @@ func TestCQOverrunLatches(t *testing.T) {
 	var wcs [4]WC
 	if n := cq.Poll(wcs[:]); n != 1 || wcs[0].WRID != 1 {
 		t.Fatalf("poll after overrun: n=%d", n)
-	}
-}
-
-func TestCQWaitNotEmpty(t *testing.T) {
-	p := newPair(t, 64)
-	var sawAt sim.Time
-	p.eng.Spawn("poller", func(pr *sim.Proc) {
-		p.recvCQ.WaitNotEmpty(pr)
-		sawAt = pr.Now()
-	})
-	p.eng.After(0, func() {
-		if err := p.recvQP.PostRecv(RecvWR{}); err != nil {
-			t.Error(err)
-		}
-		err := p.sendQP.PostSend(SendWR{
-			Opcode:     OpRDMAWriteImm,
-			SGList:     []SGE{p.sendMR.SGEFor(0, 64)},
-			RemoteAddr: p.recvMR.Addr(),
-			RKey:       p.recvMR.RKey(),
-		})
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sawAt == 0 {
-		t.Fatal("waiter woke at time zero or never")
 	}
 }
 

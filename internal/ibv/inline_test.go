@@ -54,7 +54,7 @@ func TestInlineIsFasterForSmallMessages(t *testing.T) {
 	// fetch, so a small message completes sooner.
 	run := func(inline bool) sim.Time {
 		e := sim.NewEngine()
-		f := fabric.New(e, fabric.DefaultConfig())
+		f := fabric.New(e, fabric.Config{})
 		p := newPairOn(t, e, f, 256, QPConfig{})
 		var at sim.Time
 		err := p.sendQP.PostSend(SendWR{
@@ -84,8 +84,7 @@ func TestInlineIsFasterForSmallMessages(t *testing.T) {
 	if inlined >= plain {
 		t.Fatalf("inline (%v) not faster than plain (%v)", inlined, plain)
 	}
-	cfg := fabric.DefaultConfig()
-	want := cfg.WRProcess - cfg.InlineWRProcess
+	want := fabric.WRProcess - fabric.InlineWRProcess
 	if got := plain - inlined; got != sim.Time(want) {
 		t.Fatalf("inline saved %v, want exactly WRProcess-InlineWRProcess = %v", got, want)
 	}
@@ -93,7 +92,7 @@ func TestInlineIsFasterForSmallMessages(t *testing.T) {
 
 func TestMaxInlineConfigurable(t *testing.T) {
 	e := sim.NewEngine()
-	f := fabric.New(e, fabric.DefaultConfig())
+	f := fabric.New(e, fabric.Config{})
 	p := newPairOn(t, e, f, 4096, QPConfig{MaxInline: 1024})
 	if p.sendQP.MaxInline() != 1024 {
 		t.Fatalf("MaxInline = %d", p.sendQP.MaxInline())

@@ -467,9 +467,7 @@ func fireReadComplete(_ sim.Time, arg any) {
 // one ack latency after the response arrival, on the requester's engine
 // (it runs inside the response delivery, which the fabric executes there).
 func (qp *QP) completeRead(ctx *sendCtx, arrivedAt sim.Time) {
-	e := qp.pd.ctx.hca.eng
-	ack := qp.pd.ctx.hca.port.Fabric().Config().AckLatency
-	e.AtCall(arrivedAt.Add(ack), fireReadComplete, ctx)
+	qp.pd.ctx.hca.eng.AtCall(arrivedAt.Add(fabric.AckLatency), fireReadComplete, ctx)
 }
 
 // readRemote resolves and snapshots the remote range of an RDMA read.

@@ -86,7 +86,7 @@ func TestRDMAReadSlowerThanWriteOneWay(t *testing.T) {
 	// it must take longer than a same-size write.
 	run := func(op Opcode) sim.Time {
 		e := sim.NewEngine()
-		f := fabric.New(e, fabric.DefaultConfig())
+		f := fabric.New(e, fabric.Config{})
 		p := newPairOn(t, e, f, 65536, QPConfig{})
 		err := p.sendQP.PostSend(SendWR{
 			Opcode:     op,
@@ -116,7 +116,7 @@ func TestRDMAReadSlowerThanWriteOneWay(t *testing.T) {
 
 func TestRDMAReadCountsAgainstWindow(t *testing.T) {
 	e := sim.NewEngine()
-	f := fabric.New(e, fabric.DefaultConfig())
+	f := fabric.New(e, fabric.Config{})
 	p := newPairOn(t, e, f, 1<<20, QPConfig{MaxOutstanding: 2, MaxSendWR: 8})
 	for i := 0; i < 6; i++ {
 		err := p.sendQP.PostSend(SendWR{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -104,7 +105,7 @@ func TestOneWayCtrlSteadyStateZeroAllocs(t *testing.T) {
 		}
 		send := func() {
 			r.SendCtrl(0, "oneway", nil)
-			p.Sleep(2 * w.Cluster().Config().Fabric.CtrlLatency)
+			p.Sleep(2 * fabric.CtrlLatency)
 		}
 		send()
 		allocs = testing.AllocsPerRun(10000, send)
@@ -303,28 +304,6 @@ func TestWaitOnWakesOnCtrl(t *testing.T) {
 	}
 	if wokeAt < sim.Time(2*time.Millisecond) {
 		t.Fatalf("woke at %v before flag was set", wokeAt)
-	}
-}
-
-func TestPostLockedSerializes(t *testing.T) {
-	w := twoNodeWorld()
-	r := w.Rank(0)
-	hold := PostLockHold
-	var ends []sim.Time
-	for i := 0; i < 3; i++ {
-		w.Engine().Spawn("poster", func(p *sim.Proc) {
-			r.PostLocked(p, func() {})
-			ends = append(ends, p.Now())
-		})
-	}
-	if err := w.Engine().Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, at := range ends {
-		want := sim.Time(time.Duration(i+1) * hold)
-		if at != want {
-			t.Fatalf("poster %d finished at %v, want %v (serialized)", i, at, want)
-		}
 	}
 }
 

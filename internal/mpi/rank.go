@@ -242,15 +242,6 @@ func (r *Rank) WaitOn(p *sim.Proc, pred func() bool) {
 	}
 }
 
-// PostLocked runs fn inside the library's per-rank post critical section,
-// charging PostLockHold. Concurrent posters serialize.
-func (r *Rank) PostLocked(p *sim.Proc, fn func()) {
-	r.postLock.Acquire(p)
-	p.Sleep(PostLockHold)
-	fn()
-	r.postLock.Release()
-}
-
 // PostLock exposes the post critical section for callers whose locked
 // region must itself consume virtual time (e.g. protocol layers that charge
 // copy costs while holding the lock).

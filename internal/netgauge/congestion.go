@@ -31,11 +31,6 @@ type CongestionConfig struct {
 	Pattern string
 	// Bytes is the per-flow payload. Zero selects 1 MiB.
 	Bytes int
-	// Hosts caps the populated host count. Zero uses the full topology.
-	Hosts int
-	// Fabric overrides the cost model (Topo is installed over it); nil
-	// selects fabric.DefaultConfig.
-	Fabric *fabric.Config
 	// Shards and Workers configure the conservative-PDES run; zero runs
 	// serial. The report is byte-identical under any shard/worker count.
 	Shards  int
@@ -132,15 +127,7 @@ func Congestion(cfg CongestionConfig) (CongestionReport, error) {
 	if cfg.Topo == nil || cfg.Topo.Flat() {
 		return CongestionReport{}, fmt.Errorf("netgauge: congestion patterns need a graph topology (fat-tree/dragonfly)")
 	}
-	fcfg := fabric.DefaultConfig()
-	if cfg.Fabric != nil {
-		fcfg = *cfg.Fabric
-	}
-	fcfg.Topo = cfg.Topo
 	hosts := cfg.Topo.Hosts()
-	if cfg.Hosts > 0 && cfg.Hosts < hosts {
-		hosts = cfg.Hosts
-	}
 	bytes := cfg.Bytes
 	if bytes == 0 {
 		bytes = 1 << 20
@@ -153,7 +140,7 @@ func Congestion(cfg CongestionConfig) (CongestionReport, error) {
 	ccfg := cluster.Config{
 		Nodes:        hosts,
 		CoresPerNode: 1,
-		Fabric:       fcfg,
+		Fabric:       fabric.Config{Topo: cfg.Topo},
 		Shards:       cfg.Shards,
 	}
 	if err := ccfg.Validate(); err != nil {

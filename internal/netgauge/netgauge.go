@@ -15,6 +15,11 @@
 //   - o_r as the receiver's per-message dispatch spacing when messages are
 //     queued (completion-processing limited);
 //   - L as the remainder ow(small) − o_s − o_r, clamped at zero.
+//
+// The probe is fixed: Run measures on a two-node Niagara-like cluster with
+// an 8 B latency probe, a G slope between 64 KiB and 256 KiB, and a
+// 16-message train; MeasureTable fits G between s and 2s at each size s.
+// Only the round counts are settings.
 package netgauge
 
 import (
@@ -35,19 +40,6 @@ type Config struct {
 	// and 20.
 	Warmup int
 	Iters  int
-	// TrainLen is the message-train length for gap measurement. Zero
-	// selects 16.
-	TrainLen int
-	// SmallBytes is the latency probe size. Zero selects 8.
-	SmallBytes int
-	// SlopeA and SlopeB are the two sizes used for the G slope. Zero
-	// selects 64 KiB and 256 KiB.
-	SlopeA int
-	SlopeB int
-	// Cluster overrides the machine shape; nil selects a two-node
-	// Niagara-like cluster. (Exposed so tests can measure a fabric with
-	// known parameters.)
-	Cluster *cluster.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -57,20 +49,15 @@ func (c Config) withDefaults() Config {
 	if c.Iters == 0 {
 		c.Iters = 20
 	}
-	if c.TrainLen == 0 {
-		c.TrainLen = 16
-	}
-	if c.SmallBytes == 0 {
-		c.SmallBytes = 8
-	}
-	if c.SlopeA == 0 {
-		c.SlopeA = 64 << 10
-	}
-	if c.SlopeB == 0 {
-		c.SlopeB = 256 << 10
-	}
 	return c
 }
+
+// trainLen is the message-train length for gap measurement.
+const trainLen = 16
+
+// probe holds one measurement's message sizes: small is the latency probe,
+// a < b are the two sizes of the G slope.
+type probe struct{ small, a, b int }
 
 // header values of the echo protocol.
 const (
@@ -79,18 +66,17 @@ const (
 	hdrTrain = 3
 )
 
-// Run measures one LogGP parameter set.
+// Run measures one LogGP parameter set: latency with an 8 B probe, G from
+// the slope between 64 KiB and 256 KiB.
 func Run(cfg Config) (loggp.Params, error) {
-	cfg = cfg.withDefaults()
-	if cfg.SlopeB <= cfg.SlopeA {
-		return loggp.Params{}, fmt.Errorf("netgauge: slope sizes out of order: %d <= %d", cfg.SlopeB, cfg.SlopeA)
-	}
+	return run(cfg, probe{small: 8, a: 64 << 10, b: 256 << 10})
+}
 
-	clCfg := cluster.NiagaraConfig(2)
-	if cfg.Cluster != nil {
-		clCfg = *cfg.Cluster
-	}
-	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
+// run measures one LogGP parameter set with the given probe sizes on a
+// two-node Niagara-like cluster.
+func run(cfg Config, pr probe) (loggp.Params, error) {
+	cfg = cfg.withDefaults()
+	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
 	pv0, err := w.Rank(0).Provider("verbs")
 	if err != nil {
 		return loggp.Params{}, err
@@ -102,9 +88,8 @@ func Run(cfg Config) (loggp.Params, error) {
 	t0 := ucx.New(w.Rank(0), pv0, "")
 	t1 := ucx.New(w.Rank(1), pv1, "")
 
-	maxBytes := cfg.SlopeB
-	buf0 := make([]byte, maxBytes)
-	buf1 := make([]byte, maxBytes)
+	buf0 := make([]byte, pr.b)
+	buf1 := make([]byte, pr.b)
 	mr0, err := pv0.RegMem(buf0)
 	if err != nil {
 		return loggp.Params{}, err
@@ -161,7 +146,7 @@ func Run(cfg Config) (loggp.Params, error) {
 	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			params = measure(p, r, t0, cfg, mr0, &pongs, &trainArrivals)
+			params = measure(p, r, t0, cfg, pr, mr0, &pongs, &trainArrivals)
 		case 1:
 			// Serve rendezvous echoes for as long as the measurement
 			// runs; the server is a daemon, so the simulation ends when
@@ -185,7 +170,7 @@ func Run(cfg Config) (loggp.Params, error) {
 }
 
 // measure runs on rank 0 and produces the parameter set.
-func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, mr xport.Mem, pongs *int, trainArrivals *[]sim.Time) loggp.Params {
+func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, pr probe, mr xport.Mem, pongs *int, trainArrivals *[]sim.Time) loggp.Params {
 	pingpong := func(size int) time.Duration {
 		var total time.Duration
 		for i := 0; i < cfg.Warmup+cfg.Iters; i++ {
@@ -200,30 +185,30 @@ func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, mr xport.M
 		return total / time.Duration(cfg.Iters) / 2 // one-way
 	}
 
-	owSmall := pingpong(cfg.SmallBytes)
-	owA := pingpong(cfg.SlopeA)
-	owB := pingpong(cfg.SlopeB)
-	g := float64(owB-owA) / float64(cfg.SlopeB-cfg.SlopeA)
+	owSmall := pingpong(pr.small)
+	owA := pingpong(pr.a)
+	owB := pingpong(pr.b)
+	g := float64(owB-owA) / float64(pr.b-pr.a)
 	if g <= 0 {
 		// Degenerate fit (can happen with tiny iteration counts); fall
 		// back to the small/large slope.
-		g = float64(owB-owSmall) / float64(cfg.SlopeB-cfg.SmallBytes)
+		g = float64(owB-owSmall) / float64(pr.b-pr.small)
 	}
 
 	// Sender overhead: CPU time of the send call itself.
 	start := p.Now()
-	mustSend(tr.SendMR(p, 1, hdrTrain, mr, 0, cfg.SmallBytes))
+	mustSend(tr.SendMR(p, 1, hdrTrain, mr, 0, pr.small))
 	os := p.Now().Sub(start)
 
 	// Message train: inter-arrival spacing at the receiver bounds both the
 	// injection gap and the receiver's per-message processing.
 	*trainArrivals = (*trainArrivals)[:0]
-	for i := 0; i < cfg.TrainLen; i++ {
-		mustSend(tr.SendMR(p, 1, hdrTrain, mr, 0, cfg.SmallBytes))
+	for i := 0; i < trainLen; i++ {
+		mustSend(tr.SendMR(p, 1, hdrTrain, mr, 0, pr.small))
 	}
 	// The arrivals are recorded by the peer's progress engine, which emits
 	// no event on this rank; poll, as the real tool does.
-	for len(*trainArrivals) < cfg.TrainLen {
+	for len(*trainArrivals) < trainLen {
 		r.Progress(p)
 		p.Sleep(2 * time.Microsecond)
 	}
@@ -245,16 +230,16 @@ func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, mr xport.M
 	return loggp.Params{L: l, Os: os, Or: or, Gap: spacing, G: g}
 }
 
-// MeasureTable measures a per-size parameter table (G fitted locally at
-// each size).
+// MeasureTable measures a per-size parameter table: at each size s, G is
+// fitted locally between s and 2s, and latency is probed at s, capped at
+// 8 KiB.
 func MeasureTable(cfg Config, sizes []int) (*loggp.Table, error) {
 	tb := loggp.NewTable()
 	for _, s := range sizes {
-		c := cfg
-		c.SlopeA = s
-		c.SlopeB = 2 * s
-		c.SmallBytes = min(s, 8<<10)
-		p, err := Run(c)
+		if s < 1 {
+			return nil, fmt.Errorf("netgauge: size %d must be positive", s)
+		}
+		p, err := run(cfg, probe{small: min(s, 8<<10), a: s, b: 2 * s})
 		if err != nil {
 			return nil, fmt.Errorf("netgauge: size %d: %w", s, err)
 		}
@@ -263,15 +248,8 @@ func MeasureTable(cfg Config, sizes []int) (*loggp.Table, error) {
 	return tb, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// mustSend asserts a measurement send was accepted; sizes are validated by
-// the configuration, so failure is a harness bug.
+// mustSend asserts a measurement send was accepted; the probe sizes are
+// positive, so failure is a harness bug.
 func mustSend(err error) {
 	if err != nil {
 		panic(fmt.Sprintf("netgauge: send: %v", err))

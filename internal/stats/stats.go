@@ -219,7 +219,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // PowersOfTwo returns the powers of two in [lo, hi] inclusive. It returns
-// nil for lo < 1, where doubling would never leave lo.
+// nil for lo < 1, where doubling would never leave lo, and stops before a
+// doubling could overflow past hi.
 func PowersOfTwo(lo, hi int) []int {
 	if lo < 1 {
 		return nil
@@ -227,6 +228,9 @@ func PowersOfTwo(lo, hi int) []int {
 	var out []int
 	for v := lo; v <= hi; v *= 2 {
 		out = append(out, v)
+		if v > hi/2 {
+			break
+		}
 	}
 	return out
 }

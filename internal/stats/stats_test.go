@@ -136,6 +136,18 @@ func TestPowersOfTwo(t *testing.T) {
 	}
 }
 
+// TestPowersOfTwoNoOverflow covers ranges reaching the top of int, where
+// doubling past hi would wrap negative and then stick at zero.
+func TestPowersOfTwoNoOverflow(t *testing.T) {
+	got := PowersOfTwo(1, math.MaxInt)
+	if len(got) != 63 || got[62] != 1<<62 {
+		t.Errorf("PowersOfTwo(1, MaxInt) has %d values ending at %d, want 63 ending at %d", len(got), got[len(got)-1], 1<<62)
+	}
+	if got := PowersOfTwo(1<<62, math.MaxInt); len(got) != 1 || got[0] != 1<<62 {
+		t.Errorf("PowersOfTwo(1<<62, MaxInt) = %v, want [%d]", got, 1<<62)
+	}
+}
+
 // TestPowersOfTwoEmptyRanges covers the bounds with no powers of two. A
 // non-positive lo never grows under doubling, so it must return at once
 // rather than append forever.

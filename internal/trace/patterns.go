@@ -25,12 +25,13 @@ const (
 	PatternUniform PatternKind = iota
 	// PatternBursty alternates calm phases (uniform, tight) and burst
 	// phases (half the partitions delayed by the full Spread) every
-	// BurstLen rounds.
+	// burstLen rounds.
 	PatternBursty
-	// PatternZipf draws each partition's delay from a zipf-weighted ramp:
-	// rank r of n costs Spread/(r+1)^Theta, with the rank-to-partition
-	// assignment reshuffled deterministically each round — a few
-	// partitions are always late, but which ones varies.
+	// PatternZipf draws each partition's delay from a zipf-weighted ramp
+	// with exponent 1 (ddtxn-style single-parameter skew): rank r of n
+	// costs Spread/(r+1), with the rank-to-partition assignment reshuffled
+	// deterministically each round — a few partitions are always late, but
+	// which ones varies.
 	PatternZipf
 	// PatternStraggler delays one rotating partition by Spread while the
 	// rest arrive within Spread/64.
@@ -67,6 +68,9 @@ func ParsePatternKind(name string) (PatternKind, error) {
 	return 0, fmt.Errorf("trace: unknown arrival pattern %q (want uniform, bursty, zipf, or straggler)", name)
 }
 
+// burstLen is PatternBursty's phase length in rounds.
+const burstLen = 6
+
 // ArrivalPattern generates per-round Pready delay schedules.
 type ArrivalPattern struct {
 	Kind PatternKind
@@ -76,12 +80,6 @@ type ArrivalPattern struct {
 	// Spread is the delay scale: the slowest partition of a round arrives
 	// about this long after the round's first. Zero selects 200µs.
 	Spread time.Duration
-	// Theta is the zipf exponent (PatternZipf only). Zero selects 1.0 —
-	// ddtxn-style single-parameter skew.
-	Theta float64
-	// BurstLen is the phase length in rounds (PatternBursty only). Zero
-	// selects 6.
-	BurstLen int
 
 	// perm is the reusable rank-to-partition assignment scratch.
 	perm []int
@@ -93,11 +91,9 @@ type ArrivalPattern struct {
 // shared across simulation shards.
 func (a *ArrivalPattern) Instance(id int) *ArrivalPattern {
 	return &ArrivalPattern{
-		Kind:     a.Kind,
-		Seed:     a.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1)),
-		Spread:   a.Spread,
-		Theta:    a.Theta,
-		BurstLen: a.BurstLen,
+		Kind:   a.Kind,
+		Seed:   a.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1)),
+		Spread: a.Spread,
 	}
 }
 
@@ -126,20 +122,6 @@ func (a *ArrivalPattern) spread() time.Duration {
 	return 200 * time.Microsecond
 }
 
-func (a *ArrivalPattern) burstLen() int {
-	if a.BurstLen > 0 {
-		return a.BurstLen
-	}
-	return 6
-}
-
-func (a *ArrivalPattern) theta() float64 {
-	if a.Theta > 0 {
-		return a.Theta
-	}
-	return 1.0
-}
-
 // Delays fills out with the round's per-partition Pready delays and
 // returns it (len(out) partitions). The result is a pure function of
 // (Seed, Kind parameters, round, len(out)).
@@ -154,7 +136,7 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 	spread := a.spread()
 	switch a.Kind {
 	case PatternBursty:
-		if (round/a.burstLen())%2 == 0 {
+		if (round/burstLen)%2 == 0 {
 			// Calm phase: tight uniform arrivals.
 			for i := range out {
 				out[i] = time.Duration(below(&s, int64(spread)/16+1))
@@ -171,8 +153,7 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 		}
 		return out
 	case PatternZipf:
-		// Delay for zipf rank r: Spread/(r+1)^Theta — rank 0 is the
-		// slowest. Assign ranks to partitions by a per-round
+		// Delay for zipf rank r: Spread/(r+1) — rank 0 is the slowest. Assign ranks to partitions by a per-round
 		// Fisher-Yates shuffle.
 		if cap(a.perm) < n {
 			a.perm = make([]int, n)
@@ -185,9 +166,8 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 			j := below(&s, int64(i+1))
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		th := a.theta()
 		for r, part := range perm {
-			out[part] = time.Duration(float64(spread) / powf(float64(r+1), th))
+			out[part] = time.Duration(float64(spread) / float64(r+1))
 		}
 		return out
 	case PatternStraggler:
@@ -202,46 +182,4 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 		}
 		return out
 	}
-}
-
-// powf computes x**y for x ≥ 1 without importing math (exp/ln via the
-// standard library would be fine determinism-wise, but a short binary
-// decomposition over integer-ish exponents keeps the dependency surface
-// minimal and bit-stable across platforms).
-func powf(x, y float64) float64 {
-	if x <= 1 || y == 0 {
-		return 1
-	}
-	// Integer part by repeated multiplication, fractional part by
-	// square-root bisection: y = k + f, x^f via 16 halvings.
-	k := int(y)
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r *= x
-	}
-	f := y - float64(k)
-	if f > 0 {
-		base := x
-		for i := 0; i < 16; i++ {
-			base = sqrtf(base)
-			f *= 2
-			if f >= 1 {
-				r *= base
-				f -= 1
-			}
-		}
-	}
-	return r
-}
-
-// sqrtf is Newton's method on float64 — deterministic and dependency-free.
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	g := x
-	for i := 0; i < 32; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
 }

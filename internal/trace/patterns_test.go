@@ -93,7 +93,7 @@ func TestStragglerRotatesAndIsolates(t *testing.T) {
 }
 
 func TestZipfSkewShape(t *testing.T) {
-	a := &ArrivalPattern{Kind: PatternZipf, Seed: 11, Spread: time.Millisecond, Theta: 1}
+	a := &ArrivalPattern{Kind: PatternZipf, Seed: 11, Spread: time.Millisecond}
 	d := a.Delays(0, make([]time.Duration, 64))
 	var max2 []time.Duration
 	var sum time.Duration
@@ -121,7 +121,7 @@ func TestZipfSkewShape(t *testing.T) {
 }
 
 func TestBurstyPhases(t *testing.T) {
-	a := &ArrivalPattern{Kind: PatternBursty, Seed: 5, Spread: time.Millisecond, BurstLen: 2}
+	a := &ArrivalPattern{Kind: PatternBursty, Seed: 5, Spread: time.Millisecond}
 	maxOf := func(round int) time.Duration {
 		var m time.Duration
 		for _, v := range a.Delays(round, make([]time.Duration, 32)) {
@@ -131,14 +131,14 @@ func TestBurstyPhases(t *testing.T) {
 		}
 		return m
 	}
-	// Rounds 0-1 calm, 2-3 burst, 4-5 calm...
+	// Rounds 0-5 calm, 6-11 burst, 12-17 calm...
 	if m := maxOf(0); m > time.Millisecond/8 {
 		t.Errorf("calm round delayed %v", m)
 	}
-	if m := maxOf(2); m < time.Millisecond {
+	if m := maxOf(6); m < time.Millisecond {
 		t.Errorf("burst round max %v, want >= spread", m)
 	}
-	if m := maxOf(4); m > time.Millisecond/8 {
+	if m := maxOf(12); m > time.Millisecond/8 {
 		t.Errorf("calm round after burst delayed %v", m)
 	}
 }

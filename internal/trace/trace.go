@@ -3,7 +3,9 @@
 // harnesses and application code emit spans and instants around the
 // calls they make; virtual timestamps map directly onto the trace
 // timeline, so a recorded round renders exactly like the paper's Figure
-// 10 arrival diagrams.
+// 10 arrival diagrams. The package also generates the synthetic Pready
+// arrival schedules benchmarks drive (ArrivalPattern): a pattern's only
+// settings are its kind, seed, and delay scale.
 package trace
 
 import (

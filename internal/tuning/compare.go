@@ -2,12 +2,10 @@ package tuning
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // StrategyAdaptive is deliberately NOT a candidate in Search: the offline
@@ -20,17 +18,13 @@ import (
 // design earns its keep in reports without contaminating the search.
 
 // CompareConfig shapes the post-search adaptive-vs-tuned comparison.
+// Both designs run with no compute and immediate arrivals.
 type CompareConfig struct {
 	// Warmup and Iters per run. Zeros select 16 and 24 — the warm-up must
 	// cover the adaptive warm-up window plus dwell so the measured
 	// iterations observe the post-adaptation design.
 	Warmup int
 	Iters  int
-	// Compute is per-thread computation before the arrival delay.
-	Compute time.Duration
-	// Arrival, if non-nil, drives both runs with the same synthetic
-	// Pready schedule; nil compares under immediate arrivals.
-	Arrival *trace.ArrivalPattern
 	// Workers bounds point-level parallelism (0 selects GOMAXPROCS).
 	Workers int
 }
@@ -72,19 +66,9 @@ func CompareStrategies(table *core.TuningTable, cfg CompareConfig) ([]CompareRow
 	table.ForEach(func(k core.TuningKey, _ core.TuningValue) {
 		keys = append(keys, k)
 	})
-	rows := make([]CompareRow, len(keys))
-	err := sweep.Ordered(cfg.Workers, len(keys),
-		func(i int) (CompareRow, error) {
-			return comparePoint(table, cfg, keys[i])
-		},
-		func(i int, r CompareRow) error {
-			rows[i] = r
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return sweep.Map(cfg.Workers, len(keys), func(i int) (CompareRow, error) {
+		return comparePoint(table, cfg, keys[i])
+	})
 }
 
 // comparePoint runs both designs at one table entry.
@@ -92,13 +76,11 @@ func comparePoint(table *core.TuningTable, cfg CompareConfig, key core.TuningKey
 	row := CompareRow{UserParts: key.UserParts, Bytes: key.Bytes}
 	run := func(opts core.Options) (bench.P2PResult, error) {
 		return bench.RunP2P(bench.P2PConfig{
-			Parts:   key.UserParts,
-			Bytes:   key.Bytes,
-			Compute: cfg.Compute,
-			Warmup:  cfg.Warmup,
-			Iters:   cfg.Iters,
-			Opts:    opts,
-			Arrival: cfg.Arrival,
+			Parts:  key.UserParts,
+			Bytes:  key.Bytes,
+			Warmup: cfg.Warmup,
+			Iters:  cfg.Iters,
+			Opts:   opts,
 		})
 	}
 	tuned, err := run(core.Options{Strategy: core.StrategyTuningTable, Table: table})

@@ -2,10 +2,8 @@ package tuning
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 func TestCompareStrategiesAgainstTunedTable(t *testing.T) {
@@ -18,16 +16,7 @@ func TestCompareStrategiesAgainstTunedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := CompareStrategies(table, CompareConfig{
-		Warmup:  12,
-		Iters:   12,
-		Compute: 20 * time.Microsecond,
-		Arrival: &trace.ArrivalPattern{
-			Kind:   trace.PatternStraggler,
-			Seed:   3,
-			Spread: 500 * time.Microsecond,
-		},
-	})
+	rows, err := CompareStrategies(table, CompareConfig{Warmup: 12, Iters: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,6 @@ type SearchConfig struct {
 	UserParts []int
 	// Sizes are the aggregate message sizes to tune.
 	Sizes []int
-	// MaxQPs caps the QP candidates. Zero selects 16.
-	MaxQPs int
 	// Warmup and Iters per candidate run. Zeros select 3 and 10 (scaled
 	// down from the paper's 100 iterations; the simulator is noiseless,
 	// so fewer repetitions identify the same argmin).
@@ -47,10 +45,10 @@ type SearchConfig struct {
 	Workers int
 }
 
+// maxQPs caps the QP candidates.
+const maxQPs = 16
+
 func (c SearchConfig) withDefaults() SearchConfig {
-	if c.MaxQPs == 0 {
-		c.MaxQPs = 16
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 3
 	}
@@ -62,7 +60,6 @@ func (c SearchConfig) withDefaults() SearchConfig {
 
 // Validate reports configuration errors.
 func (c SearchConfig) Validate() error {
-	c = c.withDefaults()
 	if len(c.UserParts) == 0 || len(c.Sizes) == 0 {
 		return fmt.Errorf("tuning: empty search space")
 	}
@@ -75,9 +72,6 @@ func (c SearchConfig) Validate() error {
 		if s < 1 {
 			return fmt.Errorf("tuning: bad size %d", s)
 		}
-	}
-	if c.MaxQPs < 1 {
-		return fmt.Errorf("tuning: bad MaxQPs %d", c.MaxQPs)
 	}
 	return nil
 }
@@ -131,11 +125,7 @@ func searchPoint(cfg SearchConfig, parts, size int) (core.TuningValue, error) {
 	var best core.TuningValue
 	bestTime := int64(-1)
 	for transport := 1; transport <= parts; transport *= 2 {
-		maxQ := transport
-		if maxQ > cfg.MaxQPs {
-			maxQ = cfg.MaxQPs
-		}
-		for qps := 1; qps <= maxQ; qps *= 2 {
+		for qps := 1; qps <= min(transport, maxQPs); qps *= 2 {
 			res, err := bench.RunP2P(bench.P2PConfig{
 				Parts:  parts,
 				Bytes:  size,

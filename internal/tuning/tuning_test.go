@@ -67,7 +67,6 @@ func TestSearchValidation(t *testing.T) {
 		{},
 		{UserParts: []int{0}, Sizes: []int{4096}},
 		{UserParts: []int{4}, Sizes: []int{0}},
-		{UserParts: []int{4}, Sizes: []int{4096}, MaxQPs: -1},
 	}
 	for i, c := range bad {
 		if _, err := Search(c); err == nil {

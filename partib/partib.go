@@ -133,5 +133,5 @@ func SpawnThread(w *World, g *Group, name string, body func(p *Proc)) {
 // the "hardware limit" dotted line of the paper's perceived-bandwidth
 // figures.
 func LinkBandwidth() float64 {
-	return fabric.DefaultConfig().LinkBandwidth()
+	return fabric.LinkBandwidth
 }
