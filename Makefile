@@ -69,21 +69,24 @@ test:
 # them in parallel sweeps, so race-check all four on every PR — plus the
 # sim package, whose ShardSet runs engines on a spin/park worker fleet,
 # netgauge, whose gauges feed the loggp calibration consumed inside
-# those sweeps, and the bench differential tests that drive sharded
-# clusters end to end. The fabric line covers the multi-switch congestion
-# paths (incast on the shared down-link, link saturation, route spread).
+# those sweeps, the bench differential tests that drive sharded
+# clusters end to end, and the cluster differentials that run incast and
+# permutation flows over sharded fat-tree and dragonfly fabrics. The
+# fabric line covers the multi-switch congestion paths (incast on the
+# shared down-link, link saturation, route spread).
 # The sim and sharded lines run at -cpu 1,2: procs are coroutines that any
 # shard worker may resume, so switches are exercised on one P and across
 # two. The ibv and ucx line covers the verbs data path: a non-inline WR's
 # payload is read from the sender's memory when it lands, which on a
-# sharded run happens on the destination's engine; pt2pt, coll and mpipcl
-# are the other clients of the ucx transport. CI runs this target.
+# sharded run happens on the destination's engine; pt2pt and mpipcl are
+# the other clients of the ucx transport. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race ./internal/ibv/... ./internal/ucx/... ./internal/pt2pt/... ./internal/coll/... ./internal/mpipcl/...
+	$(GO) test -race ./internal/ibv/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
-	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
+	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
+	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route' ./internal/fabric/
 
 # Provider-conformance suite: every transport backend (verbs, shm)
 # against the same SPI contract, including under the race detector. CI
@@ -111,7 +114,6 @@ bench: allocs
 # byte-identical across repeats. The perf record itself is
 # `bash benchmark/run.sh`; the correctness gates (PDES parity and the
 # dispatch-window ceiling, the adaptive never-worse guard, single-link
-# parity, the incast spread and its shard determinism) are tests under
-# `go test ./...`.
+# parity) are tests under `go test ./...`.
 bench-smoke:
 	cd benchmark && $(GO) test ./...

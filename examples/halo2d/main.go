@@ -30,7 +30,10 @@ const (
 func rankOf(x, y int) int { return y*gridX + x }
 
 func main() {
-	job := partib.NewJob(partib.JobConfig{Nodes: gridX * gridY})
+	job, err := partib.NewJob(partib.JobConfig{Nodes: gridX * gridY})
+	if err != nil {
+		log.Fatal(err)
+	}
 	engines := make([]*partib.Engine, job.Size())
 	for i := range engines {
 		eng, err := partib.NewEngine(job.Rank(i))
@@ -44,7 +47,7 @@ func main() {
 		Delta:    35 * time.Microsecond,
 	}
 
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
+	err = job.Run(func(p *partib.Proc, r *partib.Rank) {
 		id := r.ID()
 		x, y := id%gridX, id/gridX
 		east := rankOf((x+1)%gridX, y)

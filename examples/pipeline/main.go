@@ -29,7 +29,10 @@ const (
 )
 
 func main() {
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
+	job, err := partib.NewJob(partib.JobConfig{Nodes: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 	engines := make([]*partib.Engine, 2)
 	for i := range engines {
 		eng, err := partib.NewEngine(job.Rank(i))
@@ -43,7 +46,7 @@ func main() {
 	var processedAt [parts]partib.Time
 	var allArrivedAt partib.Time
 
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
+	err = job.Run(func(p *partib.Proc, r *partib.Rank) {
 		eng := engines[r.ID()]
 		switch r.ID() {
 		case 0: // producer

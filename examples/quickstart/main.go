@@ -23,7 +23,10 @@ func main() {
 		tag   = 7
 	)
 
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
+	job, err := partib.NewJob(partib.JobConfig{Nodes: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 	engines := make([]*partib.Engine, 2)
 	for i := range engines {
 		eng, err := partib.NewEngine(job.Rank(i))
@@ -39,7 +42,7 @@ func main() {
 	}
 	dst := make([]byte, total)
 
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
+	err = job.Run(func(p *partib.Proc, r *partib.Rank) {
 		eng := engines[r.ID()]
 		switch r.ID() {
 		case 0: // sender

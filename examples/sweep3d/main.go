@@ -32,7 +32,10 @@ func rankOf(x, y int) int { return y*gridX + x }
 // runSweep executes the wavefront under one strategy and returns the mean
 // iteration time.
 func runSweep(opts partib.Options) time.Duration {
-	job := partib.NewJob(partib.JobConfig{Nodes: gridX * gridY})
+	job, err := partib.NewJob(partib.JobConfig{Nodes: gridX * gridY})
+	if err != nil {
+		log.Fatal(err)
+	}
 	engines := make([]*partib.Engine, job.Size())
 	for i := range engines {
 		eng, err := partib.NewEngine(job.Rank(i))
@@ -44,7 +47,7 @@ func runSweep(opts partib.Options) time.Duration {
 	var iterStart, iterEnd partib.Time
 	var total time.Duration
 
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
+	err = job.Run(func(p *partib.Proc, r *partib.Rank) {
 		id := r.ID()
 		x, y := id%gridX, id/gridX
 		eng := engines[id]

@@ -39,7 +39,10 @@ func main() {
 		if !ok {
 			log.Fatalf("no tuning entry for %d bytes", s)
 		}
-		model := partib.OptimalTransport(s, userParts, 4*time.Millisecond)
+		model, err := partib.OptimalTransport(s, userParts, 4*time.Millisecond)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-8s  T=%-3d QPs=%-12d  T=%-3d\n", fmtBytes(s), val.Transport, val.QPs, model)
 	}
 

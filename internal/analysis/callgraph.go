@@ -189,9 +189,6 @@ func (g *CallGraph) Roots(keep func(*FuncInfo) bool) []*FuncInfo {
 	return out
 }
 
-// InfoOf returns the FuncInfo of a declaration indexed by the graph.
-func (g *CallGraph) InfoOf(fd *ast.FuncDecl) *FuncInfo { return g.byDecl[fd] }
-
 // InfoFor returns the FuncInfo of a types object, when it names a
 // same-package declaration.
 func (g *CallGraph) InfoFor(obj types.Object) *FuncInfo { return g.funcs[obj] }

@@ -65,7 +65,6 @@ var simReachable = map[string]bool{
 	"repro/internal/xport/shm":   true,
 	"repro/internal/netgauge":    true,
 	"repro/internal/experiments": true,
-	"repro/internal/coll":        true,
 	"repro/internal/pt2pt":       true,
 	"repro/internal/mpipcl":      true,
 }

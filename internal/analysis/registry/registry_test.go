@@ -1,30 +1,44 @@
 package registry
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// modulePackages lists the import path of every package directory in the
-// repro module, walked from the module root. Nested modules (a directory
-// with its own go.mod) and testdata trees are not part of it.
-func modulePackages(t *testing.T) []string {
+// sourcePackage is one package directory and its parsed non-test files.
+type sourcePackage struct {
+	path  string
+	files []*ast.File
+}
+
+// moduleRoot is the repro module's root directory.
+func moduleRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgs []string
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+	return root
+}
+
+// walkModule returns every package directory of the module rooted at
+// root, whose import path is modPath, with its non-test files parsed.
+// Nested modules (a directory with its own go.mod) and testdata trees are
+// not part of it.
+func walkModule(t *testing.T, fset *token.FileSet, root, modPath string) []sourcePackage {
+	t.Helper()
+	var pkgs []sourcePackage
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		if path != root {
 			name := d.Name()
@@ -43,11 +57,32 @@ func modulePackages(t *testing.T) []string {
 		if err != nil {
 			return err
 		}
-		pkgs = append(pkgs, strings.TrimSuffix("repro/"+filepath.ToSlash(rel), "/."))
+		pkg := sourcePackage{path: strings.TrimSuffix(modPath+"/"+filepath.ToSlash(rel), "/.")}
+		for _, name := range goFiles {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg.files = append(pkg.files, f)
+		}
+		pkgs = append(pkgs, pkg)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// modulePackages lists the import path of every package directory in the
+// repro module.
+func modulePackages(t *testing.T) []string {
+	var pkgs []string
+	for _, pkg := range walkModule(t, token.NewFileSet(), moduleRoot(t), "repro") {
+		pkgs = append(pkgs, pkg.path)
 	}
 	sort.Strings(pkgs)
 	return pkgs
@@ -69,7 +104,6 @@ func TestRegistryScopes(t *testing.T) {
 	scoped := map[string][]string{
 		"detertaint": {
 			"repro/internal/bench",
-			"repro/internal/coll",
 			"repro/internal/core",
 			"repro/internal/experiments",
 			"repro/internal/fabric",
@@ -112,5 +146,132 @@ func TestRegistryScopes(t *testing.T) {
 		if !names[name] {
 			t.Errorf("no check named %s", name)
 		}
+	}
+}
+
+// keepUnused names exported package-level identifiers that may go without
+// a non-test use.
+var keepUnused = map[string]bool{
+	// ROADMAP item 6 (loggp.Calibrate) may feed measured per-size terms to
+	// the model through this constructor and Model.Table.
+	"repro/internal/ploggp.NewWithTable": true,
+}
+
+// exportedDecls returns the declaring identifiers of the exported
+// package-level funcs, types, consts and vars of a package. Methods are
+// not package-level names.
+func exportedDecls(files []*ast.File) []*ast.Ident {
+	var out []*ast.Ident
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					out = append(out, d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							out = append(out, s.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								out = append(out, n)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// collectUses records "importpath.Name" for every qualified reference to
+// another package and every bare reference within the package itself.
+// Declaring identifiers, selected fields and methods, struct fields and
+// method names are not references; a local that shadows a package-level
+// name counts as one, which only makes the check more lenient.
+func collectUses(pkg sourcePackage, uses map[string]bool) {
+	declared := map[*ast.Ident]bool{}
+	for _, id := range exportedDecls(pkg.files) {
+		declared[id] = true
+	}
+	for _, f := range pkg.files {
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				continue
+			}
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = path
+		}
+		skip := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				skip[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					if path, ok := imports[x.Name]; ok {
+						uses[path+"."+n.Sel.Name] = true
+					}
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					skip[id] = true
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					skip[n.Name] = true
+				}
+			case *ast.Ident:
+				if !skip[n] && !declared[n] {
+					uses[pkg.path+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestNoTestOnlyExports fails when an exported package-level func, type,
+// const or var of internal/... or partib has no use in any non-test file
+// of this module or of the benchmark module: code only tests reach is
+// deleted with its tests. Test-support packages (named *test, like
+// analysistest) exist for tests and are out of scope.
+func TestNoTestOnlyExports(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	pkgs := walkModule(t, fset, root, "repro")
+	pkgs = append(pkgs, walkModule(t, fset, filepath.Join(root, "benchmark"), "repro/benchmark")...)
+	uses := map[string]bool{}
+	for _, pkg := range pkgs {
+		collectUses(pkg, uses)
+	}
+	var unused []string
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.path, "repro/internal/") && pkg.path != "repro/partib" {
+			continue
+		}
+		if strings.HasSuffix(pkg.path, "test") {
+			continue
+		}
+		for _, id := range exportedDecls(pkg.files) {
+			name := pkg.path + "." + id.Name
+			if !uses[name] && !keepUnused[name] {
+				unused = append(unused, fset.Position(id.Pos()).String()+": "+name)
+			}
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s has no use outside tests", u)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -166,59 +167,98 @@ func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 // TestRackTopologyShardedMatchesSerial is the cluster-level differential
 // for the per-pair path: a rack topology (which both stretches cross-rack
 // interactions in the cost model and hands the shard runtime a non-uniform
-// lookahead matrix) must leave sharded timing byte-identical to serial.
+// lookahead matrix) and the two graph topologies, whose flows contend on
+// per-link cursors, must leave sharded timing and every link's counters
+// byte-identical to serial at any shard and worker count.
 func TestRackTopologyShardedMatchesSerial(t *testing.T) {
-	run := func(shards int) []sim.Time {
-		cfg := NiagaraConfig(8)
-		cfg.CoresPerNode = 2
-		cfg.Fabric.Topo = fabric.TwoLevel(2, 750*time.Nanosecond)
-		cfg.Shards = shards
-		c := New(cfg)
-		ends := make([]sim.Time, cfg.Nodes)
-		for i, n := range c.Nodes {
-			i, n := i, n
-			n.Engine.Spawn("load", func(p *sim.Proc) {
-				// Compute, ping the next node's port via the control
-				// plane, compute again on reply.
-				n.Compute(p, 5*time.Microsecond)
-				ends[i] = p.Now()
-			})
+	// Every topology has 8 hosts. On the rack topology each node sends to
+	// its neighbour two racks over, so flows cross both rack and shard
+	// boundaries; the graph topologies run incast (hosts 1..7 into host 0)
+	// and a permutation (host i to host i^1) at once.
+	type flow struct{ src, dst int }
+	var rack, graph []flow
+	for i := 0; i < 8; i++ {
+		rack = append(rack, flow{i, (i + 4) % 8})
+		graph = append(graph, flow{i, i ^ 1})
+		if i > 0 {
+			graph = append(graph, flow{i, 0})
 		}
-		// Cross-node traffic: every node bursts to its neighbor two racks
-		// over so flows cross both rack and shard boundaries.
-		fab := c.Fabric
-		ports := make([]*fabric.Port, cfg.Nodes)
-		for i := range ports {
-			ports[i] = c.Nodes[i].HCA.Port()
-		}
-		// Each destination receives exactly one message, so the flag row is
-		// written only by its own node's engine — race-free under sharding.
-		delivered := make([]bool, cfg.Nodes)
-		for i := range ports {
-			dst := (i + 4) % cfg.Nodes
-			fl := fab.NewFlow(ports[i], ports[dst])
-			fl.Send(fabric.Message{Bytes: 8192, OnDeliver: func(at sim.Time) {
-				delivered[dst] = true
-			}})
-		}
-		if err := c.Run(0); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for dst, ok := range delivered {
-			if !ok {
-				t.Fatalf("shards=%d: no delivery to node %d", shards, dst)
-			}
-		}
-		return ends
 	}
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		got := run(shards)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: node %d finished at %v, serial at %v", shards, i, got[i], want[i])
+	for _, tc := range []struct {
+		spec  string
+		topo  func() (*fabric.Topology, error)
+		flows []flow
+	}{
+		{"two-level", func() (*fabric.Topology, error) { return fabric.TwoLevel(2, 750*time.Nanosecond), nil }, rack},
+		{"fat-tree:k=4", func() (*fabric.Topology, error) { return fabric.ParseTopology("fat-tree:k=4") }, graph},
+		{"dragonfly:groups=4,routers=2,hosts=1", func() (*fabric.Topology, error) {
+			return fabric.ParseTopology("dragonfly:groups=4,routers=2,hosts=1")
+		}, graph},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			// run returns each node's compute end, each flow's delivery
+			// stamp and the fabric's per-link counters. A delivery slot is
+			// written only on its destination's engine, so sharded writes
+			// never share a slot.
+			run := func(shards, workers int) ([]sim.Time, []sim.Time, []fabric.LinkStats) {
+				topo, err := tc.topo()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := NiagaraConfig(8)
+				cfg.CoresPerNode = 2
+				cfg.Fabric.Topo = topo
+				cfg.Shards = shards
+				c := New(cfg)
+				ends := make([]sim.Time, cfg.Nodes)
+				for i, n := range c.Nodes {
+					i, n := i, n
+					n.Engine.Spawn("load", func(p *sim.Proc) {
+						n.Compute(p, 5*time.Microsecond)
+						ends[i] = p.Now()
+					})
+				}
+				delivered := make([]sim.Time, len(tc.flows))
+				for i, f := range tc.flows {
+					i := i
+					fl := c.Fabric.NewFlow(c.Nodes[f.src].HCA.Port(), c.Nodes[f.dst].HCA.Port())
+					fl.Send(fabric.Message{Bytes: 8192, OnDeliver: func(at sim.Time) { delivered[i] = at }})
+				}
+				if err := c.Run(workers); err != nil {
+					t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+				}
+				for i, at := range delivered {
+					if at == 0 {
+						t.Fatalf("shards=%d workers=%d: flow %d never delivered", shards, workers, i)
+					}
+				}
+				return ends, delivered, c.Fabric.LinkStats()
 			}
-		}
+			wantEnds, wantDelivered, wantLinks := run(1, 1)
+			// A graph topology has per-link counters, and incast must queue
+			// on some link, or the comparison below checks no contention.
+			queued := false
+			for _, ls := range wantLinks {
+				queued = queued || ls.MaxQueue > 0
+			}
+			if len(wantLinks) > 0 && !queued {
+				t.Fatal("no link queued under incast")
+			}
+			for _, shards := range []int{2, 4, 8} {
+				for _, workers := range []int{1, 2} {
+					ends, delivered, links := run(shards, workers)
+					if !reflect.DeepEqual(ends, wantEnds) {
+						t.Fatalf("shards=%d workers=%d: node ends %v, serial %v", shards, workers, ends, wantEnds)
+					}
+					if !reflect.DeepEqual(delivered, wantDelivered) {
+						t.Fatalf("shards=%d workers=%d: deliveries %v, serial %v", shards, workers, delivered, wantDelivered)
+					}
+					if !reflect.DeepEqual(links, wantLinks) {
+						t.Fatalf("shards=%d workers=%d: link stats\n%+v\nserial\n%+v", shards, workers, links, wantLinks)
+					}
+				}
+			}
+		})
 	}
 }
 

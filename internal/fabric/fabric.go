@@ -530,12 +530,6 @@ func (f *Fabric) NewFlowID(src, dst *Port, flowID uint64) *Flow {
 	return fl
 }
 
-// Src returns the sending port.
-func (fl *Flow) Src() *Port { return fl.src }
-
-// Dst returns the receiving port.
-func (fl *Flow) Dst() *Port { return fl.dst }
-
 // Queued returns the number of messages not yet fully injected.
 func (fl *Flow) Queued() int { return len(fl.queue) - fl.head }
 

@@ -127,17 +127,6 @@ func (t *Topology) GroupOf(host int) int {
 	return t.groupOf[host]
 }
 
-// MinLinkLatency returns the smallest link latency (0 for flat
-// topologies). It participates in Config.Lookahead: cross-shard hop
-// forwarding between link cursors is separated by at least one link
-// latency.
-func (t *Topology) MinLinkLatency() time.Duration {
-	if t.flat {
-		return 0
-	}
-	return t.minLink
-}
-
 // lookahead is Config.Lookahead for the topology (nil is the single link):
 // the cost model's floor, lowered to the smallest link latency on a graph
 // topology.
@@ -161,10 +150,10 @@ func (t *Topology) PairExtra(a, b int) time.Duration {
 }
 
 // PairLatency returns the one-way host-to-host propagation latency floor:
-// the host injection latency (WireLatency) plus PairExtra. Every effect
-// host a schedules onto host b is at least this far in the future, which
-// is what makes it the per-pair conservative-PDES lookahead bound the
-// cluster's shard matrix reads.
+// the host injection latency (WireLatency) plus PairExtra. It bounds the
+// wire path only; the cluster's shard matrix instead adds PairExtra to
+// Config.Lookahead, whose floor also covers acks and control messages
+// (see Config.PairLookahead).
 func (t *Topology) PairLatency(a, b int) time.Duration {
 	return WireLatency + t.PairExtra(a, b)
 }

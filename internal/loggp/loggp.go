@@ -18,12 +18,9 @@
 package loggp
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -194,54 +191,6 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// ReadTable parses the serialization produced by WriteTo.
-func ReadTable(r io.Reader) (*Table, error) {
-	t := NewTable()
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 6 {
-			return nil, fmt.Errorf("loggp: line %d: want 6 fields, got %d", line, len(fields))
-		}
-		var nums [5]int64
-		for i := 0; i < 5; i++ {
-			v, err := strconv.ParseInt(fields[i], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("loggp: line %d field %d: %v", line, i+1, err)
-			}
-			nums[i] = v
-		}
-		g, err := strconv.ParseFloat(fields[5], 64)
-		if err != nil {
-			return nil, fmt.Errorf("loggp: line %d: bad G: %v", line, err)
-		}
-		p := Params{
-			L:   time.Duration(nums[1]),
-			Os:  time.Duration(nums[2]),
-			Or:  time.Duration(nums[3]),
-			Gap: time.Duration(nums[4]),
-			G:   g,
-		}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("loggp: line %d: %v", line, err)
-		}
-		if nums[0] <= 0 {
-			return nil, fmt.Errorf("loggp: line %d: non-positive size %d", line, nums[0])
-		}
-		t.Set(int(nums[0]), p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Packets returns the number of MTU-sized packets needed for n bytes.

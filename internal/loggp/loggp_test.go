@@ -2,6 +2,7 @@ package loggp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,58 +161,28 @@ func TestTableOverwrite(t *testing.T) {
 	}
 }
 
+// TestTableRoundTrip: entries set in any order serialize in size order,
+// one "size L os or g G" line each, as ngauge -table prints them.
 func TestTableRoundTrip(t *testing.T) {
 	tb := NewTable()
-	for i, size := range []int{64, 4096, 1 << 20} {
+	for i, size := range []int{1 << 20, 64, 4096} {
 		p := testParams()
 		p.L = time.Duration(i+1) * time.Microsecond
 		tb.Set(size, p)
 	}
 	var buf bytes.Buffer
-	if _, err := tb.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTable(&buf)
+	n, err := tb.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tb.Len() {
-		t.Fatalf("round-trip Len = %d, want %d", got.Len(), tb.Len())
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	for _, size := range tb.Sizes() {
-		a, _ := tb.Lookup(size)
-		b, _ := got.Lookup(size)
-		if a != b {
-			t.Errorf("size %d: %+v != %+v", size, a, b)
-		}
-	}
-}
-
-func TestReadTableRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"1 2 3",                   // too few fields
-		"x 1 2 3 4 0.5",           // bad size
-		"100 1 2 3 4 zero",        // bad G
-		"100 1 2 3 4 -1.0",        // invalid G
-		"-5 1 2 3 4 0.5",          // non-positive size
-		"100 -1 2 3 4 0.5",        // negative L
-		"100 1 2 3 4 0.5 trailer", // too many fields
-	}
-	for _, c := range cases {
-		if _, err := ReadTable(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadTable(%q) accepted garbage", c)
-		}
-	}
-}
-
-func TestReadTableSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# comment\n\n100 1000 500 700 300 0.1\n"
-	tb, err := ReadTable(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tb.Len())
+	p := testParams()
+	row := fmt.Sprintf(" %d %d %d %.6f\n", p.Os.Nanoseconds(), p.Or.Nanoseconds(), p.Gap.Nanoseconds(), p.G)
+	want := "64 2000" + row + "4096 3000" + row + "1048576 1000" + row
+	if buf.String() != want {
+		t.Fatalf("WriteTo wrote\n%s\nwant\n%s", buf.String(), want)
 	}
 }
 

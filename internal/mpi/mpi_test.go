@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -32,6 +33,11 @@ func TestWorldShape(t *testing.T) {
 		if r.World() != w {
 			t.Errorf("rank %d world mismatch", i)
 		}
+	}
+	// "ucx" names the middleware every provider builds, not a provider of
+	// its own, so asking a rank for it is the typed unknown-provider error.
+	if _, err := w.Rank(0).Provider("ucx"); !errors.Is(err, xport.ErrUnknownProvider) {
+		t.Fatalf("Provider(ucx) error = %v, want one wrapping xport.ErrUnknownProvider", err)
 	}
 }
 

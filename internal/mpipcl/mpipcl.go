@@ -44,8 +44,8 @@ var (
 	ErrTooManyRequests = errors.New("mpipcl: too many layered requests on one rank")
 )
 
-// Tag-space layout: the layered protocol lives far above application tags
-// and below the collectives' space.
+// Tag-space layout: the layered protocol lives far above application
+// tags.
 const (
 	tagSetupBase = 1 << 22
 	tagDataBase  = 1 << 23

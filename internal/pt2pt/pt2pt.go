@@ -1,15 +1,14 @@
-// Package pt2pt provides traditional MPI point-to-point communication
-// (Send/Recv/Isend/Irecv with tag matching and wildcards) over the
-// provider-neutral active-message layer. The paper's context assumes a
-// full MPI library around the partitioned module; this package completes
-// the substrate so applications can mix partitioned transfers with
-// ordinary messages (as the sweep and halo codes the paper cites do for
-// setup and reductions).
+// Package pt2pt provides nonblocking MPI point-to-point messages
+// (Isend/Irecv with tag matching) over the provider-neutral
+// active-message layer. It is the substrate of the layered partitioned
+// library (internal/mpipcl), which sends every user partition as one
+// ordinary tagged message.
 //
 // Matching follows MPI semantics: posted receives match arriving messages
-// by (source, tag) in posted order, with AnySource and AnyTag wildcards —
-// the matching-queue machinery whose multi-threaded cost is one of the
-// paper's motivations for partitioned communication in the first place.
+// by (source, tag) in posted order, and arrivals no receive matches wait
+// in an unexpected queue in arrival order — the matching-queue machinery
+// whose multi-threaded cost is one of the paper's motivations for
+// partitioned communication in the first place.
 package pt2pt
 
 import (
@@ -34,14 +33,6 @@ var (
 	ErrRndvProtocol = errors.New("pt2pt: rendezvous protocol violation")
 )
 
-// Wildcards for Recv matching.
-const (
-	// AnySource matches messages from every rank.
-	AnySource = -1
-	// AnyTag matches every tag.
-	AnyTag = -1
-)
-
 // maxTag bounds tags so they pack into the active-message header.
 const maxTag = 1 << 30
 
@@ -57,9 +48,9 @@ type Comm struct {
 	// unexpected holds arrived-but-unmatched messages in arrival order.
 	unexpected []*envelope
 
-	// sendMR is a registered staging region for Send payloads. Zero-copy
-	// and rendezvous sends read it when their data lands, after Isend and
-	// Wait have returned, so it stays busy until the transport has flushed.
+	// sendMR is a registered staging region for Isend payloads. Zero-copy
+	// and rendezvous sends read it when their data lands, after Isend has
+	// returned, so it stays busy until the transport has flushed.
 	sendMR   xport.Mem
 	sendBusy bool
 
@@ -68,7 +59,7 @@ type Comm struct {
 
 	// err records the first asynchronous protocol error; handlers run at
 	// event context with no caller to return to, so they record here and
-	// blocking calls surface it.
+	// Wait surfaces it.
 	err error
 }
 
@@ -104,9 +95,6 @@ type RecvReq struct {
 	source  int
 	tag     int
 	done    bool
-	febSrc  int // matched source (filled at completion)
-	febTag  int // matched tag
-	febLen  int
 	overrun bool
 	// landing is the direct rendezvous registration over buf, when the
 	// receive was posted before the sender's RTS arrived.
@@ -179,39 +167,18 @@ func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int) (*SendReq, error) {
 	return req, nil
 }
 
-// Send is the blocking standard send: it returns when the payload has been
-// handed to the transport and all transport-level work has been flushed.
-func (c *Comm) Send(p *sim.Proc, buf []byte, dest, tag int) error {
-	req, err := c.Isend(p, buf, dest, tag)
-	if err != nil {
-		return err
-	}
-	req.Wait(p)
-	c.r.WaitOn(p, c.tr.Quiescent)
-	c.sendBusy = false
-	return nil
-}
-
 // Wait blocks until the send completes.
 func (s *SendReq) Wait(p *sim.Proc) {
 	s.c.r.WaitOn(p, func() bool { return s.done })
 }
 
-// Test reports completion without blocking.
-func (s *SendReq) Test(p *sim.Proc) bool {
-	if !s.done {
-		s.c.r.Progress(p)
-	}
-	return s.done
-}
-
-// Irecv posts a nonblocking receive into buf from (source, tag); both
-// accept wildcards. Matching is in posted order against arrival order.
+// Irecv posts a nonblocking receive into buf from (source, tag). Matching
+// is in posted order against arrival order.
 func (c *Comm) Irecv(p *sim.Proc, buf []byte, source, tag int) (*RecvReq, error) {
-	if tag != AnyTag && (tag < 0 || tag >= maxTag) {
+	if tag < 0 || tag >= maxTag {
 		return nil, fmt.Errorf("pt2pt: tag %d out of range", tag)
 	}
-	if source != AnySource && (source < 0 || source >= c.r.World().Size()) {
+	if source < 0 || source >= c.r.World().Size() {
 		return nil, fmt.Errorf("pt2pt: source %d out of range", source)
 	}
 	req := &RecvReq{c: c, buf: buf, source: source, tag: tag}
@@ -219,7 +186,7 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, source, tag int) (*RecvReq, error)
 	for i, env := range c.unexpected {
 		if req.matches(env.source, env.tag) {
 			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			req.complete(env.source, env.tag, env.data)
+			req.complete(env.data)
 			return req, nil
 		}
 	}
@@ -227,37 +194,17 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, source, tag int) (*RecvReq, error)
 	return req, nil
 }
 
-// Recv is the blocking receive. It returns the matched source, tag, and
-// payload length.
-func (c *Comm) Recv(p *sim.Proc, buf []byte, source, tag int) (int, int, int, error) {
-	req, err := c.Irecv(p, buf, source, tag)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := req.Wait(p); err != nil {
-		return 0, 0, 0, err
-	}
-	return req.febSrc, req.febTag, req.febLen, nil
-}
-
 // matches reports whether the request accepts a (source, tag) pair.
 func (r *RecvReq) matches(source, tag int) bool {
-	if r.source != AnySource && r.source != source {
-		return false
-	}
-	if r.tag != AnyTag && r.tag != tag {
-		return false
-	}
-	return true
+	return r.source == source && r.tag == tag
 }
 
 // complete fills the request from a matched payload.
-func (r *RecvReq) complete(source, tag int, data []byte) {
+func (r *RecvReq) complete(data []byte) {
 	n := copy(r.buf, data)
 	if n < len(data) {
 		r.overrun = true
 	}
-	r.febSrc, r.febTag, r.febLen = source, tag, n
 	r.done = true
 	r.c.r.Wake()
 }
@@ -288,22 +235,13 @@ func (r *RecvReq) Test(p *sim.Proc) bool {
 // predicates, which progress themselves).
 func (r *RecvReq) Done() bool { return r.done }
 
-// Source returns the matched source (valid after Wait).
-func (r *RecvReq) Source() int { return r.febSrc }
-
-// Tag returns the matched tag (valid after Wait).
-func (r *RecvReq) Tag() int { return r.febTag }
-
-// Len returns the received payload length (valid after Wait).
-func (r *RecvReq) Len() int { return r.febLen }
-
 // onEager matches an eager arrival against posted receives in order.
 func (c *Comm) onEager(p *sim.Proc, from int, h uint64, data []byte) {
 	tag := tagOf(h)
 	for i, req := range c.posted {
 		if req.matches(from, tag) {
 			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			req.complete(from, tag, data)
+			req.complete(data)
 			return
 		}
 	}
@@ -345,7 +283,6 @@ func (c *Comm) onRndvDone(from int, h uint64, size int) {
 	for i, req := range c.posted {
 		if req.matches(from, tag) && req.landing != nil {
 			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			req.febSrc, req.febTag, req.febLen = from, tag, size
 			req.done = true
 			c.r.Wake()
 			return
@@ -373,7 +310,7 @@ func (c *Comm) rematch() {
 			if req.matches(env.source, env.tag) {
 				c.posted = append(c.posted[:j], c.posted[j+1:]...)
 				c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-				req.complete(env.source, env.tag, env.data)
+				req.complete(env.data)
 				i--
 				break
 			}

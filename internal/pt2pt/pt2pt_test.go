@@ -30,34 +30,23 @@ func newEnv(nodes int) *env {
 	return e
 }
 
-func TestBlockingSendRecv(t *testing.T) {
-	e := newEnv(2)
-	msg := []byte("hello point-to-point")
-	got := make([]byte, 64)
-	var src, tag, n int
-	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
-		switch r.ID() {
-		case 0:
-			if err := e.cs[0].Send(p, msg, 1, 9); err != nil {
-				t.Error(err)
-			}
-		case 1:
-			var err error
-			src, tag, n, err = e.cs[1].Recv(p, got, 0, 9)
-			if err != nil {
-				t.Error(err)
-			}
-		}
-	})
+// send is Isend followed by a wait for the transport to flush, so the
+// staging region is free for the next send.
+func send(p *sim.Proc, c *Comm, buf []byte, dest, tag int) error {
+	if _, err := c.Isend(p, buf, dest, tag); err != nil {
+		return err
+	}
+	c.Rank().WaitOn(p, c.Quiescent)
+	return nil
+}
+
+// recv is Irecv followed by Wait.
+func recv(p *sim.Proc, c *Comm, buf []byte, source, tag int) error {
+	req, err := c.Irecv(p, buf, source, tag)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if src != 0 || tag != 9 || n != len(msg) {
-		t.Fatalf("src=%d tag=%d n=%d", src, tag, n)
-	}
-	if !bytes.Equal(got[:n], msg) {
-		t.Fatal("payload mismatch")
-	}
+	return req.Wait(p)
 }
 
 func TestRendezvousSizedSendRecv(t *testing.T) {
@@ -70,11 +59,11 @@ func TestRendezvousSizedSendRecv(t *testing.T) {
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.cs[0].Send(p, msg, 1, 1); err != nil {
+			if err := send(p, e.cs[0], msg, 1, 1); err != nil {
 				t.Error(err)
 			}
 		case 1:
-			if _, _, _, err := e.cs[1].Recv(p, got, 0, 1); err != nil {
+			if err := recv(p, e.cs[1], got, 0, 1); err != nil {
 				t.Error(err)
 			}
 		}
@@ -94,61 +83,21 @@ func TestUnexpectedMessageQueued(t *testing.T) {
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.cs[0].Send(p, []byte{42}, 1, 5); err != nil {
+			if err := send(p, e.cs[0], []byte{42}, 1, 5); err != nil {
 				t.Error(err)
 			}
 		case 1:
 			p.Sleep(time.Millisecond) // let the message land unexpected
-			_, _, n, err := e.cs[1].Recv(p, got, 0, 5)
-			if err != nil {
+			if err := recv(p, e.cs[1], got, 0, 5); err != nil {
 				t.Error(err)
 			}
-			if n != 1 || got[0] != 42 {
-				t.Errorf("n=%d got=%v", n, got[0])
+			if got[0] != 42 {
+				t.Errorf("got %v, want 42", got[0])
 			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWildcards(t *testing.T) {
-	e := newEnv(3)
-	var src1, tag1, src2 int
-	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
-		switch r.ID() {
-		case 0:
-			p.Sleep(time.Millisecond)
-			if err := e.cs[0].Send(p, []byte{1}, 2, 7); err != nil {
-				t.Error(err)
-			}
-		case 1:
-			p.Sleep(2 * time.Millisecond)
-			if err := e.cs[1].Send(p, []byte{2}, 2, 8); err != nil {
-				t.Error(err)
-			}
-		case 2:
-			buf := make([]byte, 4)
-			var err error
-			src1, tag1, _, err = e.cs[2].Recv(p, buf, AnySource, AnyTag)
-			if err != nil {
-				t.Error(err)
-			}
-			src2, _, _, err = e.cs[2].Recv(p, buf, AnySource, 8)
-			if err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src1 != 0 || tag1 != 7 {
-		t.Errorf("first match src=%d tag=%d, want 0/7", src1, tag1)
-	}
-	if src2 != 1 {
-		t.Errorf("second match src=%d, want 1", src2)
 	}
 }
 
@@ -160,10 +109,10 @@ func TestMatchingOrderFIFO(t *testing.T) {
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.cs[0].Send(p, []byte{1}, 1, 3); err != nil {
+			if err := send(p, e.cs[0], []byte{1}, 1, 3); err != nil {
 				t.Error(err)
 			}
-			if err := e.cs[0].Send(p, []byte{2}, 1, 3); err != nil {
+			if err := send(p, e.cs[0], []byte{2}, 1, 3); err != nil {
 				t.Error(err)
 			}
 		case 1:
@@ -196,9 +145,7 @@ func TestIsendTestIrecvTest(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			for !req.Test(p) {
-				p.Sleep(time.Microsecond)
-			}
+			req.Wait(p)
 		case 1:
 			buf := make([]byte, 4)
 			req, err := e.cs[1].Irecv(p, buf, 0, 2)
@@ -208,8 +155,8 @@ func TestIsendTestIrecvTest(t *testing.T) {
 			for !req.Test(p) {
 				p.Sleep(10 * time.Microsecond)
 			}
-			if req.Source() != 0 || req.Tag() != 2 || req.Len() != 1 {
-				t.Errorf("req meta = %d/%d/%d", req.Source(), req.Tag(), req.Len())
+			if buf[0] != 9 {
+				t.Errorf("payload %d, want 9", buf[0])
 			}
 		}
 	})
@@ -234,7 +181,7 @@ func TestValidation(t *testing.T) {
 		if _, err := c.Irecv(p, make([]byte, 4), 99, 0); err == nil {
 			t.Error("bad source accepted")
 		}
-		if _, err := c.Irecv(p, make([]byte, 4), AnySource, maxTag); err == nil {
+		if _, err := c.Irecv(p, make([]byte, 4), 1, maxTag); err == nil {
 			t.Error("oversized tag accepted")
 		}
 	})
@@ -249,11 +196,11 @@ func TestTruncationFails(t *testing.T) {
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.cs[0].Send(p, make([]byte, 100), 1, 1); err != nil {
+			if err := send(p, e.cs[0], make([]byte, 100), 1, 1); err != nil {
 				t.Error(err)
 			}
 		case 1:
-			_, _, _, recvErr = e.cs[1].Recv(p, make([]byte, 10), 0, 1)
+			recvErr = recv(p, e.cs[1], make([]byte, 10), 0, 1)
 		}
 	})
 	if err != nil {
@@ -270,20 +217,22 @@ func TestManyMessagesManyPeers(t *testing.T) {
 	received := make([]int, nodes)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		me := r.ID()
-		// Everyone sends one message to everyone else, then receives
-		// nodes-1 messages with wildcards.
+		// Everyone sends one message to everyone else, then receives one
+		// from each peer in rank order.
 		for dst := 0; dst < nodes; dst++ {
 			if dst == me {
 				continue
 			}
-			if err := e.cs[me].Send(p, []byte{byte(me)}, dst, 1); err != nil {
+			if err := send(p, e.cs[me], []byte{byte(me)}, dst, 1); err != nil {
 				t.Error(err)
 			}
 		}
 		buf := make([]byte, 4)
-		for i := 0; i < nodes-1; i++ {
-			src, _, _, err := e.cs[me].Recv(p, buf, AnySource, 1)
-			if err != nil {
+		for src := 0; src < nodes; src++ {
+			if src == me {
+				continue
+			}
+			if err := recv(p, e.cs[me], buf, src, 1); err != nil {
 				t.Error(err)
 			}
 			if int(buf[0]) != src {
@@ -314,11 +263,11 @@ func TestOversizedIsendRegistersOnTheFly(t *testing.T) {
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.cs[0].Send(p, msg, 1, 4); err != nil {
+			if err := send(p, e.cs[0], msg, 1, 4); err != nil {
 				t.Error(err)
 			}
 		case 1:
-			if _, _, _, err := e.cs[1].Recv(p, got, 0, 4); err != nil {
+			if err := recv(p, e.cs[1], got, 0, 4); err != nil {
 				t.Error(err)
 			}
 		}
@@ -352,10 +301,10 @@ func TestBackToBackIsendsWithoutWait(t *testing.T) {
 			r2.Wait(p)
 			r.WaitOn(p, e.cs[0].Quiescent)
 		case 1:
-			if _, _, _, err := e.cs[1].Recv(p, a, 0, 1); err != nil {
+			if err := recv(p, e.cs[1], a, 0, 1); err != nil {
 				t.Error(err)
 			}
-			if _, _, _, err := e.cs[1].Recv(p, b, 0, 1); err != nil {
+			if err := recv(p, e.cs[1], b, 0, 1); err != nil {
 				t.Error(err)
 			}
 		}
@@ -387,10 +336,10 @@ func TestIsendWaitIsendKeepsInFlightPayload(t *testing.T) {
 				}
 				r.WaitOn(p, e.cs[0].Quiescent)
 			case 1:
-				if _, _, _, err := e.cs[1].Recv(p, a, 0, 1); err != nil {
+				if err := recv(p, e.cs[1], a, 0, 1); err != nil {
 					t.Error(err)
 				}
-				if _, _, _, err := e.cs[1].Recv(p, b, 0, 1); err != nil {
+				if err := recv(p, e.cs[1], b, 0, 1); err != nil {
 					t.Error(err)
 				}
 			}
@@ -416,12 +365,12 @@ func TestUnexpectedRendezvousLandsInScratch(t *testing.T) {
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.cs[0].Send(p, msg, 1, 6); err != nil {
+			if err := send(p, e.cs[0], msg, 1, 6); err != nil {
 				t.Error(err)
 			}
 		case 1:
 			p.Sleep(2 * time.Millisecond) // arrive unexpected
-			if _, _, _, err := e.cs[1].Recv(p, got, 0, 6); err != nil {
+			if err := recv(p, e.cs[1], got, 0, 6); err != nil {
 				t.Error(err)
 			}
 		}

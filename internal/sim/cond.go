@@ -179,6 +179,3 @@ func (g *Group) Wait(p *Proc) {
 		g.cond.Wait(p)
 	}
 }
-
-// Count returns the current counter value.
-func (g *Group) Count() int { return g.n }

@@ -241,22 +241,6 @@ func TestSpawnSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTotalEventsAccumulates checks the process-wide counter moves when an
-// engine run completes.
-func TestTotalEventsAccumulates(t *testing.T) {
-	before := TotalEvents()
-	e := NewEngine()
-	for i := 0; i < 10; i++ {
-		e.After(time.Duration(i)*time.Microsecond, func() {})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if d := TotalEvents() - before; d < 10 {
-		t.Errorf("TotalEvents advanced by %d, want >= 10", d)
-	}
-}
-
 // BenchmarkEngineEventChurn measures the per-event cost of the engine's
 // schedule/fire cycle with a steady population of in-flight events — the
 // hot path of every simulation. With the free list, allocs/op settles at

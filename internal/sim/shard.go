@@ -261,9 +261,6 @@ func NewShardSet(lam [][]time.Duration) *ShardSet {
 	return s
 }
 
-// Engines returns the member engines in shard order.
-func (s *ShardSet) Engines() []*Engine { return s.engines }
-
 // Engine returns shard i's engine.
 func (s *ShardSet) Engine(i int) *Engine { return s.engines[i] }
 

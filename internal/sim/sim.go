@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -195,12 +194,8 @@ type Engine struct {
 	// Tier 2: far-future monomorphic 4-ary min-heap.
 	far []*event
 
-	// stepped counts events executed by this engine; the delta since
-	// flushedAt is folded into the process-wide totalEvents counter when
-	// Run/RunUntil return, so the hot loop stays free of atomic
-	// operations.
-	stepped   uint64
-	flushedAt uint64
+	// stepped counts events executed by this engine.
+	stepped uint64
 
 	// Scheduler counters (see SchedStats): how many insertions hit each
 	// tier, the longest chain a tick held when split, and how many
@@ -238,15 +233,6 @@ func NewEngine() *Engine {
 	}
 }
 
-// totalEvents accumulates executed-event counts across all engines in the
-// process (parallel sweeps run many engines at once).
-var totalEvents atomic.Uint64
-
-// TotalEvents reports the number of events executed by all engines in this
-// process whose Run/RunUntil has returned. It is safe for concurrent use
-// and is intended for coarse events/sec throughput reporting.
-func TotalEvents() uint64 { return totalEvents.Load() }
-
 // SchedStats reports where scheduled events landed in the calendar queue:
 // the same-instant ring, the near-window buckets, or the far heap
 // (overflow beyond the bucket window), plus the most events one tick held
@@ -275,15 +261,10 @@ func (e *Engine) SchedStats() SchedStats {
 	return SchedStats{Ring: e.statRing, Bucket: e.statBucket, Far: e.statFar, MaxBucket: e.statMaxBucket, InPlace: e.statInPlace}
 }
 
-// endRun is the teardown at every run exit: fold the event count into
-// the process-wide total, leave the run loop and stop the idle proc
-// shells' coroutines.
+// endRun is the teardown at every run exit: leave the run loop and stop
+// the idle proc shells' coroutines.
 func (e *Engine) endRun() {
 	e.loop = loopStep
-	if d := e.stepped - e.flushedAt; d != 0 {
-		totalEvents.Add(d)
-		e.flushedAt = e.stepped
-	}
 	e.releaseShells()
 }
 

@@ -1,84 +1,15 @@
 // Package stats provides the small statistics and table-rendering helpers
 // the benchmark harness uses to report results the way the paper does:
-// means over repeated job submissions, speedups over the baseline, and
-// aligned text/CSV tables.
+// speedups over the baseline, power-of-two size sweeps and aligned
+// text/CSV tables.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Summary describes a sample of float64 observations.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	Min    float64
-	Max    float64
-	Stddev float64
-}
-
-// Summarize computes a Summary. An empty sample returns the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
-// Durations converts a duration sample to seconds for Summarize.
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
-// MeanDuration returns the mean of a duration sample.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
 
 // Speedup returns baseline/variant — how many times faster the variant is.
 // It panics on a non-positive variant (a measurement bug, not a data

@@ -8,44 +8,6 @@ import (
 	"time"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Median != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary = %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Stddev-want) > 1e-12 {
-		t.Fatalf("stddev = %v, want %v", s.Stddev, want)
-	}
-}
-
-func TestSummarizeOddMedianAndEmpty(t *testing.T) {
-	if got := Summarize([]float64{5, 1, 3}).Median; got != 3 {
-		t.Errorf("odd median = %v", got)
-	}
-	if got := Summarize(nil); got != (Summary{}) {
-		t.Errorf("empty summary = %+v", got)
-	}
-	one := Summarize([]float64{7})
-	if one.Stddev != 0 || one.Mean != 7 {
-		t.Errorf("single-sample summary = %+v", one)
-	}
-}
-
-func TestDurationsAndMean(t *testing.T) {
-	ds := []time.Duration{time.Second, 3 * time.Second}
-	fs := Durations(ds)
-	if fs[0] != 1 || fs[1] != 3 {
-		t.Fatalf("Durations = %v", fs)
-	}
-	if MeanDuration(ds) != 2*time.Second {
-		t.Fatalf("MeanDuration = %v", MeanDuration(ds))
-	}
-	if MeanDuration(nil) != 0 {
-		t.Fatal("MeanDuration(nil) != 0")
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	if got := Speedup(2*time.Second, time.Second); got != 2 {
 		t.Fatalf("Speedup = %v", got)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -89,6 +88,3 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	_ = enc
 	return err
 }
-
-// DurationUS converts a duration to trace-timeline microseconds.
-func DurationUS(d time.Duration) float64 { return float64(d) / 1e3 }

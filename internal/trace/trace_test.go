@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -46,10 +45,4 @@ func TestSpanBackwardsPanics(t *testing.T) {
 		}
 	}()
 	r.Span("x", sim.Time(10), sim.Time(5), 0, 0, nil)
-}
-
-func TestDurationUS(t *testing.T) {
-	if DurationUS(1500*time.Nanosecond) != 1.5 {
-		t.Fatalf("DurationUS = %v", DurationUS(1500*time.Nanosecond))
-	}
 }

@@ -9,10 +9,8 @@
 package tuning
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -170,34 +168,4 @@ func WriteTable(w io.Writer, t *core.TuningTable) error {
 		_, err = fmt.Fprintf(w, "%d %d %d %d\n", k.UserParts, k.Bytes, v.Transport, v.QPs)
 	})
 	return err
-}
-
-// ReadTable parses the serialization produced by WriteTable.
-func ReadTable(r io.Reader) (*core.TuningTable, error) {
-	t := core.NewTuningTable()
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var parts, bytes, transport, qps int
-		if _, err := fmt.Sscanf(text, "%d %d %d %d", &parts, &bytes, &transport, &qps); err != nil {
-			return nil, fmt.Errorf("tuning: line %d: %v", line, err)
-		}
-		if parts < 1 || bytes < 1 || transport < 1 || qps < 1 {
-			return nil, fmt.Errorf("tuning: line %d: non-positive field", line)
-		}
-		if transport > parts {
-			return nil, fmt.Errorf("tuning: line %d: transport %d exceeds partitions %d", line, transport, parts)
-		}
-		t.Set(core.TuningKey{UserParts: parts, Bytes: bytes},
-			core.TuningValue{Transport: transport, QPs: qps})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -16,7 +16,10 @@ func Example() {
 		total = 64 << 10
 		tag   = 1
 	)
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
+	job, err := partib.NewJob(partib.JobConfig{Nodes: 2})
+	if err != nil {
+		panic(err)
+	}
 	engines := make([]*partib.Engine, 2)
 	for i := range engines {
 		eng, err := partib.NewEngine(job.Rank(i))
@@ -31,7 +34,7 @@ func Example() {
 		src[i] = byte(i)
 	}
 
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
+	err = job.Run(func(p *partib.Proc, r *partib.Rank) {
 		eng := engines[r.ID()]
 		switch r.ID() {
 		case 0:
@@ -81,7 +84,10 @@ func Example() {
 // Example_model shows the PLogGP model reproducing the paper's Table I
 // decision for a 1 MiB buffer.
 func Example_model() {
-	n := partib.OptimalTransport(1<<20, 32, 4*time.Millisecond)
+	n, err := partib.OptimalTransport(1<<20, 32, 4*time.Millisecond)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("1 MiB over 32 user partitions -> %d transport partitions\n", n)
 	// Output:
 	// 1 MiB over 32 user partitions -> 2 transport partitions

@@ -6,12 +6,15 @@
 // A downstream user builds a simulated job, creates one partitioned Engine
 // per rank, and programs against the MPI-4.0 partitioned lifecycle:
 //
-//	job := partib.NewJob(partib.JobConfig{Nodes: 2})
+//	job, err := partib.NewJob(partib.JobConfig{Nodes: 2})
+//	if err != nil {
+//	    return err
+//	}
 //	engines := make([]*partib.Engine, job.Size())
 //	for i := range engines {
 //	    engines[i], _ = partib.NewEngine(job.Rank(i))
 //	}
-//	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
+//	err = job.Run(func(p *partib.Proc, r *partib.Rank) {
 //	    eng := engines[r.ID()]
 //	    switch r.ID() {
 //	    case 0:
@@ -35,9 +38,10 @@
 package partib
 
 import (
+	"fmt"
+
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -63,22 +67,18 @@ type (
 	Precv = core.Precv
 	// Options selects the aggregation strategy and its parameters.
 	Options = core.Options
-	// Strategy identifies an aggregation design.
-	Strategy = core.Strategy
 	// TuningTable holds brute-force aggregation choices.
 	TuningTable = core.TuningTable
 )
 
-// Aggregation strategies (paper Section IV).
+// Aggregation strategies (paper Section IV): the per-partition baseline
+// and the timer-based PLogGP aggregator the examples compare.
 const (
 	// StrategyBaseline sends one message per user partition through a
 	// UCX-like layer (the Open MPI part_persist stand-in).
 	StrategyBaseline = core.StrategyBaseline
-	// StrategyTuningTable aggregates per an offline brute-force table.
-	StrategyTuningTable = core.StrategyTuningTable
-	// StrategyPLogGP aggregates per the PLogGP model.
-	StrategyPLogGP = core.StrategyPLogGP
-	// StrategyTimerPLogGP adds the δ-timer early-bird mechanism.
+	// StrategyTimerPLogGP aggregates per the PLogGP model and adds the
+	// δ-timer early-bird mechanism.
 	StrategyTimerPLogGP = core.StrategyTimerPLogGP
 )
 
@@ -93,8 +93,9 @@ type JobConfig struct {
 	RanksPerNode int
 }
 
-// NewJob builds a simulated MPI job on a Niagara-like cluster.
-func NewJob(cfg JobConfig) *World {
+// NewJob builds a simulated MPI job on a Niagara-like cluster. A negative
+// field is an error.
+func NewJob(cfg JobConfig) (*World, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
@@ -102,17 +103,18 @@ func NewJob(cfg JobConfig) *World {
 	if cfg.CoresPerNode != 0 {
 		cl.CoresPerNode = cfg.CoresPerNode
 	}
-	return mpi.NewWorld(mpi.Config{Cluster: cl, RanksPerNode: cfg.RanksPerNode})
+	if err := cl.Validate(); err != nil {
+		return nil, fmt.Errorf("partib: %w", err)
+	}
+	if cfg.RanksPerNode < 0 {
+		return nil, fmt.Errorf("partib: negative RanksPerNode %d", cfg.RanksPerNode)
+	}
+	return mpi.NewWorld(mpi.Config{Cluster: cl, RanksPerNode: cfg.RanksPerNode}), nil
 }
 
 // NewEngine creates the partitioned-communication module for a rank over
 // the default ("verbs") transport provider. Create exactly one per rank.
 func NewEngine(r *Rank) (*Engine, error) { return core.NewEngine(r, "") }
-
-// NewEngineOn is NewEngine over a named transport provider ("verbs" or
-// "shm"); any other name returns an error wrapping
-// xport.ErrUnknownProvider.
-func NewEngineOn(r *Rank, provider string) (*Engine, error) { return core.NewEngine(r, provider) }
 
 // NewGroup returns a Group bound to the job's engine, for joining
 // simulated threads spawned with SpawnThread.
@@ -127,11 +129,4 @@ func SpawnThread(w *World, g *Group, name string, body func(p *Proc)) {
 		defer g.Done()
 		body(p)
 	})
-}
-
-// LinkBandwidth returns the simulated link bandwidth in bytes per second —
-// the "hardware limit" dotted line of the paper's perceived-bandwidth
-// figures.
-func LinkBandwidth() float64 {
-	return fabric.LinkBandwidth
 }

@@ -2,13 +2,20 @@ package partib_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/xport"
 	"repro/partib"
 )
+
+func mustJob(t *testing.T, cfg partib.JobConfig) *partib.World {
+	t.Helper()
+	job, err := partib.NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
 
 func mustEngine(t *testing.T, r *partib.Rank) *partib.Engine {
 	t.Helper()
@@ -19,20 +26,11 @@ func mustEngine(t *testing.T, r *partib.Rank) *partib.Engine {
 	return eng
 }
 
-func mustComm(t *testing.T, r *partib.Rank) *partib.Comm {
-	t.Helper()
-	c, err := partib.NewComm(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestPublicAPIRoundTrip is the quickstart flow through the public facade
 // only: a timer-aggregated partitioned send with simulated threads.
 func TestPublicAPIRoundTrip(t *testing.T) {
 	const parts, total = 8, 64 << 10
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
+	job := mustJob(t, partib.JobConfig{Nodes: 2})
 	engines := []*partib.Engine{
 		mustEngine(t, job.Rank(0)),
 		mustEngine(t, job.Rank(1)),
@@ -85,95 +83,46 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestJobDefaults(t *testing.T) {
-	job := partib.NewJob(partib.JobConfig{})
+	job := mustJob(t, partib.JobConfig{})
 	if job.Size() != 2 {
 		t.Fatalf("default job size = %d", job.Size())
 	}
 	if job.Rank(0).Node().CPU.Servers() != 40 {
 		t.Fatalf("default cores = %d", job.Rank(0).Node().CPU.Servers())
 	}
-	job2 := partib.NewJob(partib.JobConfig{Nodes: 3, CoresPerNode: 8, RanksPerNode: 2})
+	job2 := mustJob(t, partib.JobConfig{Nodes: 3, CoresPerNode: 8, RanksPerNode: 2})
 	if job2.Size() != 6 || job2.Rank(0).Node().CPU.Servers() != 8 {
 		t.Fatalf("custom job: size=%d cores=%d", job2.Size(), job2.Rank(0).Node().CPU.Servers())
 	}
-}
-
-func TestLinkBandwidthPositive(t *testing.T) {
-	if partib.LinkBandwidth() <= 0 {
-		t.Fatal("non-positive link bandwidth")
-	}
-}
-
-// TestMixedPartitionedAndPt2pt verifies a partitioned engine and a
-// point-to-point Comm coexist on the same ranks.
-func TestMixedPartitionedAndPt2pt(t *testing.T) {
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
-	engines := []*partib.Engine{
-		mustEngine(t, job.Rank(0)),
-		mustEngine(t, job.Rank(1)),
-	}
-	comms := []*partib.Comm{
-		mustComm(t, job.Rank(0)),
-		mustComm(t, job.Rank(1)),
-	}
-	const parts, total = 4, 16 << 10
-	src := make([]byte, total)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	dst := make([]byte, total)
-	ctrl := make([]byte, 8)
-
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
-		switch r.ID() {
-		case 0:
-			// Ordinary message first, partitioned transfer second.
-			if err := comms[0].Send(p, []byte("go-ahead"), 1, 1); err != nil {
-				t.Error(err)
-			}
-			ps, err := engines[0].PsendInit(p, src, parts, 1, 2, partib.Options{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ps.Start(p)
-			ps.PreadyRange(p, 0, parts)
-			ps.Wait(p)
-		case 1:
-			if _, _, n, err := comms[1].Recv(p, ctrl, 0, 1); err != nil || n != 8 {
-				t.Errorf("ctrl recv: n=%d err=%v", n, err)
-			}
-			pr, err := engines[1].PrecvInit(p, dst, parts, 0, 2, partib.Options{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			pr.Start(p)
-			pr.Wait(p)
+	for _, bad := range []partib.JobConfig{
+		{Nodes: -1},
+		{CoresPerNode: -1},
+		{RanksPerNode: -1},
+	} {
+		if job, err := partib.NewJob(bad); err == nil || job != nil {
+			t.Errorf("NewJob(%+v) = %v, %v; want nil and an error", bad, job, err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ctrl) != "go-ahead" {
-		t.Fatalf("ctrl payload %q", ctrl)
-	}
-	if !bytes.Equal(dst, src) {
-		t.Fatal("partitioned payload mismatch")
 	}
 }
 
 func TestModelAndToolsFacade(t *testing.T) {
-	if got := partib.OptimalTransport(1<<20, 32, 4*time.Millisecond); got != 2 {
-		t.Fatalf("OptimalTransport(1MiB) = %d, want 2 (Table I)", got)
+	for _, c := range []struct{ bytes, userParts, want int }{
+		{1 << 20, 32, 2},     // Table I
+		{128 << 20, 128, 32}, // Table I
+	} {
+		got, err := partib.OptimalTransport(c.bytes, c.userParts, 4*time.Millisecond)
+		if err != nil || got != c.want {
+			t.Fatalf("OptimalTransport(%d, %d) = %d, %v; want %d (Table I)", c.bytes, c.userParts, got, err, c.want)
+		}
+	}
+	for _, bad := range [][2]int{{0, 32}, {-1, 32}, {1 << 20, 0}, {1 << 20, -4}} {
+		if _, err := partib.OptimalTransport(bad[0], bad[1], 4*time.Millisecond); err == nil {
+			t.Errorf("OptimalTransport(%d, %d) returned no error", bad[0], bad[1])
+		}
 	}
 	params := partib.NiagaraParams()
 	if err := params.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	m := partib.NewPLogGPModel(params)
-	if m.OptimalTransport(128<<20, 128, 4*time.Millisecond) != 32 {
-		t.Fatal("model facade disagrees with Table I at 128MiB")
 	}
 	measured, err := partib.MeasureLogGP()
 	if err != nil {
@@ -193,74 +142,5 @@ func TestModelAndToolsFacade(t *testing.T) {
 	}
 	if table.Len() != 1 {
 		t.Fatalf("tuning table has %d entries", table.Len())
-	}
-}
-
-func TestCollectivesFacade(t *testing.T) {
-	job := partib.NewJob(partib.JobConfig{Nodes: 3})
-	colls := make([]*partib.Coll, job.Size())
-	for i := range colls {
-		colls[i] = partib.NewColl(mustComm(t, job.Rank(i)))
-	}
-	sums := make([]float64, job.Size())
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
-		out := make([]float64, 1)
-		if err := colls[r.ID()].Allreduce(p, []float64{float64(r.ID() + 1)}, out, partib.OpSum); err != nil {
-			t.Error(err)
-		}
-		sums[r.ID()] = out[0]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sums {
-		if s != 6 {
-			t.Fatalf("rank %d sum = %v, want 6", i, s)
-		}
-	}
-}
-
-func TestLayeredFacade(t *testing.T) {
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
-	comms := []*partib.Comm{mustComm(t, job.Rank(0)), mustComm(t, job.Rank(1))}
-	src := []byte{1, 2, 3, 4}
-	dst := make([]byte, 4)
-	err := job.Run(func(p *partib.Proc, r *partib.Rank) {
-		switch r.ID() {
-		case 0:
-			ps, err := partib.LayeredPsendInit(p, comms[0], src, 2, 1, 5)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ps.Start(p)
-			ps.Pready(p, 0)
-			ps.Pready(p, 1)
-			ps.Wait(p)
-		case 1:
-			pr, err := partib.LayeredPrecvInit(p, comms[1], dst, 2, 0, 5)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			pr.Start(p)
-			pr.Wait(p)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, src) {
-		t.Fatal("layered facade round trip corrupted data")
-	}
-}
-
-// TestNewEngineOnUnknownProvider: "ucx" names the middleware every provider
-// builds, not a provider of its own, so asking for it is the typed
-// unknown-provider error.
-func TestNewEngineOnUnknownProvider(t *testing.T) {
-	job := partib.NewJob(partib.JobConfig{Nodes: 2})
-	if _, err := partib.NewEngineOn(job.Rank(0), "ucx"); !errors.Is(err, xport.ErrUnknownProvider) {
-		t.Fatalf("NewEngineOn(ucx) error = %v, want one wrapping xport.ErrUnknownProvider", err)
 	}
 }

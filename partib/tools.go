@@ -1,6 +1,7 @@
 package partib
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/loggp"
@@ -14,9 +15,6 @@ import (
 type (
 	// LogGPParams is a LogGP parameter set {L, o_s, o_r, g, G}.
 	LogGPParams = loggp.Params
-	// PLogGPModel predicts partitioned completion times and optimal
-	// transport partition counts.
-	PLogGPModel = ploggp.Model
 	// TuningSearchConfig bounds the brute-force aggregation search.
 	TuningSearchConfig = tuning.SearchConfig
 )
@@ -25,9 +23,6 @@ type (
 // model runs with (reproduces its Table I exactly).
 func NiagaraParams() LogGPParams { return loggp.NiagaraMeasured() }
 
-// NewPLogGPModel builds a PLogGP model from a parameter set.
-func NewPLogGPModel(p LogGPParams) *PLogGPModel { return ploggp.New(p) }
-
 // MeasureLogGP runs the Netgauge-equivalent measurement over a fresh
 // two-node simulated job and returns the fitted parameters.
 func MeasureLogGP() (LogGPParams, error) {
@@ -35,15 +30,19 @@ func MeasureLogGP() (LogGPParams, error) {
 }
 
 // SearchTuningTable runs the exhaustive (transport partitions, QPs) search
-// of the paper's Section IV-B and returns the winning table, usable with
-// StrategyTuningTable.
+// of the paper's Section IV-B and returns the winning table, to compare
+// with OptimalTransport's picks.
 func SearchTuningTable(cfg TuningSearchConfig) (*TuningTable, error) {
 	return tuning.Search(cfg)
 }
 
 // OptimalTransport is a convenience wrapper: the PLogGP-model transport
 // partition count for an aggregate message of the given size, a user
-// partition count, and a laggard delay (the paper models with 4 ms).
-func OptimalTransport(bytes, userParts int, delay time.Duration) int {
-	return NewPLogGPModel(NiagaraParams()).OptimalTransport(bytes, userParts, delay)
+// partition count, and a laggard delay (the paper models with 4 ms). A
+// size or partition count below one is an error.
+func OptimalTransport(bytes, userParts int, delay time.Duration) (int, error) {
+	if bytes < 1 || userParts < 1 {
+		return 0, fmt.Errorf("partib: OptimalTransport needs bytes and userParts >= 1, got %d and %d", bytes, userParts)
+	}
+	return ploggp.New(NiagaraParams()).OptimalTransport(bytes, userParts, delay), nil
 }
