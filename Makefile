@@ -105,7 +105,7 @@ allocs:
 # report per-op allocation counts, then the paper-exhibit benchmarks run
 # in quick mode.
 bench: allocs
-	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkProcSleepInPlace|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
+	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkProcSleepInPlace|BenchmarkResourceHandoff|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
 	$(GO) test -bench . -benchmem -run xxx .
 

@@ -43,7 +43,7 @@ var registrarCalls = map[string]bool{
 // calling proc, per receiver package suffix.
 var simBlocking = map[string]bool{
 	"Wait": true, "WaitTimeout": true, "WaitOn": true,
-	"Acquire": true, "Sleep": true, "Barrier": true,
+	"Acquire": true, "Hold": true, "Use": true, "Sleep": true, "Barrier": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -56,6 +56,8 @@ func (e *engine) onEager(src int, b []byte) {
 // registered callback, not this helper, as the origin.
 func (e *engine) record(id uint64) {
 	e.res.Acquire(1) // want "blocking sim.Acquire in completion callback onEager"
+	e.res.Hold(1)    // want "blocking sim.Hold in completion callback onEager"
+	e.res.Use(1)     // want "blocking sim.Use in completion callback onEager"
 	e.done = append(e.done, id)
 }
 

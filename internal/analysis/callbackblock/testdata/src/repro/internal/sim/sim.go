@@ -15,4 +15,6 @@ func (c *Cond) WaitTimeout(d Duration) bool { return false }
 
 type Resource struct{}
 
-func (r *Resource) Acquire(n int) {}
+func (r *Resource) Acquire(n int)   {}
+func (r *Resource) Hold(d Duration) {}
+func (r *Resource) Use(d Duration)  {}

@@ -275,9 +275,7 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 	}
 	// The atomic add-and-fetch on the transport partition's flag array:
 	// concurrent callers serialize on the cache line.
-	ps.flagLock.Acquire(p)
-	p.Sleep(mpi.PreadyOverhead)
-	ps.flagLock.Release()
+	ps.flagLock.Use(p, mpi.PreadyOverhead)
 
 	g := ps.groups[ps.plan.groupOf(i)]
 	gi := i - g.start
@@ -383,8 +381,7 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	// The WR was pre-built at init time (Section IV-B); posting is a
 	// doorbell under the endpoint's lock.
 	lock := ps.epLocks[epIdx]
-	lock.Acquire(p)
-	p.Sleep(mpi.PostOverhead)
+	lock.Hold(p, mpi.PostOverhead)
 	ps.segScratch[0] = xport.Seg{Mem: ps.mr, Off: off, Len: bytes}
 	ps.wrScratch = xport.SendWR{
 		WRID:       uint64(ps.reqID)<<32 | uint64(uint32(first)),

@@ -312,3 +312,28 @@ func BenchmarkProcSleepInPlace(b *testing.B) {
 		b.Fatalf("%d of %d Sleeps ran in place", n, b.N)
 	}
 }
+
+// BenchmarkResourceHandoff measures one contended critical section: two
+// procs each alternate a 2 µs Use of one server with 1 µs of think time,
+// so every Use queues behind the other proc's hold and is granted by its
+// Release while the releaser's think-time wake-up is still pending — the
+// case where a waiter resumed at its grant would park again in its hold.
+// One op is one Use and its think time.
+func BenchmarkResourceHandoff(b *testing.B) {
+	e := NewEngine()
+	r := NewResource(e, 1)
+	for i := 0; i < 2; i++ {
+		i := i
+		e.Spawn("worker", func(p *Proc) {
+			for k := i; k < b.N; k += 2 {
+				r.Use(p, 2*time.Microsecond)
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -50,7 +50,14 @@ type Proc struct {
 	// waits on at most one Cond at a time, so embedding the record here
 	// makes Cond.Wait allocation-free (see Cond.Wait for the lifetime
 	// invariant).
-	waiter     condWaiter
+	waiter condWaiter
+	// hold is the hold a proc queued on a Resource asked for, or noHold
+	// for a plain Acquire; Release reads it when it passes the proc a
+	// server (see Resource.Hold).
+	hold time.Duration
+	// prev and next link the proc into its engine's live list (Engine.live)
+	// from Spawn until its body exits.
+	prev, next *Proc
 	done       bool
 	daemon     bool
 	parkReason string
@@ -102,7 +109,11 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.resume, p.stop = iter.Pull(p.loop)
 	}
 	p.fn = fn
-	e.live[p] = struct{}{}
+	p.next = e.live
+	if e.live != nil {
+		e.live.prev = p
+	}
+	e.live = p
 	e.scheduleCall(e.now, fireDispatch, p)
 	return p
 }
@@ -132,9 +143,22 @@ func (p *Proc) run() {
 			}
 		}
 		p.done = true
-		delete(p.e.live, p)
+		p.e.unlink(p)
 	}()
 	fn(p)
+}
+
+// unlink removes an exited proc from the engine's live list.
+func (e *Engine) unlink(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.live = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // dispatch hands control to the proc and returns when it parks or exits.

@@ -137,35 +137,32 @@ type ShardSet struct {
 	// hop. engaged lists the shards dispatched this hop (the ones whose
 	// seed lies inside their bound — only they can fire). All are written
 	// strictly on one side of the finish barrier and read on the other
-	// (nclaims' atomic release/acquire publishes them), so plain slices
+	// (the gate's atomic release/acquire publishes them), so plain slices
 	// suffice.
 	endOf    []Time
 	seeds    []Time
 	nextSlot []Time
 	engaged  []int
 
-	// nclaims is the claim bound and finish-barrier target: len(engaged)
-	// while a hop is open, zero while the transition rewrites the engaged
-	// set. The transition zeroes it on entry and releaseHop republishes it
-	// only after resetting claim, so a participant holding a stale claim
-	// value can never pass the gate and index a half-built engaged slice:
-	// mid-transition the gate reads zero, and any nonzero bound it reads
-	// was stored after the engaged writes it orders (atomics are
-	// sequentially consistent).
+	// gate is the claim gate: the hop's claim bound, len(engaged), in the
+	// high 32 bits and the next unclaimed engaged-slot index in the low 32.
+	// The transition zeroes it on entry and releaseHop publishes (bound, 0)
+	// after the engaged writes it orders (atomics are sequentially
+	// consistent), so mid-transition the gate reads a zero bound. A claim
+	// is a CAS over the whole word: a participant holding a stale word can
+	// never win it once the hop it read has closed, even if a later hop's
+	// index has come back round to the same value, unless that hop has the
+	// same bound — and then the slot it claims is a real one of that hop.
 	//
 	//partib:atomic
-	nclaims atomic.Int64
+	gate atomic.Uint64
 
-	// hop increments at every hop release; participants wait on it. claim
-	// hands out engaged-slot indexes within a hop via bounded CAS (never
-	// overshooting, so a late claim after a reset simply joins the new hop
-	// — there is no stale-window race). finished counts engaged shards
-	// completed this hop; the last one runs the transition.
+	// hop increments at every hop release; participants wait on it.
+	// finished counts engaged shards completed this hop; the last one runs
+	// the transition.
 	//
 	//partib:atomic
 	hop atomic.Uint64
-	//partib:atomic
-	claim atomic.Int64
 	//partib:atomic
 	finished atomic.Int64
 	//partib:atomic
@@ -440,12 +437,14 @@ func (s *ShardSet) drain() bool {
 
 // runShard executes shard i's slice of the current hop: drain the shard's
 // incoming mailboxes, run its window, publish its next-event time, and —
-// when it is the last engaged shard to finish — perform the hop
-// transition in place.
+// when it is the last of the hop's bound engaged shards to finish —
+// perform the hop transition in place. The bound comes from the gate word
+// the claim won, not from a reload: by the time this shard finishes, the
+// last finisher may already have opened a later hop.
 //
 //partib:hotpath
 //partib:role consumer
-func (s *ShardSet) runShard(i int) {
+func (s *ShardSet) runShard(i int, bound int64) {
 	e := s.engines[i]
 	s.drainInto(i)
 	e.winEnd = s.endOf[i]
@@ -455,30 +454,31 @@ func (s *ShardSet) runShard(i int) {
 		at = nxt
 	}
 	s.nextSlot[i] = at
-	if s.finished.Add(1) == s.nclaims.Load() {
+	if s.finished.Add(1) == bound {
 		s.transition(true)
 	}
 }
 
 // claimLoop claims and runs engaged shards until none remain in the
-// current hop. Claims are handed out by bounded CAS against the atomic
-// nclaims gate: the counter never overshoots the bound, and a participant
-// arriving late (after the transition reset the counters for the next
-// hop) either reads the zeroed gate and leaves, or reads the new bound —
+// current hop. A claim is a CAS that advances the gate word's index and
+// compares bound and index together, so the index never overshoots the
+// bound and a participant arriving late (after the transition reset the
+// gate) either reads the zeroed bound and leaves, or reads the new word —
 // published after the new engaged set — and simply joins the new hop.
 //
 //partib:hotpath
 //partib:role consumer
 func (s *ShardSet) claimLoop() {
 	for {
-		c := s.claim.Load()
-		if c >= s.nclaims.Load() {
+		g := s.gate.Load()
+		bound, c := g>>32, g&(1<<32-1)
+		if c >= bound {
 			return
 		}
-		if !s.claim.CompareAndSwap(c, c+1) {
+		if !s.gate.CompareAndSwap(g, g+1) {
 			continue
 		}
-		s.runShard(s.engaged[c])
+		s.runShard(s.engaged[c], int64(bound))
 	}
 }
 
@@ -542,7 +542,7 @@ func (s *ShardSet) computeBounds() {
 func (s *ShardSet) transition(afterHop bool) {
 	// Close the claim gate before touching any hop state: from here until
 	// releaseHop republishes the bound, no participant can claim.
-	s.nclaims.Store(0)
+	s.gate.Store(0)
 	if afterHop {
 		for _, e := range s.engines {
 			if e.err != nil {
@@ -617,20 +617,18 @@ func (s *ShardSet) runSolo(i int) {
 }
 
 // releaseHop opens the next hop for the fleet: reset the finish counter,
-// reset claim, republish the claim bound (in that order — the bound is
-// the gate, so claim must be zero before any participant can pass it, and
-// a claim taken the instant the bound lands correctly counts toward the
-// new hop), bump the hop counter, and wake at most engaged-1 parked
-// participants — the releasing thread claims work itself, and waking more
-// workers than there are claimable shards is pure wake/park churn. Fewer
-// awake workers than engaged shards is safe: claims are work-stealing, so
-// whoever is awake drains the surplus.
+// publish the gate word (bound engagedShards, index 0 — the finish counter
+// is reset first, so a claim taken the instant the word lands correctly
+// counts toward the new hop), bump the hop counter, and wake at most
+// engaged-1 parked participants — the releasing thread claims work itself,
+// and waking more workers than there are claimable shards is pure
+// wake/park churn. Fewer awake workers than engaged shards is safe:
+// claims are work-stealing, so whoever is awake drains the surplus.
 //
 //partib:role transition
 func (s *ShardSet) releaseHop(engagedShards int) {
 	s.finished.Store(0)
-	s.claim.Store(0)
-	s.nclaims.Store(int64(engagedShards))
+	s.gate.Store(uint64(engagedShards) << 32)
 	s.hop.Add(1)
 	budget := engagedShards - 1
 	if budget > len(s.engines)-1 {

@@ -452,3 +452,72 @@ func TestTimerStopIgnoresMailboxMigratedEvent(t *testing.T) {
 		t.Fatalf("migrated event did not fire after stale Stop")
 	}
 }
+
+// ticker re-schedules itself every period until limit, logging each
+// instant on its own engine.
+type ticker struct {
+	e      *Engine
+	period time.Duration
+	limit  Time
+	log    []Time
+}
+
+func fireTick(now Time, arg any) {
+	tk := arg.(*ticker)
+	tk.log = append(tk.log, now)
+	if next := now.Add(tk.period); next < tk.limit {
+		tk.e.AtCall(next, fireTick, tk)
+	}
+}
+
+// TestShardSetClaimGateAlternatingEngaged is the stress test for the
+// claim gate's bound and index sharing one atomic word. Shards 0 and 1
+// tick every 50 ns and shard 2 every 100 ns under a 10 ns lookahead, so
+// the hops engage 3, 2, 3, 2, ... shards: at every odd multiple of 50 ns
+// shard 2's next tick lies beyond its bound. A participant that read the
+// gate in a 3-shard hop and won its claim in a later 2-shard hop would
+// index past the engaged set; with the packed word its stale CAS fails.
+// Every tick must fire exactly once at its instant, and the hop counts
+// must not depend on the fleet size.
+func TestShardSetClaimGateAlternatingEngaged(t *testing.T) {
+	const (
+		lam   = 10 * time.Nanosecond
+		hops  = 4000
+		step  = 50 * time.Nanosecond
+		limit = Time(hops * step)
+	)
+	for _, workers := range []int{2, 3} {
+		s := NewShardSet(uniformLookahead(3, lam))
+		tks := make([]*ticker, 3)
+		for i := range tks {
+			period := step
+			if i == 2 {
+				period = 2 * step
+			}
+			tks[i] = &ticker{e: s.Engine(i), period: period, limit: limit}
+			s.Engine(i).AtCall(0, fireTick, tks[i])
+		}
+		if err := s.Run(workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, tk := range tks {
+			n := int(limit / Time(tk.period))
+			if len(tk.log) != n {
+				t.Fatalf("workers=%d: shard %d ticked %d times, want %d", workers, i, len(tk.log), n)
+			}
+			for k, at := range tk.log {
+				if want := Time(k) * Time(tk.period); at != want {
+					t.Fatalf("workers=%d: shard %d tick %d at %v, want %v", workers, i, k, at, want)
+				}
+			}
+		}
+		// Every hop engages at least two shards, so none runs solo. Each
+		// 2-shard hop stalls shard 2 except the last, where shard 2 has no
+		// tick left.
+		st := s.Stats()
+		if st.TminHops != hops || st.Windows != hops || st.Stalls != hops/2-1 {
+			t.Errorf("workers=%d: hops/windows/stalls = %d/%d/%d, want %d/%d/%d",
+				workers, st.TminHops, st.Windows, st.Stalls, hops, hops, hops/2-1)
+		}
+	}
+}

@@ -138,8 +138,10 @@ type Engine struct {
 	seq     uint64
 	free    []*event // recycled event structs (see alloc/recycle)
 	pending int      // live (scheduled, non-cancelled) events — O(1) Pending
-	live    map[*Proc]struct{}
-	err     error
+	// live heads the intrusive list (Proc.prev/next) of procs spawned on
+	// this engine whose bodies have not returned; stuckProcs walks it.
+	live *Proc
+	err  error
 	// procFree recycles Proc shells (struct + coroutine) of exited procs
 	// within a run; releaseShells empties it when the run returns. See
 	// Spawn.
@@ -227,10 +229,7 @@ const initialFarCap = 64
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{
-		live: make(map[*Proc]struct{}),
-		far:  make([]*event, 0, initialFarCap),
-	}
+	return &Engine{far: make([]*event, 0, initialFarCap)}
 }
 
 // SchedStats reports where scheduled events landed in the calendar queue:
@@ -982,8 +981,8 @@ func (e *Engine) RunUntil(t Time) error {
 // unsorted; callers sort after aggregating across shards.
 func (e *Engine) stuckProcs() []string {
 	var stuck []string
-	for p := range e.live {
-		if p.daemon || p.done {
+	for p := e.live; p != nil; p = p.next {
+		if p.daemon {
 			continue
 		}
 		stuck = append(stuck, fmt.Sprintf("%s (%s)", p.name, p.parkReason))
