@@ -73,7 +73,8 @@ test:
 # clusters end to end, and the cluster differentials that run incast and
 # permutation flows over sharded fat-tree and dragonfly fabrics. The
 # fabric line covers the multi-switch congestion paths (incast on the
-# shared down-link, link saturation, route spread).
+# shared down-link, link saturation, route spread) and same-instant
+# control arrivals at one port from senders on several shards.
 # The sim and sharded lines run at -cpu 1,2: procs are coroutines that any
 # shard worker may resume, so switches are exercised on one P and across
 # two. The ibv and ucx line covers the verbs data path: a non-inline WR's
@@ -86,7 +87,7 @@ race:
 	$(GO) test -race ./internal/ibv/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
-	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route' ./internal/fabric/
+	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/
 
 # Provider-conformance suite: every transport backend (verbs, shm)
 # against the same SPI contract, including under the race detector. CI
@@ -107,6 +108,7 @@ allocs:
 bench: allocs
 	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkProcSleepInPlace|BenchmarkResourceHandoff|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
+	$(GO) test -bench BenchmarkWorldSetup -benchmem -run xxx ./internal/bench/
 	$(GO) test -bench . -benchmem -run xxx .
 
 # Smoke test of the repository benchmark (benchmark/, its own module):

@@ -157,7 +157,8 @@ func New(cfg Config) *Cluster {
 //   - Direct interactions (flat flows' one hop onto the destination's
 //     ingress, control, completions, recycles) are separated by at least
 //     the floor plus the pair's topology extra; minimizing the extra over
-//     the shards' host pairs gives λ + minExtra(s, d).
+//     the shards' host slabs (Topology.MinPairExtra) gives
+//     λ + minExtra(s, d).
 //   - On graph topologies, routed bursts also hop host→link (one wire
 //     latency) and link→link (the in-link's latency); relaxing over the
 //     topology's adjacency tightens the affected shard pairs to those
@@ -169,28 +170,25 @@ func New(cfg Config) *Cluster {
 // the matrix always satisfies the ShardSet contract.
 func shardLookaheadMatrix(cfg Config, topo *fabric.Topology, shardOf func(int) int, nshard int) [][]time.Duration {
 	la := cfg.Fabric.Lookahead()
+	// Shards own contiguous, non-empty host slabs [lo[s], lo[s+1]).
+	lo := make([]int, nshard+1)
+	lo[nshard] = cfg.Nodes
+	for a := cfg.Nodes - 1; a >= 0; a-- {
+		lo[shardOf(a)] = a
+	}
 	m := make([][]time.Duration, nshard)
 	for s := range m {
 		m[s] = make([]time.Duration, nshard)
 		for d := range m[s] {
-			if s == d {
-				m[s][d] = la
-			} else {
-				m[s][d] = -1 // unset; every pair is filled by the direct pass
+			m[s][d] = la
+			if s != d {
+				m[s][d] += topo.MinPairExtra(lo[s], lo[s+1], lo[d], lo[d+1])
 			}
 		}
 	}
 	relax := func(s, d int, v time.Duration) {
-		if s != d && (m[s][d] < 0 || v < m[s][d]) {
+		if s != d && v < m[s][d] {
 			m[s][d] = v
-		}
-	}
-	for a := 0; a < cfg.Nodes; a++ {
-		sa := shardOf(a)
-		for b := 0; b < cfg.Nodes; b++ {
-			if sb := shardOf(b); sb != sa {
-				relax(sa, sb, la+topo.PairExtra(a, b))
-			}
 		}
 	}
 	if !topo.Flat() {

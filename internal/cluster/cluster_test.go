@@ -164,6 +164,129 @@ func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	}
 }
 
+// pairwiseLookaheadMatrix is the shard lookahead matrix derived pair by
+// pair: the direct pass minimizes the topology extra over every node pair
+// on distinct shards, then the graph passes relax as shardLookaheadMatrix
+// does. It is the reference the slab derivation must reproduce.
+func pairwiseLookaheadMatrix(cfg Config, topo *fabric.Topology, shardOf func(int) int, nshard int) [][]time.Duration {
+	la := cfg.Fabric.Lookahead()
+	m := make([][]time.Duration, nshard)
+	for s := range m {
+		m[s] = make([]time.Duration, nshard)
+		for d := range m[s] {
+			if s == d {
+				m[s][d] = la
+			} else {
+				m[s][d] = -1 // unset; every pair is filled by the direct pass
+			}
+		}
+	}
+	relax := func(s, d int, v time.Duration) {
+		if s != d && (m[s][d] < 0 || v < m[s][d]) {
+			m[s][d] = v
+		}
+	}
+	for a := 0; a < cfg.Nodes; a++ {
+		sa := shardOf(a)
+		for b := 0; b < cfg.Nodes; b++ {
+			if sb := shardOf(b); sb != sa {
+				relax(sa, sb, la+topo.PairExtra(a, b))
+			}
+		}
+	}
+	if !topo.Flat() {
+		ownerShard := func(l fabric.Link) int {
+			if l.OwnerHost < cfg.Nodes {
+				return shardOf(l.OwnerHost)
+			}
+			return 0
+		}
+		adjSwitch := make([]int, topo.Hosts())
+		for i := 0; i < topo.Links(); i++ {
+			if l := topo.LinkAt(i); l.To < topo.Hosts() {
+				adjSwitch[l.To] = l.From
+			}
+		}
+		for i := 0; i < topo.Links(); i++ {
+			l := topo.LinkAt(i)
+			for h := 0; h < cfg.Nodes; h++ {
+				if adjSwitch[h] == l.From {
+					relax(shardOf(h), ownerShard(l), fabric.WireLatency)
+				}
+			}
+		}
+		topo.RelayPairs(func(in, out fabric.Link) {
+			relax(ownerShard(in), ownerShard(out), in.Latency)
+		})
+	}
+	return m
+}
+
+// TestShardLookaheadMatrixMatchesPairwise checks that the matrix New
+// hands the shard set, whose direct pass runs per shard pair over host
+// slabs (Topology.MinPairExtra), equals the node-pair derivation exactly,
+// for every topology kind, for racks that straddle slab boundaries and
+// for node counts the shard count does not divide.
+func TestShardLookaheadMatrixMatchesPairwise(t *testing.T) {
+	extra := 750 * time.Nanosecond
+	mustParse := func(spec string) *fabric.Topology {
+		topo, err := fabric.ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	flatNodes := []int{9, 13, 50, 101, 203}
+	for _, tc := range []struct {
+		name  string
+		topo  *fabric.Topology
+		nodes []int
+	}{
+		{"single-link", fabric.SingleLink(), flatNodes},
+		{"two-level:rack=0", fabric.TwoLevel(0, extra), flatNodes},
+		{"two-level:rack=1", fabric.TwoLevel(1, extra), flatNodes},
+		{"two-level:rack=3", fabric.TwoLevel(3, extra), flatNodes},
+		{"two-level:rack=8", fabric.TwoLevel(8, extra), flatNodes},
+		{"two-level:rack=8,extra=0", fabric.TwoLevel(8, 0), flatNodes},
+		{"two-level:rack=64", fabric.TwoLevel(64, extra), flatNodes},
+		{"fat-tree:k=4", mustParse("fat-tree:k=4"), []int{5, 7, 8}},
+		{"fat-tree:k=8", mustParse("fat-tree:k=8"), []int{9, 27, 30, 32}},
+		{"dragonfly", mustParse("dragonfly"), []int{17, 50, 71, 72}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, nodes := range tc.nodes {
+				for _, shards := range []int{2, 3, 4, 7, 8} {
+					cfg := NiagaraConfig(nodes)
+					cfg.Fabric.Topo = tc.topo
+					cfg.Shards = shards
+					c := New(cfg)
+					set := c.ShardSet()
+					if set == nil {
+						continue
+					}
+					nshard := set.Shards()
+					shardOfEngine := map[*sim.Engine]int{}
+					for s := 0; s < nshard; s++ {
+						shardOfEngine[set.Engine(s)] = s
+					}
+					shardOf := func(node int) int { return shardOfEngine[c.Nodes[node].Engine] }
+					want := pairwiseLookaheadMatrix(cfg, tc.topo, shardOf, nshard)
+					got := make([][]time.Duration, nshard)
+					for s := range got {
+						got[s] = make([]time.Duration, nshard)
+						for d := range got[s] {
+							got[s][d] = set.PairLookahead(s, d)
+						}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("nodes=%d shards=%d (%d engaged): matrix\n%v\npairwise\n%v", nodes, shards, nshard, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRackTopologyShardedMatchesSerial is the cluster-level differential
 // for the per-pair path: a rack topology (which both stretches cross-rack
 // interactions in the cost model and hands the shard runtime a non-uniform

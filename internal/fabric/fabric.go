@@ -208,11 +208,12 @@ type Port struct {
 	ctrlHandler func(from *Port, payload any)
 	// ctrlLastAt enforces FIFO control delivery per destination port, and
 	// ctrlPending lists the control messages arriving at the current
-	// instant, in delivery order, until fireCtrlFlush delivers them. Both
-	// are advanced by arrival-side events, so they are owned by the
-	// destination engine.
+	// instant, in delivery order, until fireCtrlFlush delivers them;
+	// ctrlTail is the list's last record. All are advanced by arrival-side
+	// events, so they are owned by the destination engine.
 	ctrlLastAt  sim.Time
 	ctrlPending *ctrlDelivery
+	ctrlTail    *ctrlDelivery
 	// ctrlFree recycles this port's outbound control-delivery records.
 	// Records are allocated by the sending port. A delivered record goes
 	// back to the sender's list when both ports share an engine, so even
@@ -304,14 +305,26 @@ type ctrlDelivery struct {
 // one control latency earlier, so the whole instant's list is built before
 // the flush fires. Arrivals from one sender are its sends shifted by a
 // per-pair constant, so they fire in send order and FIFO holds.
+//
+// Same-instant arrivals mostly fire in ascending source order (a fan-in
+// sent in rank order), so an arrival whose source is no lower than the
+// tail's appends in O(1); that is where the walk from the head would
+// stop too, so the list is the same either way. A record arrives with
+// next nil: SendControl takes it new or cleared by fireCtrlDeliver.
 func fireCtrlArrive(at sim.Time, arg any) {
 	cd := arg.(*ctrlDelivery)
 	dst := cd.dst
-	link := &dst.ctrlPending
-	if *link == nil {
+	if dst.ctrlPending == nil {
 		dst.eng.AtCall(at, fireCtrlFlush, dst)
+		dst.ctrlPending, dst.ctrlTail = cd, cd
+		return
 	}
-	for *link != nil && (*link).src.id <= cd.src.id {
+	if dst.ctrlTail.src.id <= cd.src.id {
+		dst.ctrlTail.next, dst.ctrlTail = cd, cd
+		return
+	}
+	link := &dst.ctrlPending
+	for (*link).src.id <= cd.src.id {
 		link = &(*link).next
 	}
 	cd.next, *link = *link, cd
@@ -326,7 +339,7 @@ func fireCtrlArrive(at sim.Time, arg any) {
 func fireCtrlFlush(at sim.Time, arg any) {
 	dst := arg.(*Port)
 	cd := dst.ctrlPending
-	dst.ctrlPending = nil
+	dst.ctrlPending, dst.ctrlTail = nil, nil
 	if at > dst.ctrlLastAt {
 		dst.ctrlLastAt = at
 		next := cd.next

@@ -1,9 +1,13 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/loggp"
 	"repro/internal/sim"
@@ -470,6 +474,131 @@ func TestControlWithoutHandlerPanics(t *testing.T) {
 		}
 	}()
 	_ = e.Run()
+}
+
+// TestControlSameInstantCanonicalOrder has seven senders hit one port at a
+// single instant, several messages each, with the sends issued in
+// ascending, descending and interleaved sender order. Delivery must follow
+// source port, then per-sender FIFO, stamped at the arrival instant and
+// one nanosecond apart after it, whatever the issue order, serially and on
+// 2- and 4-shard sets.
+func TestControlSameInstantCanonicalOrder(t *testing.T) {
+	const ports, dstID, perSender = 8, 3, 3
+	const sendAt = sim.Time(time.Microsecond)
+	type send struct{ src, seq int }
+	// issue lists the sends in the order they are issued at sendAt; seq
+	// numbers each sender's sends in issue order.
+	issue := func(senders []int, bySender bool) []send {
+		var out []send
+		next := make([]int, ports)
+		add := func(s int) {
+			out = append(out, send{s, next[s]})
+			next[s]++
+		}
+		if bySender {
+			for _, s := range senders {
+				for k := 0; k < perSender; k++ {
+					add(s)
+				}
+			}
+		} else {
+			for k := 0; k < perSender; k++ {
+				for _, s := range senders {
+					add(s)
+				}
+			}
+		}
+		return out
+	}
+	type delivery struct {
+		send
+		at sim.Time
+	}
+	run := func(sends []send, shards int) []delivery {
+		var engineOf func(port int) *sim.Engine
+		var set *sim.ShardSet
+		if shards > 1 {
+			la := Config{}.Lookahead()
+			lam := make([][]time.Duration, shards)
+			for s := range lam {
+				lam[s] = make([]time.Duration, shards)
+				for d := range lam[s] {
+					lam[s][d] = la
+				}
+			}
+			set = sim.NewShardSet(lam)
+			engineOf = func(port int) *sim.Engine { return set.Engine(port * shards / ports) }
+		} else {
+			e := sim.NewEngine()
+			engineOf = func(int) *sim.Engine { return e }
+		}
+		f := New(engineOf(0), Config{})
+		ps := make([]*Port, ports)
+		for i := range ps {
+			ps[i] = f.NewPortOn(engineOf(i), fmt.Sprintf("p%d", i))
+		}
+		dst := ps[dstID]
+		var got []delivery
+		dst.SetControlHandler(func(from *Port, payload any) {
+			got = append(got, delivery{payload.(send), dst.Engine().Now()})
+			if from.ID() != payload.(send).src {
+				t.Errorf("control from port %d carries sender %d", from.ID(), payload.(send).src)
+			}
+		})
+		for _, s := range sends {
+			s := s
+			src := ps[s.src]
+			src.Engine().At(sendAt, func() { src.SendControl(dst, s) })
+		}
+		var err error
+		if set != nil {
+			err = set.Run(2)
+		} else {
+			err = engineOf(0).Run()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	arrive := sendAt.Add(CtrlLatency)
+	for _, tc := range []struct {
+		name  string
+		sends []send
+	}{
+		{"ascending", issue([]int{0, 1, 2, 4, 5, 6, 7}, true)},
+		{"descending", issue([]int{7, 6, 5, 4, 2, 1, 0}, true)},
+		{"interleaved", issue([]int{5, 0, 7, 2, 4, 1, 6}, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]delivery, len(tc.sends))
+			for i, s := range tc.sends {
+				want[i].send = s
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].src != want[j].src {
+					return want[i].src < want[j].src
+				}
+				return want[i].seq < want[j].seq
+			})
+			for i := range want {
+				want[i].at = arrive + sim.Time(i)
+			}
+			for _, shards := range []int{1, 2, 4} {
+				if got := run(tc.sends, shards); !reflect.DeepEqual(got, want) {
+					t.Errorf("shards=%d: deliveries\n%v\nwant\n%v", shards, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPortFitsSizeClass pins Port inside Go's 208-byte size class; one
+// more word would put every port in the next class.
+func TestPortFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Port{}); n > 208 {
+		t.Fatalf("unsafe.Sizeof(Port{}) = %d, want <= 208", n)
+	}
 }
 
 func TestNewFlowValidation(t *testing.T) {

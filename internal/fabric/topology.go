@@ -149,6 +149,34 @@ func (t *Topology) PairExtra(a, b int) time.Duration {
 	return t.extraFn(a, b)
 }
 
+// MinPairExtra returns the smallest PairExtra(a, b) over hosts a in
+// [aLo, aHi) and b in [bLo, bHi), two non-empty ranges. Flat topologies
+// answer in O(1): racks are runs of consecutive IDs, so ranges that share
+// a host share a rack, and otherwise the two hosts nearest each other
+// across the gap share a rack whenever any pair does. Graph topologies
+// take the minimum pair by pair.
+func (t *Topology) MinPairExtra(aLo, aHi, bLo, bHi int) time.Duration {
+	if t.extraFn == nil {
+		return 0
+	}
+	if t.flat {
+		switch {
+		case aHi <= bLo:
+			return t.extraFn(aHi-1, bLo)
+		case bHi <= aLo:
+			return t.extraFn(aLo, bHi-1)
+		}
+		return 0
+	}
+	m := time.Duration(math.MaxInt64)
+	for a := aLo; a < aHi; a++ {
+		for b := bLo; b < bHi; b++ {
+			m = min(m, t.extraFn(a, b))
+		}
+	}
+	return m
+}
+
 // PairLatency returns the one-way host-to-host propagation latency floor:
 // the host injection latency (WireLatency) plus PairExtra. It bounds the
 // wire path only; the cluster's shard matrix instead adds PairExtra to

@@ -238,6 +238,41 @@ func TestPairLatencyProperties(t *testing.T) {
 	}
 }
 
+// TestMinPairExtraMatchesPairwise compares MinPairExtra with the minimum
+// PairExtra over every host pair of two ranges, for disjoint, adjacent,
+// overlapping and nested ranges on each topology kind.
+func TestMinPairExtraMatchesPairwise(t *testing.T) {
+	extra := 750 * time.Nanosecond
+	topos := []*Topology{SingleLink(), TwoLevel(0, extra), TwoLevel(1, extra), TwoLevel(3, extra), TwoLevel(8, extra)}
+	for _, spec := range []string{"fat-tree:k=4", "dragonfly:groups=3,routers=2,hosts=2"} {
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, topo)
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, topo := range topos {
+		hosts := topo.Hosts()
+		if hosts == 0 {
+			hosts = 40
+		}
+		for trial := 0; trial < 300; trial++ {
+			aLo, bLo := r.Intn(hosts), r.Intn(hosts)
+			aHi, bHi := aLo+1+r.Intn(hosts-aLo), bLo+1+r.Intn(hosts-bLo)
+			want := time.Duration(math.MaxInt64)
+			for a := aLo; a < aHi; a++ {
+				for b := bLo; b < bHi; b++ {
+					want = min(want, topo.PairExtra(a, b))
+				}
+			}
+			if got := topo.MinPairExtra(aLo, aHi, bLo, bHi); got != want {
+				t.Errorf("%s: MinPairExtra([%d,%d), [%d,%d)) = %v, pairwise %v", topo.Name(), aLo, aHi, bLo, bHi, got, want)
+			}
+		}
+	}
+}
+
 // TestRoutesAreValidAndEqualCost walks every generated route and checks
 // it is link-connected from the source's switch to the destination host,
 // and that its latency sum equals PairExtra — the equal-cost property the
