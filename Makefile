@@ -96,11 +96,14 @@ conformance:
 	$(GO) test ./internal/xport/...
 	$(GO) test -race ./internal/xport/...
 
-# Hot-path allocation gates: the AllocsPerRun regression tests assert the
-# sim typed-event, fabric message, verbs data and control paths stay at
-# zero steady-state allocations. CI runs this target.
+# Allocation and footprint gates: the AllocsPerRun regression tests
+# assert the sim typed-event, fabric message, verbs data and control paths
+# stay at zero steady-state allocations, and TestWorldSetupHeapPerRank
+# bounds the live heap a rank of a 256-rank sweep3d job holds after
+# setup. CI runs this target.
 allocs:
 	$(GO) test -run SteadyStateZeroAllocs -v ./internal/sim/ ./internal/fabric/ ./internal/ibv/ ./internal/mpi/
+	$(GO) test -run TestWorldSetupHeapPerRank -v ./internal/bench/
 
 # Benchmarks: the allocation gates, then the named engine benchmarks
 # report per-op allocation counts, then the paper-exhibit benchmarks run
@@ -109,6 +112,7 @@ bench: allocs
 	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkProcSleepInPlace|BenchmarkResourceHandoff|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
 	$(GO) test -bench BenchmarkWorldSetup -benchmem -run xxx ./internal/bench/
+	$(GO) test -bench BenchmarkProgressDrain -benchmem -run xxx ./internal/mpi/
 	$(GO) test -bench . -benchmem -run xxx .
 
 # Smoke test of the repository benchmark (benchmark/, its own module):

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/ploggp"
 	"repro/internal/sim"
 )
 
@@ -156,7 +155,6 @@ type adaptiveRound struct {
 // adaptiveState is the per-request observer + switcher. It hangs off Psend
 // only when Options.Strategy == StrategyAdaptive.
 type adaptiveState struct {
-	model      *ploggp.Model
 	userParts  int
 	partBytes  int
 	totalBytes int
@@ -221,9 +219,8 @@ type adaptiveState struct {
 
 // newAdaptiveState builds the observer/switcher for one Psend whose initial
 // plan has already been resolved (PLogGP-optimal grouping, fixed QPs).
-func newAdaptiveState(opts Options, plan Plan, userParts, totalBytes int, model *ploggp.Model) *adaptiveState {
+func newAdaptiveState(opts Options, plan Plan, userParts, totalBytes int) *adaptiveState {
 	a := &adaptiveState{
-		model:      model,
 		userParts:  userParts,
 		partBytes:  totalBytes / userParts,
 		totalBytes: totalBytes,
@@ -264,7 +261,7 @@ func newAdaptiveState(opts Options, plan Plan, userParts, totalBytes int, model 
 	a.wrScratch = make([]time.Duration, 0, userParts)
 	// The init-time PLogGP prediction seeds the regret baseline until the
 	// first histogram-scored decision replaces it.
-	a.lastPredicted = model.CompletionTime(plan.Transport, totalBytes, modelDelay)
+	a.lastPredicted = initModel.CompletionTime(plan.Transport, totalBytes, modelDelay)
 	a.switches = append(a.switches, AdaptiveSwitch{
 		Round: 1, Mode: a.mode, Transport: a.transport, Delta: a.delta,
 		Predicted: a.lastPredicted,
@@ -401,7 +398,7 @@ func drainTime(arr []time.Duration, or time.Duration) time.Duration {
 // ploggp.CompletionTime with the measured per-partition arrivals in place
 // of the uniform many-before-one assumption.
 func (a *adaptiveState) scoreGrouping(transport int) time.Duration {
-	p := a.model.ParamsFor(a.totalBytes)
+	p := initModel.ParamsFor(a.totalBytes)
 	gs := a.userParts / transport
 	bytes := gs * a.partBytes
 	send := p.Os + p.ByteTime(bytes-1) + p.L
@@ -424,7 +421,7 @@ func (a *adaptiveState) scoreGrouping(transport int) time.Duration {
 // merging is ignored, making the estimate slightly pessimistic on WR
 // count). All WR arrivals feed the same receiver drain fold.
 func (a *adaptiveState) scoreTimer(transport int, delta time.Duration) time.Duration {
-	p := a.model.ParamsFor(a.totalBytes)
+	p := initModel.ParamsFor(a.totalBytes)
 	gs := a.userParts / transport
 	wrs := a.wrScratch[:0]
 	for g := 0; g < transport; g++ {

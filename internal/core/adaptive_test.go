@@ -33,7 +33,7 @@ func TestAdaptiveRoundTrip(t *testing.T) {
 func newTestAdaptive() *adaptiveState {
 	const userParts, totalBytes = 16, 256 << 10
 	plan := Plan{Transport: 4, GroupSize: userParts / 4, QPs: 2}
-	return newAdaptiveState(Options{Strategy: StrategyAdaptive}, plan, userParts, totalBytes, defaultModel())
+	return newAdaptiveState(Options{Strategy: StrategyAdaptive}, plan, userParts, totalBytes)
 }
 
 // feedRound drives one synthetic observed round through the recorder.

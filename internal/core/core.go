@@ -44,6 +44,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -96,26 +97,28 @@ type creditMsg struct {
 	peerReq uint32
 }
 
-// matchKey orders partitioned-init matching by (source rank, tag); the
-// interface has no wildcards, so exact keys suffice.
-type matchKey struct {
-	src int
-	tag int
-}
-
 // Engine is the per-rank partitioned-communication module. Create exactly
-// one per rank; it owns the rank's active-message transport (for the
-// baseline strategy) and the module's control handlers.
+// one per rank; it owns the module's control handlers and, once the rank
+// has a baseline request, its active-message transport.
 type Engine struct {
-	r    *mpi.Rank
-	pv   xport.Provider
+	r  *mpi.Rank
+	pv xport.Provider
+	// msgr carries baseline requests; messenger builds it on first use,
+	// so a rank with only aggregating requests never has one.
 	msgr *ucx.Transport
 
-	nextReq      uint32
-	psends       map[uint32]*Psend
-	precvs       map[uint32]*Precv
-	pendingRecvs map[matchKey][]*Precv
-	unexpected   map[matchKey][]pendingSinit
+	// psends and precvs are indexed by request id (see putReq): allocReq
+	// hands out 1, 2, 3, … across both kinds, so each holds nil at the
+	// other kind's ids.
+	nextReq uint32
+	psends  []*Psend
+	precvs  []*Precv
+	// pendingRecvs holds the unmatched receive-inits in posted order and
+	// unexpected the unmatched send-inits in arrival order. Matching is
+	// by exact (source, tag) — the interface has no wildcards — and the
+	// first match in either list wins, so both stay in order.
+	pendingRecvs []*Precv
+	unexpected   []pendingSinit
 
 	// err records the first asynchronous protocol error. Completion and
 	// control-message callbacks run at event context with no caller to
@@ -152,21 +155,25 @@ func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		r:            r,
-		pv:           pv,
-		msgr:         ucx.New(r, pv, ""),
-		psends:       make(map[uint32]*Psend),
-		precvs:       make(map[uint32]*Precv),
-		pendingRecvs: make(map[matchKey][]*Precv),
-		unexpected:   make(map[matchKey][]pendingSinit),
-	}
+	e := &Engine{r: r, pv: pv}
 	r.HandleCtrl(ctrlSinit, e.onSinit)
 	r.HandleCtrl(ctrlRinit, e.onRinit)
 	r.HandleCtrl(ctrlCredit, e.onCredit)
-	e.msgr.SetEagerHandler(e.onBaselineEager)
-	e.msgr.SetRndv(e.baselineRndvTarget, e.onBaselineRndvDone)
 	return e, nil
+}
+
+// messenger returns the rank's active-message transport, building it on
+// the first baseline request: a baseline PsendInit on the sender, the
+// match of a baseline send-init on the receiver. The handshake orders the
+// two: the sender posts no data before the receiver's rinit arrives, and
+// the receiver sends the rinit from match.
+func (e *Engine) messenger() *ucx.Transport {
+	if e.msgr == nil {
+		e.msgr = ucx.New(e.r, e.pv, "")
+		e.msgr.SetEagerHandler(e.onBaselineEager)
+		e.msgr.SetRndv(e.baselineRndvTarget, e.onBaselineRndvDone)
+	}
+	return e.msgr
 }
 
 // Rank returns the rank this module serves.
@@ -178,25 +185,43 @@ func (e *Engine) allocReq() uint32 {
 	return e.nextReq
 }
 
+// putReq files v under request id in a table of one request kind. The
+// entry for id sits at index id-1, so id 0 ("none") never resolves.
+func putReq[T any](s []*T, id uint32, v *T) []*T {
+	for uint32(len(s)) < id {
+		s = append(s, nil)
+	}
+	s[id-1] = v
+	return s
+}
+
+// getReq returns the request filed under id, or nil.
+func getReq[T any](s []*T, id uint32) *T {
+	if i := id - 1; i < uint32(len(s)) {
+		return s[i]
+	}
+	return nil
+}
+
 // onSinit matches an arriving send-init against posted receive-inits in
 // order, or queues it as unexpected.
 func (e *Engine) onSinit(from int, data any) {
 	msg := data.(sinitMsg)
-	key := matchKey{src: from, tag: msg.tag}
-	if q := e.pendingRecvs[key]; len(q) > 0 {
-		pr := q[0]
-		e.pendingRecvs[key] = q[1:]
-		e.match(pr, from, msg)
-		return
+	for i, pr := range e.pendingRecvs {
+		if pr.source == from && pr.tag == msg.tag {
+			e.pendingRecvs = slices.Delete(e.pendingRecvs, i, i+1)
+			e.match(pr, from, msg)
+			return
+		}
 	}
-	e.unexpected[key] = append(e.unexpected[key], pendingSinit{from: from, msg: msg})
+	e.unexpected = append(e.unexpected, pendingSinit{from: from, msg: msg})
 }
 
 // onRinit completes the sender side of the handshake.
 func (e *Engine) onRinit(from int, data any) {
 	msg := data.(rinitMsg)
-	ps, ok := e.psends[msg.peerReq]
-	if !ok {
+	ps := getReq(e.psends, msg.peerReq)
+	if ps == nil {
 		e.fail(fmt.Errorf("%w: rinit for request %d on rank %d", ErrUnknownRequest, msg.peerReq, e.r.ID()))
 		return
 	}
@@ -206,8 +231,8 @@ func (e *Engine) onRinit(from int, data any) {
 // onCredit grants the sender a round.
 func (e *Engine) onCredit(from int, data any) {
 	msg := data.(creditMsg)
-	ps, ok := e.psends[msg.peerReq]
-	if !ok {
+	ps := getReq(e.psends, msg.peerReq)
+	if ps == nil {
 		e.fail(fmt.Errorf("%w: credit for request %d on rank %d", ErrMalformedCredit, msg.peerReq, e.r.ID()))
 		return
 	}
@@ -230,8 +255,8 @@ func splitBaselineHeader(h uint64) (recvReq uint32, part int) {
 // transport.
 func (e *Engine) onBaselineEager(p *sim.Proc, from int, header uint64, data []byte) {
 	recvReq, part := splitBaselineHeader(header)
-	pr, ok := e.precvs[recvReq]
-	if !ok {
+	pr := getReq(e.precvs, recvReq)
+	if pr == nil {
 		e.fail(fmt.Errorf("%w: baseline arrival for request %d", ErrUnknownRequest, recvReq))
 		return
 	}
@@ -244,8 +269,8 @@ func (e *Engine) onBaselineEager(p *sim.Proc, from int, header uint64, data []by
 // baselineRndvTarget resolves the landing zone of a rendezvous partition.
 func (e *Engine) baselineRndvTarget(from int, header uint64, size int) (xport.Mem, int, bool) {
 	recvReq, part := splitBaselineHeader(header)
-	pr, ok := e.precvs[recvReq]
-	if !ok {
+	pr := getReq(e.precvs, recvReq)
+	if pr == nil {
 		return nil, 0, false
 	}
 	return pr.mr, part * pr.partBytes, true
@@ -254,8 +279,8 @@ func (e *Engine) baselineRndvTarget(from int, header uint64, size int) (xport.Me
 // onBaselineRndvDone marks a rendezvous partition arrived.
 func (e *Engine) onBaselineRndvDone(from int, header uint64, size int) {
 	recvReq, part := splitBaselineHeader(header)
-	pr, ok := e.precvs[recvReq]
-	if !ok {
+	pr := getReq(e.precvs, recvReq)
+	if pr == nil {
 		e.fail(fmt.Errorf("%w: baseline rndv completion for request %d", ErrUnknownRequest, recvReq))
 		return
 	}
@@ -284,7 +309,9 @@ func (e *Engine) match(pr *Precv, from int, msg sinitMsg) {
 	pr.transport = msg.transport
 	pr.peerReq = msg.reqID
 
-	if msg.strategy != StrategyBaseline {
+	if msg.strategy == StrategyBaseline {
+		e.messenger()
+	} else {
 		for i, sdesc := range msg.descs {
 			epIdx := i
 			ep, err := e.pv.NewEndpoint(xport.EndpointConfig{

@@ -206,7 +206,7 @@ func resolvePlan(opts Options, userParts, bytes int) (Plan, error) {
 				opts.QPs = val.QPs
 			}
 		case StrategyPLogGP, StrategyTimerPLogGP, StrategyAdaptive:
-			transport = defaultModel().OptimalTransport(bytes, userParts, modelDelay)
+			transport = initModel.OptimalTransport(bytes, userParts, modelDelay)
 		default:
 			return Plan{}, fmt.Errorf("core: unknown strategy %d", opts.Strategy)
 		}

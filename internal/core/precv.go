@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -73,16 +74,16 @@ func (e *Engine) PrecvInit(p *sim.Proc, buf []byte, partitions, source, tag int,
 		reqID:     e.allocReq(),
 		arrived:   make([]bool, partitions),
 	}
-	e.precvs[pr.reqID] = pr
+	e.precvs = putReq(e.precvs, pr.reqID, pr)
 
-	key := matchKey{src: source, tag: tag}
-	if q := e.unexpected[key]; len(q) > 0 {
-		ps := q[0]
-		e.unexpected[key] = q[1:]
-		e.match(pr, ps.from, ps.msg)
-	} else {
-		e.pendingRecvs[key] = append(e.pendingRecvs[key], pr)
+	for i, ps := range e.unexpected {
+		if ps.from == source && ps.msg.tag == tag {
+			e.unexpected = slices.Delete(e.unexpected, i, i+1)
+			e.match(pr, ps.from, ps.msg)
+			return pr, nil
+		}
 	}
+	e.pendingRecvs = append(e.pendingRecvs, pr)
 	return pr, nil
 }
 

@@ -11,9 +11,9 @@ import (
 	"repro/internal/xport"
 )
 
-// defaultModel returns the PLogGP model with the Niagara-measured
-// parameter set.
-func defaultModel() *ploggp.Model { return ploggp.New(loggp.NiagaraMeasured()) }
+// initModel is the PLogGP model every request plans with: the
+// Niagara-measured parameter set, built once and only read afterwards.
+var initModel = ploggp.New(loggp.NiagaraMeasured())
 
 const (
 	// modelDelay is the laggard-delay input fed to the model at init time
@@ -128,12 +128,14 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 		reqID:     e.allocReq(),
 		flagLock:  sim.NewResource(e.r.Engine(), 1),
 	}
-	e.psends[ps.reqID] = ps
+	e.psends = putReq(e.psends, ps.reqID, ps)
 	if opts.Strategy == StrategyAdaptive {
-		ps.adapt = newAdaptiveState(opts, plan, partitions, len(buf), defaultModel())
+		ps.adapt = newAdaptiveState(opts, plan, partitions, len(buf))
 	}
 
-	if opts.Strategy != StrategyBaseline {
+	if opts.Strategy == StrategyBaseline {
+		e.messenger()
+	} else {
 		// Transport partitions spread over the plan's endpoints; the SQ
 		// must hold a worst-case round (every user partition its own WR
 		// under the timer strategy).

@@ -69,10 +69,16 @@ type HCA struct {
 	nextAddr uint64
 	nextKey  uint32
 	nextQPN  uint32
-	mrs      map[uint32]*MR // by rkey: the NIC-side table RDMA lookups use
-	// lastRKey/lastMR cache the most recent successful lookup: a flow's
-	// transport partitions all target one remote MR, so rkeys repeat
-	// back-to-back and the map probe is skipped on the RDMA hot path.
+	// mrs is the adapter's memory-key table, shared by every PD on it.
+	// Keys come in pairs from nextKey (odd lkey, rkey = lkey + 1), so the
+	// MR holding key k sits at index (k-1)/2 and a deregistered MR leaves
+	// a nil slot. Lookups check the exact key (see PD.resolveSGE and
+	// lookupMR).
+	mrs []*MR
+	// lastRKey/lastMR cache the most recent successful rkey lookup: a
+	// flow's transport partitions all target one remote MR, so rkeys
+	// repeat back-to-back and the table probe is skipped on the RDMA hot
+	// path.
 	lastRKey uint32
 	lastMR   *MR
 }
@@ -86,7 +92,6 @@ func NewHCA(e *sim.Engine, f *fabric.Fabric, name string) *HCA {
 		nextAddr: mrBase,
 		nextKey:  1,
 		nextQPN:  1,
-		mrs:      make(map[uint32]*MR),
 	}
 }
 
@@ -109,7 +114,7 @@ func (c *Context) HCA() *HCA { return c.hca }
 
 // AllocPD allocates a protection domain scoping MRs and QPs.
 func (c *Context) AllocPD() *PD {
-	return &PD{ctx: c, mrs: make(map[uint32]*MR)}
+	return &PD{ctx: c}
 }
 
 // CreateCQ creates a completion queue with the given depth.
@@ -120,18 +125,28 @@ func (c *Context) CreateCQ(depth int) *CQ {
 	return &CQ{eng: c.hca.eng, depth: depth}
 }
 
+// mrAt returns the registered MR whose key pair includes key, or nil.
+// Key 0 wraps to an index past any table.
+func (h *HCA) mrAt(key uint32) *MR {
+	if i := (key - 1) / 2; i < uint32(len(h.mrs)) {
+		return h.mrs[i]
+	}
+	return nil
+}
+
 // lookupMR resolves a remote key on this adapter (the NIC-side RDMA path).
-// A one-entry last-hit cache fronts the map; deregistration invalidates it
-// (see MR.Dereg).
+// A one-entry last-hit cache fronts the table; deregistration invalidates
+// it (see MR.Dereg).
 func (h *HCA) lookupMR(rkey uint32) (*MR, bool) {
 	if h.lastMR != nil && h.lastRKey == rkey {
 		return h.lastMR, true
 	}
-	mr, ok := h.mrs[rkey]
-	if ok {
-		h.lastRKey, h.lastMR = rkey, mr
+	mr := h.mrAt(rkey)
+	if mr == nil || mr.rkey != rkey {
+		return nil, false
 	}
-	return mr, ok
+	h.lastRKey, h.lastMR = rkey, mr
+	return mr, true
 }
 
 func (h *HCA) String() string { return fmt.Sprintf("hca(%s)", h.name) }

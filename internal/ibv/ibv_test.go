@@ -788,3 +788,102 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestMRKeyTableRejectsForeignKeys checks that the adapter's shared key
+// table resolves only the exact key of a live MR: a local lookup also
+// requires the poster's PD, and a remote one the responder QP's PD.
+func TestMRKeyTableRejectsForeignKeys(t *testing.T) {
+	p := newPair(t, 64)
+	hca := p.sendPD.Context().HCA()
+	otherMR, err := hca.Open().AllocPD().RegMR(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadMR, err := p.sendPD.RegMR(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := deadMR.Dereg(); err != nil {
+		t.Fatal(err)
+	}
+	local := []struct {
+		name string
+		sge  SGE
+	}{
+		{"lkey of another PD on the same HCA", otherMR.SGEFor(0, 8)},
+		{"rkey used as lkey", SGE{Addr: p.sendMR.Addr(), Length: 8, LKey: p.sendMR.RKey()}},
+		{"lkey past the end of the table", SGE{Addr: p.sendMR.Addr(), Length: 8, LKey: deadMR.LKey() + 2}},
+		{"lkey 0", SGE{Addr: p.sendMR.Addr(), Length: 8, LKey: 0}},
+		{"lkey of a deregistered MR", deadMR.SGEFor(0, 8)},
+	}
+	for _, c := range local {
+		err := p.sendQP.PostSend(SendWR{
+			Opcode:     OpRDMAWrite,
+			SGList:     []SGE{c.sge},
+			RemoteAddr: p.recvMR.Addr(),
+			RKey:       p.recvMR.RKey(),
+		})
+		if !errors.Is(err, ErrBadLKey) {
+			t.Errorf("PostSend with %s: err = %v, want ErrBadLKey", c.name, err)
+		}
+		if err := p.sendQP.PostRecv(RecvWR{SGList: []SGE{c.sge}}); !errors.Is(err, ErrBadLKey) {
+			t.Errorf("PostRecv with %s: err = %v, want ErrBadLKey", c.name, err)
+		}
+	}
+
+	// Each remote case errors the pair, so each gets its own. warm first
+	// writes with the responder's valid rkey, filling the last-hit cache.
+	remote := []struct {
+		name string
+		warm bool
+		rkey func(p *pair) uint32
+	}{
+		{"rkey of another PD on the same HCA", false, func(p *pair) uint32 {
+			mr, err := p.recvPD.Context().HCA().Open().AllocPD().RegMR(make([]byte, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mr.RKey()
+		}},
+		{"lkey used as rkey", true, func(p *pair) uint32 { return p.recvMR.LKey() }},
+		{"rkey past the end of the table", true, func(p *pair) uint32 { return p.recvMR.RKey() + 2 }},
+		{"rkey of a deregistered MR", true, func(p *pair) uint32 {
+			if err := p.recvMR.Dereg(); err != nil {
+				t.Fatal(err)
+			}
+			return p.recvMR.RKey()
+		}},
+	}
+	for _, c := range remote {
+		p := newPair(t, 64)
+		write := func(rkey uint32) Status {
+			t.Helper()
+			err := p.sendQP.PostSend(SendWR{
+				Opcode:     OpRDMAWrite,
+				SGList:     []SGE{p.sendMR.SGEFor(0, 8)},
+				RemoteAddr: p.recvMR.Addr(),
+				RKey:       rkey,
+				Signaled:   true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var wcs [2]WC
+			if n := p.sendCQ.Poll(wcs[:]); n != 1 {
+				t.Fatalf("%s: %d completions, want 1", c.name, n)
+			}
+			return wcs[0].Status
+		}
+		if c.warm {
+			if st := write(p.recvMR.RKey()); st != StatusSuccess {
+				t.Fatalf("%s: warm-up write status %v", c.name, st)
+			}
+		}
+		if st := write(c.rkey(p)); st != StatusRemAccessErr {
+			t.Errorf("RDMA write with %s: status %v, want %v", c.name, st, StatusRemAccessErr)
+		}
+	}
+}

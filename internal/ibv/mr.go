@@ -6,7 +6,6 @@ import "fmt"
 // PD cannot be used with objects from another.
 type PD struct {
 	ctx *Context
-	mrs map[uint32]*MR // by lkey
 }
 
 // Context returns the device context owning the PD.
@@ -43,8 +42,7 @@ func (pd *PD) RegMR(buf []byte) (*MR, error) {
 	// a neighbouring registration.
 	h.nextAddr += uint64(len(buf)) + 1<<20
 	h.nextKey += 2
-	pd.mrs[mr.lkey] = mr
-	h.mrs[mr.rkey] = mr
+	h.mrs = append(h.mrs, mr)
 	return mr, nil
 }
 
@@ -54,9 +52,8 @@ func (mr *MR) Dereg() error {
 		return ErrDeregistered
 	}
 	mr.valid = false
-	delete(mr.pd.mrs, mr.lkey)
 	h := mr.pd.ctx.hca
-	delete(h.mrs, mr.rkey)
+	h.mrs[(mr.lkey-1)/2] = nil
 	if h.lastMR == mr {
 		h.lastMR = nil
 	}
@@ -110,10 +107,12 @@ func (mr *MR) SGEFor(off, length int) SGE {
 	return SGE{Addr: mr.addr + uint64(off), Length: length, LKey: mr.lkey}
 }
 
-// resolveSGE validates an SGE against the PD and returns its bytes.
+// resolveSGE validates an SGE against the PD and returns its bytes. The
+// lkey must name a live MR of this PD exactly: an rkey or another PD's
+// lkey is rejected.
 func (pd *PD) resolveSGE(sge SGE) ([]byte, error) {
-	mr, ok := pd.mrs[sge.LKey]
-	if !ok || !mr.valid {
+	mr := pd.ctx.hca.mrAt(sge.LKey)
+	if mr == nil || mr.lkey != sge.LKey || mr.pd != pd || !mr.valid {
 		return nil, ErrBadLKey
 	}
 	b, ok := mr.slice(sge.Addr, sge.Length)

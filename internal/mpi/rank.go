@@ -47,7 +47,10 @@ type Rank struct {
 	// messages arrive.
 	activity *sim.Cond
 
-	ctrlHandlers map[string]func(from int, data any)
+	// ctrlHandlers lists the registered control kinds in registration
+	// order; onCtrl scans it. A rank registers at most about ten kinds, so
+	// the scan costs less than a hash map in both time and memory.
+	ctrlHandlers []ctrlEntry
 
 	// postLock serializes the library's post path (per-endpoint critical
 	// section); oversubscribed threads contend here.
@@ -77,13 +80,12 @@ func newRank(w *World, id int, node *cluster.Node) *Rank {
 	// Everything the rank parks on lives on its node's engine (its shard):
 	// ranks on other shards interact with it only through the fabric.
 	r := &Rank{
-		w:            w,
-		id:           id,
-		node:         node,
-		activity:     sim.NewCond(node.Engine),
-		ctrlHandlers: make(map[string]func(int, any)),
-		postLock:     sim.NewResource(node.Engine, 1),
-		barrier:      &barrierState{release: sim.NewCond(node.Engine)},
+		w:        w,
+		id:       id,
+		node:     node,
+		activity: sim.NewCond(node.Engine),
+		postLock: sim.NewResource(node.Engine, 1),
+		barrier:  &barrierState{release: sim.NewCond(node.Engine)},
 	}
 	r.initBarrierHandlers()
 	return r
@@ -148,12 +150,28 @@ func (r *Rank) Compute(p *sim.Proc, d time.Duration) {
 // WCProcessed reports completions drained by this rank's progress engine.
 func (r *Rank) WCProcessed() int64 { return r.wcProcessed }
 
+// ctrlEntry is one registered control kind.
+type ctrlEntry struct {
+	kind string
+	fn   func(from int, data any)
+}
+
 // HandleCtrl registers the handler for control messages of the given kind.
 func (r *Rank) HandleCtrl(kind string, fn func(from int, data any)) {
-	if _, dup := r.ctrlHandlers[kind]; dup {
+	if r.handlerFor(kind) != nil {
 		panic(fmt.Sprintf("mpi: duplicate control handler %q", kind))
 	}
-	r.ctrlHandlers[kind] = fn
+	r.ctrlHandlers = append(r.ctrlHandlers, ctrlEntry{kind: kind, fn: fn})
+}
+
+// handlerFor returns the handler registered for kind, or nil.
+func (r *Rank) handlerFor(kind string) func(from int, data any) {
+	for i := range r.ctrlHandlers {
+		if r.ctrlHandlers[i].kind == kind {
+			return r.ctrlHandlers[i].fn
+		}
+	}
+	return nil
 }
 
 // takeEnv pops a recycled control envelope or allocates a fresh one.
@@ -192,8 +210,8 @@ func (r *Rank) SendCtrl(dst int, kind string, data any) {
 // onCtrl dispatches an arriving control message. Handlers run at event
 // context (no proc): they must only do bookkeeping and wake waiters.
 func (r *Rank) onCtrl(env *ctrlEnvelope) {
-	h, ok := r.ctrlHandlers[env.kind]
-	if !ok {
+	h := r.handlerFor(env.kind)
+	if h == nil {
 		panic(fmt.Sprintf("mpi: rank %d: no handler for control kind %q", r.id, env.kind))
 	}
 	from, data := env.from, env.data

@@ -38,8 +38,15 @@ type Provider struct {
 	sendCQ *ibv.CQ
 	recvCQ *ibv.CQ
 
-	// eps routes completions by queue-pair number.
-	eps map[uint32]*endpoint
+	// eps routes completions by queue-pair number: the HCA numbers its
+	// QPs densely from 1, so QPN n sits at index n-1. Entries for QPs of
+	// other contexts on the same HCA stay nil.
+	eps []*endpoint
+
+	// wcs is Progress's batch buffer, allocated on the first drain so
+	// that setup does not pay for it. The host's progress try-lock rules
+	// out re-entry, so one buffer per provider suffices.
+	wcs []ibv.WC
 }
 
 // New instantiates the provider for a host whose Hardware is a
@@ -56,7 +63,6 @@ func New(h xport.Host) (*Provider, error) {
 		pd:     ctx.AllocPD(),
 		sendCQ: ctx.CreateCQ(1 << 16),
 		recvCQ: ctx.CreateCQ(1 << 16),
-		eps:    make(map[uint32]*endpoint),
 	}
 	// Completions arriving on either CQ wake procs blocked in the host's
 	// WaitOn, as a completion channel would.
@@ -104,7 +110,10 @@ func (v *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error)
 		return nil, err
 	}
 	ep := &endpoint{qp: qp, onComp: cfg.OnCompletion}
-	v.eps[qp.QPN()] = ep
+	for uint32(len(v.eps)) < qp.QPN() {
+		v.eps = append(v.eps, nil)
+	}
+	v.eps[qp.QPN()-1] = ep
 	return ep, nil
 }
 
@@ -113,20 +122,26 @@ func (v *Provider) NewEndpoint(cfg xport.EndpointConfig) (xport.Endpoint, error)
 // the pre-SPI rank progress engine: drain the receive CQ in batches of 64
 // until empty, falling back to the send CQ, until both are dry.
 func (v *Provider) Progress(p *sim.Proc) int {
+	if v.wcs == nil {
+		v.wcs = make([]ibv.WC, 64)
+	}
+	wcs := v.wcs
 	drained := 0
-	var wcs [64]ibv.WC
 	for {
-		n := v.recvCQ.Poll(wcs[:])
+		n := v.recvCQ.Poll(wcs)
 		if n == 0 {
-			n = v.sendCQ.Poll(wcs[:])
+			n = v.sendCQ.Poll(wcs)
 		}
 		if n == 0 {
 			return drained
 		}
 		for _, wc := range wcs[:n] {
 			p.Sleep(v.host.CompletionCost())
-			ep, ok := v.eps[wc.QPN]
-			if !ok {
+			var ep *endpoint
+			if i := wc.QPN - 1; i < uint32(len(v.eps)) {
+				ep = v.eps[i]
+			}
+			if ep == nil {
 				panic(fmt.Sprintf("verbs: rank %d: completion for unregistered QPN %d: %+v", v.host.ID(), wc.QPN, wc))
 			}
 			ep.onComp(p, completionOf(wc))
