@@ -31,7 +31,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -39,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
-	"repro/internal/mpi"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -59,7 +57,6 @@ func run(args []string) int {
 	verbose := fs.Bool("v", false, "print progress while running")
 	csvDir := fs.String("csv", "", "directory to also write one CSV per table")
 	jobs := fs.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
-	provider := fs.String("provider", "", "transport backend: "+strings.Join(mpi.Providers, ", ")+" (default verbs)")
 	strategy := fs.String("strategy", "", "run one point-to-point probe under this strategy (baseline, tuning-table, ploggp, timer-ploggp, adaptive) and print its result")
 	pattern := fs.String("pattern", "straggler", "with -strategy: synthetic Pready arrival pattern (uniform, bursty, zipf, straggler)")
 	shards := fs.Int("shards", 0, "conservative-PDES shard count per simulation (0 or 1 = serial; output is identical)")
@@ -67,12 +64,6 @@ func run(args []string) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	fs.Parse(args)
-
-	if *provider != "" && !slices.Contains(mpi.Providers, *provider) {
-		fmt.Fprintf(os.Stderr, "partbench: unknown provider %q (have: %s)\n",
-			*provider, strings.Join(mpi.Providers, ", "))
-		return 2
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -111,7 +102,7 @@ func run(args []string) int {
 	}
 
 	if *strategy != "" {
-		if err := runProbe(*strategy, *pattern, *provider, *topo, *shards, *quick); err != nil {
+		if err := runProbe(*strategy, *pattern, *topo, *shards, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: probe: %v\n", err)
 			return 1
 		}
@@ -140,7 +131,7 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	cfg := experiments.Config{Quick: *quick, Jobs: *jobs, Provider: *provider, Shards: *shards, Topo: *topo}
+	cfg := experiments.Config{Quick: *quick, Jobs: *jobs, Shards: *shards, Topo: *topo}
 	if *verbose {
 		cfg.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
@@ -188,7 +179,7 @@ func runSuite(names []string, cfg experiments.Config, w io.Writer, csvDir string
 // strategy and arrival pattern and prints its mean round latency plus —
 // for the adaptive strategy — the decision telemetry. A quick way to watch
 // the switcher act without running a whole experiment grid.
-func runProbe(strategy, pattern, provider, topo string, shards int, quick bool) error {
+func runProbe(strategy, pattern, topo string, shards int, quick bool) error {
 	strat, err := core.ParseStrategy(strategy)
 	if err != nil {
 		return err
@@ -198,15 +189,14 @@ func runProbe(strategy, pattern, provider, topo string, shards int, quick bool) 
 		return err
 	}
 	cfg := bench.P2PConfig{
-		Parts:    16,
-		Bytes:    256 << 10,
-		Compute:  20 * time.Microsecond,
-		Warmup:   16,
-		Iters:    32,
-		Opts:     core.Options{Strategy: strat},
-		Provider: provider,
-		Shards:   shards,
-		Topo:     topo,
+		Parts:   16,
+		Bytes:   256 << 10,
+		Compute: 20 * time.Microsecond,
+		Warmup:  16,
+		Iters:   32,
+		Opts:    core.Options{Strategy: strat},
+		Shards:  shards,
+		Topo:    topo,
 		Arrival: &trace.ArrivalPattern{
 			Kind:   kind,
 			Seed:   1,

@@ -12,9 +12,9 @@
 //     facts to VetxOutput, and prints diagnostics to stderr with a
 //     non-zero exit if any fire.
 //
-// Cross-package facts (xportgate reachability) travel through the vetx
-// files as JSON keyed by analyzer name, mirroring how unitchecker uses
-// gob-encoded fact files.
+// Cross-package facts (detertaint's function summaries) travel through
+// the vetx files as JSON keyed by analyzer name, mirroring how
+// unitchecker uses gob-encoded fact files.
 package main
 
 import (

@@ -8,9 +8,10 @@
 // passes and collect diagnostics.
 //
 // The deliberate differences from x/tools are small: facts are a single
-// JSON-serializable ImportFacts value per package (only xportgate needs
-// them), and suppression is a line-level `//partlint:allow <analyzer>`
-// comment instead of //lint:ignore directives.
+// JSON-serializable ImportFacts value per package (the interprocedural
+// function summaries), and suppression is a line-level
+// `//partlint:allow <analyzer>` comment instead of //lint:ignore
+// directives.
 package analysis
 
 import (
@@ -49,12 +50,6 @@ type Diagnostic struct {
 // method, computed bottom-up over the import DAG by the interprocedural
 // analyzers. Methods are keyed "Type.Method", plain functions "Func".
 type FuncFact struct {
-	// Allocates records that calling the function performs an
-	// allocation-inducing construct (directly or through its callees),
-	// outside any //partib:hotpath or //partib:coldpath annotation and not
-	// waived in place. AllocWhat describes the first such site.
-	Allocates bool   `json:"allocates,omitempty"`
-	AllocWhat string `json:"allocWhat,omitempty"`
 	// Taints records that the function's results carry nondeterminism
 	// (wall-clock reads, math/rand, map-iteration order) picked up inside
 	// its body or its callees. TaintWhat names the source.
@@ -70,12 +65,9 @@ type FuncFact struct {
 
 // ImportFacts is the per-package fact an analyzer exports to its
 // dependents, serialized as JSON into the vetx files `go vet` threads
-// between dependent packages. xportgate uses Reaches; the interprocedural
-// analyzers (hotpathalloc, detertaint) use Funcs.
+// between dependent packages. The interprocedural analyzer (detertaint)
+// fills Funcs.
 type ImportFacts struct {
-	// Reaches maps a forbidden import path to the chain of import paths
-	// leading to it, starting with this package's direct import.
-	Reaches map[string][]string `json:"reaches,omitempty"`
 	// Funcs maps exported function keys ("Func" or "Type.Method") to
 	// their interprocedural summaries.
 	Funcs map[string]FuncFact `json:"funcs,omitempty"`
@@ -176,8 +168,8 @@ func (p *Pass) ReportfUnwaivable(pos token.Pos, format string, args ...any) {
 
 // WaivedAt reports whether a finding at pos would be suppressed by a
 // `//partlint:allow` waiver for this analyzer. Interprocedural summary
-// builders use it to keep waived allocation/taint sites out of the facts
-// they export — a waiver accepts the site for callers too.
+// builders use it to keep waived taint sites out of the facts they
+// export — a waiver accepts the site for callers too.
 func (p *Pass) WaivedAt(pos token.Pos) bool {
 	position := p.Fset.Position(pos)
 	m := p.waived[position.Filename]
@@ -254,8 +246,8 @@ func (p *Pass) Waivers() []WaiverSite {
 }
 
 // IsTestFile reports whether the file at pos is a _test.go file. The
-// suite's invariants target production code; tests are free to panic,
-// block, and allocate.
+// suite's invariants target production code; tests are free to panic
+// and block.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -1,13 +1,12 @@
 package analysis
 
 // This file is the package-level call graph the interprocedural analyzers
-// share: per-function annotation parsing (//partib:hotpath, coldpath,
-// role), call-site resolution to same-package declarations or
-// cross-package fact keys, and depth-bounded reachability. Cross-package
-// edges do not carry ASTs — callees in other packages are summarized by
-// the FuncFact entries their package exported through the vetx channel,
-// so the graph composes bottom-up over the import DAG exactly like
-// xportgate's reachability facts.
+// share: per-function //partib:role annotation parsing, call-site
+// resolution to same-package declarations or cross-package fact keys, and
+// depth-bounded reachability. Cross-package edges do not carry ASTs —
+// callees in other packages are summarized by the FuncFact entries their
+// package exported through the vetx channel, so the graph composes
+// bottom-up over the import DAG.
 
 import (
 	"go/ast"
@@ -15,30 +14,16 @@ import (
 	"strings"
 )
 
-// Function annotations. Each stands alone on a line of the function's doc
-// comment.
-const (
-	// AnnotHotPath marks a function under the allocation-free budget.
-	AnnotHotPath = "//partib:hotpath"
-	// AnnotColdPath marks a deliberate budget boundary: a function
-	// reachable from hot roots that runs off the per-event path (barrier
-	// transitions, setup, fatal teardown). Interprocedural propagation
-	// stops here.
-	AnnotColdPath = "//partib:coldpath"
-	// AnnotRole declares shard-protocol roles: "//partib:role producer"
-	// (comma-separated list). See the shardsafety analyzer.
-	AnnotRole = "//partib:role"
-)
+// AnnotRole declares shard-protocol roles: "//partib:role producer"
+// (comma-separated list), alone on a line of the function's doc comment.
+// See the shardsafety analyzer.
+const AnnotRole = "//partib:role"
 
-// FuncInfo is one function or method declaration with its parsed
-// annotations.
+// FuncInfo is one function or method declaration with its declared
+// roles.
 type FuncInfo struct {
 	Decl *ast.FuncDecl
 	Obj  types.Object
-	// Hot and Cold mirror the //partib:hotpath and //partib:coldpath
-	// annotations.
-	Hot  bool
-	Cold bool
 	// Roles lists the declared //partib:role names (nil when
 	// unannotated; roles may then be inherited from callers).
 	Roles []string
@@ -71,7 +56,7 @@ type CallGraph struct {
 }
 
 // BuildCallGraph indexes every function and method declaration in the
-// pass's files (test files excluded) with parsed annotations.
+// pass's files (test files excluded) with their declared roles.
 func BuildCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
 		pass:    pass,
@@ -93,7 +78,7 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 				continue
 			}
 			info := &FuncInfo{Decl: fd, Obj: obj, Key: exportKey(fd)}
-			info.Hot, info.Cold, info.Roles = parseFuncAnnotations(fd)
+			info.Roles = parseRoles(fd)
 			g.funcs[obj] = info
 			g.byDecl[fd] = info
 		}
@@ -101,23 +86,19 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 	return g
 }
 
-// parseFuncAnnotations reads the //partib: lines of a doc comment.
-func parseFuncAnnotations(fd *ast.FuncDecl) (hot, cold bool, roles []string) {
+// parseRoles reads the //partib:role lines of a doc comment.
+func parseRoles(fd *ast.FuncDecl) (roles []string) {
 	if fd.Doc == nil {
 		return
 	}
 	for _, c := range fd.Doc.List {
 		text := strings.TrimSpace(c.Text)
-		switch {
-		case text == AnnotHotPath:
-			hot = true
-		case text == AnnotColdPath:
-			cold = true
-		case strings.HasPrefix(text, AnnotRole+" "):
-			for _, r := range strings.Split(strings.TrimSpace(strings.TrimPrefix(text, AnnotRole)), ",") {
-				if r = strings.TrimSpace(r); r != "" {
-					roles = append(roles, r)
-				}
+		if !strings.HasPrefix(text, AnnotRole+" ") {
+			continue
+		}
+		for _, r := range strings.Split(strings.TrimSpace(strings.TrimPrefix(text, AnnotRole)), ",") {
+			if r = strings.TrimSpace(r); r != "" {
+				roles = append(roles, r)
 			}
 		}
 	}

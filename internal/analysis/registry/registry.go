@@ -5,10 +5,9 @@
 //
 // Scope rules are deliberately data, not code spread across drivers:
 //
-//   - hotpathalloc, callbackblock, xportgate run everywhere in the
-//     module — annotations and registration shapes only occur where the
-//     invariants apply, and xportgate must visit every package anyway to
-//     propagate reachability facts.
+//   - shardsafety and callbackblock run everywhere in the module —
+//     annotations and registration shapes only occur where the
+//     invariants apply.
 //   - detertaint runs on the packages reachable from the simulator's
 //     virtual clock: the engine strategies, the fabric, the models, the
 //     transports whose event callbacks feed the engines, and the
@@ -24,19 +23,15 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/callbackblock"
 	"repro/internal/analysis/detertaint"
-	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/nopanic"
 	"repro/internal/analysis/shardsafety"
 	"repro/internal/analysis/waiverhygiene"
-	"repro/internal/analysis/xportgate"
 )
 
 // Check pairs an analyzer with the import paths it applies to.
 type Check struct {
 	Analyzer *analysis.Analyzer
-	// Applies reports whether the analyzer runs on the package. Drivers
-	// still invoke xportgate's Run on out-of-scope packages for fact
-	// propagation; Applies gates reporting scope only for the others.
+	// Applies reports whether the analyzer runs on the package.
 	Applies func(importPath string) bool
 }
 
@@ -62,7 +57,6 @@ var simReachable = map[string]bool{
 	"repro/internal/ibv":         true,
 	"repro/internal/ucx":         true,
 	"repro/internal/xport":       true,
-	"repro/internal/xport/shm":   true,
 	"repro/internal/netgauge":    true,
 	"repro/internal/experiments": true,
 	"repro/internal/pt2pt":       true,
@@ -84,10 +78,8 @@ var typedError = map[string]bool{
 // diagnostic fire" always matches the suite actually run.
 func Checks() []Check {
 	checks := []Check{
-		{Analyzer: hotpathalloc.Analyzer, Applies: allRepro},
 		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
 		{Analyzer: shardsafety.Analyzer, Applies: allRepro},
-		{Analyzer: xportgate.Analyzer, Applies: allRepro},
 		{Analyzer: nopanic.Analyzer, Applies: func(p string) bool { return typedError[p] }},
 		{Analyzer: callbackblock.Analyzer, Applies: allRepro},
 	}

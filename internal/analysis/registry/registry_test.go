@@ -117,7 +117,6 @@ func TestRegistryScopes(t *testing.T) {
 			"repro/internal/trace",
 			"repro/internal/ucx",
 			"repro/internal/xport",
-			"repro/internal/xport/shm",
 		},
 		"nopanic": {
 			"repro/internal/core",

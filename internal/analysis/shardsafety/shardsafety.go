@@ -46,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // maxRoleDepth bounds role inheritance through un-annotated helpers,
-// mirroring hotpathalloc's propagation bound.
+// mirroring detertaint's summary depth bound.
 const maxRoleDepth = 4
 
 // Field annotations.

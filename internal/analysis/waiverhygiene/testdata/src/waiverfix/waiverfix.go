@@ -3,25 +3,30 @@
 // refactor, a typo'd analyzer name, and a self-waiver.
 package waiverfix
 
-// hot keeps a live waiver: the append below still fires hotpathalloc.
-//
-//partib:hotpath
-func hot(xs []int, v int) []int {
-	return append(xs, v) //partlint:allow hotpathalloc amortized growth
+import "errors"
+
+var errBad = errors.New("waiverfix: bad input")
+
+// live keeps a live waiver: the panic below still fires nopanic.
+func live(x int) {
+	if x < 0 {
+		panic("free list corrupted") //partlint:allow nopanic unrecoverable
+	}
 }
 
-// cold carries a leftover waiver: hotpathalloc never fires on an
-// un-annotated function.
-func cold() int {
-	x := 1 //partlint:allow hotpathalloc leftover from refactor // want "stale waiver: no hotpathalloc diagnostic fires on this line anymore"
-	return x
+// cold carries a leftover waiver: the panic it excused became an error.
+func cold(x int) error {
+	if x < 0 {
+		return errBad //partlint:allow nopanic leftover from refactor // want "stale waiver: no nopanic diagnostic fires on this line anymore"
+	}
+	return nil
 }
 
 // typo names an analyzer that does not exist, so it suppresses nothing.
-//
-//partib:hotpath
-func typo(n int) []int {
-	return make([]int, n) //partlint:allow hotpathaloc misspelled // want "waiver names unknown analyzer"
+func typo(x int) {
+	if x < 0 {
+		panic("negative") //partlint:allow nopanik misspelled // want "waiver names unknown analyzer"
+	}
 }
 
 // hush tries to waive the waiver checker itself.

@@ -1,7 +1,7 @@
 // Package waiverhygiene keeps the `//partlint:allow` waiver population
 // honest. A waiver is a debt note: it says "this diagnostic is accepted
-// here, for this reason". When the code under it changes — the
-// allocation is hoisted, the hot-path annotation moves, the call chain
+// here, for this reason". When the code under it changes — the panic
+// becomes an error return, the callback stops blocking, the call chain
 // is broken — the note stays behind and silently suppresses whatever
 // diagnostic lands on that line next. This analyzer replays the sibling
 // suite over the package and flags every waiver that no longer matches

@@ -41,8 +41,6 @@ type AdaptiveGridConfig struct {
 	Iters int
 	// Compute is per-thread computation before the pattern delay.
 	Compute time.Duration
-	// Provider names the transport provider ("" selects "verbs").
-	Provider string
 	// Jobs bounds grid-point parallelism (0 selects GOMAXPROCS).
 	Jobs int
 }
@@ -123,13 +121,12 @@ func runAdaptivePoint(cfg AdaptiveGridConfig, kind trace.PatternKind, bytes int)
 	pt := AdaptivePoint{Pattern: kind.String(), Bytes: bytes}
 	run := func(opts core.Options) (P2PResult, error) {
 		return RunP2P(P2PConfig{
-			Parts:    cfg.Parts,
-			Bytes:    bytes,
-			Compute:  cfg.Compute,
-			Warmup:   cfg.Warmup,
-			Iters:    cfg.Iters,
-			Opts:     opts,
-			Provider: cfg.Provider,
+			Parts:   cfg.Parts,
+			Bytes:   bytes,
+			Compute: cfg.Compute,
+			Warmup:  cfg.Warmup,
+			Iters:   cfg.Iters,
+			Opts:    opts,
 			Arrival: &trace.ArrivalPattern{
 				Kind:   kind,
 				Seed:   cfg.Seed,

@@ -53,7 +53,7 @@ func (s *jitterPRNG) int63n(n int64) int64 {
 }
 
 // P2PConfig describes one point-to-point benchmark run (two ranks on two
-// nodes, as on Niagara; on one node under the shm provider).
+// nodes, as on Niagara).
 type P2PConfig struct {
 	// Parts is the user partition count == thread count (paper protocol).
 	Parts int
@@ -85,8 +85,6 @@ type P2PConfig struct {
 	Iters  int
 	// Opts selects the aggregation strategy under test.
 	Opts core.Options
-	// Provider names the transport provider ("" selects "verbs").
-	Provider string
 	// Shards partitions the simulation into this many conservative-PDES
 	// shards (see cluster.Config.Shards); 0 or 1 runs serial. Results are
 	// byte-identical either way.
@@ -184,11 +182,10 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 		return P2PResult{}, err
 	}
 	w, engines, err := NewWorld(WorldSpec{
-		Ranks:    2,
-		Provider: cfg.Provider,
-		Shards:   cfg.Shards,
-		Topo:     cfg.Topo,
-	}, core.NewEngine)
+		Ranks:  2,
+		Shards: cfg.Shards,
+		Topo:   cfg.Topo,
+	}, newCoreEngine)
 	if err != nil {
 		return P2PResult{}, err
 	}

@@ -88,7 +88,7 @@ var gridPatterns = [...]gridPattern{
 }
 
 // GridConfig describes one run of a grid pattern: ranks form a 2-D grid
-// (one rank per node, except under the shm provider; see NewWorld) and
+// (one rank per node; see NewWorld) and
 // exchange partitioned messages with their neighbours, computing with one
 // thread per partition.
 type GridConfig struct {
@@ -112,8 +112,6 @@ type GridConfig struct {
 	Iters  int
 	// Opts selects the aggregation strategy under test.
 	Opts core.Options
-	// Provider names the transport provider ("" selects "verbs").
-	Provider string
 	// Shards partitions the simulation into this many conservative-PDES
 	// shards (see cluster.Config.Shards); 0 or 1 runs serial. Results are
 	// byte-identical either way.
@@ -243,11 +241,10 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	pat := &gridPatterns[cfg.Pattern]
 	nodes := cfg.GridX * cfg.GridY
 	w, engines, err := NewWorld(WorldSpec{
-		Ranks:    nodes,
-		Provider: cfg.Provider,
-		Shards:   cfg.Shards,
-		Topo:     cfg.Topo,
-	}, core.NewEngine)
+		Ranks:  nodes,
+		Shards: cfg.Shards,
+		Topo:   cfg.Topo,
+	}, newCoreEngine)
 	if err != nil {
 		return GridResult{}, err
 	}

@@ -26,48 +26,43 @@ var shardStrategies = []struct {
 }
 
 // TestShardedP2PMatchesSerial runs the point-to-point benchmark serial and
-// sharded across every provider and strategy, and requires identical
-// per-iteration observations: the conservative shard runtime must not
-// change a single timestamp. (The shm provider places both ranks on one
-// node, so its shard count clamps to 1 — the run still exercises the
-// sharded world plumbing end to end.)
+// sharded over the verbs transport under every strategy, and requires
+// identical per-iteration observations: the conservative shard runtime
+// must not change a single timestamp.
 func TestShardedP2PMatchesSerial(t *testing.T) {
-	for _, provider := range []string{"verbs", "shm"} {
-		for _, strat := range shardStrategies {
-			t.Run(provider+"/"+strat.name, func(t *testing.T) {
-				cfg := P2PConfig{
-					Parts:           8,
-					Bytes:           1 << 20,
-					Compute:         200 * time.Microsecond,
-					NoisePct:        4,
-					JitterPerThread: 2 * time.Microsecond,
-					Warmup:          2,
-					Iters:           6,
-					Opts:            strat.opts,
-					Provider:        provider,
+	for _, strat := range shardStrategies {
+		t.Run("verbs/"+strat.name, func(t *testing.T) {
+			cfg := P2PConfig{
+				Parts:           8,
+				Bytes:           1 << 20,
+				Compute:         200 * time.Microsecond,
+				NoisePct:        4,
+				JitterPerThread: 2 * time.Microsecond,
+				Warmup:          2,
+				Iters:           6,
+				Opts:            strat.opts,
+			}
+			serial, err := RunP2P(cfg)
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			cfg.Shards = 2
+			sharded, err := RunP2P(cfg)
+			if err != nil {
+				t.Fatalf("sharded: %v", err)
+			}
+			if serial.FabricMessages != sharded.FabricMessages {
+				t.Errorf("fabric messages serial %d != sharded %d", serial.FabricMessages, sharded.FabricMessages)
+			}
+			for i := range serial.IterTimes {
+				if serial.IterTimes[i] != sharded.IterTimes[i] {
+					t.Errorf("iter %d: IterTimes serial %v != sharded %v", i, serial.IterTimes[i], sharded.IterTimes[i])
 				}
-				serial, err := RunP2P(cfg)
-				if err != nil {
-					t.Fatalf("serial: %v", err)
+				if serial.LastLatency[i] != sharded.LastLatency[i] {
+					t.Errorf("iter %d: LastLatency serial %v != sharded %v", i, serial.LastLatency[i], sharded.LastLatency[i])
 				}
-				cfg.Shards = 2
-				sharded, err := RunP2P(cfg)
-				if err != nil {
-					t.Fatalf("sharded: %v", err)
-				}
-				if serial.FabricMessages != sharded.FabricMessages {
-					t.Errorf("fabric messages serial %d != sharded %d", serial.FabricMessages, sharded.FabricMessages)
-				}
-				for i := range serial.IterTimes {
-					if serial.IterTimes[i] != sharded.IterTimes[i] {
-						t.Errorf("iter %d: IterTimes serial %v != sharded %v", i, serial.IterTimes[i], sharded.IterTimes[i])
-					}
-					if serial.LastLatency[i] != sharded.LastLatency[i] {
-						t.Errorf("iter %d: LastLatency serial %v != sharded %v", i, serial.LastLatency[i], sharded.LastLatency[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -395,45 +390,6 @@ func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 				t.Errorf("shards=%d iter %d: (%v, %v) != default (%v, %v)", shards, i,
 					got.IterTimes[i], got.LastLatency[i], def.IterTimes[i], def.LastLatency[i])
 			}
-		}
-	}
-}
-
-// TestGridOnShm runs a small sweep and a small halo over the intra-node
-// shm provider, which needs every rank on one node. The 48 threads of a
-// 3x3 sweep diagonal (and the 144 of the halo) outnumber one Niagara
-// node's 40 cores, so the test also requires the shared node to pool the
-// ranks' cores: were compute oversubscribed, the extra compute would show
-// up as communication time.
-// A shard count clamps to the one node, so Shards: 2 runs serial.
-func TestGridOnShm(t *testing.T) {
-	for _, pat := range []GridPattern{Sweep3D, Halo} {
-		cfg := GridConfig{
-			Pattern:  pat,
-			GridX:    3,
-			GridY:    3,
-			Threads:  16,
-			Bytes:    64 << 10,
-			Compute:  time.Millisecond,
-			Warmup:   1,
-			Iters:    2,
-			Opts:     core.Options{Strategy: core.StrategyPLogGP},
-			Provider: "shm",
-		}
-		res, err := RunGrid(cfg)
-		if err != nil {
-			t.Fatalf("pattern %d: %v", pat, err)
-		}
-		if comm := res.MeanCommTime(); comm >= cfg.Compute/2 {
-			t.Errorf("pattern %d: comm time %v absorbs compute (%v per thread)", pat, comm, cfg.Compute)
-		}
-		cfg.Shards = 2
-		sharded, err := RunGrid(cfg)
-		if err != nil {
-			t.Fatalf("pattern %d shards=2: %v", pat, err)
-		}
-		if sharded.ShardStats != nil {
-			t.Errorf("pattern %d: shm run sharded across one node", pat)
 		}
 	}
 }

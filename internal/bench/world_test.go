@@ -20,7 +20,7 @@ func setupSweepJob(side int) (*mpi.World, []*core.Engine, error) {
 	const threads = 4
 	sbuf, rbuf := make([]byte, 16<<10), make([]byte, 16<<10)
 	opts := core.Options{Strategy: core.StrategyPLogGP}
-	w, engines, err := NewWorld(WorldSpec{Ranks: side * side, Shards: 2}, core.NewEngine)
+	w, engines, err := NewWorld(WorldSpec{Ranks: side * side, Shards: 2}, newCoreEngine)
 	if err != nil {
 		return nil, nil, err
 	}

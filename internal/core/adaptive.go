@@ -17,8 +17,8 @@ import (
 //
 //   - The observer (recordArrival, noteDone) runs on the Pready and
 //     completion hot paths and only writes into fixed, pre-sized
-//     storage — no allocation, ever (hotpathalloc enforces it, an
-//     AllocsPerRun gate proves it at runtime).
+//     storage — no allocation, ever (an AllocsPerRun gate in
+//     `make allocs` holds it there).
 //   - The switcher (finishRound, decide) runs once per round at MPI_Start,
 //     where the request is quiescent. It folds the per-partition arrival
 //     offsets of the last defaultAdaptiveWindow rounds into a histogram,
@@ -280,8 +280,6 @@ func (a *adaptiveState) beginRound(at sim.Time) {
 // recordArrival observes one MPI_Pready on the send hot path. It runs once
 // per user partition per round after the duplicate-arrival guard, so it
 // only stores into pre-sized request-owned memory.
-//
-//partib:hotpath
 func (a *adaptiveState) recordArrival(part int, at sim.Time) {
 	a.arr[part] = at.Sub(a.startAt)
 	a.seen++
@@ -291,8 +289,6 @@ func (a *adaptiveState) recordArrival(part int, at sim.Time) {
 // noteDone stamps the round's completion instant. It runs inside the
 // completion drain (the last WR acknowledgment flips Psend.done), so it is
 // a bare store.
-//
-//partib:hotpath
 func (a *adaptiveState) noteDone(at sim.Time) {
 	a.doneAt = at
 }

@@ -136,7 +136,7 @@ func TestAdaptiveRegretAccounting(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRecordingZeroAllocs(t *testing.T) {
+func TestAdaptiveRecordingSteadyStateZeroAllocs(t *testing.T) {
 	// The observer path — beginRound, one recordArrival per partition,
 	// noteDone, the ring fold, and a (non-switching) decision —
 	// must allocate nothing in steady state.

@@ -27,7 +27,7 @@
 // # Strategies
 //
 //   - StrategyBaseline: one message per user partition through the
-//     provider's active-message engine — the `part_persist` stand-in.
+//     UCX-like active-message engine — the `part_persist` stand-in.
 //   - StrategyTuningTable: transport partition and QP counts from an
 //     offline brute-force table (Section IV-B).
 //   - StrategyPLogGP: counts from the PLogGP model at init time
@@ -37,9 +37,8 @@
 //     δ and, on expiry, sends the largest contiguous ready runs so a
 //     laggard cannot hold back the whole group.
 //
-// The module programs against the provider-neutral transport SPI
-// (internal/xport) only: the same strategy code runs over the verbs and
-// shm backends, selected at Engine construction.
+// The module posts its work through the rank's transport
+// (internal/xport) and never touches the device (internal/ibv) directly.
 package core
 
 import (
@@ -102,7 +101,7 @@ type creditMsg struct {
 // has a baseline request, its active-message transport.
 type Engine struct {
 	r  *mpi.Rank
-	pv xport.Provider
+	pv *xport.Provider
 	// msgr carries baseline requests; messenger builds it on first use,
 	// so a rank with only aggregating requests never has one.
 	msgr *ucx.Transport
@@ -146,16 +145,14 @@ type pendingSinit struct {
 	msg  sinitMsg
 }
 
-// NewEngine builds the partitioned module for a rank over the named
-// transport provider (see mpi.Rank.Provider: the empty string selects
-// "verbs"). It returns xport.ErrUnknownProvider (wrapped) for a name the
-// rank cannot build.
+// NewEngine builds the partitioned module for a rank over the rank's
+// transport. provider must be "verbs" or empty, the one transport there
+// is; any other name returns xport.ErrUnknownProvider (wrapped).
 func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
-	pv, err := r.Provider(provider)
-	if err != nil {
-		return nil, err
+	if provider != "" && provider != "verbs" {
+		return nil, fmt.Errorf("%w: %q (have verbs)", xport.ErrUnknownProvider, provider)
 	}
-	e := &Engine{r: r, pv: pv}
+	e := &Engine{r: r, pv: r.Transport()}
 	r.HandleCtrl(ctrlSinit, e.onSinit)
 	r.HandleCtrl(ctrlRinit, e.onRinit)
 	r.HandleCtrl(ctrlCredit, e.onCredit)
@@ -169,7 +166,7 @@ func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
 // the receiver sends the rinit from match.
 func (e *Engine) messenger() *ucx.Transport {
 	if e.msgr == nil {
-		e.msgr = ucx.New(e.r, e.pv, "")
+		e.msgr = ucx.New(e.r, "")
 		e.msgr.SetEagerHandler(e.onBaselineEager)
 		e.msgr.SetRndv(e.baselineRndvTarget, e.onBaselineRndvDone)
 	}
@@ -341,7 +338,7 @@ func (e *Engine) match(pr *Precv, from int, msg sinitMsg) {
 }
 
 // descsOf collects the wire descriptors of a set of endpoints.
-func descsOf(eps []xport.Endpoint) []xport.Desc {
+func descsOf(eps []*xport.Endpoint) []xport.Desc {
 	if len(eps) == 0 {
 		return nil
 	}

@@ -53,10 +53,12 @@ var (
 	ErrSetupMismatch = errors.New("core: sender/receiver setup mismatch")
 )
 
-// Static hot-path error instances. Functions annotated //partib:hotpath
-// must not construct errors with fmt.Errorf (it allocates); they return
-// these pre-built values instead, each wrapping its typed class so
-// errors.Is still matches.
+// Static error instances for the post and completion paths. Those paths
+// run once per partition and are held at zero steady-state allocations by
+// the AllocsPerRun gates in `make allocs`, so they must not construct
+// errors with fmt.Errorf (it allocates); they return these pre-built
+// values instead, each wrapping its typed class so errors.Is still
+// matches.
 var (
 	errArrivalRange     = fmt.Errorf("%w: arrival range outside request partitions", ErrPartitionRange)
 	errRecvCompletion   = fmt.Errorf("%w: receive completion reported failure", ErrCompletionStatus)

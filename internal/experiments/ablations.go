@@ -38,9 +38,8 @@ func AblationInline(cfg Config) ([]*stats.Table, error) {
 					TransportParts: parts, // per-partition WRs so inline can apply
 					UseInline:      inline,
 				},
-				Provider: cfg.Provider,
-				Shards:   cfg.Shards,
-				Topo:     cfg.Topo,
+				Shards: cfg.Shards,
+				Topo:   cfg.Topo,
 			})
 		}
 	}
@@ -85,9 +84,8 @@ func AblationWindow(cfg Config) ([]*stats.Table, error) {
 					QPs:                 1,
 					MaxOutstandingPerQP: w,
 				},
-				Provider: cfg.Provider,
-				Shards:   cfg.Shards,
-				Topo:     cfg.Topo,
+				Shards: cfg.Shards,
+				Topo:   cfg.Topo,
 			})
 		}
 	}
@@ -131,7 +129,6 @@ func AblationModel(cfg Config) ([]*stats.Table, error) {
 			Warmup:   warmupFor(cfg, 5),
 			Iters:    itersFor(cfg, 10),
 			Opts:     core.Options{Strategy: core.StrategyPLogGP},
-			Provider: cfg.Provider,
 			Shards:   cfg.Shards,
 			Topo:     cfg.Topo,
 		}
@@ -162,8 +159,7 @@ func AblationModel(cfg Config) ([]*stats.Table, error) {
 // patterns.
 func AblationAdaptive(cfg Config) ([]*stats.Table, error) {
 	grid := bench.AdaptiveGridConfig{
-		Jobs:     cfg.Jobs,
-		Provider: cfg.Provider,
+		Jobs: cfg.Jobs,
 	}
 	if cfg.Quick {
 		grid.Sizes = []int{256 << 10}
@@ -226,12 +222,11 @@ func AblationTimer(cfg Config) ([]*stats.Table, error) {
 		jobs[i] = bench.P2PConfig{
 			Parts: parts, Bytes: size,
 			Compute: 100 * time.Millisecond, NoisePct: 4,
-			Warmup:   warmupFor(cfg, 5),
-			Iters:    itersFor(cfg, 10),
-			Opts:     opts,
-			Provider: cfg.Provider,
-			Shards:   cfg.Shards,
-			Topo:     cfg.Topo,
+			Warmup: warmupFor(cfg, 5),
+			Iters:  itersFor(cfg, 10),
+			Opts:   opts,
+			Shards: cfg.Shards,
+			Topo:   cfg.Topo,
 		}
 	}
 	results, err := runOrdered(cfg, jobs, bench.RunP2P, nil)

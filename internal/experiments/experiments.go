@@ -38,9 +38,6 @@ type Config struct {
 	// simulation, so tables are byte-identical for any value. Zero or
 	// negative selects GOMAXPROCS; 1 forces the serial path.
 	Jobs int
-	// Provider selects the transport backend the benchmarks run over
-	// ("verbs" or "shm"); empty means the default verbs provider.
-	Provider string
 	// Shards partitions every benchmark's simulation into this many
 	// conservative-PDES shards (clamped per run to its node count; see
 	// cluster.Config.Shards). Zero or 1 runs serial. Tables are
@@ -217,7 +214,7 @@ func overheadConfig(cfg Config, parts, size int, opts core.Options) bench.P2PCon
 	warmup, iters := cfg.iterCounts()
 	return bench.P2PConfig{
 		Parts: parts, Bytes: size, Warmup: warmup, Iters: iters,
-		Opts: opts, Provider: cfg.Provider, Shards: cfg.Shards, Topo: cfg.Topo,
+		Opts: opts, Shards: cfg.Shards, Topo: cfg.Topo,
 	}
 }
 
@@ -402,7 +399,6 @@ func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.P2PCo
 		Warmup:          warmup,
 		Iters:           iters,
 		Opts:            opts,
-		Provider:        cfg.Provider,
 		Shards:          cfg.Shards,
 		Topo:            cfg.Topo,
 	}
@@ -605,7 +601,7 @@ var gridStrategies = []core.Options{
 // aggregator over the baseline. label prefixes the progress lines.
 func gridSpeedupTable(cfg Config, title, label string, sizes []int, base bench.GridConfig) (*stats.Table, error) {
 	base.Warmup, base.Iters = cfg.sweepIterCounts()
-	base.Provider, base.Shards, base.Topo = cfg.Provider, cfg.Shards, cfg.Topo
+	base.Shards, base.Topo = cfg.Shards, cfg.Topo
 	n := len(gridStrategies)
 	jobs := make([]bench.GridConfig, 0, len(sizes)*n)
 	for _, s := range sizes {

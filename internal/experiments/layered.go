@@ -38,15 +38,14 @@ func AblationLayered(cfg Config) ([]*stats.Table, error) {
 	pairs, err := runOrdered(cfg, sizes, func(size int) (pair, error) {
 		base, err := bench.RunP2P(bench.P2PConfig{
 			Parts: parts, Bytes: size, Warmup: warmup, Iters: iters,
-			Opts:     core.Options{Strategy: core.StrategyBaseline},
-			Provider: cfg.Provider,
-			Shards:   cfg.Shards,
-			Topo:     cfg.Topo,
+			Opts:   core.Options{Strategy: core.StrategyBaseline},
+			Shards: cfg.Shards,
+			Topo:   cfg.Topo,
 		})
 		if err != nil {
 			return pair{}, err
 		}
-		layered, err := runLayeredOverhead(cfg.Provider, parts, size, warmup, iters)
+		layered, err := runLayeredOverhead(parts, size, warmup, iters)
 		if err != nil {
 			return pair{}, err
 		}
@@ -66,8 +65,8 @@ func AblationLayered(cfg Config) ([]*stats.Table, error) {
 
 // runLayeredOverhead is the overhead benchmark driven through the layered
 // implementation.
-func runLayeredOverhead(provider string, parts, size, warmup, iters int) (time.Duration, error) {
-	w, comms, err := bench.NewWorld(bench.WorldSpec{Ranks: 2, Provider: provider}, pt2pt.New)
+func runLayeredOverhead(parts, size, warmup, iters int) (time.Duration, error) {
+	w, comms, err := bench.NewWorld(bench.WorldSpec{Ranks: 2}, pt2pt.New)
 	if err != nil {
 		return 0, err
 	}

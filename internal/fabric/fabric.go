@@ -481,17 +481,12 @@ type flowMsg struct {
 }
 
 // Typed-event trampolines for the flow pipeline (see sim.AtCall).
-//
-//partib:hotpath
 func fireFlowStep(_ sim.Time, arg any) { arg.(*Flow).step() }
 
-//partib:hotpath
 func fireFlowDeliver(_ sim.Time, arg any) { arg.(*flowMsg).deliver() }
 
-//partib:hotpath
 func fireFlowAck(_ sim.Time, arg any) { arg.(*flowMsg).ack() }
 
-//partib:hotpath
 func fireFlowRelease(_ sim.Time, arg any) { fm := arg.(*flowMsg); fm.fl.release(fm) }
 
 // NewFlow creates a flow from src to dst with flow identity 0. Loopback
@@ -548,8 +543,6 @@ func (fl *Flow) Queued() int { return len(fl.queue) - fl.head }
 
 // Send enqueues a message on the flow. Zero-byte messages still traverse
 // the wire (headers move). Negative sizes panic.
-//
-//partib:hotpath
 func (fl *Flow) Send(m Message) {
 	if m.Bytes < 0 {
 		panic("fabric: negative message size")
@@ -562,10 +555,10 @@ func (fl *Flow) Send(m Message) {
 		fl.free[n-1] = nil
 		fl.free = fl.free[:n-1]
 	} else {
-		fm = &flowMsg{fl: fl} //partlint:allow hotpathalloc free-list miss; steady state recycles
+		fm = &flowMsg{fl: fl}
 	}
 	fm.msg, fm.remaining, fm.lastArrival = m, m.Bytes, 0
-	fl.queue = append(fl.queue, fm) //partlint:allow hotpathalloc amortized; capacity is reused via queue[:0]
+	fl.queue = append(fl.queue, fm)
 	if !fl.active {
 		fl.active = true
 		fl.startHead()
@@ -575,8 +568,6 @@ func (fl *Flow) Send(m Message) {
 // release returns a flowMsg whose events have all fired, and its chain of
 // spent hop records, to the flow's free lists, dropping callback
 // references so captured state can be collected.
-//
-//partib:hotpath
 func (fl *Flow) release(fm *flowMsg) {
 	tail := fm.hops
 	for tail.next != nil {
@@ -586,12 +577,10 @@ func (fl *Flow) release(fm *flowMsg) {
 	fl.hopFree = fm.hops
 	fm.hops = nil
 	fm.msg = Message{}
-	fl.free = append(fl.free, fm) //partlint:allow hotpathalloc amortized free-list growth
+	fl.free = append(fl.free, fm)
 }
 
 // startHead begins WR processing for the message at the head of the queue.
-//
-//partib:hotpath
 func (fl *Flow) startHead() {
 	e := fl.eng
 	start := e.Now()
@@ -616,8 +605,6 @@ func (fl *Flow) startHead() {
 // in canonical order (see fireLinkResv). That order is a pure function of
 // the traffic, so arrival timestamps are bit-for-bit identical across
 // serial and sharded runs and across worker counts.
-//
-//partib:hotpath
 func (fl *Flow) step() {
 	e := fl.eng
 	fm := fl.queue[fl.head]
@@ -669,8 +656,6 @@ func (fl *Flow) step() {
 // advances to the next queued one. Delivery and completion are scheduled
 // by the final burst's last hop; the flowMsg returns to the free list once
 // the last source-side event referencing it (ack or release) has fired.
-//
-//partib:hotpath
 func (fl *Flow) finish(egressEnd sim.Time) {
 	fl.msgFreeAt = egressEnd.Add(MsgGap)
 	fl.queue[fl.head] = nil
@@ -686,8 +671,6 @@ func (fl *Flow) finish(egressEnd sim.Time) {
 
 // deliver runs on the destination engine at the instant the last byte is
 // placed at the destination.
-//
-//partib:hotpath
 func (fm *flowMsg) deliver() {
 	fm.fl.dst.bytesReceived += int64(fm.msg.Bytes)
 	if fn := fm.msg.OnDeliver; fn != nil {
@@ -697,8 +680,6 @@ func (fm *flowMsg) deliver() {
 
 // ack runs on the source engine when the sender's hardware completion
 // would be generated.
-//
-//partib:hotpath
 func (fm *flowMsg) ack() {
 	fn, at := fm.msg.OnAck, fm.ackAt
 	fm.fl.release(fm)
@@ -736,7 +717,6 @@ type linkState struct {
 // [2^(b-1), 2^b) nanoseconds; 40 buckets span past 18 virtual minutes.
 const queueHistBuckets = 40
 
-//partib:hotpath
 func queueHistBucket(d time.Duration) int {
 	b := bits.Len64(uint64(d))
 	if b >= queueHistBuckets {
@@ -812,12 +792,10 @@ type hopResv struct {
 
 // takeHop pops a hop record from the flow's free list. Runs on the source
 // engine (from step).
-//
-//partib:hotpath
 func (fl *Flow) takeHop() *hopResv {
 	hr := fl.hopFree
 	if hr == nil {
-		return &hopResv{} //partlint:allow hotpathalloc free-list miss; steady state recycles
+		return &hopResv{}
 	}
 	fl.hopFree = hr.next
 	return hr
@@ -829,8 +807,6 @@ func (fl *Flow) takeHop() *hopResv {
 // identity is unique per pair and direction), and equal keys — burst
 // pairs of one flow — keep their FIFO order because the insertion sort
 // is stable and per-flow hops arrive in injection order.
-//
-//partib:hotpath
 func hopBefore(a, b *hopResv) bool {
 	if a.arrive != b.arrive {
 		return a.arrive < b.arrive
@@ -850,13 +826,11 @@ func hopBefore(a, b *hopResv) bool {
 // fire at the same virtual instant in shard-layout-dependent event order,
 // so the reservation joins the cursor's pending batch and a flush one
 // nanosecond later charges the whole instant's batch in canonical order.
-//
-//partib:hotpath
 func fireLinkResv(at sim.Time, arg any) {
 	hr := arg.(*hopResv)
 	l := hr.fm.fl.route[hr.hop]
 	hr.at = at
-	l.pending = append(l.pending, hr) //partlint:allow hotpathalloc amortized; batch buffer is reused
+	l.pending = append(l.pending, hr)
 	if flushAt := at + 1; l.flushAt < flushAt {
 		l.flushAt = flushAt
 		l.eng.AtCall(flushAt, fireLinkFlush, l)
@@ -868,8 +842,6 @@ func fireLinkResv(at sim.Time, arg any) {
 // processed: an entry firing at the flush instant itself may sit in the
 // buffer already or not (seq order at the tie is arbitrary), so it is left
 // for its own flush either way.
-//
-//partib:hotpath
 func fireLinkFlush(now sim.Time, arg any) {
 	l := arg.(*linkState)
 	pending := l.pending
@@ -900,8 +872,6 @@ func fireLinkFlush(now sim.Time, arg any) {
 // least one link latency (next hop) or one pair lookahead (return path) in
 // the future, so the hops stay conservative under the cluster's topology
 // lookahead matrix.
-//
-//partib:hotpath
 func (l *linkState) charge(now sim.Time, hr *hopResv) {
 	start := hr.arrive
 	if l.freeAt > start {

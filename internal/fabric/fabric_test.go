@@ -199,31 +199,77 @@ func TestFastPaceMultiBurstDeliversOnce(t *testing.T) {
 }
 
 // TestFlowSteadyStateZeroAllocs is the allocation regression gate on the
-// fabric hot path: once the event and flowMsg free lists are warm, a full
-// message lifetime (send, multi-burst injection, delivery, ack) allocates
-// nothing.
+// fabric hot path: once the event, flowMsg and hop free lists are warm, a
+// full message lifetime allocates nothing. On the single link a message
+// is sent, injected in several bursts, delivered and acked. On a k=4
+// fat-tree two hosts send into a third at the same instant without
+// asking for a completion: their bursts meet on a shared link, whose
+// cursor sorts the instant's batch into canonical order and records the
+// queueing delay, and each message goes back to its flow's free list by
+// the release event.
 func TestFlowSteadyStateZeroAllocs(t *testing.T) {
-	e, f := testFabric(t)
-	a, b := f.NewPort("a"), f.NewPort("b")
-	fl := f.NewFlow(a, b)
-	delivered, acked := 0, 0
-	onDeliver := func(sim.Time) { delivered++ }
-	onAck := func(sim.Time) { acked++ }
-	round := func() {
-		// 200 KiB spans multiple bursts, exercising step rescheduling.
-		fl.Send(Message{Bytes: 200 << 10, OnDeliver: onDeliver, OnAck: onAck})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+	ft, err := NewFatTree(FatTreeConfig{K: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ { // warm the free lists
-		round()
-	}
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Errorf("steady-state message costs %.1f allocs, want 0", allocs)
-	}
-	if delivered == 0 || acked != delivered {
-		t.Fatalf("delivered %d, acked %d", delivered, acked)
+	for _, tc := range []struct {
+		name    string
+		topo    *Topology
+		senders int
+		ack     bool
+	}{
+		{"single-link", nil, 1, true},
+		{"fat-tree", ft, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			f := New(e, Config{Topo: tc.topo})
+			srcs := make([]*Port, tc.senders)
+			for i := range srcs {
+				srcs[i] = f.NewPort(fmt.Sprintf("src%d", i))
+			}
+			dst := f.NewPort("dst")
+			flows := make([]*Flow, tc.senders)
+			for i, src := range srcs {
+				flows[i] = f.NewFlow(src, dst)
+			}
+			delivered, acked := 0, 0
+			msg := Message{Bytes: 200 << 10, OnDeliver: func(sim.Time) { delivered++ }}
+			if tc.ack {
+				msg.OnAck = func(sim.Time) { acked++ }
+			}
+			round := func() {
+				// 200 KiB spans multiple bursts, exercising step
+				// rescheduling.
+				for _, fl := range flows {
+					fl.Send(msg)
+				}
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ { // warm the free lists
+				round()
+			}
+			if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+				t.Errorf("steady-state round costs %.1f allocs, want 0", allocs)
+			}
+			if want := 105 * tc.senders; delivered != want {
+				t.Fatalf("delivered %d messages, want %d", delivered, want)
+			}
+			if tc.ack && acked != delivered {
+				t.Fatalf("delivered %d, acked %d", delivered, acked)
+			}
+			if tc.senders > 1 {
+				var queued time.Duration
+				for _, s := range f.LinkStats() {
+					queued = max(queued, s.MaxQueue)
+				}
+				if queued == 0 {
+					t.Error("the flows never queued on a shared link")
+				}
+			}
+		})
 	}
 }
 

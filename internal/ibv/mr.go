@@ -60,6 +60,9 @@ func (mr *MR) Dereg() error {
 	return nil
 }
 
+// PD returns the protection domain the region was registered in.
+func (mr *MR) PD() *PD { return mr.pd }
+
 // Addr returns the region's virtual base address.
 func (mr *MR) Addr() uint64 { return mr.addr }
 

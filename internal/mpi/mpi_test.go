@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -33,11 +32,6 @@ func TestWorldShape(t *testing.T) {
 		if r.World() != w {
 			t.Errorf("rank %d world mismatch", i)
 		}
-	}
-	// "ucx" names the middleware every provider builds, not a provider of
-	// its own, so asking a rank for it is the typed unknown-provider error.
-	if _, err := w.Rank(0).Provider("ucx"); !errors.Is(err, xport.ErrUnknownProvider) {
-		t.Fatalf("Provider(ucx) error = %v, want one wrapping xport.ErrUnknownProvider", err)
 	}
 }
 
@@ -206,15 +200,8 @@ func TestProgressTryLock(t *testing.T) {
 	r0, r1 := w.Rank(0), w.Rank(1)
 
 	// Wire an endpoint pair between rank 0 and rank 1 carrying one
-	// completion, through the provider SPI.
-	pv0, err := r0.Provider("verbs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pv1, err := r1.Provider("verbs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// completion, through the ranks' transports.
+	pv0, pv1 := r0.Transport(), r1.Transport()
 	buf := make([]byte, 64)
 	mr0, err := pv0.RegMem(buf)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkProgressDrain times Rank.Progress draining receive completions
-// over the verbs provider: rank 0 writes batches of 256 immediates to
+// over the verbs transport: rank 0 writes batches of 256 immediates to
 // rank 1, and once a batch has landed rank 1's progress engine drains it
 // (four CQ polls of 64). One op is one drained completion; posting and
 // the wire time of each batch run with the timer stopped.
@@ -17,14 +17,7 @@ func BenchmarkProgressDrain(b *testing.B) {
 	const batch = 256
 	w := twoNodeWorld()
 	r0, r1 := w.Rank(0), w.Rank(1)
-	pv0, err := r0.Provider("verbs")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pv1, err := r1.Provider("verbs")
-	if err != nil {
-		b.Fatal(err)
-	}
+	pv0, pv1 := r0.Transport(), r1.Transport()
 	mr0, err := pv0.RegMem(make([]byte, 64))
 	if err != nil {
 		b.Fatal(err)

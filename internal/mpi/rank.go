@@ -7,13 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/xport"
-	"repro/internal/xport/shm"
-	"repro/internal/xport/verbs"
 )
-
-// Providers lists the names of the transport backends a rank can build
-// (see Rank.Provider), sorted.
-var Providers = []string{shm.Name, verbs.Name}
 
 // ctrlEnvelope is the wire format of control-plane messages. Delivery is
 // per destination port; to routes the message to the right rank when
@@ -25,18 +19,17 @@ type ctrlEnvelope struct {
 	data any
 }
 
-// Rank is one MPI process. Transport resources hang off provider
-// instances built by name (Provider); each provider's completions are
-// drained by the rank's single progress engine.
+// Rank is one MPI process. Transport resources hang off the rank's
+// transport instance (Transport), whose completions are drained by the
+// rank's single progress engine.
 type Rank struct {
 	w    *World
 	id   int
 	node *cluster.Node
 
-	// providers holds the rank's backend instances, one per name, in
-	// creation order, which is the order Progress drains them in. Every
-	// module on the rank shares one device context per backend.
-	providers []xport.Provider
+	// xp is the rank's transport, built on first use (Transport). Every
+	// module on the rank shares its device context.
+	xp *xport.Provider
 
 	// progressBusy implements the paper's single-threaded progress engine:
 	// MPI_Parrived "tries to acquire a lock; if successful it progresses
@@ -73,9 +66,6 @@ type Rank struct {
 	ctrlHandled int64
 }
 
-// Rank hosts transport providers.
-var _ xport.Host = (*Rank)(nil)
-
 func newRank(w *World, id int, node *cluster.Node) *Rank {
 	// Everything the rank parks on lives on its node's engine (its shard):
 	// ranks on other shards interact with it only through the fabric.
@@ -103,43 +93,14 @@ func (r *Rank) Node() *cluster.Node { return r.node }
 // Engine returns the engine (shard) the rank's simulation state lives on.
 func (r *Rank) Engine() *sim.Engine { return r.node.Engine }
 
-// Hardware exposes the compute node for providers to downcast; the verbs
-// provider expects a *cluster.Node carrying the HCA.
-func (r *Rank) Hardware() any { return r.node }
-
-// CompletionCost is the CPU time the progress engine charges per drained
-// completion.
-func (r *Rank) CompletionCost() time.Duration { return WCProcess }
-
-// Provider returns the named transport backend for this rank, building
-// it on first use; the empty name selects "verbs", the backend the paper
-// evaluates on. All modules on the rank share the instance, so they share
-// its device context, protection domain, and completion queues. A name
-// outside Providers returns an error wrapping xport.ErrUnknownProvider.
-func (r *Rank) Provider(name string) (xport.Provider, error) {
-	if name == "" {
-		name = verbs.Name
+// Transport returns the rank's transport, opening a device context on
+// the node's HCA on first use. All modules on the rank share the
+// instance, so they share its protection domain and completion queues.
+func (r *Rank) Transport() *xport.Provider {
+	if r.xp == nil {
+		r.xp = xport.New(r.node.HCA, r.id, r.Wake, WCProcess)
 	}
-	for _, pv := range r.providers {
-		if pv.Name() == name {
-			return pv, nil
-		}
-	}
-	var pv xport.Provider
-	switch name {
-	case verbs.Name:
-		v, err := verbs.New(r)
-		if err != nil {
-			return nil, err
-		}
-		pv = v
-	case shm.Name:
-		pv = shm.New(r)
-	default:
-		return nil, fmt.Errorf("%w: %q (have %v)", xport.ErrUnknownProvider, name, Providers)
-	}
-	r.providers = append(r.providers, pv)
-	return pv, nil
+	return r.xp
 }
 
 // Compute runs d of single-core application work (queuing for a core).
@@ -221,7 +182,7 @@ func (r *Rank) onCtrl(env *ctrlEnvelope) {
 	r.activity.Broadcast()
 }
 
-// Progress drains every provider's completion queues. It returns false
+// Progress drains the transport's completion queues. It returns false
 // immediately if another thread holds the progress lock (the paper's
 // try-lock), and reports whether any completion was processed otherwise.
 func (r *Rank) Progress(p *sim.Proc) bool {
@@ -230,8 +191,8 @@ func (r *Rank) Progress(p *sim.Proc) bool {
 	}
 	r.progressBusy = true
 	worked := false
-	for _, pv := range r.providers {
-		if n := pv.Progress(p); n > 0 {
+	if r.xp != nil {
+		if n := r.xp.Progress(p); n > 0 {
 			r.wcProcessed += int64(n)
 			worked = true
 		}

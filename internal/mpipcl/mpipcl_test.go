@@ -21,7 +21,7 @@ func newEnv() *env {
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
 	e := &env{w: w}
 	for i := 0; i < 2; i++ {
-		c, err := pt2pt.New(w.Rank(i), "")
+		c, err := pt2pt.New(w.Rank(i))
 		if err != nil {
 			panic(err)
 		}

@@ -77,24 +77,16 @@ func Run(cfg Config) (loggp.Params, error) {
 func run(cfg Config, pr probe) (loggp.Params, error) {
 	cfg = cfg.withDefaults()
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
-	pv0, err := w.Rank(0).Provider("verbs")
-	if err != nil {
-		return loggp.Params{}, err
-	}
-	pv1, err := w.Rank(1).Provider("verbs")
-	if err != nil {
-		return loggp.Params{}, err
-	}
-	t0 := ucx.New(w.Rank(0), pv0, "")
-	t1 := ucx.New(w.Rank(1), pv1, "")
+	t0 := ucx.New(w.Rank(0), "")
+	t1 := ucx.New(w.Rank(1), "")
 
 	buf0 := make([]byte, pr.b)
 	buf1 := make([]byte, pr.b)
-	mr0, err := pv0.RegMem(buf0)
+	mr0, err := w.Rank(0).Transport().RegMem(buf0)
 	if err != nil {
 		return loggp.Params{}, err
 	}
-	mr1, err := pv1.RegMem(buf1)
+	mr1, err := w.Rank(1).Transport().RegMem(buf1)
 	if err != nil {
 		return loggp.Params{}, err
 	}

@@ -1,6 +1,6 @@
 // Package pt2pt provides nonblocking MPI point-to-point messages
-// (Isend/Irecv with tag matching) over the provider-neutral
-// active-message layer. It is the substrate of the layered partitioned
+// (Isend/Irecv with tag matching) over the UCX-like active-message
+// layer (internal/ucx). It is the substrate of the layered partitioned
 // library (internal/mpipcl), which sends every user partition as one
 // ordinary tagged message.
 //
@@ -40,7 +40,7 @@ const maxTag = 1 << 30
 // (it owns the rank's "pt2pt" transport channel).
 type Comm struct {
 	r  *mpi.Rank
-	pv xport.Provider
+	pv *xport.Provider
 	tr *ucx.Transport
 
 	// posted holds unmatched receive requests in post order.
@@ -101,17 +101,12 @@ type RecvReq struct {
 	landing xport.Mem
 }
 
-// New creates the point-to-point engine for a rank over the named
-// transport provider (see mpi.Rank.Provider: the empty string selects
-// "verbs"). The engine's transport lives on the "pt2pt" control channel,
-// so it coexists with the partitioned module's transport on the same rank
-// (two workers).
-func New(r *mpi.Rank, provider string) (*Comm, error) {
-	pv, err := r.Provider(provider)
-	if err != nil {
-		return nil, err
-	}
-	tr := ucx.New(r, pv, "pt2pt")
+// New creates the point-to-point engine for a rank. The engine's
+// active-message transport lives on the "pt2pt" control channel, so it
+// coexists with the partitioned module's on the same rank (two workers).
+func New(r *mpi.Rank) (*Comm, error) {
+	pv := r.Transport()
+	tr := ucx.New(r, "pt2pt")
 	c := &Comm{r: r, pv: pv, tr: tr}
 	mr, err := pv.RegMem(make([]byte, 1<<20))
 	if err != nil {

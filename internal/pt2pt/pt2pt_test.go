@@ -21,7 +21,7 @@ func newEnv(nodes int) *env {
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(nodes)})
 	e := &env{w: w}
 	for i := 0; i < nodes; i++ {
-		c, err := New(w.Rank(i), "")
+		c, err := New(w.Rank(i))
 		if err != nil {
 			panic(err)
 		}

@@ -67,8 +67,6 @@ type Proc struct {
 // proc scheduling (Spawn, Sleep, cond wakeups, resource handoff) goes
 // through this one top-level function with the proc as the pre-bound
 // argument, so rescheduling a proc never allocates.
-//
-//partib:hotpath
 func fireDispatch(_ Time, arg any) { arg.(*Proc).dispatch() }
 
 // errProcExit is the sentinel panic value used by Exit for early return.
@@ -163,8 +161,6 @@ func (e *Engine) unlink(p *Proc) {
 
 // dispatch hands control to the proc and returns when it parks or exits.
 // It runs on the engine's event loop.
-//
-//partib:hotpath
 func (p *Proc) dispatch() {
 	if p.done {
 		return
@@ -175,7 +171,7 @@ func (p *Proc) dispatch() {
 		// assignment. Every wake is guarded by a consumed-once flag (cond
 		// waiter done, timer seq), so no stale dispatch event can still
 		// reference this proc.
-		p.e.procFree = append(p.e.procFree, p) //partlint:allow hotpathalloc amortized free-list growth
+		p.e.procFree = append(p.e.procFree, p)
 	}
 }
 

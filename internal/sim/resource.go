@@ -46,8 +46,6 @@ func (r *Resource) Queued() int { return len(r.queue) - r.head }
 func (r *Resource) Peak() int { return r.peak }
 
 // Acquire obtains a server, parking the proc FIFO if none is free.
-//
-//partib:hotpath
 func (r *Resource) Acquire(p *Proc) {
 	if r.tryAcquire(p) {
 		return
@@ -62,8 +60,6 @@ func (r *Resource) Acquire(p *Proc) {
 // Release that passes it a server starts the hold in the grant event, so
 // the proc is resumed once, when the hold ends, instead of at the grant
 // and again after its Sleep.
-//
-//partib:hotpath
 func (r *Resource) Hold(p *Proc, d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -76,8 +72,6 @@ func (r *Resource) Hold(p *Proc, d time.Duration) {
 }
 
 // tryAcquire takes a free server if there is one.
-//
-//partib:hotpath
 func (r *Resource) tryAcquire(p *Proc) bool {
 	if p.e != r.e {
 		// See Cond.Wait: a cross-engine park would be a cross-shard race.
@@ -97,8 +91,6 @@ func (r *Resource) tryAcquire(p *Proc) bool {
 // (noHold for Acquire). Off the per-event budget: the proc is about to
 // block anyway, and the queue's backing array is reused across drains
 // (see the queue field comment).
-//
-//partib:coldpath
 func (r *Resource) acquireSlow(p *Proc, hold time.Duration) {
 	p.hold = hold
 	r.queue = append(r.queue, p)
@@ -141,8 +133,6 @@ func (r *Resource) Release() {
 // (at, seq) and the proc stays parked until it. The grant replaces the
 // dispatch event and the wake-up the Sleep's, so the event count is the
 // one Acquire-then-Sleep gives.
-//
-//partib:hotpath
 func fireGrant(now Time, arg any) {
 	p := arg.(*Proc)
 	p.e.scheduleCall(now.Add(p.hold), fireDispatch, p)

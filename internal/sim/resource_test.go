@@ -322,8 +322,8 @@ func TestResourceHandoffMatchesAcquireSleep(t *testing.T) {
 }
 
 // TestResourceHoldSteadyStateZeroAllocs is the allocation gate on the
-// grant hand-off: two procs alternate on one server, so every Hold and
-// every Use queues behind the other proc's hold and is granted by its
+// grant hand-off: two procs alternate on one server, so every Hold, Use
+// and Acquire queues behind the other proc's hold and is granted by its
 // Release.
 func TestResourceHoldSteadyStateZeroAllocs(t *testing.T) {
 	e := NewEngine()
@@ -339,15 +339,20 @@ func TestResourceHoldSteadyStateZeroAllocs(t *testing.T) {
 	contended, total := 0, 0
 	e.Spawn("holder", func(p *Proc) {
 		round := func() {
-			for _, use := range []bool{false, true} {
+			for _, how := range [...]string{"hold", "use", "acquire"} {
 				total++
 				if r.InUse() == r.Servers() {
 					contended++
 				}
-				if use {
-					r.Use(p, time.Microsecond)
-				} else {
+				switch how {
+				case "hold":
 					r.Hold(p, time.Microsecond)
+					r.Release()
+				case "use":
+					r.Use(p, time.Microsecond)
+				case "acquire":
+					r.Acquire(p)
+					p.Sleep(time.Microsecond)
 					r.Release()
 				}
 			}
@@ -360,7 +365,7 @@ func TestResourceHoldSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("contended Hold and Use allocate %.1f/round, want 0", allocs)
+		t.Errorf("contended Hold, Use and Acquire allocate %.1f/round, want 0", allocs)
 	}
 	if contended != total {
 		t.Errorf("%d of %d acquisitions found the server busy, want all", contended, total)

@@ -325,14 +325,13 @@ func (s *ShardSet) Stats() ShardStats {
 // reach src no earlier than that, and nothing else bounds src when every
 // other shard is idle.
 //
-//partib:hotpath
 //partib:role producer
 func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
 	if at < s.endOf[dst] {
-		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead (window of shard %d ends %v)", at, dst, s.endOf[dst])) //partlint:allow hotpathalloc fatal lookahead violation
+		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead (window of shard %d ends %v)", at, dst, s.endOf[dst]))
 	}
 	mb := &s.mail[src][dst]
-	mb.buf = append(mb.buf, post{at: at, fire: fire, arg: arg}) //partlint:allow hotpathalloc amortized; mailbox buffers are reused
+	mb.buf = append(mb.buf, post{at: at, fire: fire, arg: arg})
 	if at < mb.minAt {
 		mb.minAt = at
 	}
@@ -353,7 +352,6 @@ func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
 // consumer performs only reads here, so producers appending same-hop posts
 // past the snapshots never race with it.
 //
-//partib:hotpath
 //partib:role consumer
 func (s *ShardSet) drainInto(dst int) {
 	e := s.engines[dst]
@@ -442,7 +440,6 @@ func (s *ShardSet) drain() bool {
 // the claim won, not from a reload: by the time this shard finishes, the
 // last finisher may already have opened a later hop.
 //
-//partib:hotpath
 //partib:role consumer
 func (s *ShardSet) runShard(i int, bound int64) {
 	e := s.engines[i]
@@ -466,7 +463,6 @@ func (s *ShardSet) runShard(i int, bound int64) {
 // gate) either reads the zeroed bound and leaves, or reads the new word —
 // published after the new engaged set — and simply joins the new hop.
 //
-//partib:hotpath
 //partib:role consumer
 func (s *ShardSet) claimLoop() {
 	for {
@@ -537,7 +533,6 @@ func (s *ShardSet) computeBounds() {
 // per event, so it is the allocation-budget boundary: the engaged-set
 // append below reuses the slice's backing array across hops.
 //
-//partib:coldpath
 //partib:role transition
 func (s *ShardSet) transition(afterHop bool) {
 	// Close the claim gate before touching any hop state: from here until

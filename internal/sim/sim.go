@@ -283,11 +283,9 @@ func (e *Engine) Pending() int { return e.pending }
 // does one event allocation per *concurrent* event rather than one per
 // scheduled event. The seq field doubles as an identity generation —
 // Timer.Stop compares it to detect recycled events.
-//
-//partib:hotpath
 func (e *Engine) alloc(at Time) *event {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now)) //partlint:allow hotpathalloc fatal engine-usage bug
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
@@ -295,7 +293,7 @@ func (e *Engine) alloc(at Time) *event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = new(event) //partlint:allow hotpathalloc free-list miss; steady state recycles
+		ev = new(event)
 	}
 	ev.at, ev.seq, ev.cancelled = at, e.seq, false
 	e.seq++
@@ -305,8 +303,6 @@ func (e *Engine) alloc(at Time) *event {
 }
 
 // insert places the event in the tier matching its distance from now.
-//
-//partib:hotpath
 func (e *Engine) insert(ev *event) {
 	ev.queued = true
 	if ev.at == e.now {
@@ -347,8 +343,6 @@ func (e *Engine) insert(ev *event) {
 
 // bucketPut inserts the event into its tick's bucket with an O(1) tail
 // append, or into its sub-chain if the tick is the split one.
-//
-//partib:hotpath
 func (e *Engine) bucketPut(tk int64, ev *event) {
 	e.statBucket++
 	if tk == e.cursor && e.subOcc != 0 {
@@ -401,8 +395,6 @@ func (e *Engine) reanchor(tk int64) {
 // O(1). Bucket chains are unsorted: the order is settled when the cursor
 // reaches the tick (split). It does not touch the placement stats
 // (reanchor and refill migrations reuse it).
-//
-//partib:hotpath
 func (e *Engine) relink(tk int64, ev *event) {
 	i := int(tk & bucketMask)
 	ev.next = nil
@@ -419,8 +411,6 @@ func (e *Engine) relink(tk int64, ev *event) {
 // sub-chains, recycling cancelled events on the way. Every bucketed event
 // passes through here before it fires, so this is where MaxBucket is
 // recorded.
-//
-//partib:hotpath
 func (e *Engine) split(ev *event) {
 	i := int(e.cursor & bucketMask)
 	e.buckets[i], e.tails[i] = nil, nil
@@ -453,8 +443,6 @@ func (e *Engine) split(ev *event) {
 // keeping the chain sorted by (at, seq). The tail check makes the
 // dominant monotone insertion orders O(1); out-of-order arrivals walk the
 // (few) events of one sub-tick to their slot.
-//
-//partib:hotpath
 func (e *Engine) subPut(ev *event) {
 	s := subOf(ev.at)
 	if t := e.subT[s]; t == nil {
@@ -503,10 +491,8 @@ func (e *Engine) spill() {
 
 // farPush inserts the event into the 4-ary min-heap (hole-based sift-up,
 // monomorphic comparisons — no container/heap interface dispatch).
-//
-//partib:hotpath
 func (e *Engine) farPush(ev *event) {
-	h := append(e.far, ev) //partlint:allow hotpathalloc amortized; far heap is pre-sized
+	h := append(e.far, ev)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -521,8 +507,6 @@ func (e *Engine) farPush(ev *event) {
 }
 
 // farPop removes and returns the heap minimum (hole-based 4-ary sift-down).
-//
-//partib:hotpath
 func (e *Engine) farPop() *event {
 	h := e.far
 	n := len(h) - 1
@@ -563,8 +547,6 @@ func (e *Engine) farPop() *event {
 // migrates every far event inside the new window into its bucket. Must only
 // be called when ring and buckets are empty (the far heap is otherwise
 // never consulted: every bucketed event precedes every far event).
-//
-//partib:hotpath
 func (e *Engine) refill() {
 	tk := tickOf(e.far[0].at)
 	e.anchor, e.cursor = tk, tk
@@ -580,8 +562,6 @@ func (e *Engine) refill() {
 }
 
 // ringPop removes and returns the ring head.
-//
-//partib:hotpath
 func (e *Engine) ringPop() *event {
 	ev := e.ringH
 	e.ringH = ev.next
@@ -597,8 +577,6 @@ func (e *Engine) ringPop() *event {
 // as needed. The returned slot locates the event for take: -1 means the
 // ring head, otherwise the event is the head of that sub-chain of the
 // split tick. Returns nil when no live events remain.
-//
-//partib:hotpath
 func (e *Engine) next() (ev *event, slot int) {
 	// Drop cancelled events from the ring head so the head is live.
 	for e.ringH != nil && e.ringH.cancelled {
@@ -671,8 +649,6 @@ func (e *Engine) next() (ev *event, slot int) {
 
 // take removes the event located by next (always a chain head) from its
 // tier.
-//
-//partib:hotpath
 func (e *Engine) take(ev *event, slot int) {
 	if slot < 0 {
 		e.ringPop()
@@ -689,8 +665,6 @@ func (e *Engine) take(ev *event, slot int) {
 
 // fireEvent executes an event taken from its tier: it advances the clock
 // to the event and runs its callback.
-//
-//partib:hotpath
 func (e *Engine) fireEvent(ev *event) {
 	fire, arg := e.retire(ev)
 	fire(e.now, arg)
@@ -700,8 +674,6 @@ func (e *Engine) fireEvent(ev *event) {
 // shared by fireEvent and a proc's in-place wake-up (wakeInPlace): advance
 // the clock to the event, count it executed and recycle it. It returns the
 // callback, which recycling drops from the event.
-//
-//partib:hotpath
 func (e *Engine) retire(ev *event) (func(Time, any), any) {
 	if ev.at != e.now {
 		e.now = ev.at
@@ -723,8 +695,6 @@ func (e *Engine) retire(ev *event) (func(Time, any), any) {
 // whether it did; the caller parks otherwise. Event order stays (at, seq)
 // and ev counts as executed, so the timeline and Events are those of the
 // park-and-resume path.
-//
-//partib:hotpath
 func (e *Engine) wakeInPlace(ev *event) bool {
 	if e.err != nil {
 		return false
@@ -755,8 +725,6 @@ func fireFunc(_ Time, a any) { a.(func())() }
 // scheduleCall enqueues the typed callback fire(now, arg) to run at time
 // at. Because fire is a shared top-level function and arg a pre-bound
 // pointer, steady-state scheduling through this path allocates nothing.
-//
-//partib:hotpath
 func (e *Engine) scheduleCall(at Time, fire func(Time, any), arg any) *event {
 	ev := e.alloc(at)
 	ev.fire, ev.arg = fire, arg
@@ -770,8 +738,6 @@ func (e *Engine) scheduleCall(at Time, fire func(Time, any), arg any) *event {
 // then be at least one lookahead past the posting event (the shard set
 // asserts at ≥ window end and panics otherwise — a violation means the
 // lookahead bound is wrong and conservative execution is unsound).
-//
-//partib:hotpath
 func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {
 	if dst == e || e.shard == nil || dst.shard != e.shard {
 		// Same engine, serial simulation, or an engine outside the set
@@ -796,8 +762,6 @@ func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {
 // (false when the queue is empty): the calendar queue has already located
 // it to decide the window is over, so the shard barrier gets every
 // engine's next-event time for free instead of re-scanning the queue.
-//
-//partib:hotpath
 func (e *Engine) runWindow() (Time, bool) {
 	e.loop = loopBounded
 	for e.err == nil {
@@ -827,12 +791,10 @@ func (e *Engine) nextAt() (Time, bool) {
 
 // recycle returns a popped event to the free list. Callback and argument
 // references are dropped so captured state can be collected.
-//
-//partib:hotpath
 func (e *Engine) recycle(ev *event) {
 	ev.fire, ev.arg, ev.next = nil, nil, nil
 	ev.queued = false
-	e.free = append(e.free, ev) //partlint:allow hotpathalloc amortized free-list growth
+	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run at the absolute virtual time at.
@@ -919,8 +881,6 @@ func (t *Timer) When() Time { return t.at }
 // RunUntil or a ShardSet (see Proc.Sleep). Exited procs' shells keep
 // their coroutines until a Run or RunUntil returns, so an engine driven by
 // Step alone should end with one of those.
-//
-//partib:hotpath
 func (e *Engine) Step() bool {
 	ev, slot := e.next()
 	if ev == nil {

@@ -16,11 +16,9 @@
 // engine. Connections are established lazily per destination with a
 // control-plane handshake, like UCX wireup.
 //
-// The engine is provider-neutral: it speaks only the transport SPI
-// (internal/xport), so the same protocol machine runs over the verbs
-// device and the shared-memory loopback. Its clients (the baseline
-// strategy in internal/core, internal/pt2pt, internal/netgauge) build it
-// with New over the rank's provider.
+// The engine posts its work through the rank's transport
+// (internal/xport). Its clients (the baseline strategy in internal/core,
+// internal/pt2pt, internal/netgauge) build it with New over a rank.
 package ucx
 
 import (
@@ -28,14 +26,20 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
 
-// The protocol thresholds come from the provider (xport.Caps); the costs
-// and resource counts below are fixed properties of the modelled
-// middleware.
+// The protocol thresholds, costs and resource counts below are fixed
+// properties of the modelled middleware.
 const (
+	// bcopyMax is the largest payload sent through the bounce-copy path
+	// (the eager/bcopy threshold the paper observes at 1 KiB).
+	bcopyMax = 1 << 10
+	// rndvThreshold is the largest eager payload; above it the rendezvous
+	// protocol runs.
+	rndvThreshold = 32 << 10
 	// copyByteTime is the memcpy cost in ns/B for bcopy staging and
 	// receive-side copy-out (20 GB/s).
 	copyByteTime = 0.05
@@ -100,14 +104,8 @@ type RndvDone func(from int, header uint64, size int)
 // (header, payload) to the destination's handler from its progress
 // engine, selecting an eager or rendezvous protocol by size.
 type Transport struct {
-	host xport.Host
-	pv   xport.Provider
-
-	// bcopyMax is the largest payload sent through the bounce-copy path;
-	// rndvThreshold is the largest eager payload, above which the
-	// rendezvous protocol runs (the provider's Caps.EagerMax and
-	// Caps.RndvThreshold).
-	bcopyMax, rndvThreshold int
+	host *mpi.Rank
+	pv   *xport.Provider
 
 	eager      EagerHandler
 	rndvTarget RndvTarget
@@ -162,7 +160,7 @@ type creditMsg struct {
 // endpoint is the per-destination state.
 type endpoint struct {
 	dst   int
-	rails []xport.Endpoint
+	rails []*xport.Endpoint
 	rail  int // round-robin cursor over rails
 	ready bool
 
@@ -181,14 +179,14 @@ type endpoint struct {
 
 	// Receive bounce ring. recvWRs caches one receive WR per bounce slot:
 	// the gather list for a slot never changes and a slot is reposted only
-	// after its previous receive completed, so the same WR (with the
-	// provider's conversion cached in Prep) is posted every time without a
+	// after its previous receive completed, so the same WR (with its
+	// converted scatter list cached inside) is posted every time without a
 	// per-repost allocation.
 	bounce  xport.Mem
 	recvWRs []xport.RecvWR
 
-	// wrScratch is the reusable send work request: providers consume the
-	// WR itself before PostSend returns, so one in-progress post per
+	// wrScratch is the reusable send work request: PostSend consumes the
+	// WR itself before it returns, so one in-progress post per
 	// endpoint never aliases. The memory a WR gathers from is read when it
 	// lands, so it stays held until the WR completes: a staging slot
 	// returns to freeSlots only in onWC, and Quiescent stays false while a
@@ -233,17 +231,13 @@ type readOp struct {
 	seq    uint64
 }
 
-// New creates the transport for a rank over one of its providers, with
-// the provider's protocol thresholds (Caps.EagerMax and
-// Caps.RndvThreshold), and registers its control handlers. The channel
-// namespaces the transport's control messages so multiple transports (like
-// multiple UCX workers) can coexist on one rank. Create exactly one
-// transport per (rank, channel).
-func New(h xport.Host, pv xport.Provider, channel string) *Transport {
-	caps := pv.Caps()
+// New creates the transport over the rank's transport and registers its
+// control handlers. The channel namespaces the transport's control
+// messages so multiple transports (like multiple UCX workers) can coexist
+// on one rank. Create exactly one transport per (rank, channel).
+func New(h *mpi.Rank, channel string) *Transport {
 	t := &Transport{
-		host: h, pv: pv,
-		bcopyMax: caps.EagerMax, rndvThreshold: caps.RndvThreshold,
+		host: h, pv: h.Transport(),
 		eps: make(map[int]*endpoint),
 	}
 	t.kindConnect = channel + kindConnect
@@ -301,7 +295,7 @@ func (t *Transport) endpointFor(dst int) *endpoint {
 }
 
 // descsOf collects the wire descriptors of an endpoint's rails.
-func descsOf(rails []xport.Endpoint) []xport.Desc {
+func descsOf(rails []*xport.Endpoint) []xport.Desc {
 	descs := make([]xport.Desc, len(rails))
 	for i, r := range rails {
 		descs[i] = r.Desc()
@@ -315,9 +309,9 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 		dst:      dst,
 		slotOf:   make(map[uint64]int),
 		rndv:     make(map[uint64]bool),
-		slotSize: headerBytes + t.rndvThreshold,
+		slotSize: headerBytes + rndvThreshold,
 	}
-	ep.rails = make([]xport.Endpoint, rails)
+	ep.rails = make([]*xport.Endpoint, rails)
 	for i := range ep.rails {
 		rail, err := t.pv.NewEndpoint(xport.EndpointConfig{
 			MaxSendWR:    256,
@@ -357,7 +351,7 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 
 // nextRail round-robins rails for operations that need no eager credit
 // (rendezvous RDMA reads consume no remote receive WR).
-func (ep *endpoint) nextRail() xport.Endpoint {
+func (ep *endpoint) nextRail() *xport.Endpoint {
 	rail := ep.rails[ep.rail%len(ep.rails)]
 	ep.rail++
 	return rail
@@ -458,9 +452,9 @@ func (t *Transport) copyCost(n int) time.Duration {
 // len(data) <= the rendezvous threshold. Use SendMR for registered
 // payloads of any size.
 func (t *Transport) Send(p *sim.Proc, dst int, header uint64, data []byte) error {
-	if len(data) > t.rndvThreshold {
+	if len(data) > rndvThreshold {
 		return fmt.Errorf("%w: ucx: Send of %d B exceeds eager limit %d; use SendMR",
-			xport.ErrTooLong, len(data), t.rndvThreshold)
+			xport.ErrTooLong, len(data), rndvThreshold)
 	}
 	ep := t.endpointFor(dst)
 	// Stage into a scratch registered buffer via the normal path by
@@ -480,9 +474,9 @@ func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, o
 	}
 	ep := t.endpointFor(dst)
 	switch {
-	case length <= t.bcopyMax:
+	case length <= bcopyMax:
 		t.sendEager(p, ep, header, mem, off, mem.Bytes()[off:off+length], true)
-	case length <= t.rndvThreshold:
+	case length <= rndvThreshold:
 		t.sendEager(p, ep, header, mem, off, mem.Bytes()[off:off+length], false)
 	default:
 		t.sendRndv(p, ep, header, mem, off, length)
@@ -700,7 +694,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 		// protocol, inferred from the payload size) plus the copy-out of
 		// the bounce data.
 		am := amProcess
-		if len(payload) > t.bcopyMax {
+		if len(payload) > bcopyMax {
 			am = zcopyAMProcess
 		}
 		p.Sleep(am + t.copyCost(len(payload))) //partlint:allow callbackblock virtual-time charge in the cost model, not a park

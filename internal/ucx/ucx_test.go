@@ -13,8 +13,7 @@ import (
 	"repro/internal/xport"
 )
 
-// env wires a two-rank world with one transport per rank, over the verbs
-// provider (the package's historical substrate).
+// env wires a two-rank world with one transport per rank.
 type env struct {
 	w  *mpi.World
 	ts []*ucx.Transport
@@ -25,23 +24,15 @@ func newEnv(t *testing.T) *env {
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
 	e := &env{w: w}
 	for i := 0; i < 2; i++ {
-		pv, err := w.Rank(i).Provider("verbs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ts = append(e.ts, ucx.New(w.Rank(i), pv, "ucx"))
+		e.ts = append(e.ts, ucx.New(w.Rank(i), "ucx"))
 	}
 	return e
 }
 
-// regMem registers a buffer through a rank's verbs provider.
+// regMem registers a buffer through a rank's transport.
 func (e *env) regMem(t *testing.T, rank int, buf []byte) xport.Mem {
 	t.Helper()
-	pv, err := e.w.Rank(rank).Provider("verbs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := pv.RegMem(buf)
+	mr, err := e.w.Rank(rank).Transport().RegMem(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,13 @@
-// Conformance suite for transport providers: every backend must satisfy
-// the same SPI contract — connect/accept in either order, post-time
-// registration bounds, typed misuse errors, immediate round trips,
-// send-buffer ownership, outstanding-window enforcement, and in-order
-// completion delivery — so the layers above (core strategies, pt2pt,
-// mpipcl) can switch providers without caveats.
+// Conformance suite for the transport: connect/accept in either order,
+// post-time registration bounds, typed misuse errors, immediate round
+// trips, send-buffer ownership, outstanding-window enforcement, and
+// in-order completion delivery — the contract the layers above (core
+// strategies, ucx, pt2pt, mpipcl) rely on.
 package xport_test
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -19,67 +17,23 @@ import (
 	"repro/internal/xport"
 )
 
-// providers enumerates every backend under conformance. Intra-node
-// backends get both ranks on one node; fabric backends get one per node.
-var providers = []struct {
-	name      string
-	intraNode bool
-}{
-	{"verbs", false},
-	{"shm", true},
-}
-
-// TestRegisteredProviders pins the provider list to the two real
-// substrates, the verbs device and the shared-memory loopback, and the
-// empty name to the verbs instance.
-func TestRegisteredProviders(t *testing.T) {
-	if got, want := fmt.Sprint(mpi.Providers), "[shm verbs]"; got != want {
-		t.Fatalf("mpi.Providers = %s, want %s", got, want)
-	}
-	if len(providers) != len(mpi.Providers) {
-		t.Fatalf("conformance covers %d providers, mpi.Providers has %d", len(providers), len(mpi.Providers))
-	}
-	r := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(1)}).Rank(0)
-	def, err := r.Provider("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := r.Provider("verbs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != v {
-		t.Fatalf("Provider(\"\") = %p (%s), want the verbs instance %p", def, def.Name(), v)
-	}
-}
-
-// fixture is a two-rank world with one provider instance per rank.
+// fixture is a two-rank world, one rank per node, with each rank's
+// transport.
 type fixture struct {
 	w        *mpi.World
 	r0, r1   *mpi.Rank
-	pv0, pv1 xport.Provider
+	pv0, pv1 *xport.Provider
 }
 
-func newFixture(t *testing.T, name string, intra bool) *fixture {
-	t.Helper()
-	cfg := mpi.Config{Cluster: cluster.NiagaraConfig(2)}
-	if intra {
-		cfg = mpi.Config{Cluster: cluster.NiagaraConfig(1), RanksPerNode: 2}
-	}
-	w := mpi.NewWorld(cfg)
+func newFixture() *fixture {
+	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
 	f := &fixture{w: w, r0: w.Rank(0), r1: w.Rank(1)}
-	var err error
-	if f.pv0, err = f.r0.Provider(name); err != nil {
-		t.Fatal(err)
-	}
-	if f.pv1, err = f.r1.Provider(name); err != nil {
-		t.Fatal(err)
-	}
+	f.pv0, f.pv1 = f.r0.Transport(), f.r1.Transport()
 	return f
 }
 
 // regMem registers a buffer or fails the test.
-func regMem(t *testing.T, pv xport.Provider, buf []byte) xport.Mem {
+func regMem(t *testing.T, pv *xport.Provider, buf []byte) xport.Mem {
 	t.Helper()
 	m, err := pv.RegMem(buf)
 	if err != nil {
@@ -89,7 +43,7 @@ func regMem(t *testing.T, pv xport.Provider, buf []byte) xport.Mem {
 }
 
 // newEP mints an endpoint with the given completion sink.
-func newEP(t *testing.T, pv xport.Provider, cfg xport.EndpointConfig) xport.Endpoint {
+func newEP(t *testing.T, pv *xport.Provider, cfg xport.EndpointConfig) *xport.Endpoint {
 	t.Helper()
 	ep, err := pv.NewEndpoint(cfg)
 	if err != nil {
@@ -101,7 +55,7 @@ func newEP(t *testing.T, pv xport.Provider, cfg xport.EndpointConfig) xport.Endp
 func noComp(p *sim.Proc, c xport.Completion) {}
 
 // connectPair cross-connects two endpoints.
-func connectPair(t *testing.T, a, b xport.Endpoint) {
+func connectPair(t *testing.T, a, b *xport.Endpoint) {
 	t.Helper()
 	if err := a.Connect(b.Desc()); err != nil {
 		t.Fatal(err)
@@ -111,36 +65,14 @@ func connectPair(t *testing.T, a, b xport.Endpoint) {
 	}
 }
 
-func forEachProvider(t *testing.T, fn func(t *testing.T, f *fixture)) {
-	for _, pc := range providers {
-		pc := pc
-		t.Run(pc.name, func(t *testing.T) {
-			fn(t, newFixture(t, pc.name, pc.intraNode))
-		})
-	}
-}
-
-func TestConformanceCaps(t *testing.T) {
-	for _, pc := range providers {
-		pc := pc
-		t.Run(pc.name, func(t *testing.T) {
-			f := newFixture(t, pc.name, pc.intraNode)
-			caps := f.pv0.Caps()
-			if f.pv0.Name() != pc.name {
-				t.Errorf("Name() = %q", f.pv0.Name())
-			}
-			if caps.EagerMax <= 0 {
-				t.Errorf("non-positive eager max: %+v", caps)
-			}
-			if caps.RndvThreshold < caps.EagerMax {
-				t.Errorf("rendezvous threshold %d below eager max %d", caps.RndvThreshold, caps.EagerMax)
-			}
-		})
-	}
+// withFixture runs fn on a fresh fixture as a subtest named after the
+// transport under test.
+func withFixture(t *testing.T, fn func(t *testing.T, f *fixture)) {
+	t.Run("verbs", func(t *testing.T) { fn(t, newFixture()) })
 }
 
 func TestConformanceConnectOrder(t *testing.T) {
-	forEachProvider(t, func(t *testing.T, f *fixture) {
+	withFixture(t, func(t *testing.T, f *fixture) {
 		// An endpoint without a completion sink is a misconfiguration.
 		if _, err := f.pv0.NewEndpoint(xport.EndpointConfig{}); err == nil {
 			t.Error("NewEndpoint accepted nil OnCompletion")
@@ -183,12 +115,12 @@ func TestConformanceConnectOrder(t *testing.T) {
 		}
 
 		rbuf := regMem(t, f.pv1, make([]byte, 128))
-		for _, ep := range []xport.Endpoint{a1, b1} {
+		for _, ep := range []*xport.Endpoint{a1, b1} {
 			if err := ep.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: rbuf, Off: 0, Len: 128}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, ep := range []xport.Endpoint{a0, b0} {
+		for _, ep := range []*xport.Endpoint{a0, b0} {
 			if err := ep.PostSend(&xport.SendWR{
 				Op:       xport.OpSend,
 				Segs:     []xport.Seg{{Mem: mr, Off: 0, Len: 64}},
@@ -215,7 +147,7 @@ func TestConformanceConnectOrder(t *testing.T) {
 }
 
 func TestConformanceRegistrationBounds(t *testing.T) {
-	forEachProvider(t, func(t *testing.T, f *fixture) {
+	withFixture(t, func(t *testing.T, f *fixture) {
 		buf := make([]byte, 128)
 		mr := regMem(t, f.pv0, buf)
 		if mr.Len() != 128 || len(mr.Bytes()) != 128 {
@@ -249,18 +181,8 @@ func TestConformanceRegistrationBounds(t *testing.T) {
 	})
 }
 
-// foreignMem is a Mem that no provider registered.
-type foreignMem struct{ buf []byte }
-
-func (m foreignMem) Bytes() []byte { return m.buf }
-func (m foreignMem) Len() int      { return len(m.buf) }
-func (m foreignMem) Addr() uint64  { return 1 << 40 }
-func (m foreignMem) RKey() uint32  { return 1 }
-func (m foreignMem) Dereg() error  { return nil }
-
 // TestConformanceMisuseErrors pins the typed-error contract: every misuse
-// fails with its SPI error class, so callers test it with errors.Is
-// whichever provider they run on.
+// fails with its error class, so callers test it with errors.Is.
 func TestConformanceMisuseErrors(t *testing.T) {
 	// untilErr repeats post n times and returns the first error.
 	untilErr := func(n int, post func() error) error {
@@ -272,7 +194,7 @@ func TestConformanceMisuseErrors(t *testing.T) {
 		return nil
 	}
 	// pair mints a connected endpoint pair with the given queue depths.
-	pair := func(t *testing.T, f *fixture, sendWR, recvWR int) (xport.Endpoint, xport.Endpoint) {
+	pair := func(t *testing.T, f *fixture, sendWR, recvWR int) (*xport.Endpoint, *xport.Endpoint) {
 		ep0 := newEP(t, f.pv0, xport.EndpointConfig{MaxSendWR: sendWR, OnCompletion: noComp})
 		ep1 := newEP(t, f.pv1, xport.EndpointConfig{MaxRecvWR: recvWR, OnCompletion: noComp})
 		connectPair(t, ep0, ep1)
@@ -327,40 +249,34 @@ func TestConformanceMisuseErrors(t *testing.T) {
 				return ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: mr, Len: 64}}})
 			})
 		}},
-		{"foreign descriptor", xport.ErrBadDesc, func(t *testing.T, f *fixture) error {
-			lone := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-			return lone.Connect("not a descriptor")
-		}},
-		{"foreign memory", xport.ErrForeignMem, func(t *testing.T, f *fixture) error {
+		// Both HCAs hand out the same first keys and base address, so a
+		// region of rank 1 would resolve to rank 0's own region on rank
+		// 0's endpoint and put the wrong bytes on the wire.
+		{"another rank's memory", xport.ErrForeignMem, func(t *testing.T, f *fixture) error {
 			ep0, _ := pair(t, f, 0, 0)
-			m := foreignMem{buf: make([]byte, 64)}
-			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: m, Len: 64}}})
+			regMem(t, f.pv0, make([]byte, 64))
+			theirs := regMem(t, f.pv1, make([]byte, 64))
+			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: theirs, Len: 64}}})
+		}},
+		{"another rank's memory on receive", xport.ErrForeignMem, func(t *testing.T, f *fixture) error {
+			_, ep1 := pair(t, f, 0, 0)
+			regMem(t, f.pv1, make([]byte, 64))
+			theirs := regMem(t, f.pv0, make([]byte, 64))
+			return ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: theirs, Len: 64}}})
 		}},
 	}
-	for _, pc := range providers {
-		for _, tc := range cases {
-			t.Run(pc.name+"/"+tc.name, func(t *testing.T) {
-				err := tc.misuse(t, newFixture(t, pc.name, pc.intraNode))
-				if !errors.Is(err, tc.want) {
-					t.Fatalf("err = %v, want one wrapping %v", err, tc.want)
-				}
-			})
-		}
+	for _, tc := range cases {
+		t.Run("verbs/"+tc.name, func(t *testing.T) {
+			err := tc.misuse(t, newFixture())
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want one wrapping %v", err, tc.want)
+			}
+		})
 	}
-
-	// The intra-node provider refuses a peer on another node.
-	t.Run("shm/connect across nodes", func(t *testing.T) {
-		f := newFixture(t, "shm", false)
-		ep0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-		ep1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: noComp})
-		if err := ep0.Connect(ep1.Desc()); !errors.Is(err, xport.ErrCrossNode) {
-			t.Fatalf("err = %v, want one wrapping %v", err, xport.ErrCrossNode)
-		}
-	})
 }
 
 func TestConformanceImmRoundTrip(t *testing.T) {
-	forEachProvider(t, func(t *testing.T, f *fixture) {
+	withFixture(t, func(t *testing.T, f *fixture) {
 		const n = 1024
 		src := make([]byte, n)
 		for i := range src {
@@ -424,8 +340,8 @@ func TestConformanceImmRoundTrip(t *testing.T) {
 	})
 }
 
-// TestConformanceBufferOwnership pins the SendWR buffer contract on every
-// provider: an inline WR copies its payload when it is posted, so a later
+// TestConformanceBufferOwnership pins the SendWR buffer contract: an
+// inline WR copies its payload when it is posted, so a later
 // write to the buffer is invisible to the receiver; a non-inline WR reads
 // its payload when it lands, so a write between post and placement shows.
 func TestConformanceBufferOwnership(t *testing.T) {
@@ -438,7 +354,7 @@ func TestConformanceBufferOwnership(t *testing.T) {
 				name, want = op.String()+"/inline", 1
 			}
 			t.Run(name, func(t *testing.T) {
-				forEachProvider(t, func(t *testing.T, f *fixture) {
+				withFixture(t, func(t *testing.T, f *fixture) {
 					src := bytes.Repeat([]byte{1}, n)
 					dstBuf := make([]byte, n)
 					smr := regMem(t, f.pv0, src)
@@ -487,7 +403,7 @@ func TestConformanceBufferOwnership(t *testing.T) {
 }
 
 func TestConformanceOutstandingWindow(t *testing.T) {
-	forEachProvider(t, func(t *testing.T, f *fixture) {
+	withFixture(t, func(t *testing.T, f *fixture) {
 		const (
 			window = 2
 			posts  = 12
@@ -498,7 +414,7 @@ func TestConformanceOutstandingWindow(t *testing.T) {
 
 		done := 0
 		maxSeen := 0
-		var ep0 xport.Endpoint
+		var ep0 *xport.Endpoint
 		ep0 = newEP(t, f.pv0, xport.EndpointConfig{
 			MaxOutstanding: window,
 			OnCompletion: func(p *sim.Proc, c xport.Completion) {
@@ -544,7 +460,7 @@ func TestConformanceOutstandingWindow(t *testing.T) {
 }
 
 func TestConformanceCompletionOrdering(t *testing.T) {
-	forEachProvider(t, func(t *testing.T, f *fixture) {
+	withFixture(t, func(t *testing.T, f *fixture) {
 		const msgs = 8
 		src := make([]byte, 256*msgs)
 		for i := range src {

@@ -113,7 +113,7 @@ func NewJob(cfg JobConfig) (*World, error) {
 }
 
 // NewEngine creates the partitioned-communication module for a rank over
-// the default ("verbs") transport provider. Create exactly one per rank.
+// the rank's verbs transport. Create exactly one per rank.
 func NewEngine(r *Rank) (*Engine, error) { return core.NewEngine(r, "") }
 
 // NewGroup returns a Group bound to the job's engine, for joining
