@@ -75,15 +75,16 @@ test:
 # control arrivals at one port from senders on several shards.
 # The sim and sharded lines run at -cpu 1,2: procs are coroutines that any
 # shard worker may resume, so switches are exercised on one P and across
-# two. The ibv, xport and ucx line covers the verbs data path: a
-# non-inline WR's payload is read from the sender's memory when it lands,
-# which on a sharded run happens on the destination's engine; xport's
-# conformance suite runs here under the race detector, and pt2pt and
-# mpipcl are the other clients of the ucx transport. CI runs this target.
+# two. The ibv and ucx line covers the verbs data path: a non-inline WR's
+# payload is read from the sender's memory when it lands, which on a
+# sharded run happens on the destination's engine; ibv's contract tests
+# run here under the race detector (the mpi line above covers the rank's
+# device context and drain), and pt2pt and mpipcl are the other clients
+# of the ucx transport. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race ./internal/ibv/... ./internal/xport/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
+	$(GO) test -race ./internal/ibv/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/
@@ -92,10 +93,10 @@ race:
 # the *SteadyStateZeroAllocs tests measure that the sim scheduler (near,
 # far and sharded), procs and resources, the fabric on a single link and
 # on a routed fat-tree, the ibv data path, the mpi control plane, and a
-# core partitioned round (post, completion and xport's post and progress
-# path) make no steady-state allocation, and TestWorldSetupHeapPerRank
-# bounds the live heap a rank of a 256-rank sweep3d job holds after
-# setup. CI runs this target.
+# core partitioned round (core's post and completion paths, ibv posts and
+# the rank's progress drain) make no steady-state allocation, and
+# TestWorldSetupHeapPerRank bounds the live heap a rank of a 256-rank
+# sweep3d job holds after setup. CI runs this target.
 allocs:
 	$(GO) test -run SteadyStateZeroAllocs -v ./internal/sim/ ./internal/fabric/ ./internal/ibv/ ./internal/mpi/ ./internal/core/
 	$(GO) test -run TestWorldSetupHeapPerRank -v ./internal/bench/

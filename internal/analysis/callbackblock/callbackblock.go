@@ -7,8 +7,8 @@
 // waiters; anything that can park belongs on the caller side of the
 // completion boundary.
 //
-// Registration sites are recognized by shape: an OnCompletion field in a
-// composite literal (the xport.EndpointConfig pattern), and arguments to
+// Registration sites are recognized by shape: the function-valued
+// arguments of CreateQP (mpi.Rank's queue-pair completion handler),
 // SetEagerHandler, SetRndv, and HandleCtrl calls. The check follows
 // same-package calls transitively from each registered function, through
 // the package call graph (analysis.CallGraph).
@@ -34,6 +34,7 @@ var Analyzer = &analysis.Analyzer{
 // registrarCalls name the methods whose function-valued arguments become
 // progress-engine callbacks.
 var registrarCalls = map[string]bool{
+	"CreateQP":        true,
 	"SetEagerHandler": true,
 	"SetRndv":         true,
 	"HandleCtrl":      true,
@@ -57,20 +58,17 @@ func run(pass *analysis.Pass) error {
 			// package-level initializer.
 			encl, _ := d.(*ast.FuncDecl)
 			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "OnCompletion" {
-						c.checkCallbackExpr(encl, n.Value, "OnCompletion")
-					}
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok || !registrarCalls[sel.Sel.Name] {
-						return true
-					}
-					for _, arg := range n.Args {
-						if isFuncValued(pass, arg) {
-							c.checkCallbackExpr(encl, arg, sel.Sel.Name)
-						}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !registrarCalls[sel.Sel.Name] {
+					return true
+				}
+				for _, arg := range call.Args {
+					if isFuncValued(pass, arg) {
+						c.checkCallbackExpr(encl, arg, sel.Sel.Name)
 					}
 				}
 				return true

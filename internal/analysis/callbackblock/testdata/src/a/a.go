@@ -1,5 +1,5 @@
 // Package a is a callbackblock fixture: completion callbacks registered
-// through the three recognized shapes, containing each blocking class.
+// through the recognized registrars, containing each blocking class.
 package a
 
 import (
@@ -9,13 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-type EndpointConfig struct {
-	OnCompletion func(id uint64)
-}
-
-type Endpoint struct{ cfg EndpointConfig }
-
-func New(cfg EndpointConfig) *Endpoint { return &Endpoint{cfg: cfg} }
+type QPConfig struct{ MaxSendWR int }
 
 type engine struct {
 	mu   sync.Mutex
@@ -27,16 +21,17 @@ type engine struct {
 	seq  uint64
 }
 
-func (e *engine) SetEagerHandler(h func(src int, b []byte)) {}
-func (e *engine) SetRndv(h func(id uint64))                 {}
-func (e *engine) HandleCtrl(kind int, h func(pay uint64))   {}
+func (e *engine) CreateQP(cfg QPConfig, onWC func(p *sim.Proc, id uint64)) {}
+func (e *engine) SetEagerHandler(h func(src int, b []byte))                  {}
+func (e *engine) SetRndv(h func(id uint64))                                  {}
+func (e *engine) HandleCtrl(kind int, h func(pay uint64))                    {}
 
 func (e *engine) wire() {
-	_ = New(EndpointConfig{
-		OnCompletion: func(id uint64) {
-			e.ch <- id // want "channel send in completion callback"
-		},
+	e.CreateQP(QPConfig{}, func(p *sim.Proc, id uint64) {
+		p.Sleep(1) // want "blocking sim.Sleep in completion callback CreateQP callback"
+		e.ch <- id // want "channel send in completion callback"
 	})
+	e.CreateQP(QPConfig{MaxSendWR: 1}, e.onWC)
 	e.SetEagerHandler(e.onEager)
 	e.SetRndv(e.onRndv)
 	e.HandleCtrl(1, func(pay uint64) {
@@ -45,6 +40,16 @@ func (e *engine) wire() {
 		e.mu.Unlock()
 	})
 	e.HandleCtrl(2, e.onCtrlOK)
+}
+
+// onWC reaches a blocking helper through a QP completion handler
+// registered as a method value.
+func (e *engine) onWC(p *sim.Proc, id uint64) {
+	e.settle(p)
+}
+
+func (e *engine) settle(p *sim.Proc) {
+	e.cond.Wait() // want "blocking sim.Wait in completion callback onWC"
 }
 
 func (e *engine) onEager(src int, b []byte) {

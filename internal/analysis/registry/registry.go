@@ -10,7 +10,8 @@
 //     invariants apply.
 //   - detertaint runs on the packages reachable from the simulator's
 //     virtual clock: the engine strategies, the fabric, the models, the
-//     transports whose event callbacks feed the engines, and the
+//     transports whose event callbacks feed the engines, the rank
+//     progress engine that drains their completions, and the
 //     measurement/report layers that must stay replayable.
 //   - nopanic runs on the packages that adopted the typed-error
 //     contract; the simulator itself still panics on internal scheduler
@@ -43,7 +44,8 @@ func allRepro(path string) bool {
 // simReachable lists the packages whose behavior must be a pure function
 // of the seed and the event order. The transport and measurement layers
 // are in because their event callbacks feed the engines: the
-// cross-engine completion bug lived in the ibv completion queue.
+// cross-engine completion bug lived in the ibv completion queue, and mpi
+// drains those queues into the modules' handlers.
 var simReachable = map[string]bool{
 	"repro/internal/sim":    true,
 	"repro/internal/fabric": true,
@@ -55,8 +57,8 @@ var simReachable = map[string]bool{
 	// simulation; its output must replay from the seed alone.
 	"repro/internal/trace":       true,
 	"repro/internal/ibv":         true,
+	"repro/internal/mpi":         true,
 	"repro/internal/ucx":         true,
-	"repro/internal/xport":       true,
 	"repro/internal/netgauge":    true,
 	"repro/internal/experiments": true,
 	"repro/internal/pt2pt":       true,

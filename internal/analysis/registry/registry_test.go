@@ -109,6 +109,7 @@ func TestRegistryScopes(t *testing.T) {
 			"repro/internal/fabric",
 			"repro/internal/ibv",
 			"repro/internal/loggp",
+			"repro/internal/mpi",
 			"repro/internal/mpipcl",
 			"repro/internal/netgauge",
 			"repro/internal/pt2pt",
@@ -116,7 +117,6 @@ func TestRegistryScopes(t *testing.T) {
 			"repro/internal/sweep",
 			"repro/internal/trace",
 			"repro/internal/ucx",
-			"repro/internal/xport",
 		},
 		"nopanic": {
 			"repro/internal/core",

@@ -36,19 +36,23 @@
 //     mechanism of Section IV-D — the first Pready in a group sleeps up to
 //     δ and, on expiry, sends the largest contiguous ready runs so a
 //     laggard cannot hold back the whole group.
+//   - StrategyAdaptive: starts from the PLogGP plan and re-selects the
+//     aggregation design at each round boundary from the Pready arrival
+//     pattern it observed (see adaptive.go).
 //
-// The module posts its work through the rank's transport
-// (internal/xport) and never touches the device (internal/ibv) directly.
+// The module posts verbs work requests (internal/ibv) on queue pairs it
+// creates through its rank (mpi.Rank.CreateQP), whose progress engine
+// drains their completions.
 package core
 
 import (
 	"fmt"
 	"slices"
 
+	"repro/internal/ibv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/ucx"
-	"repro/internal/xport"
 )
 
 // EncodeImm packs (starting user partition, contiguous count) into the
@@ -70,7 +74,9 @@ const (
 	ctrlCredit = "part.credit"
 )
 
-// sinitMsg announces a Psend to its matching receiver.
+// sinitMsg announces a Psend to its matching receiver. Its qps, like
+// rinitMsg's, is the request's own slice: a request's queue pairs are
+// fixed once the message is sent, and the peer only reads them.
 type sinitMsg struct {
 	reqID     uint32
 	tag       int
@@ -78,16 +84,16 @@ type sinitMsg struct {
 	bytes     int
 	strategy  Strategy
 	transport int
-	descs     []xport.Desc
+	qps       []*ibv.QP
 }
 
-// rinitMsg answers with the receiver's buffer and endpoint descriptors.
+// rinitMsg answers with the receiver's buffer and queue pairs.
 type rinitMsg struct {
 	peerReq uint32 // the sender's request id
 	reqID   uint32 // the receiver's request id
 	addr    uint64
 	rkey    uint32
-	descs   []xport.Desc
+	qps     []*ibv.QP
 }
 
 // creditMsg grants the sender one round: the receiver has reset its
@@ -100,8 +106,7 @@ type creditMsg struct {
 // one per rank; it owns the module's control handlers and, once the rank
 // has a baseline request, its active-message transport.
 type Engine struct {
-	r  *mpi.Rank
-	pv *xport.Provider
+	r *mpi.Rank
 	// msgr carries baseline requests; messenger builds it on first use,
 	// so a rank with only aggregating requests never has one.
 	msgr *ucx.Transport
@@ -145,14 +150,14 @@ type pendingSinit struct {
 	msg  sinitMsg
 }
 
-// NewEngine builds the partitioned module for a rank over the rank's
-// transport. provider must be "verbs" or empty, the one transport there
-// is; any other name returns xport.ErrUnknownProvider (wrapped).
+// NewEngine builds the partitioned module for a rank. provider must be
+// "verbs" or empty, the one transport there is; any other name returns
+// ErrUnknownProvider (wrapped).
 func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
 	if provider != "" && provider != "verbs" {
-		return nil, fmt.Errorf("%w: %q (have verbs)", xport.ErrUnknownProvider, provider)
+		return nil, fmt.Errorf("%w: %q (have verbs)", ErrUnknownProvider, provider)
 	}
-	e := &Engine{r: r, pv: r.Transport()}
+	e := &Engine{r: r}
 	r.HandleCtrl(ctrlSinit, e.onSinit)
 	r.HandleCtrl(ctrlRinit, e.onRinit)
 	r.HandleCtrl(ctrlCredit, e.onCredit)
@@ -264,7 +269,7 @@ func (e *Engine) onBaselineEager(p *sim.Proc, from int, header uint64, data []by
 }
 
 // baselineRndvTarget resolves the landing zone of a rendezvous partition.
-func (e *Engine) baselineRndvTarget(from int, header uint64, size int) (xport.Mem, int, bool) {
+func (e *Engine) baselineRndvTarget(from int, header uint64, size int) (*ibv.MR, int, bool) {
 	recvReq, part := splitBaselineHeader(header)
 	pr := getReq(e.precvs, recvReq)
 	if pr == nil {
@@ -289,7 +294,7 @@ func (e *Engine) onBaselineRndvDone(from int, header uint64, size int) {
 }
 
 // match wires a matched (Psend, Precv) pair: the receiver creates its
-// endpoints, connects them against the sender's, and replies with its
+// queue pairs, connects them against the sender's, and replies with its
 // buffer coordinates. Runs at control-handler (event) context.
 func (e *Engine) match(pr *Precv, from int, msg sinitMsg) {
 	if msg.userParts != pr.userParts {
@@ -309,21 +314,19 @@ func (e *Engine) match(pr *Precv, from int, msg sinitMsg) {
 	if msg.strategy == StrategyBaseline {
 		e.messenger()
 	} else {
-		for i, sdesc := range msg.descs {
-			epIdx := i
-			ep, err := e.pv.NewEndpoint(xport.EndpointConfig{
-				MaxRecvWR:    pr.userParts + 16,
-				OnCompletion: func(p *sim.Proc, c xport.Completion) { pr.onComp(p, epIdx, c) },
-			})
+		for i, remote := range msg.qps {
+			qpIdx := i
+			qp, err := e.r.CreateQP(ibv.QPConfig{MaxRecvWR: pr.userParts + 16},
+				func(p *sim.Proc, wc ibv.WC) { pr.onComp(p, qpIdx, wc) })
 			if err != nil {
-				e.fail(fmt.Errorf("core: receiver NewEndpoint: %w", err))
+				e.fail(fmt.Errorf("core: receiver CreateQP: %w", err))
 				return
 			}
-			if err := ep.Connect(sdesc); err != nil {
+			if err := qp.Connect(remote); err != nil {
 				e.fail(fmt.Errorf("core: receiver Connect: %w", err))
 				return
 			}
-			pr.eps = append(pr.eps, ep)
+			pr.qps = append(pr.qps, qp)
 		}
 	}
 	pr.matched = true
@@ -332,19 +335,7 @@ func (e *Engine) match(pr *Precv, from int, msg sinitMsg) {
 		reqID:   pr.reqID,
 		addr:    pr.mr.Addr(),
 		rkey:    pr.mr.RKey(),
-		descs:   descsOf(pr.eps),
+		qps:     pr.qps,
 	})
 	e.r.Wake()
-}
-
-// descsOf collects the wire descriptors of a set of endpoints.
-func descsOf(eps []*xport.Endpoint) []xport.Desc {
-	if len(eps) == 0 {
-		return nil
-	}
-	descs := make([]xport.Desc, len(eps))
-	for i, ep := range eps {
-		descs[i] = ep.Desc()
-	}
-	return descs
 }

@@ -29,7 +29,13 @@ import (
 //   - ErrDuplicateArrival — a partition arrived twice in one round
 //   - ErrSetupMismatch — sender and receiver disagree on the request
 //     shape (partition count, buffer size, endpoint count)
+//
+// ErrUnknownProvider, returned by NewEngine, names a transport other than
+// the one there is.
 var (
+	// ErrUnknownProvider reports a NewEngine provider name other than
+	// "verbs".
+	ErrUnknownProvider = errors.New("core: unknown provider")
 	// ErrPartitionRange reports a partition index or range outside the
 	// request's [0, partitions) space.
 	ErrPartitionRange = errors.New("core: partition index out of range")

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 // TestNewEngineUnknownProvider: verbs is the one transport, so any other
@@ -15,8 +14,8 @@ import (
 // empty name both build.
 func TestNewEngineUnknownProvider(t *testing.T) {
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(3)})
-	if _, err := NewEngine(w.Rank(0), "shm"); !errors.Is(err, xport.ErrUnknownProvider) {
-		t.Fatalf("NewEngine(shm) error = %v, want one wrapping xport.ErrUnknownProvider", err)
+	if _, err := NewEngine(w.Rank(0), "shm"); !errors.Is(err, ErrUnknownProvider) {
+		t.Fatalf("NewEngine(shm) error = %v, want one wrapping ErrUnknownProvider", err)
 	}
 	for i, name := range []string{"verbs", ""} {
 		if _, err := NewEngine(w.Rank(i+1), name); err != nil {

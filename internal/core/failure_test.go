@@ -41,8 +41,8 @@ func TestReceiverQPErrorSurfaces(t *testing.T) {
 			}
 			pr.Start(p)
 			// Sabotage: flip the first receive QP to the error state
-			// before data lands. Desc is the queue pair itself.
-			pr.eps[0].Desc().SetError()
+			// before data lands.
+			pr.qps[0].SetError()
 			waitErr = pr.Wait(p)
 		}
 	})

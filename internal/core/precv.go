@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/ibv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 // Precv is a persistent partitioned receive request.
@@ -15,7 +15,7 @@ type Precv struct {
 	r *mpi.Rank
 
 	buf       []byte
-	mr        xport.Mem
+	mr        *ibv.MR
 	userParts int
 	partBytes int
 	source    int
@@ -27,22 +27,19 @@ type Precv struct {
 	// Filled at match time from the sender's announcement.
 	strategy  Strategy
 	transport int
-	eps       []*xport.Endpoint
+	qps       []*ibv.QP
 	matched   bool
 
 	arrived      []bool
 	arrivedCount int
 	round        int
 
-	// availWRs counts receive WRs posted but not yet consumed, per
-	// endpoint; Start tops each queue up to its worst-case need.
+	// availWRs counts receive WRs posted but not yet consumed, per QP;
+	// Start tops each queue up to its worst-case need.
 	availWRs []int
-	// needWRs is Start's per-endpoint replenish target, computed once (the
-	// plan is fixed after matching) so re-arming allocates nothing.
+	// needWRs is Start's per-QP replenish target, computed once (the plan
+	// is fixed after matching) so re-arming allocates nothing.
 	needWRs []int
-	// recvWRs are the cached receive work requests, one per endpoint,
-	// reposted in place (each keeps its converted scatter list).
-	recvWRs []xport.RecvWR
 }
 
 // PrecvInit initializes a persistent partitioned receive of buf from
@@ -58,7 +55,7 @@ func (e *Engine) PrecvInit(p *sim.Proc, buf []byte, partitions, source, tag int,
 	if source < 0 || source >= e.r.World().Size() {
 		return nil, fmt.Errorf("core: source rank %d out of range", source)
 	}
-	mr, err := e.pv.RegMem(buf)
+	mr, err := e.r.PD().RegMR(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -106,23 +103,22 @@ func (pr *Precv) Start(p *sim.Proc) error {
 
 	if pr.strategy != StrategyBaseline {
 		if pr.availWRs == nil {
-			pr.availWRs = make([]int, len(pr.eps))
-			pr.needWRs = make([]int, len(pr.eps))
-			pr.recvWRs = make([]xport.RecvWR, len(pr.eps))
+			pr.availWRs = make([]int, len(pr.qps))
+			pr.needWRs = make([]int, len(pr.qps))
 			groupSize := pr.userParts / pr.transport
 			for g := 0; g < pr.transport; g++ {
-				pr.needWRs[g%len(pr.eps)] += groupSize
-			}
-			for q := range pr.recvWRs {
-				pr.recvWRs[q] = xport.RecvWR{WRID: uint64(pr.reqID)<<32 | uint64(q)}
+				pr.needWRs[g%len(pr.qps)] += groupSize
 			}
 		}
 		need := pr.needWRs
 		recvPost := mpi.RecvPostOverhead
-		for q, ep := range pr.eps {
+		for q, qp := range pr.qps {
+			// RDMA_WRITE_WITH_IMM delivers only the immediate, so the
+			// receive WR needs no scatter list.
+			wr := ibv.RecvWR{WRID: uint64(pr.reqID)<<32 | uint64(q)}
 			for pr.availWRs[q] < need[q] {
 				p.Sleep(recvPost)
-				if err := ep.PostRecv(&pr.recvWRs[q]); err != nil {
+				if err := qp.PostRecv(wr); err != nil {
 					return fmt.Errorf("core: PostRecv: %w", err)
 				}
 				pr.availWRs[q]++
@@ -134,21 +130,21 @@ func (pr *Precv) Start(p *sim.Proc) error {
 }
 
 // onComp handles an arriving transport partition (receive completion on
-// one of the request's endpoints): the immediate encodes which contiguous
+// one of the request's QPs): the immediate encodes which contiguous
 // user partitions the WR carried. It runs once per RDMA_WRITE_WITH_IMM
 // inside the progress engine's completion drain, so it must not allocate;
 // failures are recorded on the engine through pre-built typed errors.
-func (pr *Precv) onComp(p *sim.Proc, epIdx int, c xport.Completion) {
-	if !c.OK() {
+func (pr *Precv) onComp(p *sim.Proc, qpIdx int, wc ibv.WC) {
+	if wc.Status != ibv.StatusSuccess {
 		pr.e.fail(errRecvCompletion)
 		return
 	}
-	if c.Op != xport.CompRecvImm || !c.HasImm {
+	if wc.Opcode != ibv.WCRecvRDMAWithImm || !wc.HasImm {
 		pr.e.fail(errRecvUnexpected)
 		return
 	}
-	start, count := DecodeImm(c.Imm)
-	pr.availWRs[epIdx]--
+	start, count := DecodeImm(wc.Imm)
+	pr.availWRs[qpIdx]--
 	if err := pr.markArrived(int(start), int(count)); err != nil {
 		pr.e.fail(err)
 	}

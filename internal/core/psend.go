@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/ibv"
 	"repro/internal/loggp"
 	"repro/internal/mpi"
 	"repro/internal/ploggp"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 // initModel is the PLogGP model every request plans with: the
@@ -32,7 +32,7 @@ type Psend struct {
 	plan Plan
 
 	buf       []byte
-	mr        xport.Mem
+	mr        *ibv.MR
 	userParts int
 	partBytes int
 	dest      int
@@ -41,11 +41,11 @@ type Psend struct {
 	reqID   uint32
 	peerReq uint32
 
-	eps []*xport.Endpoint
-	// epLocks serialize concurrent Pready posters per endpoint; unlike
-	// the baseline's library-wide lock, contention only arises between
-	// group-completing threads that share an endpoint.
-	epLocks []*sim.Resource
+	qps []*ibv.QP
+	// qpLocks serialize concurrent Pready posters per QP; unlike the
+	// baseline's library-wide lock, contention only arises between
+	// group-completing threads that share a QP.
+	qpLocks []*sim.Resource
 	// flagLock models the contended cache line of the arrival-flag array:
 	// concurrent Pready callers take turns on the atomic add-and-fetch,
 	// the effect the paper points to when explaining why minimum delta
@@ -67,15 +67,13 @@ type Psend struct {
 	// static strategies.
 	adapt *adaptiveState
 
-	// segScratch backs the one-element gather list of every posted WR.
+	// sgeScratch backs the one-element gather list of every posted WR.
 	// PostSend consumes the list itself before returning (no park between
 	// filling the scratch and the post), so one scratch per request
 	// suffices and postRun allocates no slice per WR. The partition bytes
 	// it names are read when they land; MPI already forbids touching them
 	// before Wait, which returns only after every WR has completed.
-	segScratch [1]xport.Seg
-	// wrScratch is the reusable work request postRun posts through.
-	wrScratch xport.SendWR
+	sgeScratch [1]ibv.SGE
 }
 
 // sendGroup is the per-transport-partition send state for one round.
@@ -93,7 +91,7 @@ type sendGroup struct {
 
 // PsendInit initializes a persistent partitioned send of buf, split into
 // the given number of equal user partitions, to (dest, tag). Everything
-// here is non-blocking: endpoint connection and matching complete
+// here is non-blocking: queue-pair connection and matching complete
 // asynchronously, and the first Start polls until the remote buffer is
 // ready (paper Section IV-A).
 func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, opts Options) (*Psend, error) {
@@ -110,7 +108,7 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 	if err != nil {
 		return nil, err
 	}
-	mr, err := e.pv.RegMem(buf)
+	mr, err := e.r.PD().RegMR(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -136,20 +134,19 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 	if opts.Strategy == StrategyBaseline {
 		e.messenger()
 	} else {
-		// Transport partitions spread over the plan's endpoints; the SQ
-		// must hold a worst-case round (every user partition its own WR
-		// under the timer strategy).
+		// Transport partitions spread over the plan's QPs; the SQ must
+		// hold a worst-case round (every user partition its own WR under
+		// the timer strategy).
 		for i := 0; i < plan.QPs; i++ {
-			ep, err := e.pv.NewEndpoint(xport.EndpointConfig{
+			qp, err := e.r.CreateQP(ibv.QPConfig{
 				MaxSendWR:      partitions + 16,
 				MaxOutstanding: opts.MaxOutstandingPerQP,
-				OnCompletion:   ps.onSendComp,
-			})
+			}, ps.onSendComp)
 			if err != nil {
 				return nil, err
 			}
-			ps.eps = append(ps.eps, ep)
-			ps.epLocks = append(ps.epLocks, sim.NewResource(e.r.Engine(), 1))
+			ps.qps = append(ps.qps, qp)
+			ps.qpLocks = append(ps.qpLocks, sim.NewResource(e.r.Engine(), 1))
 		}
 	}
 	e.r.SendCtrl(dest, ctrlSinit, sinitMsg{
@@ -159,7 +156,7 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 		bytes:     len(buf),
 		strategy:  opts.Strategy,
 		transport: plan.Transport,
-		descs:     descsOf(ps.eps),
+		qps:       ps.qps,
 	})
 	return ps, nil
 }
@@ -171,13 +168,13 @@ func (ps *Psend) completeHandshake(msg rinitMsg) {
 	ps.remoteAddr = msg.addr
 	ps.remoteRKey = msg.rkey
 	if ps.opts.Strategy != StrategyBaseline {
-		if len(msg.descs) != len(ps.eps) {
+		if len(msg.qps) != len(ps.qps) {
 			ps.e.fail(fmt.Errorf("%w: endpoint count %d vs %d in handshake",
-				ErrSetupMismatch, len(msg.descs), len(ps.eps)))
+				ErrSetupMismatch, len(msg.qps), len(ps.qps)))
 			return
 		}
-		for i, ep := range ps.eps {
-			if err := ep.Connect(msg.descs[i]); err != nil {
+		for i, qp := range ps.qps {
+			if err := qp.Connect(msg.qps[i]); err != nil {
 				ps.e.fail(fmt.Errorf("core: sender Connect: %w", err))
 				return
 			}
@@ -375,25 +372,24 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	first := g.start + lo
 	bytes := count * ps.partBytes
 	off := first * ps.partBytes
-	epIdx := ps.plan.qpOf(ps.plan.groupOf(g.start))
-	ep := ps.eps[epIdx]
+	qpIdx := ps.plan.qpOf(ps.plan.groupOf(g.start))
+	qp := ps.qps[qpIdx]
 
 	// The WR was pre-built at init time (Section IV-B); posting is a
-	// doorbell under the endpoint's lock.
-	lock := ps.epLocks[epIdx]
+	// doorbell under the QP's lock.
+	lock := ps.qpLocks[qpIdx]
 	lock.Hold(p, mpi.PostOverhead)
-	ps.segScratch[0] = xport.Seg{Mem: ps.mr, Off: off, Len: bytes}
-	ps.wrScratch = xport.SendWR{
+	ps.sgeScratch[0] = ps.mr.SGEFor(off, bytes)
+	err := qp.PostSend(ibv.SendWR{
 		WRID:       uint64(ps.reqID)<<32 | uint64(uint32(first)),
-		Op:         xport.OpWriteImm,
-		Segs:       ps.segScratch[:],
+		Opcode:     ibv.OpRDMAWriteImm,
+		SGList:     ps.sgeScratch[:],
 		RemoteAddr: ps.remoteAddr + uint64(off),
 		RKey:       ps.remoteRKey,
 		Imm:        EncodeImm(uint16(first), uint16(count)),
 		Signaled:   true,
-		Inline:     ps.opts.UseInline && bytes <= ep.MaxInline(),
-	}
-	err := ep.PostSend(&ps.wrScratch)
+		Inline:     ps.opts.UseInline && bytes <= qp.MaxInline(),
+	})
 	lock.Release()
 	if err != nil {
 		return fmt.Errorf("core: PostSend transport partition: %w", err)
@@ -407,8 +403,8 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 // onSendComp accounts a completed transport-partition WR. It runs inside
 // the progress engine's completion drain, so the failure branch records a
 // pre-built error on the engine instead of formatting one.
-func (ps *Psend) onSendComp(p *sim.Proc, c xport.Completion) {
-	if !c.OK() {
+func (ps *Psend) onSendComp(p *sim.Proc, wc ibv.WC) {
+	if wc.Status != ibv.StatusSuccess {
 		ps.e.fail(errSendCompletion)
 		return
 	}

@@ -11,13 +11,9 @@
 // outstanding RDMA work requests (16), which is why the design spreads
 // transport partitions across multiple QPs rather than throttling.
 //
-// The data path is zero-copy like the hardware's: PostSend validates and
-// resolves the gather list but copies nothing, and the payload moves once,
+// The data path is zero-copy like the hardware's: the payload moves once,
 // from the requester's memory into the responder's, when its last byte
-// arrives. A non-inline WR's buffer therefore belongs to the device until
-// the WR completes. Inline WRs are copied at post time, as
-// IBV_SEND_INLINE promises, and an RDMA read snapshots the responder's
-// range when the request arrives there.
+// arrives (SendWR states who owns which buffer when).
 //
 // Faithful failure modes are part of the surface: posting to a QP in the
 // wrong state, overflowing the send queue, RDMA-writing to an unregistered

@@ -493,6 +493,8 @@ func TestPostSendValidation(t *testing.T) {
 		{"missing raddr", func(w *SendWR) { w.RemoteAddr = 0 }, ErrNoRemote},
 		{"bad lkey", func(w *SendWR) { w.SGList = []SGE{{Addr: p.sendMR.Addr(), Length: 10, LKey: 0xffff}} }, ErrBadLKey},
 		{"sge overrun", func(w *SendWR) { w.SGList = []SGE{p.sendMR.SGEFor(1000, 100)} }, ErrMRBounds},
+		{"sge past the end", func(w *SendWR) { w.SGList = []SGE{p.sendMR.SGEFor(1025, 1)} }, ErrMRBounds},
+		{"sge at negative offset", func(w *SendWR) { w.SGList = []SGE{p.sendMR.SGEFor(-1, 16)} }, ErrMRBounds},
 		{"sge before region", func(w *SendWR) { w.SGList = []SGE{{Addr: p.sendMR.Addr() - 1, Length: 10, LKey: p.sendMR.LKey()}} }, ErrMRBounds},
 	}
 	for _, c := range cases {
@@ -791,7 +793,10 @@ func TestStringers(t *testing.T) {
 
 // TestMRKeyTableRejectsForeignKeys checks that the adapter's shared key
 // table resolves only the exact key of a live MR: a local lookup also
-// requires the poster's PD, and a remote one the responder QP's PD.
+// requires the poster's PD, and a remote one the responder QP's PD. Every
+// adapter hands out the same first key and address, so the receiver's MR
+// on the other HCA has the sender MR's very lkey and range: only the region
+// SGEFor recorded tells them apart.
 func TestMRKeyTableRejectsForeignKeys(t *testing.T) {
 	p := newPair(t, 64)
 	hca := p.sendPD.Context().HCA()
@@ -815,6 +820,7 @@ func TestMRKeyTableRejectsForeignKeys(t *testing.T) {
 		{"lkey past the end of the table", SGE{Addr: p.sendMR.Addr(), Length: 8, LKey: deadMR.LKey() + 2}},
 		{"lkey 0", SGE{Addr: p.sendMR.Addr(), Length: 8, LKey: 0}},
 		{"lkey of a deregistered MR", deadMR.SGEFor(0, 8)},
+		{"MR registered on another HCA", p.recvMR.SGEFor(0, 8)},
 	}
 	for _, c := range local {
 		err := p.sendQP.PostSend(SendWR{

@@ -102,19 +102,26 @@ type SGE struct {
 	Addr   uint64
 	Length int
 	LKey   uint32
+	// mr is the region SGEFor built the element from; nil for a literal,
+	// which resolves by key alone. Every adapter hands out the same keys
+	// and addresses, so a key cannot tell another adapter's region from a
+	// local one: resolveSGE checks the recorded region instead.
+	mr *MR
 }
 
-// SGEFor is a convenience constructor for the common one-region case: the
-// element covering buf[off : off+length].
+// SGEFor is the element covering buf[off : off+length] of the region.
 func (mr *MR) SGEFor(off, length int) SGE {
-	return SGE{Addr: mr.addr + uint64(off), Length: length, LKey: mr.lkey}
+	return SGE{Addr: mr.addr + uint64(off), Length: length, LKey: mr.lkey, mr: mr}
 }
 
 // resolveSGE validates an SGE against the PD and returns its bytes. The
-// lkey must name a live MR of this PD exactly: an rkey or another PD's
-// lkey is rejected.
+// lkey must name a live MR of this PD exactly: an rkey, another PD's lkey
+// or a region registered on another adapter is rejected.
 func (pd *PD) resolveSGE(sge SGE) ([]byte, error) {
-	mr := pd.ctx.hca.mrAt(sge.LKey)
+	mr := sge.mr
+	if mr == nil {
+		mr = pd.ctx.hca.mrAt(sge.LKey)
+	}
 	if mr == nil || mr.lkey != sge.LKey || mr.pd != pd || !mr.valid {
 		return nil, ErrBadLKey
 	}

@@ -71,6 +71,20 @@ func (o Opcode) String() string {
 }
 
 // SendWR is a send-side work request.
+//
+// Buffer ownership follows the verbs rule the paper's zero-copy design
+// relies on. PostSend reads the WR itself, and a send's or write's
+// SGList, before it returns, so both may be reused at once. The bytes the
+// SGEs name are different: a non-inline WR reads them when they land at
+// the responder, as the HCA reads user memory while it transmits, so the
+// caller must not modify them until the WR completes (MPI forbids
+// touching a partition between MPI_Pready and MPI_Wait in the layer
+// above). An Inline WR copies its payload at post time, as
+// IBV_SEND_INLINE promises, so its buffer is reusable as soon as PostSend
+// returns. An RDMA read is the exception: it keeps its SGList, which must
+// stay untouched until the WR completes, and scatters the responder's
+// range, snapshotted when the request arrives there, into it when the
+// response lands.
 type SendWR struct {
 	WRID       uint64
 	Opcode     Opcode
@@ -278,6 +292,18 @@ func (qp *QP) ToRTS() error {
 	return nil
 }
 
+// Connect binds the QP to its peer and moves it through RTR to RTS, the
+// rdma_connect shortcut. Each side creates its QP in INIT, sends it to the
+// peer over the control plane (the simulation's serialized QPN/LID pair),
+// and connects to the one it receives; work may be posted once Connect
+// succeeds locally.
+func (qp *QP) Connect(remote *QP) error {
+	if err := qp.ToRTR(remote); err != nil {
+		return err
+	}
+	return qp.ToRTS()
+}
+
 // SetError force-transitions the QP to the error state, flushing queued
 // work requests (for failure injection; hardware reaches this state on any
 // fatal completion).
@@ -342,12 +368,8 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 func (qp *QP) RecvQueueLen() int { return len(qp.rq) - qp.rqHead }
 
 // PostSend posts a send work request, as ibv_post_send does. The gather
-// list is validated and resolved now, so a bad SGE fails the post, but the
-// bytes it names are read only when they land at the responder, as the HCA
-// reads user memory while it transmits: the caller must not modify them
-// until the WR completes (MPI forbids touching a partition between
-// MPI_Pready and MPI_Wait in the layer above). An inline WR's payload is
-// copied here instead, so its buffer is reusable once PostSend returns.
+// list is validated and resolved now, so a bad SGE fails the post; when
+// its bytes are read is SendWR's ownership rule.
 func (qp *QP) PostSend(wr SendWR) error {
 	if qp.state != StateRTS {
 		return ErrBadState

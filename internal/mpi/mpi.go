@@ -1,8 +1,11 @@
 // Package mpi is the miniature MPI runtime the partitioned-communication
 // module (internal/core) plugs into: a world of ranks placed on cluster
-// nodes, a per-rank single-threaded progress engine with the try-lock
-// discipline the paper describes in Section IV-A, a control plane for
-// connection establishment and matching, and a barrier.
+// nodes, one verbs device context per rank (a protection domain and a
+// send and a receive CQ shared by every queue pair the rank's modules
+// create with Rank.CreateQP), a per-rank single-threaded progress engine
+// with the try-lock discipline the paper describes in Section IV-A that
+// drains those CQs into each queue pair's completion handler, a control
+// plane for connection establishment and matching, and a barrier.
 //
 // It is deliberately the substrate, not the contribution: point-to-point
 // data movement lives in internal/ucx and the MPI Partitioned interface in

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/ibv"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 func twoNodeWorld() *World {
@@ -199,45 +199,18 @@ func TestProgressTryLock(t *testing.T) {
 	w := twoNodeWorld()
 	r0, r1 := w.Rank(0), w.Rank(1)
 
-	// Wire an endpoint pair between rank 0 and rank 1 carrying one
-	// completion, through the ranks' transports.
-	pv0, pv1 := r0.Transport(), r1.Transport()
-	buf := make([]byte, 64)
-	mr0, err := pv0.RegMem(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf1 := make([]byte, 64)
-	mr1, err := pv1.RegMem(buf1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Wire a QP pair between rank 0 and rank 1 carrying one completion.
 	handled := 0
-	ep0, err := pv0.NewEndpoint(xport.EndpointConfig{
-		OnCompletion: func(p *sim.Proc, c xport.Completion) {},
-	})
-	if err != nil {
+	qp0, qp1 := qpPair(t, r0, r1, ibv.QPConfig{}, ibv.QPConfig{},
+		func(*sim.Proc, ibv.WC) {}, func(*sim.Proc, ibv.WC) { handled++ })
+	mr0 := regMR(t, r0, 64)
+	mr1 := regMR(t, r1, 64)
+	if err := qp1.PostRecv(ibv.RecvWR{}); err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := pv1.NewEndpoint(xport.EndpointConfig{
-		OnCompletion: func(p *sim.Proc, c xport.Completion) { handled++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep0.Connect(ep1.Desc()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ep1.Connect(ep0.Desc()); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := ep1.PostRecv(&xport.RecvWR{}); err != nil {
-		t.Fatal(err)
-	}
-	err = ep0.PostSend(&xport.SendWR{
-		Op:         xport.OpWriteImm,
-		Segs:       []xport.Seg{{Mem: mr0, Off: 0, Len: 64}},
+	err := qp0.PostSend(ibv.SendWR{
+		Opcode:     ibv.OpRDMAWriteImm,
+		SGList:     []ibv.SGE{mr0.SGEFor(0, 64)},
 		RemoteAddr: mr1.Addr(),
 		RKey:       mr1.RKey(),
 		Imm:        1,

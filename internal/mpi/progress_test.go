@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ibv"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 // BenchmarkProgressDrain times Rank.Progress draining receive completions
-// over the verbs transport: rank 0 writes batches of 256 immediates to
+// from the rank's CQs: rank 0 writes batches of 256 immediates to
 // rank 1, and once a batch has landed rank 1's progress engine drains it
 // (four CQ polls of 64). One op is one drained completion; posting and
 // the wire time of each batch run with the timer stopped.
@@ -17,40 +17,14 @@ func BenchmarkProgressDrain(b *testing.B) {
 	const batch = 256
 	w := twoNodeWorld()
 	r0, r1 := w.Rank(0), w.Rank(1)
-	pv0, pv1 := r0.Transport(), r1.Transport()
-	mr0, err := pv0.RegMem(make([]byte, 64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mr1, err := pv1.RegMem(make([]byte, 64))
-	if err != nil {
-		b.Fatal(err)
-	}
 	drained := 0
-	ep0, err := pv0.NewEndpoint(xport.EndpointConfig{
-		MaxSendWR:    batch,
-		OnCompletion: func(*sim.Proc, xport.Completion) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ep1, err := pv1.NewEndpoint(xport.EndpointConfig{
-		MaxRecvWR:    batch,
-		OnCompletion: func(*sim.Proc, xport.Completion) { drained++ },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ep0.Connect(ep1.Desc()); err != nil {
-		b.Fatal(err)
-	}
-	if err := ep1.Connect(ep0.Desc()); err != nil {
-		b.Fatal(err)
-	}
-	recv := xport.RecvWR{}
-	send := xport.SendWR{
-		Op:         xport.OpWriteImm,
-		Segs:       []xport.Seg{{Mem: mr0, Len: 8}},
+	qp0, qp1 := qpPair(b, r0, r1, ibv.QPConfig{MaxSendWR: batch}, ibv.QPConfig{MaxRecvWR: batch},
+		func(*sim.Proc, ibv.WC) {}, func(*sim.Proc, ibv.WC) { drained++ })
+	mr0 := regMR(b, r0, 64)
+	mr1 := regMR(b, r1, 64)
+	send := ibv.SendWR{
+		Opcode:     ibv.OpRDMAWriteImm,
+		SGList:     []ibv.SGE{mr0.SGEFor(0, 8)},
 		RemoteAddr: mr1.Addr(),
 		RKey:       mr1.RKey(),
 	}
@@ -63,11 +37,11 @@ func BenchmarkProgressDrain(b *testing.B) {
 			n := min(batch, b.N-done)
 			b.StopTimer()
 			for i := 0; i < n; i++ {
-				if err := ep1.PostRecv(&recv); err != nil {
+				if err := qp1.PostRecv(ibv.RecvWR{}); err != nil {
 					b.Error(err)
 					return
 				}
-				if err := ep0.PostSend(&send); err != nil {
+				if err := qp0.PostSend(send); err != nil {
 					b.Error(err)
 					return
 				}

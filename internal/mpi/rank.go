@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ibv"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 // ctrlEnvelope is the wire format of control-plane messages. Delivery is
@@ -19,17 +19,27 @@ type ctrlEnvelope struct {
 	data any
 }
 
-// Rank is one MPI process. Transport resources hang off the rank's
-// transport instance (Transport), whose completions are drained by the
-// rank's single progress engine.
+// Rank is one MPI process. It owns one device context on its node's HCA,
+// opened on first use (PD, CreateQP): one protection domain and one send
+// and one receive CQ shared by every queue pair a module on the rank
+// creates. The rank's single progress engine drains both CQs.
 type Rank struct {
 	w    *World
 	id   int
 	node *cluster.Node
 
-	// xp is the rank's transport, built on first use (Transport). Every
-	// module on the rank shares its device context.
-	xp *xport.Provider
+	// pd, sendCQ and recvCQ are the device context; nil until first use.
+	pd     *ibv.PD
+	sendCQ *ibv.CQ
+	recvCQ *ibv.CQ
+	// onWC routes completions by queue-pair number: the HCA numbers its
+	// QPs densely from 1, so QPN n sits at index n-1. Entries for QPs of
+	// other ranks on the same HCA stay nil.
+	onWC []func(p *sim.Proc, wc ibv.WC)
+	// wcs is the drain's batch buffer, allocated on the first drain so
+	// that setup does not pay for it. The progress try-lock rules out
+	// re-entry, so one buffer suffices.
+	wcs []ibv.WC
 
 	// progressBusy implements the paper's single-threaded progress engine:
 	// MPI_Parrived "tries to acquire a lock; if successful it progresses
@@ -93,14 +103,45 @@ func (r *Rank) Node() *cluster.Node { return r.node }
 // Engine returns the engine (shard) the rank's simulation state lives on.
 func (r *Rank) Engine() *sim.Engine { return r.node.Engine }
 
-// Transport returns the rank's transport, opening a device context on
-// the node's HCA on first use. All modules on the rank share the
-// instance, so they share its protection domain and completion queues.
-func (r *Rank) Transport() *xport.Provider {
-	if r.xp == nil {
-		r.xp = xport.New(r.node.HCA, r.id, r.Wake, WCProcess)
+// PD returns the rank's protection domain, opening the device context on
+// the node's HCA on first use. Every module on the rank registers its
+// memory here.
+func (r *Rank) PD() *ibv.PD {
+	if r.pd == nil {
+		ctx := r.node.HCA.Open()
+		r.pd = ctx.AllocPD()
+		r.sendCQ = ctx.CreateCQ(1 << 16)
+		r.recvCQ = ctx.CreateCQ(1 << 16)
+		// A landing completion wakes the rank, as a completion channel
+		// would, so WaitOn predicates re-evaluate.
+		r.sendCQ.SetNotify(r.Wake)
+		r.recvCQ.SetNotify(r.Wake)
 	}
-	return r.xp
+	return r.pd
+}
+
+// CreateQP creates a queue pair on the rank's PD and shared CQs (any CQs
+// set in cfg are replaced), moves it to INIT, and routes its completions
+// to onWC. onWC runs inside the progress engine's drain: it must record
+// state and wake waiters, never park.
+func (r *Rank) CreateQP(cfg ibv.QPConfig, onWC func(p *sim.Proc, wc ibv.WC)) (*ibv.QP, error) {
+	if onWC == nil {
+		return nil, fmt.Errorf("mpi: CreateQP requires a completion handler")
+	}
+	pd := r.PD()
+	cfg.SendCQ, cfg.RecvCQ = r.sendCQ, r.recvCQ
+	qp, err := pd.CreateQP(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := qp.ToInit(); err != nil {
+		return nil, err
+	}
+	for uint32(len(r.onWC)) < qp.QPN() {
+		r.onWC = append(r.onWC, nil)
+	}
+	r.onWC[qp.QPN()-1] = onWC
+	return qp, nil
 }
 
 // Compute runs d of single-core application work (queuing for a core).
@@ -182,7 +223,7 @@ func (r *Rank) onCtrl(env *ctrlEnvelope) {
 	r.activity.Broadcast()
 }
 
-// Progress drains the transport's completion queues. It returns false
+// Progress drains the rank's completion queues. It returns false
 // immediately if another thread holds the progress lock (the paper's
 // try-lock), and reports whether any completion was processed otherwise.
 func (r *Rank) Progress(p *sim.Proc) bool {
@@ -191,8 +232,8 @@ func (r *Rank) Progress(p *sim.Proc) bool {
 	}
 	r.progressBusy = true
 	worked := false
-	if r.xp != nil {
-		if n := r.xp.Progress(p); n > 0 {
+	if r.pd != nil {
+		if n := r.drain(p); n > 0 {
 			r.wcProcessed += int64(n)
 			worked = true
 		}
@@ -202,6 +243,39 @@ func (r *Rank) Progress(p *sim.Proc) bool {
 		r.activity.Broadcast()
 	}
 	return worked
+}
+
+// drain polls every completion currently queued, charging WCProcess per
+// item and dispatching each to its queue pair's handler; it returns the
+// number drained. It drains the receive CQ in batches of 64 until empty,
+// falling back to the send CQ, until both are dry.
+func (r *Rank) drain(p *sim.Proc) int {
+	if r.wcs == nil {
+		r.wcs = make([]ibv.WC, 64)
+	}
+	wcs := r.wcs
+	drained := 0
+	for {
+		n := r.recvCQ.Poll(wcs)
+		if n == 0 {
+			n = r.sendCQ.Poll(wcs)
+		}
+		if n == 0 {
+			return drained
+		}
+		for _, wc := range wcs[:n] {
+			p.Sleep(WCProcess)
+			var h func(p *sim.Proc, wc ibv.WC)
+			if i := wc.QPN - 1; i < uint32(len(r.onWC)) {
+				h = r.onWC[i]
+			}
+			if h == nil {
+				panic(fmt.Sprintf("mpi: rank %d: completion for unregistered QPN %d: %+v", r.id, wc.QPN, wc))
+			}
+			h(p, wc)
+		}
+		drained += n
+	}
 }
 
 // WaitOn blocks the proc until pred() holds, progressing the rank's

@@ -27,11 +27,11 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ibv"
 	"repro/internal/loggp"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/ucx"
-	"repro/internal/xport"
 )
 
 // Config controls the measurement.
@@ -82,11 +82,11 @@ func run(cfg Config, pr probe) (loggp.Params, error) {
 
 	buf0 := make([]byte, pr.b)
 	buf1 := make([]byte, pr.b)
-	mr0, err := w.Rank(0).Transport().RegMem(buf0)
+	mr0, err := w.Rank(0).PD().RegMR(buf0)
 	if err != nil {
 		return loggp.Params{}, err
 	}
-	mr1, err := w.Rank(1).Transport().RegMem(buf1)
+	mr1, err := w.Rank(1).PD().RegMR(buf1)
 	if err != nil {
 		return loggp.Params{}, err
 	}
@@ -103,7 +103,7 @@ func run(cfg Config, pr probe) (loggp.Params, error) {
 		}
 	})
 	t0.SetRndv(
-		func(from int, header uint64, size int) (xport.Mem, int, bool) { return mr0, 0, true },
+		func(from int, header uint64, size int) (*ibv.MR, int, bool) { return mr0, 0, true },
 		func(from int, header uint64, size int) {
 			if header == hdrPong {
 				pongs++
@@ -124,7 +124,7 @@ func run(cfg Config, pr probe) (loggp.Params, error) {
 		}
 	})
 	t1.SetRndv(
-		func(from int, header uint64, size int) (xport.Mem, int, bool) { return mr1, 0, true },
+		func(from int, header uint64, size int) (*ibv.MR, int, bool) { return mr1, 0, true },
 		func(from int, header uint64, size int) {
 			// Rendezvous completion is observed from the receiver's
 			// control path; the echo needs a proc, so record and let the
@@ -162,7 +162,7 @@ func run(cfg Config, pr probe) (loggp.Params, error) {
 }
 
 // measure runs on rank 0 and produces the parameter set.
-func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, pr probe, mr xport.Mem, pongs *int, trainArrivals *[]sim.Time) loggp.Params {
+func measure(p *sim.Proc, r *mpi.Rank, tr *ucx.Transport, cfg Config, pr probe, mr *ibv.MR, pongs *int, trainArrivals *[]sim.Time) loggp.Params {
 	pingpong := func(size int) time.Duration {
 		var total time.Duration
 		for i := 0; i < cfg.Warmup+cfg.Iters; i++ {

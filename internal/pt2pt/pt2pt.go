@@ -1,8 +1,9 @@
 // Package pt2pt provides nonblocking MPI point-to-point messages
 // (Isend/Irecv with tag matching) over the UCX-like active-message
-// layer (internal/ucx). It is the substrate of the layered partitioned
-// library (internal/mpipcl), which sends every user partition as one
-// ordinary tagged message.
+// layer (internal/ucx), registering its staging and landing buffers in
+// the rank's protection domain (mpi.Rank.PD). It is the substrate of the
+// layered partitioned library (internal/mpipcl), which sends every user
+// partition as one ordinary tagged message.
 //
 // Matching follows MPI semantics: posted receives match arriving messages
 // by (source, tag) in posted order, and arrivals no receive matches wait
@@ -15,10 +16,10 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/ibv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/ucx"
-	"repro/internal/xport"
 )
 
 // Typed errors returned by the engine. Like internal/core, the package
@@ -40,7 +41,6 @@ const maxTag = 1 << 30
 // (it owns the rank's "pt2pt" transport channel).
 type Comm struct {
 	r  *mpi.Rank
-	pv *xport.Provider
 	tr *ucx.Transport
 
 	// posted holds unmatched receive requests in post order.
@@ -51,7 +51,7 @@ type Comm struct {
 	// sendMR is a registered staging region for Isend payloads. Zero-copy
 	// and rendezvous sends read it when their data lands, after Isend has
 	// returned, so it stays busy until the transport has flushed.
-	sendMR   xport.Mem
+	sendMR   *ibv.MR
 	sendBusy bool
 
 	// scratch tracks unexpected rendezvous arrivals between CTS and FIN.
@@ -98,17 +98,16 @@ type RecvReq struct {
 	overrun bool
 	// landing is the direct rendezvous registration over buf, when the
 	// receive was posted before the sender's RTS arrived.
-	landing xport.Mem
+	landing *ibv.MR
 }
 
 // New creates the point-to-point engine for a rank. The engine's
 // active-message transport lives on the "pt2pt" control channel, so it
 // coexists with the partitioned module's on the same rank (two workers).
 func New(r *mpi.Rank) (*Comm, error) {
-	pv := r.Transport()
 	tr := ucx.New(r, "pt2pt")
-	c := &Comm{r: r, pv: pv, tr: tr}
-	mr, err := pv.RegMem(make([]byte, 1<<20))
+	c := &Comm{r: r, tr: tr}
+	mr, err := r.PD().RegMR(make([]byte, 1<<20))
 	if err != nil {
 		return nil, fmt.Errorf("pt2pt: staging registration: %w", err)
 	}
@@ -150,7 +149,7 @@ func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int) (*SendReq, error) {
 			return nil, err
 		}
 	} else {
-		mr, err := c.pv.RegMem(append([]byte(nil), buf...))
+		mr, err := c.r.PD().RegMR(append([]byte(nil), buf...))
 		if err != nil {
 			return nil, err
 		}
@@ -248,14 +247,14 @@ func (c *Comm) onEager(p *sim.Proc, from int, h uint64, data []byte) {
 // rndvTarget places a rendezvous payload. A matched posted receive lands
 // directly in the user buffer (true zero-copy rendezvous); an unexpected
 // rendezvous lands in a scratch registration and is copied at match time.
-func (c *Comm) rndvTarget(from int, h uint64, size int) (xport.Mem, int, bool) {
+func (c *Comm) rndvTarget(from int, h uint64, size int) (*ibv.MR, int, bool) {
 	tag := tagOf(h)
 	for _, req := range c.posted {
 		if req.matches(from, tag) && req.landing == nil {
 			if size > len(req.buf) {
 				break // truncation: land in scratch, fail at Wait
 			}
-			mr, err := c.pv.RegMem(req.buf)
+			mr, err := c.r.PD().RegMR(req.buf)
 			if err != nil {
 				break
 			}
@@ -263,7 +262,7 @@ func (c *Comm) rndvTarget(from int, h uint64, size int) (xport.Mem, int, bool) {
 			return mr, 0, true
 		}
 	}
-	scratch, err := c.pv.RegMem(make([]byte, size))
+	scratch, err := c.r.PD().RegMR(make([]byte, size))
 	if err != nil {
 		return nil, 0, false
 	}
@@ -317,7 +316,7 @@ func (c *Comm) rematch() {
 type scratchLanding struct {
 	from int
 	tag  int
-	mr   xport.Mem
+	mr   *ibv.MR
 }
 
 // Quiescent reports whether the underlying transport has flushed all

@@ -16,19 +16,30 @@
 // engine. Connections are established lazily per destination with a
 // control-plane handshake, like UCX wireup.
 //
-// The engine posts its work through the rank's transport
-// (internal/xport). Its clients (the baseline strategy in internal/core,
-// internal/pt2pt, internal/netgauge) build it with New over a rank.
+// The engine posts verbs work requests (internal/ibv) on queue pairs it
+// creates through its rank (mpi.Rank.CreateQP). Its clients (the
+// baseline strategy in internal/core, internal/pt2pt, internal/netgauge)
+// build it with New over a rank.
 package ucx
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/ibv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/xport"
+)
+
+// Errors returned by Send and SendMR.
+var (
+	// ErrTooLong is returned when a payload exceeds a protocol limit: a
+	// Send beyond the eager limit.
+	ErrTooLong = errors.New("ucx: payload exceeds protocol limit")
+	// ErrMemBounds is returned when a SendMR range escapes its region.
+	ErrMemBounds = errors.New("ucx: range outside registered region")
 )
 
 // The protocol thresholds, costs and resource counts below are fixed
@@ -94,7 +105,7 @@ type EagerHandler func(p *sim.Proc, from int, header uint64, data []byte)
 // RndvTarget maps an announced rendezvous message to its landing zone in
 // local registered memory. Returning ok=false is a protocol error (the
 // layer above guarantees placement is known after initialization).
-type RndvTarget func(from int, header uint64, size int) (mem xport.Mem, off int, ok bool)
+type RndvTarget func(from int, header uint64, size int) (mem *ibv.MR, off int, ok bool)
 
 // RndvDone is invoked (from the receiver's control path) when a
 // rendezvous payload has fully landed.
@@ -105,7 +116,6 @@ type RndvDone func(from int, header uint64, size int)
 // engine, selecting an eager or rendezvous protocol by size.
 type Transport struct {
 	host *mpi.Rank
-	pv   *xport.Provider
 
 	eager      EagerHandler
 	rndvTarget RndvTarget
@@ -128,10 +138,10 @@ type Transport struct {
 	rndvSends  int64
 }
 
-// connectMsg is the wireup handshake payload: one endpoint descriptor per
-// rail.
+// connectMsg is the wireup handshake payload: one queue pair per rail.
+// The rails are fixed once created, so the peer reads the sender's slice.
 type connectMsg struct {
-	descs []xport.Desc
+	qps []*ibv.QP
 }
 
 // rtsMsg announces a rendezvous send; raddr/rkey expose the sender's
@@ -160,38 +170,31 @@ type creditMsg struct {
 // endpoint is the per-destination state.
 type endpoint struct {
 	dst   int
-	rails []*xport.Endpoint
+	rails []*ibv.QP
 	rail  int // round-robin cursor over rails
 	ready bool
 
 	// Sender staging ring for bcopy/zcopy headers+payloads. freeSlots is
 	// a LIFO stack (slot reuse order is irrelevant), so push/pop never
 	// leak capacity off the front of the backing array.
-	staging   xport.Mem
+	staging   *ibv.MR
 	slotSize  int
 	freeSlots []int
 	// slotOf maps WRID -> staging slot to free on send completion.
 	slotOf map[uint64]int
-	// sendSegs holds one reusable gather list per staging slot. A slot
-	// has at most one send in flight, so per-slot reuse keeps postEager
-	// allocation-free without aliasing live WRs.
-	sendSegs [][2]xport.Seg
+	// sgeScratch is the reusable gather list of eager sends: PostSend
+	// consumes a send's SGList before it returns, so postEager allocates
+	// none. The memory a WR gathers from is read when it lands, so it
+	// stays held until the WR completes: a staging slot returns to
+	// freeSlots only in onWC, and Quiescent stays false while a zero-copy
+	// or rendezvous send is in flight.
+	sgeScratch [2]ibv.SGE
 
-	// Receive bounce ring. recvWRs caches one receive WR per bounce slot:
-	// the gather list for a slot never changes and a slot is reposted only
-	// after its previous receive completed, so the same WR (with its
-	// converted scatter list cached inside) is posted every time without a
-	// per-repost allocation.
-	bounce  xport.Mem
-	recvWRs []xport.RecvWR
-
-	// wrScratch is the reusable send work request: PostSend consumes the
-	// WR itself before it returns, so one in-progress post per
-	// endpoint never aliases. The memory a WR gathers from is read when it
-	// lands, so it stays held until the WR completes: a staging slot
-	// returns to freeSlots only in onWC, and Quiescent stays false while a
-	// zero-copy or rendezvous send is in flight.
-	wrScratch xport.SendWR
+	// Receive bounce ring. recvWRs holds one receive WR per bounce slot:
+	// the scatter list for a slot never changes, so the same WR is
+	// reposted every time without a per-repost allocation.
+	bounce  *ibv.MR
+	recvWRs []ibv.RecvWR
 
 	// pending holds sends deferred on wireup, staging or credit
 	// exhaustion, or a full send queue.
@@ -218,7 +221,7 @@ type endpoint struct {
 
 type pendingSend struct {
 	header uint64
-	mem    xport.Mem
+	mem    *ibv.MR
 	off    int
 	length int
 }
@@ -231,14 +234,14 @@ type readOp struct {
 	seq    uint64
 }
 
-// New creates the transport over the rank's transport and registers its
-// control handlers. The channel namespaces the transport's control
+// New creates the transport over the rank's device context and registers
+// its control handlers. The channel namespaces the transport's control
 // messages so multiple transports (like multiple UCX workers) can coexist
 // on one rank. Create exactly one transport per (rank, channel).
 func New(h *mpi.Rank, channel string) *Transport {
 	t := &Transport{
-		host: h, pv: h.Transport(),
-		eps: make(map[int]*endpoint),
+		host: h,
+		eps:  make(map[int]*endpoint),
 	}
 	t.kindConnect = channel + kindConnect
 	t.kindAccept = channel + kindAccept
@@ -289,18 +292,9 @@ func (t *Transport) endpointFor(dst int) *endpoint {
 	}
 	ep := t.newEndpoint(dst)
 	t.eps[dst] = ep
-	// Wireup: offer our descriptors; the peer accepts with its own.
-	t.host.SendCtrl(dst, t.kindConnect, connectMsg{descs: descsOf(ep.rails)})
+	// Wireup: offer our rails; the peer accepts with its own.
+	t.host.SendCtrl(dst, t.kindConnect, connectMsg{qps: ep.rails})
 	return ep
-}
-
-// descsOf collects the wire descriptors of an endpoint's rails.
-func descsOf(rails []*xport.Endpoint) []xport.Desc {
-	descs := make([]xport.Desc, len(rails))
-	for i, r := range rails {
-		descs[i] = r.Desc()
-	}
-	return descs
 }
 
 // newEndpoint allocates rail, staging, and bounce resources for one peer.
@@ -311,34 +305,30 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 		rndv:     make(map[uint64]bool),
 		slotSize: headerBytes + rndvThreshold,
 	}
-	ep.rails = make([]*xport.Endpoint, rails)
+	ep.rails = make([]*ibv.QP, rails)
 	for i := range ep.rails {
-		rail, err := t.pv.NewEndpoint(xport.EndpointConfig{
-			MaxSendWR:    256,
-			MaxRecvWR:    slots + 16,
-			OnCompletion: func(p *sim.Proc, c xport.Completion) { t.onWC(p, ep, c) },
-		})
+		rail, err := t.host.CreateQP(ibv.QPConfig{MaxSendWR: 256, MaxRecvWR: slots + 16},
+			func(p *sim.Proc, wc ibv.WC) { t.onWC(p, ep, wc) })
 		if err != nil {
-			panic(fmt.Sprintf("ucx: NewEndpoint: %v", err))
+			panic(fmt.Sprintf("ucx: CreateQP: %v", err))
 		}
 		ep.rails[i] = rail
 	}
-	staging, err := t.pv.RegMem(make([]byte, slots*ep.slotSize))
+	staging, err := t.host.PD().RegMR(make([]byte, slots*ep.slotSize))
 	if err != nil {
-		panic(fmt.Sprintf("ucx: staging RegMem: %v", err))
+		panic(fmt.Sprintf("ucx: staging RegMR: %v", err))
 	}
-	bounce, err := t.pv.RegMem(make([]byte, slots*ep.slotSize))
+	bounce, err := t.host.PD().RegMR(make([]byte, slots*ep.slotSize))
 	if err != nil {
-		panic(fmt.Sprintf("ucx: bounce RegMem: %v", err))
+		panic(fmt.Sprintf("ucx: bounce RegMR: %v", err))
 	}
 	ep.staging, ep.bounce = staging, bounce
-	ep.sendSegs = make([][2]xport.Seg, slots)
-	ep.recvWRs = make([]xport.RecvWR, slots)
+	ep.recvWRs = make([]ibv.RecvWR, slots)
 	for i := 0; i < slots; i++ {
 		ep.freeSlots = append(ep.freeSlots, i)
-		ep.recvWRs[i] = xport.RecvWR{
-			WRID: uint64(i),
-			Segs: []xport.Seg{{Mem: bounce, Off: i * ep.slotSize, Len: ep.slotSize}},
+		ep.recvWRs[i] = ibv.RecvWR{
+			WRID:   uint64(i),
+			SGList: []ibv.SGE{bounce.SGEFor(i*ep.slotSize, ep.slotSize)},
 		}
 	}
 	ep.credits = make([]int, rails)
@@ -351,7 +341,7 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 
 // nextRail round-robins rails for operations that need no eager credit
 // (rendezvous RDMA reads consume no remote receive WR).
-func (ep *endpoint) nextRail() *xport.Endpoint {
+func (ep *endpoint) nextRail() *ibv.QP {
 	rail := ep.rails[ep.rail%len(ep.rails)]
 	ep.rail++
 	return rail
@@ -390,7 +380,7 @@ func (t *Transport) postBounceRecvs(ep *endpoint) {
 }
 
 func (t *Transport) repostBounce(ep *endpoint, slot int) {
-	if err := ep.rails[slot%len(ep.rails)].PostRecv(&ep.recvWRs[slot]); err != nil {
+	if err := ep.rails[slot%len(ep.rails)].PostRecv(ep.recvWRs[slot]); err != nil {
 		panic(fmt.Sprintf("ucx: PostRecv bounce: %v", err))
 	}
 }
@@ -403,8 +393,8 @@ func (t *Transport) onConnect(from int, data any) {
 		ep = t.newEndpoint(from)
 		t.eps[from] = ep
 	}
-	t.finishWireup(ep, msg.descs)
-	t.host.SendCtrl(from, t.kindAccept, connectMsg{descs: descsOf(ep.rails)})
+	t.finishWireup(ep, msg.qps)
+	t.host.SendCtrl(from, t.kindAccept, connectMsg{qps: ep.rails})
 }
 
 // onAccept is the active side's completion of wireup.
@@ -414,13 +404,13 @@ func (t *Transport) onAccept(from int, data any) {
 	if ep == nil {
 		panic("ucx: accept without endpoint")
 	}
-	t.finishWireup(ep, msg.descs)
+	t.finishWireup(ep, msg.qps)
 	t.flushPending(ep)
 }
 
 // finishWireup connects the endpoint's rails to the remote rails and
 // posts bounce receives.
-func (t *Transport) finishWireup(ep *endpoint, remote []xport.Desc) {
+func (t *Transport) finishWireup(ep *endpoint, remote []*ibv.QP) {
 	if ep.ready {
 		return
 	}
@@ -453,8 +443,8 @@ func (t *Transport) copyCost(n int) time.Duration {
 // payloads of any size.
 func (t *Transport) Send(p *sim.Proc, dst int, header uint64, data []byte) error {
 	if len(data) > rndvThreshold {
-		return fmt.Errorf("%w: ucx: Send of %d B exceeds eager limit %d; use SendMR",
-			xport.ErrTooLong, len(data), rndvThreshold)
+		return fmt.Errorf("%w: Send of %d B exceeds eager limit %d; use SendMR",
+			ErrTooLong, len(data), rndvThreshold)
 	}
 	ep := t.endpointFor(dst)
 	// Stage into a scratch registered buffer via the normal path by
@@ -467,10 +457,10 @@ func (t *Transport) Send(p *sim.Proc, dst int, header uint64, data []byte) error
 // SendMR delivers an active message from registered memory, selecting
 // bcopy, zcopy, or rendezvous by size exactly as the baseline's middleware
 // does.
-func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, off, length int) error {
+func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem *ibv.MR, off, length int) error {
 	if off < 0 || length < 0 || off+length > mem.Len() {
-		return fmt.Errorf("%w: ucx: SendMR range [%d,%d) outside MR of %d B",
-			xport.ErrMemBounds, off, off+length, mem.Len())
+		return fmt.Errorf("%w: SendMR range [%d,%d) outside MR of %d B",
+			ErrMemBounds, off, off+length, mem.Len())
 	}
 	ep := t.endpointFor(dst)
 	switch {
@@ -486,7 +476,7 @@ func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, o
 
 // sendEager stages (bcopy) or gathers (zcopy) an eager message. Staging
 // always copies the header; bcopy additionally copies the payload.
-func (t *Transport) sendEager(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off int, data []byte, bcopy bool) {
+func (t *Transport) sendEager(p *sim.Proc, ep *endpoint, header uint64, mem *ibv.MR, off int, data []byte, bcopy bool) {
 	if bcopy {
 		t.bcopySends++
 		p.Sleep(sendOverhead + t.copyCost(headerBytes+len(data)))
@@ -516,17 +506,17 @@ func (t *Transport) sendEager(p *sim.Proc, ep *endpoint, header uint64, mem xpor
 
 // stashPending registers captured bytes as a throwaway region for a
 // deferred bcopy send (freed by garbage collection after completion).
-func (t *Transport) stashPending(captured []byte) xport.Mem {
-	mem, err := t.pv.RegMem(captured)
+func (t *Transport) stashPending(captured []byte) *ibv.MR {
+	mem, err := t.host.PD().RegMR(captured)
 	if err != nil {
-		panic(fmt.Sprintf("ucx: stash RegMem: %v", err))
+		panic(fmt.Sprintf("ucx: stash RegMR: %v", err))
 	}
 	return mem
 }
 
 // postEager writes the header (and payload for bcopy) into a staging slot
 // and posts the send WR.
-func (t *Transport) postEager(ep *endpoint, header uint64, mem xport.Mem, off int, data []byte, bcopy bool) {
+func (t *Transport) postEager(ep *endpoint, header uint64, mem *ibv.MR, off int, data []byte, bcopy bool) {
 	last := len(ep.freeSlots) - 1
 	slot := ep.freeSlots[last]
 	ep.freeSlots = ep.freeSlots[:last]
@@ -534,15 +524,15 @@ func (t *Transport) postEager(ep *endpoint, header uint64, mem xport.Mem, off in
 	stage := ep.staging.Bytes()
 	binary.BigEndian.PutUint64(stage[base:base+headerBytes], header)
 
-	var segs []xport.Seg
+	var sges []ibv.SGE
 	if bcopy || mem == nil {
 		copy(stage[base+headerBytes:base+headerBytes+len(data)], data)
-		ep.sendSegs[slot][0] = xport.Seg{Mem: ep.staging, Off: base, Len: headerBytes + len(data)}
-		segs = ep.sendSegs[slot][:1]
+		ep.sgeScratch[0] = ep.staging.SGEFor(base, headerBytes+len(data))
+		sges = ep.sgeScratch[:1]
 	} else {
-		ep.sendSegs[slot][0] = xport.Seg{Mem: ep.staging, Off: base, Len: headerBytes}
-		ep.sendSegs[slot][1] = xport.Seg{Mem: mem, Off: off, Len: len(data)}
-		segs = ep.sendSegs[slot][:2]
+		ep.sgeScratch[0] = ep.staging.SGEFor(base, headerBytes)
+		ep.sgeScratch[1] = mem.SGEFor(off, len(data))
+		sges = ep.sgeScratch[:2]
 	}
 	rail := ep.takeEagerRail()
 	if rail < 0 {
@@ -551,13 +541,8 @@ func (t *Transport) postEager(ep *endpoint, header uint64, mem xport.Mem, off in
 	ep.nextWRID++
 	wrid := ep.nextWRID
 	ep.slotOf[wrid] = slot
-	ep.wrScratch = xport.SendWR{
-		WRID:     wrid,
-		Op:       xport.OpSend,
-		Segs:     segs,
-		Signaled: true,
-	}
-	if err := ep.rails[rail].PostSend(&ep.wrScratch); err != nil {
+	wr := ibv.SendWR{WRID: wrid, Opcode: ibv.OpSend, SGList: sges, Signaled: true}
+	if err := ep.rails[rail].PostSend(wr); err != nil {
 		panic(fmt.Sprintf("ucx: PostSend eager: %v", err))
 	}
 }
@@ -576,7 +561,7 @@ func (t *Transport) flushPending(ep *endpoint) {
 
 // sendRndv starts the rendezvous protocol: an RTS exposing the sender's
 // memory, which the receiver reads directly and then releases.
-func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off, length int) {
+func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem *ibv.MR, off, length int) {
 	t.rndvSends++
 	p.Sleep(rndvSendOverhead)
 	ep.nextSeq++
@@ -610,15 +595,17 @@ func (t *Transport) onRTS(from int, data any) {
 		ep.nextWRID++
 		wrid := ep.nextWRID
 		ep.readOps[wrid] = readOp{from: from, header: msg.header, size: msg.size, seq: msg.seq}
-		ep.wrScratch = xport.SendWR{
+		// A read keeps its scatter list until the response lands, so each
+		// gets its own.
+		wr := ibv.SendWR{
 			WRID:       wrid,
-			Op:         xport.OpRead,
-			Segs:       []xport.Seg{{Mem: mem, Off: off, Len: msg.size}},
+			Opcode:     ibv.OpRDMARead,
+			SGList:     []ibv.SGE{mem.SGEFor(off, msg.size)},
 			RemoteAddr: msg.raddr,
 			RKey:       msg.rkey,
 			Signaled:   true,
 		}
-		if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
+		if err := ep.nextRail().PostSend(wr); err != nil {
 			panic(fmt.Sprintf("ucx: PostSend rndv read: %v", err))
 		}
 	})
@@ -661,33 +648,33 @@ func (t *Transport) onCredit(from int, data any) {
 
 // onWC handles both send-side and receive-side completions for an
 // endpoint's rails, invoked from the rank's progress engine.
-func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
-	if !c.OK() {
-		panic(fmt.Sprintf("ucx: completion error on rank %d endpoint %d: %v", t.host.ID(), ep.dst, c.Status))
+func (t *Transport) onWC(p *sim.Proc, ep *endpoint, wc ibv.WC) {
+	if wc.Status != ibv.StatusSuccess {
+		panic(fmt.Sprintf("ucx: completion error on rank %d endpoint %d: %v", t.host.ID(), ep.dst, wc.Status))
 	}
-	switch c.Op {
-	case xport.CompRead:
-		op, ok := ep.readOps[c.WRID]
+	switch wc.Opcode {
+	case ibv.WCRDMARead:
+		op, ok := ep.readOps[wc.WRID]
 		if !ok {
 			panic("ucx: read completion for unknown rendezvous")
 		}
-		delete(ep.readOps, c.WRID)
+		delete(ep.readOps, wc.WRID)
 		p.Sleep(rndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
 		t.host.SendCtrl(ep.dst, t.kindRelease, releaseMsg{seq: op.seq})
 		if t.rndvDone == nil {
 			panic("ucx: rendezvous completion with no handler installed")
 		}
 		t.rndvDone(op.from, op.header, op.size)
-	case xport.CompSend, xport.CompWrite:
-		if slot, ok := ep.slotOf[c.WRID]; ok {
-			delete(ep.slotOf, c.WRID)
+	case ibv.WCSend, ibv.WCRDMAWrite:
+		if slot, ok := ep.slotOf[wc.WRID]; ok {
+			delete(ep.slotOf, wc.WRID)
 			ep.freeSlots = append(ep.freeSlots, slot)
 		}
 		t.flushPending(ep)
-	case xport.CompRecv:
-		slot := int(c.WRID)
+	case ibv.WCRecv:
+		slot := int(wc.WRID)
 		base := slot * ep.slotSize
-		buf := ep.bounce.Bytes()[base : base+c.Bytes]
+		buf := ep.bounce.Bytes()[base : base+wc.ByteLen]
 		header := binary.BigEndian.Uint64(buf[:headerBytes])
 		payload := buf[headerBytes:]
 		// Charge the receive-side active-message handling (tiered by
@@ -714,6 +701,6 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 			ep.processed[rail] = 0
 		}
 	default:
-		panic(fmt.Sprintf("ucx: unexpected completion opcode %v", c.Op))
+		panic(fmt.Sprintf("ucx: unexpected completion opcode %v", wc.Opcode))
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ibv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/ucx"
-	"repro/internal/xport"
 )
 
 // env wires a two-rank world with one transport per rank.
@@ -29,10 +29,10 @@ func newEnv(t *testing.T) *env {
 	return e
 }
 
-// regMem registers a buffer through a rank's transport.
-func (e *env) regMem(t *testing.T, rank int, buf []byte) xport.Mem {
+// regMem registers a buffer in a rank's protection domain.
+func (e *env) regMem(t *testing.T, rank int, buf []byte) *ibv.MR {
 	t.Helper()
-	mr, err := e.w.Rank(rank).Transport().RegMem(buf)
+	mr, err := e.w.Rank(rank).PD().RegMR(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProtocolSelectionBySize(t *testing.T) {
 	// Rendezvous placement: land in a receiver-side region.
 	rmr := e.regMem(t, 1, make([]byte, 1<<20))
 	e.ts[1].SetRndv(
-		func(from int, header uint64, size int) (xport.Mem, int, bool) { return rmr, 0, true },
+		func(from int, header uint64, size int) (*ibv.MR, int, bool) { return rmr, 0, true },
 		func(from int, header uint64, size int) { delivered++ },
 	)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
@@ -156,7 +156,7 @@ func TestRendezvousLandsDirectlyInUserMemory(t *testing.T) {
 	done := false
 	var doneSize int
 	e.ts[1].SetRndv(
-		func(from int, header uint64, size int) (xport.Mem, int, bool) {
+		func(from int, header uint64, size int) (*ibv.MR, int, bool) {
 			if header != 99 {
 				t.Errorf("rndv header = %d", header)
 			}
@@ -299,7 +299,7 @@ func TestSendTooLargeErrors(t *testing.T) {
 	e := newEnv(t)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		if r.ID() == 0 {
-			if err := e.ts[0].Send(p, 1, 1, make([]byte, 1<<20)); !errors.Is(err, xport.ErrTooLong) {
+			if err := e.ts[0].Send(p, 1, 1, make([]byte, 1<<20)); !errors.Is(err, ucx.ErrTooLong) {
 				t.Errorf("oversized Send: err = %v, want ErrTooLong", err)
 			}
 		}
@@ -314,7 +314,7 @@ func TestSendMRRangeValidation(t *testing.T) {
 	mr := e.regMem(t, 0, make([]byte, 100))
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		if r.ID() == 0 {
-			if err := e.ts[0].SendMR(p, 1, 1, mr, 50, 100); !errors.Is(err, xport.ErrMemBounds) {
+			if err := e.ts[0].SendMR(p, 1, 1, mr, 50, 100); !errors.Is(err, ucx.ErrMemBounds) {
 				t.Errorf("out-of-range SendMR: err = %v, want ErrMemBounds", err)
 			}
 		}
@@ -388,7 +388,7 @@ func TestRendezvousGetScheme(t *testing.T) {
 	dmr := e.regMem(t, 1, dst)
 	done := false
 	e.ts[1].SetRndv(
-		func(from int, header uint64, size int) (xport.Mem, int, bool) { return dmr, 0, true },
+		func(from int, header uint64, size int) (*ibv.MR, int, bool) { return dmr, 0, true },
 		func(from int, header uint64, size int) { done = true },
 	)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {

@@ -1,8 +1,14 @@
-// Conformance suite for the transport: connect/accept in either order,
-// post-time registration bounds, typed misuse errors, immediate round
-// trips, send-buffer ownership, outstanding-window enforcement, and
-// in-order completion delivery — the contract the layers above (core
-// strategies, ucx, pt2pt, mpipcl) rely on.
+// Conformance suite for the simulated verbs device as the layers above
+// (core strategies, ucx, pt2pt, mpipcl) use it: queue pairs created on a
+// rank's device context with mpi.Rank.CreateQP, memory registered on
+// mpi.Rank.PD, completions delivered through mpi.Rank.Progress. It pins
+// connect in either order, post-time registration bounds, typed misuse
+// errors, immediate round trips, send-buffer ownership,
+// outstanding-window enforcement, and in-order completion delivery.
+//
+// The directory holds no code of its own: the suite keeps the import path
+// of the transport layer it was first written against, so its test names
+// stay stable.
 package xport_test
 
 import (
@@ -12,118 +18,116 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ibv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
-// fixture is a two-rank world, one rank per node, with each rank's
-// transport.
+// fixture is a two-rank world, one rank per node.
 type fixture struct {
-	w        *mpi.World
-	r0, r1   *mpi.Rank
-	pv0, pv1 *xport.Provider
+	w      *mpi.World
+	r0, r1 *mpi.Rank
 }
 
 func newFixture() *fixture {
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
-	f := &fixture{w: w, r0: w.Rank(0), r1: w.Rank(1)}
-	f.pv0, f.pv1 = f.r0.Transport(), f.r1.Transport()
-	return f
+	return &fixture{w: w, r0: w.Rank(0), r1: w.Rank(1)}
 }
 
-// regMem registers a buffer or fails the test.
-func regMem(t *testing.T, pv *xport.Provider, buf []byte) xport.Mem {
+// regMem registers a buffer on the rank's PD or fails the test.
+func regMem(t *testing.T, r *mpi.Rank, buf []byte) *ibv.MR {
 	t.Helper()
-	m, err := pv.RegMem(buf)
+	mr, err := r.PD().RegMR(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return mr
 }
 
-// newEP mints an endpoint with the given completion sink.
-func newEP(t *testing.T, pv *xport.Provider, cfg xport.EndpointConfig) *xport.Endpoint {
+// newQP creates a queue pair on the rank with the given completion handler.
+func newQP(t *testing.T, r *mpi.Rank, cfg ibv.QPConfig, onWC func(p *sim.Proc, wc ibv.WC)) *ibv.QP {
 	t.Helper()
-	ep, err := pv.NewEndpoint(cfg)
+	qp, err := r.CreateQP(cfg, onWC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ep
+	return qp
 }
 
-func noComp(p *sim.Proc, c xport.Completion) {}
+func noWC(p *sim.Proc, wc ibv.WC) {}
 
-// connectPair cross-connects two endpoints.
-func connectPair(t *testing.T, a, b *xport.Endpoint) {
+func ok(wc ibv.WC) bool { return wc.Status == ibv.StatusSuccess }
+
+// connectPair cross-connects two queue pairs.
+func connectPair(t *testing.T, a, b *ibv.QP) {
 	t.Helper()
-	if err := a.Connect(b.Desc()); err != nil {
+	if err := a.Connect(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Connect(a.Desc()); err != nil {
+	if err := b.Connect(a); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // withFixture runs fn on a fresh fixture as a subtest named after the
-// transport under test.
+// device under test.
 func withFixture(t *testing.T, fn func(t *testing.T, f *fixture)) {
 	t.Run("verbs", func(t *testing.T) { fn(t, newFixture()) })
 }
 
 func TestConformanceConnectOrder(t *testing.T) {
 	withFixture(t, func(t *testing.T, f *fixture) {
-		// An endpoint without a completion sink is a misconfiguration.
-		if _, err := f.pv0.NewEndpoint(xport.EndpointConfig{}); err == nil {
-			t.Error("NewEndpoint accepted nil OnCompletion")
+		// A queue pair without a completion handler is a misconfiguration.
+		if _, err := f.r0.CreateQP(ibv.QPConfig{}, nil); err == nil {
+			t.Error("CreateQP accepted a nil completion handler")
 		}
 
 		// Posting before the pair is wired must fail, not hang or panic.
-		lone := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-		mr := regMem(t, f.pv0, make([]byte, 64))
-		err := lone.PostSend(&xport.SendWR{
-			Op:   xport.OpSend,
-			Segs: []xport.Seg{{Mem: mr, Off: 0, Len: 64}},
+		lone := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+		mr := regMem(t, f.r0, make([]byte, 64))
+		err := lone.PostSend(ibv.SendWR{
+			Opcode: ibv.OpSend,
+			SGList: []ibv.SGE{mr.SGEFor(0, 64)},
 		})
 		if err == nil {
-			t.Error("PostSend on an unconnected endpoint succeeded")
+			t.Error("PostSend on an unconnected queue pair succeeded")
 		}
 
 		// Wiring must work in either connect order: pair A connects
 		// initiator-first, pair B acceptor-first.
 		got := 0
-		sink := func(p *sim.Proc, c xport.Completion) {
-			if c.Op == xport.CompRecv && c.OK() {
+		sink := func(p *sim.Proc, wc ibv.WC) {
+			if wc.Opcode == ibv.WCRecv && ok(wc) {
 				got++
 			}
 		}
-		a0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-		a1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: sink})
-		if err := a0.Connect(a1.Desc()); err != nil {
+		a0 := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+		a1 := newQP(t, f.r1, ibv.QPConfig{}, sink)
+		if err := a0.Connect(a1); err != nil {
 			t.Fatal(err)
 		}
-		if err := a1.Connect(a0.Desc()); err != nil {
+		if err := a1.Connect(a0); err != nil {
 			t.Fatal(err)
 		}
-		b0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-		b1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: sink})
-		if err := b1.Connect(b0.Desc()); err != nil {
+		b0 := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+		b1 := newQP(t, f.r1, ibv.QPConfig{}, sink)
+		if err := b1.Connect(b0); err != nil {
 			t.Fatal(err)
 		}
-		if err := b0.Connect(b1.Desc()); err != nil {
+		if err := b0.Connect(b1); err != nil {
 			t.Fatal(err)
 		}
 
-		rbuf := regMem(t, f.pv1, make([]byte, 128))
-		for _, ep := range []*xport.Endpoint{a1, b1} {
-			if err := ep.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: rbuf, Off: 0, Len: 128}}}); err != nil {
+		rbuf := regMem(t, f.r1, make([]byte, 128))
+		for _, qp := range []*ibv.QP{a1, b1} {
+			if err := qp.PostRecv(ibv.RecvWR{SGList: []ibv.SGE{rbuf.SGEFor(0, 128)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, ep := range []*xport.Endpoint{a0, b0} {
-			if err := ep.PostSend(&xport.SendWR{
-				Op:       xport.OpSend,
-				Segs:     []xport.Seg{{Mem: mr, Off: 0, Len: 64}},
+		for _, qp := range []*ibv.QP{a0, b0} {
+			if err := qp.PostSend(ibv.SendWR{
+				Opcode:   ibv.OpSend,
+				SGList:   []ibv.SGE{mr.SGEFor(0, 64)},
 				Signaled: true,
 			}); err != nil {
 				t.Fatal(err)
@@ -149,32 +153,32 @@ func TestConformanceConnectOrder(t *testing.T) {
 func TestConformanceRegistrationBounds(t *testing.T) {
 	withFixture(t, func(t *testing.T, f *fixture) {
 		buf := make([]byte, 128)
-		mr := regMem(t, f.pv0, buf)
+		mr := regMem(t, f.r0, buf)
 		if mr.Len() != 128 || len(mr.Bytes()) != 128 {
 			t.Fatalf("Len = %d, Bytes len = %d", mr.Len(), len(mr.Bytes()))
 		}
 
-		ep0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-		ep1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: noComp})
-		connectPair(t, ep0, ep1)
+		qp0 := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+		qp1 := newQP(t, f.r1, ibv.QPConfig{}, noWC)
+		connectPair(t, qp0, qp1)
 
 		// A gather element escaping its region must be rejected at post
 		// time, before anything reaches the wire.
-		for _, seg := range []xport.Seg{
-			{Mem: mr, Off: 64, Len: 128}, // runs past the end
-			{Mem: mr, Off: 129, Len: 1},  // starts past the end
-			{Mem: mr, Off: -1, Len: 16},  // negative offset
+		for _, seg := range []struct{ off, n int }{
+			{64, 128}, // runs past the end
+			{129, 1},  // starts past the end
+			{-1, 16},  // negative offset
 		} {
-			err := ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{seg}})
+			err := qp0.PostSend(ibv.SendWR{Opcode: ibv.OpSend, SGList: []ibv.SGE{mr.SGEFor(seg.off, seg.n)}})
 			if err == nil {
-				t.Errorf("out-of-region Seg{Off: %d, Len: %d} accepted", seg.Off, seg.Len)
+				t.Errorf("out-of-region SGEFor(%d, %d) accepted", seg.off, seg.n)
 			}
 		}
 
 		// The full region is valid.
-		if err := ep0.PostSend(&xport.SendWR{
-			Op:   xport.OpSend,
-			Segs: []xport.Seg{{Mem: mr, Off: 0, Len: 128}},
+		if err := qp0.PostSend(ibv.SendWR{
+			Opcode: ibv.OpSend,
+			SGList: []ibv.SGE{mr.SGEFor(0, 128)},
 		}); err != nil {
 			t.Errorf("full-region send rejected: %v", err)
 		}
@@ -193,76 +197,80 @@ func TestConformanceMisuseErrors(t *testing.T) {
 		}
 		return nil
 	}
-	// pair mints a connected endpoint pair with the given queue depths.
-	pair := func(t *testing.T, f *fixture, sendWR, recvWR int) (*xport.Endpoint, *xport.Endpoint) {
-		ep0 := newEP(t, f.pv0, xport.EndpointConfig{MaxSendWR: sendWR, OnCompletion: noComp})
-		ep1 := newEP(t, f.pv1, xport.EndpointConfig{MaxRecvWR: recvWR, OnCompletion: noComp})
-		connectPair(t, ep0, ep1)
-		return ep0, ep1
+	// pair mints a connected queue-pair pair with the given queue depths.
+	pair := func(t *testing.T, f *fixture, sendWR, recvWR int) (*ibv.QP, *ibv.QP) {
+		qp0 := newQP(t, f.r0, ibv.QPConfig{MaxSendWR: sendWR}, noWC)
+		qp1 := newQP(t, f.r1, ibv.QPConfig{MaxRecvWR: recvWR}, noWC)
+		connectPair(t, qp0, qp1)
+		return qp0, qp1
 	}
+	send := func(sges ...ibv.SGE) ibv.SendWR { return ibv.SendWR{Opcode: ibv.OpSend, SGList: sges} }
 	cases := []struct {
 		name   string
 		want   error
 		misuse func(t *testing.T, f *fixture) error
 	}{
-		{"post before Connect", xport.ErrNotConnected, func(t *testing.T, f *fixture) error {
-			lone := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-			mr := regMem(t, f.pv0, make([]byte, 64))
-			return lone.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: mr, Len: 64}}})
+		{"post before Connect", ibv.ErrBadState, func(t *testing.T, f *fixture) error {
+			lone := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+			mr := regMem(t, f.r0, make([]byte, 64))
+			return lone.PostSend(send(mr.SGEFor(0, 64)))
 		}},
-		{"segment past its region", xport.ErrMemBounds, func(t *testing.T, f *fixture) error {
-			ep0, _ := pair(t, f, 0, 0)
-			mr := regMem(t, f.pv0, make([]byte, 64))
-			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: mr, Off: 32, Len: 64}}})
+		{"segment past its region", ibv.ErrMRBounds, func(t *testing.T, f *fixture) error {
+			qp0, _ := pair(t, f, 0, 0)
+			mr := regMem(t, f.r0, make([]byte, 64))
+			return qp0.PostSend(send(mr.SGEFor(32, 64)))
 		}},
-		{"deregistered region", xport.ErrMemBounds, func(t *testing.T, f *fixture) error {
-			ep0, _ := pair(t, f, 0, 0)
-			mr := regMem(t, f.pv0, make([]byte, 64))
+		// A deregistered region's lkey no longer names anything.
+		{"deregistered region", ibv.ErrBadLKey, func(t *testing.T, f *fixture) error {
+			qp0, _ := pair(t, f, 0, 0)
+			mr := regMem(t, f.r0, make([]byte, 64))
 			if err := mr.Dereg(); err != nil {
 				t.Fatal(err)
 			}
-			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: mr, Len: 64}}})
+			return qp0.PostSend(send(mr.SGEFor(0, 64)))
 		}},
-		{"oversize inline send", xport.ErrTooLong, func(t *testing.T, f *fixture) error {
-			ep0, _ := pair(t, f, 0, 0)
-			n := ep0.MaxInline() + 1
-			mr := regMem(t, f.pv0, make([]byte, n))
-			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Inline: true, Segs: []xport.Seg{{Mem: mr, Len: n}}})
+		{"oversize inline send", ibv.ErrInlineTooLarge, func(t *testing.T, f *fixture) error {
+			qp0, _ := pair(t, f, 0, 0)
+			n := qp0.MaxInline() + 1
+			mr := regMem(t, f.r0, make([]byte, n))
+			wr := send(mr.SGEFor(0, n))
+			wr.Inline = true
+			return qp0.PostSend(wr)
 		}},
-		{"full send queue", xport.ErrQueueFull, func(t *testing.T, f *fixture) error {
-			ep0, _ := pair(t, f, 2, 0)
-			src := regMem(t, f.pv0, make([]byte, 64))
-			dst := regMem(t, f.pv1, make([]byte, 64))
+		{"full send queue", ibv.ErrSQFull, func(t *testing.T, f *fixture) error {
+			qp0, _ := pair(t, f, 2, 0)
+			src := regMem(t, f.r0, make([]byte, 64))
+			dst := regMem(t, f.r1, make([]byte, 64))
 			return untilErr(3, func() error {
-				return ep0.PostSend(&xport.SendWR{
-					Op:         xport.OpWrite,
-					Segs:       []xport.Seg{{Mem: src, Len: 64}},
+				return qp0.PostSend(ibv.SendWR{
+					Opcode:     ibv.OpRDMAWrite,
+					SGList:     []ibv.SGE{src.SGEFor(0, 64)},
 					RemoteAddr: dst.Addr(),
 					RKey:       dst.RKey(),
 				})
 			})
 		}},
-		{"full receive queue", xport.ErrQueueFull, func(t *testing.T, f *fixture) error {
-			_, ep1 := pair(t, f, 0, 2)
-			mr := regMem(t, f.pv1, make([]byte, 64))
+		{"full receive queue", ibv.ErrRQFull, func(t *testing.T, f *fixture) error {
+			_, qp1 := pair(t, f, 0, 2)
+			mr := regMem(t, f.r1, make([]byte, 64))
 			return untilErr(3, func() error {
-				return ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: mr, Len: 64}}})
+				return qp1.PostRecv(ibv.RecvWR{SGList: []ibv.SGE{mr.SGEFor(0, 64)}})
 			})
 		}},
 		// Both HCAs hand out the same first keys and base address, so a
 		// region of rank 1 would resolve to rank 0's own region on rank
-		// 0's endpoint and put the wrong bytes on the wire.
-		{"another rank's memory", xport.ErrForeignMem, func(t *testing.T, f *fixture) error {
-			ep0, _ := pair(t, f, 0, 0)
-			regMem(t, f.pv0, make([]byte, 64))
-			theirs := regMem(t, f.pv1, make([]byte, 64))
-			return ep0.PostSend(&xport.SendWR{Op: xport.OpSend, Segs: []xport.Seg{{Mem: theirs, Len: 64}}})
+		// 0's queue pair and put the wrong bytes on the wire.
+		{"another rank's memory", ibv.ErrBadLKey, func(t *testing.T, f *fixture) error {
+			qp0, _ := pair(t, f, 0, 0)
+			regMem(t, f.r0, make([]byte, 64))
+			theirs := regMem(t, f.r1, make([]byte, 64))
+			return qp0.PostSend(send(theirs.SGEFor(0, 64)))
 		}},
-		{"another rank's memory on receive", xport.ErrForeignMem, func(t *testing.T, f *fixture) error {
-			_, ep1 := pair(t, f, 0, 0)
-			regMem(t, f.pv1, make([]byte, 64))
-			theirs := regMem(t, f.pv0, make([]byte, 64))
-			return ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: theirs, Len: 64}}})
+		{"another rank's memory on receive", ibv.ErrBadLKey, func(t *testing.T, f *fixture) error {
+			_, qp1 := pair(t, f, 0, 0)
+			regMem(t, f.r1, make([]byte, 64))
+			theirs := regMem(t, f.r0, make([]byte, 64))
+			return qp1.PostRecv(ibv.RecvWR{SGList: []ibv.SGE{theirs.SGEFor(0, 64)}})
 		}},
 	}
 	for _, tc := range cases {
@@ -283,25 +291,21 @@ func TestConformanceImmRoundTrip(t *testing.T) {
 			src[i] = byte(i * 7)
 		}
 		dstBuf := make([]byte, n)
-		smr := regMem(t, f.pv0, src)
-		dmr := regMem(t, f.pv1, dstBuf)
+		smr := regMem(t, f.r0, src)
+		dmr := regMem(t, f.r1, dstBuf)
 
-		var sendComp, recvComp []xport.Completion
-		ep0 := newEP(t, f.pv0, xport.EndpointConfig{
-			OnCompletion: func(p *sim.Proc, c xport.Completion) { sendComp = append(sendComp, c) },
-		})
-		ep1 := newEP(t, f.pv1, xport.EndpointConfig{
-			OnCompletion: func(p *sim.Proc, c xport.Completion) { recvComp = append(recvComp, c) },
-		})
-		connectPair(t, ep0, ep1)
+		var sendWC, recvWC []ibv.WC
+		qp0 := newQP(t, f.r0, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) { sendWC = append(sendWC, wc) })
+		qp1 := newQP(t, f.r1, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) { recvWC = append(recvWC, wc) })
+		connectPair(t, qp0, qp1)
 
-		if err := ep1.PostRecv(&xport.RecvWR{WRID: 9}); err != nil {
+		if err := qp1.PostRecv(ibv.RecvWR{WRID: 9}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ep0.PostSend(&xport.SendWR{
+		if err := qp0.PostSend(ibv.SendWR{
 			WRID:       3,
-			Op:         xport.OpWriteImm,
-			Segs:       []xport.Seg{{Mem: smr, Off: 0, Len: n}},
+			Opcode:     ibv.OpRDMAWriteImm,
+			SGList:     []ibv.SGE{smr.SGEFor(0, n)},
 			RemoteAddr: dmr.Addr(),
 			RKey:       dmr.RKey(),
 			Imm:        0xdeadbeef,
@@ -311,27 +315,27 @@ func TestConformanceImmRoundTrip(t *testing.T) {
 		}
 		err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 			if r.ID() == 1 {
-				r.WaitOn(p, func() bool { return len(recvComp) == 1 })
+				r.WaitOn(p, func() bool { return len(recvWC) == 1 })
 			} else {
-				r.WaitOn(p, func() bool { return len(sendComp) == 1 })
+				r.WaitOn(p, func() bool { return len(sendWC) == 1 })
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		rc := recvComp[0]
-		if rc.WRID != 9 || !rc.OK() || rc.Op != xport.CompRecvImm {
+		rc := recvWC[0]
+		if rc.WRID != 9 || !ok(rc) || rc.Opcode != ibv.WCRecvRDMAWithImm {
 			t.Fatalf("recv completion %+v", rc)
 		}
 		if !rc.HasImm || rc.Imm != 0xdeadbeef {
 			t.Fatalf("immediate = %#x (HasImm=%v), want 0xdeadbeef", rc.Imm, rc.HasImm)
 		}
-		if rc.Bytes != n {
-			t.Fatalf("recv bytes = %d, want %d", rc.Bytes, n)
+		if rc.ByteLen != n {
+			t.Fatalf("recv bytes = %d, want %d", rc.ByteLen, n)
 		}
-		sc := sendComp[0]
-		if sc.WRID != 3 || !sc.OK() || sc.Op != xport.CompWrite {
+		sc := sendWC[0]
+		if sc.WRID != 3 || !ok(sc) || sc.Opcode != ibv.WCRDMAWrite {
 			t.Fatalf("send completion %+v", sc)
 		}
 		if !bytes.Equal(dstBuf, src) {
@@ -346,36 +350,37 @@ func TestConformanceImmRoundTrip(t *testing.T) {
 // its payload when it lands, so a write between post and placement shows.
 func TestConformanceBufferOwnership(t *testing.T) {
 	const n = 64
-	for _, op := range []xport.Op{xport.OpWriteImm, xport.OpSend} {
+	for _, op := range []struct {
+		name string
+		code ibv.Opcode
+	}{{"WRITE_WITH_IMM", ibv.OpRDMAWriteImm}, {"SEND", ibv.OpSend}} {
 		for _, inline := range []bool{true, false} {
-			name := op.String() + "/non-inline"
+			name := op.name + "/non-inline"
 			want := byte(2)
 			if inline {
-				name, want = op.String()+"/inline", 1
+				name, want = op.name+"/inline", 1
 			}
 			t.Run(name, func(t *testing.T) {
 				withFixture(t, func(t *testing.T, f *fixture) {
 					src := bytes.Repeat([]byte{1}, n)
 					dstBuf := make([]byte, n)
-					smr := regMem(t, f.pv0, src)
-					dmr := regMem(t, f.pv1, dstBuf)
+					smr := regMem(t, f.r0, src)
+					dmr := regMem(t, f.r1, dstBuf)
 					landed := false
-					ep0 := newEP(t, f.pv0, xport.EndpointConfig{OnCompletion: noComp})
-					ep1 := newEP(t, f.pv1, xport.EndpointConfig{
-						OnCompletion: func(p *sim.Proc, c xport.Completion) {
-							if !c.OK() || c.Bytes != n {
-								t.Errorf("recv completion %+v", c)
-							}
-							landed = true
-						},
+					qp0 := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+					qp1 := newQP(t, f.r1, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) {
+						if !ok(wc) || wc.ByteLen != n {
+							t.Errorf("recv completion %+v", wc)
+						}
+						landed = true
 					})
-					connectPair(t, ep0, ep1)
-					if err := ep1.PostRecv(&xport.RecvWR{Segs: []xport.Seg{{Mem: dmr, Off: 0, Len: n}}}); err != nil {
+					connectPair(t, qp0, qp1)
+					if err := qp1.PostRecv(ibv.RecvWR{SGList: []ibv.SGE{dmr.SGEFor(0, n)}}); err != nil {
 						t.Fatal(err)
 					}
-					if err := ep0.PostSend(&xport.SendWR{
-						Op:         op,
-						Segs:       []xport.Seg{{Mem: smr, Off: 0, Len: n}},
+					if err := qp0.PostSend(ibv.SendWR{
+						Opcode:     op.code,
+						SGList:     []ibv.SGE{smr.SGEFor(0, n)},
 						RemoteAddr: dmr.Addr(),
 						RKey:       dmr.RKey(),
 						Inline:     inline,
@@ -409,36 +414,33 @@ func TestConformanceOutstandingWindow(t *testing.T) {
 			posts  = 12
 			size   = 4096
 		)
-		src := regMem(t, f.pv0, make([]byte, size))
-		dst := regMem(t, f.pv1, make([]byte, size))
+		src := regMem(t, f.r0, make([]byte, size))
+		dst := regMem(t, f.r1, make([]byte, size))
 
 		done := 0
 		maxSeen := 0
-		var ep0 *xport.Endpoint
-		ep0 = newEP(t, f.pv0, xport.EndpointConfig{
-			MaxOutstanding: window,
-			OnCompletion: func(p *sim.Proc, c xport.Completion) {
-				done++
-				if o := ep0.Outstanding(); o > maxSeen {
-					maxSeen = o
-				}
-			},
+		var qp0 *ibv.QP
+		qp0 = newQP(t, f.r0, ibv.QPConfig{MaxOutstanding: window}, func(p *sim.Proc, wc ibv.WC) {
+			done++
+			if o := qp0.Outstanding(); o > maxSeen {
+				maxSeen = o
+			}
 		})
-		ep1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: noComp})
-		connectPair(t, ep0, ep1)
+		qp1 := newQP(t, f.r1, ibv.QPConfig{}, noWC)
+		connectPair(t, qp0, qp1)
 
 		for i := 0; i < posts; i++ {
-			if err := ep0.PostSend(&xport.SendWR{
+			if err := qp0.PostSend(ibv.SendWR{
 				WRID:       uint64(i),
-				Op:         xport.OpWrite,
-				Segs:       []xport.Seg{{Mem: src, Off: 0, Len: size}},
+				Opcode:     ibv.OpRDMAWrite,
+				SGList:     []ibv.SGE{src.SGEFor(0, size)},
 				RemoteAddr: dst.Addr(),
 				RKey:       dst.RKey(),
 				Signaled:   true,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if o := ep0.Outstanding(); o > window {
+			if o := qp0.Outstanding(); o > window {
 				t.Fatalf("after post %d: Outstanding = %d exceeds window %d", i, o, window)
 			}
 		}
@@ -466,46 +468,42 @@ func TestConformanceCompletionOrdering(t *testing.T) {
 		for i := range src {
 			src[i] = byte(i)
 		}
-		smr := regMem(t, f.pv0, src)
+		smr := regMem(t, f.r0, src)
 
 		var sendOrder, recvOrder []uint64
-		ep0 := newEP(t, f.pv0, xport.EndpointConfig{
-			OnCompletion: func(p *sim.Proc, c xport.Completion) {
-				if !c.OK() {
-					t.Errorf("send completion %+v", c)
-				}
-				sendOrder = append(sendOrder, c.WRID)
-			},
+		qp0 := newQP(t, f.r0, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) {
+			if !ok(wc) {
+				t.Errorf("send completion %+v", wc)
+			}
+			sendOrder = append(sendOrder, wc.WRID)
 		})
 		slots := make([][]byte, msgs)
-		ep1 := newEP(t, f.pv1, xport.EndpointConfig{
-			OnCompletion: func(p *sim.Proc, c xport.Completion) {
-				if !c.OK() || c.Op != xport.CompRecv {
-					t.Errorf("recv completion %+v", c)
-				}
-				recvOrder = append(recvOrder, c.WRID)
-			},
+		qp1 := newQP(t, f.r1, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) {
+			if !ok(wc) || wc.Opcode != ibv.WCRecv {
+				t.Errorf("recv completion %+v", wc)
+			}
+			recvOrder = append(recvOrder, wc.WRID)
 		})
-		connectPair(t, ep0, ep1)
+		connectPair(t, qp0, qp1)
 
 		for i := 0; i < msgs; i++ {
 			slots[i] = make([]byte, 256)
-			rmr := regMem(t, f.pv1, slots[i])
-			if err := ep1.PostRecv(&xport.RecvWR{
-				WRID: uint64(200 + i),
-				Segs: []xport.Seg{{Mem: rmr, Off: 0, Len: 256}},
+			rmr := regMem(t, f.r1, slots[i])
+			if err := qp1.PostRecv(ibv.RecvWR{
+				WRID:   uint64(200 + i),
+				SGList: []ibv.SGE{rmr.SGEFor(0, 256)},
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if ep1.RecvQueueLen() != msgs {
-			t.Fatalf("RecvQueueLen = %d after posting %d", ep1.RecvQueueLen(), msgs)
+		if qp1.RecvQueueLen() != msgs {
+			t.Fatalf("RecvQueueLen = %d after posting %d", qp1.RecvQueueLen(), msgs)
 		}
 		for i := 0; i < msgs; i++ {
-			if err := ep0.PostSend(&xport.SendWR{
+			if err := qp0.PostSend(ibv.SendWR{
 				WRID:     uint64(100 + i),
-				Op:       xport.OpSend,
-				Segs:     []xport.Seg{{Mem: smr, Off: 256 * i, Len: 256}},
+				Opcode:   ibv.OpSend,
+				SGList:   []ibv.SGE{smr.SGEFor(256*i, 256)},
 				Signaled: true,
 			}); err != nil {
 				t.Fatal(err)
