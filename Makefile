@@ -79,12 +79,14 @@ test:
 # payload is read from the sender's memory when it lands, which on a
 # sharded run happens on the destination's engine; ibv's contract tests
 # run here under the race detector (the mpi line above covers the rank's
-# device context and drain), and pt2pt and mpipcl are the other clients
-# of the ucx transport. CI runs this target.
+# device context and drain), xport's conformance suite connects and posts
+# on QPs made by mpi.Rank.CreateQP, which build their fabric flows at
+# first use, and pt2pt and mpipcl are the other clients of the ucx
+# transport. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race ./internal/ibv/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
+	$(GO) test -race ./internal/ibv/... ./internal/xport/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/
@@ -92,14 +94,16 @@ race:
 # Allocation and footprint gates, the repository's one allocation guard:
 # the *SteadyStateZeroAllocs tests measure that the sim scheduler (near,
 # far and sharded), procs and resources, the fabric on a single link and
-# on a routed fat-tree, the ibv data path, the mpi control plane, and a
-# core partitioned round (core's post and completion paths, ibv posts and
-# the rank's progress drain) make no steady-state allocation, and
-# TestWorldSetupHeapPerRank bounds the live heap a rank of a 256-rank
-# sweep3d job holds after setup. CI runs this target.
+# on a routed fat-tree, the ibv data path (writes, sends and RDMA READs),
+# the mpi control plane, and a core partitioned round (core's post and
+# completion paths, ibv posts and the rank's progress drain) make no
+# steady-state allocation; TestWorldSetupHeapPerRank and
+# TestWorldRoundHeapPerRank bound the live heap a rank of a 256-rank
+# sweep3d job holds after setup and after one full round. CI runs this
+# target.
 allocs:
 	$(GO) test -run SteadyStateZeroAllocs -v ./internal/sim/ ./internal/fabric/ ./internal/ibv/ ./internal/mpi/ ./internal/core/
-	$(GO) test -run TestWorldSetupHeapPerRank -v ./internal/bench/
+	$(GO) test -run 'TestWorld(Setup|Round)HeapPerRank' -v ./internal/bench/
 
 # Benchmarks: the allocation gates, then the named engine benchmarks
 # report per-op allocation counts, then the paper-exhibit benchmarks run

@@ -196,6 +196,55 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestShardedGetRendezvousDigest runs baseline transfers whose 64 KiB
+// partitions take the active-message layer's get rendezvous, so every
+// partition is an RDMA READ. The READ copies the responder's bytes when the
+// response lands, on the requester's engine, so each rank's receive-buffer
+// digest must equal the one its senders' patterns give, serially and at
+// 2, 4 and 8 shards.
+func TestShardedGetRendezvousDigest(t *testing.T) {
+	base := GridConfig{
+		GridX:   4,
+		GridY:   2,
+		Threads: 4,
+		Bytes:   256 << 10,
+		Compute: 20 * time.Microsecond,
+		Warmup:  1,
+		Iters:   2,
+		Opts:    core.Options{Strategy: core.StrategyBaseline},
+	}
+	// Each receive holds the pattern its sender filled; digest them in the
+	// receiver's init order, as RunGrid does.
+	want := make([]uint64, base.GridX*base.GridY)
+	buf := make([]byte, base.Bytes)
+	for id := range want {
+		x, y := id%base.GridX, id/base.GridX
+		sum := uint64(14695981039346656037)
+		for _, l := range gridPatterns[Sweep3D].links {
+			nx, ny := x+l.dx, y+l.dy
+			if l.send || nx < 0 || nx >= base.GridX || ny < 0 || ny >= base.GridY {
+				continue
+			}
+			fillRankBuf(buf, ny*base.GridX+nx, l.tag)
+			sum = fnvWords(sum, buf)
+		}
+		want[id] = sum
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		cfg := base
+		cfg.Shards = shards
+		res, err := RunGrid(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for id, sum := range res.BufferSums {
+			if sum != want[id] {
+				t.Errorf("shards=%d: rank %d receive digest %#x, want %#x", shards, id, sum, want[id])
+			}
+		}
+	}
+}
+
 // TestShardedFatTreeSweepMatchesSerial drives the full MPI stack over a
 // multi-switch fabric: the Sweep3D wavefront on a fat-tree whose 8 hosts
 // exactly fill the topology, serial versus sharded. With a graph

@@ -262,7 +262,7 @@ func (e *Engine) onBaselineEager(p *sim.Proc, from int, header uint64, data []by
 		e.fail(fmt.Errorf("%w: baseline arrival for request %d", ErrUnknownRequest, recvReq))
 		return
 	}
-	copy(pr.buf[part*pr.partBytes:(part+1)*pr.partBytes], data)
+	copy(pr.mr.Bytes()[part*pr.partBytes:(part+1)*pr.partBytes], data)
 	if err := pr.markArrived(part, 1); err != nil {
 		e.fail(err)
 	}
@@ -302,9 +302,9 @@ func (e *Engine) match(pr *Precv, from int, msg sinitMsg) {
 			ErrSetupMismatch, msg.userParts, pr.userParts, pr.tag))
 		return
 	}
-	if msg.bytes != len(pr.buf) {
+	if msg.bytes != pr.mr.Len() {
 		e.fail(fmt.Errorf("%w: buffer size sender %d, receiver %d (tag %d)",
-			ErrSetupMismatch, msg.bytes, len(pr.buf), pr.tag))
+			ErrSetupMismatch, msg.bytes, pr.mr.Len(), pr.tag))
 		return
 	}
 	pr.strategy = msg.strategy

@@ -9,12 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Precv is a persistent partitioned receive request.
+// Precv is a persistent partitioned receive request. Like Psend it reaches
+// its buffer through its MR and its rank through its engine.
 type Precv struct {
 	e *Engine
-	r *mpi.Rank
 
-	buf       []byte
 	mr        *ibv.MR
 	userParts int
 	partBytes int
@@ -61,8 +60,6 @@ func (e *Engine) PrecvInit(p *sim.Proc, buf []byte, partitions, source, tag int,
 	}
 	pr := &Precv{
 		e:         e,
-		r:         e.r,
-		buf:       buf,
 		mr:        mr,
 		userParts: partitions,
 		partBytes: len(buf) / partitions,
@@ -90,7 +87,7 @@ func (e *Engine) PrecvInit(p *sim.Proc, buf []byte, partitions, source, tag int,
 // and the sender is granted the round. It returns the engine's recorded
 // protocol error if the match failed or a replenish post was rejected.
 func (pr *Precv) Start(p *sim.Proc) error {
-	pr.r.WaitOn(p, func() bool { return pr.matched || pr.e.err != nil })
+	pr.e.r.WaitOn(p, func() bool { return pr.matched || pr.e.err != nil })
 	if err := pr.e.err; err != nil {
 		return err
 	}
@@ -125,7 +122,7 @@ func (pr *Precv) Start(p *sim.Proc) error {
 			}
 		}
 	}
-	pr.r.SendCtrl(pr.source, ctrlCredit, creditMsg{peerReq: pr.peerReq})
+	pr.e.r.SendCtrl(pr.source, ctrlCredit, creditMsg{peerReq: pr.peerReq})
 	return nil
 }
 
@@ -182,7 +179,7 @@ func (pr *Precv) Parrived(p *sim.Proc, i int) (bool, error) {
 	if err := pr.e.err; err != nil {
 		return false, err
 	}
-	pr.r.Progress(p)
+	pr.e.r.Progress(p)
 	return pr.arrived[i], nil
 }
 
@@ -198,14 +195,14 @@ func (pr *Precv) Test(p *sim.Proc) (bool, error) {
 	if err := pr.e.err; err != nil {
 		return false, err
 	}
-	pr.r.Progress(p)
+	pr.e.r.Progress(p)
 	return pr.done(), pr.e.err
 }
 
 // Wait blocks until every partition of the round has arrived, or until
 // the engine records a protocol error, which it returns.
 func (pr *Precv) Wait(p *sim.Proc) error {
-	pr.r.WaitOn(p, func() bool { return pr.done() || pr.e.err != nil })
+	pr.e.r.WaitOn(p, func() bool { return pr.done() || pr.e.err != nil })
 	if !pr.done() {
 		return pr.e.err
 	}
@@ -216,4 +213,4 @@ func (pr *Precv) Wait(p *sim.Proc) error {
 func (pr *Precv) Arrived() int { return pr.arrivedCount }
 
 // Buffer returns the receive buffer (the application owns it).
-func (pr *Precv) Buffer() []byte { return pr.buf }
+func (pr *Precv) Buffer() []byte { return pr.mr.Bytes() }

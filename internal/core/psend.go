@@ -24,14 +24,15 @@ const (
 	maxAutoQPs = 16
 )
 
-// Psend is a persistent partitioned send request.
+// Psend is a persistent partitioned send request. It keeps only what its
+// rounds read: of the Options, the strategy, the timer's δ and the inline
+// switch; the buffer through its MR; the rank through its engine.
 type Psend struct {
-	e    *Engine
-	r    *mpi.Rank
-	opts Options
-	plan Plan
+	e        *Engine
+	strategy Strategy
+	delta    time.Duration
+	plan     Plan
 
-	buf       []byte
 	mr        *ibv.MR
 	userParts int
 	partBytes int
@@ -54,6 +55,7 @@ type Psend struct {
 	remoteAddr uint64
 	remoteRKey uint32
 	connected  bool
+	useInline  bool
 
 	credits int
 	round   int
@@ -114,10 +116,9 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 	}
 	ps := &Psend{
 		e:         e,
-		r:         e.r,
-		opts:      opts,
+		strategy:  opts.Strategy,
+		delta:     opts.delta(),
 		plan:      plan,
-		buf:       buf,
 		mr:        mr,
 		userParts: partitions,
 		partBytes: len(buf) / partitions,
@@ -125,6 +126,7 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 		tag:       tag,
 		reqID:     e.allocReq(),
 		flagLock:  sim.NewResource(e.r.Engine(), 1),
+		useInline: opts.UseInline,
 	}
 	e.psends = putReq(e.psends, ps.reqID, ps)
 	if opts.Strategy == StrategyAdaptive {
@@ -167,7 +169,7 @@ func (ps *Psend) completeHandshake(msg rinitMsg) {
 	ps.peerReq = msg.reqID
 	ps.remoteAddr = msg.addr
 	ps.remoteRKey = msg.rkey
-	if ps.opts.Strategy != StrategyBaseline {
+	if ps.strategy != StrategyBaseline {
 		if len(msg.qps) != len(ps.qps) {
 			ps.e.fail(fmt.Errorf("%w: endpoint count %d vs %d in handshake",
 				ErrSetupMismatch, len(msg.qps), len(ps.qps)))
@@ -181,7 +183,7 @@ func (ps *Psend) completeHandshake(msg rinitMsg) {
 		}
 	}
 	ps.connected = true
-	ps.r.Wake()
+	ps.e.r.Wake()
 }
 
 // Plan returns the resolved aggregation plan (for experiments and tests).
@@ -219,7 +221,7 @@ func (ps *Psend) Start(p *sim.Proc) error {
 				size:  ps.plan.GroupSize,
 				ready: make([]bool, ps.plan.GroupSize),
 				sent:  make([]bool, ps.plan.GroupSize),
-				cond:  sim.NewCond(ps.r.Engine()),
+				cond:  sim.NewCond(ps.e.r.Engine()),
 			})
 		}
 	} else {
@@ -234,7 +236,7 @@ func (ps *Psend) Start(p *sim.Proc) error {
 	}
 	p.Sleep(mpi.StartOverhead)
 	round := ps.round
-	ps.r.WaitOn(p, func() bool {
+	ps.e.r.WaitOn(p, func() bool {
 		return (ps.connected && ps.credits >= round) || ps.e.err != nil
 	})
 	if err := ps.e.err; err != nil {
@@ -283,7 +285,7 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 	}
 	g.ready[gi] = true
 	g.arrived++
-	if ps.opts.Strategy == StrategyBaseline {
+	if ps.strategy == StrategyBaseline {
 		return ps.baselinePready(p, i)
 	}
 	if ps.adapt != nil {
@@ -293,7 +295,7 @@ func (ps *Psend) Pready(p *sim.Proc, i int) error {
 		ps.adapt.recordArrival(i, p.Now())
 	}
 
-	if ps.opts.Strategy == StrategyTimerPLogGP ||
+	if ps.strategy == StrategyTimerPLogGP ||
 		(ps.adapt != nil && ps.adapt.mode == AdaptiveTimer) {
 		return ps.timerPready(p, g, gi)
 	}
@@ -335,7 +337,7 @@ func (ps *Psend) PreadyList(p *sim.Proc, parts []int) error {
 // Calling it between PsendInit and the first Start moves that poll out of
 // the measured region; it is idempotent.
 func (ps *Psend) PbufPrepare(p *sim.Proc) {
-	ps.r.WaitOn(p, func() bool { return ps.connected })
+	ps.e.r.WaitOn(p, func() bool { return ps.connected })
 }
 
 // baselinePready sends partition i as its own message through the
@@ -343,7 +345,7 @@ func (ps *Psend) PbufPrepare(p *sim.Proc) {
 // of the protocol send path — the lock contention the paper's
 // 128-partition runs expose.
 func (ps *Psend) baselinePready(p *sim.Proc, i int) error {
-	lock := ps.r.PostLock()
+	lock := ps.e.r.PostLock()
 	lock.Acquire(p)
 	err := ps.e.msgr.SendMR(p, ps.dest, baselineHeader(ps.peerReq, i), ps.mr, i*ps.partBytes, ps.partBytes)
 	p.Sleep(mpi.PostLockHold)
@@ -352,7 +354,7 @@ func (ps *Psend) baselinePready(p *sim.Proc, i int) error {
 		return fmt.Errorf("core: baseline SendMR: %w", err)
 	}
 	ps.sentParts++
-	ps.r.Wake()
+	ps.e.r.Wake()
 	return nil
 }
 
@@ -388,7 +390,7 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 		RKey:       ps.remoteRKey,
 		Imm:        EncodeImm(uint16(first), uint16(count)),
 		Signaled:   true,
-		Inline:     ps.opts.UseInline && bytes <= qp.MaxInline(),
+		Inline:     ps.useInline && bytes <= qp.MaxInline(),
 	})
 	lock.Release()
 	if err != nil {
@@ -396,7 +398,7 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 	}
 	ps.postedWRs++
 	ps.sentParts += count
-	ps.r.Wake()
+	ps.e.r.Wake()
 	return nil
 }
 
@@ -420,7 +422,7 @@ func (ps *Psend) onSendComp(p *sim.Proc, wc ibv.WC) {
 // done reports whether the current round has fully completed on the
 // sender: every partition sent and every posted WR acknowledged.
 func (ps *Psend) done() bool {
-	if ps.opts.Strategy == StrategyBaseline {
+	if ps.strategy == StrategyBaseline {
 		return ps.sentParts == ps.userParts && ps.e.msgr.Quiescent()
 	}
 	return ps.sentParts == ps.userParts && ps.completedWRs == ps.postedWRs
@@ -436,14 +438,14 @@ func (ps *Psend) Test(p *sim.Proc) (bool, error) {
 	if err := ps.e.err; err != nil {
 		return false, err
 	}
-	ps.r.Progress(p)
+	ps.e.r.Progress(p)
 	return ps.done(), ps.e.err
 }
 
 // Wait blocks until the round completes, progressing communication, or
 // until the engine records a protocol error, which it returns.
 func (ps *Psend) Wait(p *sim.Proc) error {
-	ps.r.WaitOn(p, func() bool { return ps.done() || ps.e.err != nil })
+	ps.e.r.WaitOn(p, func() bool { return ps.done() || ps.e.err != nil })
 	if !ps.done() {
 		return ps.e.err
 	}

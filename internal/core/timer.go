@@ -13,7 +13,7 @@ func (ps *Psend) curDelta() time.Duration {
 	if ps.adapt != nil {
 		return ps.adapt.delta
 	}
-	return ps.opts.delta()
+	return ps.delta
 }
 
 // timerPready implements the timer-based PLogGP aggregator of Section IV-D

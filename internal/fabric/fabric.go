@@ -205,7 +205,7 @@ type Port struct {
 	ingress      linkState
 	ingressRoute [1]*linkState
 
-	ctrlHandler func(from *Port, payload any)
+	ctrlHandler func(from *Port, m Control)
 	// ctrlLastAt enforces FIFO control delivery per destination port, and
 	// ctrlPending lists the control messages arriving at the current
 	// instant, in delivery order, until fireCtrlFlush delivers them;
@@ -214,11 +214,12 @@ type Port struct {
 	ctrlLastAt  sim.Time
 	ctrlPending *ctrlDelivery
 	ctrlTail    *ctrlDelivery
-	// ctrlFree recycles this port's outbound control-delivery records.
-	// Records are allocated by the sending port. A delivered record goes
-	// back to the sender's list when both ports share an engine, so even
-	// one-way traffic stops allocating; across shards each side may touch
-	// only its own list, so the receiver keeps it, up to one record per
+	// ctrlFree recycles this port's outbound control records, one per
+	// message from SendControl to the handler. Records are allocated by
+	// the sending port. A delivered record goes back to the sender's list
+	// when both ports share an engine, so even one-way traffic stops
+	// allocating; across shards each side may touch only its own list, so
+	// the receiver keeps it, up to one record per
 	// port of the fabric: enough for a fan-out to every peer (a barrier
 	// release), while one-way traffic cannot grow the list without bound.
 	ctrlFree []*ctrlDelivery
@@ -281,17 +282,29 @@ func (p *Port) MessagesSent() int64 { return p.msgsSent }
 
 // SetControlHandler installs the callback for control-plane messages
 // addressed to this port.
-func (p *Port) SetControlHandler(h func(from *Port, payload any)) {
+func (p *Port) SetControlHandler(h func(from *Port, m Control)) {
 	p.ctrlHandler = h
 }
 
+// Control is one control-plane message. The fabric delivers it per port
+// and reads none of it: Kind, From and To are the sender's addressing
+// above the port (the MPI runtime's handler kind and its source and
+// destination ranks, several of which may share a node's port), and Data
+// is the payload.
+type Control struct {
+	Kind     string
+	From, To int32
+	Data     any
+}
+
 // ctrlDelivery is one in-flight control-plane message, pre-bound to its
-// arrival event so SendControl schedules without a closure. next links
-// the destination's same-instant arrivals (Port.ctrlPending).
+// arrival event so SendControl schedules without a closure. It is the
+// message's only record from SendControl to the handler. next links the
+// destination's same-instant arrivals (Port.ctrlPending).
 type ctrlDelivery struct {
 	src, dst *Port
-	payload  any
 	next     *ctrlDelivery
+	msg      Control
 }
 
 // fireCtrlArrive runs on the destination engine when a control message
@@ -357,10 +370,10 @@ func fireCtrlFlush(at sim.Time, arg any) {
 // the receiver has no room for is left to the collector.
 func fireCtrlDeliver(_ sim.Time, arg any) {
 	cd := arg.(*ctrlDelivery)
-	src, dst, payload := cd.src, cd.dst, cd.payload
+	src, dst, msg := cd.src, cd.dst, cd.msg
 	// Recycle before invoking the handler: handlers may send further
 	// control messages and can then reuse this record.
-	cd.src, cd.dst, cd.payload, cd.next = nil, nil, nil, nil
+	*cd = ctrlDelivery{}
 	if src.eng == dst.eng {
 		src.ctrlFree = append(src.ctrlFree, cd)
 	} else if len(dst.ctrlFree) < len(dst.fab.ports) {
@@ -369,15 +382,15 @@ func fireCtrlDeliver(_ sim.Time, arg any) {
 	if dst.ctrlHandler == nil {
 		panic(fmt.Sprintf("fabric: control message to %q with no handler", dst.name))
 	}
-	dst.ctrlHandler(src, payload)
+	dst.ctrlHandler(src, msg)
 }
 
-// SendControl delivers payload to dst's control handler after the
-// control-plane latency. Deliveries to a given destination are serialized
+// SendControl delivers m to dst's control handler after the control-plane
+// latency. Deliveries to a given destination are serialized
 // like a management network's: in arrival order, with same-instant
 // arrivals ordered by source port and then per-sender FIFO (see
 // fireCtrlFlush). Must be called on the sending port's engine.
-func (p *Port) SendControl(dst *Port, payload any) {
+func (p *Port) SendControl(dst *Port, m Control) {
 	e := p.eng
 	var cd *ctrlDelivery
 	if n := len(p.ctrlFree); n > 0 {
@@ -386,7 +399,7 @@ func (p *Port) SendControl(dst *Port, payload any) {
 	} else {
 		cd = new(ctrlDelivery)
 	}
-	cd.src, cd.dst, cd.payload = p, dst, payload
+	cd.src, cd.dst, cd.msg = p, dst, m
 	lat := CtrlLatency + p.fab.topo.PairExtra(p.id, dst.id)
 	e.Post(dst.eng, e.Now().Add(lat), fireCtrlArrive, cd)
 }
@@ -506,7 +519,11 @@ func (f *Fabric) NewFlow(src, dst *Port) *Flow {
 // dst) pair. It must be unique per (src, dst, direction) for the
 // arbitration order to be total; the verbs layer derives it from the
 // queue-pair number. Must be called before the simulation runs or on the
-// source port's engine.
+// source port's engine. A flow's route, timing and arbitration depend only
+// on its ports and identity, not on when it was built, so the verbs layer
+// builds its flows at first use: a send flow on the requester's engine at
+// its first post, a READ response flow on the responder's engine when the
+// first request lands.
 func (f *Fabric) NewFlowID(src, dst *Port, flowID uint64) *Flow {
 	if src == nil || dst == nil {
 		panic("fabric: NewFlow with nil port")

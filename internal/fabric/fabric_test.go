@@ -446,15 +446,15 @@ func TestControlPlaneFIFOAndLatency(t *testing.T) {
 	a, b := f.NewPort("a"), f.NewPort("b")
 	var got []int
 	var at []sim.Time
-	b.SetControlHandler(func(from *Port, payload any) {
+	b.SetControlHandler(func(from *Port, m Control) {
 		if from != a {
 			t.Errorf("control from %v, want a", from.Name())
 		}
-		got = append(got, payload.(int))
+		got = append(got, m.Data.(int))
 		at = append(at, e.Now())
 	})
 	for i := 0; i < 3; i++ {
-		a.SendControl(b, i)
+		a.SendControl(b, Control{Data: i})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -479,9 +479,9 @@ func TestControlPlaneFIFOAndLatency(t *testing.T) {
 func TestControlRecordsStayBounded(t *testing.T) {
 	e, f := testFabric(t)
 	a, b := f.NewPort("a"), f.NewPort("b")
-	b.SetControlHandler(func(*Port, any) {})
+	b.SetControlHandler(func(*Port, Control) {})
 	send := func() {
-		a.SendControl(b, nil)
+		a.SendControl(b, Control{})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -498,9 +498,9 @@ func TestControlRecordsStayBounded(t *testing.T) {
 	// back across engines, so it keeps them, but only up to the cap.
 	e2 := sim.NewEngine()
 	c := f.NewPortOn(e2, "c")
-	c.SetControlHandler(func(*Port, any) {})
+	c.SetControlHandler(func(*Port, Control) {})
 	for i := 0; i < 100; i++ {
-		a.SendControl(c, nil)
+		a.SendControl(c, Control{})
 	}
 	if err := e2.Run(); err != nil {
 		t.Fatal(err)
@@ -513,7 +513,7 @@ func TestControlRecordsStayBounded(t *testing.T) {
 func TestControlWithoutHandlerPanics(t *testing.T) {
 	e, f := testFabric(t)
 	a, b := f.NewPort("a"), f.NewPort("b")
-	a.SendControl(b, "x")
+	a.SendControl(b, Control{Data: "x"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("control delivery without handler did not panic")
@@ -585,16 +585,16 @@ func TestControlSameInstantCanonicalOrder(t *testing.T) {
 		}
 		dst := ps[dstID]
 		var got []delivery
-		dst.SetControlHandler(func(from *Port, payload any) {
-			got = append(got, delivery{payload.(send), dst.Engine().Now()})
-			if from.ID() != payload.(send).src {
-				t.Errorf("control from port %d carries sender %d", from.ID(), payload.(send).src)
+		dst.SetControlHandler(func(from *Port, m Control) {
+			got = append(got, delivery{m.Data.(send), dst.Engine().Now()})
+			if from.ID() != m.Data.(send).src {
+				t.Errorf("control from port %d carries sender %d", from.ID(), m.Data.(send).src)
 			}
 		})
 		for _, s := range sends {
 			s := s
 			src := ps[s.src]
-			src.Engine().At(sendAt, func() { src.SendControl(dst, s) })
+			src.Engine().At(sendAt, func() { src.SendControl(dst, Control{Data: s}) })
 		}
 		var err error
 		if set != nil {

@@ -82,9 +82,15 @@ func (o Opcode) String() string {
 // above). An Inline WR copies its payload at post time, as
 // IBV_SEND_INLINE promises, so its buffer is reusable as soon as PostSend
 // returns. An RDMA read is the exception: it keeps its SGList, which must
-// stay untouched until the WR completes, and scatters the responder's
-// range, snapshotted when the request arrives there, into it when the
-// response lands.
+// stay untouched until the WR completes.
+//
+// A read moves its bytes once, from the responder's memory straight into
+// that SGList, when the response lands at the requester. The rkey, bounds
+// and responder-state checks still run when the request lands at the
+// responder, so an error completes at the same instant. This is the
+// get-rendezvous contract: the responder announces the range and leaves it
+// alone until the requester's FIN (the rendezvous release) says the read
+// is done, so what the requester copies is what the responder announced.
 type SendWR struct {
 	WRID       uint64
 	Opcode     Opcode
@@ -144,7 +150,9 @@ type sendCtx struct {
 	// segs is the resolved gather list of a send or write. A non-inline
 	// WR's bytes are read from it when they land (deliver), as the HCA
 	// reads user memory while it transmits; an inline WR's single segment
-	// is its post-time snapshot in inline. Reads leave it empty.
+	// is its post-time snapshot in inline. A read's one segment is the
+	// responder's range, resolved when the request lands there
+	// (readRequest) and copied out when the response lands (readResponse).
 	segs   [][]byte
 	inline []byte
 	// bytes is the total gather length: the payload size of a send or
@@ -153,8 +161,12 @@ type sendCtx struct {
 	status Status
 	// deliverFn/ackFn are the fabric callbacks for the common (write/send)
 	// path, built once per context and reused across recycles.
-	deliverFn func(sim.Time)
-	ackFn     func(sim.Time)
+	// readReqFn/readRespFn are a read's request and response deliveries,
+	// built the first time the context carries a read.
+	deliverFn  func(sim.Time)
+	ackFn      func(sim.Time)
+	readReqFn  func(sim.Time)
+	readRespFn func(sim.Time)
 }
 
 // QP is a reliable-connection queue pair.
@@ -165,9 +177,14 @@ type QP struct {
 
 	state  QPState
 	remote *QP
-	flow   *fabric.Flow
-	// readFlow carries RDMA read responses (remote -> local direction).
-	readFlow *fabric.Flow
+	// flow is the send direction, built by the first PostSend
+	// (openSendFlow).
+	// respFlow carries the READ responses this QP sends as a responder,
+	// built when the first READ request lands here (responseFlow). A QP
+	// that never posts has no flow, and one never read from has no
+	// response flow.
+	flow     *fabric.Flow
+	respFlow *fabric.Flow
 
 	// rq[rqHead:] are the posted, unconsumed receive WRs: consumeRecv
 	// advances rqHead, the queue resets when it drains, and PostRecv slides
@@ -273,23 +290,41 @@ func (qp *QP) ToRTR(remote *QP) error {
 	return nil
 }
 
-// ToRTS transitions RTR→RTS and opens the send path to the remote HCA.
+// ToRTS transitions RTR→RTS. It builds no fabric flow: the send flow is
+// built by the first PostSend, and the READ response flow by the responder
+// when the first READ request lands, so a receive-only QP builds neither.
+// Flow identities derive from the requester's QPN, even for its send
+// direction and odd for the READ responses that come back to it, whenever
+// the flow is built. Distinct QPNs on one HCA keep every flow between a
+// port pair distinct, which both spreads QPs across equal-cost topology
+// paths (ECMP by flow hash) and keeps link-arbitration tie-breaks total.
 func (qp *QP) ToRTS() error {
 	if qp.state != StateRTR {
 		return ErrBadState
 	}
-	src := qp.pd.ctx.hca.port
-	dst := qp.remote.pd.ctx.hca.port
-	// Flow identities are derived from the local QPN: even for the send
-	// direction, odd for the RDMA-READ response direction. The peer's
-	// own flows use its QPN with the opposite parity trick on its side,
-	// so every flow between a port pair carries a distinct identity —
-	// which both spreads QPs across equal-cost topology paths (ECMP by
-	// flow hash) and keeps link-arbitration tie-breaks total.
-	qp.flow = src.Fabric().NewFlowID(src, dst, uint64(qp.qpn)*2)
-	qp.readFlow = src.Fabric().NewFlowID(dst, src, uint64(qp.qpn)*2+1)
 	qp.state = StateRTS
 	return nil
+}
+
+// openSendFlow builds the QP's send flow if this is its first post. It
+// runs in PostSend, on the QP's own engine: the flow's source, as
+// fabric.NewFlowID requires.
+func (qp *QP) openSendFlow() {
+	if qp.flow == nil {
+		src, dst := qp.pd.ctx.hca.port, qp.remote.pd.ctx.hca.port
+		qp.flow = src.Fabric().NewFlowID(src, dst, uint64(qp.qpn)*2)
+	}
+}
+
+// responseFlow returns the flow on which this QP, as a READ responder,
+// answers requester (its RC peer), building it when the first READ request
+// lands. That delivery runs on this QP's engine, the flow's source.
+func (qp *QP) responseFlow(requester *QP) *fabric.Flow {
+	if qp.respFlow == nil {
+		src, dst := qp.pd.ctx.hca.port, requester.pd.ctx.hca.port
+		qp.respFlow = src.Fabric().NewFlowID(src, dst, uint64(requester.qpn)*2+1)
+	}
+	return qp.respFlow
 }
 
 // Connect binds the QP to its peer and moves it through RTR to RTS, the
@@ -424,6 +459,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 		wr.SGList = nil
 	}
 	ctx.wr, ctx.bytes, ctx.status = wr, total, StatusSuccess
+	qp.openSendFlow()
 	qp.sqLen++
 	if qp.inFlight < qp.cfg.MaxOutstanding {
 		qp.dispatch(ctx)
@@ -438,34 +474,19 @@ func (qp *QP) dispatch(ctx *sendCtx) {
 	qp.inFlight++
 	if ctx.wr.Opcode == OpRDMARead {
 		// Request travels forward (header-sized), the data streams back
-		// on the response flow; the requester's completion is the
-		// response arrival. The completion is scheduled from the response
-		// delivery — which runs on the requester's engine — rather than
-		// through the response flow's OnAck: that callback would run on
-		// the responder's engine (the response flow's source), and the
-		// completion mutates the requester's CQ. The instant is the same
-		// either way: response arrival plus the ack latency.
-		qp.flow.Send(fabric.Message{
-			Bytes: 16,
-			OnDeliver: func(at sim.Time) {
-				data, ok := qp.readRemote(ctx)
-				if !ok {
-					// Error completion after a response-latency bubble.
-					qp.readFlow.Send(fabric.Message{
-						Bytes:     0,
-						OnDeliver: func(at sim.Time) { qp.completeRead(ctx, at) },
-					})
-					return
-				}
-				qp.readFlow.Send(fabric.Message{
-					Bytes: len(data),
-					OnDeliver: func(at sim.Time) {
-						qp.scatterRead(ctx, data)
-						qp.completeRead(ctx, at)
-					},
-				})
-			},
-		})
+		// on the responder's response flow; the requester's completion is
+		// the response arrival. The completion is scheduled from the
+		// response delivery — which runs on the requester's engine —
+		// rather than through the response flow's OnAck: that callback
+		// would run on the responder's engine (the response flow's
+		// source), and the completion mutates the requester's CQ. The
+		// instant is the same either way: response arrival plus the ack
+		// latency.
+		if ctx.readReqFn == nil {
+			ctx.readReqFn = func(sim.Time) { ctx.qp.readRequest(ctx) }
+			ctx.readRespFn = func(at sim.Time) { ctx.qp.readResponse(ctx, at) }
+		}
+		qp.flow.Send(fabric.Message{Bytes: 16, OnDeliver: ctx.readReqFn})
 		return
 	}
 	// The context's pre-bound callbacks avoid two closure allocations per
@@ -492,7 +513,31 @@ func (qp *QP) completeRead(ctx *sendCtx, arrivedAt sim.Time) {
 	qp.pd.ctx.hca.eng.AtCall(arrivedAt.Add(fabric.AckLatency), fireReadComplete, ctx)
 }
 
-// readRemote resolves and snapshots the remote range of an RDMA read.
+// readRequest runs on the responder's engine when a READ request lands.
+// It checks the responder's state, the rkey and the bounds, keeps the
+// resolved range in the context, and answers on the responder's response
+// flow: the range's length on success, a zero-byte error response (a
+// response-latency bubble) otherwise.
+func (qp *QP) readRequest(ctx *sendCtx) {
+	bytes := 0
+	if src, ok := qp.readRemote(ctx); ok {
+		ctx.segs = append(ctx.segs, src)
+		bytes = len(src)
+	}
+	qp.remote.responseFlow(qp).Send(fabric.Message{Bytes: bytes, OnDeliver: ctx.readRespFn})
+}
+
+// readResponse runs on the requester's engine when the response lands:
+// the bytes move once, from the responder's memory into the local scatter
+// list, and the completion is scheduled.
+func (qp *QP) readResponse(ctx *sendCtx, at sim.Time) {
+	if ctx.status == StatusSuccess {
+		qp.scatterRead(ctx)
+	}
+	qp.completeRead(ctx, at)
+}
+
+// readRemote resolves the remote range of an RDMA read, without copying.
 func (qp *QP) readRemote(ctx *sendCtx) ([]byte, bool) {
 	remote := qp.remote
 	if remote.state == StateErr {
@@ -511,11 +556,13 @@ func (qp *QP) readRemote(ctx *sendCtx) ([]byte, bool) {
 		remote.toError()
 		return nil, false
 	}
-	return append([]byte(nil), src...), true
+	return src, true
 }
 
-// scatterRead places a read response into the local gather list.
-func (qp *QP) scatterRead(ctx *sendCtx, data []byte) {
+// scatterRead copies a read's remote range (ctx.segs[0]) into the local
+// scatter list.
+func (qp *QP) scatterRead(ctx *sendCtx) {
+	data := ctx.segs[0]
 	off := 0
 	for _, sge := range ctx.wr.SGList {
 		b, err := qp.pd.resolveSGE(sge)

@@ -141,3 +141,42 @@ func TestRDMAReadCountsAgainstWindow(t *testing.T) {
 		t.Fatalf("polled %d completions, want 6", n)
 	}
 }
+
+// TestReadSteadyStateZeroAllocs is the allocation gate on the READ path:
+// once the QP's send context and the responder's response flow are warm, a
+// post → request → response → completion → poll cycle allocates nothing,
+// and the responder's bytes land in the scatter list without a snapshot.
+func TestReadSteadyStateZeroAllocs(t *testing.T) {
+	p := newPair(t, 4096)
+	sges := []SGE{p.sendMR.SGEFor(0, 2048), p.sendMR.SGEFor(2048, 2048)}
+	var wcs [4]WC
+	seed := byte(0)
+	cycle := func() {
+		seed++
+		fill(p.recvBuf, seed)
+		err := p.sendQP.PostSend(SendWR{
+			WRID:       1,
+			Opcode:     OpRDMARead,
+			SGList:     sges,
+			RemoteAddr: p.recvMR.Addr(),
+			RKey:       p.recvMR.RKey(),
+			Signaled:   true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := p.sendCQ.Poll(wcs[:]); n != 1 || wcs[0].Status != StatusSuccess || wcs[0].ByteLen != 4096 {
+			t.Fatalf("send poll: n=%d wc=%+v", n, wcs[0])
+		}
+		if !bytes.Equal(p.sendBuf, p.recvBuf) {
+			t.Fatal("read data mismatch")
+		}
+	}
+	cycle() // warm the context, the flows and the event free list
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("RDMA read post/response/poll cycle allocates %.1f/op, want 0", allocs)
+	}
+}

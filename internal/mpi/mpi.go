@@ -65,10 +65,9 @@ type World struct {
 }
 
 // onCtrl is the per-node port handler: it routes an arriving control
-// envelope to its destination rank (several ranks may share the port).
-func (w *World) onCtrl(_ *fabric.Port, payload any) {
-	env := payload.(*ctrlEnvelope)
-	env.to.onCtrl(env)
+// message to its destination rank (several ranks may share the port).
+func (w *World) onCtrl(_ *fabric.Port, m fabric.Control) {
+	w.ranks[m.To].onCtrl(m)
 }
 
 // NewWorld builds the job and its ranks. It panics on invalid

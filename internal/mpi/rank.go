@@ -5,19 +5,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fabric"
 	"repro/internal/ibv"
 	"repro/internal/sim"
 )
-
-// ctrlEnvelope is the wire format of control-plane messages. Delivery is
-// per destination port; to routes the message to the right rank when
-// several share a node.
-type ctrlEnvelope struct {
-	kind string
-	from int
-	to   *Rank
-	data any
-}
 
 // Rank is one MPI process. It owns one device context on its node's HCA,
 // opened on first use (PD, CreateQP): one protection domain and one send
@@ -60,16 +51,6 @@ type Rank struct {
 	postLock *sim.Resource
 
 	barrier *barrierState
-
-	// envFree recycles control-plane envelopes. Envelopes are taken by
-	// this rank as a sender. Once the receiving rank's handler has
-	// unpacked one, it goes back to the sender's list when both ranks share
-	// an engine, so even one-way traffic stops allocating; across shards
-	// each rank may touch only its own list, so the receiver keeps it, up
-	// to one envelope per rank of the world: enough for a fan-out to every
-	// rank (a barrier release), while one-way traffic cannot grow the list
-	// without bound.
-	envFree []*ctrlEnvelope
 
 	// Stats.
 	wcProcessed int64
@@ -176,50 +157,23 @@ func (r *Rank) handlerFor(kind string) func(from int, data any) {
 	return nil
 }
 
-// takeEnv pops a recycled control envelope or allocates a fresh one.
-func (r *Rank) takeEnv() *ctrlEnvelope {
-	if n := len(r.envFree); n > 0 {
-		env := r.envFree[n-1]
-		r.envFree[n-1] = nil
-		r.envFree = r.envFree[:n-1]
-		return env
-	}
-	return &ctrlEnvelope{}
-}
-
-// putEnv recycles an envelope this rank has unpacked (see envFree); one
-// the rank has no room for is left to the collector.
-func (r *Rank) putEnv(env *ctrlEnvelope) {
-	owner := r.w.ranks[env.from]
-	env.kind, env.from, env.to, env.data = "", 0, nil, nil
-	switch {
-	case owner.Engine() == r.Engine():
-		owner.envFree = append(owner.envFree, env)
-	case len(r.envFree) < len(r.w.ranks):
-		r.envFree = append(r.envFree, env)
-	}
-}
-
 // SendCtrl delivers (kind, data) to the destination rank's registered
-// handler over the fabric control plane.
+// handler over the fabric control plane. The port's control record is the
+// message's only record, and the fabric recycles it.
 func (r *Rank) SendCtrl(dst int, kind string, data any) {
-	dstRank := r.w.ranks[dst]
-	env := r.takeEnv()
-	env.kind, env.from, env.to, env.data = kind, r.id, dstRank, data
-	r.node.HCA.Port().SendControl(dstRank.node.HCA.Port(), env)
+	r.node.HCA.Port().SendControl(r.w.ranks[dst].node.HCA.Port(),
+		fabric.Control{Kind: kind, From: int32(r.id), To: int32(dst), Data: data})
 }
 
 // onCtrl dispatches an arriving control message. Handlers run at event
 // context (no proc): they must only do bookkeeping and wake waiters.
-func (r *Rank) onCtrl(env *ctrlEnvelope) {
-	h := r.handlerFor(env.kind)
+func (r *Rank) onCtrl(m fabric.Control) {
+	h := r.handlerFor(m.Kind)
 	if h == nil {
-		panic(fmt.Sprintf("mpi: rank %d: no handler for control kind %q", r.id, env.kind))
+		panic(fmt.Sprintf("mpi: rank %d: no handler for control kind %q", r.id, m.Kind))
 	}
-	from, data := env.from, env.data
-	r.putEnv(env)
 	r.ctrlHandled++
-	h(from, data)
+	h(int(m.From), m.Data)
 	r.activity.Broadcast()
 }
 
