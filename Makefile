@@ -1,13 +1,13 @@
 # Development entry points. `make check` runs the gates CI runs on every
-# PR: gofmt, vet, the partlint analyzer suite (plain and over the
-# build-tag matrix), build, the full test suite, the race detector over
+# PR: gofmt, vet, the partlint analyzer suite (plain and under the race
+# build tag), build, the full test suite, the race detector over
 # the shared-memory layers and the transport, the zero-alloc gates, and
 # the repository benchmark's smoke test. CI also runs staticcheck and
 # govulncheck (not vendored) and the examples.
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-json lint-tags staticcheck build test race allocs bench bench-smoke
+.PHONY: check fmt vet lint lint-tags staticcheck build test race allocs bench bench-smoke
 
 check: fmt vet lint lint-tags build test race allocs bench-smoke
 
@@ -22,31 +22,26 @@ vet:
 	$(GO) vet ./...
 
 # partlint is the repository's own analyzer suite (DESIGN.md §10, §14):
-# the determinism analyzer (lexical bans plus taint dataflow), the
-# shard-protocol safety checks (//partib:atomic, //partib:guard, CAS
-# claim gates), the typed-error no-panic contract, the
-# completion-callback blocking check, and waiver hygiene (stale
-# //partlint:allow comments fail the build). Allocation is guarded by the
-# measured gates of `make allocs`, not by the analyzers. It runs through
-# the go vet driver so results are cached per package.
+# the determinism analyzer (wall-clock, math/rand and map-order bans plus
+# the per-function cross-engine clock rule), the shard-protocol safety
+# checks (//partib:atomic, //partib:guard, CAS claim gates), the
+# typed-error no-panic contract, and the completion-callback blocking
+# check. Every rule reports at the defect's site and nothing can be
+# waived. Allocation is guarded by the measured gates of `make allocs`,
+# not by the analyzers. It runs through the go vet driver so results are
+# cached per package.
 lint:
 	$(GO) build -o bin/partlint ./cmd/partlint
 	$(GO) vet -vettool=$(CURDIR)/bin/partlint ./...
 
-# Machine-readable diagnostics: one JSON object per line, waived findings
-# included (flagged "waived":true) so dashboards can track the waiver
-# population. Exit status still reflects only non-waived findings.
-lint-json:
-	$(GO) build -o bin/partlint ./cmd/partlint
-	PARTLINT_JSON=1 $(GO) vet -vettool=$(CURDIR)/bin/partlint ./...
-
-# Build-tag matrix guard: the suite must be clean under every
-# shard-relevant tag combination. The repository currently builds the
-# same files under all of these, but the loop keeps tag-gated files
-# (e.g. a future purego/cgo verbs split) from escaping analysis.
+# Build-tag guard: the suite must be clean under every shard-relevant
+# tag. The untagged pass is `make lint`; this target adds the race tag.
+# The repository currently builds the same files under both, but the
+# loop keeps tag-gated files (e.g. a future purego/cgo verbs split) from
+# escaping analysis.
 lint-tags:
 	$(GO) build -o bin/partlint ./cmd/partlint
-	for tags in "" "race"; do \
+	for tags in "race"; do \
 		echo "== partlint -tags '$$tags'"; \
 		$(GO) vet -vettool=$(CURDIR)/bin/partlint -tags "$$tags" ./... || exit 1; \
 	done

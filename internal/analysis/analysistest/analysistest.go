@@ -29,28 +29,12 @@ import (
 // diagnostics against the fixture's `// want` expectations.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	RunWithSuite(t, a, []*analysis.Analyzer{a}, pkgs...)
-}
-
-// RunWithSuite is Run with cross-package facts computed for every
-// analyzer in suite, not just the one under test: the pass's AllDepFacts
-// carries each suite member's dependency facts, mirroring what the vet
-// driver assembles from vetx files. waiverhygiene (which replays sibling
-// analyzers) and fixtures that exercise another analyzer's facts need
-// this; single-analyzer tests use Run.
-func RunWithSuite(t *testing.T, a *analysis.Analyzer, suite []*analysis.Analyzer, pkgs ...string) {
-	t.Helper()
 	ld := newLoader(t)
 	for _, pkg := range pkgs {
 		t.Run(strings.ReplaceAll(pkg, "/", "_"), func(t *testing.T) {
 			t.Helper()
 			p := ld.load(t, pkg)
-			all := map[string]map[string]analysis.ImportFacts{}
-			for _, member := range suite {
-				all[member.Name] = ld.depFacts(t, member, p)
-			}
-			pass := analysis.NewPass(a, ld.fset, p.files, p.pkg, p.info, pkg, all[a.Name])
-			pass.AllDepFacts = all
+			pass := analysis.NewPass(ld.fset, p.files, p.pkg, p.info)
 			if err := a.Run(pass); err != nil {
 				t.Fatalf("analyzer %s: %v", a.Name, err)
 			}
@@ -64,8 +48,6 @@ type loaded struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
-	// direct lists fixture-local direct imports (for facts computation).
-	direct []string
 }
 
 type loader struct {
@@ -127,7 +109,6 @@ func (ld *loader) loadErr(path string) (*loaded, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var direct []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -137,12 +118,6 @@ func (ld *loader) loadErr(path string) (*loaded, error) {
 			return nil, err
 		}
 		files = append(files, f)
-		for _, imp := range f.Imports {
-			ip := strings.Trim(imp.Path.Value, `"`)
-			if dirExists(filepath.Join(ld.root, ip)) {
-				direct = append(direct, ip)
-			}
-		}
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
@@ -159,45 +134,9 @@ func (ld *loader) loadErr(path string) (*loaded, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking: %w", err)
 	}
-	p := &loaded{files: files, pkg: pkg, info: info, direct: direct}
+	p := &loaded{files: files, pkg: pkg, info: info}
 	ld.cache[path] = p
 	return p, nil
-}
-
-// depFacts runs the analyzer over the fixture-local dependency closure
-// (post-order) to collect exported facts, mirroring what the vet driver
-// does with vetx files. Dependency diagnostics are discarded — only the
-// packages named in Run are checked against `// want`.
-func (ld *loader) depFacts(t *testing.T, a *analysis.Analyzer, p *loaded) map[string]analysis.ImportFacts {
-	t.Helper()
-	out := map[string]analysis.ImportFacts{}
-	var visit func(path string)
-	visit = func(path string) {
-		if _, done := out[path]; done {
-			return
-		}
-		dep := ld.load(t, path)
-		for _, d := range dep.direct {
-			visit(d)
-		}
-		facts := map[string]analysis.ImportFacts{}
-		for k, v := range out {
-			facts[k] = v
-		}
-		pass := analysis.NewPass(a, ld.fset, dep.files, dep.pkg, dep.info, path, facts)
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analyzer %s on dependency %s: %v", a.Name, path, err)
-		}
-		if pass.ExportFacts != nil {
-			out[path] = *pass.ExportFacts
-		} else {
-			out[path] = analysis.ImportFacts{}
-		}
-	}
-	for _, d := range p.direct {
-		visit(d)
-	}
-	return out
 }
 
 // want is one expectation parsed from a fixture comment.

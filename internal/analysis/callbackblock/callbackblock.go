@@ -1,11 +1,18 @@
 // Package callbackblock forbids blocking operations inside completion
 // callbacks registered with the progress engine. Callbacks run at event
 // context inside the progress drain: the draining proc holds the
-// progress try-lock, and a callback that parks — a channel operation, a
-// mutex acquire, a sim condition wait, a virtual-time sleep — deadlocks
-// every rank polling that engine. Callbacks must record state and wake
-// waiters; anything that can park belongs on the caller side of the
-// completion boundary.
+// progress try-lock, and a callback that parks on another party — a
+// channel operation, a mutex acquire, a sim condition wait or resource
+// acquire — deadlocks every rank polling that engine. Callbacks must
+// record state and wake waiters; anything that can park belongs on the
+// caller side of the completion boundary.
+//
+// A virtual-time sleep (sim.Proc.Sleep) is not blocking in that sense:
+// it always resumes on its own timer, and while it runs the try-lock
+// sends other pollers to park on the rank's activity condition until
+// the drain broadcasts. It is the same charge the drain itself makes
+// before every handler, so handlers may charge their cost model with it.
+// time.Sleep stays banned: it stalls the OS thread driving the engine.
 //
 // Registration sites are recognized by shape: the function-valued
 // arguments of CreateQP (mpi.Rank's queue-pair completion handler),
@@ -26,7 +33,7 @@ import (
 // Analyzer flags blocking operations reachable from completion callbacks.
 var Analyzer = &analysis.Analyzer{
 	Name: "callbackblock",
-	Doc: "forbid blocking operations (channel ops, mutex locks, sim waits, sleeps) " +
+	Doc: "forbid blocking operations (channel ops, mutex locks, sim waits, time.Sleep) " +
 		"inside completion callbacks registered with the progress engine",
 	Run: run,
 }
@@ -41,10 +48,11 @@ var registrarCalls = map[string]bool{
 }
 
 // simBlocking names methods of the simulation runtime that park the
-// calling proc, per receiver package suffix.
+// calling proc until another party acts, per receiver package suffix.
+// Sleep is absent: it resumes on its own timer.
 var simBlocking = map[string]bool{
 	"Wait": true, "WaitTimeout": true, "WaitOn": true,
-	"Acquire": true, "Hold": true, "Use": true, "Sleep": true, "Barrier": true,
+	"Acquire": true, "Hold": true, "Use": true, "Barrier": true,
 }
 
 func run(pass *analysis.Pass) error {

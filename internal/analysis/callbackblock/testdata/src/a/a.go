@@ -1,5 +1,6 @@
 // Package a is a callbackblock fixture: completion callbacks registered
-// through the recognized registrars, containing each blocking class.
+// through the recognized registrars, containing each blocking class and
+// the one non-blocking park, a virtual-time sleep.
 package a
 
 import (
@@ -28,7 +29,8 @@ func (e *engine) HandleCtrl(kind int, h func(pay uint64))                    {}
 
 func (e *engine) wire() {
 	e.CreateQP(QPConfig{}, func(p *sim.Proc, id uint64) {
-		p.Sleep(1) // want "blocking sim.Sleep in completion callback CreateQP callback"
+		// A virtual-time charge resumes on its own timer: clean.
+		p.Sleep(1)
 		e.ch <- id // want "channel send in completion callback"
 	})
 	e.CreateQP(QPConfig{MaxSendWR: 1}, e.onWC)

@@ -1,12 +1,10 @@
 package analysis
 
-// This file is the package-level call graph the interprocedural analyzers
-// share: per-function //partib:role annotation parsing, call-site
-// resolution to same-package declarations or cross-package fact keys, and
-// depth-bounded reachability. Cross-package edges do not carry ASTs —
-// callees in other packages are summarized by the FuncFact entries their
-// package exported through the vetx channel, so the graph composes
-// bottom-up over the import DAG.
+// This file is the package-level call graph the analyzers that follow
+// calls share: per-function //partib:role annotation parsing, call-site
+// resolution to same-package declarations, and source-order enumeration.
+// It stops at the package boundary. shardsafety inherits roles along its
+// edges; callbackblock walks it from each registered completion handler.
 
 import (
 	"go/ast"
@@ -14,34 +12,24 @@ import (
 	"strings"
 )
 
-// AnnotRole declares shard-protocol roles: "//partib:role producer"
+// annotRole declares shard-protocol roles: "//partib:role producer"
 // (comma-separated list), alone on a line of the function's doc comment.
 // See the shardsafety analyzer.
-const AnnotRole = "//partib:role"
+const annotRole = "//partib:role"
 
 // FuncInfo is one function or method declaration with its declared
 // roles.
 type FuncInfo struct {
 	Decl *ast.FuncDecl
-	Obj  types.Object
 	// Roles lists the declared //partib:role names (nil when
 	// unannotated; roles may then be inherited from callers).
 	Roles []string
-	// Key is the cross-package fact key ("Func" or "Type.Method") when
-	// the function is addressable from other packages, else "".
-	Key string
 }
 
-// Callee is one resolved call site.
+// Callee is one call site resolved to a same-package declaration.
 type Callee struct {
-	Call *ast.CallExpr
-	// Local is the same-package declaration, when the callee resolves to
-	// one.
+	Call  *ast.CallExpr
 	Local *FuncInfo
-	// PkgPath and Key identify a cross-package callee for fact lookup
-	// (empty for builtins, dynamic calls, and local callees).
-	PkgPath string
-	Key     string
 }
 
 // CallGraph indexes a package's function declarations and resolves call
@@ -77,8 +65,7 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 			if obj == nil {
 				continue
 			}
-			info := &FuncInfo{Decl: fd, Obj: obj, Key: exportKey(fd)}
-			info.Roles = parseRoles(fd)
+			info := &FuncInfo{Decl: fd, Roles: parseRoles(fd)}
 			g.funcs[obj] = info
 			g.byDecl[fd] = info
 		}
@@ -93,60 +80,16 @@ func parseRoles(fd *ast.FuncDecl) (roles []string) {
 	}
 	for _, c := range fd.Doc.List {
 		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, AnnotRole+" ") {
+		if !strings.HasPrefix(text, annotRole+" ") {
 			continue
 		}
-		for _, r := range strings.Split(strings.TrimSpace(strings.TrimPrefix(text, AnnotRole)), ",") {
+		for _, r := range strings.Split(strings.TrimSpace(strings.TrimPrefix(text, annotRole)), ",") {
 			if r = strings.TrimSpace(r); r != "" {
 				roles = append(roles, r)
 			}
 		}
 	}
 	return
-}
-
-// exportKey names a declaration for cross-package facts: "Func" for
-// package-level functions, "Type.Method" for methods on a named type.
-// Unexported functions and methods (or methods of unexported types) are
-// unreachable from other packages and get no key.
-func exportKey(fd *ast.FuncDecl) string {
-	if !fd.Name.IsExported() {
-		return ""
-	}
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	// Generic receivers (IndexExpr) and exotic shapes are skipped.
-	id, ok := t.(*ast.Ident)
-	if !ok || !id.IsExported() {
-		return ""
-	}
-	return id.Name + "." + fd.Name.Name
-}
-
-// FactKeyOf names a cross-package *types.Func the way exportKey names its
-// declaration, so callers can look it up in the callee package's facts.
-func FactKeyOf(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return ""
-	}
-	if recv := sig.Recv(); recv != nil {
-		rt := recv.Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		named, ok := rt.(*types.Named)
-		if !ok {
-			return ""
-		}
-		return named.Obj().Name() + "." + fn.Name()
-	}
-	return fn.Name()
 }
 
 // Roots returns the declarations carrying the given predicate, in source
@@ -174,9 +117,8 @@ func (g *CallGraph) Roots(keep func(*FuncInfo) bool) []*FuncInfo {
 // same-package declaration.
 func (g *CallGraph) InfoFor(obj types.Object) *FuncInfo { return g.funcs[obj] }
 
-// Callees resolves every call site in fd's body: same-package calls to
-// their declarations, cross-package static calls to (package path, fact
-// key) pairs. Function literals are walked too — a closure runs in its
+// Callees resolves every same-package call site in fd's body to its
+// declaration. Function literals are walked too — a closure runs in its
 // enclosing function's context for reachability purposes. Results are
 // cached.
 func (g *CallGraph) Callees(fd *ast.FuncDecl) []Callee {
@@ -190,52 +132,21 @@ func (g *CallGraph) Callees(fd *ast.FuncDecl) []Callee {
 			if !ok {
 				return true
 			}
-			if c, ok := g.resolve(call); ok {
-				out = append(out, c)
+			var id *ast.Ident
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				id = fn
+			case *ast.SelectorExpr:
+				id = fn.Sel
+			default:
+				return true
+			}
+			if info := g.funcs[g.pass.TypesInfo.Uses[id]]; info != nil {
+				out = append(out, Callee{Call: call, Local: info})
 			}
 			return true
 		})
 	}
 	g.callees[fd] = out
 	return out
-}
-
-// resolve maps one call expression to a callee.
-func (g *CallGraph) resolve(call *ast.CallExpr) (Callee, bool) {
-	var id *ast.Ident
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return Callee{}, false
-	}
-	obj := g.pass.TypesInfo.Uses[id]
-	if obj == nil {
-		return Callee{}, false
-	}
-	if info := g.funcs[obj]; info != nil {
-		return Callee{Call: call, Local: info}, true
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg() == g.pass.Pkg {
-		return Callee{}, false
-	}
-	key := FactKeyOf(fn)
-	if key == "" {
-		return Callee{}, false
-	}
-	return Callee{Call: call, PkgPath: fn.Pkg().Path(), Key: key}, true
-}
-
-// DepFunc looks up a cross-package callee's summary in the pass's
-// dependency facts.
-func (g *CallGraph) DepFunc(pkgPath, key string) (FuncFact, bool) {
-	facts, ok := g.pass.DepFacts[pkgPath]
-	if !ok || facts.Funcs == nil {
-		return FuncFact{}, false
-	}
-	f, ok := facts.Funcs[key]
-	return f, ok
 }

@@ -8,14 +8,16 @@ import (
 )
 
 // TestSimDeterminism covers the lexical bans: math/rand imports,
-// wall-clock calls, and calls made while ranging over a map, on the
-// adaptive-switcher, ECMP-route and shard-barrier shapes.
+// wall-clock calls, and calls, outer assignments and non-constant returns
+// made while ranging over a map, on the adaptive-switcher, ECMP-route,
+// shard-barrier and escaping-fold shapes.
 func TestSimDeterminism(t *testing.T) {
 	analysistest.Run(t, detertaint.Analyzer, "a")
 }
 
-// TestDetertaintBasic covers sources, sanitizers, emission sinks, and
-// local summary chains.
+// TestDetertaintBasic covers wall-clock and math/rand values that reach
+// scheduling and map-ordered emission through helper chains: each is
+// reported at its source.
 func TestDetertaintBasic(t *testing.T) {
 	analysistest.Run(t, detertaint.Analyzer, "taintbasic")
 }
@@ -32,7 +34,8 @@ func TestDetertaintIngress(t *testing.T) {
 	analysistest.Run(t, detertaint.Analyzer, "ingress")
 }
 
-// TestDetertaintFacts covers cross-package Taints/Sinks facts.
+// TestDetertaintFacts covers a defect whose source is in a dependency:
+// the bans report it in the dependency, and the caller stays clean.
 func TestDetertaintFacts(t *testing.T) {
-	analysistest.Run(t, detertaint.Analyzer, "taintuse")
+	analysistest.Run(t, detertaint.Analyzer, "taintuse", "taintdep")
 }

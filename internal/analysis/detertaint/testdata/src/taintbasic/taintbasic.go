@@ -1,7 +1,9 @@
 // Package taintbasic is the core detertaint fixture: wall-clock and
 // math/rand values flowing into scheduling, map-iteration order flowing
-// into report writes, the collect-sort sanitizer, sync.Map traversal,
-// and sink summaries composed through local helper chains.
+// into report writes, the collect-sort shape, sync.Map traversal, and
+// sinks behind local helper chains. Each defect is reported at its
+// source — the clock read, the math/rand import, the call made in map
+// order — not where the value lands.
 package taintbasic
 
 import (
@@ -25,14 +27,14 @@ func (e *Engine) Post(dst *Engine, at Time, fire func(Time, any), arg any) {}
 // wallClock schedules at a wall-clock-derived time.
 func wallClock(e *Engine) {
 	t := Time(time.Now().UnixNano()) // want "time.Now in a sim-reachable package"
-	e.At(t, func() {}) // want "nondeterministic value \(from time.Now\) flows into Engine.At"
+	e.At(t, func() {})
 }
 
-// randJitter mixes the engine clock with a rand draw; the rand taint is
-// what must surface.
+// randJitter mixes the engine clock with a rand draw; the math/rand
+// import is the site.
 func randJitter(e *Engine) {
 	jitter := Time(rand.Intn(10))
-	e.At(e.Now()+jitter, func() {}) // want "nondeterministic value \(from math/rand.Intn\) flows into Engine.At"
+	e.At(e.Now()+jitter, func() {})
 }
 
 // sameClock schedules on the engine's own timeline: clean.
@@ -40,11 +42,10 @@ func sameClock(e *Engine) {
 	e.At(e.Now()+1, func() {})
 }
 
-// dumpUnsorted writes keys in map order: both the tainted argument and
-// the emission-inside-range shape fire.
+// dumpUnsorted writes keys in map order.
 func dumpUnsorted(w io.Writer, m map[string]int) {
 	for k := range m {
-		fmt.Fprintln(w, k) // want "nondeterministic value \(from map iteration order\) flows into fmt.Fprintln" "call to Fprintln while ranging over a map"
+		fmt.Fprintln(w, k) // want "call to Fprintln while ranging over a map"
 	}
 }
 
@@ -69,7 +70,7 @@ func dumpSyncMap(w io.Writer, m *sync.Map) {
 	})
 }
 
-// emit writes one record: its summary is a sink forwarding both params.
+// emit writes one record.
 func emit(w io.Writer, s string) {
 	fmt.Fprintln(w, s)
 }
@@ -79,25 +80,24 @@ func relay(w io.Writer, s string) {
 	emit(w, s)
 }
 
-// dumpViaHelpers hides the writer behind the helper chain; the summary
-// still carries the sink back to the map range.
+// dumpViaHelpers hides the writer behind the helper chain; the call at
+// the map range is the site.
 func dumpViaHelpers(w io.Writer, m map[string]int) {
 	for k := range m {
-		relay(w, k) // want "nondeterministic value \(from map iteration order\) passed to relay" "call to relay while ranging over a map"
+		relay(w, k) // want "call to relay while ranging over a map"
 	}
 }
 
-// stamp returns wall-clock data; callers inherit the taint through the
-// local summary.
+// stamp returns wall-clock data; the read is the site, not its callers.
 func stamp() Time {
 	return Time(time.Now().UnixNano()) // want "time.Now in a sim-reachable package"
 }
 
 func scheduleAtStamp(e *Engine) {
-	e.At(stamp(), func() {}) // want "nondeterministic value \(from time.Now\) flows into Engine.At"
+	e.At(stamp(), func() {})
 }
 
-// weight reaches no sink: it acts on nothing outside its arguments.
+// weight acts on nothing outside its arguments.
 func weight(v any) int {
 	if v == nil {
 		return 0
@@ -105,13 +105,13 @@ func weight(v any) int {
 	return 1
 }
 
-// sumSyncMap calls a sink-free helper per entry: the map-order ban fires
-// on any call that is not a builtin, a conversion or Sprint*, whatever
-// the callee reaches.
+// sumSyncMap calls a pure helper per entry and folds into an outer
+// variable: the map-order ban fires on any call that is not a builtin, a
+// conversion or Sprint*, whatever the callee reaches, and on the fold.
 func sumSyncMap(m *sync.Map) int {
 	n := 0
 	m.Range(func(k, v any) bool {
-		n += weight(v) // want "call to weight while ranging over a sync.Map"
+		n += weight(v) // want "assignment to n while ranging over a sync.Map" "call to weight while ranging over a sync.Map"
 		return true
 	})
 	return n

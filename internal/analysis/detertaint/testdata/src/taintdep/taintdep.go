@@ -1,7 +1,7 @@
 // Package taintdep is the dependency side of the detertaint
-// cross-package fixture: Stamp and Span export Taints facts (Span's
-// source is a helper hop down, proving summaries compose), and Emit
-// exports a Sinks fact with its forwarded parameters.
+// cross-package fixture: Stamp reads the wall clock, Span hides the read
+// a helper hop down, and Emit writes a record. The reads are reported
+// here, at their site.
 package taintdep
 
 import (
@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// Stamp returns the wall clock; its exported fact carries the taint.
+// Stamp returns the wall clock.
 func Stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want "time.Now in a sim-reachable package"
 }
 
 // Span hides the wall-clock read behind a local helper.
@@ -21,11 +21,10 @@ func Span() int64 {
 }
 
 func spanImpl() int64 {
-	return time.Now().Unix()
+	return time.Now().Unix() // want "time.Now in a sim-reachable package"
 }
 
-// Emit writes a record; its exported fact is a sink forwarding both
-// parameters.
+// Emit writes a record.
 func Emit(w io.Writer, v int) {
 	fmt.Fprintln(w, v)
 }

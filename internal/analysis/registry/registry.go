@@ -12,7 +12,8 @@
 //     virtual clock: the engine strategies, the fabric, the models, the
 //     transports whose event callbacks feed the engines, the rank
 //     progress engine that drains their completions, and the
-//     measurement/report layers that must stay replayable.
+//     measurement/report layers that must stay replayable — plus every
+//     in-module package those import, so no sim-reachable code escapes.
 //   - nopanic runs on the packages that adopted the typed-error
 //     contract; the simulator itself still panics on internal scheduler
 //     corruption by design.
@@ -26,7 +27,6 @@ import (
 	"repro/internal/analysis/detertaint"
 	"repro/internal/analysis/nopanic"
 	"repro/internal/analysis/shardsafety"
-	"repro/internal/analysis/waiverhygiene"
 )
 
 // Check pairs an analyzer with the import paths it applies to.
@@ -45,14 +45,21 @@ func allRepro(path string) bool {
 // of the seed and the event order. The transport and measurement layers
 // are in because their event callbacks feed the engines: the
 // cross-engine completion bug lived in the ibv completion queue, and mpi
-// drains those queues into the modules' handlers.
+// drains those queues into the modules' handlers. The set is closed under
+// in-module imports: cluster, ploggp, profiler, stats and tuning are in
+// because scoped packages import them.
 var simReachable = map[string]bool{
-	"repro/internal/sim":    true,
-	"repro/internal/fabric": true,
-	"repro/internal/core":   true,
-	"repro/internal/loggp":  true,
-	"repro/internal/sweep":  true,
-	"repro/internal/bench":  true,
+	"repro/internal/sim":      true,
+	"repro/internal/fabric":   true,
+	"repro/internal/core":     true,
+	"repro/internal/loggp":    true,
+	"repro/internal/sweep":    true,
+	"repro/internal/bench":    true,
+	"repro/internal/cluster":  true,
+	"repro/internal/ploggp":   true,
+	"repro/internal/profiler": true,
+	"repro/internal/stats":    true,
+	"repro/internal/tuning":   true,
 	// trace generates synthetic arrival schedules consumed inside the
 	// simulation; its output must replay from the seed alone.
 	"repro/internal/trace":       true,
@@ -75,19 +82,12 @@ var typedError = map[string]bool{
 }
 
 // Checks returns the full partlint suite with scope rules, in a stable
-// order. waiverhygiene comes last and replays the others: it is built
-// from the same Check entries, so its notion of "would this waiver's
-// diagnostic fire" always matches the suite actually run.
+// order.
 func Checks() []Check {
-	checks := []Check{
+	return []Check{
 		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
 		{Analyzer: shardsafety.Analyzer, Applies: allRepro},
 		{Analyzer: nopanic.Analyzer, Applies: func(p string) bool { return typedError[p] }},
 		{Analyzer: callbackblock.Analyzer, Applies: allRepro},
 	}
-	siblings := make([]waiverhygiene.Sibling, len(checks))
-	for i, c := range checks {
-		siblings[i] = waiverhygiene.Sibling{Analyzer: c.Analyzer, Applies: c.Applies}
-	}
-	return append(checks, Check{Analyzer: waiverhygiene.New(siblings), Applies: allRepro})
 }

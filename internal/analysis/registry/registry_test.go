@@ -99,11 +99,15 @@ func appliesTo(c Check, pkgs []string) []string {
 	return out
 }
 
+// TestRegistryScopes pins each check's package scope, and requires the
+// detertaint scope to be closed under in-module imports: a package that
+// sim-reachable code imports is sim-reachable too.
 func TestRegistryScopes(t *testing.T) {
 	pkgs := modulePackages(t)
 	scoped := map[string][]string{
 		"detertaint": {
 			"repro/internal/bench",
+			"repro/internal/cluster",
 			"repro/internal/core",
 			"repro/internal/experiments",
 			"repro/internal/fabric",
@@ -112,10 +116,14 @@ func TestRegistryScopes(t *testing.T) {
 			"repro/internal/mpi",
 			"repro/internal/mpipcl",
 			"repro/internal/netgauge",
+			"repro/internal/ploggp",
+			"repro/internal/profiler",
 			"repro/internal/pt2pt",
 			"repro/internal/sim",
+			"repro/internal/stats",
 			"repro/internal/sweep",
 			"repro/internal/trace",
+			"repro/internal/tuning",
 			"repro/internal/ucx",
 		},
 		"nopanic": {
@@ -144,6 +152,23 @@ func TestRegistryScopes(t *testing.T) {
 	for name := range scoped {
 		if !names[name] {
 			t.Errorf("no check named %s", name)
+		}
+	}
+	simReachable := map[string]bool{}
+	for _, p := range scoped["detertaint"] {
+		simReachable[p] = true
+	}
+	for _, pkg := range walkModule(t, token.NewFileSet(), moduleRoot(t), "repro") {
+		if !simReachable[pkg.path] {
+			continue
+		}
+		for _, f := range pkg.files {
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err == nil && allRepro(path) && !simReachable[path] {
+					t.Errorf("%s imports %s, which detertaint does not check", pkg.path, path)
+				}
+			}
 		}
 	}
 }

@@ -45,8 +45,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// maxRoleDepth bounds role inheritance through un-annotated helpers,
-// mirroring detertaint's summary depth bound.
+// maxRoleDepth bounds role inheritance through un-annotated helpers, so
+// a role reaches a function at most four calls below its declaration.
 const maxRoleDepth = 4
 
 // Field annotations.

@@ -208,3 +208,54 @@ func TestProgressChargesPerCompletion(t *testing.T) {
 		t.Fatalf("drain of %d completions took %v, want %v", msgs, took, msgs*WCProcess)
 	}
 }
+
+// TestHandlerSleepInDrain: a completion handler may charge virtual time
+// with p.Sleep inside the drain. The sleep resumes on its own timer, and
+// a second proc that polls meanwhile finds the progress try-lock taken,
+// parks in WaitOn until the drain broadcasts, then sees the state the
+// handler set. Both procs finish when the drain does, and nothing
+// deadlocks.
+func TestHandlerSleepInDrain(t *testing.T) {
+	const charge = 3 * time.Microsecond
+	w := twoNodeWorld()
+	r0, r1 := w.Rank(0), w.Rank(1)
+	set := false
+	qp0, qp1 := qpPair(t, r0, r1, ibv.QPConfig{}, ibv.QPConfig{}, noWC,
+		func(p *sim.Proc, _ ibv.WC) {
+			p.Sleep(charge)
+			set = true
+		})
+	src, dst := regMR(t, r0, 8), regMR(t, r1, 8)
+	if err := qp1.PostRecv(ibv.RecvWR{}); err != nil {
+		t.Fatal(err)
+	}
+	err := qp0.PostSend(ibv.SendWR{
+		Opcode:     ibv.OpRDMAWriteImm,
+		SGList:     []ibv.SGE{src.SGEFor(0, 8)},
+		RemoteAddr: dst.Addr(),
+		RKey:       dst.RKey(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := sim.Time(time.Millisecond) // the write has landed
+	var drainerDone, waiterDone sim.Time
+	e := w.Engine()
+	e.Spawn("drainer", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		r1.WaitOn(p, func() bool { return set })
+		drainerDone = p.Now()
+	})
+	e.Spawn("waiter", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond + time.Nanosecond) // inside the drain
+		r1.WaitOn(p, func() bool { return set })
+		waiterDone = p.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run = %v, want no error", err)
+	}
+	want := start + sim.Time(WCProcess+charge)
+	if drainerDone != want || waiterDone != want {
+		t.Fatalf("drainer done at %v, waiter at %v, want both at %v", drainerDone, waiterDone, want)
+	}
+}

@@ -659,7 +659,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, wc ibv.WC) {
 			panic("ucx: read completion for unknown rendezvous")
 		}
 		delete(ep.readOps, wc.WRID)
-		p.Sleep(rndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
+		p.Sleep(rndvRecvOverhead)
 		t.host.SendCtrl(ep.dst, t.kindRelease, releaseMsg{seq: op.seq})
 		if t.rndvDone == nil {
 			panic("ucx: rendezvous completion with no handler installed")
@@ -684,7 +684,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, wc ibv.WC) {
 		if len(payload) > bcopyMax {
 			am = zcopyAMProcess
 		}
-		p.Sleep(am + t.copyCost(len(payload))) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
+		p.Sleep(am + t.copyCost(len(payload)))
 		if t.eager == nil {
 			panic("ucx: eager arrival with no handler installed")
 		}
