@@ -74,14 +74,14 @@ test:
 # payload is read from the sender's memory when it lands, which on a
 # sharded run happens on the destination's engine; ibv's contract tests
 # run here under the race detector (the mpi line above covers the rank's
-# device context and drain), xport's conformance suite connects and posts
-# on QPs made by mpi.Rank.CreateQP, which build their fabric flows at
-# first use, and pt2pt and mpipcl are the other clients of the ucx
-# transport. CI runs this target.
+# device context and drain), and xport's conformance suite connects and
+# posts on QPs made by mpi.Rank.CreateQP, which build their fabric flows
+# at first use. The ucx transport's clients, core's baseline strategy and
+# netgauge, are race-checked on the line above. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race ./internal/ibv/... ./internal/xport/... ./internal/ucx/... ./internal/pt2pt/... ./internal/mpipcl/...
+	$(GO) test -race ./internal/ibv/... ./internal/xport/... ./internal/ucx/...
 	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/

@@ -18,7 +18,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nopanic",
 	Doc: "forbid panic in packages with a typed-error API surface " +
-		"(partib, internal/core, internal/pt2pt, internal/mpipcl)",
+		"(partib, internal/core)",
 	Run: run,
 }
 

@@ -68,17 +68,13 @@ var simReachable = map[string]bool{
 	"repro/internal/ucx":         true,
 	"repro/internal/netgauge":    true,
 	"repro/internal/experiments": true,
-	"repro/internal/pt2pt":       true,
-	"repro/internal/mpipcl":      true,
 }
 
 // typedError lists the packages under the typed-error contract
 // (see internal/core/errors.go).
 var typedError = map[string]bool{
-	"repro/partib":          true,
-	"repro/internal/core":   true,
-	"repro/internal/pt2pt":  true,
-	"repro/internal/mpipcl": true,
+	"repro/partib":        true,
+	"repro/internal/core": true,
 }
 
 // Checks returns the full partlint suite with scope rules, in a stable

@@ -114,11 +114,9 @@ func TestRegistryScopes(t *testing.T) {
 			"repro/internal/ibv",
 			"repro/internal/loggp",
 			"repro/internal/mpi",
-			"repro/internal/mpipcl",
 			"repro/internal/netgauge",
 			"repro/internal/ploggp",
 			"repro/internal/profiler",
-			"repro/internal/pt2pt",
 			"repro/internal/sim",
 			"repro/internal/stats",
 			"repro/internal/sweep",
@@ -128,8 +126,6 @@ func TestRegistryScopes(t *testing.T) {
 		},
 		"nopanic": {
 			"repro/internal/core",
-			"repro/internal/mpipcl",
-			"repro/internal/pt2pt",
 			"repro/partib",
 		},
 	}

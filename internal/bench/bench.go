@@ -185,7 +185,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 		Ranks:  2,
 		Shards: cfg.Shards,
 		Topo:   cfg.Topo,
-	}, newCoreEngine)
+	})
 	if err != nil {
 		return P2PResult{}, err
 	}

@@ -244,7 +244,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		Ranks:  nodes,
 		Shards: cfg.Shards,
 		Topo:   cfg.Topo,
-	}, newCoreEngine)
+	})
 	if err != nil {
 		return GridResult{}, err
 	}

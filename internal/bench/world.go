@@ -20,11 +20,11 @@ type WorldSpec struct {
 }
 
 // NewWorld builds the MPI world of one bench run on Niagara nodes, one
-// rank per node, and one engine per rank from newEngine (newCoreEngine
-// for the partitioned module). The cluster is validated before it is
-// built: cluster.New panics on an invalid configuration, and a panic
-// raised inside a sweep worker would take the whole process down.
-func NewWorld[E any](s WorldSpec, newEngine func(*mpi.Rank) (E, error)) (*mpi.World, []E, error) {
+// rank per node, and the partitioned module (core.Engine) of each rank.
+// The cluster is validated before it is built: cluster.New panics on an
+// invalid configuration, and a panic raised inside a sweep worker would
+// take the whole process down.
+func NewWorld(s WorldSpec) (*mpi.World, []*core.Engine, error) {
 	clCfg := cluster.NiagaraConfig(s.Ranks)
 	clCfg.Shards = s.Shards
 	if s.Topo != "" {
@@ -38,9 +38,9 @@ func NewWorld[E any](s WorldSpec, newEngine func(*mpi.Rank) (E, error)) (*mpi.Wo
 		return nil, nil, err
 	}
 	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
-	engines := make([]E, s.Ranks)
+	engines := make([]*core.Engine, s.Ranks)
 	for i := range engines {
-		eng, err := newEngine(w.Rank(i))
+		eng, err := core.NewEngine(w.Rank(i), "")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -48,7 +48,3 @@ func NewWorld[E any](s WorldSpec, newEngine func(*mpi.Rank) (E, error)) (*mpi.Wo
 	}
 	return w, engines, nil
 }
-
-// newCoreEngine builds the partitioned module of a rank, the engine
-// factory NewWorld takes for core benchmarks.
-func newCoreEngine(r *mpi.Rank) (*core.Engine, error) { return core.NewEngine(r, "") }

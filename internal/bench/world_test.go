@@ -34,7 +34,7 @@ func sweepJob(side, rounds int, rbufs [][]byte) (*mpi.World, []*core.Engine, err
 	const threads = 4
 	sbuf, rbuf := make([]byte, sweepJobBytes), make([]byte, sweepJobBytes)
 	opts := core.Options{Strategy: core.StrategyPLogGP}
-	w, engines, err := NewWorld(WorldSpec{Ranks: side * side, Shards: 2}, newCoreEngine)
+	w, engines, err := NewWorld(WorldSpec{Ranks: side * side, Shards: 2})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -171,7 +171,7 @@ func NewEngine(r *mpi.Rank, provider string) (*Engine, error) {
 // the receiver sends the rinit from match.
 func (e *Engine) messenger() *ucx.Transport {
 	if e.msgr == nil {
-		e.msgr = ucx.New(e.r, "")
+		e.msgr = ucx.New(e.r)
 		e.msgr.SetEagerHandler(e.onBaselineEager)
 		e.msgr.SetRndv(e.baselineRndvTarget, e.onBaselineRndvDone)
 	}

@@ -81,7 +81,6 @@ var registry = []struct {
 	{"ablation-model", "Ablation: PLogGP ideal vs pipelined model vs simulated completion", AblationModel},
 	{"ablation-timer", "Ablation: timer delta endpoints (0 .. infinity)", AblationTimer},
 	{"halo", "Extension: halo-exchange communication speedup (the suite's other pattern)", Halo},
-	{"ablation-layered", "Ablation: layered (MPIPCL-style) vs in-library persistent baseline", AblationLayered},
 	{"ablation-adaptive", "Ablation: adaptive strategy vs each static design across arrival patterns", AblationAdaptive},
 	{"compare-strategies", "Online adaptive strategy vs the offline tuning-table oracle, per table point", CompareStrategiesExp},
 }

@@ -69,7 +69,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "table1", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14",
 		"ablation-inline", "ablation-window", "ablation-model", "ablation-timer", "halo",
-		"ablation-layered", "ablation-adaptive", "compare-strategies"}
+		"ablation-adaptive", "compare-strategies"}
 	names := Names()
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(names), len(want))
@@ -125,6 +125,13 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Errorf("quick tables digest %s, recorded %q: the output changed (rerun with -update if that is intended)", sum, want[name])
 			}
 		})
+	}
+	if !*update {
+		for name := range want {
+			if _, ok := Lookup(name); !ok {
+				t.Errorf("%s records %q, which the registry lacks (rerun with -update to drop the line)", digestFile, name)
+			}
+		}
 	}
 	if *update {
 		for name, sum := range got {

@@ -77,8 +77,8 @@ func Run(cfg Config) (loggp.Params, error) {
 func run(cfg Config, pr probe) (loggp.Params, error) {
 	cfg = cfg.withDefaults()
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
-	t0 := ucx.New(w.Rank(0), "")
-	t1 := ucx.New(w.Rank(1), "")
+	t0 := ucx.New(w.Rank(0))
+	t1 := ucx.New(w.Rank(1))
 
 	buf0 := make([]byte, pr.b)
 	buf1 := make([]byte, pr.b)

@@ -18,8 +18,8 @@
 //
 // The engine posts verbs work requests (internal/ibv) on queue pairs it
 // creates through its rank (mpi.Rank.CreateQP). Its clients (the
-// baseline strategy in internal/core, internal/pt2pt, internal/netgauge)
-// build it with New over a rank.
+// baseline strategy in internal/core, and internal/netgauge) build it
+// with New over a rank.
 package ucx
 
 import (
@@ -88,8 +88,8 @@ const (
 
 const headerBytes = 8
 
-// Control-message kind suffixes; the transport's channel name prefixes
-// them (see New).
+// Control-message kinds. A rank holds at most one transport: New
+// registers these kinds, and mpi.Rank.HandleCtrl panics on a duplicate.
 const (
 	kindConnect = ".connect"
 	kindAccept  = ".accept"
@@ -123,16 +123,11 @@ type Transport struct {
 
 	eps map[int]*endpoint
 
-	// Channel-scoped control kinds, concatenated once at construction:
-	// protocol sends are per-message hot-path work and must not rebuild
-	// the kind string every time.
-	kindConnect, kindAccept, kindRTS, kindCredit, kindRelease string
-
 	// protoFreeAt serializes receiver-side rendezvous protocol handling
 	// (the progress engine handles one protocol message at a time).
 	protoFreeAt sim.Time
 
-	// Stats, exposed for experiments.
+	// Send counts per protocol, read through Stats.
 	bcopySends int64
 	zcopySends int64
 	rndvSends  int64
@@ -235,24 +230,17 @@ type readOp struct {
 }
 
 // New creates the transport over the rank's device context and registers
-// its control handlers. The channel namespaces the transport's control
-// messages so multiple transports (like multiple UCX workers) can coexist
-// on one rank. Create exactly one transport per (rank, channel).
-func New(h *mpi.Rank, channel string) *Transport {
+// its control handlers. Create at most one transport per rank.
+func New(h *mpi.Rank) *Transport {
 	t := &Transport{
 		host: h,
 		eps:  make(map[int]*endpoint),
 	}
-	t.kindConnect = channel + kindConnect
-	t.kindAccept = channel + kindAccept
-	t.kindRTS = channel + kindRTS
-	t.kindCredit = channel + kindCredit
-	t.kindRelease = channel + kindRelease
-	h.HandleCtrl(t.kindConnect, t.onConnect)
-	h.HandleCtrl(t.kindAccept, t.onAccept)
-	h.HandleCtrl(t.kindRTS, t.onRTS)
-	h.HandleCtrl(t.kindCredit, t.onCredit)
-	h.HandleCtrl(t.kindRelease, t.onRelease)
+	h.HandleCtrl(kindConnect, t.onConnect)
+	h.HandleCtrl(kindAccept, t.onAccept)
+	h.HandleCtrl(kindRTS, t.onRTS)
+	h.HandleCtrl(kindCredit, t.onCredit)
+	h.HandleCtrl(kindRelease, t.onRelease)
 	return t
 }
 
@@ -293,7 +281,7 @@ func (t *Transport) endpointFor(dst int) *endpoint {
 	ep := t.newEndpoint(dst)
 	t.eps[dst] = ep
 	// Wireup: offer our rails; the peer accepts with its own.
-	t.host.SendCtrl(dst, t.kindConnect, connectMsg{qps: ep.rails})
+	t.host.SendCtrl(dst, kindConnect, connectMsg{qps: ep.rails})
 	return ep
 }
 
@@ -394,7 +382,7 @@ func (t *Transport) onConnect(from int, data any) {
 		t.eps[from] = ep
 	}
 	t.finishWireup(ep, msg.qps)
-	t.host.SendCtrl(from, t.kindAccept, connectMsg{qps: ep.rails})
+	t.host.SendCtrl(from, kindAccept, connectMsg{qps: ep.rails})
 }
 
 // onAccept is the active side's completion of wireup.
@@ -567,7 +555,7 @@ func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem *ibv.
 	ep.nextSeq++
 	seq := ep.nextSeq
 	ep.rndv[seq] = true
-	t.host.SendCtrl(ep.dst, t.kindRTS, rtsMsg{
+	t.host.SendCtrl(ep.dst, kindRTS, rtsMsg{
 		header: header,
 		size:   length,
 		seq:    seq,
@@ -660,7 +648,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, wc ibv.WC) {
 		}
 		delete(ep.readOps, wc.WRID)
 		p.Sleep(rndvRecvOverhead)
-		t.host.SendCtrl(ep.dst, t.kindRelease, releaseMsg{seq: op.seq})
+		t.host.SendCtrl(ep.dst, kindRelease, releaseMsg{seq: op.seq})
 		if t.rndvDone == nil {
 			panic("ucx: rendezvous completion with no handler installed")
 		}
@@ -697,7 +685,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, wc ibv.WC) {
 			threshold = 1
 		}
 		if ep.processed[rail] >= threshold {
-			t.host.SendCtrl(ep.dst, t.kindCredit, creditMsg{rail: rail, n: ep.processed[rail]})
+			t.host.SendCtrl(ep.dst, kindCredit, creditMsg{rail: rail, n: ep.processed[rail]})
 			ep.processed[rail] = 0
 		}
 	default:

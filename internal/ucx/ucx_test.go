@@ -24,7 +24,7 @@ func newEnv(t *testing.T) *env {
 	w := mpi.NewWorld(mpi.Config{Cluster: cluster.NiagaraConfig(2)})
 	e := &env{w: w}
 	for i := 0; i < 2; i++ {
-		e.ts = append(e.ts, ucx.New(w.Rank(i), "ucx"))
+		e.ts = append(e.ts, ucx.New(w.Rank(i)))
 	}
 	return e
 }

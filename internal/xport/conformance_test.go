@@ -1,7 +1,7 @@
 // Conformance suite for the simulated verbs device as the layers above
-// (core strategies, ucx, pt2pt, mpipcl) use it: queue pairs created on a
-// rank's device context with mpi.Rank.CreateQP, memory registered on
-// mpi.Rank.PD, completions delivered through mpi.Rank.Progress. It pins
+// (core strategies, ucx) use it: queue pairs created on a rank's device
+// context with mpi.Rank.CreateQP, memory registered on mpi.Rank.PD,
+// completions delivered through mpi.Rank.Progress. It pins
 // connect in either order, post-time registration bounds, typed misuse
 // errors, immediate round trips, send-buffer ownership,
 // outstanding-window enforcement, and in-order completion delivery.
