@@ -70,8 +70,8 @@ test:
 # control arrivals at one port from senders on several shards.
 # The sim and sharded lines run at -cpu 1,2: procs are coroutines that any
 # shard worker may resume, so switches are exercised on one P and across
-# two. The ibv and ucx line covers the verbs data path: a non-inline WR's
-# payload is read from the sender's memory when it lands, which on a
+# two. The ibv and ucx line covers the verbs data path: a send's or
+# write's payload is read from the sender's memory when it lands, which on a
 # sharded run happens on the destination's engine; ibv's contract tests
 # run here under the race detector (the mpi line above covers the rank's
 # device context and drain), and xport's conformance suite connects and

@@ -1,11 +1,13 @@
 // Package repro's root benchmarks regenerate every table and figure of the
-// paper, one testing.B benchmark per exhibit:
+// paper, one testing.B benchmark per exhibit (fig3, table1, fig6 to fig14)
+// plus one for ablation-model:
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark runs the corresponding experiment driver in quick mode
-// (reduced sweep) so the whole suite completes in minutes; the full-scale
-// sweeps behind EXPERIMENTS.md run through cmd/partbench. Key scalar
+// (reduced sweep) so the whole suite completes in minutes. The other
+// registry exhibits (halo, ablation-adaptive, compare-strategies) and the
+// full-scale sweeps behind EXPERIMENTS.md run through cmd/partbench. Key scalar
 // outcomes are reported as custom benchmark metrics so regressions in the
 // *shape* of a result (a speedup dropping below 1, a perceived bandwidth
 // falling under the link rate) are visible in benchmark output.
@@ -107,19 +109,6 @@ func BenchmarkFig14Sweep(b *testing.B) {
 	b.ReportMetric(lastCell(b, tables[len(tables)-1]), "timer-speedup")
 }
 
-func BenchmarkAblationInline(b *testing.B) {
-	tables := runExperiment(b, "ablation-inline")
-	b.ReportMetric(lastCell(b, tables[0]), "inline-improvement")
-}
-
-func BenchmarkAblationWindow(b *testing.B) {
-	runExperiment(b, "ablation-window")
-}
-
 func BenchmarkAblationModel(b *testing.B) {
 	runExperiment(b, "ablation-model")
-}
-
-func BenchmarkAblationTimer(b *testing.B) {
-	runExperiment(b, "ablation-timer")
 }

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/bench"
@@ -110,10 +111,7 @@ func run(args []string) int {
 	}
 
 	if *list {
-		for _, name := range experiments.Names() {
-			desc, _ := experiments.Describe(name)
-			fmt.Printf("%-8s %s\n", name, desc)
-		}
+		writeList(os.Stdout)
 		return 0
 	}
 	if *exp == "" {
@@ -143,6 +141,17 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// writeList prints one line per experiment, its id then its description,
+// with every description starting in the same column.
+func writeList(w io.Writer) {
+	tw := tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
+	for _, name := range experiments.Names() {
+		desc, _ := experiments.Describe(name)
+		fmt.Fprintf(tw, "%s\t%s\n", name, desc)
+	}
+	tw.Flush()
 }
 
 // runSuite executes the named experiments in order, rendering tables as

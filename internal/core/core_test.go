@@ -371,17 +371,22 @@ func TestPLogGPHoldsBackUntilGroupComplete(t *testing.T) {
 	}
 }
 
-func TestTimerLargeDeltaBehavesLikePLogGP(t *testing.T) {
-	// δ much larger than the laggard's delay: the last arrival sends the
-	// whole group in one WR and the sleeper does nothing (δ_a in Fig. 5).
+// timerStaggeredWRs runs one timer-strategy round of 8 partitions on one
+// transport partition, Pready calls 10 µs apart, and returns the fabric
+// messages the sender posted.
+func timerStaggeredWRs(t *testing.T, delta time.Duration) int64 {
+	t.Helper()
 	e := newEnv()
 	const parts, total = 8, 64 << 10
 	src := make([]byte, total)
 	dst := make([]byte, total)
+	for i := range src {
+		src[i] = byte(i)
+	}
 	opts := Options{
 		Strategy:       StrategyTimerPLogGP,
 		TransportParts: 1,
-		Delta:          50 * time.Millisecond,
+		Delta:          delta,
 	}
 	e.runPair(t,
 		func(p *sim.Proc, eng *Engine) {
@@ -406,8 +411,26 @@ func TestTimerLargeDeltaBehavesLikePLogGP(t *testing.T) {
 			pr.Wait(p)
 		},
 	)
-	if got := e.w.Rank(0).Node().HCA.Port().MessagesSent(); got != 1 {
+	if !bytes.Equal(dst, src) {
+		t.Fatal("data mismatch")
+	}
+	return e.w.Rank(0).Node().HCA.Port().MessagesSent()
+}
+
+func TestTimerLargeDeltaBehavesLikePLogGP(t *testing.T) {
+	// δ much larger than the laggard's delay: the last arrival sends the
+	// whole group in one WR and the sleeper does nothing (δ_a in Fig. 5).
+	if got := timerStaggeredWRs(t, 50*time.Millisecond); got != 1 {
 		t.Errorf("timer with huge δ posted %d WRs, want 1", got)
+	}
+}
+
+func TestTimerTinyDeltaSendsEachPartition(t *testing.T) {
+	// δ far below the 10 µs Pready spacing: each timer fires before the
+	// next partition arrives, so every partition goes in its own WR (the
+	// δ→0 endpoint).
+	if got := timerStaggeredWRs(t, time.Nanosecond); got != 8 {
+		t.Errorf("timer with 1 ns δ posted %d WRs, want 8", got)
 	}
 }
 

@@ -84,81 +84,6 @@ func TestPbufPrepareMovesHandshakeOutOfStart(t *testing.T) {
 	}
 }
 
-func TestUseInlineSpeedsTinyPartitions(t *testing.T) {
-	// 64-byte transport partitions fit the 220-byte inline limit; with
-	// UseInline the round completes strictly sooner.
-	run := func(inline bool) time.Duration {
-		e := newEnv()
-		const parts, total = 4, 256
-		src := make([]byte, total)
-		dst := make([]byte, total)
-		opts := Options{Strategy: StrategyPLogGP, TransportParts: 4, UseInline: inline}
-		var done sim.Time
-		e.runPair(t,
-			func(p *sim.Proc, eng *Engine) {
-				ps, _ := eng.PsendInit(p, src, parts, 1, 1, opts)
-				ps.Start(p)
-				ps.PreadyRange(p, 0, parts)
-				ps.Wait(p)
-			},
-			func(p *sim.Proc, eng *Engine) {
-				pr, _ := eng.PrecvInit(p, dst, parts, 0, 1, opts)
-				pr.Start(p)
-				pr.Wait(p)
-				done = p.Now()
-			},
-		)
-		return done.Duration()
-	}
-	plain := run(false)
-	inlined := run(true)
-	if inlined >= plain {
-		t.Fatalf("inline round (%v) not faster than plain (%v)", inlined, plain)
-	}
-}
-
-func TestMaxOutstandingOverrideThrottles(t *testing.T) {
-	// A window of 1 forces stop-and-wait between transport partitions.
-	// The effect only binds when the ack round trip exceeds the per-QP
-	// injection pacing, i.e. for small messages — use 1 KiB partitions.
-	run := func(window int) time.Duration {
-		e := newEnv()
-		const parts, total = 16, 16 << 10
-		src := make([]byte, total)
-		dst := make([]byte, total)
-		opts := Options{
-			Strategy:            StrategyPLogGP,
-			TransportParts:      16,
-			QPs:                 1,
-			MaxOutstandingPerQP: window,
-		}
-		var done sim.Time
-		e.runPair(t,
-			func(p *sim.Proc, eng *Engine) {
-				ps, _ := eng.PsendInit(p, src, parts, 1, 1, opts)
-				ps.Start(p)
-				ps.PreadyRange(p, 0, parts)
-				ps.Wait(p)
-			},
-			func(p *sim.Proc, eng *Engine) {
-				pr, _ := eng.PrecvInit(p, dst, parts, 0, 1, opts)
-				pr.Start(p)
-				pr.Wait(p)
-				done = p.Now()
-			},
-		)
-		if !bytes.Equal(dst, src) {
-			t.Fatal("data mismatch")
-		}
-		return done.Duration()
-	}
-	narrow := run(1)
-	wide := run(16)
-	if narrow <= wide {
-		t.Fatalf("window=1 round (%v) not slower than window=16 (%v)", narrow, wide)
-	}
-}
-
 // TestTimerRandomArrivalsProperty: under arbitrary arrival orders, delays,
 // and δ values, the timer aggregator must deliver every partition exactly
 // once with intact data (duplicate arrivals panic in markArrived, so a

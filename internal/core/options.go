@@ -157,13 +157,6 @@ type Options struct {
 	TransportParts int
 	// QPs overrides the queue pair count (used by the Figure 7 sweep).
 	QPs int
-	// MaxOutstandingPerQP overrides the per-QP in-flight RDMA window
-	// (zero keeps the hardware's 16). Exposed for the window ablation.
-	MaxOutstandingPerQP int
-	// UseInline posts transport partitions that fit the QP's inline limit
-	// with IBV_SEND_INLINE. The paper leaves inlining/BlueFlame to future
-	// work and keeps it off; enable it to run that study.
-	UseInline bool
 }
 
 // Plan is the resolved aggregation scheme for one request.

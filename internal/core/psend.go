@@ -25,8 +25,8 @@ const (
 )
 
 // Psend is a persistent partitioned send request. It keeps only what its
-// rounds read: of the Options, the strategy, the timer's δ and the inline
-// switch; the buffer through its MR; the rank through its engine.
+// rounds read: of the Options, the strategy and the timer's δ; the buffer
+// through its MR; the rank through its engine.
 type Psend struct {
 	e        *Engine
 	strategy Strategy
@@ -55,7 +55,6 @@ type Psend struct {
 	remoteAddr uint64
 	remoteRKey uint32
 	connected  bool
-	useInline  bool
 
 	credits int
 	round   int
@@ -126,7 +125,6 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 		tag:       tag,
 		reqID:     e.allocReq(),
 		flagLock:  sim.NewResource(e.r.Engine(), 1),
-		useInline: opts.UseInline,
 	}
 	e.psends = putReq(e.psends, ps.reqID, ps)
 	if opts.Strategy == StrategyAdaptive {
@@ -140,10 +138,7 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 		// hold a worst-case round (every user partition its own WR under
 		// the timer strategy).
 		for i := 0; i < plan.QPs; i++ {
-			qp, err := e.r.CreateQP(ibv.QPConfig{
-				MaxSendWR:      partitions + 16,
-				MaxOutstanding: opts.MaxOutstandingPerQP,
-			}, ps.onSendComp)
+			qp, err := e.r.CreateQP(ibv.QPConfig{MaxSendWR: partitions + 16}, ps.onSendComp)
 			if err != nil {
 				return nil, err
 			}
@@ -390,7 +385,6 @@ func (ps *Psend) postRun(p *sim.Proc, g *sendGroup, lo, count int) error {
 		RKey:       ps.remoteRKey,
 		Imm:        EncodeImm(uint16(first), uint16(count)),
 		Signaled:   true,
-		Inline:     ps.useInline && bytes <= qp.MaxInline(),
 	})
 	lock.Release()
 	if err != nil {

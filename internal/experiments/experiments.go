@@ -76,10 +76,7 @@ var registry = []struct {
 	{"fig12", "Estimated minimum delta vs message size per partition count", Fig12},
 	{"fig13", "Perceived bandwidth around the minimum delta (10/35/100 us), 32 partitions", Fig13},
 	{"fig14", "Sweep3D communication speedup at 1024 cores (16 threads x 64 nodes)", Fig14},
-	{"ablation-inline", "Ablation: IBV_SEND_INLINE for small transport partitions (Section VI-A future work)", AblationInline},
-	{"ablation-window", "Ablation: per-QP in-flight RDMA window size", AblationWindow},
 	{"ablation-model", "Ablation: PLogGP ideal vs pipelined model vs simulated completion", AblationModel},
-	{"ablation-timer", "Ablation: timer delta endpoints (0 .. infinity)", AblationTimer},
 	{"halo", "Extension: halo-exchange communication speedup (the suite's other pattern)", Halo},
 	{"ablation-adaptive", "Ablation: adaptive strategy vs each static design across arrival patterns", AblationAdaptive},
 	{"compare-strategies", "Online adaptive strategy vs the offline tuning-table oracle, per table point", CompareStrategiesExp},

@@ -68,7 +68,7 @@ func writeDigests(t *testing.T, digests map[string]string) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "table1", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14",
-		"ablation-inline", "ablation-window", "ablation-model", "ablation-timer", "halo",
+		"ablation-model", "halo",
 		"ablation-adaptive", "compare-strategies"}
 	names := Names()
 	if len(names) != len(want) {

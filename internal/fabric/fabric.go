@@ -73,12 +73,6 @@ const (
 	// WRProcess is the per-work-request NIC processing cost (WQE fetch
 	// over PCIe after the doorbell).
 	WRProcess = 25 * time.Nanosecond
-	// InlineWRProcess replaces WRProcess for inline work requests: the
-	// payload travels inside the doorbell write (inlining/BlueFlame), so
-	// the NIC skips the WQE/payload DMA fetch. The paper leaves these
-	// small-message features to future work; they are modelled here so
-	// that study can be run (see the ablation experiments).
-	InlineWRProcess = 5 * time.Nanosecond
 	// MsgGap is the minimum spacing between messages of one flow (LogGP g).
 	MsgGap = 10 * time.Nanosecond
 
@@ -409,11 +403,7 @@ func (p *Port) SendControl(dst *Port, m Control) {
 // at the destination; OnAck runs when the sender's hardware completion
 // would be generated.
 type Message struct {
-	Bytes int
-	// Inline marks a work request whose payload was written through the
-	// doorbell (inlining/BlueFlame): the NIC charges InlineWRProcess
-	// instead of WRProcess.
-	Inline    bool
+	Bytes     int
 	OnDeliver func(at sim.Time)
 	OnAck     func(at sim.Time)
 }
@@ -604,11 +594,7 @@ func (fl *Flow) startHead() {
 	if fl.msgFreeAt > start {
 		start = fl.msgFreeAt
 	}
-	proc := WRProcess
-	if fl.queue[fl.head].msg.Inline {
-		proc = InlineWRProcess
-	}
-	injectAt := start.Add(proc)
+	injectAt := start.Add(WRProcess)
 	if fl.paceFreeAt > injectAt {
 		injectAt = fl.paceFreeAt
 	}

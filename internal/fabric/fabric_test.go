@@ -84,46 +84,31 @@ func TestSingleMessageLatency(t *testing.T) {
 }
 
 func TestZeroByteMessageMoves(t *testing.T) {
+	// A zero-byte send still pays WRProcess and serializes one header
+	// packet.
 	e, f := testFabric(t)
 	a, b := f.NewPort("a"), f.NewPort("b")
 	fl := f.NewFlow(a, b)
 	delivered := false
-	fl.Send(Message{Bytes: 0, OnDeliver: func(sim.Time) { delivered = true }})
+	var deliveredAt, ackAt sim.Time
+	fl.Send(Message{
+		Bytes:     0,
+		OnDeliver: func(at sim.Time) { delivered, deliveredAt = true, at },
+		OnAck:     func(at sim.Time) { ackAt = at },
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !delivered {
 		t.Fatal("zero-byte message not delivered")
 	}
-	if e.Now() == 0 {
-		t.Fatal("zero-byte message took zero time (headers must travel)")
-	}
-}
-
-func TestZeroByteInlineMessage(t *testing.T) {
-	// A zero-byte inline send still serializes one header packet, but the
-	// NIC charges InlineWRProcess (payload rides the doorbell write) instead
-	// of the WQE-fetch cost WRProcess.
-	e, f := testFabric(t)
-	a, b := f.NewPort("a"), f.NewPort("b")
-	fl := f.NewFlow(a, b)
-	var deliveredAt, ackAt sim.Time
-	fl.Send(Message{
-		Bytes:     0,
-		Inline:    true,
-		OnDeliver: func(at sim.Time) { deliveredAt = at },
-		OnAck:     func(at sim.Time) { ackAt = at },
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
 	headerBytes := loggp.Packets(0, MTU) * PacketHeader
 	want := sim.Time(0).
-		Add(InlineWRProcess).
+		Add(WRProcess).
 		Add(time.Duration(float64(headerBytes) * LinkByteTime)).
 		Add(WireLatency)
 	if deliveredAt != want {
-		t.Errorf("inline zero-byte delivered at %v, want %v", deliveredAt, want)
+		t.Errorf("zero-byte delivered at %v, want %v (headers must travel)", deliveredAt, want)
 	}
 	if ackAt != want.Add(AckLatency) {
 		t.Errorf("ack at %v, want %v", ackAt, want.Add(AckLatency))
@@ -133,25 +118,6 @@ func TestZeroByteInlineMessage(t *testing.T) {
 	}
 	if a.MessagesSent() != 1 {
 		t.Errorf("sender counted %d messages, want 1", a.MessagesSent())
-	}
-}
-
-func TestInlineSkipsWRProcess(t *testing.T) {
-	// Same payload, inline vs not: delivery times must differ by exactly
-	// WRProcess - InlineWRProcess.
-	deliverAt := func(inline bool) sim.Time {
-		e, f := testFabric(t)
-		fl := f.NewFlow(f.NewPort("a"), f.NewPort("b"))
-		var at sim.Time
-		fl.Send(Message{Bytes: 64, Inline: inline, OnDeliver: func(a sim.Time) { at = a }})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	plain, inline := deliverAt(false), deliverAt(true)
-	if got, want := plain.Sub(inline), WRProcess-InlineWRProcess; got != want {
-		t.Errorf("inline saves %v, want %v", got, want)
 	}
 }
 

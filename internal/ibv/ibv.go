@@ -48,8 +48,6 @@ var (
 	ErrEmptySGList = errors.New("ibv: empty scatter/gather list")
 	// ErrDeregistered is returned when registering/deregistering fails.
 	ErrDeregistered = errors.New("ibv: memory region already deregistered")
-	// ErrInlineTooLarge is returned for an inline WR exceeding MaxInline.
-	ErrInlineTooLarge = errors.New("ibv: inline payload exceeds QP MaxInline")
 )
 
 // mrBase is the first synthetic virtual address handed to registered

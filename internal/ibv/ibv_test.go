@@ -245,8 +245,8 @@ func TestInOrderDeliveryAcrossWRs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each WR owns its byte of sendBuf: a posted non-inline WR's bytes are
-	// read when they land, so the sender must not reuse them before the
+	// Each WR owns its byte of sendBuf: a posted WR's bytes are read when
+	// they land, so the sender must not reuse them before the
 	// WR completes.
 	for i := 0; i < n; i++ {
 		p.sendBuf[i] = byte(100 + i)
@@ -278,20 +278,15 @@ func TestInOrderDeliveryAcrossWRs(t *testing.T) {
 	}
 }
 
-// TestPayloadReadAtPlacement pins when each kind of WR reads its gather
-// list: a non-inline WR when its data lands at the responder, an inline WR
-// when it is posted (IBV_SEND_INLINE makes the buffer reusable on return).
+// TestPayloadReadAtPlacement pins when a send or write reads its gather
+// list: when its data lands at the responder, not when it is posted.
 func TestPayloadReadAtPlacement(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		op     Opcode
-		inline bool
-		want   byte
+		name string
+		op   Opcode
 	}{
-		{"write-imm", OpRDMAWriteImm, false, 2},
-		{"send", OpSend, false, 2},
-		{"write-imm-inline", OpRDMAWriteImm, true, 1},
-		{"send-inline", OpSend, true, 1},
+		{"write-imm", OpRDMAWriteImm},
+		{"send", OpSend},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPair(t, 128)
@@ -308,7 +303,6 @@ func TestPayloadReadAtPlacement(t *testing.T) {
 				SGList:     []SGE{p.sendMR.SGEFor(0, 40), p.sendMR.SGEFor(64, 60)},
 				RemoteAddr: p.recvMR.Addr(),
 				RKey:       p.recvMR.RKey(),
-				Inline:     tc.inline,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -320,8 +314,8 @@ func TestPayloadReadAtPlacement(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, b := range p.recvBuf[:100] {
-				if b != tc.want {
-					t.Fatalf("byte %d = %d, want %d", i, b, tc.want)
+				if b != 2 {
+					t.Fatalf("byte %d = %d, want 2", i, b)
 				}
 			}
 			if p.recvBuf[100] != 0 {
@@ -604,7 +598,7 @@ func TestReceiveLengthError(t *testing.T) {
 func TestSQFullAndOutstandingWindow(t *testing.T) {
 	e := sim.NewEngine()
 	f := fabric.New(e, fabric.Config{})
-	p := newPairOn(t, e, f, 1<<20, QPConfig{MaxSendWR: 4, MaxOutstanding: 2})
+	p := newPairOn(t, e, f, 1<<20, QPConfig{MaxSendWR: MaxOutstanding + 2})
 	post := func() error {
 		return p.sendQP.PostSend(SendWR{
 			Opcode:     OpRDMAWrite,
@@ -613,16 +607,16 @@ func TestSQFullAndOutstandingWindow(t *testing.T) {
 			RKey:       p.recvMR.RKey(),
 		})
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < MaxOutstanding+2; i++ {
 		if err := post(); err != nil {
 			t.Fatalf("post %d: %v", i, err)
 		}
 	}
-	if p.sendQP.Outstanding() != 2 {
-		t.Fatalf("outstanding = %d, want window of 2", p.sendQP.Outstanding())
+	if got := p.sendQP.Outstanding(); got != MaxOutstanding {
+		t.Fatalf("outstanding = %d, want window of %d", got, MaxOutstanding)
 	}
 	if err := post(); !errors.Is(err, ErrSQFull) {
-		t.Fatalf("5th post: %v, want ErrSQFull", err)
+		t.Fatalf("post %d: %v, want ErrSQFull", MaxOutstanding+3, err)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

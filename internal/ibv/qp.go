@@ -75,13 +75,11 @@ func (o Opcode) String() string {
 // Buffer ownership follows the verbs rule the paper's zero-copy design
 // relies on. PostSend reads the WR itself, and a send's or write's
 // SGList, before it returns, so both may be reused at once. The bytes the
-// SGEs name are different: a non-inline WR reads them when they land at
+// SGEs name are different: a send or write reads them when they land at
 // the responder, as the HCA reads user memory while it transmits, so the
 // caller must not modify them until the WR completes (MPI forbids
 // touching a partition between MPI_Pready and MPI_Wait in the layer
-// above). An Inline WR copies its payload at post time, as
-// IBV_SEND_INLINE promises, so its buffer is reusable as soon as PostSend
-// returns. An RDMA read is the exception: it keeps its SGList, which must
+// above). An RDMA read is the exception: it keeps its SGList, which must
 // stay untouched until the WR completes.
 //
 // A read moves its bytes once, from the responder's memory straight into
@@ -101,10 +99,6 @@ type SendWR struct {
 	// Signaled requests a completion on the send CQ on success. Failed
 	// WRs always complete, signaled or not.
 	Signaled bool
-	// Inline requests that the payload travel in the doorbell write
-	// (IBV_SEND_INLINE); the total gather length must not exceed the
-	// QP's MaxInline.
-	Inline bool
 }
 
 // RecvWR is a receive-side work request. For RDMA-write-with-immediate
@@ -123,38 +117,31 @@ type QPConfig struct {
 	MaxSendWR int
 	// MaxRecvWR is the receive-queue depth. Zero selects 1024.
 	MaxRecvWR int
-	// MaxOutstanding caps concurrently in-flight RDMA work requests, the
-	// ConnectX-5 limit of 16 the paper works around with multiple QPs.
-	// Zero selects 16.
-	MaxOutstanding int
-	// MaxInline is the largest payload postable with SendWR.Inline (the
-	// data travels in the doorbell write). Zero selects 220 bytes, the
-	// common mlx5 default.
-	MaxInline int
 }
 
+// MaxOutstanding caps each QP's concurrently in-flight RDMA work requests:
+// the ConnectX-5 limit of 16 the paper works around with multiple QPs.
+// Further posts wait in the QP's send queue until an ack frees a slot.
+const MaxOutstanding = 16
+
 const (
-	defaultMaxSendWR      = 128
-	defaultMaxRecvWR      = 1024
-	defaultMaxOutstanding = 16
-	defaultMaxInline      = 220
+	defaultMaxSendWR = 128
+	defaultMaxRecvWR = 1024
 )
 
 // sendCtx tracks one posted send WR through the fabric. Contexts are
-// recycled per QP (see QP.takeCtx/releaseCtx): the gather-list and inline
-// backing arrays and the deliver/ack callbacks bound to the context
-// survive recycling, so a warm QP posts WRs without allocating.
+// recycled per QP (see QP.takeCtx/releaseCtx): the gather-list backing
+// array and the deliver/ack callbacks bound to the context survive
+// recycling, so a warm QP posts WRs without allocating.
 type sendCtx struct {
 	qp *QP
 	wr SendWR
-	// segs is the resolved gather list of a send or write. A non-inline
-	// WR's bytes are read from it when they land (deliver), as the HCA
-	// reads user memory while it transmits; an inline WR's single segment
-	// is its post-time snapshot in inline. A read's one segment is the
-	// responder's range, resolved when the request lands there
-	// (readRequest) and copied out when the response lands (readResponse).
-	segs   [][]byte
-	inline []byte
+	// segs is the resolved gather list of a send or write. Its bytes are
+	// read when they land (deliver), as the HCA reads user memory while it
+	// transmits. A read's one segment is the responder's range, resolved
+	// when the request lands there (readRequest) and copied out when the
+	// response lands (readResponse).
+	segs [][]byte
 	// bytes is the total gather length: the payload size of a send or
 	// write, the request length of a read.
 	bytes  int
@@ -220,7 +207,6 @@ func (qp *QP) releaseCtx(ctx *sendCtx) {
 	ctx.wr = SendWR{}
 	clear(ctx.segs)
 	ctx.segs = ctx.segs[:0]
-	ctx.inline = ctx.inline[:0]
 	ctx.bytes = 0
 	ctx.status = StatusSuccess
 	qp.ctxFree = append(qp.ctxFree, ctx)
@@ -237,13 +223,7 @@ func (pd *PD) CreateQP(cfg QPConfig) (*QP, error) {
 	if cfg.MaxRecvWR == 0 {
 		cfg.MaxRecvWR = defaultMaxRecvWR
 	}
-	if cfg.MaxOutstanding == 0 {
-		cfg.MaxOutstanding = defaultMaxOutstanding
-	}
-	if cfg.MaxInline == 0 {
-		cfg.MaxInline = defaultMaxInline
-	}
-	if cfg.MaxSendWR < 1 || cfg.MaxRecvWR < 1 || cfg.MaxOutstanding < 1 {
+	if cfg.MaxSendWR < 1 || cfg.MaxRecvWR < 1 {
 		return nil, fmt.Errorf("ibv: CreateQP with non-positive queue limits")
 	}
 	h := pd.ctx.hca
@@ -263,9 +243,6 @@ func (qp *QP) PD() *PD { return qp.pd }
 
 // Outstanding reports send WRs handed to the fabric and not yet acked.
 func (qp *QP) Outstanding() int { return qp.inFlight }
-
-// MaxInline reports the largest inline payload the QP accepts.
-func (qp *QP) MaxInline() int { return qp.cfg.MaxInline }
 
 // ToInit transitions RESET→INIT.
 func (qp *QP) ToInit() error {
@@ -416,18 +393,12 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if isRDMA && (wr.RKey == 0 || wr.RemoteAddr == 0) {
 		return ErrNoRemote
 	}
-	if wr.Opcode == OpRDMARead && wr.Inline {
-		return ErrInlineTooLarge // reads have no payload to inline
-	}
 	if qp.sqLen >= qp.cfg.MaxSendWR {
 		return ErrSQFull
 	}
 	total := 0
 	for _, sge := range wr.SGList {
 		total += sge.Length
-	}
-	if wr.Inline && total > qp.cfg.MaxInline {
-		return ErrInlineTooLarge
 	}
 	ctx := qp.takeCtx()
 	if wr.Opcode == OpRDMARead {
@@ -447,13 +418,6 @@ func (qp *QP) PostSend(wr SendWR) error {
 			}
 			ctx.segs = append(ctx.segs, b)
 		}
-		if wr.Inline {
-			for _, b := range ctx.segs {
-				ctx.inline = append(ctx.inline, b...)
-			}
-			clear(ctx.segs)
-			ctx.segs = append(ctx.segs[:0], ctx.inline)
-		}
 		// Only a read's scatter list is consulted after the post; dropping
 		// the others keeps callers free to reuse their SGE scratch.
 		wr.SGList = nil
@@ -461,7 +425,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	ctx.wr, ctx.bytes, ctx.status = wr, total, StatusSuccess
 	qp.openSendFlow()
 	qp.sqLen++
-	if qp.inFlight < qp.cfg.MaxOutstanding {
+	if qp.inFlight < MaxOutstanding {
 		qp.dispatch(ctx)
 	} else {
 		qp.waitq = append(qp.waitq, ctx)
@@ -493,7 +457,6 @@ func (qp *QP) dispatch(ctx *sendCtx) {
 	// posted WR on the write/send fast path.
 	qp.flow.Send(fabric.Message{
 		Bytes:     ctx.bytes,
-		Inline:    ctx.wr.Inline,
 		OnDeliver: ctx.deliverFn,
 		OnAck:     ctx.ackFn,
 	})
@@ -719,7 +682,7 @@ func (qp *QP) acked(ctx *sendCtx) {
 	}
 	qp.releaseCtx(ctx)
 	// Refill the in-flight window from the wait queue.
-	for qp.inFlight < qp.cfg.MaxOutstanding && len(qp.waitq) > 0 {
+	for qp.inFlight < MaxOutstanding && len(qp.waitq) > 0 {
 		next := qp.waitq[0]
 		qp.waitq = qp.waitq[1:]
 		qp.dispatch(next)

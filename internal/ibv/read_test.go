@@ -70,15 +70,6 @@ func TestRDMAReadValidation(t *testing.T) {
 	}); !errors.Is(err, ErrNoRemote) {
 		t.Fatalf("read without remote: %v", err)
 	}
-	if err := p.sendQP.PostSend(SendWR{
-		Opcode:     OpRDMARead,
-		SGList:     []SGE{p.sendMR.SGEFor(0, 100)},
-		RemoteAddr: p.recvMR.Addr(),
-		RKey:       p.recvMR.RKey(),
-		Inline:     true,
-	}); !errors.Is(err, ErrInlineTooLarge) {
-		t.Fatalf("inline read: %v", err)
-	}
 }
 
 func TestRDMAReadSlowerThanWriteOneWay(t *testing.T) {
@@ -117,8 +108,9 @@ func TestRDMAReadSlowerThanWriteOneWay(t *testing.T) {
 func TestRDMAReadCountsAgainstWindow(t *testing.T) {
 	e := sim.NewEngine()
 	f := fabric.New(e, fabric.Config{})
-	p := newPairOn(t, e, f, 1<<20, QPConfig{MaxOutstanding: 2, MaxSendWR: 8})
-	for i := 0; i < 6; i++ {
+	const reads = MaxOutstanding + 4
+	p := newPairOn(t, e, f, 1<<20, QPConfig{MaxSendWR: reads})
+	for i := 0; i < reads; i++ {
 		err := p.sendQP.PostSend(SendWR{
 			Opcode:     OpRDMARead,
 			SGList:     []SGE{p.sendMR.SGEFor(0, 4096)},
@@ -130,15 +122,15 @@ func TestRDMAReadCountsAgainstWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.sendQP.Outstanding() != 2 {
-		t.Fatalf("outstanding = %d, want window of 2", p.sendQP.Outstanding())
+	if got := p.sendQP.Outstanding(); got != MaxOutstanding {
+		t.Fatalf("outstanding = %d, want window of %d", got, MaxOutstanding)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var wcs [8]WC
-	if n := p.sendCQ.Poll(wcs[:]); n != 6 {
-		t.Fatalf("polled %d completions, want 6", n)
+	var wcs [reads + 2]WC
+	if n := p.sendCQ.Poll(wcs[:]); n != reads {
+		t.Fatalf("polled %d completions, want %d", n, reads)
 	}
 }
 

@@ -229,14 +229,6 @@ func TestConformanceMisuseErrors(t *testing.T) {
 			}
 			return qp0.PostSend(send(mr.SGEFor(0, 64)))
 		}},
-		{"oversize inline send", ibv.ErrInlineTooLarge, func(t *testing.T, f *fixture) error {
-			qp0, _ := pair(t, f, 0, 0)
-			n := qp0.MaxInline() + 1
-			mr := regMem(t, f.r0, make([]byte, n))
-			wr := send(mr.SGEFor(0, n))
-			wr.Inline = true
-			return qp0.PostSend(wr)
-		}},
 		{"full send queue", ibv.ErrSQFull, func(t *testing.T, f *fixture) error {
 			qp0, _ := pair(t, f, 2, 0)
 			src := regMem(t, f.r0, make([]byte, 64))
@@ -344,74 +336,65 @@ func TestConformanceImmRoundTrip(t *testing.T) {
 	})
 }
 
-// TestConformanceBufferOwnership pins the SendWR buffer contract: an
-// inline WR copies its payload when it is posted, so a later
-// write to the buffer is invisible to the receiver; a non-inline WR reads
-// its payload when it lands, so a write between post and placement shows.
+// TestConformanceBufferOwnership pins the SendWR buffer contract: a send
+// or write reads its payload when it lands, so a write to the buffer
+// between post and placement shows at the receiver.
 func TestConformanceBufferOwnership(t *testing.T) {
 	const n = 64
 	for _, op := range []struct {
 		name string
 		code ibv.Opcode
 	}{{"WRITE_WITH_IMM", ibv.OpRDMAWriteImm}, {"SEND", ibv.OpSend}} {
-		for _, inline := range []bool{true, false} {
-			name := op.name + "/non-inline"
-			want := byte(2)
-			if inline {
-				name, want = op.name+"/inline", 1
-			}
-			t.Run(name, func(t *testing.T) {
-				withFixture(t, func(t *testing.T, f *fixture) {
-					src := bytes.Repeat([]byte{1}, n)
-					dstBuf := make([]byte, n)
-					smr := regMem(t, f.r0, src)
-					dmr := regMem(t, f.r1, dstBuf)
-					landed := false
-					qp0 := newQP(t, f.r0, ibv.QPConfig{}, noWC)
-					qp1 := newQP(t, f.r1, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) {
-						if !ok(wc) || wc.ByteLen != n {
-							t.Errorf("recv completion %+v", wc)
-						}
-						landed = true
-					})
-					connectPair(t, qp0, qp1)
-					if err := qp1.PostRecv(ibv.RecvWR{SGList: []ibv.SGE{dmr.SGEFor(0, n)}}); err != nil {
-						t.Fatal(err)
+		t.Run(op.name+"/non-inline", func(t *testing.T) {
+			withFixture(t, func(t *testing.T, f *fixture) {
+				src := bytes.Repeat([]byte{1}, n)
+				dstBuf := make([]byte, n)
+				smr := regMem(t, f.r0, src)
+				dmr := regMem(t, f.r1, dstBuf)
+				landed := false
+				qp0 := newQP(t, f.r0, ibv.QPConfig{}, noWC)
+				qp1 := newQP(t, f.r1, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) {
+					if !ok(wc) || wc.ByteLen != n {
+						t.Errorf("recv completion %+v", wc)
 					}
-					if err := qp0.PostSend(ibv.SendWR{
-						Opcode:     op.code,
-						SGList:     []ibv.SGE{smr.SGEFor(0, n)},
-						RemoteAddr: dmr.Addr(),
-						RKey:       dmr.RKey(),
-						Inline:     inline,
-					}); err != nil {
-						t.Fatal(err)
-					}
-					for i := range src {
-						src[i] = 2
-					}
-					err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
-						if r.ID() == 1 {
-							r.WaitOn(p, func() bool { return landed })
-						}
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(dstBuf, bytes.Repeat([]byte{want}, n)) {
-						t.Fatalf("receiver saw %v, want all %d", dstBuf[:8], want)
+					landed = true
+				})
+				connectPair(t, qp0, qp1)
+				if err := qp1.PostRecv(ibv.RecvWR{SGList: []ibv.SGE{dmr.SGEFor(0, n)}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := qp0.PostSend(ibv.SendWR{
+					Opcode:     op.code,
+					SGList:     []ibv.SGE{smr.SGEFor(0, n)},
+					RemoteAddr: dmr.Addr(),
+					RKey:       dmr.RKey(),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for i := range src {
+					src[i] = 2
+				}
+				err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
+					if r.ID() == 1 {
+						r.WaitOn(p, func() bool { return landed })
 					}
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dstBuf, bytes.Repeat([]byte{2}, n)) {
+					t.Fatalf("receiver saw %v, want all 2", dstBuf[:8])
+				}
 			})
-		}
+		})
 	}
 }
 
 func TestConformanceOutstandingWindow(t *testing.T) {
 	withFixture(t, func(t *testing.T, f *fixture) {
 		const (
-			window = 2
-			posts  = 12
+			window = ibv.MaxOutstanding
+			posts  = window + 12
 			size   = 4096
 		)
 		src := regMem(t, f.r0, make([]byte, size))
@@ -420,7 +403,7 @@ func TestConformanceOutstandingWindow(t *testing.T) {
 		done := 0
 		maxSeen := 0
 		var qp0 *ibv.QP
-		qp0 = newQP(t, f.r0, ibv.QPConfig{MaxOutstanding: window}, func(p *sim.Proc, wc ibv.WC) {
+		qp0 = newQP(t, f.r0, ibv.QPConfig{}, func(p *sim.Proc, wc ibv.WC) {
 			done++
 			if o := qp0.Outstanding(); o > maxSeen {
 				maxSeen = o
@@ -443,6 +426,10 @@ func TestConformanceOutstandingWindow(t *testing.T) {
 			if o := qp0.Outstanding(); o > window {
 				t.Fatalf("after post %d: Outstanding = %d exceeds window %d", i, o, window)
 			}
+		}
+		// More posts than slots: the window is full and the rest wait.
+		if o := qp0.Outstanding(); o != window {
+			t.Fatalf("after %d posts: Outstanding = %d, want the full window %d", posts, o, window)
 		}
 		err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 			if r.ID() == 0 {
