@@ -63,7 +63,8 @@ test:
 # sim package, whose ShardSet runs engines on a spin/park worker fleet,
 # netgauge, whose gauges feed the loggp calibration consumed inside
 # those sweeps, the bench differential tests that drive sharded
-# clusters end to end, and the cluster differentials that run incast and
+# clusters end to end (serial against sharded, and across shard-worker
+# counts, under every strategy the adaptive one included), and the cluster differentials that run incast and
 # permutation flows over sharded fat-tree and dragonfly fabrics. The
 # fabric line covers the multi-switch congestion paths (incast on the
 # shared down-link, link saturation, route spread) and same-instant
@@ -73,16 +74,16 @@ test:
 # two. The ibv and ucx line covers the verbs data path: a send's or
 # write's payload is read from the sender's memory when it lands, which on a
 # sharded run happens on the destination's engine; ibv's contract tests
-# run here under the race detector (the mpi line above covers the rank's
-# device context and drain), and xport's conformance suite connects and
-# posts on QPs made by mpi.Rank.CreateQP, which build their fabric flows
-# at first use. The ucx transport's clients, core's baseline strategy and
+# run here under the race detector. The mpi line above covers the rank's
+# device context and drain, and mpi's verbs conformance suite, which
+# connects and posts on QPs made by mpi.Rank.CreateQP; those build their
+# fabric flows at first use. The ucx transport's clients, core's baseline strategy and
 # netgauge, are race-checked on the line above. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
-	$(GO) test -race ./internal/ibv/... ./internal/xport/... ./internal/ucx/...
-	$(GO) test -race -cpu 1,2 -run 'TestSharded' ./internal/bench/
+	$(GO) test -race ./internal/ibv/... ./internal/ucx/...
+	$(GO) test -race -cpu 1,2 -run 'Sharded|WorkerCount' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/
 

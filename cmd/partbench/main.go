@@ -197,8 +197,9 @@ func runProbe(strategy, pattern, topo string, shards int, quick bool) error {
 	if err != nil {
 		return err
 	}
-	cfg := bench.P2PConfig{
-		Parts:   16,
+	cfg := bench.GridConfig{
+		Pattern: bench.P2P,
+		Threads: 16,
 		Bytes:   256 << 10,
 		Compute: 20 * time.Microsecond,
 		Warmup:  16,
@@ -218,15 +219,15 @@ func runProbe(strategy, pattern, topo string, shards int, quick bool) error {
 	if quick {
 		cfg.Warmup, cfg.Iters = 8, 8
 	}
-	res, err := bench.RunP2P(cfg)
+	res, err := bench.RunGrid(cfg)
 	if err != nil {
 		return err
 	}
 	rounds := int64(cfg.Warmup + cfg.Iters)
-	fmt.Printf("strategy=%s pattern=%s parts=%d bytes=%d\n", strat, kind, cfg.Parts, cfg.Bytes)
+	fmt.Printf("strategy=%s pattern=%s parts=%d bytes=%d\n", strat, kind, cfg.Threads, cfg.Bytes)
 	fmt.Printf("mean round latency: %v\n", res.MeanIterTime())
 	fmt.Printf("fabric messages/round: %d\n", res.FabricMessages/rounds)
-	if s := res.Adaptive; s != nil {
+	if s := res.Adaptive[0][0]; s != nil {
 		fmt.Printf("adaptive: rounds=%d arrivals=%d switches=%d final=%s/t%d delta=%v regret=%dns\n",
 			s.Rounds, s.RecordedArrivals, len(s.Switches)-1, s.Mode, s.Transport,
 			time.Duration(s.Delta), s.RegretNs)

@@ -119,9 +119,10 @@ func RunAdaptiveGrid(cfg AdaptiveGridConfig) ([]AdaptivePoint, error) {
 // runAdaptivePoint measures one grid point.
 func runAdaptivePoint(cfg AdaptiveGridConfig, kind trace.PatternKind, bytes int) (AdaptivePoint, error) {
 	pt := AdaptivePoint{Pattern: kind.String(), Bytes: bytes}
-	run := func(opts core.Options) (P2PResult, error) {
-		return RunP2P(P2PConfig{
-			Parts:   cfg.Parts,
+	run := func(opts core.Options) (GridResult, error) {
+		return RunGrid(GridConfig{
+			Pattern: P2P,
+			Threads: cfg.Parts,
 			Bytes:   bytes,
 			Compute: cfg.Compute,
 			Warmup:  cfg.Warmup,
@@ -154,7 +155,7 @@ func runAdaptivePoint(cfg AdaptiveGridConfig, kind trace.PatternKind, bytes int)
 		return pt, fmt.Errorf("bench: adaptive at %s/%d: %w", kind, bytes, err)
 	}
 	pt.AdaptiveNs = res.MeanIterTime().Nanoseconds()
-	if s := res.Adaptive; s != nil {
+	if s := res.Adaptive[0][0]; s != nil {
 		pt.Switches = len(s.Switches) - 1 // entry 0 records the initial design
 		pt.FinalMode = s.Mode.String()
 		pt.FinalTransport = s.Transport

@@ -85,11 +85,12 @@ func TestAdaptiveGridOrderAndTelemetry(t *testing.T) {
 	}
 }
 
-// adaptiveP2PConfig is a straggler-pattern point-to-point run under
+// adaptiveP2P is a straggler-pattern point-to-point run under
 // StrategyAdaptive, sized so the switcher acts during the run.
-func adaptiveP2PConfig() P2PConfig {
-	return P2PConfig{
-		Parts:   16,
+func adaptiveP2P() GridConfig {
+	return GridConfig{
+		Pattern: P2P,
+		Threads: 16,
 		Bytes:   256 << 10,
 		Compute: 20 * time.Microsecond,
 		Warmup:  4,
@@ -108,27 +109,29 @@ func adaptiveP2PConfig() P2PConfig {
 // identical serial vs sharded — the observer reads only local-rank event
 // times, so conservative-PDES sharding must not perturb a single decision.
 func TestAdaptiveShardedP2PMatchesSerial(t *testing.T) {
-	cfg := adaptiveP2PConfig()
-	serial, err := RunP2P(cfg)
+	cfg := adaptiveP2P()
+	serial, err := RunGrid(cfg)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	if serial.Adaptive == nil {
+	want := serial.Adaptive[0][0]
+	if want == nil {
 		t.Fatal("serial run reported no adaptive telemetry")
 	}
-	if len(serial.Adaptive.Switches) < 2 {
-		t.Fatalf("expected the straggler pattern to force a switch, got %d entries", len(serial.Adaptive.Switches))
+	if len(want.Switches) < 2 {
+		t.Fatalf("expected the straggler pattern to force a switch, got %d entries", len(want.Switches))
 	}
 	cfg.Shards = 2
-	sharded, err := RunP2P(cfg)
+	sharded, err := RunGrid(cfg)
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
-	if sharded.Adaptive == nil {
+	got := sharded.Adaptive[0][0]
+	if got == nil {
 		t.Fatal("sharded run reported no adaptive telemetry")
 	}
-	if !serial.Adaptive.Equal(*sharded.Adaptive) {
-		t.Errorf("adaptive telemetry diverged:\nserial:  %+v\nsharded: %+v", serial.Adaptive, sharded.Adaptive)
+	if !want.Equal(*got) {
+		t.Errorf("adaptive telemetry diverged:\nserial:  %+v\nsharded: %+v", want, got)
 	}
 	if serial.FabricMessages != sharded.FabricMessages {
 		t.Errorf("fabric messages serial %d != sharded %d", serial.FabricMessages, sharded.FabricMessages)

@@ -9,23 +9,25 @@ import (
 )
 
 // quick returns small iteration counts for unit tests.
-func quick(cfg P2PConfig) P2PConfig {
+func quick(cfg GridConfig) GridConfig {
 	cfg.Warmup = 2
 	cfg.Iters = 5
 	return cfg
 }
 
 func TestP2PConfigValidate(t *testing.T) {
-	good := P2PConfig{Parts: 4, Bytes: 4096}
+	good := GridConfig{Pattern: P2P, Threads: 4, Bytes: 4096}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []P2PConfig{
-		{Parts: 0, Bytes: 4096},
-		{Parts: 3, Bytes: 100},
-		{Parts: 4, Bytes: 4096, Compute: -1},
-		{Parts: 4, Bytes: 4096, NoisePct: -1},
-		{Parts: 4, Bytes: 4096, Iters: -1},
+	bad := []GridConfig{
+		{Pattern: P2P, Threads: 0, Bytes: 4096},
+		{Pattern: P2P, Threads: 3, Bytes: 100},
+		{Pattern: P2P, Threads: 4, Bytes: 4096, Compute: -1},
+		{Pattern: P2P, Threads: 4, Bytes: 4096, NoisePct: -1},
+		{Pattern: P2P, Threads: 4, Bytes: 4096, Iters: -1},
+		{Pattern: P2P, Threads: 4, Bytes: 4096, JitterPerThread: -1},
+		{Pattern: P2P, GridX: 3, GridY: 1, Threads: 4, Bytes: 4096},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -35,10 +37,11 @@ func TestP2PConfigValidate(t *testing.T) {
 }
 
 func TestOverheadBenchmarkRuns(t *testing.T) {
-	res, err := RunP2P(quick(P2PConfig{
-		Parts: 8,
-		Bytes: 64 << 10,
-		Opts:  core.Options{Strategy: core.StrategyPLogGP},
+	res, err := RunGrid(quick(GridConfig{
+		Pattern: P2P,
+		Threads: 8,
+		Bytes:   64 << 10,
+		Opts:    core.Options{Strategy: core.StrategyPLogGP},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +65,17 @@ func TestOverheadBenchmarkRuns(t *testing.T) {
 func TestAggregationBeatsBaselineAtMediumSizes(t *testing.T) {
 	// The paper's headline: at 128 KiB with 32 partitions the aggregators
 	// clearly beat the per-partition baseline on the overhead benchmark.
-	base, err := RunP2P(quick(P2PConfig{
-		Parts: 32, Bytes: 128 << 10,
+	base, err := RunGrid(quick(GridConfig{
+		Pattern: P2P,
+		Threads: 32, Bytes: 128 << 10,
 		Opts: core.Options{Strategy: core.StrategyBaseline},
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := RunP2P(quick(P2PConfig{
-		Parts: 32, Bytes: 128 << 10,
+	agg, err := RunGrid(quick(GridConfig{
+		Pattern: P2P,
+		Threads: 32, Bytes: 128 << 10,
 		Opts: core.Options{Strategy: core.StrategyPLogGP},
 	}))
 	if err != nil {
@@ -89,8 +94,9 @@ func TestPerceivedBandwidthAboveWireForTimer(t *testing.T) {
 	// sends the early partitions during the laggard's delay: the perceived
 	// bandwidth must exceed the physical link bandwidth (the paper's
 	// dotted line), because only the last partition's latency is visible.
-	res, err := RunP2P(P2PConfig{
-		Parts:    32,
+	res, err := RunGrid(GridConfig{
+		Pattern:  P2P,
+		Threads:  32,
 		Bytes:    8 << 20,
 		Compute:  100 * time.Millisecond,
 		NoisePct: 4,
@@ -115,8 +121,9 @@ func TestPerceivedBandwidthOrdering(t *testing.T) {
 	// Paper Figure 9: baseline (no aggregation) >= timer >= plain PLogGP
 	// for medium sizes under the single-thread-delay model.
 	run := func(opts core.Options) float64 {
-		res, err := RunP2P(P2PConfig{
-			Parts: 32, Bytes: 8 << 20,
+		res, err := RunGrid(GridConfig{
+			Pattern: P2P,
+			Threads: 32, Bytes: 8 << 20,
 			Compute: 100 * time.Millisecond, NoisePct: 4,
 			Warmup: 1, Iters: 3,
 			Opts: opts,
@@ -138,8 +145,9 @@ func TestPerceivedBandwidthOrdering(t *testing.T) {
 }
 
 func TestLaggardSelection(t *testing.T) {
-	res, err := RunP2P(P2PConfig{
-		Parts: 4, Bytes: 4096,
+	res, err := RunGrid(GridConfig{
+		Pattern: P2P,
+		Threads: 4, Bytes: 4096,
 		Compute: time.Millisecond, NoisePct: 100, // laggard +1ms
 		Warmup: 1, Iters: 2,
 		Opts: core.Options{Strategy: core.StrategyPLogGP},
@@ -182,7 +190,7 @@ func TestRunnersRejectInvalidCluster(t *testing.T) {
 		run  func() error
 	}{
 		{"p2p", func() error {
-			_, err := RunP2P(P2PConfig{Parts: 4, Bytes: 4096, Shards: -1})
+			_, err := RunGrid(GridConfig{Pattern: P2P, Threads: 4, Bytes: 4096, Shards: -1})
 			return err
 		}},
 		{"sweep", func() error {
@@ -203,6 +211,55 @@ func TestRunnersRejectInvalidCluster(t *testing.T) {
 			}()
 			if err := r.run(); err == nil {
 				t.Fatal("Shards: -1 accepted")
+			}
+		})
+	}
+}
+
+// TestEveryPatternDeliversSendersBytes requires each rank's receive
+// buffers to hold, in init order, the bytes its peers filled their send
+// buffers with. The differential tests only compare digests across shard
+// and worker counts, so a placement that went wrong the same way every
+// time would pass them; it fails here.
+func TestEveryPatternDeliversSendersBytes(t *testing.T) {
+	const threads, bytes = 4, 4 * 1025 // a partition ends off a word boundary
+	for _, c := range []struct {
+		pattern GridPattern
+		gx, gy  int
+	}{{P2P, 2, 1}, {Sweep3D, 3, 2}, {Halo, 2, 3}} {
+		pat := &gridPatterns[c.pattern]
+		t.Run(pat.name, func(t *testing.T) {
+			res, err := RunGrid(GridConfig{
+				Pattern: c.pattern,
+				GridX:   c.gx, GridY: c.gy,
+				Threads: threads,
+				Bytes:   bytes,
+				Warmup:  1, Iters: 2,
+				Opts: core.Options{Strategy: core.StrategyPLogGP},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, bytes)
+			for id, got := range res.BufferSums {
+				x, y := id%c.gx, id/c.gx
+				want := uint64(14695981039346656037) // FNV-1a offset basis
+				for _, l := range pat.links {
+					if l.send {
+						continue
+					}
+					nx, ny := x+l.dx, y+l.dy
+					if pat.periodic {
+						nx, ny = (nx+c.gx)%c.gx, (ny+c.gy)%c.gy
+					} else if nx < 0 || nx >= c.gx || ny < 0 || ny >= c.gy {
+						continue
+					}
+					fillRankBuf(buf, ny*c.gx+nx, l.tag)
+					want = fnvWords(want, buf)
+				}
+				if got != want {
+					t.Errorf("rank %d: receive digest %#x, want %#x from its peers' send buffers", id, got, want)
+				}
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -26,6 +27,10 @@ const (
 	// neighbours each iteration, each thread packing its share of every
 	// face.
 	Halo
+	// P2P is the point-to-point benchmark of Sections V-B and V-C: rank 0
+	// sends one partitioned message to rank 1 each round (two ranks on two
+	// nodes, as on Niagara).
+	P2P
 )
 
 // gridLink is one partitioned request of a rank: a send to, or a receive
@@ -54,6 +59,15 @@ type gridPattern struct {
 	criticalSteps func(gx, gy int) int
 	// minGrid is the smallest grid side.
 	minGrid int
+	// grid, if set, is the only grid the pattern runs on and the default
+	// shape.
+	grid [2]int
+	// sendersCompute limits the compute phase to ranks with a send
+	// request. A rank that only receives calls no Pready, so in the
+	// point-to-point protocol it never computes.
+	sendersCompute bool
+	// warmup and iters are the default iteration counts.
+	warmup, iters int
 }
 
 var gridPatterns = [...]gridPattern{
@@ -69,6 +83,8 @@ var gridPatterns = [...]gridPattern{
 		cornerEnd:     true,
 		criticalSteps: func(gx, gy int) int { return gx + gy - 1 },
 		minGrid:       1,
+		warmup:        3,
+		iters:         10,
 	},
 	Halo: {
 		name: "halo",
@@ -84,30 +100,54 @@ var gridPatterns = [...]gridPattern{
 		criticalSteps: func(gx, gy int) int { return 1 },
 		// Periodic neighbours must be distinct.
 		minGrid: 2,
+		warmup:  3,
+		iters:   10,
+	},
+	P2P: {
+		name:           "p2p",
+		links:          []gridLink{{send: true, dx: 1}, {dx: -1}},
+		cornerEnd:      true,
+		criticalSteps:  func(gx, gy int) int { return 1 },
+		minGrid:        1,
+		grid:           [2]int{2, 1},
+		sendersCompute: true,
+		warmup:         10,
+		iters:          100,
 	},
 }
 
 // GridConfig describes one run of a grid pattern: ranks form a 2-D grid
-// (one rank per node; see NewWorld) and
-// exchange partitioned messages with their neighbours, computing with one
-// thread per partition.
+// (one rank per node; see NewWorld) and exchange partitioned messages with
+// their neighbours, computing with one thread per partition.
 type GridConfig struct {
 	// Pattern selects the communication pattern (the zero value is
 	// Sweep3D).
 	Pattern GridPattern
-	// GridX and GridY shape the rank grid.
+	// GridX and GridY shape the rank grid. A pattern with a fixed grid
+	// (P2P: 2×1) fills in zero values.
 	GridX int
 	GridY int
 	// Threads is threads == user partitions per message (paper: 16).
 	Threads int
-	// Bytes is the per-neighbour message size.
+	// Bytes is the per-neighbour message size (the total buffer of each
+	// partitioned request).
 	Bytes int
 	// Compute is per-thread computation per iteration.
 	Compute time.Duration
-	// NoisePct delays one laggard thread by Compute*NoisePct/100.
+	// NoisePct delays the laggard thread, the last one, by
+	// Compute*NoisePct/100 — the single-thread delay model (e.g. 100 ms
+	// compute, 4 % noise = 4 ms).
 	NoisePct float64
-	// Warmup and Iters follow the paper's sweep protocol: 3 warm-up, 10
-	// measured (zero values select those).
+	// JitterPerThread adds deterministic pseudo-random skew to every
+	// thread's compute time, the laggard's included, uniform in
+	// [0, JitterPerThread * Threads) — the natural OS/OpenMP scheduling
+	// noise that makes real arrival patterns spread (the paper's
+	// Figures 10 and 12 depend on it). Each rank draws from its own
+	// stream. Zero means no jitter, as in the overhead benchmark.
+	JitterPerThread time.Duration
+	// Warmup and Iters follow the paper's protocol; zero values select the
+	// pattern's: 10 warm-up and 100 measured point-to-point, 3 and 10 for
+	// the grids.
 	Warmup int
 	Iters  int
 	// Opts selects the aggregation strategy under test.
@@ -131,11 +171,18 @@ type GridConfig struct {
 }
 
 func (c GridConfig) withDefaults() GridConfig {
+	if int(c.Pattern) >= len(gridPatterns) {
+		return c
+	}
+	pat := &gridPatterns[c.Pattern]
+	if c.GridX == 0 && c.GridY == 0 {
+		c.GridX, c.GridY = pat.grid[0], pat.grid[1]
+	}
 	if c.Warmup == 0 {
-		c.Warmup = 3
+		c.Warmup = pat.warmup
 	}
 	if c.Iters == 0 {
-		c.Iters = 10
+		c.Iters = pat.iters
 	}
 	return c
 }
@@ -151,22 +198,39 @@ func (c GridConfig) Validate() error {
 	case c.GridX < pat.minGrid || c.GridY < pat.minGrid:
 		return fmt.Errorf("bench: %s grid %dx%d below the %dx%d minimum",
 			pat.name, c.GridX, c.GridY, pat.minGrid, pat.minGrid)
+	case pat.grid != [2]int{} && [2]int{c.GridX, c.GridY} != pat.grid:
+		return fmt.Errorf("bench: %s runs on a %dx%d grid, not %dx%d",
+			pat.name, pat.grid[0], pat.grid[1], c.GridX, c.GridY)
 	case c.Threads < 1:
 		return fmt.Errorf("bench: %s needs at least one thread", pat.name)
 	case c.Bytes < c.Threads || c.Bytes%c.Threads != 0:
 		return fmt.Errorf("bench: Bytes %d not divisible into %d partitions", c.Bytes, c.Threads)
-	case c.Compute < 0 || c.NoisePct < 0:
-		return fmt.Errorf("bench: negative compute or noise")
+	case c.Compute < 0 || c.NoisePct < 0 || c.JitterPerThread < 0:
+		return fmt.Errorf("bench: negative compute, noise, or jitter")
 	case c.Iters < 1 || c.Warmup < 0:
 		return fmt.Errorf("bench: bad iteration counts warmup=%d iters=%d", c.Warmup, c.Iters)
 	}
 	return nil
 }
 
-// GridResult holds the per-iteration times of a grid run.
+// GridResult holds the per-iteration observations of a grid run.
 type GridResult struct {
-	// IterTimes is the full iteration time per measured iteration.
+	// IterTimes is the full iteration time per measured iteration: from
+	// rank 0's round start to the ending ranks' completion.
 	IterTimes []time.Duration
+	// LastLatency is the time from rank 0's last MPI_Pready to the
+	// iteration's end — the perceived-bandwidth denominator.
+	LastLatency []time.Duration
+	// Profile is rank 0's arrival recording (includes warm-up rounds;
+	// index with Warmup offset).
+	Profile *profiler.Recorder
+	// Warmup echoes the warm-up count used.
+	Warmup int
+	// Bytes echoes the message size.
+	Bytes int
+	// FabricMessages is rank 0's port's total message count (wire
+	// efficiency).
+	FabricMessages int64
 	// CriticalCompute is the computation along an iteration's critical
 	// path (subtracted to isolate communication time, as the paper does
 	// for Figure 14).
@@ -185,9 +249,8 @@ type GridResult struct {
 	Adaptive [][]*core.AdaptiveStats
 }
 
-// MeanCommTime returns mean(IterTimes) - CriticalCompute, clamped at a
-// nanosecond to keep speedup ratios well-defined.
-func (r GridResult) MeanCommTime() time.Duration {
+// MeanIterTime returns the mean iteration time.
+func (r GridResult) MeanIterTime() time.Duration {
 	if len(r.IterTimes) == 0 {
 		return 0
 	}
@@ -195,12 +258,29 @@ func (r GridResult) MeanCommTime() time.Duration {
 	for _, d := range r.IterTimes {
 		sum += d
 	}
-	mean := sum / time.Duration(len(r.IterTimes))
-	comm := mean - r.CriticalCompute
-	if comm < time.Nanosecond {
-		comm = time.Nanosecond
+	return sum / time.Duration(len(r.IterTimes))
+}
+
+// MeanCommTime returns mean(IterTimes) - CriticalCompute, clamped at a
+// nanosecond to keep speedup ratios well-defined.
+func (r GridResult) MeanCommTime() time.Duration {
+	if len(r.IterTimes) == 0 {
+		return 0
 	}
-	return comm
+	return max(r.MeanIterTime()-r.CriticalCompute, time.Nanosecond)
+}
+
+// MeanPerceivedBandwidth returns bytes per second perceived by the
+// application: the message size over the last-partition latency.
+func (r GridResult) MeanPerceivedBandwidth() float64 {
+	if len(r.LastLatency) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, d := range r.LastLatency {
+		sum += float64(r.Bytes) / d.Seconds()
+	}
+	return sum / float64(len(r.LastLatency))
 }
 
 // fillRankBuf writes a deterministic per-(rank, tag) byte pattern: the
@@ -232,7 +312,7 @@ func fnvWords(sum uint64, b []byte) uint64 {
 	return sum
 }
 
-// RunGrid executes a grid pattern and returns per-iteration times.
+// RunGrid executes a grid pattern and returns per-iteration observations.
 func RunGrid(cfg GridConfig) (GridResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -252,17 +332,25 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	total := cfg.Warmup + cfg.Iters
 	res := GridResult{
 		CriticalCompute: time.Duration(pat.criticalSteps(cfg.GridX, cfg.GridY)) * cfg.Compute,
+		// The profile records rank 0 at the API boundary, as the paper's
+		// PMPI-based profiler does: each round's Start and every thread's
+		// Pready.
+		Profile: profiler.New(cfg.Threads),
+		Warmup:  cfg.Warmup,
+		Bytes:   cfg.Bytes,
 	}
-	// Rank 0 records round starts and every rank its own finishes, each
-	// into its own slots; the iteration times are reduced after the run.
-	// No cross-rank reads happen mid-simulation, so the pattern is
-	// race-free on a sharded cluster (and the reduced values are identical
-	// to a serial run).
+	// Rank 0 records round starts and last-Pready instants and every rank
+	// its own finishes, each into its own slots; the latencies are reduced
+	// after the run. No cross-rank reads happen mid-simulation, so the
+	// pattern is race-free on a sharded cluster (and the reduced values
+	// are identical to a serial run).
 	starts := make([]sim.Time, total)
+	preadys := make([]sim.Time, total)
 	ends := make([]sim.Time, nodes*total)
 	adaptive := make([][]*core.AdaptiveStats, nodes)
 	bufSums := make([]uint64, nodes)
 	laggard := cfg.Threads - 1
+	jitterSpan := cfg.JitterPerThread * time.Duration(cfg.Threads)
 	threadName := pat.name + "-thread"
 
 	err = w.RunWorkers(cfg.Workers, func(p *sim.Proc, r *mpi.Rank) {
@@ -305,22 +393,40 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 			}
 		}
 
-		// The group and the per-thread bodies are allocated once and reused
-		// every round: with thousands of ranks iterating, per-round closures
-		// are the dominant allocation source of the whole benchmark.
+		computes := len(sends) > 0 || !pat.sendersCompute
+		var rec *profiler.Recorder
+		if id == 0 {
+			rec = res.Profile
+		}
+
+		// The group, the per-round delay draws and the per-thread bodies
+		// are allocated once and reused every round: with thousands of
+		// ranks iterating, per-round closures are the dominant allocation
+		// source of the whole benchmark.
 		g := sim.NewGroup(p.Engine())
 		var arrivalPat *trace.ArrivalPattern
-		var arrivals []time.Duration
+		var arrivals, jitters []time.Duration
 		if cfg.Arrival != nil {
 			arrivalPat = cfg.Arrival.Instance(id)
 			arrivals = make([]time.Duration, cfg.Threads)
 		}
+		// Each rank draws jitter from its own stream; rank 0's seed is
+		// 0x5eed.
+		jitter := jitterPRNG(0x5eed + uint64(id)<<32)
+		if jitterSpan > 0 {
+			jitters = make([]time.Duration, cfg.Threads)
+		}
+		var round int
+		var lastPready sim.Time
 		threads := make([]func(tp *sim.Proc), cfg.Threads)
 		for t := 0; t < cfg.Threads; t++ {
 			t := t
 			threads[t] = func(tp *sim.Proc) {
 				defer g.Done()
 				compute := cfg.Compute
+				if jitters != nil {
+					compute += jitters[t]
+				}
 				if t == laggard {
 					compute += time.Duration(float64(cfg.Compute) * cfg.NoisePct / 100)
 				}
@@ -330,11 +436,15 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				if compute > 0 {
 					r.Compute(tp, compute)
 				}
+				if rec != nil {
+					rec.PreadyCalled(round, t, tp.Now())
+				}
 				for _, ps := range sends {
 					if err := ps.Pready(tp, t); err != nil {
 						panic(err)
 					}
 				}
+				lastPready = max(lastPready, tp.Now())
 			}
 		}
 
@@ -343,9 +453,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 			if id == 0 {
 				starts[iter] = p.Now()
 			}
-			if arrivalPat != nil {
-				arrivalPat.Delays(iter, arrivals)
-			}
+			lastPready = 0
 			// Arm all requests for the round, receives first.
 			for _, pr := range recvs {
 				if err := pr.Start(p); err != nil {
@@ -357,14 +465,26 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 					panic(err)
 				}
 			}
+			round = iter + 1
+			if rec != nil {
+				rec.PsendStart(round, p.Now())
+			}
 			if pat.recvFirst {
 				waitRecvs()
 			}
-			for t := 0; t < cfg.Threads; t++ {
-				g.Add(1)
-				p.Engine().Spawn(threadName, threads[t])
+			if computes {
+				if arrivalPat != nil {
+					arrivalPat.Delays(iter, arrivals)
+				}
+				for t := 0; t < cfg.Threads; t++ {
+					g.Add(1)
+					if jitters != nil {
+						jitters[t] = time.Duration(jitter.int63n(int64(jitterSpan)))
+					}
+					p.Engine().Spawn(threadName, threads[t])
+				}
+				g.Wait(p)
 			}
-			g.Wait(p)
 			if !pat.recvFirst {
 				waitRecvs()
 			}
@@ -374,6 +494,9 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				}
 			}
 			ends[id*total+iter] = p.Now()
+			if id == 0 {
+				preadys[iter] = lastPready
+			}
 		}
 		// Per-rank telemetry and buffer digests land in this rank's own
 		// slot — no cross-rank reads, so sharded runs stay race-free.
@@ -401,7 +524,9 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 			end = max(end, ends[id*total+iter])
 		}
 		res.IterTimes = append(res.IterTimes, end.Sub(starts[iter]))
+		res.LastLatency = append(res.LastLatency, end.Sub(preadys[iter]))
 	}
+	res.FabricMessages = w.Rank(0).Node().HCA.Port().MessagesSent()
 	res.Adaptive = adaptive
 	res.BufferSums = bufSums
 	if set := w.Cluster().ShardSet(); set != nil {

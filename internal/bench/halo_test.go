@@ -19,7 +19,7 @@ func TestHaloConfigValidate(t *testing.T) {
 		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, NoisePct: -1},
 		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Iters: -5},
 		{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Warmup: -1},
-		{Pattern: Halo + 1, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096},
+		{Pattern: GridPattern(len(gridPatterns)), GridX: 2, GridY: 2, Threads: 4, Bytes: 4096},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

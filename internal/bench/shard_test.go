@@ -32,8 +32,9 @@ var shardStrategies = []struct {
 func TestShardedP2PMatchesSerial(t *testing.T) {
 	for _, strat := range shardStrategies {
 		t.Run("verbs/"+strat.name, func(t *testing.T) {
-			cfg := P2PConfig{
-				Parts:           8,
+			cfg := GridConfig{
+				Pattern:         P2P,
+				Threads:         8,
 				Bytes:           1 << 20,
 				Compute:         200 * time.Microsecond,
 				NoisePct:        4,
@@ -42,12 +43,12 @@ func TestShardedP2PMatchesSerial(t *testing.T) {
 				Iters:           6,
 				Opts:            strat.opts,
 			}
-			serial, err := RunP2P(cfg)
+			serial, err := RunGrid(cfg)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			cfg.Shards = 2
-			sharded, err := RunP2P(cfg)
+			sharded, err := RunGrid(cfg)
 			if err != nil {
 				t.Fatalf("sharded: %v", err)
 			}
@@ -411,15 +412,16 @@ func TestShardedStampRewriteAfterWait(t *testing.T) {
 // bench layer: an explicit -topo single-link run is byte-identical to the
 // default fabric, serial and sharded.
 func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
-	base := P2PConfig{
-		Parts:   8,
+	base := GridConfig{
+		Pattern: P2P,
+		Threads: 8,
 		Bytes:   512 << 10,
 		Compute: 100 * time.Microsecond,
 		Warmup:  1,
 		Iters:   4,
 		Opts:    core.Options{Strategy: core.StrategyPLogGP},
 	}
-	def, err := RunP2P(base)
+	def, err := RunGrid(base)
 	if err != nil {
 		t.Fatalf("default: %v", err)
 	}
@@ -427,7 +429,7 @@ func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 		cfg := base
 		cfg.Topo = "single-link"
 		cfg.Shards = shards
-		got, err := RunP2P(cfg)
+		got, err := RunGrid(cfg)
 		if err != nil {
 			t.Fatalf("single-link shards=%d: %v", shards, err)
 		}

@@ -31,10 +31,10 @@ func AblationModel(cfg Config) ([]*stats.Table, error) {
 	tb := stats.NewTable(
 		"Ablation: PLogGP model variants vs simulated completion (32 partitions, 4 ms laggard)",
 		"size", "n*", "model ideal", "model pipelined", "simulated")
-	jobs := make([]bench.P2PConfig, len(sizes))
+	jobs := make([]bench.GridConfig, len(sizes))
 	for i, s := range sizes {
-		jobs[i] = bench.P2PConfig{
-			Parts: parts, Bytes: s,
+		jobs[i] = bench.GridConfig{
+			Pattern: bench.P2P, Threads: parts, Bytes: s,
 			Compute:  100 * time.Millisecond,
 			NoisePct: 4, // 4 ms laggard on 100 ms compute
 			Warmup:   warmupFor(cfg, 5),
@@ -44,7 +44,7 @@ func AblationModel(cfg Config) ([]*stats.Table, error) {
 			Topo:     cfg.Topo,
 		}
 	}
-	results, err := runOrdered(cfg, jobs, bench.RunP2P, nil)
+	results, err := runOrdered(cfg, jobs, bench.RunGrid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func AblationModel(cfg Config) ([]*stats.Table, error) {
 		n := model.OptimalTransport(s, parts, delay)
 		// The measured analogue of the model's T: from round start to all
 		// partitions received, minus the common 100 ms compute.
-		measured := results[si].MeanIterTime() - 100*time.Millisecond
+		measured := results[si].MeanCommTime()
 		tb.AddRow(stats.FormatBytes(s), n,
 			model.CompletionTime(n, s, delay),
 			model.CompletionTimePipelined(n, s, delay),

@@ -205,48 +205,49 @@ func runOrdered[J, R any](c Config, jobs []J, run func(J) (R, error), label func
 	return out, err
 }
 
-// overheadConfig is one overhead-benchmark run (Section V-B protocol).
-func overheadConfig(cfg Config, parts, size int, opts core.Options) bench.P2PConfig {
+// overheadBase is the overhead benchmark at parts user partitions
+// (Section V-B protocol: no compute, no noise).
+func overheadBase(cfg Config, parts int) bench.GridConfig {
 	warmup, iters := cfg.iterCounts()
-	return bench.P2PConfig{
-		Parts: parts, Bytes: size, Warmup: warmup, Iters: iters,
-		Opts: opts, Shards: cfg.Shards, Topo: cfg.Topo,
-	}
+	return bench.GridConfig{Pattern: bench.P2P, Threads: parts, Warmup: warmup, Iters: iters}
 }
 
-// overheadTable runs, for each size, one baseline plus one variant per
-// option set — all concurrently — and returns rows of speedups versus the
-// per-size baseline, preserving the serial sweep's values exactly (the
-// serial code also ran the baseline once per size and reused it).
-func overheadTable(cfg Config, name string, parts int, sizes []int, variants []core.Options) ([][]float64, error) {
-	stride := 1 + len(variants)
-	jobs := make([]bench.P2PConfig, 0, len(sizes)*stride)
+// speedupTable runs base at every size under the baseline and under each
+// variant, all concurrently, and returns one row per size: each variant's
+// speedup in mean communication time over that size's baseline (with no
+// compute, the mean iteration time). columns names the variants; label
+// prefixes the progress lines.
+func speedupTable(cfg Config, title, label string, sizes []int, base bench.GridConfig, columns []string, variants []core.Options) (*stats.Table, error) {
+	base.Shards, base.Topo = cfg.Shards, cfg.Topo
+	designs := append([]core.Options{{Strategy: core.StrategyBaseline}}, variants...)
+	n := len(designs)
+	jobs := make([]bench.GridConfig, 0, len(sizes)*n)
 	for _, s := range sizes {
-		jobs = append(jobs, overheadConfig(cfg, parts, s, core.Options{Strategy: core.StrategyBaseline}))
-		for _, opts := range variants {
-			jobs = append(jobs, overheadConfig(cfg, parts, s, opts))
+		for _, opts := range designs {
+			job := base
+			job.Bytes, job.Opts = s, opts
+			jobs = append(jobs, job)
 		}
 	}
-	res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
-		if i%stride == 0 {
-			return fmt.Sprintf("%s: size %s", name, stats.FormatBytes(sizes[i/stride]))
+	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
+		if i%n == 0 {
+			return fmt.Sprintf("%s: size %s", label, stats.FormatBytes(sizes[i/n]))
 		}
 		return ""
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]float64, len(sizes))
-	for si := range sizes {
-		block := res[si*stride : (si+1)*stride]
-		base := block[0].MeanIterTime()
-		row := make([]float64, len(variants))
-		for vi := range variants {
-			row[vi] = stats.Speedup(base, block[1+vi].MeanIterTime())
+	tb := stats.NewTable(title, append([]string{"size"}, columns...)...)
+	for si, s := range sizes {
+		block := res[si*n : (si+1)*n]
+		row := []any{stats.FormatBytes(s)}
+		for _, r := range block[1:] {
+			row = append(row, stats.Speedup(block[0].MeanCommTime(), r.MeanCommTime()))
 		}
-		rows[si] = row
+		tb.AddRow(row...)
 	}
-	return rows, nil
+	return tb, nil
 }
 
 // Fig6 sweeps transport partition counts at 32 user partitions, 2 QPs.
@@ -258,29 +259,20 @@ func Fig6(cfg Config) ([]*stats.Table, error) {
 		sizes = []int{32 << 10, 4 << 20}
 		transports = []int{2, 32}
 	}
-	headers := []string{"size"}
-	for _, tr := range transports {
-		headers = append(headers, fmt.Sprintf("speedup(T=%d)", tr))
-	}
-	tb := stats.NewTable("Figure 6: overhead benchmark, 32 user partitions, 2 QPs (speedup vs baseline)", headers...)
+	columns := make([]string, len(transports))
 	variants := make([]core.Options, len(transports))
 	for i, tr := range transports {
+		columns[i] = fmt.Sprintf("speedup(T=%d)", tr)
 		variants[i] = core.Options{
 			Strategy:       core.StrategyPLogGP,
 			TransportParts: tr,
 			QPs:            2,
 		}
 	}
-	rows, err := overheadTable(cfg, "fig6", parts, sizes, variants)
+	tb, err := speedupTable(cfg, "Figure 6: overhead benchmark, 32 user partitions, 2 QPs (speedup vs baseline)",
+		"fig6", sizes, overheadBase(cfg, parts), columns, variants)
 	if err != nil {
 		return nil, err
-	}
-	for si, s := range sizes {
-		row := []any{stats.FormatBytes(s)}
-		for _, sp := range rows[si] {
-			row = append(row, sp)
-		}
-		tb.AddRow(row...)
 	}
 	return []*stats.Table{tb}, nil
 }
@@ -295,29 +287,20 @@ func Fig7(cfg Config) ([]*stats.Table, error) {
 		sizes = []int{64 << 10, 8 << 20}
 		qps = []int{1, 16}
 	}
-	headers := []string{"size"}
-	for _, q := range qps {
-		headers = append(headers, fmt.Sprintf("speedup(QPs=%d)", q))
-	}
-	tb := stats.NewTable("Figure 7: overhead benchmark, 16 user/transport partitions (speedup vs baseline)", headers...)
+	columns := make([]string, len(qps))
 	variants := make([]core.Options, len(qps))
 	for i, q := range qps {
+		columns[i] = fmt.Sprintf("speedup(QPs=%d)", q)
 		variants[i] = core.Options{
 			Strategy:       core.StrategyPLogGP,
 			TransportParts: parts,
 			QPs:            q,
 		}
 	}
-	rows, err := overheadTable(cfg, "fig7", parts, sizes, variants)
+	tb, err := speedupTable(cfg, "Figure 7: overhead benchmark, 16 user/transport partitions (speedup vs baseline)",
+		"fig7", sizes, overheadBase(cfg, parts), columns, variants)
 	if err != nil {
 		return nil, err
-	}
-	for si, s := range sizes {
-		row := []any{stats.FormatBytes(s)}
-		for _, sp := range rows[si] {
-			row = append(row, sp)
-		}
-		tb.AddRow(row...)
 	}
 	return []*stats.Table{tb}, nil
 }
@@ -345,19 +328,16 @@ func Fig8(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb := stats.NewTable(
+		tb, err := speedupTable(cfg,
 			fmt.Sprintf("Figure 8: overhead benchmark, %d user partitions (speedup vs baseline)", parts),
-			"size", "tuning-table", "ploggp")
-		rows, err := overheadTable(cfg, fmt.Sprintf("fig8: %d partitions,", parts), parts, sizes,
+			fmt.Sprintf("fig8: %d partitions,", parts), sizes, overheadBase(cfg, parts),
+			[]string{"tuning-table", "ploggp"},
 			[]core.Options{
 				{Strategy: core.StrategyTuningTable, Table: table},
 				{Strategy: core.StrategyPLogGP},
 			})
 		if err != nil {
 			return nil, err
-		}
-		for si, s := range sizes {
-			tb.AddRow(stats.FormatBytes(s), rows[si][0], rows[si][1])
 		}
 		tables = append(tables, tb)
 	}
@@ -379,15 +359,16 @@ func itersFor(cfg Config, full int) int {
 }
 
 // perceivedConfig is one perceived-bandwidth run (Section V-C protocol).
-func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.P2PConfig {
+func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.GridConfig {
 	warmup, iters := cfg.iterCounts()
 	if !cfg.Quick {
 		// 100 ms of compute per round makes 100 iterations 11+ virtual
 		// seconds; the paper's protocol, kept as is.
 		warmup, iters = 10, 30
 	}
-	return bench.P2PConfig{
-		Parts:           parts,
+	return bench.GridConfig{
+		Pattern:         bench.P2P,
+		Threads:         parts,
 		Bytes:           size,
 		Compute:         100 * time.Millisecond,
 		NoisePct:        4,
@@ -398,11 +379,6 @@ func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.P2PCo
 		Shards:          cfg.Shards,
 		Topo:            cfg.Topo,
 	}
-}
-
-// perceivedRun runs the perceived-bandwidth benchmark at one point.
-func perceivedRun(cfg Config, parts, size int, opts core.Options) (bench.P2PResult, error) {
-	return bench.RunP2P(perceivedConfig(cfg, parts, size, opts))
 }
 
 // Fig9 compares perceived bandwidth across the three designs.
@@ -425,14 +401,14 @@ func Fig9(cfg Config) ([]*stats.Table, error) {
 			{Strategy: core.StrategyPLogGP},
 			{Strategy: core.StrategyTimerPLogGP, Delta: 3000 * time.Microsecond},
 		}
-		jobs := make([]bench.P2PConfig, 0, len(sizes)*len(variants))
+		jobs := make([]bench.GridConfig, 0, len(sizes)*len(variants))
 		for _, s := range sizes {
 			for _, opts := range variants {
 				jobs = append(jobs, perceivedConfig(cfg, parts, s, opts))
 			}
 		}
 		parts := parts
-		res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
+		res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
 			if i%len(variants) == 0 {
 				return fmt.Sprintf("fig9: %d partitions, size %s", parts, stats.FormatBytes(sizes[i/len(variants)]))
 			}
@@ -456,7 +432,7 @@ func Fig9(cfg Config) ([]*stats.Table, error) {
 // arrivalProfile renders the Figures 10/11 table for one size.
 func arrivalProfile(cfg Config, size int, title string) ([]*stats.Table, error) {
 	const parts = 32
-	res, err := perceivedRun(cfg, parts, size, core.Options{Strategy: core.StrategyPLogGP})
+	res, err := bench.RunGrid(perceivedConfig(cfg, parts, size, core.Options{Strategy: core.StrategyPLogGP}))
 	if err != nil {
 		return nil, err
 	}
@@ -516,11 +492,11 @@ func Fig12(cfg Config) ([]*stats.Table, error) {
 			}
 		}
 	}
-	jobs := make([]bench.P2PConfig, len(cells))
+	jobs := make([]bench.GridConfig, len(cells))
 	for i, c := range cells {
 		jobs[i] = perceivedConfig(cfg, c.parts, c.size, core.Options{Strategy: core.StrategyPLogGP})
 	}
-	res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
+	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
 		return fmt.Sprintf("fig12: %d partitions, size %s", cells[i].parts, stats.FormatBytes(cells[i].size))
 	})
 	if err != nil {
@@ -556,7 +532,7 @@ func Fig13(cfg Config) ([]*stats.Table, error) {
 		headers = append(headers, fmt.Sprintf("BW(δ=%v)", d))
 	}
 	tb := stats.NewTable("Figure 13: perceived bandwidth (GB/s) around the minimum delta, 32 partitions", headers...)
-	jobs := make([]bench.P2PConfig, 0, len(sizes)*len(deltas))
+	jobs := make([]bench.GridConfig, 0, len(sizes)*len(deltas))
 	for _, s := range sizes {
 		for _, d := range deltas {
 			jobs = append(jobs, perceivedConfig(cfg, parts, s, core.Options{
@@ -565,7 +541,7 @@ func Fig13(cfg Config) ([]*stats.Table, error) {
 			}))
 		}
 	}
-	res, err := runOrdered(cfg, jobs, bench.RunP2P, func(i int) string {
+	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
 		if i%len(deltas) == 0 {
 			return fmt.Sprintf("fig13: size %s", stats.FormatBytes(sizes[i/len(deltas)]))
 		}
@@ -584,48 +560,15 @@ func Fig13(cfg Config) ([]*stats.Table, error) {
 	return []*stats.Table{tb}, nil
 }
 
-// gridStrategies are the designs the grid experiments compare, baseline
-// first.
-var gridStrategies = []core.Options{
-	{Strategy: core.StrategyBaseline},
-	{Strategy: core.StrategyPLogGP},
-	{Strategy: core.StrategyTimerPLogGP, Delta: 35 * time.Microsecond},
-}
-
-// gridSpeedupTable runs base at every size under each of gridStrategies
-// and returns one row per size: the communication speedup of each
-// aggregator over the baseline. label prefixes the progress lines.
-func gridSpeedupTable(cfg Config, title, label string, sizes []int, base bench.GridConfig) (*stats.Table, error) {
-	base.Warmup, base.Iters = cfg.sweepIterCounts()
-	base.Shards, base.Topo = cfg.Shards, cfg.Topo
-	n := len(gridStrategies)
-	jobs := make([]bench.GridConfig, 0, len(sizes)*n)
-	for _, s := range sizes {
-		for _, opts := range gridStrategies {
-			job := base
-			job.Bytes, job.Opts = s, opts
-			jobs = append(jobs, job)
-		}
+// gridVariants are the aggregators the grid experiments compare with the
+// baseline, named by gridColumns.
+var (
+	gridVariants = []core.Options{
+		{Strategy: core.StrategyPLogGP},
+		{Strategy: core.StrategyTimerPLogGP, Delta: 35 * time.Microsecond},
 	}
-	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
-		if i%n == 0 {
-			return fmt.Sprintf("%s: size %s", label, stats.FormatBytes(sizes[i/n]))
-		}
-		return ""
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable(title, "size", "ploggp", "timer-ploggp")
-	for si, s := range sizes {
-		block := res[si*n : (si+1)*n]
-		base := block[0].MeanCommTime()
-		tb.AddRow(stats.FormatBytes(s),
-			stats.Speedup(base, block[1].MeanCommTime()),
-			stats.Speedup(base, block[2].MeanCommTime()))
-	}
-	return tb, nil
-}
+	gridColumns = []string{"ploggp", "timer-ploggp"}
+)
 
 // Fig14 runs the Sweep3D pattern at 1024 cores for three compute/noise
 // configurations.
@@ -645,9 +588,10 @@ func Fig14(cfg Config) ([]*stats.Table, error) {
 		{time.Millisecond, 4, "(b) 1 ms compute, 4% noise (40 µs)"},
 		{10 * time.Millisecond, 4, "(c) 10 ms compute, 4% noise (400 µs)"},
 	}
+	warmup, iters := cfg.sweepIterCounts()
 	var tables []*stats.Table
 	for _, c := range configs {
-		tb, err := gridSpeedupTable(cfg,
+		tb, err := speedupTable(cfg,
 			fmt.Sprintf("Figure 14%s: Sweep3D %dx%d ranks x %d threads, communication speedup vs baseline",
 				c.label[:3], gridX, gridY, threads),
 			"fig14"+c.label[:3], sizes,
@@ -657,7 +601,8 @@ func Fig14(cfg Config) ([]*stats.Table, error) {
 				Threads:  threads,
 				Compute:  c.compute,
 				NoisePct: c.noise,
-			})
+				Warmup:   warmup, Iters: iters,
+			}, gridColumns, gridVariants)
 		if err != nil {
 			return nil, err
 		}
@@ -678,7 +623,8 @@ func Halo(cfg Config) ([]*stats.Table, error) {
 		gridX, gridY = 2, 2
 		sizes = []int{256 << 10}
 	}
-	tb, err := gridSpeedupTable(cfg,
+	warmup, iters := cfg.sweepIterCounts()
+	tb, err := speedupTable(cfg,
 		"Halo exchange (extension): communication speedup vs baseline, 1 ms compute, 1% noise",
 		"halo", sizes,
 		bench.GridConfig{
@@ -687,7 +633,8 @@ func Halo(cfg Config) ([]*stats.Table, error) {
 			Threads:  threads,
 			Compute:  time.Millisecond,
 			NoisePct: 1,
-		})
+			Warmup:   warmup, Iters: iters,
+		}, gridColumns, gridVariants)
 	if err != nil {
 		return nil, err
 	}

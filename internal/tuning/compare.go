@@ -74,13 +74,14 @@ func CompareStrategies(table *core.TuningTable, cfg CompareConfig) ([]CompareRow
 // comparePoint runs both designs at one table entry.
 func comparePoint(table *core.TuningTable, cfg CompareConfig, key core.TuningKey) (CompareRow, error) {
 	row := CompareRow{UserParts: key.UserParts, Bytes: key.Bytes}
-	run := func(opts core.Options) (bench.P2PResult, error) {
-		return bench.RunP2P(bench.P2PConfig{
-			Parts:  key.UserParts,
-			Bytes:  key.Bytes,
-			Warmup: cfg.Warmup,
-			Iters:  cfg.Iters,
-			Opts:   opts,
+	run := func(opts core.Options) (bench.GridResult, error) {
+		return bench.RunGrid(bench.GridConfig{
+			Pattern: bench.P2P,
+			Threads: key.UserParts,
+			Bytes:   key.Bytes,
+			Warmup:  cfg.Warmup,
+			Iters:   cfg.Iters,
+			Opts:    opts,
 		})
 	}
 	tuned, err := run(core.Options{Strategy: core.StrategyTuningTable, Table: table})
@@ -96,7 +97,7 @@ func comparePoint(table *core.TuningTable, cfg CompareConfig, key core.TuningKey
 	if row.TunedNs > 0 {
 		row.Ratio = float64(row.AdaptiveNs) / float64(row.TunedNs)
 	}
-	if s := adaptive.Adaptive; s != nil {
+	if s := adaptive.Adaptive[0][0]; s != nil {
 		row.Switches = len(s.Switches) - 1
 	}
 	return row, nil

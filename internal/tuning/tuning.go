@@ -124,11 +124,12 @@ func searchPoint(cfg SearchConfig, parts, size int) (core.TuningValue, error) {
 	bestTime := int64(-1)
 	for transport := 1; transport <= parts; transport *= 2 {
 		for qps := 1; qps <= min(transport, maxQPs); qps *= 2 {
-			res, err := bench.RunP2P(bench.P2PConfig{
-				Parts:  parts,
-				Bytes:  size,
-				Warmup: cfg.Warmup,
-				Iters:  cfg.Iters,
+			res, err := bench.RunGrid(bench.GridConfig{
+				Pattern: bench.P2P,
+				Threads: parts,
+				Bytes:   size,
+				Warmup:  cfg.Warmup,
+				Iters:   cfg.Iters,
 				Opts: core.Options{
 					Strategy:       core.StrategyPLogGP, // grouping mechanics; counts forced below
 					TransportParts: transport,
