@@ -78,7 +78,11 @@ test:
 # device context and drain, and mpi's verbs conformance suite, which
 # connects and posts on QPs made by mpi.Rank.CreateQP; those build their
 # fabric flows at first use. The ucx transport's clients, core's baseline strategy and
-# netgauge, are race-checked on the line above. CI runs this target.
+# netgauge, are race-checked on the line above. The experiments line
+# covers the one job pool every exhibit runs on: TestSerialParallelParity
+# runs the whole quick registry at 4 workers, so jobs of different
+# experiments, and the tuning searches their tables come from, share the
+# pool there. CI runs this target.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
@@ -86,6 +90,7 @@ race:
 	$(GO) test -race -cpu 1,2 -run 'Sharded|WorkerCount' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/
+	$(GO) test -race -run 'SerialParallelParity' ./internal/experiments/
 
 # Allocation and footprint gates, the repository's one allocation guard:
 # the *SteadyStateZeroAllocs tests measure that the sim scheduler (near,

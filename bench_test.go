@@ -4,7 +4,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark runs the corresponding experiment driver in quick mode
+// Each benchmark runs the corresponding experiment in quick mode
 // (reduced sweep) so the whole suite completes in minutes. The other
 // registry exhibits (halo, ablation-adaptive, compare-strategies) and the
 // full-scale sweeps behind EXPERIMENTS.md run through cmd/partbench. Key scalar
@@ -22,18 +22,16 @@ import (
 	"repro/internal/stats"
 )
 
-// runExperiment executes one driver per benchmark iteration and returns
+// runExperiment runs one experiment per benchmark iteration and returns
 // the last run's tables.
 func runExperiment(b *testing.B, name string) []*stats.Table {
 	b.Helper()
-	run, ok := experiments.Lookup(name)
-	if !ok {
-		b.Fatalf("unknown experiment %q", name)
-	}
 	var tables []*stats.Table
 	for i := 0; i < b.N; i++ {
-		var err error
-		tables, err = run(experiments.Config{Quick: true})
+		err := experiments.Run([]string{name}, experiments.Config{Quick: true}, func(_ string, tbs []*stats.Table) error {
+			tables = tbs
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,10 +17,15 @@
 // InfiniBand Verbs" (CLUSTER 2023); see EXPERIMENTS.md for the
 // paper-versus-measured comparison.
 //
-// Drivers fan their independent simulation runs across -j workers
-// (default: all cores); output is byte-identical for any -j. Performance
-// is measured by the repository benchmark (bash benchmark/run.sh), not by
-// this command.
+// The selected experiments run as one job pool on -j workers (default:
+// all cores): first the candidate runs of every tuning search they need,
+// then all of their benchmark runs. Output is byte-identical for any -j
+// and streams in experiment order, each experiment printing as soon as
+// its last run is collected. The "# <name> done in … (wall)" line each
+// experiment writes to stderr gives the time since the suite started,
+// not the experiment's own run time, since experiments share the pool.
+// Performance is measured by the repository benchmark (bash
+// benchmark/run.sh), not by this command.
 package main
 
 import (
@@ -124,7 +129,7 @@ func run(args []string) int {
 		names = experiments.Names()
 	}
 	for _, name := range names {
-		if _, ok := experiments.Lookup(name); !ok {
+		if _, ok := experiments.Describe(name); !ok {
 			fmt.Fprintf(os.Stderr, "partbench: unknown experiment %q (try -list)\n", name)
 			return 2
 		}
@@ -154,18 +159,13 @@ func writeList(w io.Writer) {
 	tw.Flush()
 }
 
-// runSuite executes the named experiments in order, rendering tables as
-// text to w (and CSVs under csvDir when non-empty).
+// runSuite runs the named experiments, rendering each one's tables as
+// text to w (and CSVs under csvDir when non-empty) as it completes.
 func runSuite(names []string, cfg experiments.Config, w io.Writer, csvDir string) error {
-	for _, name := range names {
-		run, _ := experiments.Lookup(name)
+	start := time.Now()
+	return experiments.Run(names, cfg, func(name string, tables []*stats.Table) error {
 		desc, _ := experiments.Describe(name)
 		fmt.Fprintf(w, "# %s: %s\n", name, desc)
-		start := time.Now()
-		tables, err := run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
 		for i, tb := range tables {
 			if err := tb.WriteText(w); err != nil {
 				return err
@@ -180,8 +180,8 @@ func runSuite(names []string, cfg experiments.Config, w io.Writer, csvDir string
 		// Wall time goes to stderr so the rendered tables stay
 		// byte-comparable across passes.
 		fmt.Fprintf(os.Stderr, "# %s done in %v (wall)\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+		return nil
+	})
 }
 
 // runProbe runs one point-to-point partitioned benchmark under the named

@@ -8,83 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// smokeGrid is the small (pattern × size) grid the guard tests measure:
-// one size per pattern, sized to finish in seconds rather than the full
-// three-size grid of the ablation-adaptive experiment.
-func smokeGrid() AdaptiveGridConfig {
-	return AdaptiveGridConfig{
-		Parts:   16,
-		Sizes:   []int{256 << 10},
-		Spread:  500 * time.Microsecond,
-		Seed:    7,
-		Warmup:  16,
-		Iters:   24,
-		Compute: 20 * time.Microsecond,
-	}
-}
-
-// TestAdaptiveGuardOnSmokeGrid is the Hunold-style acceptance check: on
-// every smoke-grid point the adaptive strategy must stay within
-// AdaptiveGuardBound of the best static design post-warm-up, and strictly
-// beat the worst static design on the skewed patterns.
-func TestAdaptiveGuardOnSmokeGrid(t *testing.T) {
-	points, err := RunAdaptiveGrid(smokeGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(trace.PatternKinds()); len(points) != want {
-		t.Fatalf("got %d grid points, want %d", len(points), want)
-	}
-	for _, p := range points {
-		t.Logf("%-10s %8dB  base=%dns ploggp=%dns timer=%dns adaptive=%dns  switches=%d final=%s/t%d δ=%dns",
-			p.Pattern, p.Bytes, p.BaselineNs, p.PLogGPNs, p.TimerNs, p.AdaptiveNs,
-			p.Switches, p.FinalMode, p.FinalTransport, p.FinalDeltaNs)
-		if p.RecordedArrivals == 0 {
-			t.Errorf("%s: adaptive run recorded no arrivals", p.Pattern)
-		}
-	}
-	for _, v := range CheckAdaptiveGuard(points, AdaptiveGuardBound) {
-		t.Error(v)
-	}
-}
-
-// TestAdaptiveGridOrderAndTelemetry checks grid ordering (patterns outer,
-// sizes inner) and that best/worst summaries are consistent.
-func TestAdaptiveGridOrderAndTelemetry(t *testing.T) {
-	cfg := smokeGrid()
-	cfg.Sizes = []int{64 << 10, 256 << 10}
-	cfg.Patterns = []trace.PatternKind{trace.PatternUniform, trace.PatternStraggler}
-	cfg.Iters = 8
-	cfg.Warmup = 12
-	points, err := RunAdaptiveGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrder := []struct {
-		pattern string
-		bytes   int
-	}{
-		{"uniform", 64 << 10}, {"uniform", 256 << 10},
-		{"straggler", 64 << 10}, {"straggler", 256 << 10},
-	}
-	if len(points) != len(wantOrder) {
-		t.Fatalf("got %d points, want %d", len(points), len(wantOrder))
-	}
-	for i, p := range points {
-		if p.Pattern != wantOrder[i].pattern || p.Bytes != wantOrder[i].bytes {
-			t.Errorf("point %d: got %s/%d, want %s/%d", i, p.Pattern, p.Bytes, wantOrder[i].pattern, wantOrder[i].bytes)
-		}
-		if p.BestStaticNs > p.WorstStaticNs || p.BestStaticNs <= 0 {
-			t.Errorf("point %d: inconsistent best %d / worst %d", i, p.BestStaticNs, p.WorstStaticNs)
-		}
-		for _, ns := range []int64{p.BaselineNs, p.PLogGPNs, p.TimerNs} {
-			if ns < p.BestStaticNs || ns > p.WorstStaticNs {
-				t.Errorf("point %d: static %d outside [best %d, worst %d]", i, ns, p.BestStaticNs, p.WorstStaticNs)
-			}
-		}
-	}
-}
-
 // adaptiveP2P is a straggler-pattern point-to-point run under
 // StrategyAdaptive, sized so the switcher acts during the run.
 func adaptiveP2P() GridConfig {

@@ -1,9 +1,12 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (Section III Figure 3, Table I, and Section V
-// Figures 6-14). Each driver runs the same workload the paper ran —
-// scaled onto the simulated cluster — and emits the rows/series the figure
-// plots, so the reproduction's shape can be compared against the paper's
-// point by point (see EXPERIMENTS.md).
+// Package experiments holds one plan per table and figure of the paper's
+// evaluation (Section III Figure 3, Table I, and Section V Figures 6-14),
+// plus the extension exhibits. A plan is data: the benchmark runs the
+// experiment needs, each a bench.GridConfig running the same workload the
+// paper ran scaled onto the simulated cluster, the tuning search those
+// runs read, if any, and a render that builds the rows/series the figure
+// plots from the runs' results, so the reproduction's shape can be
+// compared against the paper's point by point (see EXPERIMENTS.md). Run
+// executes any set of plans on one job pool.
 //
 // Quick mode shrinks sizes and iteration counts for tests and smoke runs;
 // full mode follows the paper's protocol (10 warm-up + 100 measured
@@ -21,7 +24,6 @@ import (
 	"repro/internal/loggp"
 	"repro/internal/ploggp"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/tuning"
 )
 
@@ -29,11 +31,11 @@ import (
 type Config struct {
 	// Quick shrinks the sweep for smoke tests.
 	Quick bool
-	// Progress, if non-nil, receives one line per major step. It is
-	// always invoked from the goroutine running the driver (never from
-	// sweep workers), so it needs no locking.
+	// Progress, if non-nil, receives one line per collected job. It is
+	// always invoked from the goroutine calling Run (never from pool
+	// workers), so it needs no locking.
 	Progress func(format string, args ...any)
-	// Jobs bounds how many independent simulation runs a driver executes
+	// Jobs bounds how many independent simulation runs Run executes
 	// concurrently. Every run is a self-contained deterministic
 	// simulation, so tables are byte-identical for any value. Zero or
 	// negative selects GOMAXPROCS; 1 forces the serial path.
@@ -47,39 +49,65 @@ type Config struct {
 	// ("single-link", "fat-tree:k=8", ...; see fabric.ParseTopology).
 	// Empty keeps the default single-link fabric — byte-identical to
 	// "single-link" by construction.
+	//
+	// Neither setting reaches the tuning-search candidates or the
+	// ablation-adaptive and compare-strategies runs, which always run
+	// serial on the default fabric.
 	Topo string
 }
 
-func (c Config) progress(format string, args ...any) {
-	if c.Progress != nil {
-		c.Progress(format, args...)
-	}
+// plan is one experiment as data: the benchmark jobs it needs, the
+// tuning search those jobs read, if any, and the render that builds its
+// tables from the jobs' results, in job order.
+type plan struct {
+	jobs []bench.GridConfig
+	// search, if non-nil, runs before any job, and Run records the
+	// table it finds in table, which the jobs' tuning-table options point
+	// at.
+	search *tuning.SearchConfig
+	table  *core.TuningTable
+	render func(res []bench.GridResult) []*stats.Table
 }
 
-// Runner executes one experiment and returns its result tables.
-type Runner func(Config) ([]*stats.Table, error)
+// concat joins plans into one: their jobs run in order, and each renders
+// its own share of the results.
+func concat(ps ...plan) plan {
+	var out plan
+	for _, p := range ps {
+		out.jobs = append(out.jobs, p.jobs...)
+	}
+	out.render = func(res []bench.GridResult) []*stats.Table {
+		var tables []*stats.Table
+		for _, p := range ps {
+			tables = append(tables, p.render(res[:len(p.jobs)])...)
+			res = res[len(p.jobs):]
+		}
+		return tables
+	}
+	return out
+}
 
-// registry maps experiment ids to runners, in paper order.
+// registry lists the experiments in paper order.
 var registry = []struct {
 	Name string
 	Desc string
-	Run  Runner
+	plan func(Config) plan
 }{
-	{"fig3", "PLogGP modelled completion time vs message size per partition count (4 ms delay)", Fig3},
-	{"table1", "Optimal transport partitions per aggregate message size (PLogGP model)", Table1},
-	{"fig6", "Overhead benchmark, 32 user partitions: transport partition sweep (2 QPs)", Fig6},
-	{"fig7", "Overhead benchmark, 16 user/transport partitions: QP sweep", Fig7},
-	{"fig8", "Overhead benchmark: tuning table vs PLogGP aggregator (4/32/128 partitions)", Fig8},
-	{"fig9", "Perceived bandwidth: baseline vs PLogGP vs Timer-PLogGP (100 ms, 4 % noise)", Fig9},
-	{"fig10", "Arrival-pattern profile, 8 MiB, 32 partitions", Fig10},
-	{"fig11", "Arrival-pattern profile, 128 MiB, 32 partitions", Fig11},
-	{"fig12", "Estimated minimum delta vs message size per partition count", Fig12},
-	{"fig13", "Perceived bandwidth around the minimum delta (10/35/100 us), 32 partitions", Fig13},
-	{"fig14", "Sweep3D communication speedup at 1024 cores (16 threads x 64 nodes)", Fig14},
-	{"ablation-model", "Ablation: PLogGP ideal vs pipelined model vs simulated completion", AblationModel},
-	{"halo", "Extension: halo-exchange communication speedup (the suite's other pattern)", Halo},
-	{"ablation-adaptive", "Ablation: adaptive strategy vs each static design across arrival patterns", AblationAdaptive},
-	{"compare-strategies", "Online adaptive strategy vs the offline tuning-table oracle, per table point", CompareStrategiesExp},
+	{"fig3", "PLogGP modelled completion time vs message size per partition count (4 ms delay)", fig3},
+	{"table1", "Optimal transport partitions per aggregate message size (PLogGP model)", table1},
+	{"fig6", "Overhead benchmark, 32 user partitions: transport partition sweep (2 QPs)", fig6},
+	{"fig7", "Overhead benchmark, 16 user/transport partitions: QP sweep", fig7},
+	{"fig8", "Overhead benchmark: tuning table vs PLogGP aggregator (4/32/128 partitions)", fig8},
+	{"fig9", "Perceived bandwidth: baseline vs PLogGP vs Timer-PLogGP (100 ms, 4 % noise)", fig9},
+	{"fig10", "Arrival-pattern profile, 8 MiB, 32 partitions", fig10},
+	{"fig11", "Arrival-pattern profile, 128 MiB, 32 partitions", fig11},
+	{"fig12", "Estimated minimum delta vs message size per partition count", fig12},
+	{"fig13", "Perceived bandwidth around the minimum delta (10/35/100 us), 32 partitions", fig13},
+	{"fig14", "Sweep3D communication speedup at 1024 cores (16 threads x 64 nodes)", fig14},
+	{"ablation-model", "Ablation: PLogGP ideal vs pipelined model vs simulated completion", ablationModel},
+	{"halo", "Extension: halo-exchange communication speedup (the suite's other pattern)", halo},
+	{"ablation-adaptive", "Ablation: adaptive strategy vs each static design across arrival patterns", ablationAdaptive},
+	{"compare-strategies", "Online adaptive strategy vs the offline tuning-table oracle, per table point", compareStrategies},
 }
 
 // Names lists experiment ids in paper order.
@@ -91,24 +119,22 @@ func Names() []string {
 	return out
 }
 
-// Describe returns the one-line description of an experiment.
-func Describe(name string) (string, bool) {
-	for _, e := range registry {
+// find returns the registry index of an experiment, or -1.
+func find(name string) int {
+	for i, e := range registry {
 		if e.Name == name {
-			return e.Desc, true
+			return i
 		}
 	}
-	return "", false
+	return -1
 }
 
-// Lookup returns the runner for an experiment id.
-func Lookup(name string) (Runner, bool) {
-	for _, e := range registry {
-		if e.Name == name {
-			return e.Run, true
-		}
+// Describe returns the one-line description of an experiment.
+func Describe(name string) (string, bool) {
+	if i := find(name); i >= 0 {
+		return registry[i].Desc, true
 	}
-	return nil, false
+	return "", false
 }
 
 // sizesPow2 returns powers of two in [lo, hi] divisible by div.
@@ -122,136 +148,113 @@ func sizesPow2(lo, hi, div int) []int {
 	return out
 }
 
-// iterCounts returns (warmup, iters) for point-to-point runs.
-func (c Config) iterCounts() (int, int) {
+// rounds returns the (warmup, iters) counts for the mode: the first pair
+// in quick mode, the second in full mode.
+func (c Config) rounds(quickWarmup, quickIters, warmup, iters int) (int, int) {
 	if c.Quick {
-		return 2, 5
+		return quickWarmup, quickIters
 	}
-	return 10, 100
-}
-
-// sweepIterCounts returns (warmup, iters) for sweep runs.
-func (c Config) sweepIterCounts() (int, int) {
-	if c.Quick {
-		return 1, 3
-	}
-	return 3, 10
+	return warmup, iters
 }
 
 // niagaraModel is the model the paper feeds Netgauge measurements into.
 func niagaraModel() *ploggp.Model { return ploggp.New(loggp.NiagaraMeasured()) }
 
-// Fig3 evaluates the PLogGP model across message sizes for partition
+// fig3 evaluates the PLogGP model across message sizes for partition
 // counts 1..32 with the paper's 4 ms delay.
-func Fig3(cfg Config) ([]*stats.Table, error) {
+func fig3(cfg Config) plan {
 	model := niagaraModel()
 	sizes := sizesPow2(4<<10, 256<<20, 1)
 	if cfg.Quick {
 		sizes = sizesPow2(64<<10, 16<<20, 1)
 	}
 	counts := []int{1, 2, 4, 8, 16, 32}
-	tb := stats.NewTable("Figure 3: PLogGP modelled time to completion (4 ms delay)",
-		append([]string{"size"}, func() []string {
-			h := make([]string, len(counts))
-			for i, n := range counts {
-				h[i] = fmt.Sprintf("T(n=%d)", n)
-			}
-			return h
-		}()...)...)
-	for _, s := range sizes {
-		row := make([]any, 0, len(counts)+1)
-		row = append(row, stats.FormatBytes(s))
+	return plan{render: func([]bench.GridResult) []*stats.Table {
+		headers := []string{"size"}
 		for _, n := range counts {
-			row = append(row, model.CompletionTime(n, s, 4*time.Millisecond))
+			headers = append(headers, fmt.Sprintf("T(n=%d)", n))
 		}
-		tb.AddRow(row...)
-	}
-	return []*stats.Table{tb}, nil
-}
-
-// Table1 regenerates the paper's Table I.
-func Table1(cfg Config) ([]*stats.Table, error) {
-	model := niagaraModel()
-	rows := model.SummaryTable(64<<10, 256<<20, 128, 4*time.Millisecond)
-	tb := stats.NewTable("Table I: optimal transport partitions (PLogGP, Niagara parameters)",
-		"aggregate message size", "transport partitions")
-	for _, r := range rows {
-		label := fmt.Sprintf("%s-%s", stats.FormatBytes(r.MinBytes), stats.FormatBytes(r.MaxBytes))
-		if r.MinBytes == r.MaxBytes {
-			label = stats.FormatBytes(r.MinBytes)
-		}
-		tb.AddRow(label, r.Partitions)
-	}
-	return []*stats.Table{tb}, nil
-}
-
-// runOrdered executes run once per job across c.Jobs workers and returns
-// the results in job order. label, if non-nil, names job i for progress
-// reporting; it is invoked in order from the collector (the goroutine
-// running the driver), with "" suppressing the line.
-func runOrdered[J, R any](c Config, jobs []J, run func(J) (R, error), label func(i int) string) ([]R, error) {
-	out := make([]R, len(jobs))
-	err := sweep.Ordered(c.Jobs, len(jobs),
-		func(i int) (R, error) { return run(jobs[i]) },
-		func(i int, r R) error {
-			if label != nil {
-				if l := label(i); l != "" {
-					c.progress("%s", l)
-				}
+		tb := stats.NewTable("Figure 3: PLogGP modelled time to completion (4 ms delay)", headers...)
+		for _, s := range sizes {
+			row := []any{stats.FormatBytes(s)}
+			for _, n := range counts {
+				row = append(row, model.CompletionTime(n, s, 4*time.Millisecond))
 			}
-			out[i] = r
-			return nil
-		})
-	return out, err
+			tb.AddRow(row...)
+		}
+		return []*stats.Table{tb}
+	}}
+}
+
+// table1 regenerates the paper's Table I.
+func table1(Config) plan {
+	return plan{render: func([]bench.GridResult) []*stats.Table {
+		rows := niagaraModel().SummaryTable(64<<10, 256<<20, 128, 4*time.Millisecond)
+		tb := stats.NewTable("Table I: optimal transport partitions (PLogGP, Niagara parameters)",
+			"aggregate message size", "transport partitions")
+		for _, r := range rows {
+			label := fmt.Sprintf("%s-%s", stats.FormatBytes(r.MinBytes), stats.FormatBytes(r.MaxBytes))
+			if r.MinBytes == r.MaxBytes {
+				label = stats.FormatBytes(r.MinBytes)
+			}
+			tb.AddRow(label, r.Partitions)
+		}
+		return []*stats.Table{tb}
+	}}
 }
 
 // overheadBase is the overhead benchmark at parts user partitions
 // (Section V-B protocol: no compute, no noise).
 func overheadBase(cfg Config, parts int) bench.GridConfig {
-	warmup, iters := cfg.iterCounts()
+	warmup, iters := cfg.rounds(2, 5, 10, 100)
 	return bench.GridConfig{Pattern: bench.P2P, Threads: parts, Warmup: warmup, Iters: iters}
 }
 
-// speedupTable runs base at every size under the baseline and under each
-// variant, all concurrently, and returns one row per size: each variant's
-// speedup in mean communication time over that size's baseline (with no
-// compute, the mean iteration time). columns names the variants; label
-// prefixes the progress lines.
-func speedupTable(cfg Config, title, label string, sizes []int, base bench.GridConfig, columns []string, variants []core.Options) (*stats.Table, error) {
-	base.Shards, base.Topo = cfg.Shards, cfg.Topo
-	designs := append([]core.Options{{Strategy: core.StrategyBaseline}}, variants...)
-	n := len(designs)
-	jobs := make([]bench.GridConfig, 0, len(sizes)*n)
+// sizeTable is one table with a row per size: at every size, job(size,
+// opts) runs under each of designs in order, and row turns that size's
+// block of results into the row's cells after the size.
+func sizeTable(title string, columns []string, sizes []int, designs []core.Options,
+	job func(size int, opts core.Options) bench.GridConfig, row func(block []bench.GridResult) []any) plan {
+	var p plan
 	for _, s := range sizes {
 		for _, opts := range designs {
-			job := base
-			job.Bytes, job.Opts = s, opts
-			jobs = append(jobs, job)
+			p.jobs = append(p.jobs, job(s, opts))
 		}
 	}
-	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
-		if i%n == 0 {
-			return fmt.Sprintf("%s: size %s", label, stats.FormatBytes(sizes[i/n]))
+	n := len(designs)
+	p.render = func(res []bench.GridResult) []*stats.Table {
+		tb := stats.NewTable(title, append([]string{"size"}, columns...)...)
+		for si, s := range sizes {
+			tb.AddRow(append([]any{stats.FormatBytes(s)}, row(res[si*n:(si+1)*n])...)...)
 		}
-		return ""
-	})
-	if err != nil {
-		return nil, err
+		return []*stats.Table{tb}
 	}
-	tb := stats.NewTable(title, append([]string{"size"}, columns...)...)
-	for si, s := range sizes {
-		block := res[si*n : (si+1)*n]
-		row := []any{stats.FormatBytes(s)}
-		for _, r := range block[1:] {
-			row = append(row, stats.Speedup(block[0].MeanCommTime(), r.MeanCommTime()))
-		}
-		tb.AddRow(row...)
-	}
-	return tb, nil
+	return p
 }
 
-// Fig6 sweeps transport partition counts at 32 user partitions, 2 QPs.
-func Fig6(cfg Config) ([]*stats.Table, error) {
+// speedup is one table: base at every size under the baseline and under
+// each variant, one row per size giving each variant's speedup in mean
+// communication time over that size's baseline (with no compute, the mean
+// iteration time). columns names the variants.
+func speedup(cfg Config, title string, sizes []int, base bench.GridConfig, columns []string, variants []core.Options) plan {
+	base.Shards, base.Topo = cfg.Shards, cfg.Topo
+	return sizeTable(title, columns, sizes, append([]core.Options{{Strategy: core.StrategyBaseline}}, variants...),
+		func(s int, opts core.Options) bench.GridConfig {
+			job := base
+			job.Bytes, job.Opts = s, opts
+			return job
+		},
+		func(block []bench.GridResult) []any {
+			var row []any
+			for _, r := range block[1:] {
+				row = append(row, stats.Speedup(block[0].MeanCommTime(), r.MeanCommTime()))
+			}
+			return row
+		})
+}
+
+// fig6 sweeps transport partition counts at 32 user partitions, 2 QPs.
+func fig6(cfg Config) plan {
 	const parts = 32
 	sizes := sizesPow2(4<<10, 64<<20, parts)
 	transports := []int{2, 4, 8, 16, 32}
@@ -269,17 +272,13 @@ func Fig6(cfg Config) ([]*stats.Table, error) {
 			QPs:            2,
 		}
 	}
-	tb, err := speedupTable(cfg, "Figure 6: overhead benchmark, 32 user partitions, 2 QPs (speedup vs baseline)",
-		"fig6", sizes, overheadBase(cfg, parts), columns, variants)
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{tb}, nil
+	return speedup(cfg, "Figure 6: overhead benchmark, 32 user partitions, 2 QPs (speedup vs baseline)",
+		sizes, overheadBase(cfg, parts), columns, variants)
 }
 
-// Fig7 sweeps QP counts at 16 user partitions with 16 transport
+// fig7 sweeps QP counts at 16 user partitions with 16 transport
 // partitions (no aggregation).
-func Fig7(cfg Config) ([]*stats.Table, error) {
+func fig7(cfg Config) plan {
 	const parts = 16
 	sizes := sizesPow2(4<<10, 64<<20, parts)
 	qps := []int{1, 2, 4, 8, 16}
@@ -297,75 +296,50 @@ func Fig7(cfg Config) ([]*stats.Table, error) {
 			QPs:            q,
 		}
 	}
-	tb, err := speedupTable(cfg, "Figure 7: overhead benchmark, 16 user/transport partitions (speedup vs baseline)",
-		"fig7", sizes, overheadBase(cfg, parts), columns, variants)
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{tb}, nil
+	return speedup(cfg, "Figure 7: overhead benchmark, 16 user/transport partitions (speedup vs baseline)",
+		sizes, overheadBase(cfg, parts), columns, variants)
 }
 
-// Fig8 compares the tuning-table aggregator against the PLogGP aggregator
-// for 4, 32, and 128 user partitions.
-func Fig8(cfg Config) ([]*stats.Table, error) {
+// fig8 compares the tuning-table aggregator against the PLogGP aggregator
+// for 4, 32, and 128 user partitions. One search covers every partition
+// count: the table is keyed per count, so its entries are those of one
+// search per count.
+func fig8(cfg Config) plan {
 	partCounts := []int{4, 32, 128}
 	lo, hi := 4<<10, 64<<20
 	if cfg.Quick {
 		partCounts = []int{32}
 		lo, hi = 128<<10, 1<<20
 	}
-	var tables []*stats.Table
-	for _, parts := range partCounts {
-		sizes := sizesPow2(lo, hi, parts)
-		cfg.progress("fig8: brute-force tuning search for %d partitions", parts)
-		table, err := tuning.Search(tuning.SearchConfig{
-			UserParts: []int{parts},
-			Sizes:     sizes,
-			Warmup:    warmupFor(cfg, 3),
-			Iters:     itersFor(cfg, 10),
-			Workers:   cfg.Jobs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		tb, err := speedupTable(cfg,
+	table := core.NewTuningTable()
+	tables := make([]plan, len(partCounts))
+	for i, parts := range partCounts {
+		tables[i] = speedup(cfg,
 			fmt.Sprintf("Figure 8: overhead benchmark, %d user partitions (speedup vs baseline)", parts),
-			fmt.Sprintf("fig8: %d partitions,", parts), sizes, overheadBase(cfg, parts),
+			sizesPow2(lo, hi, parts), overheadBase(cfg, parts),
 			[]string{"tuning-table", "ploggp"},
 			[]core.Options{
 				{Strategy: core.StrategyTuningTable, Table: table},
 				{Strategy: core.StrategyPLogGP},
 			})
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, tb)
 	}
-	return tables, nil
-}
-
-func warmupFor(cfg Config, full int) int {
-	if cfg.Quick {
-		return 1
+	p := concat(tables...)
+	warmup, iters := cfg.rounds(1, 3, 3, 10)
+	p.search = &tuning.SearchConfig{
+		UserParts: partCounts,
+		Sizes:     sizesPow2(lo, hi, 1), // the search skips sizes a count does not divide
+		Warmup:    warmup,
+		Iters:     iters,
 	}
-	return full
-}
-
-func itersFor(cfg Config, full int) int {
-	if cfg.Quick {
-		return 3
-	}
-	return full
+	p.table = table
+	return p
 }
 
 // perceivedConfig is one perceived-bandwidth run (Section V-C protocol).
 func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.GridConfig {
-	warmup, iters := cfg.iterCounts()
-	if !cfg.Quick {
-		// 100 ms of compute per round makes 100 iterations 11+ virtual
-		// seconds; the paper's protocol, kept as is.
-		warmup, iters = 10, 30
-	}
+	// 100 ms of compute per round makes 100 iterations 11+ virtual
+	// seconds, so full runs measure 30; the paper's protocol, kept as is.
+	warmup, iters := cfg.rounds(2, 5, 10, 30)
 	return bench.GridConfig{
 		Pattern:         bench.P2P,
 		Threads:         parts,
@@ -381,83 +355,75 @@ func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.GridC
 	}
 }
 
-// Fig9 compares perceived bandwidth across the three designs.
-func Fig9(cfg Config) ([]*stats.Table, error) {
+// bandwidth is one perceived-bandwidth table (GB/s): a row per size and a
+// column per variant, each cell one perceivedConfig run at parts
+// partitions.
+func bandwidth(cfg Config, title string, parts int, sizes []int, columns []string, variants []core.Options) plan {
+	return sizeTable(title, columns, sizes, variants,
+		func(s int, opts core.Options) bench.GridConfig { return perceivedConfig(cfg, parts, s, opts) },
+		func(block []bench.GridResult) []any {
+			var row []any
+			for _, r := range block {
+				row = append(row, r.MeanPerceivedBandwidth()/1e9)
+			}
+			return row
+		})
+}
+
+// fig9 compares perceived bandwidth across the three designs.
+func fig9(cfg Config) plan {
 	partCounts := []int{16, 32}
 	sizes := sizesPow2(1<<20, 128<<20, 32)
 	if cfg.Quick {
 		partCounts = []int{32}
 		sizes = []int{8 << 20}
 	}
-	link := fabric.LinkBandwidth
-	var tables []*stats.Table
-	for _, parts := range partCounts {
-		tb := stats.NewTable(
+	tables := make([]plan, len(partCounts))
+	for i, parts := range partCounts {
+		tables[i] = bandwidth(cfg,
 			fmt.Sprintf("Figure 9: perceived bandwidth (GB/s), %d partitions, 100 ms compute, 4%% noise (link %.1f GB/s)",
-				parts, link/1e9),
-			"size", "baseline", "ploggp", "timer(3000µs)")
-		variants := []core.Options{
-			{Strategy: core.StrategyBaseline},
-			{Strategy: core.StrategyPLogGP},
-			{Strategy: core.StrategyTimerPLogGP, Delta: 3000 * time.Microsecond},
-		}
-		jobs := make([]bench.GridConfig, 0, len(sizes)*len(variants))
-		for _, s := range sizes {
-			for _, opts := range variants {
-				jobs = append(jobs, perceivedConfig(cfg, parts, s, opts))
-			}
-		}
-		parts := parts
-		res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
-			if i%len(variants) == 0 {
-				return fmt.Sprintf("fig9: %d partitions, size %s", parts, stats.FormatBytes(sizes[i/len(variants)]))
-			}
-			return ""
-		})
-		if err != nil {
-			return nil, err
-		}
-		for si, s := range sizes {
-			row := []any{stats.FormatBytes(s)}
-			for vi := range variants {
-				row = append(row, res[si*len(variants)+vi].MeanPerceivedBandwidth()/1e9)
-			}
-			tb.AddRow(row...)
-		}
-		tables = append(tables, tb)
+				parts, fabric.LinkBandwidth/1e9),
+			parts, sizes,
+			[]string{"baseline", "ploggp", "timer(3000µs)"},
+			[]core.Options{
+				{Strategy: core.StrategyBaseline},
+				{Strategy: core.StrategyPLogGP},
+				{Strategy: core.StrategyTimerPLogGP, Delta: 3000 * time.Microsecond},
+			})
 	}
-	return tables, nil
+	return concat(tables...)
 }
 
 // arrivalProfile renders the Figures 10/11 table for one size.
-func arrivalProfile(cfg Config, size int, title string) ([]*stats.Table, error) {
+func arrivalProfile(cfg Config, size int, title string) plan {
 	const parts = 32
-	res, err := bench.RunGrid(perceivedConfig(cfg, parts, size, core.Options{Strategy: core.StrategyPLogGP}))
-	if err != nil {
-		return nil, err
+	return plan{
+		jobs: []bench.GridConfig{perceivedConfig(cfg, parts, size, core.Options{Strategy: core.StrategyPLogGP})},
+		render: func(res []bench.GridResult) []*stats.Table {
+			mean := res[0].Profile.MeanArrival(res[0].Warmup)
+			commPerPart := time.Duration(float64(size/parts) / fabric.LinkBandwidth * 1e9)
+			tb := stats.NewTable(title, "partition", "compute (start→Pready)", "est. comm time")
+			idx := make([]int, parts)
+			for i := range idx {
+				idx[i] = i
+			}
+			sort.Slice(idx, func(a, b int) bool { return mean[idx[a]] < mean[idx[b]] })
+			for _, i := range idx {
+				tb.AddRow(i, mean[i], commPerPart)
+			}
+			return []*stats.Table{tb}
+		},
 	}
-	mean := res.Profile.MeanArrival(res.Warmup)
-	commPerPart := time.Duration(float64(size/parts) / fabric.LinkBandwidth * 1e9)
-	tb := stats.NewTable(title, "partition", "compute (start→Pready)", "est. comm time")
-	idx := make([]int, parts)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return mean[idx[a]] < mean[idx[b]] })
-	for _, i := range idx {
-		tb.AddRow(i, mean[i], commPerPart)
-	}
-	return []*stats.Table{tb}, nil
 }
 
-// Fig10 profiles the 8 MiB arrival pattern.
-func Fig10(cfg Config) ([]*stats.Table, error) {
+// fig10 profiles the 8 MiB arrival pattern.
+func fig10(cfg Config) plan {
 	return arrivalProfile(cfg, 8<<20,
 		"Figure 10: arrival profile, 8 MiB, 32 partitions, 100 ms compute, 4% noise")
 }
 
-// Fig11 profiles the 128 MiB arrival pattern (network limited).
-func Fig11(cfg Config) ([]*stats.Table, error) {
+// fig11 profiles the 128 MiB arrival pattern (network limited).
+func fig11(cfg Config) plan {
 	size := 128 << 20
 	if cfg.Quick {
 		size = 32 << 20
@@ -466,8 +432,8 @@ func Fig11(cfg Config) ([]*stats.Table, error) {
 		"Figure 11: arrival profile, 128 MiB, 32 partitions, 100 ms compute, 4% noise")
 }
 
-// Fig12 estimates the minimum useful delta per (partition count, size).
-func Fig12(cfg Config) ([]*stats.Table, error) {
+// fig12 estimates the minimum useful delta per (partition count, size).
+func fig12(cfg Config) plan {
 	partCounts := []int{8, 16, 32, 64, 128}
 	sizes := sizesPow2(1<<20, 128<<20, 128)
 	if cfg.Quick {
@@ -475,89 +441,55 @@ func Fig12(cfg Config) ([]*stats.Table, error) {
 		sizes = []int{8 << 20}
 	}
 	model := niagaraModel()
-	headers := []string{"size"}
-	for _, p := range partCounts {
-		headers = append(headers, fmt.Sprintf("minδ(%d parts)", p))
-	}
-	tb := stats.NewTable("Figure 12: estimated minimum delta for the timer aggregator", headers...)
 	// The paper's missing points: where the model requests no aggregation
 	// (transport == user partitions) the timer has nothing to group, so
 	// only the remaining cells become simulation jobs.
-	type cell struct{ size, parts int }
-	var cells []cell
+	grouped := func(s, parts int) bool { return model.OptimalTransport(s, parts, 4*time.Millisecond) != parts }
+	var p plan
 	for _, s := range sizes {
 		for _, parts := range partCounts {
-			if model.OptimalTransport(s, parts, 4*time.Millisecond) != parts {
-				cells = append(cells, cell{s, parts})
+			if grouped(s, parts) {
+				p.jobs = append(p.jobs, perceivedConfig(cfg, parts, s, core.Options{Strategy: core.StrategyPLogGP}))
 			}
 		}
 	}
-	jobs := make([]bench.GridConfig, len(cells))
-	for i, c := range cells {
-		jobs[i] = perceivedConfig(cfg, c.parts, c.size, core.Options{Strategy: core.StrategyPLogGP})
-	}
-	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
-		return fmt.Sprintf("fig12: %d partitions, size %s", cells[i].parts, stats.FormatBytes(cells[i].size))
-	})
-	if err != nil {
-		return nil, err
-	}
-	next := 0
-	for _, s := range sizes {
-		row := []any{stats.FormatBytes(s)}
+	p.render = func(res []bench.GridResult) []*stats.Table {
+		headers := []string{"size"}
 		for _, parts := range partCounts {
-			if model.OptimalTransport(s, parts, 4*time.Millisecond) == parts {
-				row = append(row, "-")
-				continue
-			}
-			r := res[next]
-			next++
-			row = append(row, r.Profile.MinDelta(r.Warmup))
+			headers = append(headers, fmt.Sprintf("minδ(%d parts)", parts))
 		}
-		tb.AddRow(row...)
+		tb := stats.NewTable("Figure 12: estimated minimum delta for the timer aggregator", headers...)
+		for _, s := range sizes {
+			row := []any{stats.FormatBytes(s)}
+			for _, parts := range partCounts {
+				if !grouped(s, parts) {
+					row = append(row, "-")
+					continue
+				}
+				row = append(row, res[0].Profile.MinDelta(res[0].Warmup))
+				res = res[1:]
+			}
+			tb.AddRow(row...)
+		}
+		return []*stats.Table{tb}
 	}
-	return []*stats.Table{tb}, nil
+	return p
 }
 
-// Fig13 sweeps delta around the estimated minimum for 32 partitions.
-func Fig13(cfg Config) ([]*stats.Table, error) {
-	const parts = 32
-	sizes := sizesPow2(1<<20, 128<<20, parts)
+// fig13 sweeps delta around the estimated minimum for 32 partitions.
+func fig13(cfg Config) plan {
+	sizes := sizesPow2(1<<20, 128<<20, 32)
 	if cfg.Quick {
 		sizes = []int{8 << 20}
 	}
-	deltas := []time.Duration{10 * time.Microsecond, 35 * time.Microsecond, 100 * time.Microsecond}
-	headers := []string{"size"}
-	for _, d := range deltas {
-		headers = append(headers, fmt.Sprintf("BW(δ=%v)", d))
+	var columns []string
+	var variants []core.Options
+	for _, d := range []time.Duration{10 * time.Microsecond, 35 * time.Microsecond, 100 * time.Microsecond} {
+		columns = append(columns, fmt.Sprintf("BW(δ=%v)", d))
+		variants = append(variants, core.Options{Strategy: core.StrategyTimerPLogGP, Delta: d})
 	}
-	tb := stats.NewTable("Figure 13: perceived bandwidth (GB/s) around the minimum delta, 32 partitions", headers...)
-	jobs := make([]bench.GridConfig, 0, len(sizes)*len(deltas))
-	for _, s := range sizes {
-		for _, d := range deltas {
-			jobs = append(jobs, perceivedConfig(cfg, parts, s, core.Options{
-				Strategy: core.StrategyTimerPLogGP,
-				Delta:    d,
-			}))
-		}
-	}
-	res, err := runOrdered(cfg, jobs, bench.RunGrid, func(i int) string {
-		if i%len(deltas) == 0 {
-			return fmt.Sprintf("fig13: size %s", stats.FormatBytes(sizes[i/len(deltas)]))
-		}
-		return ""
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, s := range sizes {
-		row := []any{stats.FormatBytes(s)}
-		for di := range deltas {
-			row = append(row, res[si*len(deltas)+di].MeanPerceivedBandwidth()/1e9)
-		}
-		tb.AddRow(row...)
-	}
-	return []*stats.Table{tb}, nil
+	return bandwidth(cfg, "Figure 13: perceived bandwidth (GB/s) around the minimum delta, 32 partitions",
+		32, sizes, columns, variants)
 }
 
 // gridVariants are the aggregators the grid experiments compare with the
@@ -570,9 +502,9 @@ var (
 	gridColumns = []string{"ploggp", "timer-ploggp"}
 )
 
-// Fig14 runs the Sweep3D pattern at 1024 cores for three compute/noise
+// fig14 runs the Sweep3D pattern at 1024 cores for three compute/noise
 // configurations.
-func Fig14(cfg Config) ([]*stats.Table, error) {
+func fig14(cfg Config) plan {
 	gridX, gridY, threads := 8, 8, 16
 	sizes := sizesPow2(16<<10, 16<<20, threads)
 	if cfg.Quick {
@@ -588,13 +520,13 @@ func Fig14(cfg Config) ([]*stats.Table, error) {
 		{time.Millisecond, 4, "(b) 1 ms compute, 4% noise (40 µs)"},
 		{10 * time.Millisecond, 4, "(c) 10 ms compute, 4% noise (400 µs)"},
 	}
-	warmup, iters := cfg.sweepIterCounts()
-	var tables []*stats.Table
-	for _, c := range configs {
-		tb, err := speedupTable(cfg,
+	warmup, iters := cfg.rounds(1, 3, 3, 10)
+	tables := make([]plan, len(configs))
+	for i, c := range configs {
+		tables[i] = speedup(cfg,
 			fmt.Sprintf("Figure 14%s: Sweep3D %dx%d ranks x %d threads, communication speedup vs baseline",
 				c.label[:3], gridX, gridY, threads),
-			"fig14"+c.label[:3], sizes,
+			sizes,
 			bench.GridConfig{
 				Pattern: bench.Sweep3D,
 				GridX:   gridX, GridY: gridY,
@@ -603,30 +535,26 @@ func Fig14(cfg Config) ([]*stats.Table, error) {
 				NoisePct: c.noise,
 				Warmup:   warmup, Iters: iters,
 			}, gridColumns, gridVariants)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, tb)
 	}
-	return tables, nil
+	return concat(tables...)
 }
 
-// Halo runs the halo-exchange pattern from the paper's benchmark suite
+// halo runs the halo-exchange pattern from the paper's benchmark suite
 // (reference [14] evaluates both a halo exchange and the sweep; the paper
 // itself reports only the sweep, so this is an extension exhibit): a 4x4
 // periodic rank grid, 16 threads, communication speedup of the aggregators
 // over the baseline.
-func Halo(cfg Config) ([]*stats.Table, error) {
+func halo(cfg Config) plan {
 	gridX, gridY, threads := 4, 4, 16
 	sizes := sizesPow2(16<<10, 4<<20, threads)
 	if cfg.Quick {
 		gridX, gridY = 2, 2
 		sizes = []int{256 << 10}
 	}
-	warmup, iters := cfg.sweepIterCounts()
-	tb, err := speedupTable(cfg,
+	warmup, iters := cfg.rounds(1, 3, 3, 10)
+	return speedup(cfg,
 		"Halo exchange (extension): communication speedup vs baseline, 1 ms compute, 1% noise",
-		"halo", sizes,
+		sizes,
 		bench.GridConfig{
 			Pattern: bench.Halo,
 			GridX:   gridX, GridY: gridY,
@@ -635,8 +563,4 @@ func Halo(cfg Config) ([]*stats.Table, error) {
 			NoisePct: 1,
 			Warmup:   warmup, Iters: iters,
 		}, gridColumns, gridVariants)
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{tb}, nil
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick.digest from this run")
@@ -65,6 +67,35 @@ func writeDigests(t *testing.T, digests map[string]string) {
 	}
 }
 
+// runTables runs the named experiments as one invocation and returns
+// each one's tables by name.
+func runTables(t *testing.T, cfg Config, names ...string) map[string][]*stats.Table {
+	t.Helper()
+	out := map[string][]*stats.Table{}
+	err := Run(names, cfg, func(name string, tables []*stats.Table) error {
+		out[name] = tables
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// renderCSV renders tables as their titles and CSV bodies.
+func renderCSV(t *testing.T, tables []*stats.Table) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, tb := range tables {
+		sb.WriteString(tb.Title)
+		sb.WriteByte('\n')
+		if err := tb.WriteCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sb.String()
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "table1", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14",
@@ -78,34 +109,31 @@ func TestRegistryComplete(t *testing.T) {
 		if names[i] != n {
 			t.Errorf("position %d: %q, want %q", i, names[i], n)
 		}
-		if _, ok := Lookup(n); !ok {
-			t.Errorf("Lookup(%q) missing", n)
-		}
 		if desc, ok := Describe(n); !ok || desc == "" {
 			t.Errorf("Describe(%q) missing", n)
 		}
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup of unknown experiment succeeded")
+	if _, ok := Describe("nope"); ok {
+		t.Error("Describe of unknown experiment succeeded")
+	}
+	if err := Run([]string{"nope"}, Config{Quick: true}, nil); err == nil {
+		t.Error("Run of unknown experiment succeeded")
 	}
 }
 
-// TestAllExperimentsQuick runs every driver in quick mode, verifies each
-// produces at least one non-empty table, and compares a digest of the
-// rendered tables with testdata/quick.digest: a change that claims to leave
-// the reproduction's numbers alone must leave every digest as it is. -update
-// rewrites the digests of the experiments that ran.
+// TestAllExperimentsQuick runs the whole registry in quick mode as one
+// invocation, verifies each experiment produces at least one non-empty
+// table, and compares a digest of its rendered tables with
+// testdata/quick.digest: a change that claims to leave the reproduction's
+// numbers alone must leave every digest as it is. -update rewrites the
+// digests.
 func TestAllExperimentsQuick(t *testing.T) {
 	want := readDigests(t)
+	all := runTables(t, Config{Quick: true}, Names()...)
 	got := map[string]string{}
 	for _, name := range Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			run, _ := Lookup(name)
-			tables, err := run(Config{Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			tables := all[name]
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -128,7 +156,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 	if !*update {
 		for name := range want {
-			if _, ok := Lookup(name); !ok {
+			if _, ok := Describe(name); !ok {
 				t.Errorf("%s records %q, which the registry lacks (rerun with -update to drop the line)", digestFile, name)
 			}
 		}
@@ -142,10 +170,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tables, err := Table1(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := runTables(t, Config{}, "table1")["table1"]
 	var buf strings.Builder
 	if err := tables[0].WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -166,17 +191,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 // experiment bit-for-bit reproducible run to run.
 func TestDeterministicResults(t *testing.T) {
 	render := func() string {
-		tables, err := Fig9(Config{Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, tb := range tables {
-			if err := tb.WriteCSV(&sb); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sb.String()
+		return renderCSV(t, runTables(t, Config{Quick: true}, "fig9")["fig9"])
 	}
 	a, b := render(), render()
 	if a != b {

@@ -1,45 +1,20 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
 
-// renderAll runs one experiment and renders every resulting table as CSV.
-func renderAll(t *testing.T, name string, cfg Config) string {
-	t.Helper()
-	run, ok := Lookup(name)
-	if !ok {
-		t.Fatalf("unknown experiment %q", name)
-	}
-	tables, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, tb := range tables {
-		sb.WriteString(tb.Title)
-		sb.WriteByte('\n')
-		if err := tb.WriteCSV(&sb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sb.String()
-}
-
-// TestSerialParallelParity: every registry driver must produce
-// byte-identical tables with Jobs=1 and Jobs=4 — the guarantee that lets
-// the sweep layer parallelize the paper's exhibits at all. Quick mode
-// keeps the double pass affordable.
+// TestSerialParallelParity: the whole quick registry, run as one
+// invocation, must render byte-identical tables with Jobs=1 and Jobs=4 —
+// the guarantee that lets the job pool run every exhibit's jobs at once.
 func TestSerialParallelParity(t *testing.T) {
+	serial := runTables(t, Config{Quick: true, Jobs: 1}, Names()...)
+	parallel := runTables(t, Config{Quick: true, Jobs: 4}, Names()...)
 	for _, name := range Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			serial := renderAll(t, name, Config{Quick: true, Jobs: 1})
-			parallel := renderAll(t, name, Config{Quick: true, Jobs: 4})
-			if serial != parallel {
-				t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					serial, parallel)
+			s, p := renderCSV(t, serial[name]), renderCSV(t, parallel[name])
+			if s == "" || s != p {
+				t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
 			}
 		})
 	}
@@ -52,10 +27,9 @@ func TestSerialParallelParity(t *testing.T) {
 // reproduction is ultimately judged by.
 func TestShardedParity(t *testing.T) {
 	for _, name := range []string{"fig6", "fig8"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			serial := renderAll(t, name, Config{Quick: true, Jobs: 2})
-			sharded := renderAll(t, name, Config{Quick: true, Jobs: 2, Shards: 2})
+			serial := renderCSV(t, runTables(t, Config{Quick: true, Jobs: 2}, name)[name])
+			sharded := renderCSV(t, runTables(t, Config{Quick: true, Jobs: 2, Shards: 2}, name)[name])
 			if serial != sharded {
 				t.Errorf("sharded output differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
 					serial, sharded)

@@ -133,17 +133,3 @@ func Ordered[T any](workers, n int, f func(i int) (T, error), collect func(i int
 	wg.Wait()
 	return nil
 }
-
-// Map runs f(0..n-1) on up to workers goroutines and returns the results
-// in index order.
-func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := Ordered(workers, n, f, func(i int, v T) error {
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -61,20 +61,6 @@ func TestOrderedCollectsInOrder(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	out, err := Map(4, 10, func(i int) (string, error) {
-		return fmt.Sprint(i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range out {
-		if s != fmt.Sprint(i) {
-			t.Errorf("out[%d] = %q", i, s)
-		}
-	}
-}
-
 // TestOrderedFirstErrorWins: the error returned must be the lowest-index
 // failure — what the serial loop would have returned — even when a
 // later-index job fails first in wall time.

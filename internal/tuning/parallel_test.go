@@ -90,3 +90,20 @@ func TestSearchPointTieBreakDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchEntriesIndependentOfOtherCounts: one search over several
+// partition counts records, per count, the entries a search over that
+// count alone records — what lets one search serve all of fig8's tables.
+func TestSearchEntriesIndependentOfOtherCounts(t *testing.T) {
+	base := SearchConfig{Sizes: []int{4096, 16384}, Warmup: 1, Iters: 3}
+	var want string
+	for _, parts := range []int{2, 8} {
+		cfg := base
+		cfg.UserParts = []int{parts}
+		want += searchTable(t, cfg)
+	}
+	base.UserParts = []int{2, 8}
+	if got := searchTable(t, base); got != want {
+		t.Errorf("joint search table:\n%s\n--- per-count searches ---\n%s", got, want)
+	}
+}

@@ -11,6 +11,7 @@ package tuning
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -36,10 +37,10 @@ type SearchConfig struct {
 	// before the point's result is recorded. Implementations therefore
 	// need no locking of their own.
 	Progress func(parts, size int)
-	// Workers bounds the number of points evaluated concurrently. Each
-	// point is an independent deterministic simulation, so the resulting
-	// table is byte-identical for any worker count. Zero or negative
-	// selects GOMAXPROCS; 1 forces the serial path.
+	// Workers bounds the number of candidates run concurrently. Each
+	// candidate is an independent deterministic simulation, so the
+	// resulting table is byte-identical for any worker count. Zero or
+	// negative selects GOMAXPROCS; 1 forces the serial path.
 	Workers int
 }
 
@@ -74,89 +75,105 @@ func (c SearchConfig) Validate() error {
 	return nil
 }
 
-// Search runs the exhaustive sweep and returns the winning table. Points
-// are evaluated concurrently on cfg.Workers goroutines (each point is an
-// independent deterministic simulation), but results are recorded — and
-// Progress invoked — in the serial sweep's order, so the table is
-// byte-identical for any worker count.
-func Search(cfg SearchConfig) (*core.TuningTable, error) {
+// Candidates validates cfg and lists its runs, each the overhead
+// benchmark at one (parts, size) point under one (transport, QPs) design:
+// points in sweep order (partition counts outer, sizes inner, unrealizable
+// partitionings skipped), and at each point every power-of-two design in
+// lexicographic order. A point's candidates are consecutive.
+func Candidates(cfg SearchConfig) ([]bench.GridConfig, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	type point struct{ parts, size int }
-	var points []point
+	var out []bench.GridConfig
 	for _, parts := range cfg.UserParts {
 		for _, size := range cfg.Sizes {
 			if size%parts != 0 {
 				continue // not a realizable partitioning
 			}
-			points = append(points, point{parts, size})
+			for transport := 1; transport <= parts; transport *= 2 {
+				for qps := 1; qps <= min(transport, maxQPs); qps *= 2 {
+					out = append(out, bench.GridConfig{
+						Pattern: bench.P2P,
+						Threads: parts,
+						Bytes:   size,
+						Warmup:  cfg.Warmup,
+						Iters:   cfg.Iters,
+						Opts: core.Options{
+							Strategy:       core.StrategyPLogGP, // grouping mechanics; counts forced
+							TransportParts: transport,
+							QPs:            qps,
+						},
+					})
+				}
+			}
 		}
 	}
+	return out, nil
+}
+
+// point is the table key a candidate measures.
+func point(c bench.GridConfig) core.TuningKey {
+	return core.TuningKey{UserParts: c.Threads, Bytes: c.Bytes}
+}
+
+// Pick records in table, for every point of cands, the design whose run
+// took the least mean iteration time; times[i] is cands[i]'s. On equal
+// times the lexicographically smallest (transport, QPs) wins, so the pick
+// is independent of the order candidates ran in.
+func Pick(table *core.TuningTable, cands []bench.GridConfig, times []time.Duration) {
+	for i := 0; i < len(cands); {
+		best := i
+		j := i + 1
+		for ; j < len(cands) && point(cands[j]) == point(cands[i]); j++ {
+			c, b := cands[j].Opts, cands[best].Opts
+			if times[j] < times[best] || (times[j] == times[best] &&
+				(c.TransportParts < b.TransportParts || (c.TransportParts == b.TransportParts && c.QPs < b.QPs))) {
+				best = j
+			}
+		}
+		b := cands[best].Opts
+		table.Set(point(cands[i]), core.TuningValue{Transport: b.TransportParts, QPs: b.QPs})
+		i = j
+	}
+}
+
+// Search runs the exhaustive sweep and returns the winning table.
+// Candidates run concurrently on cfg.Workers goroutines (each is an
+// independent deterministic simulation), but points are recorded — and
+// Progress invoked — in the serial sweep's order, so the table is
+// byte-identical for any worker count.
+func Search(cfg SearchConfig) (*core.TuningTable, error) {
+	cands, err := Candidates(cfg)
+	if err != nil {
+		return nil, err
+	}
 	table := core.NewTuningTable()
-	err := sweep.Ordered(cfg.Workers, len(points),
-		func(i int) (core.TuningValue, error) {
-			pt := points[i]
-			best, err := searchPoint(cfg, pt.parts, pt.size)
+	times := make([]time.Duration, len(cands))
+	first := 0 // the first candidate of the point being collected
+	err = sweep.Ordered(cfg.Workers, len(cands),
+		func(i int) (time.Duration, error) {
+			res, err := bench.RunGrid(cands[i])
 			if err != nil {
-				return core.TuningValue{}, fmt.Errorf("tuning: point (%d parts, %d B): %w", pt.parts, pt.size, err)
+				return 0, fmt.Errorf("tuning: point (%d parts, %d B): %w", cands[i].Threads, cands[i].Bytes, err)
 			}
-			return best, nil
+			return res.MeanIterTime(), nil
 		},
-		func(i int, best core.TuningValue) error {
-			pt := points[i]
-			if cfg.Progress != nil {
-				cfg.Progress(pt.parts, pt.size)
+		func(i int, t time.Duration) error {
+			times[i] = t
+			if k := point(cands[i]); i+1 == len(cands) || point(cands[i+1]) != k {
+				if cfg.Progress != nil {
+					cfg.Progress(k.UserParts, k.Bytes)
+				}
+				Pick(table, cands[first:i+1], times[first:i+1])
+				first = i + 1
 			}
-			table.Set(core.TuningKey{UserParts: pt.parts, Bytes: pt.size}, best)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	return table, nil
-}
-
-// searchPoint evaluates every candidate at one point.
-func searchPoint(cfg SearchConfig, parts, size int) (core.TuningValue, error) {
-	var best core.TuningValue
-	bestTime := int64(-1)
-	for transport := 1; transport <= parts; transport *= 2 {
-		for qps := 1; qps <= min(transport, maxQPs); qps *= 2 {
-			res, err := bench.RunGrid(bench.GridConfig{
-				Pattern: bench.P2P,
-				Threads: parts,
-				Bytes:   size,
-				Warmup:  cfg.Warmup,
-				Iters:   cfg.Iters,
-				Opts: core.Options{
-					Strategy:       core.StrategyPLogGP, // grouping mechanics; counts forced below
-					TransportParts: transport,
-					QPs:            qps,
-				},
-			})
-			if err != nil {
-				return core.TuningValue{}, err
-			}
-			t := int64(res.MeanIterTime())
-			// Argmin with an explicit deterministic tie-break: on equal
-			// mean time prefer the lexicographically smallest
-			// (transport, qps), so serial and parallel sweeps — and any
-			// future candidate enumeration order — pick the same entry.
-			better := bestTime < 0 || t < bestTime
-			if !better && t == bestTime {
-				c := core.TuningValue{Transport: transport, QPs: qps}
-				better = c.Transport < best.Transport ||
-					(c.Transport == best.Transport && c.QPs < best.QPs)
-			}
-			if better {
-				bestTime = t
-				best = core.TuningValue{Transport: transport, QPs: qps}
-			}
-		}
-	}
-	return best, nil
 }
 
 // WriteTable serializes a table as "userParts bytes transport qps" lines.
