@@ -24,12 +24,13 @@ vet:
 # partlint is the repository's own analyzer suite (DESIGN.md §10, §14):
 # the determinism analyzer (wall-clock, math/rand and map-order bans plus
 # the per-function cross-engine clock rule), the shard-protocol safety
-# checks (//partib:atomic, //partib:guard, CAS claim gates), the
-# typed-error no-panic contract, and the completion-callback blocking
-# check. Every rule reports at the defect's site and nothing can be
-# waived. Allocation is guarded by the measured gates of `make allocs`,
-# not by the analyzers. It runs through the go vet driver so results are
-# cached per package.
+# checks (//partib:atomic, //partib:guard, CAS claim gates) and the
+# typed-error no-panic contract. Every rule reports at the defect's site
+# and nothing can be waived. Allocation is guarded by the measured gates
+# of `make allocs`, and a completion handler that parks by a runtime
+# guard in the sim primitives (a typed error from Run, see
+# TestHandlerSleepInDrain), not by the analyzers. It runs through the go
+# vet driver so results are cached per package.
 lint:
 	$(GO) build -o bin/partlint ./cmd/partlint
 	$(GO) vet -vettool=$(CURDIR)/bin/partlint ./...

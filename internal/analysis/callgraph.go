@@ -1,10 +1,9 @@
 package analysis
 
-// This file is the package-level call graph the analyzers that follow
-// calls share: per-function //partib:role annotation parsing, call-site
-// resolution to same-package declarations, and source-order enumeration.
-// It stops at the package boundary. shardsafety inherits roles along its
-// edges; callbackblock walks it from each registered completion handler.
+// This file is the package-level call graph: per-function //partib:role
+// annotation parsing, call-site resolution to same-package declarations,
+// and source-order enumeration. It stops at the package boundary.
+// shardsafety inherits roles along its edges.
 
 import (
 	"go/ast"
@@ -26,21 +25,16 @@ type FuncInfo struct {
 	Roles []string
 }
 
-// Callee is one call site resolved to a same-package declaration.
-type Callee struct {
-	Call  *ast.CallExpr
-	Local *FuncInfo
-}
-
 // CallGraph indexes a package's function declarations and resolves call
 // sites.
 type CallGraph struct {
-	pass  *Pass
-	funcs map[types.Object]*FuncInfo
-	// byDecl finds the info for a declaration (reverse of funcs).
-	byDecl map[*ast.FuncDecl]*FuncInfo
+	pass *Pass
+	// funcs lists the declarations in source order; byObj finds one by
+	// its types object.
+	funcs []*FuncInfo
+	byObj map[types.Object]*FuncInfo
 	// callees caches per-declaration call-site resolution.
-	callees map[*ast.FuncDecl][]Callee
+	callees map[*ast.FuncDecl][]*FuncInfo
 }
 
 // BuildCallGraph indexes every function and method declaration in the
@@ -48,9 +42,8 @@ type CallGraph struct {
 func BuildCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
 		pass:    pass,
-		funcs:   map[types.Object]*FuncInfo{},
-		byDecl:  map[*ast.FuncDecl]*FuncInfo{},
-		callees: map[*ast.FuncDecl][]Callee{},
+		byObj:   map[types.Object]*FuncInfo{},
+		callees: map[*ast.FuncDecl][]*FuncInfo{},
 	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
@@ -66,8 +59,8 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 				continue
 			}
 			info := &FuncInfo{Decl: fd, Roles: parseRoles(fd)}
-			g.funcs[obj] = info
-			g.byDecl[fd] = info
+			g.funcs = append(g.funcs, info)
+			g.byObj[obj] = info
 		}
 	}
 	return g
@@ -92,40 +85,18 @@ func parseRoles(fd *ast.FuncDecl) (roles []string) {
 	return
 }
 
-// Roots returns the declarations carrying the given predicate, in source
-// order.
-func (g *CallGraph) Roots(keep func(*FuncInfo) bool) []*FuncInfo {
-	var out []*FuncInfo
-	for _, f := range g.pass.Files {
-		if g.pass.IsTestFile(f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if info := g.byDecl[fd]; info != nil && keep(info) {
-				out = append(out, info)
-			}
-		}
-	}
-	return out
-}
-
-// InfoFor returns the FuncInfo of a types object, when it names a
-// same-package declaration.
-func (g *CallGraph) InfoFor(obj types.Object) *FuncInfo { return g.funcs[obj] }
+// Funcs returns the package's declarations in source order.
+func (g *CallGraph) Funcs() []*FuncInfo { return g.funcs }
 
 // Callees resolves every same-package call site in fd's body to its
-// declaration. Function literals are walked too — a closure runs in its
-// enclosing function's context for reachability purposes. Results are
-// cached.
-func (g *CallGraph) Callees(fd *ast.FuncDecl) []Callee {
+// declaration, one entry per call site. Function literals are walked too
+// — a closure runs in its enclosing function's context for reachability
+// purposes. Results are cached.
+func (g *CallGraph) Callees(fd *ast.FuncDecl) []*FuncInfo {
 	if out, ok := g.callees[fd]; ok {
 		return out
 	}
-	var out []Callee
+	var out []*FuncInfo
 	if fd.Body != nil {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -141,8 +112,8 @@ func (g *CallGraph) Callees(fd *ast.FuncDecl) []Callee {
 			default:
 				return true
 			}
-			if info := g.funcs[g.pass.TypesInfo.Uses[id]]; info != nil {
-				out = append(out, Callee{Call: call, Local: info})
+			if info := g.byObj[g.pass.TypesInfo.Uses[id]]; info != nil {
+				out = append(out, info)
 			}
 			return true
 		})

@@ -5,9 +5,8 @@
 //
 // Scope rules are deliberately data, not code spread across drivers:
 //
-//   - shardsafety and callbackblock run everywhere in the module —
-//     annotations and registration shapes only occur where the
-//     invariants apply.
+//   - shardsafety runs everywhere in the module — its annotations only
+//     occur where the invariants apply.
 //   - detertaint runs on the packages reachable from the simulator's
 //     virtual clock: the engine strategies, the fabric, the models, the
 //     transports whose event callbacks feed the engines, the rank
@@ -23,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/callbackblock"
 	"repro/internal/analysis/detertaint"
 	"repro/internal/analysis/nopanic"
 	"repro/internal/analysis/shardsafety"
@@ -84,6 +82,5 @@ func Checks() []Check {
 		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
 		{Analyzer: shardsafety.Analyzer, Applies: allRepro},
 		{Analyzer: nopanic.Analyzer, Applies: func(p string) bool { return typedError[p] }},
-		{Analyzer: callbackblock.Analyzer, Applies: allRepro},
 	}
 }

@@ -72,7 +72,7 @@ func run(pass *analysis.Pass) error {
 	if len(fields) == 0 && !hasCAS(pass) {
 		return nil
 	}
-	for _, fi := range g.Roots(func(*analysis.FuncInfo) bool { return true }) {
+	for _, fi := range g.Funcs() {
 		checkFunc(pass, fi.Decl, fields, roles[fi.Decl])
 	}
 	return nil
@@ -185,7 +185,7 @@ func parseFieldAnnot(field *ast.Field) *fieldAnnot {
 func inheritRoles(pass *analysis.Pass, g *analysis.CallGraph) map[*ast.FuncDecl]map[string]bool {
 	roles := map[*ast.FuncDecl]map[string]bool{}
 	declared := map[*ast.FuncDecl]bool{}
-	all := g.Roots(func(*analysis.FuncInfo) bool { return true })
+	all := g.Funcs()
 	for _, fi := range all {
 		if len(fi.Roles) > 0 {
 			set := map[string]bool{}
@@ -204,13 +204,13 @@ func inheritRoles(pass *analysis.Pass, g *analysis.CallGraph) map[*ast.FuncDecl]
 				continue
 			}
 			for _, c := range g.Callees(fi.Decl) {
-				if c.Local == nil || declared[c.Local.Decl] {
+				if declared[c.Decl] {
 					continue
 				}
-				dst := roles[c.Local.Decl]
+				dst := roles[c.Decl]
 				if dst == nil {
 					dst = map[string]bool{}
-					roles[c.Local.Decl] = dst
+					roles[c.Decl] = dst
 				}
 				for r := range rs {
 					if !dst[r] {

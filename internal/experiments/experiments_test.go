@@ -186,15 +186,3 @@ func TestTable1MatchesPaper(t *testing.T) {
 		}
 	}
 }
-
-// TestDeterministicResults: the discrete-event simulation must make every
-// experiment bit-for-bit reproducible run to run.
-func TestDeterministicResults(t *testing.T) {
-	render := func() string {
-		return renderCSV(t, runTables(t, Config{Quick: true}, "fig9")["fig9"])
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("two identical runs diverged:\n%s\n---\n%s", a, b)
-	}
-}

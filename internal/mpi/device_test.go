@@ -2,9 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/ibv"
 	"repro/internal/sim"
 )
@@ -209,22 +211,18 @@ func TestProgressChargesPerCompletion(t *testing.T) {
 	}
 }
 
-// TestHandlerSleepInDrain: a completion handler may charge virtual time
-// with p.Sleep inside the drain. The sleep resumes on its own timer, and
-// a second proc that polls meanwhile finds the progress try-lock taken,
-// parks in WaitOn until the drain broadcasts, then sees the state the
-// handler set. Both procs finish when the drain does, and nothing
-// deadlocks.
-func TestHandlerSleepInDrain(t *testing.T) {
-	const charge = 3 * time.Microsecond
-	w := twoNodeWorld()
+// handlerWorld builds a two-node world on the given number of shards,
+// connects a queue pair from rank 0 to rank 1, and posts one RDMA write
+// with immediate whose receive completion rank 1's drain hands to onRecv.
+// The write has landed by 1ms.
+func handlerWorld(t *testing.T, shards int, onRecv func(p *sim.Proc, r *Rank)) *World {
+	t.Helper()
+	cfg := cluster.NiagaraConfig(2)
+	cfg.Shards = shards
+	w := NewWorld(Config{Cluster: cfg})
 	r0, r1 := w.Rank(0), w.Rank(1)
-	set := false
 	qp0, qp1 := qpPair(t, r0, r1, ibv.QPConfig{}, ibv.QPConfig{}, noWC,
-		func(p *sim.Proc, _ ibv.WC) {
-			p.Sleep(charge)
-			set = true
-		})
+		func(p *sim.Proc, _ ibv.WC) { onRecv(p, r1) })
 	src, dst := regMR(t, r0, 8), regMR(t, r1, 8)
 	if err := qp1.PostRecv(ibv.RecvWR{}); err != nil {
 		t.Fatal(err)
@@ -238,24 +236,93 @@ func TestHandlerSleepInDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := sim.Time(time.Millisecond) // the write has landed
-	var drainerDone, waiterDone sim.Time
-	e := w.Engine()
-	e.Spawn("drainer", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		r1.WaitOn(p, func() bool { return set })
-		drainerDone = p.Now()
+	return w
+}
+
+// TestHandlerSleepInDrain: a completion handler may charge virtual time
+// with p.Sleep inside the drain. The sleep resumes on its own timer, and
+// a second proc that polls meanwhile finds the progress try-lock taken,
+// parks in WaitOn until the drain broadcasts, then sees the state the
+// handler set. Both procs finish when the drain does, and nothing
+// deadlocks. Every primitive that waits on another party fails on entry
+// in a handler instead, whether or not it would park: Run returns a
+// *sim.HandlerParkError naming the proc and the primitive, the same at
+// one and at two shards. WaitOn and Barrier fail through the Cond.Wait
+// they park in.
+func TestHandlerSleepInDrain(t *testing.T) {
+	const charge = 3 * time.Microsecond
+	t.Run("Sleep", func(t *testing.T) {
+		for _, shards := range []int{1, 2} {
+			set := false
+			w := handlerWorld(t, shards, func(p *sim.Proc, _ *Rank) {
+				p.Sleep(charge)
+				set = true
+			})
+			r1 := w.Rank(1)
+			start := sim.Time(time.Millisecond) // the write has landed
+			var drainerDone, waiterDone sim.Time
+			r1.Engine().Spawn("waiter", func(p *sim.Proc) {
+				p.Sleep(time.Millisecond + time.Nanosecond) // inside the drain
+				r1.WaitOn(p, func() bool { return set })
+				waiterDone = p.Now()
+			})
+			err := w.Run(func(p *sim.Proc, r *Rank) {
+				if r == r1 {
+					p.Sleep(time.Millisecond)
+					r.WaitOn(p, func() bool { return set })
+					drainerDone = p.Now()
+				}
+			})
+			if err != nil {
+				t.Fatalf("%d shards: Run = %v, want no error", shards, err)
+			}
+			want := start + sim.Time(WCProcess+charge)
+			if drainerDone != want || waiterDone != want {
+				t.Fatalf("%d shards: drainer done at %v, waiter at %v, want both at %v",
+					shards, drainerDone, waiterDone, want)
+			}
+		}
 	})
-	e.Spawn("waiter", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond + time.Nanosecond) // inside the drain
-		r1.WaitOn(p, func() bool { return set })
-		waiterDone = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run = %v, want no error", err)
+
+	parks := []struct {
+		name, primitive string
+		park            func(p *sim.Proc, r *Rank)
+	}{
+		{"Cond.Wait", "Cond.Wait", func(p *sim.Proc, r *Rank) { sim.NewCond(r.Engine()).Wait(p) }},
+		{"Cond.WaitTimeout", "Cond.WaitTimeout", func(p *sim.Proc, r *Rank) {
+			sim.NewCond(r.Engine()).WaitTimeout(p, charge)
+		}},
+		// A free server and a zero count would not park: the check runs
+		// on entry all the same.
+		{"Resource.Acquire", "Resource.Acquire", func(p *sim.Proc, r *Rank) { sim.NewResource(r.Engine(), 1).Acquire(p) }},
+		{"Resource.Hold", "Resource.Hold", func(p *sim.Proc, r *Rank) { sim.NewResource(r.Engine(), 1).Hold(p, charge) }},
+		{"Resource.Use", "Resource.Use", func(p *sim.Proc, r *Rank) { sim.NewResource(r.Engine(), 1).Use(p, charge) }},
+		{"Group.Wait", "Group.Wait", func(p *sim.Proc, r *Rank) { sim.NewGroup(r.Engine()).Wait(p) }},
+		{"Rank.WaitOn", "Cond.Wait", func(p *sim.Proc, r *Rank) { r.WaitOn(p, func() bool { return false }) }},
+		{"Rank.Barrier", "Cond.Wait", func(p *sim.Proc, r *Rank) { r.Barrier(p) }},
 	}
-	want := start + sim.Time(WCProcess+charge)
-	if drainerDone != want || waiterDone != want {
-		t.Fatalf("drainer done at %v, waiter at %v, want both at %v", drainerDone, waiterDone, want)
+	for _, c := range parks {
+		t.Run(c.name, func(t *testing.T) {
+			want := sim.HandlerParkError{Proc: "rank1", Primitive: c.primitive}
+			for _, shards := range []int{1, 2} {
+				done := false
+				w := handlerWorld(t, shards, func(p *sim.Proc, r *Rank) {
+					c.park(p, r)
+					done = true
+				})
+				err := w.Run(func(p *sim.Proc, r *Rank) {
+					if r.ID() == 1 {
+						r.WaitOn(p, func() bool { return done })
+					}
+				})
+				var got *sim.HandlerParkError
+				if !errors.As(err, &got) {
+					t.Fatalf("%d shards: Run = %v, want a *sim.HandlerParkError", shards, err)
+				}
+				if *got != want {
+					t.Errorf("%d shards: Run failed with %+v, want %+v", shards, *got, want)
+				}
+			}
+		})
 	}
 }

@@ -104,7 +104,9 @@ func (r *Rank) PD() *ibv.PD {
 // CreateQP creates a queue pair on the rank's PD and shared CQs (any CQs
 // set in cfg are replaced), moves it to INIT, and routes its completions
 // to onWC. onWC runs inside the progress engine's drain: it must record
-// state and wake waiters, never park.
+// state and wake waiters, never park. The drain marks the proc while onWC
+// runs (sim.Proc.SetInHandler), so a park in onWC, or in anything it
+// calls, makes Run fail with a *sim.HandlerParkError.
 func (r *Rank) CreateQP(cfg ibv.QPConfig, onWC func(p *sim.Proc, wc ibv.WC)) (*ibv.QP, error) {
 	if onWC == nil {
 		return nil, fmt.Errorf("mpi: CreateQP requires a completion handler")
@@ -226,7 +228,11 @@ func (r *Rank) drain(p *sim.Proc) int {
 			if h == nil {
 				panic(fmt.Sprintf("mpi: rank %d: completion for unregistered QPN %d: %+v", r.id, wc.QPN, wc))
 			}
+			// The handler must not park: the mark makes every sim
+			// primitive that waits on another party fail in it.
+			p.SetInHandler(true)
 			h(p, wc)
+			p.SetInHandler(false)
 		}
 		drained += n
 	}

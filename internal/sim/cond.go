@@ -39,6 +39,7 @@ func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 // pops it, Broadcast empties the list, a timeout removes it), so reuse
 // across waits is safe and parking is allocation-free.
 func (c *Cond) Wait(p *Proc) {
+	p.mustNotPark("Cond.Wait")
 	if p.e != c.e {
 		// A proc parking on another shard's cond would be woken from a
 		// foreign engine's event loop — a cross-shard race. Catch the
@@ -70,6 +71,7 @@ func fireCondTimeout(_ Time, arg any) {
 // embedded wait record, cancelled on an early wake by the same
 // seq-guarded lazy rule as Timer.Stop.
 func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
+	p.mustNotPark("Cond.WaitTimeout")
 	if p.e != c.e {
 		panic("sim: proc waiting on a cond bound to a different engine")
 	}
@@ -175,6 +177,7 @@ func (g *Group) Done() { g.Add(-1) }
 
 // Wait parks the proc until the counter reaches zero.
 func (g *Group) Wait(p *Proc) {
+	p.mustNotPark("Group.Wait")
 	for g.n > 0 {
 		g.cond.Wait(p)
 	}

@@ -60,6 +60,10 @@ type Proc struct {
 	prev, next *Proc
 	done       bool
 	daemon     bool
+	// inHandler marks a proc running a completion handler (SetInHandler):
+	// every primitive that waits on another party fails on entry while
+	// it is set.
+	inHandler  bool
 	parkReason string
 }
 
@@ -83,6 +87,30 @@ func (e *ProcError) Error() string {
 	return fmt.Sprintf("sim: proc %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
 }
 
+// Unwrap returns the panic value if it is an error, so errors.Is and
+// errors.As see through a ProcError to a typed panic such as a
+// *HandlerParkError.
+func (e *ProcError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// HandlerParkError is the panic value of a primitive that waits on
+// another party (Cond.Wait, Cond.WaitTimeout, Resource.Acquire, Hold and
+// Use, Group.Wait) called by a proc marked with SetInHandler. The proc
+// is running a completion handler inside its rank's progress drain, so a
+// park there would stall every proc polling that rank. The check runs on
+// entry, whether or not the call would park this time. Run returns it
+// wrapped in a *ProcError.
+type HandlerParkError struct {
+	Proc      string
+	Primitive string
+}
+
+func (e *HandlerParkError) Error() string {
+	return fmt.Sprintf("sim: proc %q called %s inside a completion handler, which must not park", e.Proc, e.Primitive)
+}
+
 // Spawn creates a proc named name running fn, scheduled to start at the
 // current virtual time (after already-pending same-time events).
 //
@@ -101,6 +129,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.name = name
 		p.done = false
 		p.daemon = false
+		p.inHandler = false
 	} else {
 		p = &Proc{e: e, name: name}
 		p.waiter.p = p
@@ -206,6 +235,20 @@ func (p *Proc) Now() Time { return p.e.now }
 // simulation ends without triggering a DeadlockError. Use for background
 // service loops whose lifetime matches the whole simulation.
 func (p *Proc) SetDaemon() { p.daemon = true }
+
+// SetInHandler marks (true) or unmarks (false) the proc as running a
+// completion handler. While marked, the primitives that wait on another
+// party panic with a *HandlerParkError; Sleep stays allowed, because it
+// resumes on its own timer.
+func (p *Proc) SetInHandler(in bool) { p.inHandler = in }
+
+// mustNotPark panics with a *HandlerParkError if the proc is running a
+// completion handler; primitive names the caller.
+func (p *Proc) mustNotPark(primitive string) {
+	if p.inHandler {
+		panic(&HandlerParkError{Proc: p.name, Primitive: primitive})
+	}
+}
 
 // Done reports whether the proc's body has returned.
 func (p *Proc) Done() bool { return p.done }

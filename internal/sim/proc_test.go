@@ -109,6 +109,36 @@ func TestProcExitTerminatesCleanly(t *testing.T) {
 	}
 }
 
+// TestHandlerMarkOnRecycledShell: a proc that exits while marked as
+// running a handler leaves its shell marked, and the next proc spawned on
+// that shell starts unmarked, so its Cond.Wait parks instead of failing.
+func TestHandlerMarkOnRecycledShell(t *testing.T) {
+	e := NewEngine()
+	var handler *Proc
+	handler = e.Spawn("handler", func(p *Proc) {
+		p.SetInHandler(true)
+		p.Exit()
+	})
+	c := NewCond(e)
+	woke := false
+	e.Spawn("spawner", func(p *Proc) {
+		p.Sleep(time.Nanosecond) // the handler's shell is idle now
+		if e.Spawn("waiter", func(p *Proc) {
+			c.Wait(p)
+			woke = true
+		}) != handler {
+			t.Error("waiter did not reuse the handler's shell")
+		}
+		e.Spawn("signaler", func(p *Proc) { c.Signal() })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run = %v, want the recycled shell unmarked", err)
+	}
+	if !woke {
+		t.Fatal("waiter never woke")
+	}
+}
+
 // TestProcGoexitEndsRunGoroutine pins what runtime.Goexit (and so
 // t.FailNow) does in a proc body: it propagates to the goroutine that
 // resumed the proc. On a serial engine that ends the goroutine calling

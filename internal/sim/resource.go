@@ -47,6 +47,7 @@ func (r *Resource) Peak() int { return r.peak }
 
 // Acquire obtains a server, parking the proc FIFO if none is free.
 func (r *Resource) Acquire(p *Proc) {
+	p.mustNotPark("Resource.Acquire")
 	if r.tryAcquire(p) {
 		return
 	}
@@ -61,6 +62,7 @@ func (r *Resource) Acquire(p *Proc) {
 // the proc is resumed once, when the hold ends, instead of at the grant
 // and again after its Sleep.
 func (r *Resource) Hold(p *Proc, d time.Duration) {
+	p.mustNotPark("Resource.Hold")
 	if d < 0 {
 		d = 0
 	}
@@ -141,6 +143,7 @@ func fireGrant(now Time, arg any) {
 // Use acquires a server, holds it for d of virtual time, and releases it.
 // This models executing d worth of work on one core.
 func (r *Resource) Use(p *Proc, d time.Duration) {
+	p.mustNotPark("Resource.Use")
 	r.Hold(p, d)
 	r.Release()
 }

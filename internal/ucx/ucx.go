@@ -11,7 +11,7 @@
 // eager/bcopy to its eager/zcopy protocol"); reproducing the protocol
 // structure reproduces those artifacts.
 //
-// The unit of the API is an active message: Send/SendMR deliver (header,
+// The unit of the API is an active message: SendMR delivers (header,
 // payload) to the destination transport's handler from its progress
 // engine. Connections are established lazily per destination with a
 // control-plane handshake, like UCX wireup.
@@ -33,14 +33,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Errors returned by Send and SendMR.
-var (
-	// ErrTooLong is returned when a payload exceeds a protocol limit: a
-	// Send beyond the eager limit.
-	ErrTooLong = errors.New("ucx: payload exceeds protocol limit")
-	// ErrMemBounds is returned when a SendMR range escapes its region.
-	ErrMemBounds = errors.New("ucx: range outside registered region")
-)
+// ErrMemBounds is returned when a SendMR range escapes its region.
+var ErrMemBounds = errors.New("ucx: range outside registered region")
 
 // The protocol thresholds, costs and resource counts below are fixed
 // properties of the modelled middleware.
@@ -111,7 +105,7 @@ type RndvTarget func(from int, header uint64, size int) (mem *ibv.MR, off int, o
 // rendezvous payload has fully landed.
 type RndvDone func(from int, header uint64, size int)
 
-// Transport is one rank's UCX-like messaging engine: Send/SendMR deliver
+// Transport is one rank's UCX-like messaging engine: SendMR delivers
 // (header, payload) to the destination's handler from its progress
 // engine, selecting an eager or rendezvous protocol by size.
 type Transport struct {
@@ -425,23 +419,6 @@ func (t *Transport) copyCost(n int) time.Duration {
 	return time.Duration(float64(n) * copyByteTime)
 }
 
-// Send delivers an active message from arbitrary (unregistered) memory; it
-// always stages through the bounce-copy path and therefore requires
-// len(data) <= the rendezvous threshold. Use SendMR for registered
-// payloads of any size.
-func (t *Transport) Send(p *sim.Proc, dst int, header uint64, data []byte) error {
-	if len(data) > rndvThreshold {
-		return fmt.Errorf("%w: Send of %d B exceeds eager limit %d; use SendMR",
-			ErrTooLong, len(data), rndvThreshold)
-	}
-	ep := t.endpointFor(dst)
-	// Stage into a scratch registered buffer via the normal path by
-	// treating the staging ring itself as the source: charge the user→
-	// staging copy and enqueue.
-	t.sendEager(p, ep, header, nil, 0, data, true)
-	return nil
-}
-
 // SendMR delivers an active message from registered memory, selecting
 // bcopy, zcopy, or rendezvous by size exactly as the baseline's middleware
 // does.
@@ -513,7 +490,7 @@ func (t *Transport) postEager(ep *endpoint, header uint64, mem *ibv.MR, off int,
 	binary.BigEndian.PutUint64(stage[base:base+headerBytes], header)
 
 	var sges []ibv.SGE
-	if bcopy || mem == nil {
+	if bcopy {
 		copy(stage[base+headerBytes:base+headerBytes+len(data)], data)
 		ep.sgeScratch[0] = ep.staging.SGEFor(base, headerBytes+len(data))
 		sges = ep.sgeScratch[:1]
@@ -542,7 +519,7 @@ func (t *Transport) flushPending(ep *endpoint) {
 		ep.pending = ep.pending[1:]
 		data := ps.mem.Bytes()[ps.off : ps.off+ps.length]
 		// Deferred sends re-post without re-charging CPU cost (it was
-		// charged at Send time).
+		// charged at SendMR time).
 		t.postEager(ep, ps.header, ps.mem, ps.off, data, false)
 	}
 }

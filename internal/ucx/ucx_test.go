@@ -61,10 +61,11 @@ func TestEagerBcopyRoundTrip(t *testing.T) {
 	var got []received
 	collect(e.ts[1], &got)
 	payload := []byte("hello partitioned world")
+	mr := e.regMem(t, 0, append([]byte(nil), payload...))
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
-			if err := e.ts[0].Send(p, 1, 0xabcd, payload); err != nil {
+			if err := e.ts[0].SendMR(p, 1, 0xabcd, mr, 0, len(payload)); err != nil {
 				t.Error(err)
 			}
 		case 1:
@@ -195,12 +196,17 @@ func TestManyMessagesSurviveStagingPressure(t *testing.T) {
 	collect(e.ts[1], &got)
 	const n = 160
 	const busy = 100 * time.Microsecond
+	buf := make([]byte, n)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	mr := e.regMem(t, 0, buf)
 	var quiescentAt sim.Time
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			for i := 0; i < n; i++ {
-				if err := e.ts[0].Send(p, 1, uint64(i), []byte{byte(i)}); err != nil {
+				if err := e.ts[0].SendMR(p, 1, uint64(i), mr, i, 1); err != nil {
 					t.Error(err)
 				}
 			}
@@ -238,23 +244,27 @@ func TestManyMessagesSurviveStagingPressure(t *testing.T) {
 }
 
 func TestBcopyCapturesPayloadAtSendTime(t *testing.T) {
-	// Under staging pressure the payload is mutated after Send returns;
-	// the receiver must still see the original bytes.
+	// Under staging pressure the payload is mutated after SendMR
+	// returns; the receiver must still see the original bytes.
 	e := newEnv(t)
 	var got []received
 	collect(e.ts[1], &got)
 	const slots = 64
+	buf := make([]byte, slots+1)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	mr := e.regMem(t, 0, buf)
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			// The sender does not progress while sending, so no staging
 			// slot comes back: the first 64 sends fill them all.
 			for i := 0; i < slots; i++ {
-				e.ts[0].Send(p, 1, uint64(i), []byte{byte(i)})
+				e.ts[0].SendMR(p, 1, uint64(i), mr, i, 1)
 			}
-			buf := []byte{slots}
-			e.ts[0].Send(p, 1, slots, buf) // deferred: staging exhausted
-			buf[0] = 99                    // mutate after Send
+			e.ts[0].SendMR(p, 1, slots, mr, slots, 1) // deferred: staging exhausted
+			buf[slots] = 99                           // mutate after SendMR
 			r.WaitOn(p, e.ts[0].Quiescent)
 		case 1:
 			r.WaitOn(p, func() bool { return len(got) == slots+1 })
@@ -274,14 +284,15 @@ func TestLazyWireupHappensOnce(t *testing.T) {
 	e := newEnv(t)
 	var got []received
 	collect(e.ts[1], &got)
+	mr := e.regMem(t, 0, []byte{1, 2})
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			if e.ts[0].Connected(1) {
 				t.Error("connected before first send")
 			}
-			e.ts[0].Send(p, 1, 1, []byte{1})
-			e.ts[0].Send(p, 1, 2, []byte{2})
+			e.ts[0].SendMR(p, 1, 1, mr, 0, 1)
+			e.ts[0].SendMR(p, 1, 2, mr, 1, 1)
 			r.WaitOn(p, func() bool { return e.ts[0].Connected(1) })
 		case 1:
 			r.WaitOn(p, func() bool { return len(got) == 2 })
@@ -292,20 +303,6 @@ func TestLazyWireupHappensOnce(t *testing.T) {
 	}
 	if !e.ts[0].Connected(1) || !e.ts[1].Connected(0) {
 		t.Fatal("endpoints not wired both ways")
-	}
-}
-
-func TestSendTooLargeErrors(t *testing.T) {
-	e := newEnv(t)
-	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
-		if r.ID() == 0 {
-			if err := e.ts[0].Send(p, 1, 1, make([]byte, 1<<20)); !errors.Is(err, ucx.ErrTooLong) {
-				t.Errorf("oversized Send: err = %v, want ErrTooLong", err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -326,19 +323,20 @@ func TestSendMRRangeValidation(t *testing.T) {
 
 func TestBcopyChargesCopyCost(t *testing.T) {
 	// A bcopy send charges the modelled memcpy time on the sending proc:
-	// 0.05 ns/B, so 20000 more payload bytes cost exactly 1µs more.
+	// 0.05 ns/B, so 1000 more payload bytes cost exactly 50ns more.
 	e := newEnv(t)
 	var small, large time.Duration
 	var got []received
 	collect(e.ts[1], &got)
+	mr := e.regMem(t, 0, make([]byte, 1001))
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			start := p.Now()
-			e.ts[0].Send(p, 1, 1, make([]byte, 1))
+			e.ts[0].SendMR(p, 1, 1, mr, 0, 1)
 			small = p.Now().Sub(start)
 			start = p.Now()
-			e.ts[0].Send(p, 1, 2, make([]byte, 20001))
+			e.ts[0].SendMR(p, 1, 2, mr, 0, 1001)
 			large = p.Now().Sub(start)
 		case 1:
 			r.WaitOn(p, func() bool { return len(got) == 2 })
@@ -347,8 +345,8 @@ func TestBcopyChargesCopyCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if large-small != time.Microsecond {
-		t.Fatalf("bcopy sends took %v and %v, want 1µs of copy cost between them", small, large)
+	if large-small != 50*time.Nanosecond {
+		t.Fatalf("bcopy sends took %v and %v, want 50ns of copy cost between them", small, large)
 	}
 }
 
@@ -357,9 +355,10 @@ func TestBidirectionalTraffic(t *testing.T) {
 	var got0, got1 []received
 	collect(e.ts[0], &got0)
 	collect(e.ts[1], &got1)
+	mrs := []*ibv.MR{e.regMem(t, 0, []byte{0}), e.regMem(t, 1, []byte{1})}
 	err := e.w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		other := 1 - r.ID()
-		e.ts[r.ID()].Send(p, other, uint64(r.ID()), []byte{byte(r.ID())})
+		e.ts[r.ID()].SendMR(p, other, uint64(r.ID()), mrs[r.ID()], 0, 1)
 		r.WaitOn(p, func() bool {
 			if r.ID() == 0 {
 				return len(got0) == 1
