@@ -1,15 +1,15 @@
 # Development entry points. `make check` runs the gates CI runs on every
-# PR: gofmt, vet, the partlint analyzer suite (plain and under the race
-# build tag), build, the full test suite, the race detector over
-# the shared-memory layers and the transport, the zero-alloc gates, and
-# the repository benchmark's smoke test. CI also runs staticcheck and
+# PR: gofmt, vet, the partlint analyzer suite, build, the full test
+# suite, the race detector over the shared-memory layers and the
+# transport, the zero-alloc gates, and the repository benchmark's smoke
+# test. CI also runs staticcheck and
 # govulncheck (not vendored) and the examples.
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-tags staticcheck build test race allocs bench bench-smoke
+.PHONY: check fmt vet lint staticcheck build test race allocs bench bench-smoke
 
-check: fmt vet lint lint-tags build test race allocs bench-smoke
+check: fmt vet lint build test race allocs bench-smoke
 
 # Gofmt gate; CI's Gofmt step calls this target. Analyzer fixtures under
 # testdata/ are excluded: their `// want` comments are matched by line,
@@ -34,18 +34,6 @@ vet:
 lint:
 	$(GO) build -o bin/partlint ./cmd/partlint
 	$(GO) vet -vettool=$(CURDIR)/bin/partlint ./...
-
-# Build-tag guard: the suite must be clean under every shard-relevant
-# tag. The untagged pass is `make lint`; this target adds the race tag.
-# The repository currently builds the same files under both, but the
-# loop keeps tag-gated files (e.g. a future purego/cgo verbs split) from
-# escaping analysis.
-lint-tags:
-	$(GO) build -o bin/partlint ./cmd/partlint
-	for tags in "race"; do \
-		echo "== partlint -tags '$$tags'"; \
-		$(GO) vet -vettool=$(CURDIR)/bin/partlint -tags "$$tags" ./... || exit 1; \
-	done
 
 # staticcheck is not vendored; install with:
 #   go install honnef.co/go/tools/cmd/staticcheck@latest
@@ -112,7 +100,7 @@ allocs:
 # in quick mode.
 bench: allocs
 	$(GO) test -bench 'BenchmarkEngineEventChurn|BenchmarkProcParkResume|BenchmarkProcSleepInPlace|BenchmarkResourceHandoff|BenchmarkScheduleFire|BenchmarkTimerStopStart' -benchmem -run xxx ./internal/sim/
-	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/ ./internal/profiler/
+	$(GO) test -bench . -benchmem -run xxx ./internal/fabric/
 	$(GO) test -bench BenchmarkWorldSetup -benchmem -run xxx ./internal/bench/
 	$(GO) test -bench BenchmarkProgressDrain -benchmem -run xxx ./internal/mpi/
 	$(GO) test -bench . -benchmem -run xxx .

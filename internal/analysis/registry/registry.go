@@ -44,20 +44,19 @@ func allRepro(path string) bool {
 // are in because their event callbacks feed the engines: the
 // cross-engine completion bug lived in the ibv completion queue, and mpi
 // drains those queues into the modules' handlers. The set is closed under
-// in-module imports: cluster, ploggp, profiler, stats and tuning are in
-// because scoped packages import them.
+// in-module imports: cluster, ploggp, stats and tuning are in because
+// scoped packages import them.
 var simReachable = map[string]bool{
-	"repro/internal/sim":      true,
-	"repro/internal/fabric":   true,
-	"repro/internal/core":     true,
-	"repro/internal/loggp":    true,
-	"repro/internal/sweep":    true,
-	"repro/internal/bench":    true,
-	"repro/internal/cluster":  true,
-	"repro/internal/ploggp":   true,
-	"repro/internal/profiler": true,
-	"repro/internal/stats":    true,
-	"repro/internal/tuning":   true,
+	"repro/internal/sim":     true,
+	"repro/internal/fabric":  true,
+	"repro/internal/core":    true,
+	"repro/internal/loggp":   true,
+	"repro/internal/sweep":   true,
+	"repro/internal/bench":   true,
+	"repro/internal/cluster": true,
+	"repro/internal/ploggp":  true,
+	"repro/internal/stats":   true,
+	"repro/internal/tuning":  true,
 	// trace generates synthetic arrival schedules consumed inside the
 	// simulation; its output must replay from the seed alone.
 	"repro/internal/trace":       true,

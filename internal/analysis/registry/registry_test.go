@@ -116,7 +116,6 @@ func TestRegistryScopes(t *testing.T) {
 			"repro/internal/mpi",
 			"repro/internal/netgauge",
 			"repro/internal/ploggp",
-			"repro/internal/profiler",
 			"repro/internal/sim",
 			"repro/internal/stats",
 			"repro/internal/sweep",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -57,8 +58,8 @@ func TestOverheadBenchmarkRuns(t *testing.T) {
 	if res.MeanIterTime() <= 0 {
 		t.Fatal("non-positive mean")
 	}
-	if res.Profile.Rounds() != 7 { // warmup + iters
-		t.Fatalf("profile recorded %d rounds", res.Profile.Rounds())
+	if len(res.Arrivals) != 5*8 { // measured rounds x threads
+		t.Fatalf("recorded %d arrivals, want 40", len(res.Arrivals))
 	}
 }
 
@@ -155,9 +156,75 @@ func TestLaggardSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.Profile.Round(res.Warmup)
-	if got := r.Laggard(); got != 3 {
-		t.Fatalf("laggard = %d, want the last thread, 3", got)
+	// In the first measured round the last thread calls Pready last.
+	calls := res.Arrivals[:4]
+	for tid, d := range calls[:3] {
+		if d >= calls[3] {
+			t.Fatalf("thread %d called Pready at %v, not before the last thread's %v", tid, d, calls[3])
+		}
+	}
+}
+
+// TestArrivalStats checks MeanArrival and MinDelta on hand-built arrival
+// profiles.
+func TestArrivalStats(t *testing.T) {
+	const us = time.Microsecond
+	for _, c := range []struct {
+		name     string
+		threads  int
+		arrivals []time.Duration
+		mean     []time.Duration
+		minDelta time.Duration
+	}{
+		{
+			// Round spreads 20µs and 40µs among partitions 0-2; the
+			// laggard, partition 3, is excluded.
+			name:     "laggard excluded",
+			threads:  4,
+			arrivals: []time.Duration{10 * us, 20 * us, 30 * us, 5000 * us, 10 * us, 50 * us, 30 * us, 3000 * us},
+			mean:     []time.Duration{10 * us, 35 * us, 30 * us, 4000 * us},
+			minDelta: 30 * us,
+		},
+		{
+			// Partitions 1 and 2 tie for the latest call: only partition 1
+			// is the laggard, so partition 2 sets the spread's end.
+			name:     "tie excludes lowest index",
+			threads:  3,
+			arrivals: []time.Duration{10 * us, 90 * us, 90 * us},
+			mean:     []time.Duration{10 * us, 90 * us, 90 * us},
+			minDelta: 80 * us,
+		},
+		{
+			name:     "single partition",
+			threads:  1,
+			arrivals: []time.Duration{7 * us, 9 * us},
+			mean:     []time.Duration{8 * us},
+			minDelta: 0,
+		},
+		{
+			// Integer means truncate, as time.Duration division does.
+			name:     "integer means",
+			threads:  3,
+			arrivals: []time.Duration{0, 1, 9, 1, 3, 9},
+			mean:     []time.Duration{0, 2, 9},
+			minDelta: 1,
+		},
+		{
+			name:     "no rounds",
+			threads:  2,
+			mean:     []time.Duration{0, 0},
+			minDelta: 0,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := GridResult{Arrivals: c.arrivals, Threads: c.threads}
+			if got := r.MeanArrival(); !slices.Equal(got, c.mean) {
+				t.Errorf("MeanArrival = %v, want %v", got, c.mean)
+			}
+			if got := r.MinDelta(); got != c.minDelta {
+				t.Errorf("MinDelta = %v, want %v", got, c.minDelta)
+			}
+		})
 	}
 }
 

@@ -3,11 +3,11 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -221,11 +221,13 @@ type GridResult struct {
 	// LastLatency is the time from rank 0's last MPI_Pready to the
 	// iteration's end — the perceived-bandwidth denominator.
 	LastLatency []time.Duration
-	// Profile is rank 0's arrival recording (includes warm-up rounds;
-	// index with Warmup offset).
-	Profile *profiler.Recorder
-	// Warmup echoes the warm-up count used.
-	Warmup int
+	// Arrivals is rank 0's arrival profile over the measured rounds,
+	// recorded at the API boundary as the paper's PMPI-based profiler
+	// does: entry i*Threads+t is thread t's Pready call minus the instant
+	// rank 0's Starts returned in measured round i.
+	Arrivals []time.Duration
+	// Threads echoes the partition count.
+	Threads int
 	// Bytes echoes the message size.
 	Bytes int
 	// FabricMessages is rank 0's port's total message count (wire
@@ -283,6 +285,54 @@ func (r GridResult) MeanPerceivedBandwidth() float64 {
 	return sum / float64(len(r.LastLatency))
 }
 
+// MeanArrival returns, per partition, the mean Start→Pready time over the
+// measured rounds — the profile of Figures 10 and 11.
+func (r GridResult) MeanArrival() []time.Duration {
+	out := make([]time.Duration, r.Threads)
+	if len(r.Arrivals) == 0 {
+		return out
+	}
+	for i, d := range r.Arrivals {
+		out[i%r.Threads] += d
+	}
+	rounds := time.Duration(len(r.Arrivals) / r.Threads)
+	for t := range out {
+		out[t] /= rounds
+	}
+	return out
+}
+
+// MinDelta estimates the minimum useful δ for the timer aggregator as the
+// paper does for Figure 12: the mean over the measured rounds of the
+// spread from the first to the last Pready call of every partition but the
+// laggard, the lowest-index partition with the latest call. A δ at least
+// this large covers every partition except the laggard.
+func (r GridResult) MinDelta() time.Duration {
+	if len(r.Arrivals) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for rest := r.Arrivals; len(rest) > 0; rest = rest[r.Threads:] {
+		calls := rest[:r.Threads]
+		laggard := 0
+		for t, d := range calls {
+			if d > calls[laggard] {
+				laggard = t
+			}
+		}
+		first, last := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+		for t, d := range calls {
+			if t != laggard {
+				first, last = min(first, d), max(last, d)
+			}
+		}
+		if first <= last {
+			sum += last - first
+		}
+	}
+	return sum / time.Duration(len(r.Arrivals)/r.Threads)
+}
+
 // fillRankBuf writes a deterministic per-(rank, tag) byte pattern: the
 // 64-bit words of b step from a drawn start by a drawn odd stride, so no
 // two words of a buffer are equal and a misplaced partition changes the
@@ -332,19 +382,18 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	total := cfg.Warmup + cfg.Iters
 	res := GridResult{
 		CriticalCompute: time.Duration(pat.criticalSteps(cfg.GridX, cfg.GridY)) * cfg.Compute,
-		// The profile records rank 0 at the API boundary, as the paper's
-		// PMPI-based profiler does: each round's Start and every thread's
-		// Pready.
-		Profile: profiler.New(cfg.Threads),
-		Warmup:  cfg.Warmup,
-		Bytes:   cfg.Bytes,
+		Threads:         cfg.Threads,
+		Bytes:           cfg.Bytes,
 	}
-	// Rank 0 records round starts and last-Pready instants and every rank
-	// its own finishes, each into its own slots; the latencies are reduced
-	// after the run. No cross-rank reads happen mid-simulation, so the
-	// pattern is race-free on a sharded cluster (and the reduced values
-	// are identical to a serial run).
+	// Rank 0 records round starts, the instants its Starts return, each
+	// thread's instant just before Pready and last-Pready instants, and
+	// every rank its own finishes, each into its own slots; the latencies
+	// and arrivals are reduced after the run. No cross-rank reads happen
+	// mid-simulation, so the pattern is race-free on a sharded cluster
+	// (and the reduced values are identical to a serial run).
 	starts := make([]sim.Time, total)
+	started := make([]sim.Time, total)
+	readyCalls := make([]sim.Time, total*cfg.Threads)
 	preadys := make([]sim.Time, total)
 	ends := make([]sim.Time, nodes*total)
 	adaptive := make([][]*core.AdaptiveStats, nodes)
@@ -394,10 +443,6 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		}
 
 		computes := len(sends) > 0 || !pat.sendersCompute
-		var rec *profiler.Recorder
-		if id == 0 {
-			rec = res.Profile
-		}
 
 		// The group, the per-round delay draws and the per-thread bodies
 		// are allocated once and reused every round: with thousands of
@@ -416,7 +461,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		if jitterSpan > 0 {
 			jitters = make([]time.Duration, cfg.Threads)
 		}
-		var round int
+		var iter int
 		var lastPready sim.Time
 		threads := make([]func(tp *sim.Proc), cfg.Threads)
 		for t := 0; t < cfg.Threads; t++ {
@@ -436,8 +481,8 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				if compute > 0 {
 					r.Compute(tp, compute)
 				}
-				if rec != nil {
-					rec.PreadyCalled(round, t, tp.Now())
+				if id == 0 {
+					readyCalls[iter*cfg.Threads+t] = tp.Now()
 				}
 				for _, ps := range sends {
 					if err := ps.Pready(tp, t); err != nil {
@@ -448,7 +493,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 			}
 		}
 
-		for iter := 0; iter < total; iter++ {
+		for iter = 0; iter < total; iter++ {
 			r.Barrier(p)
 			if id == 0 {
 				starts[iter] = p.Now()
@@ -465,9 +510,8 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 					panic(err)
 				}
 			}
-			round = iter + 1
-			if rec != nil {
-				rec.PsendStart(round, p.Now())
+			if id == 0 {
+				started[iter] = p.Now()
 			}
 			if pat.recvFirst {
 				waitRecvs()
@@ -525,6 +569,9 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		}
 		res.IterTimes = append(res.IterTimes, end.Sub(starts[iter]))
 		res.LastLatency = append(res.LastLatency, end.Sub(preadys[iter]))
+		for _, at := range readyCalls[iter*cfg.Threads : (iter+1)*cfg.Threads] {
+			res.Arrivals = append(res.Arrivals, at.Sub(started[iter]))
+		}
 	}
 	res.FabricMessages = w.Rank(0).Node().HCA.Port().MessagesSent()
 	res.Adaptive = adaptive

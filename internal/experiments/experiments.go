@@ -400,7 +400,7 @@ func arrivalProfile(cfg Config, size int, title string) plan {
 	return plan{
 		jobs: []bench.GridConfig{perceivedConfig(cfg, parts, size, core.Options{Strategy: core.StrategyPLogGP})},
 		render: func(res []bench.GridResult) []*stats.Table {
-			mean := res[0].Profile.MeanArrival(res[0].Warmup)
+			mean := res[0].MeanArrival()
 			commPerPart := time.Duration(float64(size/parts) / fabric.LinkBandwidth * 1e9)
 			tb := stats.NewTable(title, "partition", "compute (start→Pready)", "est. comm time")
 			idx := make([]int, parts)
@@ -466,7 +466,7 @@ func fig12(cfg Config) plan {
 					row = append(row, "-")
 					continue
 				}
-				row = append(row, res[0].Profile.MinDelta(res[0].Warmup))
+				row = append(row, res[0].MinDelta())
 				res = res[1:]
 			}
 			tb.AddRow(row...)

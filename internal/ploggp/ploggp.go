@@ -126,27 +126,6 @@ func (m *Model) OptimalTransport(totalBytes, userParts int, delay time.Duration)
 	return best
 }
 
-// CurvePoint is one modelled (message size, completion time) sample.
-type CurvePoint struct {
-	Bytes      int
-	Partitions int
-	Time       time.Duration
-}
-
-// Curve evaluates the model across message sizes for a fixed partition
-// count — one line of the paper's Figure 3.
-func (m *Model) Curve(sizes []int, partitions int, delay time.Duration) []CurvePoint {
-	out := make([]CurvePoint, 0, len(sizes))
-	for _, s := range sizes {
-		out = append(out, CurvePoint{
-			Bytes:      s,
-			Partitions: partitions,
-			Time:       m.CompletionTime(partitions, s, delay),
-		})
-	}
-	return out
-}
-
 // TableRow is one row of the paper's Table I: a message-size range and the
 // transport partition count the model selects throughout it.
 type TableRow struct {

@@ -128,23 +128,6 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
-func TestCurve(t *testing.T) {
-	m := niagaraModel()
-	sizes := []int{kib, 2 * kib, 4 * kib}
-	pts := m.Curve(sizes, 8, time.Millisecond)
-	if len(pts) != 3 {
-		t.Fatalf("Curve returned %d points, want 3", len(pts))
-	}
-	for i, pt := range pts {
-		if pt.Bytes != sizes[i] || pt.Partitions != 8 {
-			t.Errorf("point %d = %+v", i, pt)
-		}
-		if pt.Time != m.CompletionTime(8, sizes[i], time.Millisecond) {
-			t.Errorf("point %d time mismatch", i)
-		}
-	}
-}
-
 func TestSummaryTableCoalesces(t *testing.T) {
 	m := niagaraModel()
 	rows := m.SummaryTable(64*kib, 256*mib, 128, 4*time.Millisecond)

@@ -1,11 +1,11 @@
 // Package trace records simulation activity as events viewable in
 // chrome://tracing / Perfetto (the Trace Event JSON format). Benchmark
-// harnesses and application code emit spans and instants around the
-// calls they make; virtual timestamps map directly onto the trace
-// timeline, so a recorded round renders exactly like the paper's Figure
-// 10 arrival diagrams. The package also generates the synthetic Pready
-// arrival schedules benchmarks drive (ArrivalPattern): a pattern's only
-// settings are its kind, seed, and delay scale.
+// harnesses and application code emit spans around the calls they make;
+// virtual timestamps map directly onto the trace timeline, so a recorded
+// round renders exactly like the paper's Figure 10 arrival diagrams. The
+// package also generates the synthetic Pready arrival schedules benchmarks
+// drive (ArrivalPattern): a pattern's only settings are its kind, seed,
+// and delay scale.
 package trace
 
 import (
@@ -17,8 +17,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Event is one trace record. Spans use Begin/End pairs ("B"/"E" phases);
-// Instant marks a point in time.
+// Event is one trace record: a span's begin or end ("B" or "E" phase).
 type Event struct {
 	Name  string `json:"name"`
 	Phase string `json:"ph"`
@@ -37,18 +36,8 @@ type Recorder struct {
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Len reports the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Instant records a point event on (pid, tid) — pid is conventionally the
-// rank, tid the thread/partition.
-func (r *Recorder) Instant(name string, at sim.Time, pid, tid int, args map[string]string) {
-	r.events = append(r.events, Event{
-		Name: name, Phase: "i", TimestampUS: at.Micros(), PID: pid, TID: tid, Args: args,
-	})
-}
-
-// Span records a [from, to) interval on (pid, tid).
+// Span records a [from, to) interval on (pid, tid) — pid is conventionally
+// the rank, tid the thread/partition.
 func (r *Recorder) Span(name string, from, to sim.Time, pid, tid int, args map[string]string) {
 	if to < from {
 		panic(fmt.Sprintf("trace: span %q ends (%v) before it begins (%v)", name, to, from))
@@ -66,7 +55,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].TimestampUS < sorted[j].TimestampUS
 	})
-	enc := json.NewEncoder(w)
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}
@@ -85,6 +73,5 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		}
 	}
 	_, err := io.WriteString(w, "\n]\n")
-	_ = enc
 	return err
 }

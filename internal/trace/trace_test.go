@@ -8,13 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-func TestSpanAndInstantJSON(t *testing.T) {
+func TestSpanJSON(t *testing.T) {
 	r := New()
 	r.Span("compute", sim.Time(1000), sim.Time(3000), 0, 1, map[string]string{"k": "v"})
-	r.Instant("MPI_Pready", sim.Time(3000), 0, 1, nil)
-	if r.Len() != 3 { // B + E + instant
-		t.Fatalf("Len = %d", r.Len())
-	}
+	r.Span("post", sim.Time(500), sim.Time(2000), 0, 2, nil) // starts earlier
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -23,10 +20,10 @@ func TestSpanAndInstantJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
 		t.Fatalf("output not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(evs) != 3 {
-		t.Fatalf("decoded %d events", len(evs))
+	if len(evs) != 4 { // B + E per span
+		t.Fatalf("decoded %d events, want 4", len(evs))
 	}
-	if evs[0].Phase != "B" || evs[0].TimestampUS != 1.0 {
+	if evs[0].Name != "post" || evs[0].Phase != "B" || evs[0].TimestampUS != 0.5 {
 		t.Fatalf("first event %+v", evs[0])
 	}
 	// Events are sorted by timestamp.
