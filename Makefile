@@ -52,8 +52,8 @@ test:
 # sim package, whose ShardSet runs engines on a spin/park worker fleet,
 # netgauge, whose gauges feed the loggp calibration consumed inside
 # those sweeps, the bench differential tests that drive sharded
-# clusters end to end (serial against sharded, and across shard-worker
-# counts, under every strategy the adaptive one included), and the cluster differentials that run incast and
+# clusters end to end (serial against sharded, under every strategy the
+# adaptive one included), and the cluster differentials that run incast and
 # permutation flows over sharded fat-tree and dragonfly fabrics. The
 # fabric line covers the multi-switch congestion paths (incast on the
 # shared down-link, link saturation, route spread) and same-instant
@@ -76,7 +76,7 @@ race:
 	$(GO) test -race -cpu 1,2 ./internal/sim/...
 	$(GO) test -race ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
 	$(GO) test -race ./internal/ibv/... ./internal/ucx/...
-	$(GO) test -race -cpu 1,2 -run 'Sharded|WorkerCount' ./internal/bench/
+	$(GO) test -race -cpu 1,2 -run 'Sharded' ./internal/bench/
 	$(GO) test -race -cpu 1,2 -run 'ShardedMatchesSerial' ./internal/cluster/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|ControlSameInstant' ./internal/fabric/
 	$(GO) test -race -run 'SerialParallelParity' ./internal/experiments/

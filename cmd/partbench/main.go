@@ -7,7 +7,6 @@
 //	partbench -list                       # enumerate experiments
 //	partbench -experiment fig9 -csv out/  # also write CSV per table
 //	partbench -experiment fig8 -j 8       # sweep on 8 workers
-//	partbench -experiment fig8 -shards 4  # run sharded (same output)
 //	partbench -experiment fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	partbench -strategy adaptive -pattern straggler          # one probe, telemetry printed
 //	partbench -experiment fig6 -quick -topo fat-tree:k=8     # run over a multi-switch fabric
@@ -19,9 +18,10 @@
 //
 // The selected experiments run as one job pool on -j workers (default:
 // all cores): first the candidate runs of every tuning search they need,
-// then all of their benchmark runs. Output is byte-identical for any -j
-// and streams in experiment order, each experiment printing as soon as
-// its last run is collected. The "# <name> done in … (wall)" line each
+// then all of their benchmark runs, each on one serial simulation engine
+// over the -topo fabric. Output is byte-identical for any -j and streams
+// in experiment order, each experiment printing as soon as its last run
+// is collected. The "# <name> done in … (wall)" line each
 // experiment writes to stderr gives the time since the suite started,
 // not the experiment's own run time, since experiments share the pool.
 // Performance is measured by the repository benchmark (bash
@@ -65,7 +65,6 @@ func run(args []string) int {
 	jobs := fs.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial)")
 	strategy := fs.String("strategy", "", "run one point-to-point probe under this strategy (baseline, tuning-table, ploggp, timer-ploggp, adaptive) and print its result")
 	pattern := fs.String("pattern", "straggler", "with -strategy: synthetic Pready arrival pattern (uniform, bursty, zipf, straggler)")
-	shards := fs.Int("shards", 0, "conservative-PDES shard count per simulation (0 or 1 = serial; output is identical)")
 	topo := fs.String("topo", "", "fabric topology spec for every benchmark run (single-link, two-level:rack=8, fat-tree:k=8, dragonfly:groups=9,routers=4,hosts=2)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
@@ -108,7 +107,7 @@ func run(args []string) int {
 	}
 
 	if *strategy != "" {
-		if err := runProbe(*strategy, *pattern, *topo, *shards, *quick); err != nil {
+		if err := runProbe(*strategy, *pattern, *topo, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "partbench: probe: %v\n", err)
 			return 1
 		}
@@ -134,7 +133,7 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	cfg := experiments.Config{Quick: *quick, Jobs: *jobs, Shards: *shards, Topo: *topo}
+	cfg := experiments.Config{Quick: *quick, Jobs: *jobs, Topo: *topo}
 	if *verbose {
 		cfg.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
@@ -188,7 +187,7 @@ func runSuite(names []string, cfg experiments.Config, w io.Writer, csvDir string
 // strategy and arrival pattern and prints its mean round latency plus —
 // for the adaptive strategy — the decision telemetry. A quick way to watch
 // the switcher act without running a whole experiment grid.
-func runProbe(strategy, pattern, topo string, shards int, quick bool) error {
+func runProbe(strategy, pattern, topo string, quick bool) error {
 	strat, err := core.ParseStrategy(strategy)
 	if err != nil {
 		return err
@@ -205,7 +204,6 @@ func runProbe(strategy, pattern, topo string, shards int, quick bool) error {
 		Warmup:  16,
 		Iters:   32,
 		Opts:    core.Options{Strategy: strat},
-		Shards:  shards,
 		Topo:    topo,
 		Arrival: &trace.ArrivalPattern{
 			Kind:   kind,

@@ -44,6 +44,32 @@ func TestBadTopologyExitsTwo(t *testing.T) {
 	}
 }
 
+// TestUndersizedTopologyFails: an experiment whose jobs have more ranks
+// than the -topo fabric has hosts (quick fig14 runs 16 ranks; a k=4
+// fat-tree has 8 hosts) exits 1 with the capacity error instead of
+// panicking in a pool worker.
+func TestUndersizedTopologyFails(t *testing.T) {
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	code := run([]string{"-experiment", "fig14", "-quick", "-topo", "fat-tree:k=4"})
+	os.Stderr = saved
+	if code != 1 {
+		t.Errorf("exit status %d, want 1", code)
+	}
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(msg), "host capacity 8") {
+		t.Errorf("stderr %q does not name the host capacity", msg)
+	}
+}
+
 // TestListAlignsDescriptions: -list prints every experiment once, in
 // registry order, and every description starts in the same column, past
 // the longest id.

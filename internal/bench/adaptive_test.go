@@ -44,8 +44,7 @@ func TestAdaptiveShardedP2PMatchesSerial(t *testing.T) {
 	if len(want.Switches) < 2 {
 		t.Fatalf("expected the straggler pattern to force a switch, got %d entries", len(want.Switches))
 	}
-	cfg.Shards = 2
-	sharded, err := RunGrid(cfg)
+	sharded, _, err := runGrid(cfg, 2)
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
@@ -68,7 +67,7 @@ func TestAdaptiveShardedP2PMatchesSerial(t *testing.T) {
 
 // adaptiveSweepConfig is a 4x2 wavefront under StrategyAdaptive with a
 // bursty arrival pattern — eight ranks whose adaptive senders must all
-// make identical decisions regardless of shard and worker counts. The
+// make identical decisions regardless of the shard count. The
 // bursts leave a tail in the switcher's 8-round observation window, and 32
 // rounds give it time to act on it.
 func adaptiveSweepConfig() GridConfig {
@@ -148,33 +147,10 @@ func TestAdaptiveShardedSweepMatchesSerial(t *testing.T) {
 		t.Fatal("no rank switched designs; differential would be vacuous")
 	}
 	for _, shards := range []int{2, 4, 8} {
-		cfg := base
-		cfg.Shards = shards
-		sharded, err := RunGrid(cfg)
+		sharded, _, err := runGrid(base, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		compareGridRuns(t, "shards="+string(rune('0'+shards)), serial, sharded)
-	}
-}
-
-// TestAdaptiveSweepWorkerCountInvariant runs the sharded adaptive wavefront
-// under different worker-fleet sizes; results must not depend on the count.
-func TestAdaptiveSweepWorkerCountInvariant(t *testing.T) {
-	base := adaptiveSweepConfig()
-	base.Shards = 4
-	base.Workers = 1
-	want, err := RunGrid(base)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	for _, workers := range []int{2, 4} {
-		cfg := base
-		cfg.Workers = workers
-		got, err := RunGrid(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		compareGridRuns(t, "workers="+string(rune('0'+workers)), want, got)
 	}
 }

@@ -16,27 +16,7 @@
 //
 // One runner, RunGrid, drives all four with one rank body; the pattern is
 // data (GridPattern). The first two are the P2P pattern on a 2×1 grid, the
-// others Sweep3D and Halo. Every run builds its machine with NewWorld.
+// others Sweep3D and Halo.
 // Benchmarks follow the paper's protocol: warm-up iterations are discarded
 // and one user partition is assigned to each thread.
 package bench
-
-// jitterPRNG is a seeded splitmix64 generator. The per-thread skew draws
-// must be deterministic across runs and math/rand is banned from
-// sim-reachable packages (partlint's detertaint analyzer), so the few
-// bits needed come from this local generator.
-type jitterPRNG uint64
-
-func (s *jitterPRNG) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// int63n returns a draw in [0, n) for n > 0 (modulo bias is irrelevant at
-// jitter magnitudes).
-func (s *jitterPRNG) int63n(n int64) int64 {
-	return int64(s.next()>>1) % n
-}

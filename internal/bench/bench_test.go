@@ -248,24 +248,27 @@ func TestSweepConfigValidate(t *testing.T) {
 	}
 }
 
-// TestRunnersRejectInvalidCluster requires every runner to report an
+// TestRunnersRejectInvalidCluster requires every pattern to report an
 // invalid cluster configuration as an error: cluster.New panics on one, and
-// a panic raised inside a sweep worker takes the whole process down.
+// a panic raised inside a job pool worker takes the whole process down.
+// The grids run more ranks than a k=2 fat-tree's 2 hosts. Every topology
+// holds the 2 ranks of P2P, so its invalid cluster is a negative shard
+// count.
 func TestRunnersRejectInvalidCluster(t *testing.T) {
 	runners := []struct {
 		name string
 		run  func() error
 	}{
 		{"p2p", func() error {
-			_, err := RunGrid(GridConfig{Pattern: P2P, Threads: 4, Bytes: 4096, Shards: -1})
+			_, _, err := runGrid(GridConfig{Pattern: P2P, Threads: 4, Bytes: 4096}, -1)
 			return err
 		}},
 		{"sweep", func() error {
-			_, err := RunGrid(GridConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
+			_, err := RunGrid(GridConfig{GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Topo: "fat-tree:k=2"})
 			return err
 		}},
 		{"halo", func() error {
-			_, err := RunGrid(GridConfig{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Shards: -1})
+			_, err := RunGrid(GridConfig{Pattern: Halo, GridX: 2, GridY: 2, Threads: 4, Bytes: 4096, Topo: "fat-tree:k=2"})
 			return err
 		}},
 	}
@@ -277,7 +280,7 @@ func TestRunnersRejectInvalidCluster(t *testing.T) {
 				}
 			}()
 			if err := r.run(); err == nil {
-				t.Fatal("Shards: -1 accepted")
+				t.Fatal("invalid cluster accepted")
 			}
 		})
 	}

@@ -6,7 +6,9 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -117,7 +119,7 @@ var gridPatterns = [...]gridPattern{
 }
 
 // GridConfig describes one run of a grid pattern: ranks form a 2-D grid
-// (one rank per node; see NewWorld) and exchange partitioned messages with
+// (one rank per node; see newWorld) and exchange partitioned messages with
 // their neighbours, computing with one thread per partition.
 type GridConfig struct {
 	// Pattern selects the communication pattern (the zero value is
@@ -152,21 +154,14 @@ type GridConfig struct {
 	Iters  int
 	// Opts selects the aggregation strategy under test.
 	Opts core.Options
-	// Shards partitions the simulation into this many conservative-PDES
-	// shards (see cluster.Config.Shards); 0 or 1 runs serial. Results are
-	// byte-identical either way.
-	Shards int
-	// Workers sizes the shard worker fleet (≤ 0 selects the default);
-	// ignored for serial runs. Results are independent of the count.
-	Workers int
 	// Topo selects the fabric topology by spec ("single-link",
 	// "fat-tree:k=8", ...; see fabric.ParseTopology). Empty keeps the
 	// default single-link fabric.
 	Topo string
 	// Arrival, if non-nil, adds a synthetic per-round, per-thread Pready
 	// delay on top of Compute; each rank draws from its own seed-mixed
-	// pattern instance, so schedules replay exactly and nothing is shared
-	// across shards.
+	// pattern instance, so schedules replay exactly and no rank reads
+	// another's draws.
 	Arrival *trace.ArrivalPattern
 }
 
@@ -237,17 +232,13 @@ type GridResult struct {
 	// path (subtracted to isolate communication time, as the paper does
 	// for Figure 14).
 	CriticalCompute time.Duration
-	// ShardStats reports the conservative-PDES runtime counters (windows,
-	// window-sync stalls, per-shard events, cross-shard posts) when the
-	// run was sharded; nil for a serial run.
-	ShardStats *sim.ShardStats
 	// BufferSums is a per-rank FNV-1a digest (over 64-bit words) of the
 	// final receive buffers in init order — the byte-identity witness for
 	// differential runs.
 	BufferSums []uint64
 	// Adaptive is each rank's per-send decision telemetry in init order
 	// (nil entries for static strategies). Differential tests compare it
-	// across shard and worker counts.
+	// between runs.
 	Adaptive [][]*core.AdaptiveStats
 }
 
@@ -338,8 +329,8 @@ func (r GridResult) MinDelta() time.Duration {
 // two words of a buffer are equal and a misplaced partition changes the
 // digest.
 func fillRankBuf(b []byte, rank, tag int) {
-	seed := jitterPRNG(uint64(rank)*0x9e3779b97f4a7c15 + uint64(tag) + 1)
-	v, stride := seed.next(), seed.next()|1
+	seed := trace.SplitMix64(uint64(rank)*0x9e3779b97f4a7c15 + uint64(tag) + 1)
+	v, stride := seed.Next(), seed.Next()|1
 	for ; len(b) >= 8; b = b[8:] {
 		binary.LittleEndian.PutUint64(b, v)
 		v += stride
@@ -362,21 +353,38 @@ func fnvWords(sum uint64, b []byte) uint64 {
 	return sum
 }
 
-// RunGrid executes a grid pattern and returns per-iteration observations.
+// RunGrid executes a grid pattern on one serial engine and returns
+// per-iteration observations.
 func RunGrid(cfg GridConfig) (GridResult, error) {
+	res, _, err := runGrid(cfg, 0)
+	return res, err
+}
+
+// runGrid is RunGrid on a cluster partitioned into this many
+// conservative-PDES shards (see cluster.Config.Shards; 0 or 1 runs
+// serial), which also returns the shard set's runtime counters, nil for a
+// serial run. Results are byte-identical to serial for any shard count;
+// the sharded differential tests, which mirror the repository
+// benchmark's 2-shard sweep3d-1024 workload, run through it.
+func runGrid(cfg GridConfig, shards int) (GridResult, *sim.ShardStats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return GridResult{}, err
+		return GridResult{}, nil, err
 	}
 	pat := &gridPatterns[cfg.Pattern]
 	nodes := cfg.GridX * cfg.GridY
-	w, engines, err := NewWorld(WorldSpec{
-		Ranks:  nodes,
-		Shards: cfg.Shards,
-		Topo:   cfg.Topo,
-	})
+	clCfg := cluster.NiagaraConfig(nodes)
+	clCfg.Shards = shards
+	if cfg.Topo != "" {
+		topo, err := fabric.ParseTopology(cfg.Topo)
+		if err != nil {
+			return GridResult{}, nil, err
+		}
+		clCfg.Fabric.Topo = topo
+	}
+	w, engines, err := newWorld(clCfg)
 	if err != nil {
-		return GridResult{}, err
+		return GridResult{}, nil, err
 	}
 
 	total := cfg.Warmup + cfg.Iters
@@ -402,7 +410,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	jitterSpan := cfg.JitterPerThread * time.Duration(cfg.Threads)
 	threadName := pat.name + "-thread"
 
-	err = w.RunWorkers(cfg.Workers, func(p *sim.Proc, r *mpi.Rank) {
+	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		id := r.ID()
 		x, y := id%cfg.GridX, id/cfg.GridX
 		var sends []*core.Psend
@@ -457,7 +465,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		}
 		// Each rank draws jitter from its own stream; rank 0's seed is
 		// 0x5eed.
-		jitter := jitterPRNG(0x5eed + uint64(id)<<32)
+		jitter := trace.SplitMix64(0x5eed + uint64(id)<<32)
 		if jitterSpan > 0 {
 			jitters = make([]time.Duration, cfg.Threads)
 		}
@@ -523,7 +531,9 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				for t := 0; t < cfg.Threads; t++ {
 					g.Add(1)
 					if jitters != nil {
-						jitters[t] = time.Duration(jitter.int63n(int64(jitterSpan)))
+						// A draw in [0, jitterSpan); modulo bias is
+						// irrelevant at jitter magnitudes.
+						jitters[t] = time.Duration(int64(jitter.Next()>>1) % int64(jitterSpan))
 					}
 					p.Engine().Spawn(threadName, threads[t])
 				}
@@ -554,7 +564,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		bufSums[id] = sum
 	})
 	if err != nil {
-		return GridResult{}, err
+		return GridResult{}, nil, err
 	}
 	// An iteration ends when the last of its ending ranks finishes: the
 	// south-east corner alone, or every rank.
@@ -578,7 +588,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	res.BufferSums = bufSums
 	if set := w.Cluster().ShardSet(); set != nil {
 		st := set.Stats()
-		res.ShardStats = &st
+		return res, &st, nil
 	}
-	return res, nil
+	return res, nil, nil
 }

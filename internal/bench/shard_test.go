@@ -47,8 +47,7 @@ func TestShardedP2PMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			cfg.Shards = 2
-			sharded, err := RunGrid(cfg)
+			sharded, _, err := runGrid(cfg, 2)
 			if err != nil {
 				t.Fatalf("sharded: %v", err)
 			}
@@ -96,9 +95,7 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 	}
 	for _, shards := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := base
-			cfg.Shards = shards
-			sharded, err := RunGrid(cfg)
+			sharded, st, err := runGrid(base, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +108,6 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 				}
 			}
 			if shards == 2 {
-				st := sharded.ShardStats
 				if st == nil {
 					t.Fatal("sharded run reported no shard stats")
 				}
@@ -129,7 +125,7 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 // rank 0 at the same instant, so both arrive at rank 0's port together.
 // Their delivery order must not follow the engines' event order, which
 // differs between a serial run and a sharded one, so every iteration time
-// must match serial at 2 and 4 shards under one and two workers.
+// must match serial at 2 and 4 shards.
 func TestShardedControlTieMatchesSerial(t *testing.T) {
 	base := GridConfig{
 		GridX:    2,
@@ -152,17 +148,13 @@ func TestShardedControlTieMatchesSerial(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := base
-				cfg.Shards, cfg.Workers = shards, workers
-				sharded, err := RunGrid(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareGridRuns(t, "sharded", serial, sharded)
-			})
-		}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sharded, _, err := runGrid(base, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGridRuns(t, "sharded", serial, sharded)
+		})
 	}
 }
 
@@ -187,9 +179,7 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		sharded, err := RunGrid(cfg)
+		sharded, _, err := runGrid(base, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -232,9 +222,7 @@ func TestShardedGetRendezvousDigest(t *testing.T) {
 		want[id] = sum
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := base
-		cfg.Shards = shards
-		res, err := RunGrid(cfg)
+		res, _, err := runGrid(base, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -271,27 +259,22 @@ func TestShardedFatTreeSweepMatchesSerial(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{0, 2} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := base
-				cfg.Shards = shards
-				cfg.Workers = workers
-				sharded, err := RunGrid(cfg)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sharded, _, err := runGrid(base, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range serial.IterTimes {
+				if serial.IterTimes[i] != sharded.IterTimes[i] {
+					t.Errorf("iter %d: serial %v != sharded %v", i, serial.IterTimes[i], sharded.IterTimes[i])
 				}
-				for i := range serial.IterTimes {
-					if serial.IterTimes[i] != sharded.IterTimes[i] {
-						t.Errorf("iter %d: serial %v != sharded %v", i, serial.IterTimes[i], sharded.IterTimes[i])
-					}
+			}
+			for r := range serial.BufferSums {
+				if serial.BufferSums[r] != sharded.BufferSums[r] {
+					t.Errorf("rank %d: buffer digest serial %#x != sharded %#x", r, serial.BufferSums[r], sharded.BufferSums[r])
 				}
-				for r := range serial.BufferSums {
-					if serial.BufferSums[r] != sharded.BufferSums[r] {
-						t.Errorf("rank %d: buffer digest serial %#x != sharded %#x", r, serial.BufferSums[r], sharded.BufferSums[r])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -312,19 +295,14 @@ func stampRing(t *testing.T, opts core.Options, shards int) (done [][]sim.Time, 
 	)
 	clCfg := cluster.NiagaraConfig(nodes)
 	clCfg.Shards = shards
-	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
-	engines := make([]*core.Engine, nodes)
-	for i := range engines {
-		eng, err := core.NewEngine(w.Rank(i), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = eng
+	w, engines, err := newWorld(clCfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	stamp := func(src, round, i int) uint64 { return uint64(src)<<32 | uint64(round)<<16 | uint64(i) }
 	done = make([][]sim.Time, nodes)
 	bad = make([]int, nodes)
-	err := w.Run(func(p *sim.Proc, r *mpi.Rank) {
+	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		id := r.ID()
 		src := (id + nodes - 1) % nodes
 		sbuf, rbuf := make([]byte, parts*part), make([]byte, parts*part)
@@ -428,8 +406,7 @@ func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		cfg := base
 		cfg.Topo = "single-link"
-		cfg.Shards = shards
-		got, err := RunGrid(cfg)
+		got, _, err := runGrid(cfg, shards)
 		if err != nil {
 			t.Fatalf("single-link shards=%d: %v", shards, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -34,7 +35,9 @@ func sweepJob(side, rounds int, rbufs [][]byte) (*mpi.World, []*core.Engine, err
 	const threads = 4
 	sbuf, rbuf := make([]byte, sweepJobBytes), make([]byte, sweepJobBytes)
 	opts := core.Options{Strategy: core.StrategyPLogGP}
-	w, engines, err := NewWorld(WorldSpec{Ranks: side * side, Shards: 2})
+	cfg := cluster.NiagaraConfig(side * side)
+	cfg.Shards = 2
+	w, engines, err := newWorld(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -49,6 +49,11 @@ func (c Config) Validate() error {
 	if err := c.Fabric.Validate(); err != nil {
 		return err
 	}
+	// Hosts() is 0 for flat topologies, which take any number of nodes.
+	if topo := c.Fabric.Topology(); topo.Hosts() > 0 && c.Nodes > topo.Hosts() {
+		return fmt.Errorf("cluster: %d nodes exceed topology %q host capacity %d",
+			c.Nodes, topo.Name(), topo.Hosts())
+	}
 	if c.Shards < 0 {
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
 	}

@@ -20,11 +20,16 @@ func TestNiagaraConfigShape(t *testing.T) {
 }
 
 func TestValidateRejectsBadShapes(t *testing.T) {
+	fatTree, err := fabric.NewFatTree(fabric.FatTreeConfig{K: 4}) // 8 hosts
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cfg := range []Config{
 		{Nodes: 0, CoresPerNode: 1},
 		{Nodes: 1, CoresPerNode: 0},
 		{Nodes: 1, CoresPerNode: 1, Shards: -1},
 		{Nodes: 2, CoresPerNode: 1, Fabric: fabric.Config{Topo: fabric.TwoLevel(1, -time.Nanosecond)}},
+		{Nodes: 9, CoresPerNode: 1, Fabric: fabric.Config{Topo: fatTree}},
 	} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v accepted", cfg)

@@ -37,8 +37,6 @@ func ablationModel(cfg Config) plan {
 			Warmup:   warmup,
 			Iters:    iters,
 			Opts:     core.Options{Strategy: core.StrategyPLogGP},
-			Shards:   cfg.Shards,
-			Topo:     cfg.Topo,
 		})
 	}
 	p.render = func(res []bench.GridResult) []*stats.Table {

@@ -40,19 +40,11 @@ type Config struct {
 	// simulation, so tables are byte-identical for any value. Zero or
 	// negative selects GOMAXPROCS; 1 forces the serial path.
 	Jobs int
-	// Shards partitions every benchmark's simulation into this many
-	// conservative-PDES shards (clamped per run to its node count; see
-	// cluster.Config.Shards). Zero or 1 runs serial. Tables are
-	// byte-identical for any value.
-	Shards int
-	// Topo selects the fabric topology by spec for every benchmark run
-	// ("single-link", "fat-tree:k=8", ...; see fabric.ParseTopology).
-	// Empty keeps the default single-link fabric — byte-identical to
-	// "single-link" by construction.
-	//
-	// Neither setting reaches the tuning-search candidates or the
-	// ablation-adaptive and compare-strategies runs, which always run
-	// serial on the default fabric.
+	// Topo selects the fabric topology by spec for every benchmark run,
+	// the tuning-search candidates included ("single-link",
+	// "fat-tree:k=8", ...; see fabric.ParseTopology). Empty keeps the
+	// default single-link fabric — byte-identical to "single-link" by
+	// construction.
 	Topo string
 }
 
@@ -237,7 +229,6 @@ func sizeTable(title string, columns []string, sizes []int, designs []core.Optio
 // communication time over that size's baseline (with no compute, the mean
 // iteration time). columns names the variants.
 func speedup(cfg Config, title string, sizes []int, base bench.GridConfig, columns []string, variants []core.Options) plan {
-	base.Shards, base.Topo = cfg.Shards, cfg.Topo
 	return sizeTable(title, columns, sizes, append([]core.Options{{Strategy: core.StrategyBaseline}}, variants...),
 		func(s int, opts core.Options) bench.GridConfig {
 			job := base
@@ -350,8 +341,6 @@ func perceivedConfig(cfg Config, parts, size int, opts core.Options) bench.GridC
 		Warmup:          warmup,
 		Iters:           iters,
 		Opts:            opts,
-		Shards:          cfg.Shards,
-		Topo:            cfg.Topo,
 	}
 }
 

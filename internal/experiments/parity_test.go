@@ -19,21 +19,3 @@ func TestSerialParallelParity(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedParity: the paper's overhead exhibits must render
-// byte-identically when every benchmark simulation runs on a sharded
-// cluster — the end-to-end determinism guarantee of the conservative-PDES
-// engine (internal/sim.ShardSet), checked through the figures the
-// reproduction is ultimately judged by.
-func TestShardedParity(t *testing.T) {
-	for _, name := range []string{"fig6", "fig8"} {
-		t.Run(name, func(t *testing.T) {
-			serial := renderCSV(t, runTables(t, Config{Quick: true, Jobs: 2}, name)[name])
-			sharded := renderCSV(t, runTables(t, Config{Quick: true, Jobs: 2, Shards: 2}, name)[name])
-			if serial != sharded {
-				t.Errorf("sharded output differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
-					serial, sharded)
-			}
-		})
-	}
-}

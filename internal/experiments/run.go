@@ -114,13 +114,16 @@ func search(cfg Config, names []string, plans []plan) (int, error) {
 	return stop, failed
 }
 
-// pool runs jobs on c.Jobs workers and hands each result to collect in job
-// order, from the calling goroutine. ends[e] is one past the last job of
-// the experiment names[e]; a failed job's error carries that name.
+// pool runs jobs on c.Jobs workers, each on the fabric c.Topo selects,
+// and hands each result to collect in job order, from the calling
+// goroutine. ends[e] is one past the last job of the experiment names[e];
+// a failed job's error carries that name.
 func (c Config) pool(names []string, ends []int, jobs []bench.GridConfig, collect func(i int, r bench.GridResult) error) error {
 	return sweep.Ordered(c.Jobs, len(jobs),
 		func(i int) (bench.GridResult, error) {
-			r, err := bench.RunGrid(jobs[i])
+			job := jobs[i]
+			job.Topo = c.Topo
+			r, err := bench.RunGrid(job)
 			if err != nil {
 				return r, fmt.Errorf("%s: %w", names[owner(ends, i)], err)
 			}

@@ -182,3 +182,16 @@ func TestCompareStrategiesAgainstTunedTable(t *testing.T) {
 		}
 	}
 }
+
+// TestTopoReachesEveryJob: the pool sets Config.Topo on every job it
+// runs, so quick ablation-adaptive, whose plan sets no topology of its
+// own, renders differently over a two-level fabric with a 20 µs
+// inter-rack extra than over the default single link.
+func TestTopoReachesEveryJob(t *testing.T) {
+	const name = "ablation-adaptive"
+	def := renderCSV(t, runTables(t, Config{Quick: true}, name)[name])
+	twoLevel := renderCSV(t, runTables(t, Config{Quick: true, Topo: "two-level:rack=1,extra=20us"}, name)[name])
+	if def == twoLevel {
+		t.Errorf("%s renders the same with and without -topo:\n%s", name, def)
+	}
+}

@@ -102,49 +102,17 @@ func (w *World) Cluster() *cluster.Cluster { return w.cluster }
 // Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.cluster.Engine }
 
-// Launch spawns one proc per rank running body and returns a Group that
-// becomes zero when every rank's body has returned. Run the engine to
-// completion (or wait on the group from another proc) to execute the job.
-// Launch requires a serial world: a sharded job has no single engine a
-// Group could live on — use Run, which tracks completion through the
-// shard set's global drain instead.
-func (w *World) Launch(body func(p *sim.Proc, r *Rank)) *sim.Group {
-	if w.cluster.ShardSet() != nil {
-		panic("mpi: Launch on a sharded world (Groups cannot span shards); use Run")
-	}
-	g := sim.NewGroup(w.Engine())
-	g.Add(len(w.ranks))
-	for _, r := range w.ranks {
-		r := r
-		w.Engine().Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
-			defer g.Done()
-			body(p, r)
-		})
-	}
-	return g
-}
-
-// Run launches body on every rank and drives the simulation to completion,
-// returning the first error (proc panic or deadlock). On a sharded world
-// each rank's proc is spawned on its node's shard engine and the shard
-// set runs the job with its default worker fleet.
+// Run spawns body on every rank, each on its node's engine, and drives the
+// simulation to completion, returning the first error (proc panic or
+// deadlock). On a serial cluster every node's engine is the cluster
+// engine; a sharded cluster runs the job on its shard set's default
+// worker fleet.
 func (w *World) Run(body func(p *sim.Proc, r *Rank)) error {
-	return w.RunWorkers(0, body)
-}
-
-// RunWorkers is Run with an explicit shard-fleet size (workers ≤ 0 selects
-// the default); serial worlds ignore the count. Differential tests use it
-// to prove results are independent of the worker count.
-func (w *World) RunWorkers(workers int, body func(p *sim.Proc, r *Rank)) error {
-	if w.cluster.ShardSet() == nil {
-		w.Launch(body)
-		return w.Engine().Run()
-	}
 	for _, r := range w.ranks {
 		r := r
 		r.node.Engine.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 			body(p, r)
 		})
 	}
-	return w.cluster.Run(workers)
+	return w.cluster.Run(0)
 }

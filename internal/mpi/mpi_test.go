@@ -271,21 +271,3 @@ func TestWaitOnWakesOnCtrl(t *testing.T) {
 		t.Fatalf("woke at %v before flag was set", wokeAt)
 	}
 }
-
-func TestLaunchGroupCompletion(t *testing.T) {
-	w := twoNodeWorld()
-	g := w.Launch(func(p *sim.Proc, r *Rank) {
-		p.Sleep(time.Duration(r.ID()+1) * time.Millisecond)
-	})
-	var doneAt sim.Time
-	w.Engine().Spawn("watcher", func(p *sim.Proc) {
-		g.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := w.Engine().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != sim.Time(2*time.Millisecond) {
-		t.Fatalf("group completed at %v, want 2ms", doneAt)
-	}
-}

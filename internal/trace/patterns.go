@@ -13,7 +13,7 @@ import (
 // rotating straggler tail.
 //
 // Everything is a pure function of (Seed, round, partition) through
-// splitmix64, so generated schedules are replayable: no math/rand, no wall
+// SplitMix64, so generated schedules are replayable: no math/rand, no wall
 // clock (the detertaint analyzer enforces both for this package).
 
 // PatternKind selects an arrival regime.
@@ -97,22 +97,29 @@ func (a *ArrivalPattern) Instance(id int) *ArrivalPattern {
 	}
 }
 
-// splitmix64 advances *s and returns the next raw 64-bit draw — the same
-// generator the bench jitter PRNG uses.
-func splitmix64(s *uint64) uint64 {
+// SplitMix64 is a seeded splitmix64 stream, the one generator behind the
+// simulator's deterministic draws: arrival schedules here, and the
+// benchmarks' per-thread jitter and buffer patterns. math/rand is banned
+// from sim-reachable packages (partlint's detertaint analyzer), and a
+// stream's draws are a pure function of its seed, so runs replay exactly.
+// Callers reduce the raw draws to their ranges themselves.
+type SplitMix64 uint64
+
+// Next advances the stream and returns its next raw 64-bit draw.
+func (s *SplitMix64) Next() uint64 {
 	*s += 0x9e3779b97f4a7c15
-	z := *s
+	z := uint64(*s)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
 // below returns a uniform draw in [0, n).
-func below(s *uint64, n int64) int64 {
+func below(s *SplitMix64, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return int64(splitmix64(s) % uint64(n))
+	return int64(s.Next() % uint64(n))
 }
 
 func (a *ArrivalPattern) spread() time.Duration {
@@ -132,7 +139,7 @@ func (a *ArrivalPattern) Delays(round int, out []time.Duration) []time.Duration 
 	}
 	// Mix the round into the seed so rounds draw independent streams but
 	// replays are exact.
-	s := a.Seed + 0x9e3779b97f4a7c15*uint64(round+1)
+	s := SplitMix64(a.Seed + 0x9e3779b97f4a7c15*uint64(round+1))
 	spread := a.spread()
 	switch a.Kind {
 	case PatternBursty:
