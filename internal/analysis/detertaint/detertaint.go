@@ -15,15 +15,12 @@
 // right after the loop sorts s. A value born in any of these places is
 // reported where it is born, so it needs no tracking to where it lands.
 //
-// Two historical regressions shaped the rules. The PR-6 completion bug
-// scheduled a responder-side event using the responder's clock on the
-// requester's engine; the cross-engine rule flags a time read from one
-// engine's Now flowing, within one function, into a same-engine
-// scheduling method (scheduleCall, At, AtCall) of a different engine —
-// Engine.Post and ShardSet.post stay legal because they are the
-// sanctioned cross-engine path. The PR-8 ingress bug emitted flow grants
-// while ranging a map, the sink two helper hops down; the map-order ban
-// flags the call at the loop, however deep the sink hides.
+// A past ingress bug shaped the map-order ban: it emitted flow grants
+// while ranging a map, the sink two helper hops down, and the ban flags
+// the call at the loop, however deep the sink hides. Scheduling on one
+// engine at a time read from another engine's clock, the shape of a past
+// completion bug, is left to the sharded differentials, which compare
+// sharded runs with serial ones under the race detector.
 package detertaint
 
 import (
@@ -35,12 +32,11 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzer bans nondeterminism sources in sim-reachable code and flags
-// cross-engine clock transfer.
+// Analyzer bans nondeterminism sources in sim-reachable code.
 var Analyzer = &analysis.Analyzer{
 	Name: "detertaint",
 	Doc: "forbid math/rand, wall-clock reads, and calls, outer assignments and non-constant " +
-		"returns made in map order; flag one engine's clock scheduled on another engine",
+		"returns made in map order",
 	Run: run,
 }
 
@@ -50,16 +46,9 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		checkBans(pass, f)
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkCrossEngine(pass, fd)
-			}
-		}
 	}
 	return nil
 }
-
-// Lexical bans ----------------------------------------------------------
 
 // bannedTimeFuncs are the package-level time functions that read or
 // depend on the wall clock. time.Duration arithmetic and time.Time
@@ -335,214 +324,4 @@ func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
 			return nil
 		}
 	}
-}
-
-// Cross-engine rule -----------------------------------------------------
-
-// sameClockMethods schedule on the receiver's own timeline, so a time
-// read from a DIFFERENT engine's clock arriving here is the PR-6 bug.
-// Post is exempt: it is the sanctioned cross-engine path.
-var sameClockMethods = map[string]bool{
-	"scheduleCall": true, "At": true, "AtCall": true,
-}
-
-// clock is one engine's Now read: the canonical object of a plain
-// identifier receiver, or the field path ("c.req.eng") of a selector
-// chain. name is the receiver as written, for diagnostics.
-type clock struct {
-	obj  types.Object
-	path string
-	name string
-}
-
-// clocks holds one function's flow-insensitive view: engine aliases
-// (`e := t.eng`) and the engine clocks each local may carry.
-type clocks struct {
-	pass  *analysis.Pass
-	alias map[types.Object]types.Object
-	vars  map[types.Object][]clock
-}
-
-// checkCrossEngine flags a same-clock scheduling call on one engine whose
-// time argument carries another engine's Now read — directly, or through
-// locals assigned anywhere in the function.
-func checkCrossEngine(pass *analysis.Pass, fd *ast.FuncDecl) {
-	c := &clocks{pass: pass, alias: map[types.Object]types.Object{}, vars: map[types.Object][]clock{}}
-	c.assigns(fd.Body, func(dst types.Object, rhs ast.Expr) bool {
-		if id, ok := rhs.(*ast.Ident); ok && isEngineType(dst.Type()) {
-			if src := pass.TypesInfo.Uses[id]; src != nil && src != dst {
-				c.alias[dst] = src
-			}
-		}
-		return false
-	})
-	for changed := true; changed; {
-		changed = c.assigns(fd.Body, func(dst types.Object, rhs ast.Expr) bool {
-			grew := false
-			for _, ck := range c.in(rhs) {
-				if !c.carries(dst, ck) {
-					c.vars[dst] = append(c.vars[dst], ck)
-					grew = true
-				}
-			}
-			return grew
-		})
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !sameClockMethods[sel.Sel.Name] || !isEngineType(pass.TypesInfo.TypeOf(sel.X)) {
-			return true
-		}
-		for _, arg := range call.Args {
-			for _, ck := range c.in(arg) {
-				if c.differs(ck, sel.X) {
-					pass.Reportf(arg.Pos(), "schedules on engine %s at a time read from engine %s's clock: cross-engine time must flow through Engine.Post or ShardSet.post with pair lookahead added",
-						types.ExprString(sel.X), ck.name)
-					break
-				}
-			}
-		}
-		return true
-	})
-}
-
-// assigns calls fn for every (identifier, value) pair assigned or
-// declared in body, and reports whether any call returned true.
-func (c *clocks) assigns(body *ast.BlockStmt, fn func(dst types.Object, rhs ast.Expr) bool) bool {
-	changed := false
-	pair := func(lhs, rhs []ast.Expr) {
-		for i, l := range lhs {
-			id, ok := l.(*ast.Ident)
-			if !ok || id.Name == "_" || len(rhs) == 0 {
-				continue
-			}
-			obj := c.pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = c.pass.TypesInfo.Uses[id]
-			}
-			r := rhs[0]
-			if len(rhs) == len(lhs) {
-				r = rhs[i]
-			}
-			if obj != nil && fn(obj, r) {
-				changed = true
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			pair(n.Lhs, n.Rhs)
-		case *ast.ValueSpec:
-			names := make([]ast.Expr, len(n.Names))
-			for i, id := range n.Names {
-				names[i] = id
-			}
-			pair(names, n.Values)
-		}
-		return true
-	})
-	return changed
-}
-
-// in lists the engine clocks e reads, directly or through locals.
-// Closures are skipped: they run later, under their own schedule.
-func (c *clocks) in(e ast.Expr) []clock {
-	var out []clock
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.Ident:
-			if obj := c.pass.TypesInfo.Uses[n]; obj != nil {
-				out = append(out, c.vars[obj]...)
-			}
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Now" || !isEngineType(c.pass.TypesInfo.TypeOf(sel.X)) {
-				break
-			}
-			ck := clock{name: types.ExprString(sel.X)}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				ck.obj = c.canonical(c.pass.TypesInfo.Uses[id])
-			} else if path, ok := fieldPath(sel.X); ok {
-				ck.path = path
-			}
-			out = append(out, ck)
-		}
-		return true
-	})
-	return out
-}
-
-func (c *clocks) carries(v types.Object, ck clock) bool {
-	for _, have := range c.vars[v] {
-		if have == ck {
-			return true
-		}
-	}
-	return false
-}
-
-// canonical follows `a := b` engine aliases to their root; the hop bound
-// ends alias cycles.
-func (c *clocks) canonical(obj types.Object) types.Object {
-	for hops := 0; hops <= len(c.alias); hops++ {
-		next, ok := c.alias[obj]
-		if !ok {
-			break
-		}
-		obj = next
-	}
-	return obj
-}
-
-// differs reports whether the clock and the scheduling receiver are
-// provably different engines: both plain identifiers with different
-// canonical objects, or both pure field paths that differ. Anything
-// murkier (method results, indexing, mixed shapes) is left alone —
-// aliasing would make a report a guess.
-func (c *clocks) differs(ck clock, recv ast.Expr) bool {
-	if id, ok := recv.(*ast.Ident); ok && ck.obj != nil {
-		obj := c.pass.TypesInfo.Uses[id]
-		return obj != nil && c.canonical(obj) != ck.obj
-	}
-	if path, ok := fieldPath(recv); ok && ck.path != "" {
-		return path != ck.path
-	}
-	return false
-}
-
-// isEngineType reports whether t (possibly behind a pointer) is a named
-// type called Engine.
-func isEngineType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Engine"
-}
-
-// fieldPath renders a pure ident/field-select chain ("c.req.eng"), the
-// shapes the cross-engine rule can compare reliably. Chains containing
-// calls or indexing are rejected.
-func fieldPath(e ast.Expr) (string, bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name, true
-	case *ast.SelectorExpr:
-		base, ok := fieldPath(e.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + e.Sel.Name, true
-	}
-	return "", false
 }

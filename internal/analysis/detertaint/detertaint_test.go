@@ -22,12 +22,6 @@ func TestDetertaintBasic(t *testing.T) {
 	analysistest.Run(t, detertaint.Analyzer, "taintbasic")
 }
 
-// TestDetertaintCrossEngine covers the PR-6 completion-bug shape: one
-// engine's clock scheduled on another engine.
-func TestDetertaintCrossEngine(t *testing.T) {
-	analysistest.Run(t, detertaint.Analyzer, "crossengine")
-}
-
 // TestDetertaintIngress covers the PR-8 ingress-ordering shape: grants
 // emitted while ranging a map, sink two hops down.
 func TestDetertaintIngress(t *testing.T) {

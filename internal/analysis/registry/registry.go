@@ -5,8 +5,6 @@
 //
 // Scope rules are deliberately data, not code spread across drivers:
 //
-//   - shardsafety runs everywhere in the module — its annotations only
-//     occur where the invariants apply.
 //   - detertaint runs on the packages reachable from the simulator's
 //     virtual clock: the engine strategies, the fabric, the models, the
 //     transports whose event callbacks feed the engines, the rank
@@ -19,12 +17,9 @@
 package registry
 
 import (
-	"strings"
-
 	"repro/internal/analysis"
 	"repro/internal/analysis/detertaint"
 	"repro/internal/analysis/nopanic"
-	"repro/internal/analysis/shardsafety"
 )
 
 // Check pairs an analyzer with the import paths it applies to.
@@ -34,16 +29,12 @@ type Check struct {
 	Applies func(importPath string) bool
 }
 
-// module-wide scope: every package in this module.
-func allRepro(path string) bool {
-	return path == "repro" || strings.HasPrefix(path, "repro/")
-}
-
 // simReachable lists the packages whose behavior must be a pure function
 // of the seed and the event order. The transport and measurement layers
-// are in because their event callbacks feed the engines: the
-// cross-engine completion bug lived in the ibv completion queue, and mpi
-// drains those queues into the modules' handlers. The set is closed under
+// are in because their event callbacks feed the engines: a wall-clock
+// read or a map-ordered emission in the ibv completion queue, or in the
+// mpi drain that hands its completions to the modules' handlers, would
+// reorder events. The set is closed under
 // in-module imports: cluster, ploggp, stats and tuning are in because
 // scoped packages import them.
 var simReachable = map[string]bool{
@@ -79,7 +70,6 @@ var typedError = map[string]bool{
 func Checks() []Check {
 	return []Check{
 		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
-		{Analyzer: shardsafety.Analyzer, Applies: allRepro},
 		{Analyzer: nopanic.Analyzer, Applies: func(p string) bool { return typedError[p] }},
 	}
 }

@@ -563,6 +563,9 @@ func TestInitValidation(t *testing.T) {
 		if _, err := eng.PsendInit(p, make([]byte, 128), 4, 1, 0, Options{TransportParts: 8}); err == nil {
 			t.Error("transport > user partitions accepted")
 		}
+		if _, err := eng.PsendInit(p, make([]byte, 128), 4, 1, 0, Options{Strategy: StrategyTimerPLogGP, Delta: -time.Microsecond}); err == nil {
+			t.Error("negative delta accepted")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -121,4 +122,75 @@ func TestTimerFiresAtExactCompletionInstant(t *testing.T) {
 			t.Fatal("data mismatch at same-instant fire/completion")
 		}
 	}
+}
+
+// TestTestReportsRoundState covers MPI_Test on both sides of a match:
+// Test reports false before the round's data has landed and true once it
+// has, and after a QP fails mid-round the recorded engine error comes back
+// as (false, err).
+func TestTestReportsRoundState(t *testing.T) {
+	e := newEnv()
+	const parts, total = 4, 16 << 10
+	src := make([]byte, total)
+	fillBuf(src, 3)
+	dst := make([]byte, total)
+	opts := Options{Strategy: StrategyPLogGP}
+	// poll calls test every microsecond of virtual time until it reports
+	// completion or an error, and returns what the last call reported.
+	poll := func(p *sim.Proc, test func(*sim.Proc) (bool, error)) (bool, error) {
+		for i := 0; i < 10000; i++ {
+			if ok, err := test(p); ok || err != nil {
+				return ok, err
+			}
+			p.Sleep(time.Microsecond)
+		}
+		return false, nil
+	}
+	e.runPair(t,
+		func(p *sim.Proc, eng *Engine) {
+			ps, err := eng.PsendInit(p, src, parts, 1, 1, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ps.Start(p)
+			if ok, err := ps.Test(p); ok || err != nil {
+				t.Errorf("sender Test before Pready = (%v, %v), want (false, nil)", ok, err)
+			}
+			ps.PreadyRange(p, 0, parts)
+			if ok, err := poll(p, ps.Test); !ok || err != nil {
+				t.Errorf("sender Test after the round = (%v, %v), want (true, nil)", ok, err)
+			}
+
+			ps.Start(p)
+			ps.PreadyRange(p, 0, parts)
+			ps.qps[0].SetError()
+			if ok, err := poll(p, ps.Test); ok || !errors.Is(err, ErrCompletionStatus) {
+				t.Errorf("sender Test after a QP error = (%v, %v), want (false, ErrCompletionStatus)", ok, err)
+			}
+		},
+		func(p *sim.Proc, eng *Engine) {
+			pr, err := eng.PrecvInit(p, dst, parts, 0, 1, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pr.Start(p)
+			if ok, err := pr.Test(p); ok || err != nil {
+				t.Errorf("receiver Test before the data = (%v, %v), want (false, nil)", ok, err)
+			}
+			if ok, err := poll(p, pr.Test); !ok || err != nil {
+				t.Errorf("receiver Test after the data = (%v, %v), want (true, nil)", ok, err)
+			}
+			if !bytes.Equal(dst, src) {
+				t.Error("receiver Test reported completion before the data landed")
+			}
+
+			pr.Start(p)
+			pr.qps[0].SetError()
+			if ok, err := poll(p, pr.Test); ok || !errors.Is(err, ErrCompletionStatus) {
+				t.Errorf("receiver Test after a QP error = (%v, %v), want (false, ErrCompletionStatus)", ok, err)
+			}
+		},
+	)
 }

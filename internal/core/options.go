@@ -150,6 +150,7 @@ type Options struct {
 	Table *TuningTable
 	// Delta is the δ of the timer-based aggregator. Zero selects 35 µs,
 	// the minimum the paper estimates for 32 partitions in Figure 12.
+	// PsendInit rejects a negative δ.
 	Delta time.Duration
 	// TransportParts overrides the strategy's transport partition count
 	// (used by the Figure 6 sweep). It must divide the user partition

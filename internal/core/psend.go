@@ -105,6 +105,9 @@ func (e *Engine) PsendInit(p *sim.Proc, buf []byte, partitions, dest, tag int, o
 	if dest < 0 || dest >= e.r.World().Size() {
 		return nil, fmt.Errorf("core: destination rank %d out of range", dest)
 	}
+	if opts.Delta < 0 {
+		return nil, fmt.Errorf("core: negative timer delta %v", opts.Delta)
+	}
 	plan, err := resolvePlan(opts, partitions, len(buf))
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/tuning"
 )
 
@@ -22,7 +23,7 @@ import (
 // arrival pattern the search happened to run.
 func compareStrategies(cfg Config) plan {
 	const parts = 32
-	sizes := sizesPow2(64<<10, 4<<20, parts)
+	sizes := stats.PowersOfTwo(64<<10, 4<<20)
 	warmup, iters := 16, 24 // the warm-up covers the adaptive window plus dwell
 	if cfg.Quick {
 		sizes = []int{128 << 10, 512 << 10}

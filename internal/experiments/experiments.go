@@ -129,17 +129,6 @@ func Describe(name string) (string, bool) {
 	return "", false
 }
 
-// sizesPow2 returns powers of two in [lo, hi] divisible by div.
-func sizesPow2(lo, hi, div int) []int {
-	var out []int
-	for s := lo; s <= hi; s *= 2 {
-		if s%div == 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // rounds returns the (warmup, iters) counts for the mode: the first pair
 // in quick mode, the second in full mode.
 func (c Config) rounds(quickWarmup, quickIters, warmup, iters int) (int, int) {
@@ -156,9 +145,9 @@ func niagaraModel() *ploggp.Model { return ploggp.New(loggp.NiagaraMeasured()) }
 // counts 1..32 with the paper's 4 ms delay.
 func fig3(cfg Config) plan {
 	model := niagaraModel()
-	sizes := sizesPow2(4<<10, 256<<20, 1)
+	sizes := stats.PowersOfTwo(4<<10, 256<<20)
 	if cfg.Quick {
-		sizes = sizesPow2(64<<10, 16<<20, 1)
+		sizes = stats.PowersOfTwo(64<<10, 16<<20)
 	}
 	counts := []int{1, 2, 4, 8, 16, 32}
 	return plan{render: func([]bench.GridResult) []*stats.Table {
@@ -247,7 +236,7 @@ func speedup(cfg Config, title string, sizes []int, base bench.GridConfig, colum
 // fig6 sweeps transport partition counts at 32 user partitions, 2 QPs.
 func fig6(cfg Config) plan {
 	const parts = 32
-	sizes := sizesPow2(4<<10, 64<<20, parts)
+	sizes := stats.PowersOfTwo(4<<10, 64<<20)
 	transports := []int{2, 4, 8, 16, 32}
 	if cfg.Quick {
 		sizes = []int{32 << 10, 4 << 20}
@@ -271,7 +260,7 @@ func fig6(cfg Config) plan {
 // partitions (no aggregation).
 func fig7(cfg Config) plan {
 	const parts = 16
-	sizes := sizesPow2(4<<10, 64<<20, parts)
+	sizes := stats.PowersOfTwo(4<<10, 64<<20)
 	qps := []int{1, 2, 4, 8, 16}
 	if cfg.Quick {
 		sizes = []int{64 << 10, 8 << 20}
@@ -307,7 +296,7 @@ func fig8(cfg Config) plan {
 	for i, parts := range partCounts {
 		tables[i] = speedup(cfg,
 			fmt.Sprintf("Figure 8: overhead benchmark, %d user partitions (speedup vs baseline)", parts),
-			sizesPow2(lo, hi, parts), overheadBase(cfg, parts),
+			stats.PowersOfTwo(lo, hi), overheadBase(cfg, parts),
 			[]string{"tuning-table", "ploggp"},
 			[]core.Options{
 				{Strategy: core.StrategyTuningTable, Table: table},
@@ -318,7 +307,7 @@ func fig8(cfg Config) plan {
 	warmup, iters := cfg.rounds(1, 3, 3, 10)
 	p.search = &tuning.SearchConfig{
 		UserParts: partCounts,
-		Sizes:     sizesPow2(lo, hi, 1), // the search skips sizes a count does not divide
+		Sizes:     stats.PowersOfTwo(lo, hi), // the search skips sizes a count does not divide
 		Warmup:    warmup,
 		Iters:     iters,
 	}
@@ -362,7 +351,7 @@ func bandwidth(cfg Config, title string, parts int, sizes []int, columns []strin
 // fig9 compares perceived bandwidth across the three designs.
 func fig9(cfg Config) plan {
 	partCounts := []int{16, 32}
-	sizes := sizesPow2(1<<20, 128<<20, 32)
+	sizes := stats.PowersOfTwo(1<<20, 128<<20)
 	if cfg.Quick {
 		partCounts = []int{32}
 		sizes = []int{8 << 20}
@@ -424,7 +413,7 @@ func fig11(cfg Config) plan {
 // fig12 estimates the minimum useful delta per (partition count, size).
 func fig12(cfg Config) plan {
 	partCounts := []int{8, 16, 32, 64, 128}
-	sizes := sizesPow2(1<<20, 128<<20, 128)
+	sizes := stats.PowersOfTwo(1<<20, 128<<20)
 	if cfg.Quick {
 		partCounts = []int{32}
 		sizes = []int{8 << 20}
@@ -467,7 +456,7 @@ func fig12(cfg Config) plan {
 
 // fig13 sweeps delta around the estimated minimum for 32 partitions.
 func fig13(cfg Config) plan {
-	sizes := sizesPow2(1<<20, 128<<20, 32)
+	sizes := stats.PowersOfTwo(1<<20, 128<<20)
 	if cfg.Quick {
 		sizes = []int{8 << 20}
 	}
@@ -495,7 +484,7 @@ var (
 // configurations.
 func fig14(cfg Config) plan {
 	gridX, gridY, threads := 8, 8, 16
-	sizes := sizesPow2(16<<10, 16<<20, threads)
+	sizes := stats.PowersOfTwo(16<<10, 16<<20)
 	if cfg.Quick {
 		gridX, gridY = 4, 4
 		sizes = []int{256 << 10, 4 << 20}
@@ -535,7 +524,7 @@ func fig14(cfg Config) plan {
 // over the baseline.
 func halo(cfg Config) plan {
 	gridX, gridY, threads := 4, 4, 16
-	sizes := sizesPow2(16<<10, 4<<20, threads)
+	sizes := stats.PowersOfTwo(16<<10, 4<<20)
 	if cfg.Quick {
 		gridX, gridY = 2, 2
 		sizes = []int{256 << 10}

@@ -81,24 +81,16 @@ type post struct {
 type mailbox struct {
 	// buf is the producer-side append buffer; the transition compacts it
 	// after delivery.
-	//
-	//partib:guard write=producer,transition read=producer,transition
 	buf []post
 	// sealed is the frozen pre-hop snapshot the consumer drains.
-	//
-	//partib:guard write=transition read=consumer,transition
 	sealed []post
 	// minAt is the smallest unsealed timestamp (timeInf when none),
 	// maintained by the producer and reset when the transition seals. The
 	// hop transition reads it — after the finish barrier, so the value is
 	// frozen — to fold posts that have not been delivered yet into the
 	// destination's seed.
-	//
-	//partib:guard write=producer,transition read=producer,transition
 	minAt Time
 	// sent counts posts over the whole run, for ShardStats.
-	//
-	//partib:guard write=producer read=producer
 	sent uint64
 }
 
@@ -106,8 +98,7 @@ type mailbox struct {
 // they spin briefly on the hop counter and fall back to a buffered wake
 // channel, so a hop costs no goroutine churn.
 type worker struct {
-	wake chan struct{}
-	//partib:atomic
+	wake   chan struct{}
 	parked atomic.Bool
 }
 
@@ -153,20 +144,14 @@ type ShardSet struct {
 	// never win it once the hop it read has closed, even if a later hop's
 	// index has come back round to the same value, unless that hop has the
 	// same bound — and then the slot it claims is a real one of that hop.
-	//
-	//partib:atomic
 	gate atomic.Uint64
 
 	// hop increments at every hop release; participants wait on it.
 	// finished counts engaged shards completed this hop; the last one runs
 	// the transition.
-	//
-	//partib:atomic
-	hop atomic.Uint64
-	//partib:atomic
+	hop      atomic.Uint64
 	finished atomic.Int64
-	//partib:atomic
-	done atomic.Bool
+	done     atomic.Bool
 
 	coordinator worker
 	fleet       []*worker
@@ -324,8 +309,6 @@ func (s *ShardSet) Stats() ShardStats {
 // to at + inMin[src] (the dynamic self-cap): reactions to this post can
 // reach src no earlier than that, and nothing else bounds src when every
 // other shard is idle.
-//
-//partib:role producer
 func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
 	if at < s.endOf[dst] {
 		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead (window of shard %d ends %v)", at, dst, s.endOf[dst]))
@@ -351,8 +334,6 @@ func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
 // identical run over run regardless of worker interleaving — and the
 // consumer performs only reads here, so producers appending same-hop posts
 // past the snapshots never race with it.
-//
-//partib:role consumer
 func (s *ShardSet) drainInto(dst int) {
 	e := s.engines[dst]
 	for src := range s.engines {
@@ -368,8 +349,6 @@ func (s *ShardSet) drainInto(dst int) {
 // about to open. Runs on the transition thread only, behind the finish
 // barrier; producers resume appending past the snapshot once the hop is
 // released.
-//
-//partib:role transition
 func (s *ShardSet) seal(dst int) {
 	for src := range s.engines {
 		mb := &s.mail[src][dst]
@@ -383,8 +362,6 @@ func (s *ShardSet) seal(dst int) {
 // snapshots, and whatever producers appended past a snapshot slides to the
 // front for the next seal. Runs on the transition thread only, before
 // seeds are recomputed, so undelivered-post minima stay consistent.
-//
-//partib:role transition
 func (s *ShardSet) cleanupDrained() {
 	for dst := range s.engines {
 		for src := range s.engines {
@@ -439,8 +416,6 @@ func (s *ShardSet) drain() bool {
 // perform the hop transition in place. The bound comes from the gate word
 // the claim won, not from a reload: by the time this shard finishes, the
 // last finisher may already have opened a later hop.
-//
-//partib:role consumer
 func (s *ShardSet) runShard(i int, bound int64) {
 	e := s.engines[i]
 	s.drainInto(i)
@@ -462,8 +437,6 @@ func (s *ShardSet) runShard(i int, bound int64) {
 // bound and a participant arriving late (after the transition reset the
 // gate) either reads the zeroed bound and leaves, or reads the new word —
 // published after the new engaged set — and simply joins the new hop.
-//
-//partib:role consumer
 func (s *ShardSet) claimLoop() {
 	for {
 		g := s.gate.Load()
@@ -482,8 +455,6 @@ func (s *ShardSet) claimLoop() {
 // undrained mailbox minima into seeds, and returns the number of shards
 // with any future firing. Runs only on the transition thread, behind the
 // finish barrier.
-//
-//partib:role transition
 func (s *ShardSet) computeSeeds() (active int) {
 	for i := range s.engines {
 		seed := s.nextSlot[i]
@@ -505,8 +476,6 @@ func (s *ShardSet) computeSeeds() (active int) {
 // chains seeded by any other shard's earliest future firing, relayed along
 // lookahead shortest paths); a shard's own future emissions are excluded
 // here and covered at run time by the dynamic self-cap in post.
-//
-//partib:role transition
 func (s *ShardSet) computeBounds() {
 	n := len(s.engines)
 	for d := 0; d < n; d++ {
@@ -532,8 +501,6 @@ func (s *ShardSet) computeBounds() {
 // hops, and the release of the next fleet hop. It runs once per hop, not
 // per event, so it is the allocation-budget boundary: the engaged-set
 // append below reuses the slice's backing array across hops.
-//
-//partib:role transition
 func (s *ShardSet) transition(afterHop bool) {
 	// Close the claim gate before touching any hop state: from here until
 	// releaseHop republishes the bound, no participant can claim.
@@ -594,8 +561,6 @@ func (s *ShardSet) transition(afterHop bool) {
 }
 
 // runSolo executes one inline hop of shard i on the transition thread.
-//
-//partib:role transition
 func (s *ShardSet) runSolo(i int) {
 	e := s.engines[i]
 	s.drainInto(i)
@@ -619,8 +584,6 @@ func (s *ShardSet) runSolo(i int) {
 // and waking more workers than there are claimable shards is pure
 // wake/park churn. Fewer awake workers than engaged shards is safe:
 // claims are work-stealing, so whoever is awake drains the surplus.
-//
-//partib:role transition
 func (s *ShardSet) releaseHop(engagedShards int) {
 	s.finished.Store(0)
 	s.gate.Store(uint64(engagedShards) << 32)
