@@ -1,12 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/stats"
 )
 
 // TestFailedRunStillWritesProfiles: an unknown experiment exits 2, and
@@ -97,6 +99,58 @@ func TestListAlignsDescriptions(t *testing.T) {
 		}
 		if at != col {
 			t.Errorf("%s: description starts at column %d, want %d", name, at, col)
+		}
+	}
+}
+
+// TestCSVWritesOneFilePerTable: -csv creates its directory and writes
+// each table of an experiment to its own file, the first under the
+// experiment's name and the rest suffixed with their index, each byte
+// for byte what the table's WriteCSV renders.
+func TestCSVWritesOneFilePerTable(t *testing.T) {
+	const name = "ablation-adaptive"
+	cfg := experiments.Config{Quick: true, Jobs: 1}
+	var want []string
+	err := experiments.Run([]string{name}, cfg, func(_ string, tables []*stats.Table) error {
+		for _, tb := range tables {
+			var buf strings.Builder
+			if err := tb.WriteCSV(&buf); err != nil {
+				return err
+			}
+			want = append(want, buf.String())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 {
+		t.Fatalf("%s has %d tables, want 2", name, len(want))
+	}
+
+	dir := filepath.Join(t.TempDir(), "results")
+	if err := runSuite([]string{name}, cfg, io.Discard, dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	// ReadDir sorts by name, and "-" sorts before ".".
+	if got := strings.Join(files, " "); got != name+"-1.csv "+name+".csv" {
+		t.Fatalf("-csv wrote %s", got)
+	}
+	for i, file := range []string{name + ".csv", name + "-1.csv"} {
+		got, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want[i] {
+			t.Errorf("%s differs from table %d's WriteCSV:\n%s\nwant\n%s", file, i, got, want[i])
 		}
 	}
 }

@@ -2,10 +2,10 @@
 // golang.org/x/tools/go/analysis this repository's static checkers need.
 // The toolchain here is hermetic (no module downloads), so the suite is
 // built on the standard library's go/ast, go/types, and go/importer only:
-// an Analyzer is a named Run function over a type-checked package, a Pass
-// carries one package through it, and drivers (cmd/partlint for `go vet
-// -vettool`, the analysistest harness for fixtures) construct passes and
-// collect diagnostics.
+// an Analyzer is a named Run function over a type-checked package, and a
+// Pass carries one package through it. The analysistest loader constructs
+// passes and collects diagnostics, over fixtures and over the module's own
+// packages alike, and never passes an analyzer a _test.go file.
 //
 // The deliberate differences from x/tools are small: every rule reports
 // at the defect's site within one package, so there are no cross-package
@@ -19,15 +19,12 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description printed by partlint's usage.
-	Doc string
 	// Run executes the check, reporting findings through pass.Report.
 	Run func(pass *Pass) error
 }
@@ -71,11 +68,4 @@ func (p *Pass) Diagnostics() []Diagnostic {
 		return a.Column < b.Column
 	})
 	return p.diags
-}
-
-// IsTestFile reports whether the file at pos is a _test.go file. The
-// suite's invariants target production code; tests are free to panic
-// and block.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -1,16 +1,20 @@
-// Package analysistest is a minimal fixture harness for the partlint
-// analyzers, standing in for golang.org/x/tools/go/analysis/analysistest
-// (unavailable in this hermetic build). Fixture packages live under the
-// calling package's testdata/src/<path>; expectations are `// want "re"`
-// comments on the offending lines. Standard-library imports are
-// type-checked from source (importer "source"); imports that resolve
-// inside testdata/src shadow real packages, so fixtures can pose as
-// repro/internal/... packages with stub dependencies.
+// Package analysistest type-checks packages from source for the
+// repository's analyzers, standing in for x/tools' analysistest and for a
+// vet driver in this hermetic build. Run checks an analyzer against
+// fixture packages under the calling package's testdata/src, whose
+// `// want "re"` comments on the offending lines are the expected
+// diagnostics; a fixture directory shadows the real package of its import
+// path, so fixtures can pose as repro/internal/... packages with stub
+// dependencies. Loader.Lint checks a module's own packages and fails on
+// every diagnostic. Both go through one Loader: a package's files are its
+// non-test files that match the build constraints, and standard-library
+// imports are type-checked from source (importer "source").
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -29,98 +33,126 @@ import (
 // diagnostics against the fixture's `// want` expectations.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	ld := newLoader(t)
+	root, err := filepath.Abs(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := NewLoader(root, "")
 	for _, pkg := range pkgs {
 		t.Run(strings.ReplaceAll(pkg, "/", "_"), func(t *testing.T) {
 			t.Helper()
 			p := ld.load(t, pkg)
-			pass := analysis.NewPass(ld.fset, p.files, p.pkg, p.info)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("analyzer %s: %v", a.Name, err)
-			}
-			check(t, ld.fset, p.files, pass.Diagnostics())
+			check(t, ld.fset, p.files, ld.run(t, a, p))
 		})
 	}
 }
 
-// loaded is one type-checked fixture package.
+// Lint runs a over the package at path and reports each of its
+// diagnostics as a test error at the finding's file and line, relative to
+// the loader's root. Comments are not read, so no finding can be waived.
+func (ld *Loader) Lint(t *testing.T, a *analysis.Analyzer, path string) {
+	t.Helper()
+	for _, d := range ld.run(t, a, ld.load(t, path)) {
+		file := strings.TrimPrefix(d.Pos.Filename, ld.root+string(filepath.Separator))
+		t.Errorf("%s:%d:%d: %s: %s", file, d.Pos.Line, d.Pos.Column, a.Name, d.Message)
+	}
+}
+
+// run passes one loaded package through a.
+func (ld *Loader) run(t *testing.T, a *analysis.Analyzer, p *loaded) []analysis.Diagnostic {
+	t.Helper()
+	pass := analysis.NewPass(ld.fset, p.files, p.pkg, p.info)
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("analyzer %s on %s: %v", a.Name, p.pkg.Path(), err)
+	}
+	return pass.Diagnostics()
+}
+
+// loaded is one type-checked package.
 type loaded struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
 }
 
-type loader struct {
-	root  string
-	fset  *token.FileSet
-	std   types.Importer
-	cache map[string]*loaded
+// Loader type-checks packages from source, each once.
+type Loader struct {
+	root, prefix string
+	fset         *token.FileSet
+	std          types.Importer
+	cache        map[string]*loaded
 }
 
-func newLoader(t *testing.T) *loader {
-	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// NewLoader returns a loader that reads an import path beginning with
+// prefix from the directory under root named by the rest of the path,
+// when that directory exists, and any other import path from the
+// standard library. A module's loader has the module path and a slash as
+// prefix; the fixture loader has none.
+func NewLoader(root, prefix string) *Loader {
 	fset := token.NewFileSet()
-	return &loader{
-		root:  root,
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		cache: map[string]*loaded{},
+	return &Loader{
+		root:   root,
+		prefix: prefix,
+		fset:   fset,
+		std:    importer.ForCompiler(fset, "source", nil),
+		cache:  map[string]*loaded{},
 	}
 }
 
-// Import implements types.Importer: testdata-local packages shadow
-// everything else; the rest comes from the standard library.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(ld.root, path); dirExists(dir) {
-		p, err := ld.loadErr(path)
-		if err != nil {
-			return nil, err
-		}
-		return p.pkg, nil
+// dir returns the directory the loader reads path from, or "" when path
+// is left to the standard library.
+func (ld *Loader) dir(path string) string {
+	rel, ok := strings.CutPrefix(path, ld.prefix)
+	if !ok {
+		return ""
 	}
-	return ld.std.Import(path)
+	dir := filepath.Join(ld.root, rel)
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		return ""
+	}
+	return dir
 }
 
-func dirExists(dir string) bool {
-	st, err := os.Stat(dir)
-	return err == nil && st.IsDir()
+// Import implements types.Importer.
+func (ld *Loader) Import(path string) (*types.Package, error) {
+	if ld.dir(path) == "" {
+		return ld.std.Import(path)
+	}
+	p, err := ld.loadErr(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.pkg, nil
 }
 
-func (ld *loader) load(t *testing.T, path string) *loaded {
+func (ld *Loader) load(t *testing.T, path string) *loaded {
 	t.Helper()
 	p, err := ld.loadErr(path)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", path, err)
+		t.Fatalf("loading %s: %v", path, err)
 	}
 	return p
 }
 
-func (ld *loader) loadErr(path string) (*loaded, error) {
+func (ld *Loader) loadErr(path string) (*loaded, error) {
 	if p, ok := ld.cache[path]; ok {
 		return p, nil
 	}
-	dir := filepath.Join(ld.root, path)
-	entries, err := os.ReadDir(dir)
+	dir := ld.dir(path)
+	if dir == "" {
+		return nil, fmt.Errorf("no directory for %s under %s", path, ld.root)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},

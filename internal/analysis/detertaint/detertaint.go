@@ -35,16 +35,11 @@ import (
 // Analyzer bans nondeterminism sources in sim-reachable code.
 var Analyzer = &analysis.Analyzer{
 	Name: "detertaint",
-	Doc: "forbid math/rand, wall-clock reads, and calls, outer assignments and non-constant " +
-		"returns made in map order",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		checkBans(pass, f)
 	}
 	return nil

@@ -14,19 +14,14 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzer flags calls to the panic builtin in non-test files.
+// Analyzer flags calls to the panic builtin.
 var Analyzer = &analysis.Analyzer{
 	Name: "nopanic",
-	Doc: "forbid panic in packages with a typed-error API surface " +
-		"(partib, internal/core)",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -1,9 +1,9 @@
 // Package registry binds the partlint analyzers to the packages they
-// govern. It lives apart from the analyzer packages so that drivers
-// (cmd/partlint, tests) get the full suite plus scope rules from one
-// import, while each analyzer stays importable on its own.
+// govern. It lives apart from the analyzer packages so that each analyzer
+// stays importable on its own; its test, TestModuleLint, runs every check
+// over the module's packages in its scope as part of `go test ./...`.
 //
-// Scope rules are deliberately data, not code spread across drivers:
+// Scope rules are deliberately data:
 //
 //   - detertaint runs on the packages reachable from the simulator's
 //     virtual clock: the engine strategies, the fabric, the models, the
@@ -65,9 +65,9 @@ var typedError = map[string]bool{
 	"repro/internal/core": true,
 }
 
-// Checks returns the full partlint suite with scope rules, in a stable
+// checks returns the full partlint suite with scope rules, in a stable
 // order.
-func Checks() []Check {
+func checks() []Check {
 	return []Check{
 		{Analyzer: detertaint.Analyzer, Applies: func(p string) bool { return simReachable[p] }},
 		{Analyzer: nopanic.Analyzer, Applies: func(p string) bool { return typedError[p] }},

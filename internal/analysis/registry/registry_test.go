@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis/analysistest"
 )
 
 // sourcePackage is one package directory and its parsed non-test files.
@@ -129,7 +131,7 @@ func TestRegistryScopes(t *testing.T) {
 		},
 	}
 	names := map[string]bool{}
-	for _, c := range Checks() {
+	for _, c := range checks() {
 		name := c.Analyzer.Name
 		if names[name] {
 			t.Errorf("two checks named %s", name)
@@ -160,6 +162,20 @@ func TestRegistryScopes(t *testing.T) {
 					t.Errorf("%s imports %s, which detertaint does not check", pkg.path, path)
 				}
 			}
+		}
+	}
+}
+
+// TestModuleLint runs every check over every module package in its scope,
+// loaded from source by the loader the analyzer fixtures use, and fails
+// on any diagnostic. `// want` comments mean nothing in module code, so
+// no finding can be waived.
+func TestModuleLint(t *testing.T) {
+	ld := analysistest.NewLoader(moduleRoot(t), "repro/")
+	pkgs := modulePackages(t)
+	for _, c := range checks() {
+		for _, pkg := range appliesTo(c, pkgs) {
+			ld.Lint(t, c.Analyzer, pkg)
 		}
 	}
 }

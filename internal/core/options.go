@@ -154,7 +154,7 @@ type Options struct {
 	Delta time.Duration
 	// TransportParts overrides the strategy's transport partition count
 	// (used by the Figure 6 sweep). It must divide the user partition
-	// count.
+	// count; PsendInit rejects one that does not.
 	TransportParts int
 	// QPs overrides the queue pair count (used by the Figure 7 sweep).
 	QPs int
@@ -201,6 +201,11 @@ func resolvePlan(opts Options, userParts, bytes int) (Plan, error) {
 			}
 		case StrategyPLogGP, StrategyTimerPLogGP, StrategyAdaptive:
 			transport = initModel.OptimalTransport(bytes, userParts, modelDelay)
+			// The model's pick is a power of two; halve it until it
+			// divides the user partition count.
+			for userParts%transport != 0 {
+				transport /= 2
+			}
 		default:
 			return Plan{}, fmt.Errorf("core: unknown strategy %d", opts.Strategy)
 		}
@@ -209,10 +214,9 @@ func resolvePlan(opts Options, userParts, bytes int) (Plan, error) {
 		return Plan{}, fmt.Errorf("core: transport partitions %d outside [1, %d]", transport, userParts)
 	}
 	// Groups are contiguous and aligned (Section IV-C): the transport
-	// count must divide the user partition count; model output is a power
-	// of two, so halve until it divides.
-	for userParts%transport != 0 {
-		transport /= 2
+	// count must divide the user partition count.
+	if userParts%transport != 0 {
+		return Plan{}, fmt.Errorf("core: transport partitions %d do not divide %d user partitions", transport, userParts)
 	}
 
 	qps := opts.QPs

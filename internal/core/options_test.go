@@ -54,8 +54,12 @@ func TestResolvePlanOverrides(t *testing.T) {
 }
 
 func TestResolvePlanDivisibility(t *testing.T) {
-	// 24 user partitions with a model pick of 16 must fall back to 8.
-	pl, err := resolvePlan(Options{Strategy: StrategyPLogGP, TransportParts: 16}, 24, 1<<20)
+	// At 24 MiB the model picks 16 transport partitions for 24 user
+	// partitions; 16 does not divide 24, so the plan halves it to 8.
+	if got := initModel.OptimalTransport(24<<20, 24, modelDelay); got != 16 {
+		t.Fatalf("model pick = %d, want 16", got)
+	}
+	pl, err := resolvePlan(Options{Strategy: StrategyPLogGP}, 24, 24<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +74,11 @@ func TestResolvePlanErrors(t *testing.T) {
 	}
 	if _, err := resolvePlan(Options{TransportParts: 64}, 32, 1024); err == nil {
 		t.Error("transport > user partitions accepted")
+	}
+	for _, transport := range []int{3, 12, 24} {
+		if _, err := resolvePlan(Options{TransportParts: transport}, 32, 1024); err == nil {
+			t.Errorf("transport %d, which does not divide 32, accepted", transport)
+		}
 	}
 	if _, err := resolvePlan(Options{Strategy: StrategyTuningTable}, 4, 1024); err == nil {
 		t.Error("tuning without table accepted")

@@ -614,6 +614,9 @@ func ParseTopology(spec string) (*Topology, error) {
 			if !ok || k == "" {
 				return nil, fmt.Errorf("fabric: topology spec %q: want key=value, got %q", spec, f)
 			}
+			if _, dup := kv[k]; dup {
+				return nil, fmt.Errorf("fabric: topology spec %q: repeated key %q", spec, k)
+			}
 			kv[k] = v
 		}
 	}

@@ -40,6 +40,9 @@ var parseTopologyBad = []string{
 	"two-level:rack=1,extra=-2us",                       // negative extra
 	"fat-tree:k=4,G=NaN",                                // non-finite byte time
 	"fat-tree:k=4,G=Inf",
+	"fat-tree:k=4,k=8", // repeated key
+	"two-level:rack=8,rack=2",
+	"dragonfly:groups=3,groups=5",
 }
 
 func TestParseTopology(t *testing.T) {

@@ -78,8 +78,9 @@ func (c SearchConfig) Validate() error {
 // Candidates validates cfg and lists its runs, each the overhead
 // benchmark at one (parts, size) point under one (transport, QPs) design:
 // points in sweep order (partition counts outer, sizes inner, unrealizable
-// partitionings skipped), and at each point every power-of-two design in
-// lexicographic order. A point's candidates are consecutive.
+// partitionings skipped), and at each point every power-of-two design
+// whose transport count divides the partition count, in lexicographic
+// order. A point's candidates are consecutive.
 func Candidates(cfg SearchConfig) ([]bench.GridConfig, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -91,7 +92,7 @@ func Candidates(cfg SearchConfig) ([]bench.GridConfig, error) {
 			if size%parts != 0 {
 				continue // not a realizable partitioning
 			}
-			for transport := 1; transport <= parts; transport *= 2 {
+			for transport := 1; parts%transport == 0; transport *= 2 {
 				for qps := 1; qps <= min(transport, maxQPs); qps *= 2 {
 					out = append(out, bench.GridConfig{
 						Pattern: bench.P2P,

@@ -2,6 +2,7 @@ package tuning
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -42,6 +43,24 @@ func TestSearchSkipsUnrealizablePoints(t *testing.T) {
 	}
 	if table.Len() != 0 {
 		t.Fatalf("unrealizable point produced %d entries", table.Len())
+	}
+}
+
+// TestCandidatesDivide: with 24 partitions only the power-of-two
+// transport counts that divide 24 are candidates; core would run 16 as
+// 8, and Pick would record 16.
+func TestCandidatesDivide(t *testing.T) {
+	cands, err := Candidates(SearchConfig{UserParts: []int{24}, Sizes: []int{24 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][2]int
+	for _, c := range cands {
+		got = append(got, [2]int{c.Opts.TransportParts, c.Opts.QPs})
+	}
+	want := [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}, {8, 1}, {8, 2}, {8, 4}, {8, 8}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("candidates (transport, QPs) = %v, want %v", got, want)
 	}
 }
 
